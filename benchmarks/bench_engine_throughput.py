@@ -308,7 +308,7 @@ def unit_virtual_linegraph(n, reps):
 #: Shard counts recorded by the sharded sweep column.
 SHARD_SWEEP = (1, 2, 4)
 #: Boundary channels recorded by the sharded sweep column.
-SHARD_CHANNELS = ("inline", "mp", "mp-pooled")
+SHARD_CHANNELS = ("inline", "mp-pooled")
 
 
 def unit_sharded_alternation(n, seeds, reps, ks=SHARD_SWEEP,
@@ -319,8 +319,8 @@ def unit_sharded_alternation(n, seeds, reps, ks=SHARD_SWEEP,
     each column's gain over the single-process batch path
     (``sharded-<channel>-k<k>_gain`` = batch seconds / sharded
     seconds).  The in-process channel serializes the shards and mostly
-    measures partition/exchange overhead; ``mp`` pays one fork per
-    shard per run; ``mp-pooled`` dispatches every run of the
+    measures partition/exchange overhead; ``mp-pooled`` dispatches
+    every run of the
     alternation to the persistent worker pool with shared-memory halo
     exchange (D13) — the scale-out lever, needing a multi-core runner
     for absolute wins over single-process batch.  Every column is
@@ -413,7 +413,7 @@ def unit_fused_sweep(n, b, reps):
         ]
 
     out = {}
-    with use_backend("fused", rng="counter", lanes=b), use_batch(True):
+    with use_backend("compiled", rng="counter", lanes=b), use_batch(True):
         for suffix, algo, guesses in rows:
             opts = {"guesses": guesses} if guesses else {}
             jobs = [(graph, algo, dict(opts, seed=s)) for s in seeds]
@@ -532,7 +532,7 @@ def unit_roundfuse(n, reps, alt_n=150):
     return out
 
 
-def unit_recovery_checkpoint(n, seeds, reps, k=2, channel="mp"):
+def unit_recovery_checkpoint(n, seeds, reps, k=2, channel="mp-pooled"):
     """Round-checkpoint cost of the self-healing shard channel (D15).
 
     Runs the Theorem-2 Luby alternation on the sharded engine twice —
@@ -992,7 +992,7 @@ def check_bit_identity(n=120):
         with use_backend(base, rng="counter"), use_batch(backend == "batch"):
             _, _, uniform = TABLE1["luby"].build()
             alternations.append(uniform.run(graph, seed=3))
-    for channel in ("inline", "mp-pooled"):
+    for channel in SHARD_CHANNELS:
         with use_backend(
             "sharded", rng="counter", shards=3, shard_channel=channel
         ):
@@ -1028,15 +1028,19 @@ def check_bit_identity(n=120):
     idents = dict(graph.ident)
     idents[fresh] = fresh_ident
     oracle = SimGraph.from_networkx(truth, idents=idents)
+    pairs = []
+    for backend in BACKENDS:
+        # A session resolves its execution record at open, so each
+        # strategy gets its own session.
+        with _backend_context(backend), \
+                open_session(graph, rng="counter") as session:
+            session.mutate(delta)
+            pairs.append((
+                session.rerun(luby_mis(), seed=3),
+                run(oracle, luby_mis(), seed=3, rng="counter"),
+            ))
     with open_session(graph, rng="counter") as session:
         session.mutate(delta)
-        pairs = []
-        for backend in BACKENDS:
-            with _backend_context(backend):
-                pairs.append((
-                    session.rerun(luby_mis(), seed=3),
-                    run(oracle, luby_mis(), seed=3, rng="counter"),
-                ))
         for channel in SHARD_CHANNELS:
             pairs.append((
                 session.rerun(
@@ -1156,14 +1160,13 @@ SMOKE_UNITS = {
     # against the single-process strategies on every smoke run — a
     # shard regression fails fast with exit 2.
     "smoke-sharded": lambda: unit_sharded_alternation(
-        SMOKE_N, (1,), reps=2, ks=(2,), channels=("inline", "mp")
+        SMOKE_N, (1,), reps=2, ks=(2,), channels=("inline",)
     ),
     # Pooled-channel gate unit (D13): the persistent worker pool with
-    # shared-memory halos, measured against fork-per-run mp on the same
-    # alternation (bit-identity enforced by the unit itself and by
-    # check_bit_identity above).
+    # shared-memory halos on the same alternation (bit-identity
+    # enforced by the unit itself and by check_bit_identity above).
     "smoke-sharded-pooled": lambda: unit_sharded_alternation(
-        SMOKE_N, (1,), reps=2, ks=(2,), channels=("mp", "mp-pooled")
+        SMOKE_N, (1,), reps=2, ks=(2,), channels=("mp-pooled",)
     ),
     # Fault-injection gate unit (D14): drop + crash profiles on a small
     # alternation.  The recorded degradation numbers are informational;
@@ -1189,7 +1192,7 @@ SMOKE_UNITS = {
     # every smoke run.
     "smoke-roundfuse": lambda: unit_roundfuse(600, reps=2, alt_n=100),
     # Recovery gate unit (D15): per-round checkpointing on vs off on
-    # the fork-per-run channel.  checkpoint_gain falling below 80% of
+    # the pooled channel.  checkpoint_gain falling below 80% of
     # the baseline means shard snapshots got materially more expensive;
     # the unit itself refuses to record if checkpointing ever changes
     # results.
@@ -1354,8 +1357,8 @@ def main(argv=None):
                     "compiled = CSR engine stepping per node; batch = CSR "
                     "engine with batched frontier-step kernels (D10); "
                     "sharded-<channel>-k<k> = partitioned engine (D12), "
-                    "inline channel serializes shards in-process, mp forks "
-                    "one worker per shard per run, mp-pooled reuses the "
+                    "inline channel serializes shards in-process, mp-pooled "
+                    "reuses the "
                     "persistent worker pool with shared-memory halo "
                     "exchange (D13; needs a multi-core runner for absolute "
                     "wins). speedup = reference/compiled, speedup_batch = "

@@ -13,8 +13,8 @@ protocol.  Two questions matter before flashing firmware:
    every backend.  So a fault study debugged on the reference loop is
    *the same experiment* on the batch kernels or the sharded engine.
 
-2. *What if the simulation machinery itself fails?*  The mp shard
-   channels survive real faults too (DESIGN.md, D15): the parent keeps
+2. *What if the simulation machinery itself fails?*  The mp-pooled
+   shard channel survives real faults too (DESIGN.md, D15): the parent keeps
    a round-level checkpoint of every shard, so a killed or hung worker
    is respawned alone and resumed from the last checkpoint — a dead
    worker costs one round, not the run, and the recovered output is
@@ -70,7 +70,8 @@ def main():
         ("reference", dict(backend="reference")),
         ("compiled+batch", dict(backend="compiled")),
         ("sharded k=2", dict(backend="compiled", shards=2,
-                             shard_channel="mp" if fork_available() else "inline")),
+                             shard_channel="mp-pooled" if fork_available()
+                             else "inline")),
     ]
     results = []
     for name, kwargs in configs:
@@ -131,14 +132,14 @@ def main():
 def kill_and_recover(network):
     print("\nkill-and-recover (D15): SIGKILL one shard worker mid-run")
     _, _, uniform = TABLE1["luby"].build()
-    with use_backend("sharded", rng="counter", shards=2, shard_channel="mp"):
+    with use_backend("sharded", rng="counter", shards=2, shard_channel="mp-pooled"):
         honest = uniform.run(network, seed=SEED)
 
     state = {}
 
     def assassin():
-        # Wait for a forked shard worker to appear, then SIGKILL it —
-        # an external fault the channel cannot see coming.
+        # Wait for a pool worker to appear, then SIGKILL it — an
+        # external fault the channel cannot see coming.
         while "pid" not in state and not state.get("stop"):
             for child in multiprocessing.active_children():
                 try:
@@ -150,7 +151,7 @@ def kill_and_recover(network):
             time.sleep(0.001)
 
     _, _, uniform = TABLE1["luby"].build()
-    with use_backend("sharded", rng="counter", shards=2, shard_channel="mp"):
+    with use_backend("sharded", rng="counter", shards=2, shard_channel="mp-pooled"):
         thread = threading.Thread(target=assassin, daemon=True)
         thread.start()
         with warnings.catch_warnings(record=True) as caught:

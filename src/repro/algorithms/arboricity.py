@@ -28,7 +28,7 @@ from ..core.bounds import AdditiveBound, ProductBound, custom
 from ..core.pruning import RulingSetPruning
 from ..core.transformer import NonUniform, theorem1
 from ..core.weak_domination import DominationWitness
-from ..local import batch, jitkernels
+from ..local import batch
 from ..local.algorithm import HostAlgorithm, LocalAlgorithm, NodeProcess
 from ..local.message import Broadcast
 from ..mathutils import ceil_log2
@@ -121,28 +121,19 @@ class HPartitionKernel(batch.LockstepKernel):
         """
         np = batch.numpy_or_none()
         bg = self.bg
-        jit = jitkernels.peeling_loop()
-        if jit is not None:
-            cls = jit(
-                bg.offsets, bg.neigh, bg.degrees, self.cls,
-                self.threshold, self.phases,
+        neigh, owner, degrees = bg.neigh, bg.owner, bg.degrees
+        threshold = self.threshold
+        cls = self.cls
+        prev_peeled = self.prev_peeled
+        for r in range(1, self.phases + 1):
+            peeled_neighbours = np.bincount(
+                owner[prev_peeled[neigh]], minlength=bg.n
             )
-        else:
-            neigh, owner, degrees = bg.neigh, bg.owner, bg.degrees
-            threshold = self.threshold
-            cls = self.cls
-            prev_peeled = self.prev_peeled
-            for r in range(1, self.phases + 1):
-                peeled_neighbours = np.bincount(
-                    owner[prev_peeled[neigh]], minlength=bg.n
-                )
-                fresh = (cls == 0) & (
-                    degrees - peeled_neighbours <= threshold
-                )
-                if not fresh.any():
-                    break
-                cls[fresh] = r
-                prev_peeled = cls != 0
+            fresh = (cls == 0) & (degrees - peeled_neighbours <= threshold)
+            if not fresh.any():
+                break
+            cls[fresh] = r
+            prev_peeled = cls != 0
         self.round = self.phases
         self.prev_peeled = cls != 0
         return self.finish([int(c) for c in cls.tolist()])[1]

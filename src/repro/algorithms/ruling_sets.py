@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from ..core.bounds import AdditiveBound, custom
 from ..core.transformer import NonUniform
-from ..local import batch, jitkernels
+from ..local import batch
 from ..local.algorithm import LocalAlgorithm, NodeProcess
 from ..local.message import Broadcast
 from ..mathutils import ceil_log2
@@ -146,20 +146,16 @@ class BitwiseRulingKernel(batch.LockstepKernel):
         """
         bg = self.bg
         colmat = self._column_matrix().astype(bool)
-        jit = jitkernels.bitwise_loop()
-        if jit is not None:
-            cand = jit(bg.offsets, bg.neigh, colmat, self.cand)
-        else:
-            neigh, owner = bg.neigh, bg.owner
-            cand = self.cand
-            prev_cand = self.prev_cand
-            for r in range(self.bits):
-                column = colmat[:, r]
-                zero_rival = prev_cand[neigh] & ~column[neigh]
-                blocked = batch.row_flags(owner[zero_rival], bg.n)
-                cand = cand & ~(column & blocked)
-                prev_cand = cand
-            self.prev_cand = prev_cand
+        neigh, owner = bg.neigh, bg.owner
+        cand = self.cand
+        prev_cand = self.prev_cand
+        for r in range(self.bits):
+            column = colmat[:, r]
+            zero_rival = prev_cand[neigh] & ~column[neigh]
+            blocked = batch.row_flags(owner[zero_rival], bg.n)
+            cand = cand & ~(column & blocked)
+            prev_cand = cand
+        self.prev_cand = prev_cand
         self.cand = cand
         self.round = self.bits
         return self.finish([1 if c else 0 for c in cand.tolist()])[1]

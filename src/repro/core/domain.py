@@ -16,11 +16,12 @@ clique product) — so both are hidden behind a :class:`Domain`:
 Restriction semantics follow the paper: a budgeted run forces the default
 output ("0") on nodes that have not terminated.
 
-Domain runs honour the process-wide runner backend
-(:func:`repro.local.runner.use_backend`) and accept the full executor
+Domain runs honour the ambient execution record
+(:func:`repro.local.execution.use_backend`) and accept the full executor
 selection per call (``backend`` / ``rng`` / ``shards`` /
-``shard_channel``, resolved once by :func:`_resolve_exec` and forwarded
-verbatim) — so a whole transformer pipeline shards, or dispatches to
+``shard_channel``, resolved once by :func:`_resolve_exec` into one
+:class:`~repro.local.execution.Execution`) — so a whole transformer
+pipeline shards, or dispatches to
 the persistent worker pool (``shard_channel="mp-pooled"``, DESIGN.md
 D13), without the transformers knowing: each alternation step's guess
 run *and* pruning run re-dispatch to the scope's warm pool.
@@ -33,15 +34,10 @@ from __future__ import annotations
 
 from functools import wraps
 
+from ..local.execution import current, resolve
 from ..local.faults import use_faults
 from ..local.graph import SimGraph
-from ..local.runner import (
-    SAFETY_ROUND_CAP,
-    batching_requested,
-    resolve_execution,
-    run,
-    run_restricted,
-)
+from ..local.runner import SAFETY_ROUND_CAP, execute
 from ..local.virtual import (
     VirtualSpec,
     flatten_outputs,
@@ -62,8 +58,9 @@ def _resolve_exec(exec_kwargs):
     ``shards``, ``shard_channel``) as pass-through keyword arguments —
     the same names, defaults and validation as
     :func:`repro.local.runner.run` — and resolve them exactly once
-    here, so backend/batch/shard selection can never drift between
-    ``run_restricted`` and ``run_full`` or between domain kinds.
+    here into the :class:`~repro.local.execution.Execution` the run
+    executes under, so backend/batch/shard selection can never drift
+    between ``run_restricted`` and ``run_full`` or between domain kinds.
     """
     unknown = set(exec_kwargs) - {"backend", "rng", "shards", "shard_channel"}
     if unknown:
@@ -71,12 +68,7 @@ def _resolve_exec(exec_kwargs):
             f"unexpected execution keyword(s) {sorted(unknown)}; "
             "domains accept backend/rng/shards/shard_channel"
         )
-    return resolve_execution(
-        exec_kwargs.get("backend"),
-        exec_kwargs.get("rng"),
-        exec_kwargs.get("shards"),
-        exec_kwargs.get("shard_channel"),
-    )
+    return resolve(**exec_kwargs)
 
 
 class Domain:
@@ -179,17 +171,17 @@ class PhysicalDomain(Domain):
         default_output=0,
         **exec_kwargs,
     ):
-        _resolve_exec(exec_kwargs)  # validate once, forward verbatim
-        result = run_restricted(
+        result = execute(
             self.graph,
             algorithm,
-            budget,
+            _resolve_exec(exec_kwargs),
+            max_rounds=budget,
             default_output=default_output,
+            truncate=True,
             inputs=inputs,
             guesses=guesses,
             seed=seed,
             salt=salt,
-            **exec_kwargs,
         )
         return result.outputs, budget
 
@@ -204,16 +196,15 @@ class PhysicalDomain(Domain):
         max_rounds=None,
         **exec_kwargs,
     ):
-        _resolve_exec(exec_kwargs)  # validate once, forward verbatim
-        result = run(
+        result = execute(
             self.graph,
             algorithm,
+            _resolve_exec(exec_kwargs),
             inputs=inputs,
             guesses=guesses,
             seed=seed,
             salt=salt,
             max_rounds=max_rounds,
-            **exec_kwargs,
         )
         return result.outputs, result.rounds
 
@@ -283,9 +274,9 @@ class VirtualDomain(Domain):
         default_output=0,
         **exec_kwargs,
     ):
-        backend, rng, shards, shard_channel = _resolve_exec(exec_kwargs)
+        execution = _resolve_exec(exec_kwargs)
         physical_budget = budget * self.spec.dilation + VIRTUAL_OVERHEAD
-        if backend != "reference" and batching_requested(backend):
+        if execution.backend != "reference" and execution.batch:
             # Batched fast path: the kernel runs on the virtual graph
             # itself (optionally partitioned across shards, D12) and
             # the host commit protocol is replayed from the spec's
@@ -295,34 +286,29 @@ class VirtualDomain(Domain):
                 self.spec,
                 algorithm,
                 self.physical,
+                execution,
                 cap=physical_budget,
                 virt_inputs=inputs or {},
                 guesses=guesses,
                 seed=seed,
                 salt=salt,
-                rng_mode=rng,
                 default_output=default_output,
-                shards=shards,
-                shard_channel=shard_channel,
             )
             if outputs is not None:
                 return outputs, physical_budget
         wrapped = virtualize(
-            self.spec, algorithm, virt_inputs=inputs or {}, engine=backend
+            self.spec, algorithm, virt_inputs=inputs or {},
+            engine=execution.backend,
         )
-        result = run_restricted(
+        result = execute(
             self.physical,
             wrapped,
-            physical_budget,
-            default_output=None,
-            inputs=None,
+            execution,
+            max_rounds=physical_budget,
+            truncate=True,
             guesses=guesses,
             seed=seed,
             salt=salt,
-            backend=backend,
-            rng=rng,
-            shards=shards,
-            shard_channel=shard_channel,
         )
         outputs = flatten_outputs(
             self.spec, result.outputs, default=default_output
@@ -344,8 +330,8 @@ class VirtualDomain(Domain):
         max_rounds=None,
         **exec_kwargs,
     ):
-        backend, rng, shards, shard_channel = _resolve_exec(exec_kwargs)
-        if backend != "reference" and batching_requested(backend):
+        execution = _resolve_exec(exec_kwargs)
+        if execution.backend != "reference" and execution.batch:
             # Batched full run (D10 closure): step the kernel to its
             # fixed point and replay the host commit rounds — no host
             # simulation, same outputs/rounds.
@@ -353,38 +339,32 @@ class VirtualDomain(Domain):
                 self.spec,
                 algorithm,
                 self.physical,
+                execution,
                 cap=max_rounds if max_rounds is not None else SAFETY_ROUND_CAP,
                 virt_inputs=inputs or {},
                 guesses=guesses,
                 seed=seed,
                 salt=salt,
-                rng_mode=rng,
-                shards=shards,
-                shard_channel=shard_channel,
             )
             if got is not None:
                 return got
         wrapped = virtualize(
-            self.spec, algorithm, virt_inputs=inputs or {}, engine=backend
+            self.spec, algorithm, virt_inputs=inputs or {},
+            engine=execution.backend,
         )
-        result = run(
+        result = execute(
             self.physical,
             wrapped,
+            execution,
             guesses=guesses,
             seed=seed,
             salt=salt,
             max_rounds=max_rounds,
-            backend=backend,
-            rng=rng,
-            shards=shards,
-            shard_channel=shard_channel,
         )
         return flatten_outputs(self.spec, result.outputs), result.rounds
 
     def subgraph(self, keep):
-        from ..local.runner import DEFAULT_BACKEND
-
-        if DEFAULT_BACKEND == "reference":
+        if current().backend == "reference":
             # Seed-faithful path: rebuild the spec (and its routes) from
             # scratch, as the original implementation did.
             keep = set(keep)

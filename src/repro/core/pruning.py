@@ -42,7 +42,7 @@ one pruner that rewrites inputs).
 
 from __future__ import annotations
 
-from ..local import batch, jitkernels
+from ..local import batch
 from ..local.algorithm import LocalAlgorithm, NodeProcess, capabilities_of
 from ..local.message import Broadcast
 from ..problems.coloring import SLC, SLCInput
@@ -302,20 +302,15 @@ class RulingSetPruneKernel(batch.LockstepKernel):
         rival = y_in[owner] & y_in[neigh]
         beaten = batch.row_flags(owner[rival], bg.n)
         center = y_in & ~beaten
-        jit = jitkernels.flood_loop()
-        if jit is not None:
-            center_near = jit(bg.offsets, neigh, center, self.beta)
+        center_near = np.zeros(bg.n, dtype=bool)
+        prev_flag = center
+        for _ in range(self.beta):
+            heard = prev_flag[neigh]
+            new_near = center_near | batch.row_flags(owner[heard], bg.n)
+            if np.array_equal(new_near, center_near):
+                break
+            center_near = new_near
             prev_flag = center | center_near
-        else:
-            center_near = np.zeros(bg.n, dtype=bool)
-            prev_flag = center
-            for _ in range(self.beta):
-                heard = prev_flag[neigh]
-                new_near = center_near | batch.row_flags(owner[heard], bg.n)
-                if np.array_equal(new_near, center_near):
-                    break
-                center_near = new_near
-                prev_flag = center | center_near
         self.center = center
         self.center_near = center_near
         self.prev_flag = prev_flag

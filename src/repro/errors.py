@@ -101,7 +101,7 @@ class WorkerDiedError(FaultError, RuntimeError):
 class RecoveryExhaustedError(FaultError):
     """Surgical shard recovery ran out of its per-run retry budget.
 
-    Raised by a channel when ``REPRO_SHARD_MAX_RETRIES`` respawn
+    Raised by a channel when ``recovery.MAX_RETRIES`` respawn
     attempts were consumed without completing the failed round.  Still
     ``retryable``: the run-level ladder may re-dispatch the whole run on
     the inline channel as a last resort.

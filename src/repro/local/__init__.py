@@ -19,6 +19,7 @@ from .msgsize import estimate_bits
 from .composition import Chain, default_carry
 from .context import CounterRNG, NodeContext, make_rng
 from .engine import CompiledGraph, Partition
+from .execution import Execution, use_backend, use_batch, use_roundfuse
 from .faults import (
     GARBLED,
     FaultPlan,
@@ -35,20 +36,7 @@ from .fused import run_many, slab_cache_stats
 from .graph import GraphDelta, SimGraph
 from .message import Broadcast
 from .service import SimulationSession, open_session
-from .runner import (
-    RunResult,
-    last_faults,
-    run,
-    run_restricted,
-    set_batch_enabled,
-    set_default_backend,
-    set_jit_enabled,
-    set_roundfuse_enabled,
-    use_backend,
-    use_batch,
-    use_jit,
-    use_roundfuse,
-)
+from .runner import RunResult, last_faults, run, run_restricted
 from .virtual import (
     VirtualSpec,
     flatten_outputs,
@@ -63,6 +51,7 @@ __all__ = [
     "Chain",
     "CompiledGraph",
     "CounterRNG",
+    "Execution",
     "FaultPlan",
     "FunctionProcess",
     "GARBLED",
@@ -96,16 +85,11 @@ __all__ = [
     "use_faults",
     "run_virtual_batch",
     "run_virtual_batch_full",
-    "set_batch_enabled",
     "run_with_wakeup",
     "running_time",
-    "set_default_backend",
-    "set_jit_enabled",
-    "set_roundfuse_enabled",
     "termination_times",
     "use_backend",
     "use_batch",
-    "use_jit",
     "use_roundfuse",
     "virtualize",
     "zero_round_algorithm",

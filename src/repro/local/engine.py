@@ -62,8 +62,8 @@ the plan; this module only owns the edge-cut geometry.
 Backend selection
 -----------------
 ``run(graph, algo)`` defaults to this engine; pass
-``backend="reference"`` for the specification loop, or flip the process
-default with :func:`repro.local.runner.use_backend`.  See DESIGN.md for
+``backend="reference"`` for the specification loop, or pin it for a
+scope with :func:`repro.local.execution.use_backend`.  See DESIGN.md for
 the equivalence contract between the two backends.
 """
 
@@ -649,6 +649,7 @@ def run_batch(
 def run_compiled(
     graph,
     algorithm,
+    execution,
     *,
     inputs,
     guesses,
@@ -658,9 +659,7 @@ def run_compiled(
     truncating,
     default_output,
     track_bits,
-    rng_mode,
     result_cls,
-    use_batch=True,
     faults=None,
 ):
     """Execute one synchronous run on the compiled engine.
@@ -668,17 +667,19 @@ def run_compiled(
     Arguments arrive pre-validated from :func:`repro.local.runner.run`;
     the returned ``result_cls`` instance is field-for-field identical to
     what the reference loop produces for the same configuration.  When
-    the algorithm registers a batch kernel (and the run is eligible —
-    see :func:`repro.local.batch.make_engine_kernel`), the whole
-    frontier is stepped per round through :func:`run_batch` instead of
-    dispatching per node.  Under an active fault plan the per-node path
-    runs a dedicated injected loop (:func:`_run_pernode_faulted`) so the
-    honest hot loop below stays branch-free.
+    ``execution.batch`` is on and the algorithm registers a batch kernel
+    (and the run is eligible — see
+    :func:`repro.local.batch.make_engine_kernel`), the whole frontier is
+    stepped per round through :func:`run_batch` instead of dispatching
+    per node.  Under an active fault plan the per-node path runs a
+    dedicated injected loop (:func:`_run_pernode_faulted`) so the honest
+    hot loop below stays branch-free.
     """
     from .runner import note_stepping
 
+    rng_mode = execution.rng_mode
     cg = graph.compiled()
-    if use_batch:
+    if execution.batch:
         kernel = make_engine_kernel(
             algorithm,
             cg,
@@ -692,12 +693,12 @@ def run_compiled(
             faults=faults,
         )
         if kernel is not None:
-            if faults is None:
+            if faults is None and execution.roundfuse:
                 # Round-fused tier (D17): certified kernels execute the
                 # whole schedule in one driver call; try_drive declines
-                # (capability, kill-switch, cap too small) back to the
-                # per-round loop below.  Injected runs never fuse — the
-                # fixed-point drivers are honest-only.
+                # (capability, cap too small) back to the per-round loop
+                # below.  Injected runs never fuse — the fixed-point
+                # drivers are honest-only.
                 from .roundfuse import try_drive
 
                 fused = try_drive(

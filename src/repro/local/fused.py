@@ -42,18 +42,12 @@ from __future__ import annotations
 import weakref
 
 from ..errors import LaneCancelled, NonTerminationError, ParameterError, ReproError
-from . import batch, runner as _runner
+from . import batch
 from .algorithm import capabilities_of
 from .context import make_rng, run_key
+from .execution import resolve
 from .faults import resolve_faults
-from .runner import (
-    SAFETY_ROUND_CAP,
-    RunResult,
-    batching_requested,
-    note_stepping,
-    resolve_backend,
-    run,
-)
+from .runner import SAFETY_ROUND_CAP, RunResult, execute, note_stepping
 
 
 class FusedBatchGraph(batch.BatchGraph):
@@ -469,14 +463,14 @@ def run_many(
         semantics of :func:`~repro.local.runner.run`.
     backend, rng:
         Resolved like a solo run.  Lanes fuse when the resolved
-        backend is batch-capable (not ``"reference"``/``"sharded"``)
-        and the algorithm is certified ``supports_fuse``; everything
-        else — including every lane when numpy is missing or a fault
-        plan is ambient — runs solo, bit-identically.
+        backend is ``"compiled"`` with batching on and the algorithm is
+        certified ``supports_fuse``; everything else — including every
+        lane when numpy is missing or a fault plan is ambient — runs
+        solo, bit-identically.
     lanes:
-        Maximum lane width per slab (defaults to
-        ``DEFAULT_FUSE_LANES``, pinned by ``use_backend("fused",
-        lanes=b)``).
+        Maximum lane width per slab (defaults to the ambient record's
+        ``lanes``, pinned by ``use_backend("compiled", lanes=b)`` or
+        ``REPRO_FUSE_LANES``).
     errors:
         ``"raise"`` raises the lowest-index lane's
         :class:`NonTerminationError` after all lanes settle;
@@ -541,15 +535,13 @@ def run_many(
         cap = SAFETY_ROUND_CAP
     else:
         cap = max_rounds
-    backend_name, rng_mode = resolve_backend(backend, rng)
-    width = int(lanes) if lanes is not None else _runner.DEFAULT_FUSE_LANES
-    if width < 1:
-        raise ParameterError(f"lanes must be >= 1, got {lanes}")
+    execution = resolve(backend, rng, lanes=lanes)
+    width = execution.lanes
     fuse_ok = (
         batch.numpy_or_none() is not None
         and not resolve_faults(None)
-        and backend_name not in ("reference", "sharded")
-        and batching_requested(backend_name)
+        and execution.backend == "compiled"
+        and execution.batch
     )
     solo, chunks = [], []
     if fuse_ok:
@@ -573,7 +565,7 @@ def run_many(
         for members in groups.values():
             for at in range(0, len(members), width):
                 chunk_lanes = members[at : at + width]
-                chunk = _build_chunk(chunk_lanes, rng_mode, claimed)
+                chunk = _build_chunk(chunk_lanes, execution.rng_mode, claimed)
                 if chunk is None:
                     solo.extend(chunk_lanes)
                 else:
@@ -587,9 +579,10 @@ def run_many(
         if lane.settled:
             continue
         try:
-            lane.result = run(
+            lane.result = execute(
                 lane.graph,
                 lane.algorithm,
+                execution,
                 inputs=lane.inputs,
                 guesses=lane.guesses,
                 seed=lane.seed,
@@ -597,8 +590,6 @@ def run_many(
                 max_rounds=max_rounds,
                 default_output=default_output,
                 truncate=truncate,
-                backend=backend_name,
-                rng=rng_mode,
             )
         except NonTerminationError as exc:
             lane.error = exc

@@ -419,9 +419,9 @@ class SimGraph:
         end-to-end reproduction of the seed execution stack; both paths
         produce identical graphs (asserted by the equivalence suite).
         """
-        from .runner import DEFAULT_BACKEND
+        from .execution import current
 
-        if DEFAULT_BACKEND == "reference":
+        if current().backend == "reference":
             return self.subgraph_rebuild(keep)
         keep_set = keep if isinstance(keep, frozenset) else frozenset(keep)
         unknown = keep_set - self._node_set
@@ -475,7 +475,7 @@ class SimGraph:
 
         An empty delta returns ``self`` unchanged (no-op identity).
         """
-        from .runner import DEFAULT_BACKEND
+        from .execution import current
 
         if not isinstance(delta, GraphDelta):
             raise ParameterError(
@@ -484,7 +484,7 @@ class SimGraph:
         delta.validate(self)
         if delta.is_empty():
             return self
-        if DEFAULT_BACKEND == "reference":
+        if current().backend == "reference":
             return self.apply_delta_rebuild(delta)
         return self.compiled().apply_delta(delta)
 

@@ -1,6 +1,6 @@
 """Round-level checkpoints and shard recovery bookkeeping (D15).
 
-The sharded channels (``local/sharded.py``) survive worker deaths by
+The pooled sharded channel (``local/sharded.py``) survives worker deaths by
 *surgical* recovery: after every committed round the parent retains a
 pickled snapshot of each shard, and when a worker dies or hangs only
 that worker is respawned, restored from the last checkpoint, and asked
@@ -26,11 +26,10 @@ This module owns the pieces that are independent of any channel:
 Environment switches:
 
 ``REPRO_CHECKPOINT``         "0" disables per-round checkpointing (the
-                             channels then fall back to the legacy
+                             channel then falls back to the legacy
                              restart-from-scratch ladder).  Default on.
 ``REPRO_CHECKPOINT_DIR``     directory to spill checkpoints to; unset
                              means in-memory only.
-``REPRO_SHARD_MAX_RETRIES``  per-run surgical-respawn budget (default 3).
 """
 
 import binascii
@@ -39,6 +38,7 @@ import pickle
 import tempfile
 
 from ..errors import CheckpointCorruptError
+from .execution import env_setting
 
 __all__ = [
     "CHECKPOINTS_ENABLED",
@@ -52,32 +52,14 @@ __all__ = [
 ]
 
 
-def _env_flag(name, default=True):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 0 else default
-
-
-#: Whether the sharded channels take per-round checkpoints at all.
-CHECKPOINTS_ENABLED = _env_flag("REPRO_CHECKPOINT", True)
+#: Whether the sharded channel takes per-round checkpoints at all.
+CHECKPOINTS_ENABLED = env_setting(os.environ, "REPRO_CHECKPOINT", True, bool)
 
 #: Optional spill directory; ``None`` keeps checkpoints in-memory only.
-CHECKPOINT_DIR = os.environ.get("REPRO_CHECKPOINT_DIR") or None
+CHECKPOINT_DIR = env_setting(os.environ, "REPRO_CHECKPOINT_DIR", None)
 
 #: Surgical-respawn budget per run (attempts before escalating).
-MAX_RETRIES = _env_int("REPRO_SHARD_MAX_RETRIES", 3)
+MAX_RETRIES = 3
 
 #: Sentinel round number of the pre-round-0 checkpoint (the freshly
 #: built shards, before any stepping).

@@ -27,11 +27,9 @@ driver call:
 Eligibility is capability-gated (``supports_roundfuse``) with the exact
 fallback discipline of D10–D16: an active fault plan, ``track_bits``,
 sharded or fused execution, an uncertified algorithm, or the
-``REPRO_ROUNDFUSE=0`` kill-switch each degrade to the per-round batch
-path, bit-identical.  The optional JIT tier (``backend="jit"`` /
-``REPRO_JIT``, :mod:`repro.local.jitkernels`) compiles the hottest
-inner loops via numba *iff importable* — numba absent simply means the
-pure-numpy fused tier runs instead, same results bit for bit.
+``REPRO_ROUNDFUSE=0`` kill-switch (``Execution.roundfuse``) each
+degrade to the per-round batch path, bit-identical.  Fused drives are
+tagged ``"rf"`` in step records.
 """
 
 from __future__ import annotations
@@ -45,23 +43,22 @@ def try_drive(
     """Round-fuse one honest engine run, or return ``None`` to decline.
 
     The caller (:func:`repro.local.engine.run_compiled`) has already
-    built the batch kernel and gated faults/``track_bits``; this helper
-    adds the D17 gates — capability record, runner kill-switch, and a
-    driver that actually fits the configuration.  Declining is always
-    safe: the per-round :func:`~repro.local.engine.run_batch` loop is
-    the exact same state machine, one round at a time.
+    built the batch kernel and gated faults, ``track_bits`` and the
+    execution's ``roundfuse`` switch; this helper adds the remaining
+    D17 gates — capability record and a driver that actually fits the
+    configuration.  Declining is always safe: the per-round
+    :func:`~repro.local.engine.run_batch` loop is the exact same state
+    machine, one round at a time.
     """
     from .algorithm import capabilities_of
-    from .runner import note_stepping, use_roundfuse_now
+    from .runner import note_stepping
 
-    if not use_roundfuse_now():
-        return None
     if not capabilities_of(algorithm).get("supports_roundfuse"):
         return None
     driven = drive_kernel(kernel, cap)
     if driven is None:
         return None
-    note_stepping(stepping_tag())
+    note_stepping("rf")
     return settle(
         driven,
         kernel,
@@ -146,10 +143,3 @@ def settle(
     return result_cls(
         outputs, finish_round, total, messages, frozenset(), None
     )
-
-
-def stepping_tag():
-    """The step-record tag for a fused drive (``"rf"`` or ``"jit"``)."""
-    from . import jitkernels
-
-    return "jit" if jitkernels.active() else "rf"

@@ -30,102 +30,25 @@ Two interchangeable executors implement these semantics:
   under a pinned ``rng`` scheme the two backends produce bit-identical
   :class:`RunResult` fields.
 
-Select per call (``run(..., backend=..., rng=...)``) or per process
-(:func:`set_default_backend` / :func:`use_backend`, or the
-``REPRO_BACKEND`` / ``REPRO_RNG`` environment variables).
+``backend="sharded"`` partitions the compiled engine's round loop
+(:mod:`repro.local.sharded`).  Select per call (``run(..., backend=...,
+rng=...)``) or per scope (:func:`~repro.local.execution.use_backend`,
+or the ``REPRO_BACKEND`` / ``REPRO_RNG`` environment variables); both
+resolve into one :class:`~repro.local.execution.Execution` record.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 from ..errors import NonTerminationError, ParameterError
 from .algorithm import capabilities_of
 from .context import NodeContext, rng_source
+from .execution import resolve
 from .faults import DROP, GARBLE, GARBLED, resolve_faults
 from .message import Broadcast, normalize_outgoing
 from .msgsize import estimate_bits
 
 #: Cap applied when the caller neither bounds the rounds nor truncates.
 SAFETY_ROUND_CAP = 100_000
-
-#: ``"batch"`` is the compiled engine with the batched frontier-step
-#: path explicitly requested (it is also auto-selected under
-#: ``"compiled"`` whenever the algorithm registers a kernel).
-#: ``"sharded"`` is the partitioned engine (DESIGN.md D12): the round
-#: loop runs per graph shard with boundary exchange; it is also
-#: selected by passing ``shards=k`` to :func:`run` under any compiled
-#: backend.
-#: ``"fused"`` is the multi-run engine (DESIGN.md D16): a single
-#: :func:`run` behaves like ``"batch"``, while
-#: :func:`~repro.local.fused.run_many` packs independent runs into one
-#: block-diagonal slab and steps them as lanes of one kernel.
-#: ``"jit"`` is the round-fused tier with the numba JIT loops requested
-#: for that call (DESIGN.md D17): it resolves like ``"batch"`` and —
-#: when numba is importable — compiles the hottest fused inner loops;
-#: without numba it is exactly the pure-numpy round-fused path.
-_BACKENDS = ("compiled", "reference", "batch", "sharded", "fused", "jit")
-_RNG_MODES = ("counter", "mt")
-#: Boundary-exchange channels of the sharded engine: ``"inline"`` steps
-#: the shards sequentially in-process (deterministic reference),
-#: ``"mp"`` forks one worker per shard per run, ``"mp-pooled"``
-#: dispatches to the persistent worker pool with shared-memory halo
-#: exchange (DESIGN.md D13).
-_SHARD_CHANNELS = ("inline", "mp", "mp-pooled")
-
-#: Process-wide backend default (overridable per call).
-DEFAULT_BACKEND = os.environ.get("REPRO_BACKEND", "compiled")
-#: Process-wide rng-scheme override; ``None`` picks the backend's native
-#: scheme ("counter" for compiled, "mt" for reference).
-DEFAULT_RNG = os.environ.get("REPRO_RNG") or None
-try:
-    #: Shard count used when ``backend="sharded"`` is selected without
-    #: an explicit ``shards=k``.
-    DEFAULT_SHARDS = max(1, int(os.environ.get("REPRO_SHARDS", "") or 2))
-except ValueError:  # pragma: no cover - malformed environment
-    DEFAULT_SHARDS = 2
-#: Default boundary-exchange channel of the sharded engine.
-DEFAULT_SHARD_CHANNEL = os.environ.get("REPRO_SHARD_CHANNEL", "inline")
-try:
-    #: Maximum lane width of one fused slab (DESIGN.md D16): a
-    #: ``run_many`` call packs at most this many runs per kernel, wider
-    #: batches are chunked.  Pin per scope with
-    #: ``use_backend("fused", lanes=b)``.
-    DEFAULT_FUSE_LANES = max(1, int(os.environ.get("REPRO_FUSE_LANES", "") or 32))
-except ValueError:  # pragma: no cover - malformed environment
-    DEFAULT_FUSE_LANES = 32
-#: Process-wide switch for the batched frontier-step path (DESIGN.md
-#: D10).  Off, every run steps per node — the fallback that also engages
-#: automatically when numpy is unavailable.  ``backend="batch"``
-#: overrides a disabled switch for that call.
-BATCH_ENABLED = os.environ.get("REPRO_BATCH", "1").lower() not in (
-    "0",
-    "off",
-    "false",
-)
-#: Process-wide switch for the round-fused drivers (DESIGN.md D17).
-#: On by default: certified kernels execute their whole round schedule
-#: inside one driver call instead of returning to the interpreter per
-#: round.  ``REPRO_ROUNDFUSE=0`` restores the per-round batch loop
-#: everywhere (the bit-identity fallback the equivalence suite diffs
-#: against).
-ROUNDFUSE_ENABLED = os.environ.get("REPRO_ROUNDFUSE", "1").lower() not in (
-    "0",
-    "off",
-    "false",
-)
-#: Process-wide request for the numba JIT tier of the round-fused
-#: drivers (DESIGN.md D17).  Off by default; ``REPRO_JIT=1`` (or
-#: ``backend="jit"`` per call) requests it.  The request is honoured
-#: only when numba is importable — otherwise the pure-numpy fused loops
-#: run, bit-identical.
-JIT_ENABLED = os.environ.get("REPRO_JIT", "0").lower() in (
-    "1",
-    "on",
-    "true",
-)
-
 
 #: Stepping strategy of the most recent run in this process
 #: (``"batch"``, ``"per-node"`` or ``"reference"``); ``None`` before the
@@ -183,221 +106,6 @@ def note_recovery(summary):
 def last_recovery():
     """Recovery trail of the most recent run (``None`` if nothing failed)."""
     return _LAST_RECOVERY
-
-
-def set_batch_enabled(enabled):
-    """Toggle the batched execution path; returns the previous value."""
-    global BATCH_ENABLED
-    previous = BATCH_ENABLED
-    BATCH_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_batch(enabled):
-    """Temporarily pin the batched-path switch (equivalence tests diff
-    the batch and per-node steppings under ``use_batch(False)``)."""
-    previous = set_batch_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_batch_enabled(previous)
-
-
-def set_roundfuse_enabled(enabled):
-    """Toggle the round-fused drivers (D17); returns the previous value."""
-    global ROUNDFUSE_ENABLED
-    previous = ROUNDFUSE_ENABLED
-    ROUNDFUSE_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_roundfuse(enabled):
-    """Temporarily pin the round-fused-driver switch (the equivalence
-    suite diffs fused and per-round stepping under
-    ``use_roundfuse(False)``)."""
-    previous = set_roundfuse_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_roundfuse_enabled(previous)
-
-
-def use_roundfuse_now():
-    """Whether an eligible run should take the round-fused drivers."""
-    return ROUNDFUSE_ENABLED
-
-
-def set_jit_enabled(enabled):
-    """Toggle the process-wide JIT request; returns the previous value."""
-    global JIT_ENABLED
-    previous = JIT_ENABLED
-    JIT_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_jit(enabled):
-    """Temporarily pin the JIT-tier request (``backend="jit"`` wraps its
-    run in this scope; honoured only when numba is importable)."""
-    previous = set_jit_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_jit_enabled(previous)
-
-
-def use_jit_now():
-    """Whether the current run requests the numba JIT loops."""
-    return JIT_ENABLED
-
-
-def set_default_backend(backend):
-    """Set the process-wide runner backend; returns the previous value."""
-    global DEFAULT_BACKEND
-    if backend not in _BACKENDS:
-        raise ParameterError(f"unknown backend {backend!r} (use {_BACKENDS})")
-    previous = DEFAULT_BACKEND
-    DEFAULT_BACKEND = backend
-    return previous
-
-
-@contextmanager
-def use_backend(backend, rng=None, shards=None, shard_channel=None, lanes=None):
-    """Temporarily pin the runner backend (and optionally the rng scheme,
-    shard count and shard channel).
-
-    The equivalence suite runs whole pipelines — alternations, virtual
-    domains, portfolios — under each backend with the rng scheme pinned,
-    proving the engines interchangeable end to end.
-    ``use_backend("sharded", shards=4)`` shards every run of a pipeline
-    without threading ``shards=`` through each call site.
-
-    A sharded scope is also a *pool scope* (DESIGN.md D13): the first
-    run dispatched through ``shard_channel="mp-pooled"`` inside it
-    spawns the persistent worker pool, every later run of the scope —
-    each ``(A_i ; P)`` step of an alternation — reuses the warm
-    workers, and the outermost scope exit joins them.  Pooled runs
-    outside any scope fall back to a per-run pool.
-
-    ``use_backend("fused", lanes=b)`` pins the fused engine's lane
-    width (DESIGN.md D16): every :func:`~repro.local.fused.run_many`
-    inside the scope packs at most ``b`` runs per block-diagonal slab.
-    """
-    global DEFAULT_BACKEND, DEFAULT_RNG, DEFAULT_SHARDS, DEFAULT_SHARD_CHANNEL
-    global DEFAULT_FUSE_LANES
-    if rng is not None and rng not in _RNG_MODES:
-        raise ParameterError(f"unknown rng scheme {rng!r} (use {_RNG_MODES})")
-    if shard_channel is not None and shard_channel not in _SHARD_CHANNELS:
-        raise ParameterError(
-            f"unknown shard channel {shard_channel!r} (use {_SHARD_CHANNELS})"
-        )
-    if shards is not None:
-        # Same validation as resolve_execution: reject rather than clamp.
-        if int(shards) < 1:
-            raise ParameterError(f"shards must be >= 1, got {shards}")
-        if backend != "sharded":
-            # DEFAULT_SHARDS only takes effect under backend="sharded";
-            # accepting it here would pin a count that never applies.
-            raise ParameterError(
-                "use_backend(..., shards=k) requires backend='sharded' "
-                f"(got {backend!r}); pass shards per call instead"
-            )
-    if lanes is not None:
-        if int(lanes) < 1:
-            raise ParameterError(f"lanes must be >= 1, got {lanes}")
-        if backend != "fused":
-            # DEFAULT_FUSE_LANES only takes effect through run_many's
-            # fused packing; pinning it under another backend would be
-            # a silent no-op.
-            raise ParameterError(
-                "use_backend(..., lanes=b) requires backend='fused' "
-                f"(got {backend!r}); pass lanes per run_many call instead"
-            )
-    prev_backend = set_default_backend(backend)
-    prev_rng = DEFAULT_RNG
-    prev_shards = DEFAULT_SHARDS
-    prev_channel = DEFAULT_SHARD_CHANNEL
-    prev_lanes = DEFAULT_FUSE_LANES
-    DEFAULT_RNG = rng if rng is not None else prev_rng
-    if shards is not None:
-        DEFAULT_SHARDS = int(shards)
-    if shard_channel is not None:
-        DEFAULT_SHARD_CHANNEL = shard_channel
-    if lanes is not None:
-        DEFAULT_FUSE_LANES = int(lanes)
-    scope = None
-    if backend == "sharded" or shard_channel == "mp-pooled":
-        # Sharded scopes double as worker-pool scopes (D13): pooled runs
-        # inside reuse one warm pool, torn down at the outermost exit.
-        from .sharded import pool_scope
-
-        scope = pool_scope()
-        scope.__enter__()
-    try:
-        yield
-    finally:
-        DEFAULT_BACKEND = prev_backend
-        DEFAULT_RNG = prev_rng
-        DEFAULT_SHARDS = prev_shards
-        DEFAULT_SHARD_CHANNEL = prev_channel
-        DEFAULT_FUSE_LANES = prev_lanes
-        if scope is not None:
-            scope.__exit__(None, None, None)
-
-
-def resolve_backend(backend=None, rng=None):
-    """Resolve (backend, rng_mode) from per-call values and defaults.
-
-    ``"batch"`` and ``"sharded"`` resolve like ``"compiled"`` (same
-    engine family, same native rng scheme); ``"batch"`` additionally
-    *requests* the batched stepping even when the process-wide switch
-    is off, ``"sharded"`` selects the partitioned round loop.
-    """
-    backend = backend or DEFAULT_BACKEND
-    if backend not in _BACKENDS:
-        raise ParameterError(f"unknown backend {backend!r} (use {_BACKENDS})")
-    rng = rng or DEFAULT_RNG or ("mt" if backend == "reference" else "counter")
-    if rng not in _RNG_MODES:
-        raise ParameterError(f"unknown rng scheme {rng!r} (use {_RNG_MODES})")
-    return backend, rng
-
-
-def resolve_execution(backend=None, rng=None, shards=None, shard_channel=None):
-    """Resolve the full executor selection in one place.
-
-    Returns ``(backend, rng_mode, shards, shard_channel)`` where
-    ``shards`` is ``None`` for unsharded execution.  This is the single
-    dispatch helper behind :func:`run`, :func:`run_restricted` and the
-    :class:`~repro.core.domain.Domain` runners, so backend/batch/shard
-    selection flags pass through every layer identically.
-    """
-    backend, rng_mode = resolve_backend(backend, rng)
-    if shards is not None:
-        shards = int(shards)
-        if shards < 1:
-            raise ParameterError(f"shards must be >= 1, got {shards}")
-        if backend == "reference":
-            raise ParameterError(
-                "sharded execution requires a compiled backend "
-                "(backend='reference' cannot take shards)"
-            )
-    elif backend == "sharded":
-        shards = DEFAULT_SHARDS
-    shard_channel = shard_channel or DEFAULT_SHARD_CHANNEL
-    if shard_channel not in _SHARD_CHANNELS:
-        raise ParameterError(
-            f"unknown shard channel {shard_channel!r} (use {_SHARD_CHANNELS})"
-        )
-    return backend, rng_mode, shards, shard_channel
-
-
-def batching_requested(backend):
-    """Whether a resolved backend name should take the batched path."""
-    return backend in ("batch", "fused", "jit") or (
-        backend in ("compiled", "sharded") and BATCH_ENABLED
-    )
 
 
 class RunResult:
@@ -458,19 +166,11 @@ def run(
     graph,
     algorithm,
     *,
-    inputs=None,
-    guesses=None,
-    seed=0,
-    salt=0,
-    max_rounds=None,
-    default_output=None,
-    truncate=False,
-    track_bits=False,
     backend=None,
     rng=None,
     shards=None,
     shard_channel=None,
-    faults=None,
+    **options,
 ):
     """Execute ``algorithm`` on ``graph`` and return a :class:`RunResult`.
 
@@ -480,6 +180,61 @@ def run(
         The :class:`SimGraph` to run on.
     algorithm:
         A :class:`LocalAlgorithm`.
+    backend:
+        ``"compiled"`` (CSR engine; batched and round-fused stepping
+        engage automatically for certified kernels, see
+        :func:`~repro.local.execution.use_batch` and
+        :func:`~repro.local.execution.use_roundfuse`), ``"reference"``
+        (the specification loop) or ``"sharded"`` (the partitioned
+        round loop, DESIGN.md D12).  ``None`` uses the ambient
+        :class:`~repro.local.execution.Execution` record.
+    rng:
+        Per-node random-source scheme, ``"counter"`` or ``"mt"``;
+        ``None`` uses the backend's native scheme.  Pin it when diffing
+        backends — the schemes produce different (equally valid) random
+        streams.
+    shards:
+        Shard count for partitioned execution; any value selects the
+        sharded engine (bit identical to the compiled one for every
+        count — counts larger than ``n`` clamp).  ``None`` shards only
+        when the backend is ``"sharded"``, with the ambient count.
+    shard_channel:
+        Boundary exchange of the sharded engine: ``"inline"``
+        (in-process, deterministic reference) or ``"mp-pooled"``
+        (persistent worker pool + shared-memory halo plane, DESIGN.md
+        D13 — reuse the pool across runs by wrapping the pipeline in
+        ``use_backend("sharded", ...)``).  ``None`` uses the ambient
+        channel.
+    options:
+        The run itself, see :func:`execute`: ``inputs``, ``guesses``,
+        ``seed``, ``salt``, ``max_rounds``, ``default_output``,
+        ``truncate``, ``track_bits`` and ``faults``.
+    """
+    return execute(
+        graph, algorithm, resolve(backend, rng, shards, shard_channel),
+        **options,
+    )
+
+
+def execute(
+    graph,
+    algorithm,
+    execution,
+    *,
+    inputs=None,
+    guesses=None,
+    seed=0,
+    salt=0,
+    max_rounds=None,
+    default_output=None,
+    truncate=False,
+    track_bits=False,
+    faults=None,
+):
+    """:func:`run` under an already-resolved ``execution`` record.
+
+    Parameters
+    ----------
     inputs:
         Optional mapping node -> input ``x(v)``; missing nodes get ``None``.
     guesses:
@@ -501,35 +256,6 @@ def run(
     track_bits:
         Record the largest payload size observed (Section 6.2's
         message-size instrumentation; small runtime overhead).
-    backend:
-        ``"compiled"`` (CSR engine, default), ``"reference"`` (the
-        specification loop), ``"batch"`` (the CSR engine with the
-        batched frontier-step path explicitly requested; compiled runs
-        auto-select it whenever the algorithm registers a kernel and
-        :data:`BATCH_ENABLED` is on), ``"sharded"`` (the partitioned
-        round loop, DESIGN.md D12) or ``"jit"`` (the round-fused tier
-        with the numba loops requested for this call, DESIGN.md D17 —
-        without numba it is the pure-numpy round-fused path,
-        bit-identical).  ``None`` uses the process default.
-    rng:
-        Per-node random-source scheme, ``"counter"`` or ``"mt"``;
-        ``None`` uses the backend's native scheme.  Pin it when diffing
-        backends — the schemes produce different (equally valid) random
-        streams.
-    shards:
-        Shard count for partitioned execution; any value implies the
-        sharded engine under the resolved compiled backend (bit
-        identical to it for every count — counts larger than ``n``
-        clamp).  ``None`` shards only when the backend is
-        ``"sharded"`` (then :data:`DEFAULT_SHARDS` applies).
-    shard_channel:
-        Boundary exchange of the sharded engine: ``"inline"``
-        (in-process, deterministic reference), ``"mp"`` (one forked
-        worker per shard per run) or ``"mp-pooled"`` (persistent
-        worker pool + shared-memory halo plane, DESIGN.md D13 — reuse
-        the pool across runs by wrapping the pipeline in
-        ``use_backend("sharded", ...)``).  ``None`` uses
-        :data:`DEFAULT_SHARD_CHANNEL`.
     faults:
         Optional :class:`~repro.local.faults.FaultPlan` of adversarial
         node profiles (DESIGN.md D14); ``None`` falls back to the
@@ -553,18 +279,13 @@ def run(
         cap = SAFETY_ROUND_CAP
     else:
         cap = max_rounds
-    backend, rng_mode, shards, shard_channel = resolve_execution(
-        backend, rng, shards, shard_channel
-    )
     plan = resolve_faults(faults)
     # Compiled once per run: the scalar per-run view every executor
     # consumes (batch kernels derive their vectorized twin from it).
     faults = plan.compile(graph.nodes, graph.ident, seed, salt) if plan else None
     note_faults(plan.describe() if faults is not None else None)
-    if shards is not None:
-        from .sharded import run_sharded
-
-        return run_sharded(
+    if execution.backend == "reference":
+        return _run_reference(
             graph,
             algorithm,
             inputs=inputs,
@@ -575,39 +296,17 @@ def run(
             truncating=truncating,
             default_output=default_output,
             track_bits=track_bits,
-            rng_mode=rng_mode,
-            result_cls=RunResult,
-            use_batch=batching_requested(backend),
-            shards=shards,
-            channel=shard_channel,
+            rng_mode=execution.rng_mode,
             faults=faults,
         )
-    if backend != "reference":
-        from .engine import run_compiled
-
-        kwargs = dict(
-            inputs=inputs,
-            guesses=guesses,
-            seed=seed,
-            salt=salt,
-            cap=cap,
-            truncating=truncating,
-            default_output=default_output,
-            track_bits=track_bits,
-            rng_mode=rng_mode,
-            result_cls=RunResult,
-            use_batch=batching_requested(backend),
-            faults=faults,
-        )
-        if backend == "jit":
-            # Per-call JIT request (D17): honoured only when numba is
-            # importable; otherwise the pure-numpy fused tier runs.
-            with use_jit(True):
-                return run_compiled(graph, algorithm, **kwargs)
-        return run_compiled(graph, algorithm, **kwargs)
-    return _run_reference(
+    if execution.backend == "sharded":
+        from .sharded import run_sharded as run_engine
+    else:
+        from .engine import run_compiled as run_engine
+    return run_engine(
         graph,
         algorithm,
+        execution,
         inputs=inputs,
         guesses=guesses,
         seed=seed,
@@ -616,7 +315,7 @@ def run(
         truncating=truncating,
         default_output=default_output,
         track_bits=track_bits,
-        rng_mode=rng_mode,
+        result_cls=RunResult,
         faults=faults,
     )
 

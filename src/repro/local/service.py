@@ -13,8 +13,8 @@ mirror and the pool fork that a cold rebuild pays.
 Correctness contract (enforced by ``tests/test_service.py``): for every
 delta sequence, ``.rerun()`` is bit-identical to a cold ``run()`` on a
 graph rebuilt from scratch — outputs, rounds, message counts and
-backend attribution — on all five backends (reference / compiled /
-batch / sharded(k) / fused).  The contract holds by construction, not
+backend attribution — on every stack (reference / compiled /
+sharded(k) / fused ``rerun_many``).  The contract holds by construction, not
 by luck:
 
 * Mutation is *functional*: :meth:`SimulationSession.mutate` swaps in a
@@ -40,9 +40,10 @@ from __future__ import annotations
 
 from ..errors import ParameterError
 from . import sharded
+from .execution import installed, resolve
 from .fused import release_slabs_of, run_many
 from .graph import GraphDelta, SimGraph
-from .runner import run, use_backend
+from .runner import run
 
 
 class SimulationSession:
@@ -58,14 +59,15 @@ class SimulationSession:
             session.rerun(algo, seed=1)   # ≡ cold run on the new graph
 
     Keyword pins (``backend``, ``rng``, ``shards``, ``shard_channel``,
-    ``lanes``) become the defaults for every :meth:`rerun`; any rerun
-    may override them per call, which is how the differential harness
-    flips backends mid-script.
+    ``lanes``) are resolved once, at open, into the session's
+    :class:`~repro.local.execution.Execution` record — the ambient
+    record for every :meth:`rerun`, :meth:`rerun_many` and
+    :meth:`scope`.  Any rerun may override it per call, which is how
+    the differential harness flips backends mid-script.
     """
 
     __slots__ = (
-        "_graph", "_pins", "_lanes", "_epoch", "_reruns", "_closed",
-        "_pool_cm",
+        "_graph", "_execution", "_epoch", "_reruns", "_closed", "_pool_cm",
     )
 
     def __init__(self, graph, *, backend=None, rng=None, shards=None,
@@ -75,13 +77,7 @@ class SimulationSession:
                 f"sessions wrap a SimGraph, got {type(graph).__name__}"
             )
         self._graph = graph
-        self._pins = {
-            "backend": backend,
-            "rng": rng,
-            "shards": shards,
-            "shard_channel": shard_channel,
-        }
-        self._lanes = lanes
+        self._execution = resolve(backend, rng, shards, shard_channel, lanes)
         self._epoch = 0
         self._reruns = 0
         self._closed = False
@@ -175,17 +171,14 @@ class SimulationSession:
         return self
 
     def rerun(self, algorithm, **kwargs):
-        """Run ``algorithm`` on the live graph; session pins as defaults.
+        """Run ``algorithm`` on the live graph under the session record.
 
         Accepts every keyword of :func:`~repro.local.runner.run`
         (``seed``, ``guesses``, ``inputs``, ``backend``, ``shards``,
-        ...); explicit keywords override the session pins per call.
+        ...); explicit keywords override the session record per call.
         """
-        self._check_open()
-        for name, pin in self._pins.items():
-            if pin is not None:
-                kwargs.setdefault(name, pin)
-        result = run(self._graph, algorithm, **kwargs)
+        with self.scope():
+            result = run(self._graph, algorithm, **kwargs)
         self._reruns += 1
         return result
 
@@ -197,14 +190,8 @@ class SimulationSession:
         graph, so the whole sweep packs into one block-diagonal slab
         (D16).  Accepts the keywords of
         :func:`~repro.local.fused.run_many` (``seeds``, ``salts``,
-        ``lanes``, ...); the session's ``rng`` and ``lanes`` pins apply
-        unless overridden.
+        ``lanes``, ...), which override the session record per call.
         """
-        self._check_open()
-        if self._pins["rng"] is not None:
-            kwargs.setdefault("rng", self._pins["rng"])
-        if self._lanes is not None:
-            kwargs.setdefault("lanes", self._lanes)
         jobs = []
         for entry in algorithms:
             if isinstance(entry, (tuple, list)):
@@ -212,37 +199,23 @@ class SimulationSession:
                 jobs.append((self._graph, algorithm, opts))
             else:
                 jobs.append((self._graph, entry))
-        result = run_many(jobs, **kwargs)
+        with self.scope():
+            result = run_many(jobs, **kwargs)
         self._reruns += len(jobs)
         return result
 
     def scope(self):
-        """A ``use_backend`` scope pinning this session's settings.
+        """A scope that installs this session's execution record.
 
         Lets session-unaware helpers (alternation drivers, estimator
-        pipelines) run under the session's backend without threading
-        keywords through every call::
+        pipelines) run exactly as the session's reruns do, without
+        threading keywords through every call::
 
             with session.scope():
                 uniform.run(session.graph, seed=3)
         """
         self._check_open()
-        backend = self._pins["backend"]
-        if backend is None:
-            from .runner import DEFAULT_BACKEND
-
-            backend = DEFAULT_BACKEND
-        extra = {}
-        if self._pins["rng"] is not None:
-            extra["rng"] = self._pins["rng"]
-        if backend == "sharded":
-            if self._pins["shards"] is not None:
-                extra["shards"] = self._pins["shards"]
-            if self._pins["shard_channel"] is not None:
-                extra["shard_channel"] = self._pins["shard_channel"]
-        if backend == "fused" and self._lanes is not None:
-            extra["lanes"] = self._lanes
-        return use_backend(backend, **extra)
+        return installed(self._execution)
 
     def __repr__(self):
         state = "closed" if self._closed else "open"

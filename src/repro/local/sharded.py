@@ -37,24 +37,22 @@ Channels
 --------
 ``channel="inline"`` steps the shards sequentially in-process — the
 deterministic reference for the exchange protocol (and the numpy-free /
-single-core fallback).  ``channel="mp"`` forks one worker per shard
-(copy-on-write inherits graph, processes and kernels without pickling)
-and routes the per-round packets through pipes via the parent; workers
-are forked per run and joined when it completes.  ``channel="mp-pooled"``
-(D13) dispatches to a *persistent* :class:`WorkerPool` instead: workers
-are spawned once per pool scope (``use_backend("sharded", ...)``) and
-reused across every run of a pipeline, with the per-round halo exchange
-travelling through a fork-inherited shared-memory arena rather than
-through the parent's pipes.  All channels produce bit-identical
-:class:`~repro.local.runner.RunResult` fields for every shard count —
-the ``sharded(k) ≡ batch ≡ compiled ≡ reference`` contract enforced by
-``tests/test_engine_equivalence.py``.
+single-core fallback).  ``channel="mp-pooled"`` (D13) dispatches to a
+*persistent* :class:`WorkerPool`: workers are spawned once per pool
+scope (``use_backend("sharded", ...)``) and reused across every run of
+a pipeline, with the per-round halo exchange travelling through a
+fork-inherited shared-memory arena rather than through pipes.  Runs
+whose shard state will not pickle (or platforms without fork) degrade
+to ``"inline"`` with a :class:`~repro.errors.ResilienceWarning`.  Both
+channels produce bit-identical :class:`~repro.local.runner.RunResult`
+fields for every shard count — the ``sharded(k) ≡ compiled ≡
+reference`` contract enforced by ``tests/test_engine_equivalence.py``.
 
 Checkpoints and self-healing recovery (D15)
 -------------------------------------------
-Both worker channels take a round-level checkpoint after every
-committed round: each worker piggybacks a pickled snapshot of its shard
-on its round report, and the parent's :class:`RecoveryManager`
+The pooled channel takes a round-level checkpoint after every committed
+round: each worker piggybacks a pickled snapshot of its shard on its
+round report, and the parent's :class:`RecoveryManager`
 (``local/recovery.py``) retains the latest complete set.  When a worker
 dies or hangs mid-round, only that worker is respawned and restored
 from the checkpoint, and the failed round is re-dispatched to it alone
@@ -62,10 +60,9 @@ from the checkpoint, and the failed round is re-dispatched to it alone
 of one shard, not the run.  Because every per-node draw is a pure
 function of ``(identity, round)`` (D9), the replayed round is
 bit-identical to the one the dead worker never finished.  Recovery
-escalates respawn-shard → rebuild-pool (pooled only) →
-inline-from-checkpoint under a per-run retry budget
-(``REPRO_SHARD_MAX_RETRIES``); runs whose shard state cannot pickle
-keep the legacy restart-on-inline ladder.  Every rung emits a
+escalates respawn-shard → rebuild-pool → inline-from-checkpoint under a
+per-run retry budget (``recovery.MAX_RETRIES``); with checkpointing off
+the legacy restart-on-inline ladder applies.  Every rung emits a
 :class:`~repro.errors.ResilienceWarning` and is recorded in the
 ``runner.last_recovery`` diagnostics channel.
 """
@@ -94,6 +91,7 @@ from .batch import (
     numpy_or_none,
 )
 from .context import NodeContext, rng_source
+from .execution import env_setting
 from .faults import DROP, GARBLE, GARBLED
 from .message import Broadcast, normalize_outgoing
 from .msgsize import estimate_bits
@@ -103,20 +101,12 @@ from .msgsize import estimate_bits
 #: :class:`~repro.errors.WorkerTimeoutError` instead of blocking the
 #: parent forever; values <= 0 disable the deadline.  Read at call time
 #: so tests (and operators, via ``REPRO_SHARD_TIMEOUT``) can tighten it.
-try:
-    SHARD_TIMEOUT = float(os.environ.get("REPRO_SHARD_TIMEOUT", "") or 30.0)
-except ValueError:  # pragma: no cover - malformed environment
-    SHARD_TIMEOUT = 30.0
+SHARD_TIMEOUT = env_setting(os.environ, "REPRO_SHARD_TIMEOUT", 30.0, float)
 
 #: Pause before the retry attempt of the resilience ladder (seconds) —
 #: long enough for a transiently-starved machine to recover, short
-#: enough to be invisible next to the re-fork it precedes.
-try:
-    SHARD_RETRY_BACKOFF = float(
-        os.environ.get("REPRO_SHARD_RETRY_BACKOFF", "") or 0.1
-    )
-except ValueError:  # pragma: no cover - malformed environment
-    SHARD_RETRY_BACKOFF = 0.1
+#: enough to be invisible next to the respawn it precedes.
+SHARD_RETRY_BACKOFF = 0.1
 
 
 def fork_available():
@@ -743,45 +733,6 @@ def _join_workers(procs, conns, grace=True):
         conn.close()
 
 
-def _shard_worker(conn, shard, checkpointing=False):
-    """Worker loop of the multiprocessing channel (one forked process).
-
-    Waits for explicit ops — ``("round0",)`` included — so a respawned
-    replacement restored from a checkpoint speaks the same protocol as
-    a fresh worker.  With ``checkpointing`` on, every ``round0``/
-    ``round`` reply piggybacks a pickled snapshot of the post-round
-    shard — the parent's round-level checkpoint material (D15).
-    """
-    try:
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "round0":
-                report = shard.round0()
-                blob = snapshot_blob(shard) if checkpointing else None
-                conn.send(("ok", report, blob))
-            elif kind == "round":
-                report = shard.round(message[1])
-                blob = snapshot_blob(shard) if checkpointing else None
-                conn.send(("ok", report, blob))
-            elif kind == "undone":
-                conn.send(("ok", shard.undone()))
-            else:  # "stop"
-                break
-    except EOFError:  # parent went away; nothing left to report to
-        pass
-    except BaseException as exc:  # propagate the real failure to the parent
-        try:
-            conn.send(("err", exc))
-        except Exception:
-            try:
-                conn.send(("err", RuntimeError(repr(exc))))
-            except Exception:
-                pass
-    finally:
-        conn.close()
-
-
 def _regen_inbound(shards, payloads, wrap_pipe=False):
     """Rebuild a round's inbound payloads from restored shard state.
 
@@ -808,7 +759,7 @@ def _regen_inbound(shards, payloads, wrap_pipe=False):
 
 
 class _RecoveringChannel:
-    """Surgical-recovery machinery shared by the worker channels (D15).
+    """Surgical-recovery machinery of the worker channel (D15).
 
     Subclasses provide the transport: ``_conn_list``/``_proc_list``
     (live pipe ends and processes, indexed by shard), ``_respawn_shard``
@@ -971,111 +922,6 @@ class _RecoveringChannel:
         if op == "undone":
             return self.fallback.undone()
         return self.fallback.round(_regen_inbound(restored, payloads))
-
-
-class ProcessChannel(_RecoveringChannel):
-    """Forked worker pool: one process per shard, piped exchange.
-
-    The pool is forked per run — fork inherits the shard structures
-    (graph slabs, node processes, kernels) copy-on-write, so nothing
-    but the per-round boundary packets is ever pickled — and joined
-    when the run completes (``close``), crashed workers included.  A
-    worker that dies or hangs mid-round is respawned surgically from
-    the last round checkpoint (D15): the replacement re-runs only the
-    failed round while the run's other workers never notice.  Failures
-    during round 0 restore from the parent's own shard objects, which
-    stay pristine (workers mutate forked copies).
-    """
-
-    def __init__(self, shards):
-        import multiprocessing
-
-        self.ctx = multiprocessing.get_context("fork")
-        self._init_recovery(len(shards), RecoveryManager(len(shards)))
-        self.conns = []
-        self.procs = []
-        self._initial = list(shards)
-        self._torn = False
-        for shard in shards:
-            conn, proc = self._fork(shard)
-            self.conns.append(conn)
-            self.procs.append(proc)
-
-    def _fork(self, shard):
-        parent_conn, child_conn = self.ctx.Pipe()
-        proc = self.ctx.Process(
-            target=_shard_worker,
-            args=(child_conn, shard, self.rm.enabled),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        return parent_conn, proc
-
-    def _conn_list(self):
-        return self.conns
-
-    def _proc_list(self):
-        return self.procs
-
-    def _recoverable(self):
-        rm = self.rm
-        return rm.enabled and (rm.latest is None or rm.latest.complete)
-
-    def _restore_one(self, s):
-        ckpt = self.rm.latest
-        if ckpt is None:
-            return self._initial[s]
-        return ckpt.restore(s)
-
-    def _restore_all(self):
-        if self.rm.latest is None:
-            return list(self._initial)
-        return self.rm.latest.restore_all()
-
-    def _respawn_shard(self, s):
-        old = self.procs[s]
-        if old.is_alive():
-            old.terminate()
-        old.join(timeout=5)
-        try:
-            self.conns[s].close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        conn, proc = self._fork(self._restore_one(s))
-        self.conns[s] = conn
-        self.procs[s] = proc
-
-    def _fail_teardown(self):
-        if self._torn:
-            return
-        self._torn = True
-        _join_workers(self.procs, self.conns, grace=False)
-
-    def _on_real_error(self, outcomes):
-        self._fail_teardown()
-
-    def round0(self):
-        if self.fallback is not None:
-            return self.fallback.round0()
-        return self._run_op("round0")
-
-    def round(self, inbound):
-        if self.fallback is not None:
-            return self.fallback.round(inbound)
-        self.round_no += 1
-        return self._run_op("round", inbound)
-
-    def undone(self):
-        if self.fallback is not None:
-            return self.fallback.undone()
-        return self._run_op("undone")
-
-    def close(self):
-        if self._torn:
-            return
-        self._torn = True
-        _join_workers(self.procs, self.conns)
 
 
 # ---------------------------------------------------------------------------
@@ -1401,7 +1247,7 @@ class WorkerPool:
 
 
 #: Pool shared by every pooled run inside a ``pool_scope`` (see
-#: :func:`repro.local.runner.use_backend`); ``None`` between scopes.
+#: :func:`repro.local.execution.use_backend`); ``None`` between scopes.
 _POOL = None
 #: Nesting depth of active pool scopes.
 _POOL_SCOPES = 0
@@ -1453,12 +1299,11 @@ class PooledChannel(_RecoveringChannel):
 
     Protocol per run: one acked ``load`` per shard (the pickled shard
     plus whether the halo plane applies), then ``round0``/``round``/
-    ``undone`` messages mirroring :class:`ProcessChannel`, then one
-    ``unload``.  Batched shards exchange ghost state through the shared
-    arena (the report carries a marker, not the payload); per-node
-    shards and oversized payloads pipe their data exactly like the
-    fork-per-run channel, so every configuration stays bit-identical
-    across channels.
+    ``undone`` messages, then one ``unload``.  Batched shards exchange
+    ghost state through the shared arena (the report carries a marker,
+    not the payload); per-node shards and oversized payloads pipe their
+    data, so every configuration stays bit-identical to the inline
+    channel.
 
     Failure handling is per-worker (D15): a dead or hung worker is
     respawned in its pool slot and ``restore``d from the last round
@@ -1484,7 +1329,7 @@ class PooledChannel(_RecoveringChannel):
     def open(cls, shards):
         """Dispatch a run to the pool, or ``None`` when the run's shard
         state cannot ship to persistent workers (unpicklable processes
-        degrade to the fork-per-run channel, which inherits state)."""
+        degrade to the inline channel)."""
         import pickle
 
         try:
@@ -1701,28 +1546,21 @@ class PooledChannel(_RecoveringChannel):
 def open_channel(shards, channel):
     """Build the requested channel.
 
-    ``"mp-pooled"`` degrades to ``"mp"`` when the run's shard state is
-    unpicklable (fork-per-run inherits state instead), and either
-    multiprocessing channel degrades to ``"inline"`` where fork is
-    unavailable — the exchange protocol is identical across all three.
+    ``"mp-pooled"`` degrades to ``"inline"`` when the run's shard state
+    does not pickle or fork is unavailable — the exchange protocol is
+    identical across both channels, so the bits are too.
     """
-    if channel == "mp-pooled" and fork_available():
-        chan = PooledChannel.open(shards)
-        if chan is not None:
-            return chan
+    if channel == "mp-pooled":
+        if not fork_available():
+            reason = "fork is unavailable on this platform"
+        else:
+            chan = PooledChannel.open(shards)
+            if chan is not None:
+                return chan
+            reason = "the run's shard state does not pickle"
         warnings.warn(
-            "sharded run's shard state does not pickle; degrading "
-            "mp-pooled to the fork-per-run mp channel (same bits)",
-            ResilienceWarning,
-            stacklevel=3,
-        )
-        channel = "mp"
-    if channel in ("mp", "mp-pooled"):
-        if fork_available():
-            return ProcessChannel(shards)
-        warnings.warn(
-            f"fork is unavailable on this platform; degrading the "
-            f"{channel!r} channel to inline (same bits, one process)",
+            f"{reason}; degrading the mp-pooled channel to inline "
+            f"(same bits, one process)",
             ResilienceWarning,
             stacklevel=3,
         )
@@ -1977,6 +1815,7 @@ def build_batch_shards(algorithm, cg, part, *, inputs, guesses, seed, salt,
 def run_sharded(
     graph,
     algorithm,
+    execution,
     *,
     inputs,
     guesses,
@@ -1986,17 +1825,15 @@ def run_sharded(
     truncating,
     default_output,
     track_bits,
-    rng_mode,
     result_cls,
-    use_batch,
-    shards,
-    channel,
     faults=None,
 ):
     """Execute one synchronous run on the partitioned engine.
 
-    Bit-identical to :func:`repro.local.engine.run_compiled` for every
-    shard count and channel (the backend equivalence contract, extended
+    ``execution.shards`` shards exchange boundaries over
+    ``execution.shard_channel``.  Bit-identical to
+    :func:`repro.local.engine.run_compiled` for every shard count and
+    channel (the backend equivalence contract, extended
     by D12 and, under an active fault plan, D14).  Shard counts larger
     than ``n`` clamp to one node per shard; the empty graph degenerates
     to the single-process engine.
@@ -2009,9 +1846,8 @@ def run_sharded(
     the run inline from the checkpoint (see ``_RecoveringChannel``).
     Committed rounds are never re-executed, and the recovered run is
     bit-identical by the D9 purity argument.  Only when no checkpoint
-    exists (``REPRO_CHECKPOINT=0``, or shard state that will not
-    pickle) does the legacy ladder below restart the whole run on the
-    workerless inline channel.  Real worker exceptions are never
+    exists (``REPRO_CHECKPOINT=0``) does the legacy ladder below
+    restart the whole run on the workerless inline channel.  Real worker exceptions are never
     retried; they propagate first-failure as before.
     """
     from .engine import run_batch, run_compiled
@@ -2023,6 +1859,7 @@ def run_sharded(
         return run_compiled(
             graph,
             algorithm,
+            execution,
             inputs=inputs,
             guesses=guesses,
             seed=seed,
@@ -2031,12 +1868,13 @@ def run_sharded(
             truncating=truncating,
             default_output=default_output,
             track_bits=track_bits,
-            rng_mode=rng_mode,
             result_cls=result_cls,
-            use_batch=use_batch,
             faults=faults,
         )
-    part = cg.partition(shards)
+    rng_mode = execution.rng_mode
+    use_batch = execution.batch
+    channel = execution.shard_channel
+    part = cg.partition(execution.shards)
 
     def attempt(chan_kind):
         batch_shards = build_batch_shards(

@@ -593,18 +593,19 @@ def virtualize(spec, algorithm, *, virt_inputs=None, name=None, engine=None):
     ``virtual node -> output``; use :func:`flatten_outputs` to merge the
     per-host dicts into a single mapping over virtual nodes.
 
-    ``engine`` selects the host-process implementation (``"compiled"`` or
-    ``"reference"``); ``None`` follows the process-wide runner backend at
-    process-construction time, so domain runs stay internally consistent.
+    ``engine`` selects the host-process implementation (``"reference"``
+    or any compiled backend); ``None`` follows the ambient execution
+    record at process-construction time, so domain runs stay internally
+    consistent.
     """
     virt_inputs = virt_inputs or {}
 
     def process(ctx):
         kind = engine
         if kind is None:
-            from .runner import DEFAULT_BACKEND
+            from .execution import current
 
-            kind = DEFAULT_BACKEND
+            kind = current().backend
         host_cls = (
             _VirtualHostProcess if kind == "reference" else _CompiledHostProcess
         )
@@ -627,14 +628,13 @@ def _virtual_kernel(
     guesses,
     seed,
     salt,
-    rng_mode,
-    shards,
-    shard_channel,
+    execution,
     bg,
 ):
     """Build the virtual run's kernel: sharded ensemble or plain.
 
-    With a shard count > 1 and a shard-certified kernel (D12), the
+    With a sharded execution of more than one shard and a
+    shard-certified kernel (D12), the
     virtual graph's CSR is partitioned exactly like a physical one —
     the nested host→sub rng derivation is a pure function of
     ``(host identity, virtual identity)``, so per-shard draw sources
@@ -644,6 +644,8 @@ def _virtual_kernel(
     it has a ``close`` (the sharded loop owns a channel).
     """
     factory = algorithm.batch
+    rng_mode = execution.rng_mode
+    shards = execution.shards
 
     def setup_of(sub_bg, sharded=False):
         return BatchSetup(
@@ -655,7 +657,7 @@ def _virtual_kernel(
         )
 
     if (
-        shards is not None
+        execution.backend == "sharded"
         and shards > 1
         and bg.n > 1
         and capabilities_of(algorithm).get("supports_shard")
@@ -687,7 +689,9 @@ def _virtual_kernel(
             ]
             note_stepping("shard-batch")
             return ShardedKernelLoop(
-                open_channel(batch_shards, shard_channel), part.k, bg.n
+                open_channel(batch_shards, execution.shard_channel),
+                part.k,
+                bg.n,
             )
     kernel = factory(bg, setup_of(bg))
     if kernel is not None:
@@ -697,7 +701,7 @@ def _virtual_kernel(
     return kernel
 
 
-def _drive_virtual(kernel, algorithm, max_vrounds):
+def _drive_virtual(kernel, algorithm, max_vrounds, roundfuse):
     """Step a virtual kernel to its horizon; returns finish/result maps.
 
     The shared drive of :func:`run_virtual_batch` and
@@ -707,24 +711,23 @@ def _drive_virtual(kernel, algorithm, max_vrounds):
     cap ``max_vrounds - 1`` and its events map back by ``+1``.  The
     sharded ensemble loop exposes neither fused seam and falls through
     to the per-round loop automatically, as does an ineligible or
-    switched-off configuration.
+    switched-off (``roundfuse`` false) configuration.
     """
     finish_vround = {}
     results = {}
-    if capabilities_of(algorithm).get("supports_roundfuse"):
-        from .roundfuse import drive_kernel, stepping_tag
-        from .runner import note_stepping, use_roundfuse_now
+    if roundfuse and capabilities_of(algorithm).get("supports_roundfuse"):
+        from .roundfuse import drive_kernel
+        from .runner import note_stepping
 
-        if use_roundfuse_now():
-            driven = drive_kernel(kernel, max_vrounds - 1)
-            if driven is not None:
-                events, _rounds, _messages = driven
-                for rnd, finished, values in events:
-                    for i, value in zip(finished, values):
-                        finish_vround[i] = rnd + 1
-                        results[i] = value
-                note_stepping(stepping_tag())
-                return finish_vround, results
+        driven = drive_kernel(kernel, max_vrounds - 1)
+        if driven is not None:
+            events, _rounds, _messages = driven
+            for rnd, finished, values in events:
+                for i, value in zip(finished, values):
+                    finish_vround[i] = rnd + 1
+                    results[i] = value
+            note_stepping("rf")
+            return finish_vround, results
     finished, values, _ = kernel.start()
     for i, value in zip(finished, values):
         finish_vround[i] = 1
@@ -796,16 +799,14 @@ def run_virtual_batch(
     spec,
     algorithm,
     physical,
+    execution,
     *,
     cap,
     virt_inputs,
     guesses,
     seed,
     salt,
-    rng_mode,
     default_output,
-    shards=None,
-    shard_channel="inline",
 ):
     """Budgeted virtual run through a batch kernel; ``None`` = ineligible.
 
@@ -847,9 +848,7 @@ def run_virtual_batch(
         guesses=guesses,
         seed=seed,
         salt=salt,
-        rng_mode=rng_mode,
-        shards=shards,
-        shard_channel=shard_channel,
+        execution=execution,
         bg=bg,
     )
     if kernel is None:
@@ -857,7 +856,9 @@ def run_virtual_batch(
 
     max_vrounds = cap // spec.dilation + 1
     try:
-        finish_vround, results = _drive_virtual(kernel, algorithm, max_vrounds)
+        finish_vround, results = _drive_virtual(
+            kernel, algorithm, max_vrounds, execution.roundfuse
+        )
     finally:
         closer = getattr(kernel, "close", None)
         if closer is not None:
@@ -884,15 +885,13 @@ def run_virtual_batch_full(
     spec,
     algorithm,
     physical,
+    execution,
     *,
     cap,
     virt_inputs,
     guesses,
     seed,
     salt,
-    rng_mode,
-    shards=None,
-    shard_channel="inline",
 ):
     """Full (self-terminating) virtual run through a batch kernel.
 
@@ -923,9 +922,7 @@ def run_virtual_batch_full(
         guesses=guesses,
         seed=seed,
         salt=salt,
-        rng_mode=rng_mode,
-        shards=shards,
-        shard_channel=shard_channel,
+        execution=execution,
         bg=bg,
     )
     if kernel is None:
@@ -936,7 +933,9 @@ def run_virtual_batch_full(
         # The horizon grows with the stepping itself — kernel state
         # persists, so extending a budget is just stepping further (a
         # doubling-and-restart schedule degenerates to this loop).
-        finish_vround, results = _drive_virtual(kernel, algorithm, max_vrounds)
+        finish_vround, results = _drive_virtual(
+            kernel, algorithm, max_vrounds, execution.roundfuse
+        )
     finally:
         closer = getattr(kernel, "close", None)
         if closer is not None:

@@ -26,7 +26,8 @@ from ..errors import NonTerminationError, ParameterError
 from .algorithm import LocalAlgorithm
 from .context import NodeContext, rng_source
 from .message import Broadcast, normalize_outgoing
-from .runner import SAFETY_ROUND_CAP, RunResult, resolve_backend
+from .execution import resolve
+from .runner import SAFETY_ROUND_CAP, RunResult
 
 
 def run_with_wakeup(
@@ -71,7 +72,7 @@ def run_with_wakeup(
     if any(t < 0 for t in wake.values()):
         raise ParameterError("wake-up times must be non-negative")
     cap = SAFETY_ROUND_CAP if max_ticks is None else max_ticks
-    _, rng_mode = resolve_backend(None, rng)
+    rng_mode = resolve(rng=rng).rng_mode
     make_gen = rng_source(rng_mode, seed, salt)
 
     processes = {}

@@ -26,7 +26,8 @@ from repro.local import CounterRNG, run, use_batch
 from repro.local import batch as batch_module
 from repro.local.algorithm import HostAlgorithm, capabilities_of
 from repro.local.context import counter_rng, run_key
-from repro.local.runner import batching_requested, resolve_backend
+from repro.local.execution import current, resolve
+from repro.local.runner import last_stepping
 
 numpy = pytest.importorskip("numpy")
 
@@ -76,8 +77,9 @@ class TestFallbackWithoutNumpy:
             expected = run(small_gnp, luby_mis(), seed=3)
         monkeypatch.setattr(batch_module, "_np", None)
         assert not batch_module.available()
-        for backend in ("compiled", "batch"):
-            result = run(small_gnp, luby_mis(), seed=3, backend=backend)
+        for batching in (False, True):
+            with use_batch(batching):
+                result = run(small_gnp, luby_mis(), seed=3)
             assert result.outputs == expected.outputs
             assert result.rounds == expected.rounds
             assert result.messages == expected.messages
@@ -114,7 +116,8 @@ class TestFallbackWithoutNumpy:
                 expected.append(run(small_gnp, algo, seed=3, guesses=guesses))
         monkeypatch.setattr(batch_module, "_np", None)
         for (algo, guesses), want in zip(jobs, expected):
-            got = run(small_gnp, algo, seed=3, guesses=guesses, backend="batch")
+            with use_batch(True):
+                got = run(small_gnp, algo, seed=3, guesses=guesses)
             assert got.outputs == want.outputs
             assert got.rounds == want.rounds
             assert got.messages == want.messages
@@ -196,26 +199,28 @@ class TestCapabilities:
 
 class TestBackendSelection:
     def test_batch_backend_resolves(self):
-        backend, rng = resolve_backend("batch", None)
-        assert backend == "batch"
-        assert rng == "counter"
-        assert batching_requested("batch") is True
-        assert batching_requested("reference") is False
+        """Batching is a flag on the compiled record, not a backend."""
+        with use_batch(True):
+            compiled = resolve("compiled")
+            assert compiled.batch is True
+            assert compiled.rng_mode == "counter"
+            assert resolve("reference").rng_mode == "mt"
 
     def test_batch_request_overrides_disabled_switch(self, small_gnp):
         with use_batch(False):
-            assert batching_requested("compiled") is False
-            assert batching_requested("batch") is True
-            pernode = run(small_gnp, luby_mis(), seed=3, backend="compiled")
-            forced = run(small_gnp, luby_mis(), seed=3, backend="batch")
+            assert current().batch is False
+            pernode = run(small_gnp, luby_mis(), seed=3)
+            assert last_stepping() == "per-node"
+            with use_batch(True):
+                forced = run(small_gnp, luby_mis(), seed=3)
+                assert last_stepping() != "per-node"
         assert pernode.outputs == forced.outputs
         assert pernode.rounds == forced.rounds
 
     def test_track_bits_falls_back(self, small_gnp):
         """Message-size instrumentation always uses per-node stepping."""
-        result = run(
-            small_gnp, luby_mis(), seed=3, backend="batch", track_bits=True
-        )
+        with use_batch(True):
+            result = run(small_gnp, luby_mis(), seed=3, track_bits=True)
         assert result.max_message_bits is not None
         assert result.max_message_bits > 0
 

@@ -238,7 +238,8 @@ def run_batch_both(graph, algorithm, rng, **kwargs):
     """One per-node compiled run, one batched run of the same config."""
     with use_batch(False):
         pernode = run(graph, algorithm, backend="compiled", rng=rng, **kwargs)
-    batched = run(graph, algorithm, backend="batch", rng=rng, **kwargs)
+    with use_batch(True):
+        batched = run(graph, algorithm, backend="compiled", rng=rng, **kwargs)
     return pernode, batched
 
 
@@ -285,7 +286,7 @@ class TestBatchEquivalence:
                 )
             batched = run_restricted(
                 small_gnp, algorithm, rounds, default_output="cut",
-                guesses=guesses, backend="batch", rng="counter",
+                guesses=guesses, backend="compiled", rng="counter",
             )
             assert_results_equal(pernode, batched, context=(rounds, label))
 
@@ -296,7 +297,7 @@ class TestBatchEquivalence:
                 seed=5, guesses=guesses,
             )
             batched = run(
-                small_gnp, algorithm, backend="batch", rng="counter",
+                small_gnp, algorithm, backend="compiled", rng="counter",
                 seed=5, guesses=guesses,
             )
             assert_results_equal(reference, batched, context=label)
@@ -523,7 +524,7 @@ class TestPrunerBatchEquivalence:
                 )
             batched = run_restricted(
                 small_gnp, algo, pruner.rounds, default_output=("keep", None),
-                inputs=pair_inputs, backend="batch", rng="counter",
+                inputs=pair_inputs, backend="compiled", rng="counter",
             )
             assert_results_equal(pernode, batched, context=pruner.name)
 
@@ -534,19 +535,15 @@ class TestPrunerBatchEquivalence:
             result = uniform.run(small_gnp, seed=13)
         assert result.steps
         # Both halves of each B_i = (A_i ; P) step are roundfuse-
-        # certified, so the fused driver tags them "rf" (D17) — or
-        # "jit" on the with-numba CI leg with the tier requested.
-        from repro.local.roundfuse import stepping_tag
-
-        tag = stepping_tag()
+        # certified, so the fused driver tags them "rf" (D17).
         for step in result.steps:
-            assert step.backends == (tag, tag)
+            assert step.backends == ("rf", "rf")
             assert step.seconds is not None and step.seconds >= 0
         summary = result.backend_summary()
         assert summary == {
-            f"{tag}|{tag}": {
+            "rf|rf": {
                 "steps": len(result.steps),
-                "seconds": summary[f"{tag}|{tag}"]["seconds"],
+                "seconds": summary["rf|rf"]["seconds"],
             }
         }
         with use_backend("compiled", rng="counter"), use_batch(False):
@@ -616,11 +613,11 @@ class TestShardEquivalence:
             )
             assert_results_equal(base, sharded, context=(k, rounds))
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     @pytest.mark.parametrize("k", SHARD_COUNTS)
     def test_mp_channels(self, small_gnp, k, channel):
-        """Both multiprocessing channels match the inline one exactly
-        (fork-per-run and the persistent pool, D13), for every k."""
+        """The worker-pool channel (D13) matches the single-process
+        engine exactly, for every k."""
         for algorithm, guesses in (
             (luby_mis(), None),       # shard-certified kernel
             (fast_mis(), {"m": small_gnp.max_ident, "Delta": small_gnp.max_degree}),  # shard-certified since D13
@@ -658,7 +655,7 @@ class TestShardEquivalence:
 
         base = run(small_gnp, luby_mis(), seed=9, rng="counter")
         monkeypatch.setattr(batch_module, "_np", None)
-        for channel in ("inline", "mp"):
+        for channel in ("inline", "mp-pooled"):
             sharded = run(
                 small_gnp, luby_mis(), seed=9, rng="counter", shards=3,
                 shard_channel=channel,
@@ -681,7 +678,6 @@ class TestShardEquivalence:
         sharded_msgs = []
         for kwargs in (
             {"shards": 3},
-            {"shards": 3, "shard_channel": "mp"},
             {"shards": 3, "shard_channel": "mp-pooled"},
         ):
             with pytest.raises(NonTerminationError) as excinfo:

@@ -287,21 +287,21 @@ class TestBackendWiring:
     def test_use_backend_fused_lanes(self, small_gnp):
         jobs = [(small_gnp, luby_mis(), {"seed": s}) for s in range(4)]
         plain = run_many(jobs)
-        with use_backend("fused", lanes=2):
+        with use_backend("compiled", lanes=2):
             chunked = run_many(jobs)
         for a, b in zip(plain, chunked):
             assert fields_of(a) == fields_of(b)
 
-    def test_lanes_require_fused_backend(self):
-        with pytest.raises(ParameterError):
-            with use_backend("batch", lanes=2):
+    def test_lanes_require_compiled_backend(self):
+        with pytest.raises(ParameterError, match="compiled backend"):
+            with use_backend("reference", lanes=2):
                 pass
 
     def test_lanes_validated(self, small_gnp):
         with pytest.raises(ParameterError):
             run_many([(small_gnp, luby_mis())], lanes=0)
         with pytest.raises(ParameterError):
-            with use_backend("fused", lanes=0):
+            with use_backend("compiled", lanes=0):
                 pass
 
     def test_job_shape_validated(self, small_gnp):

@@ -224,7 +224,7 @@ class TestSurgicalRecovery:
         assert trail.count("respawn") == 1
         assert "rebuild" not in trail and "inline" not in trail
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     @pytest.mark.parametrize("k", (2, 3))
     def test_killed_worker_recovers_bit_identically(
         self, small_gnp, channel, k
@@ -237,7 +237,7 @@ class TestSurgicalRecovery:
         self.assert_surgical(round_no=2)
 
     @pytest.mark.skipif(numpy_or_none() is None, reason="needs numpy")
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     @pytest.mark.parametrize("k", (2, 3))
     def test_killed_batch_worker_recovers_bit_identically(
         self, small_gnp, channel, k
@@ -254,7 +254,7 @@ class TestSurgicalRecovery:
         assert_results_equal(base, got, context=(channel, k))
         self.assert_surgical(round_no=2)
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     def test_round0_failure_recovers_from_initial_state(
         self, small_gnp, channel
     ):
@@ -265,7 +265,7 @@ class TestSurgicalRecovery:
         assert_results_equal(base, got, context=channel)
         self.assert_surgical(round_no=0)
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     def test_recovery_composes_with_fault_plans(self, small_gnp, channel):
         plan = sample_plan(small_gnp, drop(0.5), 0.2, seed=7)
         algo = LocalAlgorithm(name="kill-once", process=_KillOnceWorker)
@@ -275,7 +275,7 @@ class TestSurgicalRecovery:
         assert_results_equal(base, got, context=channel)
         self.assert_surgical(round_no=2)
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     def test_hung_worker_times_out_and_recovers(
         self, small_gnp, channel, monkeypatch
     ):
@@ -315,7 +315,7 @@ class TestSurgicalRecovery:
         algo = LocalAlgorithm(name="kill-always", process=_KillAlwaysWorker)
         base = run(small_gnp, algo, seed=1, backend="reference")
         got = run(small_gnp, algo, seed=1, backend="sharded", shards=2,
-                  shard_channel="mp")
+                  shard_channel="mp-pooled")
         assert_results_equal(base, got, context="exhausted")
         trail = last_recovery()
         # Exactly one respawn (the budget), then the inline escalation —
@@ -330,7 +330,7 @@ class TestSurgicalRecovery:
         algo = LocalAlgorithm(name="kill-always", process=_KillAlwaysWorker)
         base = run(small_gnp, algo, seed=1, backend="reference")
         got = run(small_gnp, algo, seed=1, backend="sharded", shards=2,
-                  shard_channel="mp")
+                  shard_channel="mp-pooled")
         assert_results_equal(base, got, context="legacy")
         assert last_recovery() == "restart-inline"
 
@@ -338,11 +338,11 @@ class TestSurgicalRecovery:
         algo = LocalAlgorithm(name="kill-once", process=_KillOnceWorker)
         with pytest.warns(ResilienceWarning, match="respawning"):
             run(small_gnp, algo, seed=1, backend="sharded", shards=2,
-                shard_channel="mp")
+                shard_channel="mp-pooled")
 
     def test_honest_run_leaves_no_trail(self, small_gnp):
         run(small_gnp, luby_mis(), seed=5, rng="counter",
-            backend="sharded", shards=2, shard_channel="mp")
+            backend="sharded", shards=2, shard_channel="mp-pooled")
         assert last_recovery() is None
 
 
@@ -361,7 +361,7 @@ class TestCheckpointJournal:
 
         monkeypatch.setattr(CheckpointJournal, "write", keep_round_one)
         result = run(small_gnp, luby_mis(), seed=5, rng="counter",
-                     backend="sharded", shards=2, shard_channel="mp")
+                     backend="sharded", shards=2, shard_channel="mp-pooled")
         journal = CheckpointJournal(str(tmp_path))
         checkpoint = journal.load()
         assert checkpoint.round_no == 1
@@ -502,7 +502,7 @@ class TestSessionChaos:
         self.flag = tmp_path / "failed-once.flag"
         monkeypatch.setenv(KILL_FLAG, str(self.flag))
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     def test_mid_rerun_kill_then_mutate_rerun_identical(
         self, small_gnp, channel
     ):
@@ -520,10 +520,9 @@ class TestSessionChaos:
             assert trail is not None and trail.startswith("respawn@r2(s")
             assert trail.count("respawn") == 1
             assert "rebuild" not in trail and "inline" not in trail
-            if channel == "mp-pooled":
-                pool = session.stats()["pool"]
-                assert pool is not None and not pool["broken"]
-                healed_pids = pool["pids"]
+            pool = session.stats()["pool"]
+            assert pool is not None and not pool["broken"]
+            healed_pids = pool["pids"]
             # The flag file stays on disk: warm workers forked with the
             # env baked in see it and survive — later runs are honest.
             edge = next(iter(session.graph.edges()))
@@ -537,7 +536,6 @@ class TestSessionChaos:
             )
             cold = run(oracle, algo, seed=1, backend="reference")
             assert_results_equal(again, cold, context=("post-heal", channel))
-            if channel == "mp-pooled":
-                # The healed pool (same slots) served the mutated rerun.
-                assert session.stats()["pool"]["pids"] == healed_pids
+            # The healed pool (same slots) served the mutated rerun.
+            assert session.stats()["pool"]["pids"] == healed_pids
         assert sharded.pool_stats() is None

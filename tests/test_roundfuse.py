@@ -1,12 +1,10 @@
-"""Round-fused phase/fixed-point drivers and the JIT tier (DESIGN.md D17).
+"""Round-fused phase/fixed-point drivers (DESIGN.md D17).
 
 Bit-identity of the fused drivers against the per-round batch loop and
 the reference stack for every roundfuse-certified kernel — full,
 restricted and virtual domains, both rng schemes — plus the exact
 fallback ladder (kill-switch, uncertified algorithm, active fault plan,
-``track_bits``, cap shorter than the schedule) and the JIT tier's
-absence discipline (the default CI leg has no numba: ``backend="jit"``
-must resolve and run the pure-numpy fused tier, same bits).
+``track_bits``, cap shorter than the schedule).
 """
 
 from __future__ import annotations
@@ -35,20 +33,23 @@ from repro.local import (
     run_restricted,
     use_backend,
     use_batch,
-    use_jit,
     use_roundfuse,
 )
 from repro.local import batch as batch_module
-from repro.local import jitkernels, roundfuse
+from repro.local import roundfuse
 from repro.local.algorithm import capabilities_of
 from repro.local.batch import batch_graph_of
-from repro.local.runner import (
-    batching_requested,
-    last_stepping,
-    resolve_backend,
-)
+from repro.local.runner import last_stepping
 
 numpy = pytest.importorskip("numpy")
+
+
+@pytest.fixture(autouse=True)
+def batching_on():
+    """Every test here diffs the batched tiers: pin batching on (the
+    suite stays green under ``REPRO_BATCH=0`` too)."""
+    with use_batch(True):
+        yield
 
 RNGS = ("counter", "mt")
 
@@ -65,12 +66,6 @@ RESULT_FIELDS = (
 def assert_results_equal(a, b, context=""):
     for field in RESULT_FIELDS:
         assert getattr(a, field) == getattr(b, field), (field, context)
-
-
-def fused_tag():
-    """The expected fused stepping tag for this environment — "jit" on
-    the CI with-numba leg when the tier is requested, "rf" otherwise."""
-    return roundfuse.stepping_tag()
 
 
 def certified_algorithms(graph):
@@ -95,11 +90,11 @@ def run_three_ways(graph, algorithm, rng, **kwargs):
     """(reference, per-round batch, round-fused) with stepping checks."""
     ref = run(graph, algorithm, backend="reference", rng=rng, **kwargs)
     with use_roundfuse(False):
-        batched = run(graph, algorithm, backend="batch", rng=rng, **kwargs)
+        batched = run(graph, algorithm, backend="compiled", rng=rng, **kwargs)
         assert last_stepping() == "batch"
     with use_roundfuse(True):
-        fused = run(graph, algorithm, backend="batch", rng=rng, **kwargs)
-        assert last_stepping() == fused_tag()
+        fused = run(graph, algorithm, backend="compiled", rng=rng, **kwargs)
+        assert last_stepping() == "rf"
     return ref, batched, fused
 
 
@@ -123,11 +118,11 @@ class TestFusedBitIdentity:
             with use_roundfuse(False):
                 batched = run_restricted(
                     small_gnp, algorithm, rounds, default_output="cut",
-                    guesses=guesses, backend="batch", rng="counter",
+                    guesses=guesses, backend="compiled", rng="counter",
                 )
             fused = run_restricted(
                 small_gnp, algorithm, rounds, default_output="cut",
-                guesses=guesses, backend="batch", rng="counter",
+                guesses=guesses, backend="compiled", rng="counter",
             )
             assert_results_equal(batched, fused, context=(rounds, label))
 
@@ -178,7 +173,7 @@ class TestFusedBitIdentity:
                 with pytest.raises(NonTerminationError) as err:
                     run(
                         small_gnp, luby_mis(), seed=11, rng="counter",
-                        backend="batch", max_rounds=1,
+                        backend="compiled", max_rounds=1,
                     )
                 assert err.value.rounds == 1
 
@@ -191,15 +186,14 @@ class TestFusedBitIdentity:
                 _, _, uniform = TABLE1["luby"].build()
                 outcomes[key] = uniform.run(small_gnp, seed=13)
         fused = outcomes["rf"]
-        tag = fused_tag()
         assert fused.outputs == outcomes["batch"].outputs
         assert fused.rounds == outcomes["batch"].rounds
-        assert all(step.backends == (tag, tag) for step in fused.steps)
+        assert all(step.backends == ("rf", "rf") for step in fused.steps)
         assert all(
             step.backends == ("batch", "batch")
             for step in outcomes["batch"].steps
         )
-        assert f"via {tag}/{tag}" in render_trace(fused)
+        assert "via rf/rf" in render_trace(fused)
         assert "via batch/batch" in render_trace(outcomes["batch"])
 
 
@@ -209,12 +203,12 @@ class TestFallbackLadder:
     def test_kill_switch(self, small_gnp):
         with use_roundfuse(False):
             off = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                      backend="batch")
+                      backend="compiled")
             assert last_stepping() == "batch"
         with use_roundfuse(True):
             on = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                     backend="batch")
-            assert last_stepping() == fused_tag()
+                     backend="compiled")
+            assert last_stepping() == "rf"
         assert_results_equal(off, on, context="kill-switch")
 
     def test_uncertified_algorithm(self, small_gnp):
@@ -222,10 +216,10 @@ class TestFallbackLadder:
         algo = luby_mis()
         algo.roundfuse = False
         assert capabilities_of(algo)["supports_roundfuse"] is False
-        plain = run(small_gnp, algo, seed=3, rng="counter", backend="batch")
+        plain = run(small_gnp, algo, seed=3, rng="counter", backend="compiled")
         assert last_stepping() == "batch"
         fused = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                    backend="batch")
+                    backend="compiled")
         assert_results_equal(plain, fused, context="uncertified")
 
     def test_active_faults_degrade(self, small_gnp):
@@ -235,18 +229,18 @@ class TestFallbackLadder:
         base = run(small_gnp, luby_mis(), seed=3, rng="counter",
                    backend="reference", faults=plan)
         got = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                  backend="batch", faults=plan)
-        assert last_stepping() not in ("rf", "jit")
+                  backend="compiled", faults=plan)
+        assert last_stepping() != "rf"
         assert_results_equal(base, got, context="faulted")
 
     def test_track_bits_degrades(self, small_gnp):
         """Message-size tracking keeps the per-node path (no kernel)."""
         tracked = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                      backend="batch", track_bits=True)
+                      backend="compiled", track_bits=True)
         assert last_stepping() == "per-node"
         assert tracked.max_message_bits is not None
         fused = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                    backend="batch")
+                    backend="compiled")
         assert tracked.outputs == fused.outputs
         assert tracked.rounds == fused.rounds
         assert tracked.messages == fused.messages
@@ -256,11 +250,11 @@ class TestFallbackLadder:
         same bits."""
         with use_roundfuse(True):
             fused = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                        backend="batch")
-            assert last_stepping() == fused_tag()
+                        backend="compiled")
+            assert last_stepping() == "rf"
             sharded = run(small_gnp, luby_mis(), seed=3, rng="counter",
                           shards=2)
-            assert last_stepping() not in ("rf", "jit")
+            assert last_stepping() != "rf"
         assert_results_equal(fused, sharded, context="sharded")
 
     def test_drive_declines_stepped_kernel(self, small_gnp):
@@ -277,50 +271,6 @@ class TestFallbackLadder:
         done.start()
         done.run_phases()
         assert roundfuse.drive_kernel(done, 100) is None  # already done
-
-
-class TestJitTier:
-    """backend="jit" resolves everywhere; numba absence is invisible."""
-
-    def test_backend_resolves_and_batches(self):
-        backend, _ = resolve_backend("jit", None)
-        assert backend == "jit"
-        assert batching_requested("jit") is True
-
-    def test_numba_absent_runs_numpy_tier(self, small_gnp):
-        """The CI default leg: no numba, so "jit" is the pure-numpy
-        fused tier, bit-identical and tagged "rf"."""
-        with use_roundfuse(True):
-            base = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                       backend="batch")
-            jit = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                      backend="jit")
-            expected_tag = "jit" if jitkernels.available() else "rf"
-            assert last_stepping() == expected_tag
-        assert_results_equal(base, jit, context="jit-backend")
-
-    @pytest.mark.parametrize("rng", RNGS)
-    def test_jit_matrix_matches_batch(self, small_gnp, rng):
-        """The full certified matrix under the jit request — compiled
-        loops when numba is importable (the CI with-numba leg), the
-        numpy fused loops otherwise.  Same bits either way."""
-        for label, algorithm, guesses in certified_algorithms(small_gnp):
-            with use_roundfuse(False):
-                batched = run(small_gnp, algorithm, seed=11, rng=rng,
-                              guesses=guesses, backend="batch")
-            jit = run(small_gnp, algorithm, seed=11, rng=rng,
-                      guesses=guesses, backend="jit")
-            assert_results_equal(batched, jit, context=(rng, label))
-
-    def test_request_without_numba_is_inert(self, small_gnp):
-        if jitkernels.available():  # pragma: no cover - numba leg only
-            pytest.skip("numba installed; absence discipline not testable")
-        with use_jit(True):
-            assert jitkernels.active() is False
-            assert jitkernels.peeling_loop() is None
-            assert jitkernels.bitwise_loop() is None
-            assert jitkernels.flood_loop() is None
-            assert roundfuse.stepping_tag() == "rf"
 
 
 class TestCapabilityPublication:
@@ -375,13 +325,13 @@ class TestLockstepKernelCache:
                 small_gnp, fast_mis(), 3, default_output=0,
                 guesses={"m": small_gnp.max_ident,
                          "Delta": small_gnp.max_degree},
-                backend="batch", rng="counter",
+                backend="compiled", rng="counter",
             )
         fused = run_restricted(
             small_gnp, fast_mis(), 3, default_output=0,
             guesses={"m": small_gnp.max_ident,
                      "Delta": small_gnp.max_degree},
-            backend="batch", rng="counter",
+            backend="compiled", rng="counter",
         )
         assert truncated.truncated == fused.truncated
         assert MISBatchKernel.undone_indices is not None

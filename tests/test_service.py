@@ -3,9 +3,9 @@
 Contract under test: for every delta sequence, a session's
 ``.rerun()`` on its incrementally-patched graph is **bit-identical** to
 a cold ``run()`` on a graph rebuilt from scratch — outputs, rounds,
-message counts, truncation and backend attribution — on all five
-backends (reference / compiled / batch / sharded(k) / fused), under
-both rng schemes.  Scripts are generated by the seeded, shrinkable
+message counts, truncation and backend attribution — on every stack
+(reference / compiled / the session's own record / sharded(k) / fused
+lanes), under both rng schemes.  Scripts are generated by the seeded, shrinkable
 ``DeltaScript`` machinery in ``conftest.py``: on divergence the harness
 bisects to the minimal failing prefix and prints it, so a red run is a
 small reproduction, not a 20-op haystack.
@@ -35,6 +35,7 @@ from repro.local import (
 )
 from repro.local import sharded
 from repro.local.batch import numpy_or_none
+from repro.local.execution import current
 from repro.local.runner import last_stepping
 from repro.local.sharded import fork_available
 
@@ -62,15 +63,16 @@ VOLUME = {"cases": 0, "params": set()}
 
 
 def specs_for(k):
-    """One rerun spec per backend; batch/fused only when numpy exists."""
+    """One rerun spec per stack; the session's own record (batched
+    stepping) and fused lanes only when numpy exists."""
     specs = [
         {"backend": "reference"},
         {"backend": "compiled"},
         {"backend": "sharded", "shards": k, "shard_channel": "inline"},
     ]
     if numpy_or_none() is not None:
-        specs.append({"backend": "batch"})
-        specs.append({"backend": "fused", "fused_lanes": 3})
+        specs.append({})
+        specs.append({"fused_lanes": 3})
     return specs
 
 
@@ -314,6 +316,21 @@ class TestSessionLifecycle:
             assert last_stepping() is not None
             ref = s.rerun(luby_mis(), seed=4, backend="reference")
             assert_results_equal(base, ref, context="pin override")
+
+    def test_scope_installs_every_pin(self, small_gnp):
+        """Regression: ``.scope()`` used to drop ``shards`` and
+        ``shard_channel`` unless ``backend="sharded"`` was pinned, and
+        ``lanes`` unless the (former) fused backend was."""
+        with open_session(small_gnp, shards=2) as s:
+            s.rerun(luby_mis(), seed=4)
+            assert last_stepping().startswith("shard-")
+            with s.scope():
+                run(small_gnp, luby_mis(), seed=4)
+                assert last_stepping().startswith("shard-")
+                assert current().shards == 2
+        with open_session(small_gnp, lanes=4) as s:
+            with s.scope():
+                assert current().lanes == 4
 
     def test_epoch_and_rerun_counters(self, small_gnp):
         with open_session(small_gnp) as s:

@@ -234,30 +234,32 @@ class TestHaloPlaneFallbacks:
         )
         assert_results_equal(base, pooled, context="shm overflow")
 
-    def test_unpicklable_state_degrades_to_fork_per_run(
+    def test_unpicklable_state_degrades_to_inline(
         self, pool_graph, monkeypatch
     ):
         """Closure-carrying node processes cannot ship to the pool; the
-        run degrades to the fork-per-run channel (which inherits state)
-        and stays bit-identical."""
+        run degrades to the inline channel with a ResilienceWarning and
+        stays bit-identical to the compiled engine."""
+        from repro.errors import ResilienceWarning
         from repro.local.algorithm import zero_round_algorithm
 
-        forked = []
-        original = sharded.ProcessChannel.__init__
+        inline = []
+        original = sharded.InlineChannel.__init__
 
         def spy(self, shards):
-            forked.append(len(shards))
+            inline.append(len(shards))
             original(self, shards)
 
-        monkeypatch.setattr(sharded.ProcessChannel, "__init__", spy)
+        monkeypatch.setattr(sharded.InlineChannel, "__init__", spy)
         algo = zero_round_algorithm("ident-mod", lambda ctx: ctx.ident % 7)
         base = run(pool_graph, algo, seed=1, rng="counter")
-        pooled = run(
-            pool_graph, algo, seed=1, rng="counter",
-            shards=2, shard_channel="mp-pooled",
-        )
+        with pytest.warns(ResilienceWarning, match="does not pickle"):
+            pooled = run(
+                pool_graph, algo, seed=1, rng="counter",
+                shards=2, shard_channel="mp-pooled",
+            )
         assert_results_equal(base, pooled, context="unpicklable")
-        assert forked == [2]
+        assert inline == [2]
         assert sharded._POOL is None
 
     def test_numpy_free_pooled_falls_back_inline(self, pool_graph, monkeypatch):
