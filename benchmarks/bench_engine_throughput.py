@@ -70,7 +70,6 @@ from repro.local import (  # noqa: E402
     use_faults,
     use_roundfuse,
 )
-from repro.local import recovery  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
 
@@ -85,10 +84,6 @@ RATIOS = (
     ("speedup", "reference", "compiled"),
     ("speedup_batch", "reference", "batch"),
     ("batch_gain", "compiled", "batch"),
-    # Recovery unit (D15): checkpoint-off seconds / checkpoint-on
-    # seconds — drops toward 0 as per-round checkpointing overhead
-    # grows, so the smoke gate catches a snapshot-cost regression.
-    ("checkpoint_gain", "checkpoint-off", "checkpoint-on"),
     # Fused unit (D16): b sequential solo runs / one b-lane fused
     # run_many — the multi-run dispatch amortization this PR exists
     # to track.  Only the dispatch-bound mis-fast row is gated; the
@@ -307,25 +302,18 @@ def unit_virtual_linegraph(n, reps):
 
 #: Shard counts recorded by the sharded sweep column.
 SHARD_SWEEP = (1, 2, 4)
-#: Boundary channels recorded by the sharded sweep column.
-SHARD_CHANNELS = ("inline", "mp-pooled")
 
 
-def unit_sharded_alternation(n, seeds, reps, ks=SHARD_SWEEP,
-                             channels=SHARD_CHANNELS):
-    """Theorem-2 Luby alternation on the partitioned engine (D12/D13).
+def unit_sharded_alternation(n, seeds, reps, ks=SHARD_SWEEP):
+    """Theorem-2 Luby alternation on the partitioned engine (D12).
 
-    Sweeps the shard count under every boundary channel and records
-    each column's gain over the single-process batch path
-    (``sharded-<channel>-k<k>_gain`` = batch seconds / sharded
-    seconds).  The in-process channel serializes the shards and mostly
-    measures partition/exchange overhead; ``mp-pooled`` dispatches
-    every run of the
-    alternation to the persistent worker pool with shared-memory halo
-    exchange (D13) — the scale-out lever, needing a multi-core runner
-    for absolute wins over single-process batch.  Every column is
-    checked bit-identical to the batch run before it is recorded — a
-    baseline can never commit a diverging shard configuration.
+    Sweeps the shard count and records each column's gain over the
+    single-process batch path (``sharded-inline-k<k>_gain`` = batch
+    seconds / sharded seconds).  The shards step in-process, so the
+    column measures partition/exchange overhead (DESIGN.md D20).  Every
+    column is checked bit-identical to the batch run before it is
+    recorded — a baseline can never commit a diverging shard
+    configuration.
     """
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=2), seed=2)
 
@@ -360,21 +348,17 @@ def unit_sharded_alternation(n, seeds, reps, ks=SHARD_SWEEP,
     with use_backend("compiled", rng="counter"), use_batch(True):
         out["batch"], base_signature = measure()
     for k in ks:
-        for channel in channels:
-            with use_backend(
-                "sharded", rng="counter", shards=k, shard_channel=channel
-            ):
-                entry, signature = measure()
-            if signature != base_signature:
-                raise SystemExit(
-                    f"sharded(k={k}, {channel}) diverged from batch — "
-                    "refusing to record"
-                )
-            key = f"sharded-{channel}-k{k}"
-            out[key] = entry
-            out[f"{key}_gain"] = round(
-                out["batch"]["seconds"] / entry["seconds"], 2
+        with use_backend("sharded", rng="counter", shards=k):
+            entry, signature = measure()
+        if signature != base_signature:
+            raise SystemExit(
+                f"sharded(k={k}) diverged from batch — refusing to record"
             )
+        key = f"sharded-inline-k{k}"
+        out[key] = entry
+        out[f"{key}_gain"] = round(
+            out["batch"]["seconds"] / entry["seconds"], 2
+        )
     return out
 
 
@@ -528,70 +512,6 @@ def unit_roundfuse(n, reps, alt_n=150):
         )
     out["roundfuse_gain"] = round(
         out["batch"]["seconds"] / out["roundfuse"]["seconds"], 2
-    )
-    return out
-
-
-def unit_recovery_checkpoint(n, seeds, reps, k=2, channel="mp-pooled"):
-    """Round-checkpoint cost of the self-healing shard channel (D15).
-
-    Runs the Theorem-2 Luby alternation on the sharded engine twice —
-    once with per-round checkpointing on (the default: the parent
-    retains a pickled snapshot of every shard after every round, which
-    is what makes surgical worker recovery possible) and once with it
-    forced off — and records ``checkpoint_gain`` (off seconds / on
-    seconds) plus the overhead percentage.  Both runs are checked
-    bit-identical before anything is recorded: checkpointing is pure
-    observation and must never change results.
-    """
-    graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=2), seed=2)
-
-    def measure():
-        _, _, uniform = TABLE1["luby"].build()
-        state = {}
-
-        def fn():
-            rounds = 0
-            signature = []
-            for seed in seeds:
-                result = uniform.run(graph, seed=seed)
-                rounds += result.rounds
-                signature.append((result.rounds, result.outputs))
-            state["rounds"] = rounds
-            state["signature"] = signature
-
-        fn()  # warm caches (CSR compile, partition plans)
-        seconds = _best(fn, reps)
-        signature = state.pop("signature")
-        entry = {"seconds": round(seconds, 6)}
-        entry.update(state)
-        return entry, signature
-
-    out = {}
-    with use_backend(
-        "sharded", rng="counter", shards=k, shard_channel=channel
-    ):
-        out["checkpoint-on"], on_signature = measure()
-    saved = recovery.CHECKPOINTS_ENABLED
-    recovery.CHECKPOINTS_ENABLED = False
-    try:
-        with use_backend(
-            "sharded", rng="counter", shards=k, shard_channel=channel
-        ):
-            out["checkpoint-off"], off_signature = measure()
-    finally:
-        recovery.CHECKPOINTS_ENABLED = saved
-    if on_signature != off_signature:
-        raise SystemExit(
-            "checkpointing changed sharded results — refusing to record"
-        )
-    out["checkpoint_gain"] = round(
-        out["checkpoint-off"]["seconds"] / out["checkpoint-on"]["seconds"], 2
-    )
-    out["checkpoint_overhead_pct"] = round(
-        100.0
-        * (out["checkpoint-on"]["seconds"] / out["checkpoint-off"]["seconds"] - 1.0),
-        1,
     )
     return out
 
@@ -772,7 +692,7 @@ def unit_faults_alternation(n, seeds, reps, rates=FAULT_RATES,
             )
     probe.append(
         run(graph, luby_mis(), seed=1, rng="counter", faults=probe_plan,
-            shards=2, shard_channel="inline")
+            shards=2)
     )
     first = probe[0]
     for other in probe[1:]:
@@ -877,7 +797,7 @@ def check_bit_identity(n=120):
     """Quick identity check across every stepping strategy (smoke net).
 
     Covers the three single-process strategies plus the sharded engine
-    (both steppings through ``shards=3``, both boundary channels) — the
+    (both steppings through ``shards=3``) — the
     ``sharded(k) ≡ batch ≡ compiled ≡ reference`` contract of D12.
     """
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=8), seed=8)
@@ -894,13 +814,9 @@ def check_bit_identity(n=120):
                     results.append(
                         run(graph, algo, seed=3, guesses=g, rng=rng)
                     )
-            for channel in SHARD_CHANNELS:
-                results.append(
-                    run(
-                        graph, algo, seed=3, guesses=g, rng=rng,
-                        shards=3, shard_channel=channel,
-                    )
-                )
+            results.append(
+                run(graph, algo, seed=3, guesses=g, rng=rng, shards=3)
+            )
             first = results[0]
             for other in results[1:]:
                 if (
@@ -911,9 +827,9 @@ def check_bit_identity(n=120):
                 ):
                     return False
     # Faulted identity (D14): an adversarial plan mixing every profile
-    # class must stay bit-identical across every strategy and boundary
-    # channel — fault fates come from the identity-keyed counter RNG,
-    # never from engine layout or worker scheduling.
+    # class must stay bit-identical across every strategy and shard
+    # count — fault fates come from the identity-keyed counter RNG,
+    # never from engine layout.
     nodes = sorted(graph.nodes)
     plan = FaultPlan({
         nodes[1]: crash_at(1),
@@ -927,13 +843,9 @@ def check_bit_identity(n=120):
             faulted.append(
                 run(graph, luby_mis(), seed=3, rng="counter", faults=plan)
             )
-    for channel in SHARD_CHANNELS:
-        faulted.append(
-            run(
-                graph, luby_mis(), seed=3, rng="counter", faults=plan,
-                shards=3, shard_channel=channel,
-            )
-        )
+    faulted.append(
+        run(graph, luby_mis(), seed=3, rng="counter", faults=plan, shards=3)
+    )
     first = faulted[0]
     for other in faulted[1:]:
         if (
@@ -992,20 +904,16 @@ def check_bit_identity(n=120):
         with use_backend(base, rng="counter"), use_batch(backend == "batch"):
             _, _, uniform = TABLE1["luby"].build()
             alternations.append(uniform.run(graph, seed=3))
-    for channel in SHARD_CHANNELS:
-        with use_backend(
-            "sharded", rng="counter", shards=3, shard_channel=channel
-        ):
-            _, _, uniform = TABLE1["luby"].build()
-            alternations.append(uniform.run(graph, seed=3))
+    with use_backend("sharded", rng="counter", shards=3):
+        _, _, uniform = TABLE1["luby"].build()
+        alternations.append(uniform.run(graph, seed=3))
     first = alternations[0]
     for other in alternations[1:]:
         if first.outputs != other.outputs or first.rounds != other.rounds:
             return False
     # Live-session identity (D18): a mutate-then-rerun on a long-lived
     # session must equal a cold run on a from-scratch rebuild of the
-    # mutated topology — per strategy, per boundary channel, and per
-    # fused lane.  The session patches the CSR row slices incrementally,
+    # mutated topology — per strategy, sharded, and per fused lane.  The session patches the CSR row slices incrementally,
     # so this is the gate that the patch path stays bit-exact.
     truth = graph.to_networkx()
     gone = next(iter(truth.edges()))
@@ -1041,17 +949,10 @@ def check_bit_identity(n=120):
             ))
     with open_session(graph, rng="counter") as session:
         session.mutate(delta)
-        for channel in SHARD_CHANNELS:
-            pairs.append((
-                session.rerun(
-                    luby_mis(), seed=3, backend="sharded", shards=3,
-                    shard_channel=channel,
-                ),
-                run(
-                    oracle, luby_mis(), seed=3, rng="counter",
-                    shards=3, shard_channel=channel,
-                ),
-            ))
+        pairs.append((
+            session.rerun(luby_mis(), seed=3, backend="sharded", shards=3),
+            run(oracle, luby_mis(), seed=3, rng="counter", shards=3),
+        ))
         live_lanes = session.rerun_many(
             [(luby_mis(), {"seed": s}) for s in (3, 4)]
         )
@@ -1107,16 +1008,10 @@ def full_suite():
         # vs one fused drive per run (roundfuse_gain is the tracked
         # ≥3× number).
         "roundfloor-n1200": unit_roundfuse(1200, reps=3),
-        # Partitioned engine (D12): shard-count sweep over both
-        # boundary channels on the pruning-heavy Luby alternation.
+        # Partitioned engine (D12): shard-count sweep on the
+        # pruning-heavy Luby alternation.
         "sharded-alternation-n2000": unit_sharded_alternation(
             2000, (1, 2, 3), reps=3
-        ),
-        # Self-healing checkpoint overhead (D15): the same alternation
-        # with per-round shard snapshots on vs off — the recovery
-        # machinery's steady-state price, gated by checkpoint_gain.
-        "recovery-checkpoint-n2000": unit_recovery_checkpoint(
-            2000, (1, 2), reps=3
         ),
         # Live-graph session service (D18): per-request small delta +
         # rerun on a long-lived session vs a stateless cold rebuild of
@@ -1154,19 +1049,12 @@ SMOKE_UNITS = {
     "smoke-alternation": lambda: unit_table1_row(
         "luby", SMOKE_N, (1, 2), reps=SMOKE_REPS
     ),
-    # Sharded-engine gate unit (D12): the recorded *_gain columns are
-    # informational (worker wall clock flakes on shared runners); the
-    # hard guard is check_bit_identity, which diffs the sharded engine
-    # against the single-process strategies on every smoke run — a
-    # shard regression fails fast with exit 2.
+    # Sharded-engine gate unit (D12): the hard guard is
+    # check_bit_identity, which diffs the sharded engine against the
+    # single-process strategies on every smoke run — a shard regression
+    # fails fast with exit 2.
     "smoke-sharded": lambda: unit_sharded_alternation(
-        SMOKE_N, (1,), reps=2, ks=(2,), channels=("inline",)
-    ),
-    # Pooled-channel gate unit (D13): the persistent worker pool with
-    # shared-memory halos on the same alternation (bit-identity
-    # enforced by the unit itself and by check_bit_identity above).
-    "smoke-sharded-pooled": lambda: unit_sharded_alternation(
-        SMOKE_N, (1,), reps=2, ks=(2,), channels=("mp-pooled",)
+        SMOKE_N, (1,), reps=2, ks=(2,)
     ),
     # Fault-injection gate unit (D14): drop + crash profiles on a small
     # alternation.  The recorded degradation numbers are informational;
@@ -1191,14 +1079,6 @@ SMOKE_UNITS = {
     # bit-identical, and check_bit_identity diffs roundfuse on/off on
     # every smoke run.
     "smoke-roundfuse": lambda: unit_roundfuse(600, reps=2, alt_n=100),
-    # Recovery gate unit (D15): per-round checkpointing on vs off on
-    # the pooled channel.  checkpoint_gain falling below 80% of
-    # the baseline means shard snapshots got materially more expensive;
-    # the unit itself refuses to record if checkpointing ever changes
-    # results.
-    "smoke-recovery": lambda: unit_recovery_checkpoint(
-        SMOKE_N, (1,), reps=2
-    ),
     # Live-session gate unit (D18): the churn scenario at smoke size.
     # session_gain falling below 80% of the baseline means the
     # incremental CSR patch stopped beating stateless rebuilds; the
@@ -1247,11 +1127,6 @@ def render(units):
                     f"{key[len('sharded-'):-len('_gain')]}={value:.2f}x"
                     for key, value in sorted(shard_gains.items())
                 )
-            )
-        if "checkpoint_gain" in entry:
-            lines.append(
-                f"  checkpoint overhead: {entry['checkpoint_overhead_pct']:+.1f}%"
-                f" (off/on {entry['checkpoint_gain']:.2f}x)"
             )
         if "fused_gain" in entry:
             lines.append(
@@ -1356,15 +1231,11 @@ def main(argv=None):
                     "(dict loop, eager MT rng, rebuild restriction); "
                     "compiled = CSR engine stepping per node; batch = CSR "
                     "engine with batched frontier-step kernels (D10); "
-                    "sharded-<channel>-k<k> = partitioned engine (D12), "
-                    "inline channel serializes shards in-process, mp-pooled "
-                    "reuses the "
-                    "persistent worker pool with shared-memory halo "
-                    "exchange (D13; needs a multi-core runner for absolute "
-                    "wins). speedup = reference/compiled, speedup_batch = "
+                    "sharded-inline-k<k> = partitioned engine (D12), "
+                    "shards stepped in-process. speedup = "
+                    "reference/compiled, speedup_batch = "
                     "reference/batch, batch_gain = compiled/batch, "
-                    "sharded-*_gain = batch/sharded, checkpoint_gain = "
-                    "checkpoint-off/checkpoint-on (D15 round snapshots), "
+                    "sharded-*_gain = batch/sharded, "
                     "roundfuse_gain = per-round batch/round-fused drive "
                     "(D17 phase-fused + fixed-point drivers, pure-numpy "
                     "tier), session_gain = stateless cold "

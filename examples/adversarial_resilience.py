@@ -2,44 +2,27 @@
 
 Scenario: the sensor field again, but honest about the hardware — some
 radios drop packets, some nodes are dead on arrival, some die mid-
-protocol.  Two questions matter before flashing firmware:
+protocol.  The question that matters before flashing firmware: *what
+does the algorithm's answer degrade into?*
 
-1. *What does the algorithm's answer degrade into?*  Fault injection
-   (DESIGN.md, D14) makes misbehaviour a first-class, reproducible
-   input: a ``FaultPlan`` assigns per-node profiles (``crash_at``,
-   ``byzantine_silent``, ``drop(p)``, ``garble(p)``) and every fate is
-   drawn from the identity-keyed counter RNG — the injected run is a
-   pure function of ``(graph, algo, seed, plan)``, bit-identical on
-   every backend.  So a fault study debugged on the reference loop is
-   *the same experiment* on the batch kernels or the sharded engine.
-
-2. *What if the simulation machinery itself fails?*  The mp-pooled
-   shard channel survives real faults too (DESIGN.md, D15): the parent keeps
-   a round-level checkpoint of every shard, so a killed or hung worker
-   is respawned alone and resumed from the last checkpoint — a dead
-   worker costs one round, not the run, and the recovered output is
-   bit-identical to the honest one.  Section 4 below SIGKILLs a live
-   worker mid-run to show it.
+Fault injection (DESIGN.md, D14) makes misbehaviour a first-class,
+reproducible input: a ``FaultPlan`` assigns per-node profiles
+(``crash_at``, ``byzantine_silent``, ``drop(p)``, ``garble(p)``) and
+every fate is drawn from the identity-keyed counter RNG — the injected
+run is a pure function of ``(graph, algo, seed, plan)``, bit-identical
+on every backend.  So a fault study debugged on the reference loop is
+*the same experiment* on the batch kernels or the sharded engine.
 
 Run:  python examples/adversarial_resilience.py
 """
-
-import multiprocessing
-import os
-import signal
-import threading
-import time
-import warnings
 
 from repro.algorithms import TABLE1
 from repro.algorithms.luby import luby_mis
 from repro.bench import build_graph
 from repro.core.alternating import AlternationDiverged
-from repro.errors import ResilienceWarning
 from repro.graphs import families
-from repro.local import run, sample_plan, use_backend, use_faults
+from repro.local import run, sample_plan, use_faults
 from repro.local.faults import crash_at, drop
-from repro.local.sharded import fork_available
 
 SEED = 11
 
@@ -69,9 +52,7 @@ def main():
     configs = [
         ("reference", dict(backend="reference")),
         ("compiled+batch", dict(backend="compiled")),
-        ("sharded k=2", dict(backend="compiled", shards=2,
-                             shard_channel="mp-pooled" if fork_available()
-                             else "inline")),
+        ("sharded k=2", dict(backend="compiled", shards=2)),
     ]
     results = []
     for name, kwargs in configs:
@@ -120,62 +101,6 @@ def main():
             f"\nwith {crashed.describe()}: alternation diverges at its "
             "iteration cap — crashed nodes are never pruned (expected)."
         )
-
-    # 4. Kill-and-recover (D15): SIGKILL a live shard worker mid-run.
-    # The parent respawns only that worker from the last round
-    # checkpoint; the alternation finishes bit-identical to an honest
-    # run and carries the recovery trail in its step ledger.
-    if fork_available():
-        kill_and_recover(network)
-
-
-def kill_and_recover(network):
-    print("\nkill-and-recover (D15): SIGKILL one shard worker mid-run")
-    _, _, uniform = TABLE1["luby"].build()
-    with use_backend("sharded", rng="counter", shards=2, shard_channel="mp-pooled"):
-        honest = uniform.run(network, seed=SEED)
-
-    state = {}
-
-    def assassin():
-        # Wait for a pool worker to appear, then SIGKILL it — an
-        # external fault the channel cannot see coming.
-        while "pid" not in state and not state.get("stop"):
-            for child in multiprocessing.active_children():
-                try:
-                    os.kill(child.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    continue
-                state["pid"] = child.pid
-                return
-            time.sleep(0.001)
-
-    _, _, uniform = TABLE1["luby"].build()
-    with use_backend("sharded", rng="counter", shards=2, shard_channel="mp-pooled"):
-        thread = threading.Thread(target=assassin, daemon=True)
-        thread.start()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ResilienceWarning)
-            recovered = uniform.run(network, seed=SEED)
-        state["stop"] = True
-        thread.join(timeout=5)
-
-    for warning in caught:
-        if issubclass(warning.category, ResilienceWarning):
-            print(f"  warning: {warning.message}")
-    trails = [
-        backend
-        for step in recovered.steps
-        for backend in (step.backends or ())
-        if backend and "[" in backend
-    ]
-    assert recovered.outputs == honest.outputs, "recovery changed the output"
-    assert recovered.rounds == honest.rounds, "recovery changed the ledger"
-    if trails:
-        print(f"  killed pid={state.get('pid')}; recovery trail: {trails[0]}")
-    else:
-        print("  (the kill landed between sharded runs — nothing to heal)")
-    print("  recovered run is bit-identical to the honest one.")
 
 
 if __name__ == "__main__":

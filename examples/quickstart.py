@@ -44,18 +44,18 @@ def main():
           f"({len(result.steps)} alternating steps)\n")
     print(render_trace(result))
 
-    # The same pipeline scales out unchanged: shard the round loop and
-    # dispatch every alternation step to a persistent worker pool with
-    # shared-memory halo exchange (DESIGN.md D12/D13).  The backend
+    # The same pipeline runs unchanged on the partitioned round loop:
+    # every alternation step is split into shards that exchange their
+    # boundaries between rounds (DESIGN.md D12).  The backend
     # equivalence contract makes the outcome bit-identical to the
-    # single-process run for every shard count and channel.
-    with use_backend("sharded", shards=2, shard_channel="mp-pooled"):
+    # single-process run for every shard count.
+    with use_backend("sharded", shards=2):
         sharded = theorem2(luby_mc_nonuniform(), mis_pruning()).run(
             network, seed=7
         )
     assert sharded.outputs == result.outputs
     assert sharded.rounds == result.rounds
-    print("\nsharded(k=2, mp-pooled) reproduced the run bit-identically")
+    print("\nsharded(k=2) reproduced the run bit-identically")
 
 
 if __name__ == "__main__":

@@ -25,10 +25,8 @@ from time import perf_counter
 from ..errors import ReproError
 from ..local.runner import (
     last_faults,
-    last_recovery,
     last_stepping,
     note_faults,
-    note_recovery,
     note_stepping,
 )
 from .domain import as_domain
@@ -41,8 +39,6 @@ class StepRecord:
     strategy — ``(algorithm, pruning)``, each ``"batch"``,
     ``"per-node"`` or ``"reference"`` (host orchestrations report the
     stepping of their last inner run; ``None`` when nothing executed).
-    A run that survived worker failures carries its recovery trail in
-    brackets, e.g. ``"shard-batch[respawn@r3(s1)]"`` (DESIGN.md D15).
     ``seconds`` is the step's wall clock, so traces and benches can
     attribute time per step and per backend.  ``faults`` is the
     description of the fault plan injected into the step's algorithm
@@ -195,16 +191,11 @@ class AlternatingEngine:
         started = perf_counter()
         note_stepping(None)
         note_faults(None)
-        note_recovery(None)
         tentative, charged = runner(self.domain, self.inputs, salt)
         algo_backend = last_stepping()
         step_faults = last_faults()
-        recovery = last_recovery()
-        if recovery is not None and algo_backend is not None:
-            algo_backend = f"{algo_backend}[{recovery}]"
         self.rounds += charged
         note_stepping(None)
-        note_recovery(None)
         prune = self.pruning.apply(
             self.domain,
             self.inputs,
@@ -213,9 +204,6 @@ class AlternatingEngine:
             salt=f"{salt}|prune",
         )
         prune_backend = last_stepping()
-        recovery = last_recovery()
-        if recovery is not None and prune_backend is not None:
-            prune_backend = f"{prune_backend}[{recovery}]"
         self.rounds += prune.rounds
         for u in prune.pruned:
             self.outputs[u] = tentative[u]

@@ -18,13 +18,11 @@ output ("0") on nodes that have not terminated.
 
 Domain runs honour the ambient execution record
 (:func:`repro.local.execution.use_backend`) and accept the full executor
-selection per call (``backend`` / ``rng`` / ``shards`` /
-``shard_channel``, resolved once by :func:`_resolve_exec` into one
+selection per call (``backend`` / ``rng`` / ``shards``, resolved once
+by :func:`_resolve_exec` into one
 :class:`~repro.local.execution.Execution`) — so a whole transformer
-pipeline shards, or dispatches to
-the persistent worker pool (``shard_channel="mp-pooled"``, DESIGN.md
-D13), without the transformers knowing: each alternation step's guess
-run *and* pruning run re-dispatch to the scope's warm pool.
+pipeline shards without the transformers knowing: each alternation
+step's guess run *and* pruning run execute under the scope's record.
 Restriction uses the incremental subgraph paths (``SimGraph.subgraph``
 / ``VirtualSpec.restricted``), so one alternation step costs O(pruned
 work), not O(steps · n log n).
@@ -55,18 +53,18 @@ def _resolve_exec(exec_kwargs):
     """The one dispatch helper behind every domain runner.
 
     Domains accept the executor-selection flags (``backend``, ``rng``,
-    ``shards``, ``shard_channel``) as pass-through keyword arguments —
+    ``shards``) as pass-through keyword arguments —
     the same names, defaults and validation as
     :func:`repro.local.runner.run` — and resolve them exactly once
     here into the :class:`~repro.local.execution.Execution` the run
     executes under, so backend/batch/shard selection can never drift
     between ``run_restricted`` and ``run_full`` or between domain kinds.
     """
-    unknown = set(exec_kwargs) - {"backend", "rng", "shards", "shard_channel"}
+    unknown = set(exec_kwargs) - {"backend", "rng", "shards"}
     if unknown:
         raise TypeError(
             f"unexpected execution keyword(s) {sorted(unknown)}; "
-            "domains accept backend/rng/shards/shard_channel"
+            "domains accept backend/rng/shards"
         )
     return resolve(**exec_kwargs)
 

@@ -45,99 +45,11 @@ class ParameterError(ReproError, ValueError):
     """
 
 
-class FaultError(ReproError):
-    """Base class of the fault-injection / resilience error family (D14).
-
-    Covers both *modelled* faults (a malformed :class:`FaultPlan`) and
-    *infrastructure* faults of the sharded channels (a worker process
-    that hung or died).  The sharded retry ladder only retries
-    subclasses flagged ``retryable`` — a worker's real exception is a
-    bug to surface, not an outage to paper over.
-    """
-
-    #: Whether the sharded run may re-dispatch after this failure.
-    retryable = False
-
-
-class WorkerTimeoutError(FaultError):
-    """A shard worker failed to report within the per-round timeout.
-
-    The parent-side receive loop polls with a deadline instead of
-    blocking forever, so a hung (or SIGSTOPped, or livelocked) worker
-    surfaces as this error with the shard index and round attached —
-    and the run retries once before degrading to the inline channel.
-    """
-
-    retryable = True
-
-    def __init__(self, shard, round_no, timeout):
-        self.shard = shard
-        self.round_no = round_no
-        self.timeout = timeout
-        super().__init__(
-            f"sharded worker {shard} did not report round {round_no} "
-            f"within {timeout:.1f}s"
-        )
-
-
-class WorkerDiedError(FaultError, RuntimeError):
-    """A shard worker died without reporting (EOF / broken pipe).
-
-    Subclasses :class:`RuntimeError` for compatibility with callers that
-    matched the pre-D14 generic failure; the message is kept verbatim.
-    """
-
-    retryable = True
-
-    def __init__(self, message="sharded worker died without reporting",
-                 shard=None, round_no=None):
-        self.shard = shard
-        self.round_no = round_no
-        if shard is not None:
-            message = f"{message} (shard {shard}, round {round_no})"
-        super().__init__(message)
-
-
-class RecoveryExhaustedError(FaultError):
-    """Surgical shard recovery ran out of its per-run retry budget.
-
-    Raised by a channel when ``recovery.MAX_RETRIES`` respawn
-    attempts were consumed without completing the failed round.  Still
-    ``retryable``: the run-level ladder may re-dispatch the whole run on
-    the inline channel as a last resort.
-    """
-
-    retryable = True
-
-    def __init__(self, shard, round_no, attempts, cause=None):
-        self.shard = shard
-        self.round_no = round_no
-        self.attempts = attempts
-        self.cause = cause
-        message = (
-            f"shard {shard} could not be recovered at round {round_no} "
-            f"after {attempts} respawn attempt(s)"
-        )
-        if cause is not None:
-            message += f" (last cause: {cause})"
-        super().__init__(message)
-
-
-class CheckpointCorruptError(ReproError):
-    """A spilled checkpoint file failed validation (magic/CRC/unpickle).
-
-    Resuming from a torn or tampered journal would silently break the
-    bit-identity contract, so the journal refuses it loudly instead.
-    """
-
-
 class ResilienceWarning(UserWarning):
-    """A run degraded or recovered instead of failing.
+    """A run degraded instead of failing.
 
-    Emitted whenever the resilience machinery silently changes how a
-    run executes — a worker respawn, a pool rebuild, a fallback from
-    mp-pooled/mp to inline, a shared-memory halo overflow, or a
-    numpy-free degradation — carrying shard/round/cause context so the
+    Emitted when a sharded run without numpy steps per node instead of
+    through its certified batch kernels (same bits, slower), so the
     degradation is observable without failing the run.
     """
 

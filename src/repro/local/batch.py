@@ -276,12 +276,7 @@ class BatchSetup:
 
 
 class _MtNodeFactory:
-    """Picklable ``local index -> random.Random`` for the mt scheme.
-
-    A plain class instead of a closure so that kernels holding a
-    :class:`SequentialDraws` can ship to the persistent shard workers
-    (D13) — pickling a lambda fails, pickling this ships fine.
-    """
+    """Picklable ``local index -> random.Random`` for the mt scheme."""
 
     __slots__ = ("seed", "salt", "idents")
 

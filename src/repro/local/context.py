@@ -214,8 +214,7 @@ def rng_source(mode, seed, salt):
 
     The returned callable is also a valid lazy ``rng_factory`` for
     :class:`NodeContext` — one shared instance serves every node of a
-    run.  Both sources are plain picklable objects (not closures) so
-    per-node shard state can ship to the persistent worker pool (D13).
+    run.  Both sources are plain picklable objects, not closures.
     """
     if mode == "mt":
         return _MtSource(seed, salt)

@@ -117,7 +117,6 @@ class Partition:
         "_l_of",
         "_sub",
         "_sync",
-        "_halo",
     )
 
     def __init__(self, offsets, neigh, k):
@@ -147,7 +146,6 @@ class Partition:
         self._l_of = None
         self._sub = None
         self._sync = None
-        self._halo = None
 
     def shard_of(self, i):
         """Owning shard of global node index ``i``."""
@@ -254,40 +252,6 @@ class Partition:
                     recv[d][src] = [self.local_index(d, g) for g in glist]
             plan = self._sync = (sends, recv)
         return plan
-
-    def halo_layout(self, bytes_per_node, header_bytes=1024, slots=2):
-        """Stable shared-memory offsets for the halo plane (D13).
-
-        Returns ``(total_bytes, regions)`` where ``regions`` maps each
-        boundary pair ``(src, dest)`` to ``(offset, capacity)``:
-        ``capacity`` bytes per ring slot, ``slots`` consecutive slots
-        starting at ``offset``.  Offsets are a pure function of the
-        partition geometry (pairs enumerated in ascending ``(src,
-        dest)`` order), so every worker of a pooled run derives the same
-        layout from the same plan — the sender writes its boundary-node
-        state slices at ``offset + (round & 1) * capacity`` and the
-        receiver reads the same bytes, no per-round reconciliation.
-        Payloads that outgrow ``capacity`` fall back to the piped
-        exchange for that round; correctness never depends on the
-        sizing.
-        """
-        cache = self._halo
-        if cache is None:
-            cache = self._halo = {}
-        key = (bytes_per_node, header_bytes, slots)
-        layout = cache.get(key)
-        if layout is not None:
-            return layout
-        sends, _ = self.sync_plan()
-        regions = {}
-        total = 0
-        for src in range(self.k):
-            for dest, idx in sends[src]:
-                capacity = header_bytes + len(idx) * bytes_per_node
-                regions[(src, dest)] = (total, capacity)
-                total += capacity * slots
-        layout = cache[key] = (total, regions)
-        return layout
 
 
 class CompiledGraph:
@@ -596,18 +560,12 @@ def run_batch(
     labels = cg.labels
     outputs = {}
     finish_round = {}
-    # Sharded kernels with a spill journal want the committed ledger
-    # alongside each round checkpoint (D15), so a resumed run need not
-    # replay rounds this loop already absorbed.
-    commit_ledger = getattr(kernel, "commit_ledger", None)
     finished, results, messages = kernel.start()
     for i, value in zip(finished, results):
         label = labels[i]
         outputs[label] = value
         finish_round[label] = 0
     rounds = 0
-    if commit_ledger is not None:
-        commit_ledger(labels, rounds, outputs, finish_round, messages)
     while not kernel.done:
         if rounds >= cap:
             undone = kernel.undone_indices()
@@ -638,8 +596,6 @@ def run_batch(
             label = labels[i]
             outputs[label] = value
             finish_round[label] = rounds
-        if commit_ledger is not None:
-            commit_ledger(labels, rounds, outputs, finish_round, messages)
     total = max(finish_round.values()) if finish_round else 0
     return result_cls(
         outputs, finish_round, total, messages, frozenset(), None

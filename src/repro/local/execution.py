@@ -1,12 +1,12 @@
 """How runs execute: one frozen :class:`Execution` record, resolved once.
 
 Every executor choice — which engine, which random-source scheme, how
-many shards over which channel, how wide a fused slab, and whether the
-batched (D10) and round-fused (D17) tiers may engage — lives in one
-immutable record.  The process starts from :meth:`Execution.from_env`;
-the scopes :func:`use_backend`, :func:`use_batch` and
-:func:`use_roundfuse` swap the *ambient* record for a
-:func:`dataclasses.replace`-d copy; and :func:`run
+many shards, how wide a fused slab, and whether the batched (D10) and
+round-fused (D17) tiers may engage — lives in one immutable record.
+The process starts from :meth:`Execution.from_env`; the scopes
+:func:`use_backend`, :func:`use_batch` and :func:`use_roundfuse` swap
+the *ambient* record for a :func:`dataclasses.replace`-d copy; and
+:func:`run
 <repro.local.runner.run>`, :func:`run_many <repro.local.fused.run_many>`,
 the domain runners and the session service each :func:`resolve` their
 per-call overrides against it exactly once.  Everything downstream
@@ -21,7 +21,7 @@ silently falling back to a default.
 from __future__ import annotations
 
 import os
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from ..errors import ParameterError
@@ -31,11 +31,6 @@ from ..errors import ParameterError
 #: specification loop, ``"sharded"`` the partitioned round loop (D12).
 BACKENDS = ("compiled", "reference", "sharded")
 RNG_MODES = ("counter", "mt")
-#: Boundary exchange of the sharded engine: ``"inline"`` steps the
-#: shards sequentially in-process (the deterministic reference),
-#: ``"mp-pooled"`` dispatches to the persistent worker pool with
-#: shared-memory halo exchange (D13).
-SHARD_CHANNELS = ("inline", "mp-pooled")
 
 _TRUE = ("1", "on", "true", "yes")
 _FALSE = ("0", "off", "false", "no")
@@ -45,8 +40,8 @@ def env_setting(environ, name, default, kind=str, choices=None):
     """Read the variable ``name`` from the mapping ``environ``.
 
     Unset or blank gives ``default``.  ``kind`` is ``bool`` (one of
-    1/on/true/yes or 0/off/false/no, any case), ``int`` (at least 1),
-    ``float`` or ``str``; ``choices`` restricts the accepted values.
+    1/on/true/yes or 0/off/false/no, any case), ``int`` (at least 1)
+    or ``str``; ``choices`` restricts the accepted values.
     Anything else raises :class:`~repro.errors.ParameterError`.
     """
     raw = environ.get(name, "").strip()
@@ -75,18 +70,17 @@ class Execution:
 
     ``rng`` is ``None`` for the backend's native scheme (``"mt"`` for
     the reference loop, ``"counter"`` otherwise; see :attr:`rng_mode`).
-    ``shards`` and ``shard_channel`` apply when ``backend`` is
-    ``"sharded"``; ``lanes`` caps the width of one fused
-    :func:`~repro.local.fused.run_many` slab (D16); ``batch`` and
-    ``roundfuse`` let compiled runs take the batched frontier stepping
-    (D10) and the round-fused drivers (D17) when the algorithm is
-    certified for them.
+    ``shards`` applies when ``backend`` is ``"sharded"``; ``lanes``
+    caps the width of one fused :func:`~repro.local.fused.run_many`
+    slab (D16); both must be ints (not bools) of at least 1.  ``batch``
+    and ``roundfuse`` let compiled runs take the batched frontier
+    stepping (D10) and the round-fused drivers (D17) when the algorithm
+    is certified for them.
     """
 
     backend: str = "compiled"
     rng: str | None = None
     shards: int = 2
-    shard_channel: str = "inline"
     lanes: int = 32
     batch: bool = True
     roundfuse: bool = True
@@ -100,15 +94,15 @@ class Execution:
             raise ParameterError(
                 f"unknown rng scheme {self.rng!r} (use {RNG_MODES})"
             )
-        if self.shard_channel not in SHARD_CHANNELS:
-            raise ParameterError(
-                f"unknown shard channel {self.shard_channel!r} "
-                f"(use {SHARD_CHANNELS})"
-            )
-        if self.shards < 1:
-            raise ParameterError(f"shards must be >= 1, got {self.shards}")
-        if self.lanes < 1:
-            raise ParameterError(f"lanes must be >= 1, got {self.lanes}")
+        for name in ("shards", "lanes"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParameterError(
+                    f"{name} must be an int, got {value!r} "
+                    f"({type(value).__name__})"
+                )
+            if value < 1:
+                raise ParameterError(f"{name} must be >= 1, got {value!r}")
 
     @classmethod
     def from_env(cls, environ):
@@ -118,8 +112,6 @@ class Execution:
                                 choices=BACKENDS),
             rng=env_setting(environ, "REPRO_RNG", None, choices=RNG_MODES),
             shards=env_setting(environ, "REPRO_SHARDS", 2, int),
-            shard_channel=env_setting(environ, "REPRO_SHARD_CHANNEL",
-                                      "inline", choices=SHARD_CHANNELS),
             lanes=env_setting(environ, "REPRO_FUSE_LANES", 32, int),
             batch=env_setting(environ, "REPRO_BATCH", True, bool),
             roundfuse=env_setting(environ, "REPRO_ROUNDFUSE", True, bool),
@@ -130,15 +122,13 @@ class Execution:
         """The concrete random-source scheme runs draw from."""
         return self.rng or ("mt" if self.backend == "reference" else "counter")
 
-    def resolve(self, backend=None, rng=None, shards=None,
-                shard_channel=None, lanes=None):
+    def resolve(self, backend=None, rng=None, shards=None, lanes=None):
         """This record under per-call overrides (``self`` when none).
 
         A per-call ``shards=k`` selects the sharded engine with ``k``
         shards; the reference loop cannot take shards.
         """
-        if (backend is None and rng is None and shards is None
-                and shard_channel is None and lanes is None):
+        if backend is None and rng is None and shards is None and lanes is None:
             return self
         changes = {}
         if backend is not None:
@@ -152,11 +142,9 @@ class Execution:
                     "(backend='reference' cannot take shards)"
                 )
             changes["backend"] = "sharded"
-            changes["shards"] = int(shards)
-        if shard_channel is not None:
-            changes["shard_channel"] = shard_channel
+            changes["shards"] = shards
         if lanes is not None:
-            changes["lanes"] = int(lanes)
+            changes["lanes"] = lanes
         return replace(self, **changes)
 
 
@@ -168,10 +156,9 @@ def current():
     return _ambient
 
 
-def resolve(backend=None, rng=None, shards=None, shard_channel=None,
-            lanes=None):
+def resolve(backend=None, rng=None, shards=None, lanes=None):
     """The ambient record under per-call overrides."""
-    return _ambient.resolve(backend, rng, shards, shard_channel, lanes)
+    return _ambient.resolve(backend, rng, shards, lanes)
 
 
 @contextmanager
@@ -187,10 +174,9 @@ def installed(execution):
 
 
 @contextmanager
-def use_backend(backend, rng=None, shards=None, shard_channel=None,
-                lanes=None):
-    """Pin the backend (and optionally the rng scheme, shard count,
-    shard channel and fused lane width) for every run in the scope.
+def use_backend(backend, rng=None, shards=None, lanes=None):
+    """Pin the backend (and optionally the rng scheme, shard count and
+    fused lane width) for every run in the scope.
 
     The equivalence suite runs whole pipelines — alternations, virtual
     domains, portfolios — under each backend with the rng scheme pinned,
@@ -200,13 +186,6 @@ def use_backend(backend, rng=None, shards=None, shard_channel=None,
     ``use_backend("compiled", lanes=b)`` packs every
     :func:`~repro.local.fused.run_many` inside at most ``b`` runs per
     block-diagonal slab (D16).
-
-    A sharded scope is also a *pool scope* (D13): the first run
-    dispatched through ``shard_channel="mp-pooled"`` inside it spawns the
-    persistent worker pool, every later run of the scope — each
-    ``(A_i ; P)`` step of an alternation — reuses the warm workers, and
-    the outermost scope exit joins them.  Pooled runs outside any scope
-    fall back to a per-run pool.
     """
     if shards is not None and backend != "sharded":
         # The count only applies to sharded runs; pinning it under
@@ -220,13 +199,7 @@ def use_backend(backend, rng=None, shards=None, shard_channel=None,
             "use_backend(..., lanes=b) requires a compiled backend; "
             "the reference loop never fuses runs"
         )
-    execution = _ambient.resolve(backend, rng, shards, shard_channel, lanes)
-    with ExitStack() as stack:
-        if backend == "sharded" or shard_channel == "mp-pooled":
-            from .sharded import pool_scope
-
-            stack.enter_context(pool_scope())
-        stack.enter_context(installed(execution))
+    with installed(_ambient.resolve(backend, rng, shards, lanes)):
         yield
 
 

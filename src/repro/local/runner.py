@@ -89,25 +89,6 @@ def last_faults():
     return _LAST_FAULTS
 
 
-#: Recovery trail of the most recent sharded run (``None`` when nothing
-#: failed) — e.g. ``"respawn@r3(s1)"`` after a surgical worker respawn,
-#: ``"respawn@r3(s1) inline@r3"`` after an escalation (D15).  Same
-#: diagnostic channel as :data:`_LAST_STEPPING`: the alternation engine
-#: samples it per step and folds it into ``StepRecord.backends``.
-_LAST_RECOVERY = None
-
-
-def note_recovery(summary):
-    """Record the recovery trail of the latest sharded run (or ``None``)."""
-    global _LAST_RECOVERY
-    _LAST_RECOVERY = summary
-
-
-def last_recovery():
-    """Recovery trail of the most recent run (``None`` if nothing failed)."""
-    return _LAST_RECOVERY
-
-
 class RunResult:
     """Outcome of one synchronous execution.
 
@@ -169,7 +150,6 @@ def run(
     backend=None,
     rng=None,
     shards=None,
-    shard_channel=None,
     **options,
 ):
     """Execute ``algorithm`` on ``graph`` and return a :class:`RunResult`.
@@ -198,22 +178,12 @@ def run(
         sharded engine (bit identical to the compiled one for every
         count — counts larger than ``n`` clamp).  ``None`` shards only
         when the backend is ``"sharded"``, with the ambient count.
-    shard_channel:
-        Boundary exchange of the sharded engine: ``"inline"``
-        (in-process, deterministic reference) or ``"mp-pooled"``
-        (persistent worker pool + shared-memory halo plane, DESIGN.md
-        D13 — reuse the pool across runs by wrapping the pipeline in
-        ``use_backend("sharded", ...)``).  ``None`` uses the ambient
-        channel.
     options:
         The run itself, see :func:`execute`: ``inputs``, ``guesses``,
         ``seed``, ``salt``, ``max_rounds``, ``default_output``,
         ``truncate``, ``track_bits`` and ``faults``.
     """
-    return execute(
-        graph, algorithm, resolve(backend, rng, shards, shard_channel),
-        **options,
-    )
+    return execute(graph, algorithm, resolve(backend, rng, shards), **options)
 
 
 def execute(

@@ -5,10 +5,10 @@ a complete static graph and rebuilds whatever it needs.  A
 :class:`SimulationSession` turns them into a service a traffic-serving
 system can sit on: it keeps a live :class:`~repro.local.engine.
 CompiledGraph`, applies :class:`~repro.local.graph.GraphDelta` edits
-incrementally (CSR row-slice patching, no networkx round-trip), and
-reuses warm worker pools across requests — a rerun after a small delta
-skips the identity sort, the re-porting, the partition, the batch
-mirror and the pool fork that a cold rebuild pays.
+incrementally (CSR row-slice patching), and keeps one execution
+record across requests — a rerun after a small delta skips the
+networkx round-trip, the identity sort and the re-porting that a cold
+rebuild pays.
 
 Correctness contract (enforced by ``tests/test_service.py``): for every
 delta sequence, ``.rerun()`` is bit-identical to a cold ``run()`` on a
@@ -30,16 +30,11 @@ by luck:
   ranks — which is exactly what a from-scratch build produces, so equal
   topology means equal bits (D9 purity: draws depend only on
   ``(run_key, identity)``, never on how the graph object was made).
-* The warm pool is the existing D13 pool scope: a session *is* one
-  scope, entered at open and exited at close, so every pooled rerun
-  re-dispatches to the same forked workers and the D15 recovery ladder
-  keeps serving the session after a worker dies mid-rerun.
 """
 
 from __future__ import annotations
 
 from ..errors import ParameterError
-from . import sharded
 from .execution import installed, resolve
 from .fused import release_slabs_of, run_many
 from .graph import GraphDelta, SimGraph
@@ -52,39 +47,32 @@ class SimulationSession:
     Use as a context manager, or pair :func:`open_session` with
     :meth:`close`::
 
-        with open_session(graph, backend="sharded", shards=2,
-                          shard_channel="mp-pooled") as session:
+        with open_session(graph, backend="sharded", shards=2) as session:
             session.rerun(algo, seed=1)
             session.mutate(GraphDelta(add_edges=[(3, 9)]))
             session.rerun(algo, seed=1)   # ≡ cold run on the new graph
 
-    Keyword pins (``backend``, ``rng``, ``shards``, ``shard_channel``,
-    ``lanes``) are resolved once, at open, into the session's
+    Keyword pins (``backend``, ``rng``, ``shards``, ``lanes``) are
+    resolved once, at open, into the session's
     :class:`~repro.local.execution.Execution` record — the ambient
     record for every :meth:`rerun`, :meth:`rerun_many` and
     :meth:`scope`.  Any rerun may override it per call, which is how
     the differential harness flips backends mid-script.
     """
 
-    __slots__ = (
-        "_graph", "_execution", "_epoch", "_reruns", "_closed", "_pool_cm",
-    )
+    __slots__ = ("_graph", "_execution", "_epoch", "_reruns", "_closed")
 
     def __init__(self, graph, *, backend=None, rng=None, shards=None,
-                 shard_channel=None, lanes=None):
+                 lanes=None):
         if not isinstance(graph, SimGraph):
             raise ParameterError(
                 f"sessions wrap a SimGraph, got {type(graph).__name__}"
             )
         self._graph = graph
-        self._execution = resolve(backend, rng, shards, shard_channel, lanes)
+        self._execution = resolve(backend, rng, shards, lanes)
         self._epoch = 0
         self._reruns = 0
         self._closed = False
-        # The session is one pool scope (D13): warm workers persist
-        # across every mutate/rerun until close.
-        self._pool_cm = sharded.pool_scope()
-        self._pool_cm.__enter__()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -104,19 +92,15 @@ class SimulationSession:
         return self._closed
 
     def stats(self):
-        """Diagnostic counters: epoch, rerun count, warm-pool view."""
-        return {
-            "epoch": self._epoch,
-            "reruns": self._reruns,
-            "pool": sharded.pool_stats(),
-        }
+        """Diagnostic counters: epoch and rerun count."""
+        return {"epoch": self._epoch, "reruns": self._reruns}
 
     def _check_open(self):
         if self._closed:
             raise ParameterError("session is closed")
 
     def close(self):
-        """Release the warm pool and the session's slab-cache entries.
+        """Release the session's slab-cache entries.
 
         Idempotent.  The graph itself stays valid — it is an ordinary
         immutable :class:`SimGraph` the caller may keep using.
@@ -127,7 +111,6 @@ class SimulationSession:
         cg = self._graph._compiled
         if cg is not None:
             release_slabs_of(cg)
-        self._pool_cm.__exit__(None, None, None)
 
     def __enter__(self):
         self._check_open()
@@ -226,19 +209,14 @@ class SimulationSession:
 
 
 def open_session(graph, *, backend=None, rng=None, shards=None,
-                 shard_channel=None, lanes=None):
+                 lanes=None):
     """Open a :class:`SimulationSession` on ``graph``.
 
     The keyword pins become defaults for every ``rerun`` of the
     session; see :class:`SimulationSession`.
     """
     return SimulationSession(
-        graph,
-        backend=backend,
-        rng=rng,
-        shards=shards,
-        shard_channel=shard_channel,
-        lanes=lanes,
+        graph, backend=backend, rng=rng, shards=shards, lanes=lanes
     )
 
 

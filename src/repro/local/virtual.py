@@ -640,8 +640,7 @@ def _virtual_kernel(
     ``(host identity, virtual identity)``, so per-shard draw sources
     reproduce the single-kernel streams for every shard count.  Falls
     back to one kernel when ineligible; returns ``None`` when the
-    factory declines.  Callers must ``close()`` the returned object if
-    it has a ``close`` (the sharded loop owns a channel).
+    factory declines.
     """
     factory = algorithm.batch
     rng_mode = execution.rng_mode
@@ -664,7 +663,7 @@ def _virtual_kernel(
     ):
         from .engine import Partition
         from .runner import note_stepping
-        from .sharded import BatchShard, ShardedKernelLoop, open_channel
+        from .sharded import BatchShard, InlineChannel, ShardedKernelLoop
 
         plans = spec._partitions
         if plans is None:
@@ -689,7 +688,7 @@ def _virtual_kernel(
             ]
             note_stepping("shard-batch")
             return ShardedKernelLoop(
-                open_channel(batch_shards, execution.shard_channel),
+                InlineChannel(batch_shards),
                 part.k,
                 bg.n,
             )
@@ -855,14 +854,9 @@ def run_virtual_batch(
         return None
 
     max_vrounds = cap // spec.dilation + 1
-    try:
-        finish_vround, results = _drive_virtual(
-            kernel, algorithm, max_vrounds, execution.roundfuse
-        )
-    finally:
-        closer = getattr(kernel, "close", None)
-        if closer is not None:
-            closer()
+    finish_vround, results = _drive_virtual(
+        kernel, algorithm, max_vrounds, execution.roundfuse
+    )
 
     vindex = {label: i for i, label in enumerate(bg.labels)}
     # A relay commits only after every client host's announcement has
@@ -929,17 +923,12 @@ def run_virtual_batch_full(
         return None
 
     max_vrounds = cap // spec.dilation + 1
-    try:
-        # The horizon grows with the stepping itself — kernel state
-        # persists, so extending a budget is just stepping further (a
-        # doubling-and-restart schedule degenerates to this loop).
-        finish_vround, results = _drive_virtual(
-            kernel, algorithm, max_vrounds, execution.roundfuse
-        )
-    finally:
-        closer = getattr(kernel, "close", None)
-        if closer is not None:
-            closer()
+    # The horizon grows with the stepping itself — kernel state
+    # persists, so extending a budget is just stepping further (a
+    # doubling-and-restart schedule degenerates to this loop).
+    finish_vround, results = _drive_virtual(
+        kernel, algorithm, max_vrounds, execution.roundfuse
+    )
 
     vindex = {label: i for i, label in enumerate(bg.labels)}
     commit = _host_commits(spec, physical, finish_vround, vindex)

@@ -565,7 +565,7 @@ class TestShardEquivalence:
     ``sharded(k) ≡ batch ≡ compiled ≡ reference`` for every shard
     count: full, restricted and virtual domains, both steppings
     (shard-certified kernels take the halo-exchange batch path,
-    everything else the per-node boundary-message path), both channels.
+    everything else the per-node boundary-message path).
     """
 
     @pytest.mark.parametrize("k", SHARD_COUNTS)
@@ -613,25 +613,38 @@ class TestShardEquivalence:
             )
             assert_results_equal(base, sharded, context=(k, rounds))
 
-    @pytest.mark.parametrize("channel", ("mp-pooled",))
-    @pytest.mark.parametrize("k", SHARD_COUNTS)
-    def test_mp_channels(self, small_gnp, k, channel):
-        """The worker-pool channel (D13) matches the single-process
-        engine exactly, for every k."""
-        for algorithm, guesses in (
-            (luby_mis(), None),       # shard-certified kernel
-            (fast_mis(), {"m": small_gnp.max_ident, "Delta": small_gnp.max_degree}),  # shard-certified since D13
-            (bitwise_ruling_set(), {"m": small_gnp.max_ident}),  # per-node fallback
-        ):
-            base = run(
-                small_gnp, algorithm, backend="compiled", rng="counter",
-                seed=7, guesses=guesses,
-            )
-            mp = run(
-                small_gnp, algorithm, rng="counter", seed=7,
-                guesses=guesses, shards=k, shard_channel=channel,
-            )
-            assert_results_equal(base, mp, context=(algorithm.name, k, channel))
+    @pytest.mark.parametrize("k", (2, 7))
+    def test_fast_mis_certified_kernel(self, small_gnp, k):
+        """The D13-certified MIS kernel takes the sharded batch path."""
+        from repro.local.runner import last_stepping
+
+        guesses = {"m": small_gnp.max_ident, "Delta": small_gnp.max_degree}
+        base = run(small_gnp, fast_mis(), seed=11, rng="counter",
+                   guesses=guesses)
+        sharded = run(small_gnp, fast_mis(), seed=11, rng="counter",
+                      guesses=guesses, shards=k)
+        assert_results_equal(base, sharded, context=k)
+        assert last_stepping() == "shard-batch"
+
+    def test_big_identity_space_declines_to_per_node(self):
+        """Colors beyond int64 cannot ride the halo sync: the factory
+        declines under sharding and the run shards per node."""
+        import networkx as nx
+
+        from repro.local import SimGraph
+        from repro.local.runner import last_stepping
+
+        graph = nx.path_graph(6)
+        idents = {i: (1 << 70) + 2 * i + 1 for i in graph.nodes}
+        sim = SimGraph.from_networkx(graph, idents=idents)
+        guesses = {"m": max(idents.values()), "Delta": 2}
+        base = run(sim, fast_mis(), seed=3, rng="counter", guesses=guesses)
+        stepping_base = last_stepping()
+        sharded = run(sim, fast_mis(), seed=3, rng="counter",
+                      guesses=guesses, shards=2)
+        assert_results_equal(base, sharded, context="big idents")
+        assert stepping_base == "rf"  # unsharded fused kernel still eligible
+        assert last_stepping() == "shard-per-node"
 
     def test_graph_smaller_than_shards(self):
         import networkx as nx
@@ -651,16 +664,31 @@ class TestShardEquivalence:
 
     def test_numpy_free_fallback(self, small_gnp, monkeypatch):
         """Without numpy the sharded engine steps per node, identically."""
+        from repro.errors import ResilienceWarning
         from repro.local import batch as batch_module
 
         base = run(small_gnp, luby_mis(), seed=9, rng="counter")
         monkeypatch.setattr(batch_module, "_np", None)
-        for channel in ("inline", "mp-pooled"):
+        with pytest.warns(ResilienceWarning):
             sharded = run(
                 small_gnp, luby_mis(), seed=9, rng="counter", shards=3,
-                shard_channel=channel,
             )
-            assert_results_equal(base, sharded, context=channel)
+        assert_results_equal(base, sharded)
+
+    def test_numpy_free_shard_kernel_warns_and_steps_per_node(
+        self, small_gnp, monkeypatch
+    ):
+        """A shard-certified kernel without numpy declines the halo
+        batch path: the run steps per node and says so with a
+        ResilienceWarning."""
+        from repro.errors import ResilienceWarning
+        from repro.local import batch as batch_module
+        from repro.local.runner import last_stepping
+
+        monkeypatch.setattr(batch_module, "_np", None)
+        with pytest.warns(ResilienceWarning, match="need numpy"):
+            run(small_gnp, luby_mis(), seed=9, rng="counter", shards=3)
+        assert last_stepping() == "shard-per-node"
 
     def test_track_bits_shards_per_node(self, small_gnp):
         base = run(small_gnp, luby_mis(), seed=7, rng="counter",
@@ -675,17 +703,9 @@ class TestShardEquivalence:
         with pytest.raises(NonTerminationError) as excinfo:
             run(small_gnp, luby_mis(), max_rounds=1, rng="counter")
         base = str(excinfo.value)
-        sharded_msgs = []
-        for kwargs in (
-            {"shards": 3},
-            {"shards": 3, "shard_channel": "mp-pooled"},
-        ):
-            with pytest.raises(NonTerminationError) as excinfo:
-                run(small_gnp, luby_mis(), max_rounds=1, rng="counter",
-                    **kwargs)
-            sharded_msgs.append(str(excinfo.value))
-        assert len(set(sharded_msgs)) == 1, sharded_msgs
-        msg = sharded_msgs[0]
+        with pytest.raises(NonTerminationError) as excinfo:
+            run(small_gnp, luby_mis(), max_rounds=1, rng="counter", shards=3)
+        msg = str(excinfo.value)
         assert msg.startswith(base)
         assert "(shard 0:" in msg
 
@@ -727,13 +747,6 @@ class TestShardEquivalence:
                 backend="sharded", shards=k,
             )
             assert base == sharded, (k, label)
-            if k in (2, 3):
-                pooled = domain.run_restricted(
-                    algorithm, 24, seed=19, guesses=guesses,
-                    backend="sharded", shards=k,
-                    shard_channel="mp-pooled",
-                )
-                assert base == pooled, (k, label, "mp-pooled")
 
     def test_restricted_spec_substrate(self, small_gnp):
         """Sharded runs on an incrementally restricted VirtualSpec."""

@@ -2,26 +2,31 @@
 
 The parser is exercised on plain mappings: every malformed value raises
 ``ParameterError`` naming its variable instead of silently becoming a
-default.  Removed backend and channel names are rejected with the valid
-ones listed, and a call without overrides resolves to the ambient record
+default.  Removed backend names are rejected with the valid ones listed,
+the removed ``shard_channel=`` keyword is a ``TypeError`` at every entry
+point, and a call without overrides resolves to the ambient record
 itself.
 """
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.algorithms.luby import luby_mis
+from repro.core.domain import PhysicalDomain
 from repro.errors import ParameterError
 from repro.local import (
     Execution,
+    open_session,
     run,
     run_many,
     use_backend,
     use_batch,
     use_roundfuse,
 )
-from repro.local.execution import current, env_setting, resolve
+from repro.local.execution import current, resolve
 
 
 class TestEnvironmentParser:
@@ -34,14 +39,12 @@ class TestEnvironmentParser:
             "REPRO_BACKEND": "sharded",
             "REPRO_RNG": "mt",
             "REPRO_SHARDS": "3",
-            "REPRO_SHARD_CHANNEL": "mp-pooled",
             "REPRO_FUSE_LANES": "8",
             "REPRO_BATCH": "No",
             "REPRO_ROUNDFUSE": "off",
         })
         assert execution == Execution(
-            backend="sharded", rng="mt", shards=3,
-            shard_channel="mp-pooled", lanes=8, batch=False,
+            backend="sharded", rng="mt", shards=3, lanes=8, batch=False,
             roundfuse=False,
         )
 
@@ -53,20 +56,11 @@ class TestEnvironmentParser:
         ("REPRO_ROUNDFUSE", "2"),
         ("REPRO_BACKEND", "batch"),
         ("REPRO_RNG", "xorshift"),
-        ("REPRO_SHARD_CHANNEL", "mp"),
     ])
     def test_malformed_values_name_the_variable(self, name, raw):
         with pytest.raises(ParameterError, match=name):
             Execution.from_env({name: raw})
 
-    def test_float_and_flag_settings(self):
-        env = {"REPRO_SHARD_TIMEOUT": "0.5", "REPRO_CHECKPOINT": "no"}
-        assert env_setting(env, "REPRO_SHARD_TIMEOUT", 30.0, float) == 0.5
-        assert env_setting(env, "REPRO_CHECKPOINT", True, bool) is False
-        assert env_setting({}, "REPRO_CHECKPOINT_DIR", None) is None
-        with pytest.raises(ParameterError, match="REPRO_SHARD_TIMEOUT"):
-            env_setting({"REPRO_SHARD_TIMEOUT": "soon"},
-                        "REPRO_SHARD_TIMEOUT", 30.0, float)
 
 
 class TestRemovedNames:
@@ -75,9 +69,25 @@ class TestRemovedNames:
         with pytest.raises(ParameterError, match="compiled.*reference.*sharded"):
             run(small_gnp, luby_mis(), backend=backend)
 
-    def test_removed_channel_rejected(self, small_gnp):
-        with pytest.raises(ParameterError, match="inline.*mp-pooled"):
-            run(small_gnp, luby_mis(), shards=2, shard_channel="mp")
+    @pytest.mark.parametrize("entry", (
+        "run", "use_backend", "open_session", "domain",
+    ))
+    def test_shard_channel_keyword_removed(self, small_gnp, entry):
+        calls = {
+            "run": lambda: run(small_gnp, luby_mis(), shards=2,
+                               shard_channel="inline"),
+            "use_backend": lambda: use_backend(
+                "sharded", shards=2, shard_channel="inline"
+            ).__enter__(),
+            "open_session": lambda: open_session(
+                small_gnp, shards=2, shard_channel="inline"
+            ),
+            "domain": lambda: PhysicalDomain(small_gnp).run_full(
+                luby_mis(), shards=2, shard_channel="inline"
+            ),
+        }
+        with pytest.raises(TypeError, match="shard_channel"):
+            calls[entry]()
 
 
 class TestResolution:
@@ -94,6 +104,20 @@ class TestResolution:
             resolve(backend="reference", shards=2)
         with pytest.raises(ParameterError, match="shards must be >= 1"):
             resolve(shards=0)
+
+    @pytest.mark.parametrize("name", ("shards", "lanes"))
+    @pytest.mark.parametrize("value", (2.7, 0.5, True, False, "2", None),
+                             ids=("2.7", "0.5", "True", "False", "str",
+                                  "None"))
+    def test_counts_must_be_ints(self, name, value):
+        """Non-int counts raise showing the value as passed, instead of
+        being truncated (2.7 -> 2, True -> 1) or misreported (0.5 -> 0)."""
+        shown = re.escape(f"{name} must be an int, got {value!r}")
+        with pytest.raises(ParameterError, match=shown):
+            Execution(**{name: value})
+        if value is not None:  # None means "no override" to resolve
+            with pytest.raises(ParameterError, match=shown):
+                resolve(**{name: value})
 
     def test_rng_mode_follows_the_backend_unless_pinned(self):
         assert resolve(backend="reference").rng_mode == "mt"

@@ -4,15 +4,11 @@ Contract under test: an injected run is a pure function of
 ``(graph, algorithm, seed, plan)`` and bit-identical across every
 backend — the reference loop, the compiled per-node loop, the batched
 kernels (per-round fault masks) and the sharded engine on every shard
-count and channel.  Plus the resilience ladder: workers that are
-SIGKILLed or hang mid-round surface as retryable transport failures,
-are retried once and then degraded to the workerless inline channel.
+count.  Plus eager validation of fault plans and profiles.
 """
 
 from __future__ import annotations
 
-import os
-import time
 import warnings
 
 import pytest
@@ -20,13 +16,7 @@ import pytest
 from repro.algorithms.fast_mis import fast_mis
 from repro.algorithms.hash_luby import hash_luby_mis
 from repro.algorithms.luby import luby_mc, luby_mis
-from repro.errors import (
-    FaultError,
-    NonTerminationError,
-    ResilienceWarning,
-    WorkerDiedError,
-    WorkerTimeoutError,
-)
+from repro.errors import NonTerminationError, ParameterError, ResilienceWarning
 from repro.local import (
     GARBLED,
     Broadcast,
@@ -44,15 +34,10 @@ from repro.local import (
     use_batch,
     use_faults,
 )
-from repro.local import sharded
 from repro.local.batch import numpy_or_none
 from repro.local.runner import last_stepping
-from repro.local.sharded import fork_available
 
 RESULT_FIELDS = ("outputs", "finish_round", "rounds", "messages", "truncated")
-
-#: The parent (test-session) pid; forked shard workers differ.
-PARENT_PID = os.getpid()
 
 
 def assert_results_equal(a, b, context=""):
@@ -82,20 +67,14 @@ class TestBitIdentity:
         compiled = run(small_gnp, luby_mis(), seed=5, rng="counter",
                        backend="compiled", faults=plan)
         assert_results_equal(base, compiled, context="compiled")
-        channels = ("inline", "mp-pooled") if fork_available() else (
-            "inline",)
         for k in (1, 2, 3):
-            for channel in channels:
-                for batching in (True, False):
-                    with use_batch(batching):
-                        got = run(
-                            small_gnp, luby_mis(), seed=5, rng="counter",
-                            backend="sharded", shards=k,
-                            shard_channel=channel, faults=plan,
-                        )
-                    assert_results_equal(
-                        base, got, context=(k, channel, batching)
+            for batching in (True, False):
+                with use_batch(batching):
+                    got = run(
+                        small_gnp, luby_mis(), seed=5, rng="counter",
+                        backend="sharded", shards=k, faults=plan,
                     )
+                assert_results_equal(base, got, context=(k, batching))
 
     @pytest.mark.parametrize("make", (luby_mc, hash_luby_mis))
     def test_certified_kernels_bit_identical(self, small_gnp, make):
@@ -262,48 +241,11 @@ class TestFaultSemantics:
 
 
 # ---------------------------------------------------------------------------
-# resilience: worker death, hangs, and the retry/degrade ladder
+# real exceptions and eager validation
 # ---------------------------------------------------------------------------
 
-class _KilledWorker(NodeProcess):
-    """Node 0 hard-kills its hosting process — in forked workers only."""
-
-    __slots__ = ("r",)
-
-    def __init__(self, ctx):
-        super().__init__(ctx)
-        self.r = 0
-
-    def start(self):
-        return Broadcast(("hi", 0))
-
-    def receive(self, inbox):
-        self.r += 1
-        if self.r == 2 and os.getpid() != PARENT_PID and self.ctx.node == 0:
-            os._exit(9)
-        if self.r >= 4:
-            self.finish(self.r)
-            return None
-        return Broadcast(("hi", self.r))
-
-
-class _HungWorker(_KilledWorker):
-    """Node 0 hangs mid-round — in forked workers only."""
-
-    __slots__ = ()
-
-    def receive(self, inbox):
-        self.r += 1
-        if self.r == 2 and os.getpid() != PARENT_PID and self.ctx.node == 0:
-            time.sleep(60)
-        if self.r >= 4:
-            self.finish(self.r)
-            return None
-        return Broadcast(("hi", self.r))
-
-
 class _BoomWorker(NodeProcess):
-    """Raises a real (non-transport) error on its first receive."""
+    """Raises an algorithm error on its first receive."""
 
     __slots__ = ()
 
@@ -314,78 +256,52 @@ class _BoomWorker(NodeProcess):
         raise ValueError("algorithm bug")
 
 
-@pytest.mark.skipif(
-    not fork_available(), reason="multiprocessing fork unavailable"
-)
 class TestResilienceLadder:
-    @pytest.fixture(autouse=True)
-    def fast_ladder(self, monkeypatch):
-        monkeypatch.setattr(sharded, "SHARD_RETRY_BACKOFF", 0.01)
-
-    @pytest.mark.parametrize("channel", ("mp-pooled",))
-    def test_sigkilled_worker_degrades_and_completes(
-        self, small_gnp, channel
-    ):
-        """Regression: a SIGKILLed worker used to block the parent's
-        recv forever; now it degrades to inline and completes."""
-        algo = LocalAlgorithm(name="killed", process=_KilledWorker)
-        base = run(small_gnp, algo, seed=1, backend="reference")
-        got = run(small_gnp, algo, seed=1, backend="sharded", shards=2,
-                  shard_channel=channel)
-        assert_results_equal(base, got, context=channel)
-
-    @pytest.mark.parametrize("channel", ("mp-pooled",))
-    def test_hung_worker_times_out_and_completes(
-        self, small_gnp, channel, monkeypatch
-    ):
-        monkeypatch.setattr(sharded, "SHARD_TIMEOUT", 0.5)
-        algo = LocalAlgorithm(name="hung", process=_HungWorker)
-        base = run(small_gnp, algo, seed=1, backend="reference")
-        started = time.monotonic()
-        got = run(small_gnp, algo, seed=1, backend="sharded", shards=2,
-                  shard_channel=channel)
-        assert time.monotonic() - started < 30
-        assert_results_equal(base, got, context=channel)
-
-    def test_recv_timeout_raises_with_shard_and_round(self, monkeypatch):
-        import multiprocessing
-
-        monkeypatch.setattr(sharded, "SHARD_TIMEOUT", 0.1)
-        parent, child = multiprocessing.Pipe()
-        closed = []
-        with pytest.raises(WorkerTimeoutError) as excinfo:
-            sharded._recv_reports(
-                [parent], lambda: closed.append(True), round_no=3
-            )
-        child.close()
-        parent.close()
-        exc = excinfo.value
-        assert closed == [True]  # on_failure ran before the raise
-        assert exc.retryable and isinstance(exc, FaultError)
-        assert exc.shard == 0 and exc.round_no == 3
-        assert "worker 0" in str(exc) and "round 3" in str(exc)
-
-    def test_recv_eof_raises_worker_died(self, monkeypatch):
-        import multiprocessing
-
-        monkeypatch.setattr(sharded, "SHARD_TIMEOUT", 5.0)
-        parent, child = multiprocessing.Pipe()
-        child.close()  # worker gone: recv sees EOF immediately
-        with pytest.raises(WorkerDiedError) as excinfo:
-            sharded._recv_reports([parent], lambda: None, round_no=2)
-        parent.close()
-        assert excinfo.value.retryable
-        assert "died without reporting" in str(excinfo.value)
+    """Sharded runs have no retry ladder: a shard's bug is the run's bug."""
 
     def test_real_worker_exceptions_do_not_retry(self, small_gnp):
+        """A shard's own exception surfaces as-is: no retry, no warning."""
         algo = LocalAlgorithm(name="boom", process=_BoomWorker)
         with warnings.catch_warnings():
-            # The bug must surface from the pool workers themselves: a
-            # degrade to inline (or a retry) would warn first.
             warnings.simplefilter("error", ResilienceWarning)
             with pytest.raises(ValueError, match="algorithm bug"):
-                run(small_gnp, algo, seed=1, backend="sharded", shards=2,
-                    shard_channel="mp-pooled")
+                run(small_gnp, algo, seed=1, backend="sharded", shards=2)
+
+
+class TestEagerValidation:
+    @pytest.mark.parametrize("bad", (-0.1, 1.0000001, float("nan")))
+    def test_probabilities_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="probability"):
+            drop(bad)
+        with pytest.raises(ValueError, match="probability"):
+            garble(bad)
+
+    def test_negative_crash_round_rejected(self):
+        with pytest.raises(ValueError, match="crash round"):
+            crash_at(-1)
+
+    def test_parameter_errors_are_value_errors(self):
+        with pytest.raises(ParameterError):
+            drop(2.0)
+        assert issubclass(ParameterError, ValueError)
+
+    def test_unknown_labels_rejected_when_nodes_given(self, small_gnp):
+        with pytest.raises(ValueError, match="unknown node label"):
+            FaultPlan(
+                {"no-such-node": crash_at(0)}, nodes=small_gnp.nodes
+            )
+        # Known labels validate cleanly...
+        some = sorted(small_gnp.nodes)[0]
+        plan = FaultPlan({some: crash_at(0)}, nodes=small_gnp.nodes)
+        assert len(plan) == 1
+        # ...and without ``nodes`` unknown labels stay inert (the
+        # documented plan-vs-graph independence).
+        inert = FaultPlan({"no-such-node": crash_at(0)})
+        assert len(inert) == 1
+
+    def test_sample_plan_fraction_validated(self, small_gnp):
+        with pytest.raises(ValueError, match="probability"):
+            sample_plan(small_gnp, drop(0.5), 1.5, seed=1)
 
 
 class TestNonTerminationDiagnostics:

@@ -10,9 +10,9 @@ lanes), under both rng schemes.  Scripts are generated by the seeded, shrinkable
 bisects to the minimal failing prefix and prints it, so a red run is a
 small reproduction, not a 20-op haystack.
 
-Also here: eager ``GraphDelta`` validation edge cases (mirroring PR 7's
-FaultPlan validation), session lifecycle semantics, warm-pool reuse,
-and ``StepRecord.backends`` attribution through a whole alternation.
+Also here: eager ``GraphDelta`` validation edge cases (mirroring the
+FaultPlan validation), session lifecycle semantics and
+``StepRecord.backends`` attribution through a whole alternation.
 """
 
 from __future__ import annotations
@@ -33,11 +33,9 @@ from repro.local import (
     run_many,
     use_backend,
 )
-from repro.local import sharded
 from repro.local.batch import numpy_or_none
 from repro.local.execution import current
 from repro.local.runner import last_stepping
-from repro.local.sharded import fork_available
 
 RESULT_FIELDS = ("outputs", "finish_round", "rounds", "messages", "truncated")
 
@@ -68,7 +66,7 @@ def specs_for(k):
     specs = [
         {"backend": "reference"},
         {"backend": "compiled"},
-        {"backend": "sharded", "shards": k, "shard_channel": "inline"},
+        {"backend": "sharded", "shards": k},
     ]
     if numpy_or_none() is not None:
         specs.append({})
@@ -288,7 +286,7 @@ class TestGraphDeltaValidation:
 
 
 # ----------------------------------------------------------------------
-# Session lifecycle and warm-pool reuse
+# Session lifecycle
 # ----------------------------------------------------------------------
 class TestSessionLifecycle:
     def test_closed_session_refuses_everything(self, small_gnp):
@@ -318,8 +316,8 @@ class TestSessionLifecycle:
             assert_results_equal(base, ref, context="pin override")
 
     def test_scope_installs_every_pin(self, small_gnp):
-        """Regression: ``.scope()`` used to drop ``shards`` and
-        ``shard_channel`` unless ``backend="sharded"`` was pinned, and
+        """Regression: ``.scope()`` used to drop ``shards`` unless
+        ``backend="sharded"`` was pinned, and
         ``lanes`` unless the (former) fused backend was."""
         with open_session(small_gnp, shards=2) as s:
             s.rerun(luby_mis(), seed=4)
@@ -341,27 +339,3 @@ class TestSessionLifecycle:
             stats = s.stats()
             assert stats["epoch"] == 2
             assert stats["reruns"] == 1
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_warm_pool_persists_across_mutate_and_rerun(self, small_gnp):
-        algo = luby_mis()
-        with open_session(
-            small_gnp, backend="sharded", shards=2, shard_channel="mp-pooled"
-        ) as session:
-            first = session.rerun(algo, seed=3)
-            pool_before = session.stats()["pool"]
-            assert pool_before is not None and pool_before["pids"]
-            edge = next(iter(session.graph.edges()))
-            session.mutate(GraphDelta(del_edges=[edge]))
-            second = session.rerun(algo, seed=3)
-            pool_after = session.stats()["pool"]
-            # Warm-pool contract: same worker pids served both reruns.
-            assert pool_after["pids"] == pool_before["pids"]
-            oracle = SimGraph.from_networkx(
-                session.graph.to_networkx(), idents=dict(session.graph.ident)
-            )
-            cold = run(oracle, algo, seed=3, backend="sharded", shards=2,
-                       shard_channel="inline")
-            assert_results_equal(second, cold, context="post-mutate pooled")
-        assert sharded.pool_stats() is None  # close released the scope
-        assert first is not None
