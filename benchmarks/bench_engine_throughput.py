@@ -300,68 +300,6 @@ def unit_virtual_linegraph(n, reps):
     return _per_backend(make, reps)
 
 
-#: Shard counts recorded by the sharded sweep column.
-SHARD_SWEEP = (1, 2, 4)
-
-
-def unit_sharded_alternation(n, seeds, reps, ks=SHARD_SWEEP):
-    """Theorem-2 Luby alternation on the partitioned engine (D12).
-
-    Sweeps the shard count and records each column's gain over the
-    single-process batch path (``sharded-inline-k<k>_gain`` = batch
-    seconds / sharded seconds).  The shards step in-process, so the
-    column measures partition/exchange overhead (DESIGN.md D20).  Every
-    column is checked bit-identical to the batch run before it is
-    recorded — a baseline can never commit a diverging shard
-    configuration.
-    """
-    graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=2), seed=2)
-
-    def measure():
-        _, _, uniform = TABLE1["luby"].build()
-        state = {}
-
-        def fn():
-            rounds = steps = 0
-            signature = []
-            for seed in seeds:
-                result = uniform.run(graph, seed=seed)
-                rounds += result.rounds
-                steps += len(result.steps)
-                signature.append((result.rounds, result.outputs))
-            state["rounds"] = rounds
-            state["steps"] = steps
-            state["step_backends"] = {
-                key: entry["steps"]
-                for key, entry in sorted(result.backend_summary().items())
-            }
-            state["signature"] = signature
-
-        fn()  # warm caches (CSR compile, partition plans)
-        seconds = _best(fn, reps)
-        signature = state.pop("signature")
-        entry = {"seconds": round(seconds, 6)}
-        entry.update(state)
-        return entry, signature
-
-    out = {}
-    with use_backend("compiled", rng="counter"), use_batch(True):
-        out["batch"], base_signature = measure()
-    for k in ks:
-        with use_backend("sharded", rng="counter", shards=k):
-            entry, signature = measure()
-        if signature != base_signature:
-            raise SystemExit(
-                f"sharded(k={k}) diverged from batch — refusing to record"
-            )
-        key = f"sharded-inline-k{k}"
-        out[key] = entry
-        out[f"{key}_gain"] = round(
-            out["batch"]["seconds"] / entry["seconds"], 2
-        )
-    return out
-
-
 def unit_fused_sweep(n, b, reps):
     """Fused multi-run engine (D16): one b-lane slab vs b solo runs.
 
@@ -675,7 +613,7 @@ def unit_faults_alternation(n, seeds, reps, rates=FAULT_RATES,
     run diverges.  That stall is the *expected* datapoint, not an error.
 
     Before recording, one faulted probe is diffed across the reference,
-    compiled, batch and sharded strategies — degradation numbers are a
+    compiled and batch strategies — degradation numbers are a
     pure function of ``(graph, algo, seed, plan)``, never of the engine
     (the D14 determinism contract), and a baseline can never commit a
     diverging injection path.
@@ -690,10 +628,6 @@ def unit_faults_alternation(n, seeds, reps, rates=FAULT_RATES,
                 run(graph, luby_mis(), seed=1, rng="counter",
                     faults=probe_plan)
             )
-    probe.append(
-        run(graph, luby_mis(), seed=1, rng="counter", faults=probe_plan,
-            shards=2)
-    )
     first = probe[0]
     for other in probe[1:]:
         if (
@@ -796,15 +730,15 @@ def unit_matching_dense(n, reps):
 def check_bit_identity(n=120):
     """Quick identity check across every stepping strategy (smoke net).
 
-    Covers the three single-process strategies plus the sharded engine
-    (both steppings through ``shards=3``) — the
-    ``sharded(k) ≡ batch ≡ compiled ≡ reference`` contract of D12.
+    Covers the three stepping strategies — the
+    ``batch ≡ compiled ≡ reference`` contract — plus fused lanes,
+    round-fused drives, whole alternations and live sessions.
     """
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=8), seed=8)
     guesses = {"m": graph.max_ident, "Delta": graph.max_degree}
     jobs = (
-        (luby_mis(), None),      # shard-certified kernel
-        (fast_mis(), guesses),   # shard-certified since D13
+        (luby_mis(), None),
+        (fast_mis(), guesses),
     )
     for rng in ("counter", "mt"):
         for algo, g in jobs:
@@ -814,9 +748,6 @@ def check_bit_identity(n=120):
                     results.append(
                         run(graph, algo, seed=3, guesses=g, rng=rng)
                     )
-            results.append(
-                run(graph, algo, seed=3, guesses=g, rng=rng, shards=3)
-            )
             first = results[0]
             for other in results[1:]:
                 if (
@@ -827,9 +758,8 @@ def check_bit_identity(n=120):
                 ):
                     return False
     # Faulted identity (D14): an adversarial plan mixing every profile
-    # class must stay bit-identical across every strategy and shard
-    # count — fault fates come from the identity-keyed counter RNG,
-    # never from engine layout.
+    # class must stay bit-identical across every strategy — fault fates
+    # come from the identity-keyed counter RNG, never from engine layout.
     nodes = sorted(graph.nodes)
     plan = FaultPlan({
         nodes[1]: crash_at(1),
@@ -843,9 +773,6 @@ def check_bit_identity(n=120):
             faulted.append(
                 run(graph, luby_mis(), seed=3, rng="counter", faults=plan)
             )
-    faulted.append(
-        run(graph, luby_mis(), seed=3, rng="counter", faults=plan, shards=3)
-    )
     first = faulted[0]
     for other in faulted[1:]:
         if (
@@ -895,8 +822,8 @@ def check_bit_identity(n=120):
             ):
                 return False
     # Whole-alternation identity: guess runs AND pruner runs must agree
-    # across every stepping strategy (D11 pruner batch contract, D12
-    # sharded contract).  The rng scheme is pinned — the strategies are
+    # across every stepping strategy (D11 pruner batch contract).  The
+    # rng scheme is pinned — the strategies are
     # only comparable under the same random streams.
     alternations = []
     for backend in BACKENDS:
@@ -904,17 +831,15 @@ def check_bit_identity(n=120):
         with use_backend(base, rng="counter"), use_batch(backend == "batch"):
             _, _, uniform = TABLE1["luby"].build()
             alternations.append(uniform.run(graph, seed=3))
-    with use_backend("sharded", rng="counter", shards=3):
-        _, _, uniform = TABLE1["luby"].build()
-        alternations.append(uniform.run(graph, seed=3))
     first = alternations[0]
     for other in alternations[1:]:
         if first.outputs != other.outputs or first.rounds != other.rounds:
             return False
     # Live-session identity (D18): a mutate-then-rerun on a long-lived
     # session must equal a cold run on a from-scratch rebuild of the
-    # mutated topology — per strategy, sharded, and per fused lane.  The session patches the CSR row slices incrementally,
-    # so this is the gate that the patch path stays bit-exact.
+    # mutated topology — per strategy and per fused lane.  The session
+    # patches the CSR row slices incrementally, so this is the gate that
+    # the patch path stays bit-exact.
     truth = graph.to_networkx()
     gone = next(iter(truth.edges()))
     grown = next(
@@ -949,10 +874,6 @@ def check_bit_identity(n=120):
             ))
     with open_session(graph, rng="counter") as session:
         session.mutate(delta)
-        pairs.append((
-            session.rerun(luby_mis(), seed=3, backend="sharded", shards=3),
-            run(oracle, luby_mis(), seed=3, rng="counter", shards=3),
-        ))
         live_lanes = session.rerun_many(
             [(luby_mis(), {"seed": s}) for s in (3, 4)]
         )
@@ -1008,11 +929,6 @@ def full_suite():
         # vs one fused drive per run (roundfuse_gain is the tracked
         # ≥3× number).
         "roundfloor-n1200": unit_roundfuse(1200, reps=3),
-        # Partitioned engine (D12): shard-count sweep on the
-        # pruning-heavy Luby alternation.
-        "sharded-alternation-n2000": unit_sharded_alternation(
-            2000, (1, 2, 3), reps=3
-        ),
         # Live-graph session service (D18): per-request small delta +
         # rerun on a long-lived session vs a stateless cold rebuild of
         # the whole topology per request — session_gain is the
@@ -1048,13 +964,6 @@ SMOKE_UNITS = {
     # driver.
     "smoke-alternation": lambda: unit_table1_row(
         "luby", SMOKE_N, (1, 2), reps=SMOKE_REPS
-    ),
-    # Sharded-engine gate unit (D12): the hard guard is
-    # check_bit_identity, which diffs the sharded engine against the
-    # single-process strategies on every smoke run — a shard regression
-    # fails fast with exit 2.
-    "smoke-sharded": lambda: unit_sharded_alternation(
-        SMOKE_N, (1,), reps=2, ks=(2,)
     ),
     # Fault-injection gate unit (D14): drop + crash profiles on a small
     # alternation.  The recorded degradation numbers are informational;
@@ -1115,19 +1024,6 @@ def render(units):
             f" {cell(entry.get('batch'))} {ratio(entry.get('speedup'))}"
             f" {ratio(entry.get('speedup_batch'))} {ratio(entry.get('batch_gain'))}"
         )
-        shard_gains = {
-            key: value
-            for key, value in entry.items()
-            if key.startswith("sharded-") and key.endswith("_gain")
-        }
-        if shard_gains:
-            lines.append(
-                "  shards vs batch: "
-                + "  ".join(
-                    f"{key[len('sharded-'):-len('_gain')]}={value:.2f}x"
-                    for key, value in sorted(shard_gains.items())
-                )
-            )
         if "fused_gain" in entry:
             lines.append(
                 f"  fused vs solo: mis-fast={entry['fused_gain']:.2f}x"
@@ -1230,12 +1126,9 @@ def main(argv=None):
                     "best-of-N wall times. reference = seed-faithful stack "
                     "(dict loop, eager MT rng, rebuild restriction); "
                     "compiled = CSR engine stepping per node; batch = CSR "
-                    "engine with batched frontier-step kernels (D10); "
-                    "sharded-inline-k<k> = partitioned engine (D12), "
-                    "shards stepped in-process. speedup = "
-                    "reference/compiled, speedup_batch = "
+                    "engine with batched frontier-step kernels (D10). "
+                    "speedup = reference/compiled, speedup_batch = "
                     "reference/batch, batch_gain = compiled/batch, "
-                    "sharded-*_gain = batch/sharded, "
                     "roundfuse_gain = per-round batch/round-fused drive "
                     "(D17 phase-fused + fixed-point drivers, pure-numpy "
                     "tier), session_gain = stateless cold "

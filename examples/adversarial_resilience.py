@@ -11,7 +11,7 @@ reproducible input: a ``FaultPlan`` assigns per-node profiles
 every fate is drawn from the identity-keyed counter RNG — the injected
 run is a pure function of ``(graph, algo, seed, plan)``, bit-identical
 on every backend.  So a fault study debugged on the reference loop is
-*the same experiment* on the batch kernels or the sharded engine.
+*the same experiment* on the batch kernels.
 
 Run:  python examples/adversarial_resilience.py
 """
@@ -52,7 +52,6 @@ def main():
     configs = [
         ("reference", dict(backend="reference")),
         ("compiled+batch", dict(backend="compiled")),
-        ("sharded k=2", dict(backend="compiled", shards=2)),
     ]
     results = []
     for name, kwargs in configs:

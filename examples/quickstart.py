@@ -14,7 +14,6 @@ from repro.algorithms.luby import luby_mc_nonuniform
 from repro.bench import build_graph
 from repro.core import mis_pruning, render_trace, theorem2
 from repro.graphs import families
-from repro.local import use_backend
 from repro.problems import MIS
 
 
@@ -43,19 +42,6 @@ def main():
     print(f"\nvalid MIS with {chosen} nodes in {result.rounds} rounds "
           f"({len(result.steps)} alternating steps)\n")
     print(render_trace(result))
-
-    # The same pipeline runs unchanged on the partitioned round loop:
-    # every alternation step is split into shards that exchange their
-    # boundaries between rounds (DESIGN.md D12).  The backend
-    # equivalence contract makes the outcome bit-identical to the
-    # single-process run for every shard count.
-    with use_backend("sharded", shards=2):
-        sharded = theorem2(luby_mc_nonuniform(), mis_pruning()).run(
-            network, seed=7
-        )
-    assert sharded.outputs == result.outputs
-    assert sharded.rounds == result.rounds
-    print("\nsharded(k=2) reproduced the run bit-identically")
 
 
 if __name__ == "__main__":

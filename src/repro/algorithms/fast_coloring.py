@@ -114,38 +114,7 @@ class ColoringBatchKernel:
     digit decomposition runs in Python big-int arithmetic when the color
     space demands it; every later palette is tiny.  Bit-identity with
     the per-node machines is asserted by the equivalence suite.
-
-    Shard certification (D12/D13)
-    -----------------------------
-    The kernel is shard-safe: every slab reduction is owner-side (rival
-    cover checks and ``taken`` scatters index through the owner column,
-    which in a partition sub-CSR contains only owned rows), message
-    counts are degree sums (ghost rows are empty), and the cross-round
-    state is exactly the arrays named by :data:`SHARD_SYNC` — canonical
-    per-node value codes (colors, group/rank codes, taken rows,
-    announcement values), never local index permutations.  Derived
-    per-phase structures (``rank_order``/``rank_sorted``/``same_own``/
-    ``same_nb``) are *not* synced: they are computed lazily on first
-    use, i.e. after the halo exchange has overwritten the ghost entries
-    of the arrays they derive from, so each shard reconstructs them
-    from authoritative values.  Big-integer color spaces cannot live in
-    the int64 sync plane, so the factory declines those configurations
-    under sharding (``setup.sharded``) and the run shards per node.
     """
-
-    #: Per-node state arrays exchanged by the sharded halo sync — the
-    #: D12 contract's introspection is replaced by this explicit list
-    #: because the kernel also keeps length-n *derived* arrays (sorted
-    #: orders) whose values are local positions, not per-node state.
-    SHARD_SYNC = (
-        "colors",
-        "group",
-        "rank",
-        "taken",
-        "ann_mask",
-        "ann_group",
-        "ann_value",
-    )
 
     __slots__ = (
         "bg",
@@ -193,13 +162,12 @@ class ColoringBatchKernel:
                 colors.append(ident - 1)
         if all(0 <= c < _BATCH_COLOR_LIMIT for c in colors):
             # Machine-word color space: keep the whole schedule in int64
-            # arrays (this is also what the sharded halo sync exchanges).
+            # arrays.
             self.colors = np.asarray(colors, dtype=np.int64)
             self.colors_obj = None
         else:
             # Big-integer identities: peel the first reduction with
-            # Python ints, enter machine words at _enter_kw.  The
-            # factory declines this configuration under sharding.
+            # Python ints, enter machine words at _enter_kw.
             self.colors = None
             self.colors_obj = colors
         self.kw_index = 0
@@ -250,11 +218,8 @@ class ColoringBatchKernel:
         # derived from them — the same-group edge set whose
         # announcements can ever land in a taken set, and the sorted
         # announcer schedule — are computed lazily on first use in
-        # _kw_step, so that under sharding the halo sync has refreshed
-        # the ghost entries of group/rank first (phase entry happens at
-        # the end of a round, one sync before the derived values are
-        # read).  Rounds then cost O(group-local traffic), not
-        # O(edge slab), exactly as before.
+        # _kw_step.  Rounds then cost O(group-local traffic), not
+        # O(edge slab).
         self.same_own = None
         self.same_nb = None
         self.rank_order = None
@@ -426,12 +391,11 @@ def _coloring_batch_factory(kernel_cls=ColoringBatchKernel):
             return None
         if any(q > _BATCH_Q_LIMIT for q, _ in steps):
             return None
-        if not steps or getattr(setup, "sharded", False):
+        if not steps:
             # Without a Linial stage the colors feed the KW arithmetic
-            # unreduced; under sharding (D13) they must additionally
-            # live in the int64 halo-sync plane from round one.  Either
-            # way, decline when the identity/input space cannot live in
-            # int64 (the run falls back per node, which is always exact).
+            # unreduced: decline when the identity/input space cannot
+            # live in int64 (the run falls back per node, which is
+            # always exact).
             for label, ident in zip(bg.labels, bg.idents):
                 value = setup.inputs.get(label)
                 color = (
@@ -453,7 +417,6 @@ def fast_coloring():
         process=FastColoringProcess,
         requires=("m", "Delta"),
         batch=_coloring_batch_factory(),
-        shard=True,
         fuse=True,
         # Round-fuse-safe (D17): self-terminating schedule driven
         # through the generic fixed-point loop (variable per-round

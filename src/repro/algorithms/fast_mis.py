@@ -79,20 +79,13 @@ class MISBatchKernel(ColoringBatchKernel):
     garbage colors under bad guesses) cost O(1) instead of a frontier
     scan.
 
-    Shard certification (D12/D13): the blocking test is an owned-row
-    gather — a decider reads the ``in_mis`` flags of its neighbours —
-    instead of the previous joiner-side scatter into neighbour rows,
-    which would have missed cross-shard neighbours (ghost rows are
-    empty, so a remote joiner's scatter never reaches the owner's
-    ``blocked`` entry).  ``in_mis`` is per-node state carried by the
-    halo sync; the sweep schedule (``sweep_order``/``slots_sorted``) is
-    derived lazily at the first sweep round, after the sync has
-    replaced stale ghost colors from the final KW round.
+    The blocking test is a decider-side gather — a decider reads the
+    ``in_mis`` flags of its neighbours.  The sweep schedule
+    (``sweep_order``/``slots_sorted``) is derived lazily at the first
+    sweep round.
     """
 
     __slots__ = ("in_mis", "sweep_order", "slots_sorted", "sweep_ptr")
-
-    SHARD_SYNC = ColoringBatchKernel.SHARD_SYNC + ("in_mis",)
 
     def _complete(self):
         np = batch.numpy_or_none()
@@ -158,7 +151,6 @@ def fast_mis():
         process=FastMISProcess,
         requires=("m", "Delta"),
         batch=_coloring_batch_factory(MISBatchKernel),
-        shard=True,
         fuse=True,
         # Round-fuse-safe (D17): see fast_coloring — the sweep
         # self-terminates inside the generic fixed-point loop.

@@ -387,7 +387,6 @@ def luby_mis():
         requires=(),
         randomized=True,
         batch=_luby_batch_factory(),
-        shard=True,
         fault_batch=True,
         fuse=True,
         # Round-fuse-safe (D17): self-terminating frontier kernel with
@@ -429,7 +428,6 @@ def luby_mc():
         requires=("n",),
         randomized=True,
         batch=_luby_batch_factory(budget_of=lambda g: mc_phases(g["n"])),
-        shard=True,
         fault_batch=True,
         fuse=True,
         # Round-fuse-safe (D17): see luby_mis — the phase budget

@@ -182,10 +182,8 @@ def row_capabilities(row_id):
     the runner/transformer dispatch and this catalogue can never drift
     apart: ``kind`` ("node" per-node processes / "host" orchestration),
     ``supports_batch`` (a frontier kernel is registered — the compiled
-    engine auto-selects the batched path), ``supports_shard`` (the
-    kernel is certified for partitioned execution — the sharded engine
-    runs it on sub-CSRs with halo exchange, D12; uncertified boxes
-    shard per node), ``domains`` (where the box may execute).  Host
+    engine auto-selects the batched path), ``domains`` (where the box
+    may execute).  Host
     orchestrations may additionally report ``inner_supports_batch`` for
     the engine they drive internally (see
     ``LineMISMatching.capabilities``).

@@ -229,7 +229,6 @@ def sw_ruling_set(c):
         requires=("n",),
         randomized=True,
         batch=_luby_batch_factory(budget_of=lambda g: sw_phases(c, g["n"])),
-        shard=True,
         # Round-fuse-safe (D17) through the Luby kernel's fixed-point
         # driver (the phase budget self-terminates inside it).
         roundfuse=True,

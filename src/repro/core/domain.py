@@ -18,11 +18,12 @@ output ("0") on nodes that have not terminated.
 
 Domain runs honour the ambient execution record
 (:func:`repro.local.execution.use_backend`) and accept the full executor
-selection per call (``backend`` / ``rng`` / ``shards``, resolved once
-by :func:`_resolve_exec` into one
+selection per call (``backend`` / ``rng``, resolved once by
+:func:`_resolve_exec` into one
 :class:`~repro.local.execution.Execution`) — so a whole transformer
-pipeline shards without the transformers knowing: each alternation
-step's guess run *and* pruning run execute under the scope's record.
+pipeline switches executor without the transformers knowing: each
+alternation step's guess run *and* pruning run execute under the
+scope's record.
 Restriction uses the incremental subgraph paths (``SimGraph.subgraph``
 / ``VirtualSpec.restricted``), so one alternation step costs O(pruned
 work), not O(steps · n log n).
@@ -35,7 +36,7 @@ from functools import wraps
 from ..local.execution import current, resolve
 from ..local.faults import use_faults
 from ..local.graph import SimGraph
-from ..local.runner import SAFETY_ROUND_CAP, execute
+from ..local.runner import execute, round_cap
 from ..local.virtual import (
     VirtualSpec,
     flatten_outputs,
@@ -52,19 +53,19 @@ VIRTUAL_OVERHEAD = 3
 def _resolve_exec(exec_kwargs):
     """The one dispatch helper behind every domain runner.
 
-    Domains accept the executor-selection flags (``backend``, ``rng``,
-    ``shards``) as pass-through keyword arguments —
+    Domains accept the executor-selection flags (``backend``, ``rng``)
+    as pass-through keyword arguments —
     the same names, defaults and validation as
     :func:`repro.local.runner.run` — and resolve them exactly once
     here into the :class:`~repro.local.execution.Execution` the run
-    executes under, so backend/batch/shard selection can never drift
+    executes under, so backend/batch selection can never drift
     between ``run_restricted`` and ``run_full`` or between domain kinds.
     """
-    unknown = set(exec_kwargs) - {"backend", "rng", "shards"}
+    unknown = set(exec_kwargs) - {"backend", "rng"}
     if unknown:
         raise TypeError(
             f"unexpected execution keyword(s) {sorted(unknown)}; "
-            "domains accept backend/rng/shards"
+            "domains accept backend/rng"
         )
     return resolve(**exec_kwargs)
 
@@ -276,10 +277,9 @@ class VirtualDomain(Domain):
         physical_budget = budget * self.spec.dilation + VIRTUAL_OVERHEAD
         if execution.backend != "reference" and execution.batch:
             # Batched fast path: the kernel runs on the virtual graph
-            # itself (optionally partitioned across shards, D12) and
-            # the host commit protocol is replayed from the spec's
-            # routing tables — bit-identical domain outputs with no
-            # per-virtual-node host simulation (DESIGN.md D10).
+            # itself and the host commit protocol is replayed from the
+            # spec's routing tables — bit-identical domain outputs with
+            # no per-virtual-node host simulation (DESIGN.md D10).
             outputs = run_virtual_batch(
                 self.spec,
                 algorithm,
@@ -338,7 +338,7 @@ class VirtualDomain(Domain):
                 algorithm,
                 self.physical,
                 execution,
-                cap=max_rounds if max_rounds is not None else SAFETY_ROUND_CAP,
+                cap=round_cap(max_rounds, False),
                 virt_inputs=inputs or {},
                 guesses=guesses,
                 seed=seed,

@@ -112,7 +112,6 @@ class PruningAlgorithm:
             "kind": "pruning",
             "rounds": self.rounds,
             "supports_batch": False,
-            "supports_shard": False,
             "supports_fuse": False,
             "supports_roundfuse": False,
             "domains": LocalAlgorithm.domains,
@@ -124,7 +123,6 @@ class PruningAlgorithm:
         except NotImplementedError:
             return caps
         caps["supports_batch"] = inner.get("supports_batch", False)
-        caps["supports_shard"] = inner.get("supports_shard", False)
         caps["supports_fuse"] = inner.get("supports_fuse", False)
         caps["supports_roundfuse"] = inner.get("supports_roundfuse", False)
         caps["domains"] = inner.get("domains", caps["domains"])
@@ -351,10 +349,6 @@ class RulingSetPruning(PruningAlgorithm):
             name=self.name,
             process=lambda ctx: _RulingSetPruneProcess(ctx, beta),
             batch=_ruling_prune_batch_factory(beta),
-            # Shard-safe (D12): the kernel's state is boolean per-node
-            # columns derived from per-label inputs, its reductions are
-            # owner-side flag gathers and its messages degree sums.
-            shard=True,
             # Round-fuse-safe (D17): fixed 1+β lockstep schedule with
             # full-broadcast rounds; the fused flood has a proven
             # monotone fixed point.

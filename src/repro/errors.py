@@ -11,28 +11,16 @@ class NonTerminationError(ReproError):
     Raised only when the caller did not request truncation (i.e. gave no
     ``default_output``).  The paper's *restriction to i rounds* operator
     (Section 2) is the truncating variant and never raises.
-
-    ``shard_counts`` is populated by the sharded engine: a mapping
-    ``shard index -> unfinished node count`` so a partitioned run's
-    diagnostics show *where* the stragglers live, not just how many.
     """
 
-    def __init__(self, algorithm_name, rounds, unfinished, shard_counts=None):
+    def __init__(self, algorithm_name, rounds, unfinished):
         self.algorithm_name = algorithm_name
         self.rounds = rounds
         self.unfinished = tuple(unfinished)
-        self.shard_counts = dict(shard_counts) if shard_counts else None
-        message = (
+        super().__init__(
             f"algorithm {algorithm_name!r} did not terminate within "
             f"{rounds} rounds; {len(self.unfinished)} node(s) unfinished"
         )
-        if self.shard_counts:
-            per_shard = ", ".join(
-                f"shard {s}: {count}"
-                for s, count in sorted(self.shard_counts.items())
-            )
-            message += f" ({per_shard})"
-        super().__init__(message)
 
 
 class ParameterError(ReproError, ValueError):
@@ -42,15 +30,6 @@ class ParameterError(ReproError, ValueError):
     probabilities outside ``[0, 1]``, negative crash rounds, unknown
     fault-plan labels) reads as the standard library convention to
     callers that never import the library's error hierarchy.
-    """
-
-
-class ResilienceWarning(UserWarning):
-    """A run degraded instead of failing.
-
-    Emitted when a sharded run without numpy steps per node instead of
-    through its certified batch kernels (same bits, slower), so the
-    degradation is observable without failing the run.
     """
 
 

@@ -18,7 +18,7 @@ from .algorithm import (
 from .msgsize import estimate_bits
 from .composition import Chain, default_carry
 from .context import CounterRNG, NodeContext, make_rng
-from .engine import CompiledGraph, Partition
+from .engine import CompiledGraph
 from .execution import Execution, use_backend, use_batch, use_roundfuse
 from .faults import (
     GARBLED,
@@ -58,7 +58,6 @@ __all__ = [
     "GraphDelta",
     "HostAlgorithm",
     "LocalAlgorithm",
-    "Partition",
     "byzantine_silent",
     "crash_at",
     "drop",

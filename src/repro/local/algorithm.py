@@ -69,14 +69,6 @@ class LocalAlgorithm:
         ``receive`` per node; a factory may return ``None`` to decline a
         configuration it cannot reproduce bit-identically, in which case
         the engine falls back to per-node stepping.
-    shard:
-        Whether the batch kernel is certified *shard-safe* (DESIGN.md
-        D12): slab reductions are owner-side only, message counts are
-        degree-weighted, per-node state lives in introspectable
-        length-n arrays, and stepping past a locally-exhausted frontier
-        is a no-op.  Only then may the sharded engine run the kernel on
-        partition sub-CSRs with halo exchange; uncertified algorithms
-        shard through the (always-exact) per-node stepping instead.
     fuse:
         Whether the batch kernel is certified *fuse-safe* (DESIGN.md
         D16): all cross-node reads follow CSR edges or compare by
@@ -98,7 +90,7 @@ class LocalAlgorithm:
     """
 
     __slots__ = (
-        "name", "process", "requires", "randomized", "batch", "shard",
+        "name", "process", "requires", "randomized", "batch",
         "fault_batch", "fuse", "roundfuse",
     )
 
@@ -107,14 +99,13 @@ class LocalAlgorithm:
 
     def __init__(
         self, name, process, requires=(), randomized=False, batch=None,
-        shard=False, fault_batch=False, fuse=False, roundfuse=False,
+        fault_batch=False, fuse=False, roundfuse=False,
     ):
         self.name = name
         self.process = process
         self.requires = tuple(requires)
         self.randomized = bool(randomized)
         self.batch = batch
-        self.shard = bool(shard)
         self.fault_batch = bool(fault_batch)
         self.fuse = bool(fuse)
         self.roundfuse = bool(roundfuse)
@@ -130,11 +121,9 @@ class LocalAlgorithm:
         ``kind`` selects the execution style (``"node"``: per-node
         processes through the runner; ``"host"``: self-restricting
         orchestration), ``supports_batch`` whether a frontier kernel is
-        registered, ``supports_shard`` whether that kernel is certified
-        for partitioned execution (D12),
-        ``supports_faulted_batch`` whether it additionally consumes
-        fault-injection masks (D14 — uncertified kernels fall back to
-        the always-exact per-node stepping under an active plan),
+        registered, ``supports_faulted_batch`` whether it additionally
+        consumes fault-injection masks (D14 — uncertified kernels fall
+        back to the always-exact per-node stepping under an active plan),
         ``supports_fuse`` whether the kernel may step several
         independent runs as lanes of one block-diagonal slab (D16),
         ``supports_roundfuse`` whether the kernel's whole round
@@ -146,7 +135,6 @@ class LocalAlgorithm:
         return {
             "kind": "node",
             "supports_batch": self.batch is not None,
-            "supports_shard": self.shard and self.batch is not None,
             "supports_faulted_batch": self.fault_batch
             and self.batch is not None,
             "supports_fuse": self.fuse and self.batch is not None,
@@ -205,7 +193,6 @@ class HostAlgorithm:
         return {
             "kind": "host",
             "supports_batch": False,
-            "supports_shard": False,
             "supports_faulted_batch": False,
             "supports_fuse": False,
             "supports_roundfuse": False,

@@ -174,53 +174,11 @@ def batch_graph_of(cg):
     return bg
 
 
-def shard_batch_graph(part, s, labels, idents):
-    """Shard ``s``'s sub-:class:`BatchGraph` under a partition plan.
-
-    Node order is the shard's local order (ascending global index, i.e.
-    identity order restricted to owned ∪ ghost nodes), owned rows are
-    complete and ghost rows empty — see ``Partition.sub_csr``.  Labels
-    and identities stay *global*, so kernel factories index run inputs
-    and derive per-node rng streams exactly as they would on the full
-    graph: the counter scheme's keys are pure functions of
-    ``(run key, identity)``, which is what keeps draws bit-identical to
-    the single-process engine regardless of the shard count (D12).
-    """
-    loc = part.locals_of(s)
-    sub_offsets, sub_neigh = part.sub_csr(s)
-    return BatchGraph(
-        [labels[g] for g in loc],
-        [idents[g] for g in loc],
-        sub_offsets,
-        sub_neigh,
-    )
-
-
-def make_shard_kernels(factory, part, labels, idents, setup_of):
-    """Build one kernel per shard, or ``None`` when any factory declines.
-
-    ``setup_of(shard_bg)`` supplies the per-shard :class:`BatchSetup`
-    (engine runs and virtual-domain runs derive draws differently).
-    Returns a list of ``(shard_bg, kernel)`` pairs; eligibility gates
-    (capability record, numpy, ``track_bits``) live with the callers,
-    mirroring :func:`make_engine_kernel`.
-    """
-    out = []
-    for s in range(part.k):
-        bg = shard_batch_graph(part, s, labels, idents)
-        kernel = factory(bg, setup_of(bg))
-        if kernel is None:
-            return None
-        out.append((bg, kernel))
-    return out
-
-
 def batch_graph_of_spec(spec):
     """The cached :class:`BatchGraph` of a virtual graph (identity order).
 
     Cached on the spec, mirroring ``batch_graph_of``'s per-CSR cache: a
-    step's guess run and pruner run (and a sharded run's partition
-    build) share one mirror.
+    step's guess run and pruner run share one mirror.
     """
     bg = spec._batch
     if bg is not None:
@@ -244,11 +202,7 @@ class BatchSetup:
     """Run context handed to a kernel factory.
 
     ``draw_source(bits)`` builds the per-node random-draw view lazily,
-    so deterministic kernels never touch seed material.  ``sharded``
-    tells the factory the kernel will run on a partition sub-CSR with
-    halo exchange (D12/D13): factories whose state cannot live in the
-    synced array plane for a configuration (e.g. big-integer colors)
-    return ``None`` then, and the run falls back to per-node sharding.
+    so deterministic kernels never touch seed material.
     ``faults`` is the run's :class:`~repro.local.faults.BatchFaults`
     view over this kernel's CSR (``None`` for honest runs); only
     factories of fault-certified algorithms (capability
@@ -256,18 +210,12 @@ class BatchSetup:
     engine gates everyone else back to the per-node paths (D14).
     """
 
-    __slots__ = (
-        "inputs", "guesses", "rng_mode", "sharded", "faults", "_draw_builder"
-    )
+    __slots__ = ("inputs", "guesses", "rng_mode", "faults", "_draw_builder")
 
-    def __init__(
-        self, inputs, guesses, rng_mode, draw_builder, sharded=False,
-        faults=None,
-    ):
+    def __init__(self, inputs, guesses, rng_mode, draw_builder, faults=None):
         self.inputs = inputs
         self.guesses = guesses
         self.rng_mode = rng_mode
-        self.sharded = sharded
         self.faults = faults
         self._draw_builder = draw_builder
 

@@ -49,16 +49,6 @@ reverse ports renumber through a rank scan over the slab.  The child
 ``SimGraph`` is created with its ``CompiledGraph`` already attached, so
 an alternation ``B_i = (A_i ; P)`` never recompiles surviving structure.
 
-Partitioned execution
----------------------
-:class:`Partition` cuts the CSR into ``k`` contiguous shards (node order
-is identity order, so contiguous index ranges are deterministic and
-order-isomorphic to identities) with halo/ghost tables: for every shard,
-the out-of-range neighbours its owned rows reference, and for every
-shard pair the boundary nodes whose state must be exchanged between
-rounds.  The sharded round loop (:mod:`repro.local.sharded`) consumes
-the plan; this module only owns the edge-cut geometry.
-
 Backend selection
 -----------------
 ``run(graph, algo)`` defaults to this engine; pass
@@ -69,8 +59,6 @@ the equivalence contract between the two backends.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from ..errors import NonTerminationError
 from .algorithm import LocalAlgorithm
 from .batch import make_engine_kernel
@@ -78,180 +66,6 @@ from .context import NodeContext, rng_source
 from .faults import DROP, GARBLE, GARBLED
 from .message import Broadcast, normalize_outgoing
 from .msgsize import estimate_bits
-
-
-class Partition:
-    """Edge-cut of a CSR into ``k`` contiguous shards with halo tables.
-
-    The plan is pure geometry — it references no algorithm state — and
-    is shared by the per-node and the batched sharded steppings
-    (DESIGN.md D12):
-
-    * ``bounds`` — ``k+1`` cut points; shard ``s`` owns global indices
-      ``bounds[s] .. bounds[s+1]``.  Cuts balance ``degree+1`` weight
-      (edge slab with a node floor) and every shard owns at least one
-      node (``k`` is clamped to ``n``).
-    * ``ghosts[s]`` — sorted global indices of the out-of-shard
-      neighbours referenced by shard ``s``'s owned rows (the halo).
-    * ``locals_of(s)`` — the shard's local node universe: owned ∪
-      ghosts merged in ascending global order, so local-index
-      comparisons agree with global identity order (batch kernels
-      tie-break on the node index).
-    * ``sub_csr(s)`` — the shard's sub-CSR: owned rows are complete
-      (full degree, neighbours renumbered locally), ghost rows are
-      empty.  Degree-weighted message counts therefore partition
-      exactly: every edge slot is owned by exactly one shard.
-    * ``sync_plan()`` — per shard, which of its owned boundary nodes
-      each other shard mirrors (and at which local ghost slots), in an
-      agreed ascending order — the halo-exchange schedule.
-    """
-
-    __slots__ = (
-        "k",
-        "n",
-        "bounds",
-        "offsets",
-        "neigh",
-        "_ghosts",
-        "_locals",
-        "_l_of",
-        "_sub",
-        "_sync",
-    )
-
-    def __init__(self, offsets, neigh, k):
-        offsets = offsets if isinstance(offsets, list) else list(offsets)
-        neigh = neigh if isinstance(neigh, list) else [int(v) for v in neigh]
-        n = len(offsets) - 1
-        self.n = n
-        self.offsets = offsets
-        self.neigh = neigh
-        k = max(1, min(int(k), n)) if n > 0 else 1
-        self.k = k
-        total = offsets[n] + n  # Σ (degree + 1)
-        bounds = [0] * (k + 1)
-        bounds[k] = n
-        j = 1
-        acc = 0
-        for i in range(n):
-            acc += offsets[i + 1] - offsets[i] + 1
-            while j < k and acc * k >= j * total:
-                # Clamp so cuts stay strictly increasing and every
-                # remaining shard keeps at least one node.
-                bounds[j] = min(max(i + 1, bounds[j - 1] + 1), n - (k - j))
-                j += 1
-        self.bounds = bounds
-        self._ghosts = None
-        self._locals = None
-        self._l_of = None
-        self._sub = None
-        self._sync = None
-
-    def shard_of(self, i):
-        """Owning shard of global node index ``i``."""
-        return bisect_right(self.bounds, i) - 1
-
-    def own_range(self, s):
-        """``(lo, hi)`` global index range owned by shard ``s``."""
-        return self.bounds[s], self.bounds[s + 1]
-
-    @property
-    def ghosts(self):
-        """Per-shard sorted ghost (halo) index lists, built on first use."""
-        tables = self._ghosts
-        if tables is None:
-            offsets, neigh, bounds = self.offsets, self.neigh, self.bounds
-            tables = []
-            for s in range(self.k):
-                lo, hi = bounds[s], bounds[s + 1]
-                seen = set()
-                for v in neigh[offsets[lo]:offsets[hi]]:
-                    if v < lo or v >= hi:
-                        seen.add(v)
-                tables.append(sorted(seen))
-            self._ghosts = tables
-        return tables
-
-    def locals_of(self, s):
-        """Local node universe of shard ``s`` in ascending global order."""
-        tables = self._locals
-        if tables is None:
-            tables = self._locals = [None] * self.k
-        row = tables[s]
-        if row is None:
-            lo, hi = self.own_range(s)
-            ghosts = self.ghosts[s]
-            below = [g for g in ghosts if g < lo]
-            above = [g for g in ghosts if g >= hi]
-            row = tables[s] = below + list(range(lo, hi)) + above
-        return row
-
-    def own_local_range(self, s):
-        """Local index range the owned nodes occupy inside shard ``s``."""
-        lo, hi = self.own_range(s)
-        below = sum(1 for g in self.ghosts[s] if g < lo)
-        return below, below + (hi - lo)
-
-    def local_index(self, s, g):
-        """Local index of global node ``g`` inside shard ``s``."""
-        maps = self._l_of
-        if maps is None:
-            maps = self._l_of = [None] * self.k
-        table = maps[s]
-        if table is None:
-            table = maps[s] = {
-                g2: t for t, g2 in enumerate(self.locals_of(s))
-            }
-        return table[g]
-
-    def sub_csr(self, s):
-        """``(offsets, neigh)`` of shard ``s``: full owned rows, empty
-        ghost rows, neighbours renumbered to local indices."""
-        cache = self._sub
-        if cache is None:
-            cache = self._sub = [None] * self.k
-        entry = cache[s]
-        if entry is None:
-            lo, hi = self.own_range(s)
-            offsets, neigh = self.offsets, self.neigh
-            self.local_index(s, lo if hi > lo else lo)  # materialize map
-            l_of = self._l_of[s]
-            sub_offsets = [0]
-            sub_neigh = []
-            for g in self.locals_of(s):
-                if lo <= g < hi:
-                    for j in range(offsets[g], offsets[g + 1]):
-                        sub_neigh.append(l_of[neigh[j]])
-                sub_offsets.append(len(sub_neigh))
-            entry = cache[s] = (sub_offsets, sub_neigh)
-        return entry
-
-    def sync_plan(self):
-        """Halo-exchange schedule: ``(sends, recv_slots)``.
-
-        ``sends[s]`` is a list of ``(dest, local_indices)`` — the local
-        indices (in shard ``s``) of the owned boundary nodes that shard
-        ``dest`` mirrors; ``recv_slots[d][src]`` the matching local
-        ghost slots in shard ``d``, in the same (ascending global)
-        order.
-        """
-        plan = self._sync
-        if plan is None:
-            k = self.k
-            sends = [[] for _ in range(k)]
-            recv = [{} for _ in range(k)]
-            for d in range(k):
-                by_src = {}
-                for g in self.ghosts[d]:
-                    by_src.setdefault(self.shard_of(g), []).append(g)
-                for src in sorted(by_src):
-                    glist = by_src[src]
-                    sends[src].append(
-                        (d, [self.local_index(src, g) for g in glist])
-                    )
-                    recv[d][src] = [self.local_index(d, g) for g in glist]
-            plan = self._sync = (sends, recv)
-        return plan
 
 
 class CompiledGraph:
@@ -269,7 +83,6 @@ class CompiledGraph:
         "rev",
         "_pairs",
         "_batch",
-        "_partitions",
         # Weak-referenceable so the fused engine's slab cache (D16) can
         # evict block-diagonal slabs when a member graph is collected.
         "__weakref__",
@@ -305,8 +118,6 @@ class CompiledGraph:
         self._pairs = None
         #: Lazily built numpy mirror (repro.local.batch.BatchGraph).
         self._batch = None
-        #: Lazily built edge-cut plans, keyed by shard count.
-        self._partitions = None
 
     @property
     def pairs(self):
@@ -328,16 +139,6 @@ class CompiledGraph:
                 for i in range(self.n)
             ]
         return rows
-
-    def partition(self, k):
-        """The cached :class:`Partition` plan of this CSR into ``k`` shards."""
-        plans = self._partitions
-        if plans is None:
-            plans = self._partitions = {}
-        plan = plans.get(k)
-        if plan is None:
-            plan = plans[k] = Partition(self.offsets, self.neigh, k)
-        return plan
 
     def restrict(self, keep_set):
         """Induced ``SimGraph`` on ``keep_set`` with an attached CSR.
@@ -582,12 +383,8 @@ def run_batch(
                     frozenset(labels[i] for i in undone),
                     None,
                 )
-            undone_by_shard = getattr(kernel, "undone_by_shard", None)
             raise NonTerminationError(
-                algorithm.name,
-                cap,
-                [labels[i] for i in undone],
-                shard_counts=undone_by_shard() if undone_by_shard else None,
+                algorithm.name, cap, [labels[i] for i in undone]
             )
         rounds += 1
         finished, results, sent = kernel.step()

@@ -1,8 +1,8 @@
 """How runs execute: one frozen :class:`Execution` record, resolved once.
 
 Every executor choice — which engine, which random-source scheme, how
-many shards, how wide a fused slab, and whether the batched (D10) and
-round-fused (D17) tiers may engage — lives in one immutable record.
+wide a fused slab, and whether the batched (D10) and round-fused (D17)
+tiers may engage — lives in one immutable record.
 The process starts from :meth:`Execution.from_env`; the scopes
 :func:`use_backend`, :func:`use_batch` and :func:`use_roundfuse` swap
 the *ambient* record for a :func:`dataclasses.replace`-d copy; and
@@ -28,8 +28,8 @@ from ..errors import ParameterError
 
 #: ``"compiled"`` is the CSR engine (batched and round-fused tiers
 #: auto-engage for certified kernels), ``"reference"`` the seed-faithful
-#: specification loop, ``"sharded"`` the partitioned round loop (D12).
-BACKENDS = ("compiled", "reference", "sharded")
+#: specification loop.
+BACKENDS = ("compiled", "reference")
 RNG_MODES = ("counter", "mt")
 
 _TRUE = ("1", "on", "true", "yes")
@@ -70,9 +70,9 @@ class Execution:
 
     ``rng`` is ``None`` for the backend's native scheme (``"mt"`` for
     the reference loop, ``"counter"`` otherwise; see :attr:`rng_mode`).
-    ``shards`` applies when ``backend`` is ``"sharded"``; ``lanes``
-    caps the width of one fused :func:`~repro.local.fused.run_many`
-    slab (D16); both must be ints (not bools) of at least 1.  ``batch``
+    ``lanes`` caps the width of one fused
+    :func:`~repro.local.fused.run_many` slab (D16) and must be an int
+    (not a bool) of at least 1.  ``batch``
     and ``roundfuse`` let compiled runs take the batched frontier
     stepping (D10) and the round-fused drivers (D17) when the algorithm
     is certified for them.
@@ -80,7 +80,6 @@ class Execution:
 
     backend: str = "compiled"
     rng: str | None = None
-    shards: int = 2
     lanes: int = 32
     batch: bool = True
     roundfuse: bool = True
@@ -94,15 +93,14 @@ class Execution:
             raise ParameterError(
                 f"unknown rng scheme {self.rng!r} (use {RNG_MODES})"
             )
-        for name in ("shards", "lanes"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParameterError(
-                    f"{name} must be an int, got {value!r} "
-                    f"({type(value).__name__})"
-                )
-            if value < 1:
-                raise ParameterError(f"{name} must be >= 1, got {value!r}")
+        lanes = self.lanes
+        if not isinstance(lanes, int) or isinstance(lanes, bool):
+            raise ParameterError(
+                f"lanes must be an int, got {lanes!r} "
+                f"({type(lanes).__name__})"
+            )
+        if lanes < 1:
+            raise ParameterError(f"lanes must be >= 1, got {lanes!r}")
 
     @classmethod
     def from_env(cls, environ):
@@ -111,7 +109,6 @@ class Execution:
             backend=env_setting(environ, "REPRO_BACKEND", "compiled",
                                 choices=BACKENDS),
             rng=env_setting(environ, "REPRO_RNG", None, choices=RNG_MODES),
-            shards=env_setting(environ, "REPRO_SHARDS", 2, int),
             lanes=env_setting(environ, "REPRO_FUSE_LANES", 32, int),
             batch=env_setting(environ, "REPRO_BATCH", True, bool),
             roundfuse=env_setting(environ, "REPRO_ROUNDFUSE", True, bool),
@@ -122,27 +119,15 @@ class Execution:
         """The concrete random-source scheme runs draw from."""
         return self.rng or ("mt" if self.backend == "reference" else "counter")
 
-    def resolve(self, backend=None, rng=None, shards=None, lanes=None):
-        """This record under per-call overrides (``self`` when none).
-
-        A per-call ``shards=k`` selects the sharded engine with ``k``
-        shards; the reference loop cannot take shards.
-        """
-        if backend is None and rng is None and shards is None and lanes is None:
+    def resolve(self, backend=None, rng=None, lanes=None):
+        """This record under per-call overrides (``self`` when none)."""
+        if backend is None and rng is None and lanes is None:
             return self
         changes = {}
         if backend is not None:
             changes["backend"] = backend
         if rng is not None:
             changes["rng"] = rng
-        if shards is not None:
-            if (backend or self.backend) == "reference":
-                raise ParameterError(
-                    "sharded execution requires a compiled backend "
-                    "(backend='reference' cannot take shards)"
-                )
-            changes["backend"] = "sharded"
-            changes["shards"] = shards
         if lanes is not None:
             changes["lanes"] = lanes
         return replace(self, **changes)
@@ -156,9 +141,9 @@ def current():
     return _ambient
 
 
-def resolve(backend=None, rng=None, shards=None, lanes=None):
+def resolve(backend=None, rng=None, lanes=None):
     """The ambient record under per-call overrides."""
-    return _ambient.resolve(backend, rng, shards, lanes)
+    return _ambient.resolve(backend, rng, lanes)
 
 
 @contextmanager
@@ -174,32 +159,23 @@ def installed(execution):
 
 
 @contextmanager
-def use_backend(backend, rng=None, shards=None, lanes=None):
-    """Pin the backend (and optionally the rng scheme, shard count and
-    fused lane width) for every run in the scope.
+def use_backend(backend, rng=None, lanes=None):
+    """Pin the backend (and optionally the rng scheme and fused lane
+    width) for every run in the scope.
 
     The equivalence suite runs whole pipelines — alternations, virtual
     domains, portfolios — under each backend with the rng scheme pinned,
     proving the engines interchangeable end to end.
-    ``use_backend("sharded", shards=4)`` shards every run of a pipeline
-    without threading ``shards=`` through each call site, and
     ``use_backend("compiled", lanes=b)`` packs every
     :func:`~repro.local.fused.run_many` inside at most ``b`` runs per
     block-diagonal slab (D16).
     """
-    if shards is not None and backend != "sharded":
-        # The count only applies to sharded runs; pinning it under
-        # another backend would be a silent no-op.
-        raise ParameterError(
-            "use_backend(..., shards=k) requires backend='sharded' "
-            f"(got {backend!r}); pass shards per call instead"
-        )
     if lanes is not None and backend == "reference":
         raise ParameterError(
             "use_backend(..., lanes=b) requires a compiled backend; "
             "the reference loop never fuses runs"
         )
-    with installed(_ambient.resolve(backend, rng, shards, lanes)):
+    with installed(_ambient.resolve(backend, rng, lanes)):
         yield
 
 

@@ -39,12 +39,12 @@ identity-keyed counter RNG (:class:`~repro.local.context.CounterRNG`):
 the decision for the message ``u -> v`` sent at round ``r`` is a closed
 form of ``(fault key, Id(u), Id(v), r)``, evaluable from either
 endpoint of the edge and therefore identical no matter which backend —
-reference loop, compiled per-node loop, batch kernel, or any shard of a
-partitioned run — asks the question.  The fault stream is keyed
+reference loop, compiled per-node loop or batch kernel — asks the
+question.  The fault stream is keyed
 separately from the algorithm's random streams (same seed material,
 distinct salt domain), so injection never perturbs the algorithm's own
 draws.  ``tests/test_faults.py`` pins the resulting bit-identity across
-all four stacks and every shard channel.
+every stack.
 
 Scope: fault injection applies to physical-domain runs.  Virtual
 domains (line graphs, clique products) pin faults off — a virtual
@@ -243,8 +243,8 @@ class FaultPlan:
 class CompiledFaults:
     """Scalar per-run fault view (pure Python — no numpy required).
 
-    Used directly by the per-node execution paths (reference loop,
-    compiled loop, per-node shards); :meth:`batch_view` derives the
+    Used directly by the per-node execution paths (reference loop and
+    compiled loop); :meth:`batch_view` derives the
     vectorized twin for fault-certified batch kernels.
     """
 
@@ -292,12 +292,7 @@ class CompiledFaults:
         return effect if value <= thr_m1 else DELIVER
 
     def batch_view(self, bg):
-        """Vectorized view over a :class:`~repro.local.batch.BatchGraph`.
-
-        Valid for shard sub-CSRs too: labels/identities stay global
-        under partitioning, so every shard derives the same per-edge
-        decisions the single-process kernel would (D12/D14).
-        """
+        """Vectorized view over a :class:`~repro.local.batch.BatchGraph`."""
         return BatchFaults(self, bg)
 
 
@@ -308,9 +303,7 @@ class BatchFaults:
     parallel the CSR slab.  ``keys_out[k]`` keys the message the slot's
     *owner* sends through it, ``keys_in[k]`` the message the slot's
     *neighbour* sends back along the same edge — the two views of one
-    directed message agree by construction, which is what lets a shard
-    count a boundary message on the sender side and taint it on the
-    receiver side without exchanging any fault state.
+    directed message agree by construction.
     """
 
     __slots__ = (

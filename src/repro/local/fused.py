@@ -47,7 +47,7 @@ from .algorithm import capabilities_of
 from .context import make_rng, run_key
 from .execution import resolve
 from .faults import resolve_faults
-from .runner import SAFETY_ROUND_CAP, RunResult, execute, note_stepping
+from .runner import RunResult, execute, note_stepping, round_cap
 
 
 class FusedBatchGraph(batch.BatchGraph):
@@ -529,12 +529,7 @@ def run_many(
             )
         )
     truncating = truncate or default_output is not None
-    if max_rounds is None:
-        if truncating:
-            raise ParameterError("truncation requires an explicit max_rounds")
-        cap = SAFETY_ROUND_CAP
-    else:
-        cap = max_rounds
+    cap = round_cap(max_rounds, truncating)
     execution = resolve(backend, rng, lanes=lanes)
     width = execution.lanes
     fuse_ok = (

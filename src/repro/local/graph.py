@@ -386,17 +386,6 @@ class SimGraph:
             view = self._compiled = CompiledGraph(self)
         return view
 
-    def partition(self, k):
-        """Edge-cut plan of the CSR into ``k`` shards (cached per count).
-
-        The plan backs the sharded round loop
-        (:mod:`repro.local.sharded`, ``run(graph, algo, shards=k)``):
-        contiguous identity-ordered shards with halo/ghost tables.
-        Restriction children carry their own CSR, so every alternation
-        instance partitions without recompiling structure.
-        """
-        return self.compiled().partition(k)
-
     def subgraph(self, keep):
         """Induced subgraph on ``keep`` with fresh port numbering.
 
@@ -458,7 +447,7 @@ class SimGraph:
 
         Application is functional: the receiver is never mutated, so
         every cache keyed by object identity (``CompiledGraph._batch``,
-        partition plans, the fused slab cache) stays trivially coherent
+        the fused slab cache) stays trivially coherent
         — a mutated topology is a different object with empty caches,
         not a patched one with stale entries (DESIGN.md D18).
 

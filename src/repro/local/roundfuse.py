@@ -26,7 +26,7 @@ driver call:
 
 Eligibility is capability-gated (``supports_roundfuse``) with the exact
 fallback discipline of D10–D16: an active fault plan, ``track_bits``,
-sharded or fused execution, an uncertified algorithm, or the
+fused execution, an uncertified algorithm, or the
 ``REPRO_ROUNDFUSE=0`` kill-switch (``Execution.roundfuse``) each
 degrade to the per-round batch path, bit-identical.  Fused drives are
 tagged ``"rf"`` in step records.
@@ -80,8 +80,7 @@ def drive_kernel(kernel, cap):
     (``rounds == cap`` with ``kernel.done`` false means the cap bit —
     truncation or :class:`NonTerminationError` — is the caller's to
     settle, exactly as in ``run_batch``).  Shared by the engine driver
-    and the virtual-domain batch loops; sharded loop objects lack both
-    seams and fall through automatically.
+    and the virtual-domain batch loops.
     """
     if kernel.done or getattr(kernel, "round", 0):
         return None  # only fresh kernels: the fused drivers replay round 0

@@ -30,11 +30,10 @@ Two interchangeable executors implement these semantics:
   under a pinned ``rng`` scheme the two backends produce bit-identical
   :class:`RunResult` fields.
 
-``backend="sharded"`` partitions the compiled engine's round loop
-(:mod:`repro.local.sharded`).  Select per call (``run(..., backend=...,
-rng=...)``) or per scope (:func:`~repro.local.execution.use_backend`,
-or the ``REPRO_BACKEND`` / ``REPRO_RNG`` environment variables); both
-resolve into one :class:`~repro.local.execution.Execution` record.
+Select per call (``run(..., backend=..., rng=...)``) or per scope
+(:func:`~repro.local.execution.use_backend`, or the ``REPRO_BACKEND`` /
+``REPRO_RNG`` environment variables); both resolve into one
+:class:`~repro.local.execution.Execution` record.
 """
 
 from __future__ import annotations
@@ -51,12 +50,12 @@ from .msgsize import estimate_bits
 SAFETY_ROUND_CAP = 100_000
 
 #: Stepping strategy of the most recent run in this process
-#: (``"batch"``, ``"per-node"`` or ``"reference"``); ``None`` before the
-#: first run.  The alternation engine samples this right after each
-#: guess/pruning run to attribute wall clock per step (StepRecord
-#: backends) — a diagnostic channel, deliberately kept out of
-#: :class:`RunResult` so the backend equivalence contract stays
-#: field-for-field.
+#: (``"reference"``, ``"per-node"``, ``"batch"``, ``"rf"`` or
+#: ``"fused"``); ``None`` before the first run.  The alternation engine
+#: samples this right after each guess/pruning run to attribute wall
+#: clock per step (StepRecord backends) — a diagnostic channel,
+#: deliberately kept out of :class:`RunResult` so the backend
+#: equivalence contract stays field-for-field.
 _LAST_STEPPING = None
 
 
@@ -149,7 +148,6 @@ def run(
     *,
     backend=None,
     rng=None,
-    shards=None,
     **options,
 ):
     """Execute ``algorithm`` on ``graph`` and return a :class:`RunResult`.
@@ -164,26 +162,42 @@ def run(
         ``"compiled"`` (CSR engine; batched and round-fused stepping
         engage automatically for certified kernels, see
         :func:`~repro.local.execution.use_batch` and
-        :func:`~repro.local.execution.use_roundfuse`), ``"reference"``
-        (the specification loop) or ``"sharded"`` (the partitioned
-        round loop, DESIGN.md D12).  ``None`` uses the ambient
-        :class:`~repro.local.execution.Execution` record.
+        :func:`~repro.local.execution.use_roundfuse`) or
+        ``"reference"`` (the specification loop).  ``None`` uses the
+        ambient :class:`~repro.local.execution.Execution` record.
     rng:
         Per-node random-source scheme, ``"counter"`` or ``"mt"``;
         ``None`` uses the backend's native scheme.  Pin it when diffing
         backends — the schemes produce different (equally valid) random
         streams.
-    shards:
-        Shard count for partitioned execution; any value selects the
-        sharded engine (bit identical to the compiled one for every
-        count — counts larger than ``n`` clamp).  ``None`` shards only
-        when the backend is ``"sharded"``, with the ambient count.
     options:
         The run itself, see :func:`execute`: ``inputs``, ``guesses``,
         ``seed``, ``salt``, ``max_rounds``, ``default_output``,
         ``truncate``, ``track_bits`` and ``faults``.
     """
-    return execute(graph, algorithm, resolve(backend, rng, shards), **options)
+    return execute(graph, algorithm, resolve(backend, rng), **options)
+
+
+def round_cap(max_rounds, truncating):
+    """The round cap a run with ``max_rounds`` executes under.
+
+    ``None`` gives :data:`SAFETY_ROUND_CAP`, except that truncation
+    needs an explicit cap.  Otherwise ``max_rounds`` must be an int (not
+    a bool) of at least 0; anything else raises
+    :class:`~repro.errors.ParameterError` showing the value as passed.
+    """
+    if max_rounds is None:
+        if truncating:
+            raise ParameterError("truncation requires an explicit max_rounds")
+        return SAFETY_ROUND_CAP
+    if not isinstance(max_rounds, int) or isinstance(max_rounds, bool):
+        raise ParameterError(
+            f"max_rounds must be an int, got {max_rounds!r} "
+            f"({type(max_rounds).__name__})"
+        )
+    if max_rounds < 0:
+        raise ParameterError(f"max_rounds must be >= 0, got {max_rounds!r}")
+    return max_rounds
 
 
 def execute(
@@ -214,10 +228,11 @@ def execute(
         Seed material for the per-node RNGs; two runs with identical
         arguments are bit-for-bit identical.
     max_rounds:
-        Round cap.  With ``truncate=True`` (or a non-None
-        ``default_output``) unfinished nodes are forced to the default
-        output — the paper's restriction operator.  Otherwise exceeding
-        the cap raises :class:`NonTerminationError`.
+        Round cap, an int of at least 0 (see :func:`round_cap`).  With
+        ``truncate=True`` (or a non-None ``default_output``) unfinished
+        nodes are forced to the default output — the paper's
+        restriction operator.  Otherwise exceeding the cap raises
+        :class:`NonTerminationError`.
     default_output:
         Output forced on truncated nodes.
     truncate:
@@ -231,7 +246,7 @@ def execute(
         node profiles (DESIGN.md D14); ``None`` falls back to the
         ambient plan pinned by :func:`~repro.local.faults.use_faults`.
         An injected run is a pure function of its arguments plus the
-        plan and bit-identical across every backend and shard channel.
+        plan and bit-identical across every backend.
     """
     if capabilities_of(algorithm).get("kind") != "node":
         raise TypeError(f"expected LocalAlgorithm, got {type(algorithm).__name__}")
@@ -243,12 +258,7 @@ def execute(
         )
     inputs = inputs or {}
     truncating = truncate or default_output is not None
-    if max_rounds is None:
-        if truncating:
-            raise ParameterError("truncation requires an explicit max_rounds")
-        cap = SAFETY_ROUND_CAP
-    else:
-        cap = max_rounds
+    cap = round_cap(max_rounds, truncating)
     plan = resolve_faults(faults)
     # Compiled once per run: the scalar per-run view every executor
     # consumes (batch kernels derive their vectorized twin from it).
@@ -269,11 +279,9 @@ def execute(
             rng_mode=execution.rng_mode,
             faults=faults,
         )
-    if execution.backend == "sharded":
-        from .sharded import run_sharded as run_engine
-    else:
-        from .engine import run_compiled as run_engine
-    return run_engine(
+    from .engine import run_compiled
+
+    return run_compiled(
         graph,
         algorithm,
         execution,

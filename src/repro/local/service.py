@@ -13,14 +13,13 @@ rebuild pays.
 Correctness contract (enforced by ``tests/test_service.py``): for every
 delta sequence, ``.rerun()`` is bit-identical to a cold ``run()`` on a
 graph rebuilt from scratch — outputs, rounds, message counts and
-backend attribution — on every stack (reference / compiled /
-sharded(k) / fused ``rerun_many``).  The contract holds by construction, not
-by luck:
+backend attribution — on every stack (reference / compiled / fused
+``rerun_many``).  The contract holds by construction, not by luck:
 
 * Mutation is *functional*: :meth:`SimulationSession.mutate` swaps in a
   brand-new graph object rather than patching the old one in place, so
   every cache keyed by object identity (the ``batch_graph_of`` mirror,
-  ``Partition`` plans, the fused draw-slab cache) is coherent by
+  the fused draw-slab cache) is coherent by
   definition — a new topology arrives with empty caches instead of
   stale ones.  The only cross-object cache, the fused slab registry, is
   evicted explicitly on every mutate/close
@@ -47,12 +46,12 @@ class SimulationSession:
     Use as a context manager, or pair :func:`open_session` with
     :meth:`close`::
 
-        with open_session(graph, backend="sharded", shards=2) as session:
+        with open_session(graph, backend="compiled") as session:
             session.rerun(algo, seed=1)
             session.mutate(GraphDelta(add_edges=[(3, 9)]))
             session.rerun(algo, seed=1)   # ≡ cold run on the new graph
 
-    Keyword pins (``backend``, ``rng``, ``shards``, ``lanes``) are
+    Keyword pins (``backend``, ``rng``, ``lanes``) are
     resolved once, at open, into the session's
     :class:`~repro.local.execution.Execution` record — the ambient
     record for every :meth:`rerun`, :meth:`rerun_many` and
@@ -62,14 +61,13 @@ class SimulationSession:
 
     __slots__ = ("_graph", "_execution", "_epoch", "_reruns", "_closed")
 
-    def __init__(self, graph, *, backend=None, rng=None, shards=None,
-                 lanes=None):
+    def __init__(self, graph, *, backend=None, rng=None, lanes=None):
         if not isinstance(graph, SimGraph):
             raise ParameterError(
                 f"sessions wrap a SimGraph, got {type(graph).__name__}"
             )
         self._graph = graph
-        self._execution = resolve(backend, rng, shards, lanes)
+        self._execution = resolve(backend, rng, lanes)
         self._epoch = 0
         self._reruns = 0
         self._closed = False
@@ -157,8 +155,8 @@ class SimulationSession:
         """Run ``algorithm`` on the live graph under the session record.
 
         Accepts every keyword of :func:`~repro.local.runner.run`
-        (``seed``, ``guesses``, ``inputs``, ``backend``, ``shards``,
-        ...); explicit keywords override the session record per call.
+        (``seed``, ``guesses``, ``inputs``, ``backend``, ...); explicit
+        keywords override the session record per call.
         """
         with self.scope():
             result = run(self._graph, algorithm, **kwargs)
@@ -208,16 +206,13 @@ class SimulationSession:
         )
 
 
-def open_session(graph, *, backend=None, rng=None, shards=None,
-                 lanes=None):
+def open_session(graph, *, backend=None, rng=None, lanes=None):
     """Open a :class:`SimulationSession` on ``graph``.
 
     The keyword pins become defaults for every ``rerun`` of the
     session; see :class:`SimulationSession`.
     """
-    return SimulationSession(
-        graph, backend=backend, rng=rng, shards=shards, lanes=lanes
-    )
+    return SimulationSession(graph, backend=backend, rng=rng, lanes=lanes)
 
 
 #: ``service.open(graph)`` spelling used in the service docs.

@@ -53,7 +53,6 @@ from .batch import (
     BatchSetup,
     available as batch_available,
     batch_graph_of_spec,
-    make_shard_kernels,
     virtual_draw_builder,
 )
 from .context import NodeContext, sub_rng
@@ -92,7 +91,6 @@ class VirtualSpec:
         "relay_client_ports",
         "_routes",
         "_batch",
-        "_partitions",
     )
 
     def __init__(self, host, ident, adj, physical_graph):
@@ -112,10 +110,9 @@ class VirtualSpec:
                 self.recv_port[(other, virt)] = port
         self._build_routes(physical_graph)
         self._routes = None
-        #: Lazily built numpy mirror / edge-cut plans (by shard count),
-        #: shared by a step's guess and pruner runs.
+        #: Lazily built numpy mirror, shared by a step's guess and
+        #: pruner runs.
         self._batch = None
-        self._partitions = None
 
     def _build_routes(self, graph):
         port_to = {u: {v: p for p, v, _ in graph.adj[u]} for u in graph.nodes}
@@ -241,7 +238,6 @@ class VirtualSpec:
         }
         spec._routes = None
         spec._batch = None
-        spec._partitions = None
         return spec
 
     @property
@@ -631,68 +627,16 @@ def _virtual_kernel(
     execution,
     bg,
 ):
-    """Build the virtual run's kernel: sharded ensemble or plain.
-
-    With a sharded execution of more than one shard and a
-    shard-certified kernel (D12), the
-    virtual graph's CSR is partitioned exactly like a physical one —
-    the nested host→sub rng derivation is a pure function of
-    ``(host identity, virtual identity)``, so per-shard draw sources
-    reproduce the single-kernel streams for every shard count.  Falls
-    back to one kernel when ineligible; returns ``None`` when the
-    factory declines.
-    """
-    factory = algorithm.batch
+    """Build the virtual run's batch kernel (``None`` when the factory
+    declines)."""
     rng_mode = execution.rng_mode
-    shards = execution.shards
-
-    def setup_of(sub_bg, sharded=False):
-        return BatchSetup(
-            virt_inputs,
-            guesses,
-            rng_mode,
-            virtual_draw_builder(sub_bg, spec, physical, rng_mode, seed, salt),
-            sharded=sharded,
-        )
-
-    if (
-        execution.backend == "sharded"
-        and shards > 1
-        and bg.n > 1
-        and capabilities_of(algorithm).get("supports_shard")
-    ):
-        from .engine import Partition
-        from .runner import note_stepping
-        from .sharded import BatchShard, InlineChannel, ShardedKernelLoop
-
-        plans = spec._partitions
-        if plans is None:
-            plans = spec._partitions = {}
-        part = plans.get(shards)
-        if part is None:
-            csr = plans.get("csr")  # one list conversion, shared per k
-            if csr is None:
-                csr = plans["csr"] = (
-                    bg.offsets.tolist(),
-                    bg.neigh.tolist(),
-                )
-            part = plans[shards] = Partition(csr[0], csr[1], shards)
-        built = make_shard_kernels(
-            factory, part, bg.labels, bg.idents,
-            lambda sub_bg: setup_of(sub_bg, sharded=True),
-        )
-        if built is not None:
-            batch_shards = [
-                BatchShard(s, kernel, part)
-                for s, (_sub, kernel) in enumerate(built)
-            ]
-            note_stepping("shard-batch")
-            return ShardedKernelLoop(
-                InlineChannel(batch_shards),
-                part.k,
-                bg.n,
-            )
-    kernel = factory(bg, setup_of(bg))
+    setup = BatchSetup(
+        virt_inputs,
+        guesses,
+        rng_mode,
+        virtual_draw_builder(bg, spec, physical, rng_mode, seed, salt),
+    )
+    kernel = algorithm.batch(bg, setup)
     if kernel is not None:
         from .runner import note_stepping
 
@@ -707,10 +651,9 @@ def _drive_virtual(kernel, algorithm, max_vrounds, roundfuse):
     :func:`run_virtual_batch_full`.  Round-fuse-certified kernels (D17)
     execute their whole schedule in one fused call — virtual round
     ``k`` is engine round ``k-1``, so the fused drive gets the engine
-    cap ``max_vrounds - 1`` and its events map back by ``+1``.  The
-    sharded ensemble loop exposes neither fused seam and falls through
-    to the per-round loop automatically, as does an ineligible or
-    switched-off (``roundfuse`` false) configuration.
+    cap ``max_vrounds - 1`` and its events map back by ``+1``.  An
+    ineligible or switched-off (``roundfuse`` false) configuration
+    falls through to the per-round loop.
     """
     finish_vround = {}
     results = {}

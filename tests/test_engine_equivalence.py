@@ -302,6 +302,25 @@ class TestBatchEquivalence:
             )
             assert_results_equal(reference, batched, context=label)
 
+    def test_big_identity_space_matches_reference(self):
+        """Identities beyond int64 peel the first Linial reduction in
+        Python ints; the fused kernel still runs and matches the
+        reference loop."""
+        import networkx as nx
+
+        from repro.local import SimGraph
+        from repro.local.runner import last_stepping
+
+        graph = nx.path_graph(6)
+        idents = {i: (1 << 70) + 2 * i + 1 for i in graph.nodes}
+        sim = SimGraph.from_networkx(graph, idents=idents)
+        guesses = {"m": max(idents.values()), "Delta": 2}
+        reference, compiled = run_both(
+            sim, fast_mis(), "counter", seed=3, guesses=guesses
+        )
+        assert last_stepping() == "rf"
+        assert_results_equal(reference, compiled, context="big idents")
+
     def test_nontermination_parity(self, small_gnp):
         errors = {}
         for batching in (False, True):
@@ -556,286 +575,6 @@ class TestPrunerBatchEquivalence:
         assert pernode.rounds == result.rounds
 
 
-SHARD_COUNTS = (1, 2, 3, 7)
-
-
-class TestShardEquivalence:
-    """Sharded-vs-compiled bit identity (DESIGN.md D12).
-
-    ``sharded(k) ≡ batch ≡ compiled ≡ reference`` for every shard
-    count: full, restricted and virtual domains, both steppings
-    (shard-certified kernels take the halo-exchange batch path,
-    everything else the per-node boundary-message path).
-    """
-
-    @pytest.mark.parametrize("k", SHARD_COUNTS)
-    @pytest.mark.parametrize("rng", RNGS)
-    def test_full_runs(self, small_gnp, k, rng):
-        for label, algorithm, guesses in kernel_algorithms(small_gnp):
-            base = run(
-                small_gnp, algorithm, backend="compiled", rng=rng,
-                seed=11, guesses=guesses,
-            )
-            sharded = run(
-                small_gnp, algorithm, rng=rng, seed=11, guesses=guesses,
-                shards=k,
-            )
-            assert_results_equal(base, sharded, context=(k, rng, label))
-
-    @pytest.mark.parametrize("k", SHARD_COUNTS)
-    def test_pernode_stepping(self, small_gnp, k):
-        """With batching off, sharding distributes the per-node loop."""
-        for label, algorithm, guesses in (
-            ("ping-pong", ping_pong(), None),  # targeted dict messages
-            ("luby", luby_mis(), None),
-        ):
-            with use_batch(False):
-                base = run(
-                    small_gnp, algorithm, backend="compiled",
-                    rng="counter", seed=5, guesses=guesses,
-                )
-                sharded = run(
-                    small_gnp, algorithm, rng="counter", seed=5,
-                    guesses=guesses, shards=k,
-                )
-            assert_results_equal(base, sharded, context=(k, label))
-
-    @pytest.mark.parametrize("rounds", (1, 2, 7))
-    def test_truncated_runs(self, small_gnp, rounds):
-        for k in (2, 3):
-            base = run_restricted(
-                small_gnp, luby_mis(), rounds, default_output="cut",
-                backend="compiled", rng="counter",
-            )
-            sharded = run_restricted(
-                small_gnp, luby_mis(), rounds, default_output="cut",
-                rng="counter", shards=k,
-            )
-            assert_results_equal(base, sharded, context=(k, rounds))
-
-    @pytest.mark.parametrize("k", (2, 7))
-    def test_fast_mis_certified_kernel(self, small_gnp, k):
-        """The D13-certified MIS kernel takes the sharded batch path."""
-        from repro.local.runner import last_stepping
-
-        guesses = {"m": small_gnp.max_ident, "Delta": small_gnp.max_degree}
-        base = run(small_gnp, fast_mis(), seed=11, rng="counter",
-                   guesses=guesses)
-        sharded = run(small_gnp, fast_mis(), seed=11, rng="counter",
-                      guesses=guesses, shards=k)
-        assert_results_equal(base, sharded, context=k)
-        assert last_stepping() == "shard-batch"
-
-    def test_big_identity_space_declines_to_per_node(self):
-        """Colors beyond int64 cannot ride the halo sync: the factory
-        declines under sharding and the run shards per node."""
-        import networkx as nx
-
-        from repro.local import SimGraph
-        from repro.local.runner import last_stepping
-
-        graph = nx.path_graph(6)
-        idents = {i: (1 << 70) + 2 * i + 1 for i in graph.nodes}
-        sim = SimGraph.from_networkx(graph, idents=idents)
-        guesses = {"m": max(idents.values()), "Delta": 2}
-        base = run(sim, fast_mis(), seed=3, rng="counter", guesses=guesses)
-        stepping_base = last_stepping()
-        sharded = run(sim, fast_mis(), seed=3, rng="counter",
-                      guesses=guesses, shards=2)
-        assert_results_equal(base, sharded, context="big idents")
-        assert stepping_base == "rf"  # unsharded fused kernel still eligible
-        assert last_stepping() == "shard-per-node"
-
-    def test_graph_smaller_than_shards(self):
-        import networkx as nx
-
-        from repro.local import SimGraph
-
-        tiny = SimGraph.from_networkx(nx.path_graph(3))
-        base = run(tiny, luby_mis(), seed=3, rng="counter")
-        for k in (7, 100):
-            sharded = run(tiny, luby_mis(), seed=3, rng="counter", shards=k)
-            assert_results_equal(base, sharded, context=k)
-        empty = SimGraph.from_networkx(nx.empty_graph(0))
-        base = run(empty, luby_mis(), rng="counter")
-        assert_results_equal(
-            base, run(empty, luby_mis(), rng="counter", shards=4)
-        )
-
-    def test_numpy_free_fallback(self, small_gnp, monkeypatch):
-        """Without numpy the sharded engine steps per node, identically."""
-        from repro.errors import ResilienceWarning
-        from repro.local import batch as batch_module
-
-        base = run(small_gnp, luby_mis(), seed=9, rng="counter")
-        monkeypatch.setattr(batch_module, "_np", None)
-        with pytest.warns(ResilienceWarning):
-            sharded = run(
-                small_gnp, luby_mis(), seed=9, rng="counter", shards=3,
-            )
-        assert_results_equal(base, sharded)
-
-    def test_numpy_free_shard_kernel_warns_and_steps_per_node(
-        self, small_gnp, monkeypatch
-    ):
-        """A shard-certified kernel without numpy declines the halo
-        batch path: the run steps per node and says so with a
-        ResilienceWarning."""
-        from repro.errors import ResilienceWarning
-        from repro.local import batch as batch_module
-        from repro.local.runner import last_stepping
-
-        monkeypatch.setattr(batch_module, "_np", None)
-        with pytest.warns(ResilienceWarning, match="need numpy"):
-            run(small_gnp, luby_mis(), seed=9, rng="counter", shards=3)
-        assert last_stepping() == "shard-per-node"
-
-    def test_track_bits_shards_per_node(self, small_gnp):
-        base = run(small_gnp, luby_mis(), seed=7, rng="counter",
-                   track_bits=True)
-        sharded = run(small_gnp, luby_mis(), seed=7, rng="counter",
-                      track_bits=True, shards=3)
-        assert_results_equal(base, sharded)
-        assert sharded.max_message_bits is not None
-
-    def test_nontermination_parity(self, small_gnp):
-        """Same base diagnostic everywhere; sharded adds per-shard counts."""
-        with pytest.raises(NonTerminationError) as excinfo:
-            run(small_gnp, luby_mis(), max_rounds=1, rng="counter")
-        base = str(excinfo.value)
-        with pytest.raises(NonTerminationError) as excinfo:
-            run(small_gnp, luby_mis(), max_rounds=1, rng="counter", shards=3)
-        msg = str(excinfo.value)
-        assert msg.startswith(base)
-        assert "(shard 0:" in msg
-
-    @pytest.mark.parametrize("k", SHARD_COUNTS)
-    def test_restricted_substrate(self, medium_gnp, k):
-        """Sharded runs on an incrementally restricted SimGraph."""
-        keep = [u for u in medium_gnp.nodes if medium_gnp.ident[u] % 3]
-        sub = medium_gnp.subgraph(keep)
-        base = run(sub, luby_mis(), seed=13, rng="counter")
-        sharded = run(sub, luby_mis(), seed=13, rng="counter", shards=k)
-        assert_results_equal(base, sharded, context=k)
-
-    @pytest.mark.parametrize("k", SHARD_COUNTS)
-    def test_virtual_domains(self, small_gnp, k):
-        """Sharded virtual-domain runs (kernel replay and host sim)."""
-        spec = line_graph_spec(small_gnp)
-        for label, algorithm, guesses in (
-            ("luby", luby_mis(), None),  # shard-certified: sharded replay
-            (
-                "fast-mis",  # shard-certified since D13: sharded replay
-                fast_mis(),
-                {
-                    "m": small_gnp.max_ident**2,
-                    "Delta": 2 * small_gnp.max_degree,
-                },
-            ),
-            (
-                "bitwise",  # uncertified: per-node sharded host sim
-                bitwise_ruling_set(),
-                {"m": small_gnp.max_ident**2},
-            ),
-        ):
-            domain = VirtualDomain(small_gnp, spec)
-            base = domain.run_restricted(
-                algorithm, 24, seed=19, guesses=guesses, backend="compiled"
-            )
-            sharded = domain.run_restricted(
-                algorithm, 24, seed=19, guesses=guesses,
-                backend="sharded", shards=k,
-            )
-            assert base == sharded, (k, label)
-
-    def test_restricted_spec_substrate(self, small_gnp):
-        """Sharded runs on an incrementally restricted VirtualSpec."""
-        spec = line_graph_spec(small_gnp)
-        keep = set(list(spec.virtual_nodes)[::2])
-        for k in (2, 3):
-            base = (
-                VirtualDomain(small_gnp, spec)
-                .subgraph(keep)
-                .run_restricted(luby_mis(), 24, seed=29, rng="counter")
-            )
-            sharded = (
-                VirtualDomain(small_gnp, spec)
-                .subgraph(keep)
-                .run_restricted(
-                    luby_mis(), 24, seed=29, rng="counter",
-                    backend="sharded", shards=k,
-                )
-            )
-            assert base == sharded, k
-
-    @pytest.mark.parametrize("k", (1, 3))
-    def test_alternation_pipeline(self, small_gnp, k):
-        """Whole Theorem-2 alternation: guess and pruner runs sharded."""
-        with use_backend("compiled", rng="counter"):
-            _, _, uniform = TABLE1["luby"].build()
-            base = uniform.run(small_gnp, seed=13)
-        with use_backend("sharded", rng="counter", shards=k):
-            _, _, uniform = TABLE1["luby"].build()
-            sharded = uniform.run(small_gnp, seed=13)
-        assert base.outputs == sharded.outputs
-        assert base.rounds == sharded.rounds
-        assert len(base.steps) == len(sharded.steps)
-        # Both runs of every step took the halo-exchange batch path.
-        assert all(
-            step.backends == ("shard-batch", "shard-batch")
-            for step in sharded.steps
-        )
-
-    def test_shard_capability_records(self, small_gnp):
-        from repro.algorithms import capability_table
-        from repro.local.algorithm import capabilities_of
-
-        table = capability_table()
-        assert table["luby"]["supports_shard"]
-        assert table["luby"]["pruning"]["supports_shard"]
-        # fast-mis/fast-coloring kernels are shard-certified since D13.
-        assert table["mis-fast"]["supports_shard"]
-        assert not table["mis-arb-product"]["supports_shard"]  # host orchestration
-        caps = capabilities_of(luby_mis())
-        assert caps["supports_batch"] and caps["supports_shard"]
-        for algo in (fast_mis(), fast_coloring()):
-            caps = capabilities_of(algo)
-            assert caps["supports_batch"] and caps["supports_shard"]
-
-    def test_reference_backend_rejects_shards(self, small_gnp):
-        from repro.errors import ParameterError
-
-        with pytest.raises(ParameterError):
-            run(small_gnp, luby_mis(), backend="reference", shards=2)
-
-    def test_partition_plan_geometry(self, medium_gnp):
-        """Edge-cut invariants: cover, balance floor, halo symmetry."""
-        part = medium_gnp.partition(4)
-        assert part.bounds[0] == 0 and part.bounds[-1] == medium_gnp.n
-        assert all(
-            part.bounds[s] < part.bounds[s + 1] for s in range(part.k)
-        )
-        cg = medium_gnp.compiled()
-        for s in range(part.k):
-            lo, hi = part.own_range(s)
-            ghosts = set(part.ghosts[s])
-            # every out-of-range neighbour of an owned row is a ghost
-            for i in range(lo, hi):
-                for v in cg.neigh[cg.offsets[i]:cg.offsets[i + 1]]:
-                    assert lo <= v < hi or v in ghosts
-            # owned rows keep their full degree in the sub-CSR
-            offsets, _ = part.sub_csr(s)
-            own_lo, own_hi = part.own_local_range(s)
-            loc = part.locals_of(s)
-            for t in range(own_lo, own_hi):
-                assert (
-                    offsets[t + 1] - offsets[t] == cg.degrees[loc[t]]
-                )
-            # ghost rows are empty (message counts partition exactly)
-            for t in list(range(own_lo)) + list(range(own_hi, len(loc))):
-                assert offsets[t + 1] == offsets[t]
-
-
 class TestVirtualRunFullBatch:
     """``run_full`` on virtual domains through the batch path (the
     ROADMAP "still per-node" gap): doubling budget to the fixed point,
@@ -880,15 +619,6 @@ class TestVirtualRunFullBatch:
             pernode = domain.run_full(fast_mis(), seed=9, guesses=guesses)
         batched = domain.run_full(fast_mis(), seed=9, guesses=guesses)
         assert pernode == batched
-
-    def test_sharded_full(self, small_gnp):
-        spec = line_graph_spec(small_gnp)
-        domain = VirtualDomain(small_gnp, spec)
-        base = domain.run_full(luby_mis(), seed=23, rng="counter")
-        sharded = domain.run_full(
-            luby_mis(), seed=23, rng="counter", backend="sharded", shards=3
-        )
-        assert base == sharded
 
     def test_nontermination_parity(self, small_gnp):
         spec = line_graph_spec(small_gnp)

@@ -3,9 +3,9 @@
 The parser is exercised on plain mappings: every malformed value raises
 ``ParameterError`` naming its variable instead of silently becoming a
 default.  Removed backend names are rejected with the valid ones listed,
-the removed ``shard_channel=`` keyword is a ``TypeError`` at every entry
-point, and a call without overrides resolves to the ambient record
-itself.
+the removed ``shard_channel=`` and ``shards=`` keywords are a
+``TypeError`` at every entry point, and a call without overrides
+resolves to the ambient record itself.
 """
 
 from __future__ import annotations
@@ -32,29 +32,27 @@ from repro.local.execution import current, resolve
 class TestEnvironmentParser:
     def test_defaults_when_unset_or_blank(self):
         assert Execution.from_env({}) == Execution()
-        assert Execution.from_env({"REPRO_SHARDS": "  "}) == Execution()
+        assert Execution.from_env({"REPRO_FUSE_LANES": "  "}) == Execution()
 
     def test_values_parse(self):
         execution = Execution.from_env({
-            "REPRO_BACKEND": "sharded",
+            "REPRO_BACKEND": "reference",
             "REPRO_RNG": "mt",
-            "REPRO_SHARDS": "3",
             "REPRO_FUSE_LANES": "8",
             "REPRO_BATCH": "No",
             "REPRO_ROUNDFUSE": "off",
         })
         assert execution == Execution(
-            backend="sharded", rng="mt", shards=3, lanes=8, batch=False,
+            backend="reference", rng="mt", lanes=8, batch=False,
             roundfuse=False,
         )
 
     @pytest.mark.parametrize("name,raw", [
-        ("REPRO_SHARDS", "0"),
-        ("REPRO_SHARDS", "abc"),
         ("REPRO_FUSE_LANES", "0"),
         ("REPRO_BATCH", "maybe"),
         ("REPRO_ROUNDFUSE", "2"),
         ("REPRO_BACKEND", "batch"),
+        ("REPRO_BACKEND", "sharded"),
         ("REPRO_RNG", "xorshift"),
     ])
     def test_malformed_values_name_the_variable(self, name, raw):
@@ -62,32 +60,45 @@ class TestEnvironmentParser:
             Execution.from_env({name: raw})
 
 
-
 class TestRemovedNames:
-    @pytest.mark.parametrize("backend", ("jit", "batch", "fused"))
+    @pytest.mark.parametrize("backend", ("jit", "batch", "fused", "sharded"))
     def test_removed_backends_rejected(self, small_gnp, backend):
-        with pytest.raises(ParameterError, match="compiled.*reference.*sharded"):
+        with pytest.raises(ParameterError,
+                           match=r"\('compiled', 'reference'\)"):
             run(small_gnp, luby_mis(), backend=backend)
 
     @pytest.mark.parametrize("entry", (
         "run", "use_backend", "open_session", "domain",
     ))
     def test_shard_channel_keyword_removed(self, small_gnp, entry):
-        calls = {
-            "run": lambda: run(small_gnp, luby_mis(), shards=2,
-                               shard_channel="inline"),
-            "use_backend": lambda: use_backend(
-                "sharded", shards=2, shard_channel="inline"
-            ).__enter__(),
-            "open_session": lambda: open_session(
-                small_gnp, shards=2, shard_channel="inline"
-            ),
-            "domain": lambda: PhysicalDomain(small_gnp).run_full(
-                luby_mis(), shards=2, shard_channel="inline"
-            ),
-        }
         with pytest.raises(TypeError, match="shard_channel"):
-            calls[entry]()
+            entry_point(small_gnp, entry, shard_channel="inline")
+
+    @pytest.mark.parametrize("entry", (
+        "run", "use_backend", "open_session", "domain", "run_many",
+    ))
+    def test_shards_keyword_removed(self, small_gnp, entry):
+        with pytest.raises(TypeError, match="shards"):
+            entry_point(small_gnp, entry, shards=2)
+
+    def test_shards_field_removed(self):
+        with pytest.raises(TypeError, match="shards"):
+            Execution(shards=2)
+        assert Execution.from_env({"REPRO_SHARDS": "3"}) == Execution()
+
+
+def entry_point(graph, entry, **removed):
+    """Call one public execution entry point with ``removed`` keywords."""
+    calls = {
+        "run": lambda: run(graph, luby_mis(), **removed),
+        "run_many": lambda: run_many([(graph, luby_mis())], **removed),
+        "use_backend": lambda: use_backend("compiled", **removed).__enter__(),
+        "open_session": lambda: open_session(graph, **removed),
+        "domain": lambda: PhysicalDomain(graph).run_full(
+            luby_mis(), **removed
+        ),
+    }
+    return calls[entry]()
 
 
 class TestResolution:
@@ -97,27 +108,39 @@ class TestResolution:
             assert resolve() is current()
             assert current().lanes == 4
 
-    def test_per_call_shards_select_the_sharded_engine(self):
-        execution = resolve(shards=3)
-        assert (execution.backend, execution.shards) == ("sharded", 3)
-        with pytest.raises(ParameterError, match="cannot take shards"):
-            resolve(backend="reference", shards=2)
-        with pytest.raises(ParameterError, match="shards must be >= 1"):
-            resolve(shards=0)
-
-    @pytest.mark.parametrize("name", ("shards", "lanes"))
-    @pytest.mark.parametrize("value", (2.7, 0.5, True, False, "2", None),
+    @pytest.mark.parametrize("name", ("lanes", "max_rounds"))
+    @pytest.mark.parametrize("value", (2.7, 0.5, True, False, "2", None, -1),
                              ids=("2.7", "0.5", "True", "False", "str",
-                                  "None"))
-    def test_counts_must_be_ints(self, name, value):
-        """Non-int counts raise showing the value as passed, instead of
-        being truncated (2.7 -> 2, True -> 1) or misreported (0.5 -> 0)."""
-        shown = re.escape(f"{name} must be an int, got {value!r}")
-        with pytest.raises(ParameterError, match=shown):
-            Execution(**{name: value})
-        if value is not None:  # None means "no override" to resolve
-            with pytest.raises(ParameterError, match=shown):
-                resolve(**{name: value})
+                                  "None", "-1"))
+    def test_counts_must_be_ints(self, small_gnp, name, value):
+        """Bad counts raise showing the value as passed, instead of being
+        truncated (2.7 -> 2, True -> 1), misreported (0.5 -> 0) or
+        reported back as a negative round count."""
+        if isinstance(value, int) and not isinstance(value, bool):
+            floor = 0 if name == "max_rounds" else 1
+            shown = f"{name} must be >= {floor}, got {value!r}"
+        else:
+            shown = f"{name} must be an int, got {value!r}"
+        if name == "lanes":
+            calls = [lambda: Execution(lanes=value)]
+            if value is not None:  # None means "no override" to resolve
+                calls.append(lambda: resolve(lanes=value))
+        else:
+            if value is None:  # no cap given: truncation has none to cut at
+                shown = "truncation requires an explicit max_rounds"
+            calls = [
+                lambda: run(small_gnp, luby_mis(), max_rounds=value,
+                            truncate=True, default_output=0),
+                lambda: run_many([(small_gnp, luby_mis())],
+                                 max_rounds=value, truncate=True),
+            ]
+            if value is not None:
+                calls.append(
+                    lambda: run(small_gnp, luby_mis(), max_rounds=value)
+                )
+        for call in calls:
+            with pytest.raises(ParameterError, match=re.escape(shown)):
+                call()
 
     def test_rng_mode_follows_the_backend_unless_pinned(self):
         assert resolve(backend="reference").rng_mode == "mt"
@@ -136,8 +159,7 @@ class TestResolution:
     def test_lanes_on_any_compiled_scope(self, small_gnp):
         jobs = [(small_gnp, luby_mis(), {"seed": s}) for s in range(3)]
         plain = run_many(jobs)
-        for backend in ("compiled", "sharded"):
-            with use_backend(backend, lanes=2):
-                assert current().lanes == 2
-                chunked = run_many(jobs)
-            assert [r.outputs for r in chunked] == [r.outputs for r in plain]
+        with use_backend("compiled", lanes=2):
+            assert current().lanes == 2
+            chunked = run_many(jobs)
+        assert [r.outputs for r in chunked] == [r.outputs for r in plain]

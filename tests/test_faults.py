@@ -1,22 +1,20 @@
-"""Deterministic fault injection + resilient shard execution (D14).
+"""Deterministic fault injection (D14).
 
 Contract under test: an injected run is a pure function of
 ``(graph, algorithm, seed, plan)`` and bit-identical across every
-backend — the reference loop, the compiled per-node loop, the batched
-kernels (per-round fault masks) and the sharded engine on every shard
-count.  Plus eager validation of fault plans and profiles.
+backend — the reference loop, the compiled per-node loop and the
+batched kernels (per-round fault masks).  Plus eager validation of
+fault plans and profiles.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 from repro.algorithms.fast_mis import fast_mis
 from repro.algorithms.hash_luby import hash_luby_mis
 from repro.algorithms.luby import luby_mc, luby_mis
-from repro.errors import NonTerminationError, ParameterError, ResilienceWarning
+from repro.errors import NonTerminationError, ParameterError
 from repro.local import (
     GARBLED,
     Broadcast,
@@ -67,14 +65,13 @@ class TestBitIdentity:
         compiled = run(small_gnp, luby_mis(), seed=5, rng="counter",
                        backend="compiled", faults=plan)
         assert_results_equal(base, compiled, context="compiled")
-        for k in (1, 2, 3):
-            for batching in (True, False):
-                with use_batch(batching):
-                    got = run(
-                        small_gnp, luby_mis(), seed=5, rng="counter",
-                        backend="sharded", shards=k, faults=plan,
-                    )
-                assert_results_equal(base, got, context=(k, batching))
+        for batching in (True, False):
+            with use_batch(batching):
+                got = run(
+                    small_gnp, luby_mis(), seed=5, rng="counter",
+                    backend="compiled", faults=plan,
+                )
+            assert_results_equal(base, got, context=batching)
 
     @pytest.mark.parametrize("make", (luby_mc, hash_luby_mis))
     def test_certified_kernels_bit_identical(self, small_gnp, make):
@@ -87,11 +84,6 @@ class TestBitIdentity:
                       guesses=guesses, backend="compiled", faults=plan)
         assert last_stepping() == "batch"  # kernel certified for faults
         assert_results_equal(base, batched, context="batch")
-        algorithm = make()
-        shard = run(small_gnp, algorithm, seed=3, rng="counter",
-                    guesses=guesses, backend="sharded", shards=2,
-                    faults=plan)
-        assert_results_equal(base, shard, context="sharded")
 
     @pytest.mark.skipif(numpy_or_none() is None, reason="needs numpy")
     def test_scalar_and_vector_views_agree(self, small_gnp):
@@ -202,10 +194,6 @@ class TestFaultSemantics:
                        guesses=guesses, faults=plan)
         assert last_stepping() == "per-node"
         assert_results_equal(base, compiled, context="fallback")
-        shard = run(small_gnp, fast_mis(), seed=4, rng="counter",
-                    guesses=guesses, shards=2, faults=plan)
-        assert last_stepping() == "shard-per-node"
-        assert_results_equal(base, shard, context="shard fallback")
 
     def test_ambient_plan_and_diagnostics(self, small_gnp):
         plan = mixed_plan(small_gnp)
@@ -241,32 +229,8 @@ class TestFaultSemantics:
 
 
 # ---------------------------------------------------------------------------
-# real exceptions and eager validation
+# eager validation
 # ---------------------------------------------------------------------------
-
-class _BoomWorker(NodeProcess):
-    """Raises an algorithm error on its first receive."""
-
-    __slots__ = ()
-
-    def start(self):
-        return Broadcast(("hi",))
-
-    def receive(self, inbox):
-        raise ValueError("algorithm bug")
-
-
-class TestResilienceLadder:
-    """Sharded runs have no retry ladder: a shard's bug is the run's bug."""
-
-    def test_real_worker_exceptions_do_not_retry(self, small_gnp):
-        """A shard's own exception surfaces as-is: no retry, no warning."""
-        algo = LocalAlgorithm(name="boom", process=_BoomWorker)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResilienceWarning)
-            with pytest.raises(ValueError, match="algorithm bug"):
-                run(small_gnp, algo, seed=1, backend="sharded", shards=2)
-
 
 class TestEagerValidation:
     @pytest.mark.parametrize("bad", (-0.1, 1.0000001, float("nan")))
@@ -305,18 +269,9 @@ class TestEagerValidation:
 
 
 class TestNonTerminationDiagnostics:
-    def test_per_shard_unfinished_counts(self, small_gnp):
-        for batching in (True, False):
-            with use_batch(batching):
-                with pytest.raises(NonTerminationError) as excinfo:
-                    run(small_gnp, luby_mis(), seed=2, rng="counter",
-                        max_rounds=1, shards=3)
-            message = str(excinfo.value)
-            assert "(shard 0:" in message, batching
-            counts = excinfo.value.shard_counts
-            assert sum(counts.values()) == len(excinfo.value.unfinished)
-
     def test_unsharded_message_unchanged(self, small_gnp):
         with pytest.raises(NonTerminationError) as excinfo:
             run(small_gnp, luby_mis(), seed=2, rng="counter", max_rounds=1)
-        assert "shard" not in str(excinfo.value)
+        message = str(excinfo.value)
+        assert message.endswith("node(s) unfinished")
+        assert "shard" not in message

@@ -245,18 +245,6 @@ class TestFallbackLadder:
         assert tracked.rounds == fused.rounds
         assert tracked.messages == fused.messages
 
-    def test_sharded_execution_falls_through(self, small_gnp):
-        """The sharded loop exposes neither fused seam — per-round,
-        same bits."""
-        with use_roundfuse(True):
-            fused = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                        backend="compiled")
-            assert last_stepping() == "rf"
-            sharded = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                          shards=2)
-            assert last_stepping() != "rf"
-        assert_results_equal(fused, sharded, context="sharded")
-
     def test_drive_declines_stepped_kernel(self, small_gnp):
         """Only fresh kernels fuse — a replayed round 0 would corrupt."""
         bg = batch_graph_of(small_gnp.compiled())

@@ -4,8 +4,8 @@ Contract under test: for every delta sequence, a session's
 ``.rerun()`` on its incrementally-patched graph is **bit-identical** to
 a cold ``run()`` on a graph rebuilt from scratch — outputs, rounds,
 message counts, truncation and backend attribution — on every stack
-(reference / compiled / the session's own record / sharded(k) / fused
-lanes), under both rng schemes.  Scripts are generated by the seeded, shrinkable
+(reference / compiled / the session's own record / fused lanes), under
+both rng schemes.  Scripts are generated by the seeded, shrinkable
 ``DeltaScript`` machinery in ``conftest.py``: on divergence the harness
 bisects to the minimal failing prefix and prints it, so a red run is a
 small reproduction, not a 20-op haystack.
@@ -51,22 +51,21 @@ def build(graph, *, seed=0):
 
 
 # ----------------------------------------------------------------------
-# The differential matrix: counter/mt rng × k∈{1,2,3} shards × fused
-# lanes, every rerun diffed against a from-scratch rebuild oracle.
+# The differential matrix: counter/mt rng × three script blocks × every
+# stack, every rerun diffed against a from-scratch rebuild oracle.
 # ----------------------------------------------------------------------
-MATRIX = [(rng, k) for rng in ("counter", "mt") for k in (1, 2, 3)]
+MATRIX = [(rng, block) for rng in ("counter", "mt") for block in (1, 2, 3)]
 
 #: Volume accounting for the acceptance floor (≥200 compared cases).
 VOLUME = {"cases": 0, "params": set()}
 
 
-def specs_for(k):
+def rerun_specs():
     """One rerun spec per stack; the session's own record (batched
     stepping) and fused lanes only when numpy exists."""
     specs = [
         {"backend": "reference"},
         {"backend": "compiled"},
-        {"backend": "sharded", "shards": k},
     ]
     if numpy_or_none() is not None:
         specs.append({})
@@ -126,21 +125,21 @@ def make_executor(harness, rng):
     return execute
 
 
-@pytest.mark.parametrize("rng,k", MATRIX)
-def test_differential_delta_scripts(delta_harness, rng, k):
+@pytest.mark.parametrize("rng,block", MATRIX)
+def test_differential_delta_scripts(delta_harness, rng, block):
     execute = make_executor(delta_harness, rng)
-    specs = specs_for(k)
+    specs = rerun_specs()
     cases = 0
     for seed in (7, 8, 9):
         script = delta_harness.make_script(
-            1000 * k + seed, steps=12, rerun_specs=specs
+            1000 * block + seed, steps=12, rerun_specs=specs
         )
         try:
             cases += execute(script)
         except AssertionError:
             delta_harness.shrink(script, execute)
     VOLUME["cases"] += cases
-    VOLUME["params"].add((rng, k))
+    VOLUME["params"].add((rng, block))
     assert cases >= 30  # every matrix cell carries real volume
 
 
@@ -316,16 +315,15 @@ class TestSessionLifecycle:
             assert_results_equal(base, ref, context="pin override")
 
     def test_scope_installs_every_pin(self, small_gnp):
-        """Regression: ``.scope()`` used to drop ``shards`` unless
-        ``backend="sharded"`` was pinned, and
-        ``lanes`` unless the (former) fused backend was."""
-        with open_session(small_gnp, shards=2) as s:
+        """Regression: ``.scope()`` used to drop ``lanes`` unless the
+        (former) fused backend was pinned."""
+        with open_session(small_gnp, backend="reference", rng="counter") as s:
             s.rerun(luby_mis(), seed=4)
-            assert last_stepping().startswith("shard-")
+            assert last_stepping() == "reference"
             with s.scope():
                 run(small_gnp, luby_mis(), seed=4)
-                assert last_stepping().startswith("shard-")
-                assert current().shards == 2
+                assert last_stepping() == "reference"
+                assert current().rng == "counter"
         with open_session(small_gnp, lanes=4) as s:
             with s.scope():
                 assert current().lanes == 4
