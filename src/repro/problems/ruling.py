@@ -53,13 +53,19 @@ class RulingSetProblem(Problem):
                             f"rulers at distance {dist} < α={self.alpha}",
                         )
                     )
+        # Domination: one BFS from all rulers at once, cut off at β.
+        reached = set(rulers)
+        frontier = list(rulers)
+        for _ in range(self.beta):
+            next_frontier = []
+            for u in frontier:
+                for v in graph.neighbors(u):
+                    if v not in reached:
+                        reached.add(v)
+                        next_frontier.append(v)
+            frontier = next_frontier
         for u in graph.nodes:
-            if u in rulers:
-                continue
-            close = any(
-                v in rulers for v, _ in _bfs_within(graph, u, self.beta)
-            )
-            if not close:
+            if u not in reached:
                 found.append(
                     Violation(u, f"no ruler within distance β={self.beta}")
                 )

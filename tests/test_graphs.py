@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +135,69 @@ class TestArboricityMachinery:
         whole = density_arboricity(graph)
         sub = graph.subgraph(list(graph.nodes())[:15])
         assert density_arboricity(sub) <= whole
+
+    # density_arboricity brackets ⌈ρ*⌉ with integer bounds and only runs
+    # Goldberg's flow test inside the bracket; max_density bisects the
+    # exact Fraction.  They must agree everywhere.
+    @staticmethod
+    def seeded_graphs():
+        return [
+            families.random_tree(60, seed=3),
+            families.forest_union(40, 2, seed=1),
+            families.forest_union(40, 3, seed=2),
+            families.gnp(30, 0.25, seed=4),
+            families.gnp(40, 0.1, seed=5),
+            families.grid(6, 7),
+            families.random_regular(30, 3, seed=6),
+            families.random_regular(24, 6, seed=7),
+            nx.disjoint_union(nx.complete_graph(6), nx.path_graph(30)),
+            families.star_with_noise(30, 15, seed=8),
+        ]
+
+    def test_ceiling_matches_max_density(self):
+        atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() <= 6]
+        assert len(atlas) == 209
+        for graph in atlas + self.seeded_graphs():
+            density = max_density(graph)
+            expected = max(1, -(-density.numerator // density.denominator))
+            assert density_arboricity(graph) == expected, sorted(graph.edges())
+
+    def test_flow_count_stays_inside_the_bracket(self, monkeypatch):
+        from repro.graphs import params
+
+        flows = []
+        real = params._beats
+
+        def counting(graph, num, den):
+            flows.append((num, den))
+            return real(graph, num, den)
+
+        monkeypatch.setattr(params, "_beats", counting)
+
+        closed = [
+            families.random_tree(200, seed=1),
+            families.path(30),
+            families.cycle(31),
+            families.random_regular(40, 3, seed=2),
+            families.random_regular(40, 4, seed=3),
+        ]
+        for graph in closed:
+            flows.clear()
+            density_arboricity(graph)
+            assert flows == []
+
+        total = 0
+        for graph in closed + self.seeded_graphs():
+            flows.clear()
+            density_arboricity(graph)
+            n, m = graph.number_of_nodes(), graph.number_of_edges()
+            lo, hi = -(-m // n), degeneracy(graph)
+            assert len(flows) <= math.ceil(math.log2(hi - lo + 1))
+            assert all(den == 1 for _, den in flows)
+            total += len(flows)
+        # The forest unions and the denser gnp leave the bracket open, so
+        # the wrapper really sits on the path that runs flows.
+        assert total > 0
 
 
 class TestGraphParameters:

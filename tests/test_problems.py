@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import networkx as nx
 import pytest
 
@@ -87,6 +90,100 @@ class TestRulingSetVerifier:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ruling_set(0, 1)
+
+
+def reference_ruling_violations(alpha, beta, graph, outputs):
+    """The per-node verifier: one bounded BFS from every node."""
+
+    def within(source, limit):
+        seen = {source: 0}
+        queue = deque([source])
+        reached = []
+        while queue:
+            u = queue.popleft()
+            if seen[u] == limit:
+                continue
+            for v in graph.neighbors(u):
+                if v not in seen:
+                    seen[v] = seen[u] + 1
+                    reached.append((v, seen[v]))
+                    queue.append(v)
+        return reached
+
+    rulers = {u for u in graph.nodes if outputs[u] == 1}
+    found = []
+    for u in rulers:
+        for v, dist in within(u, alpha - 1):
+            if v in rulers and graph.ident[u] < graph.ident[v]:
+                found.append(((u, v), f"rulers at distance {dist} < α={alpha}"))
+    for u in graph.nodes:
+        if u not in rulers and not any(v in rulers for v, _ in within(u, beta)):
+            found.append((u, f"no ruler within distance β={beta}"))
+    return found
+
+
+def listed(violations):
+    return [(v.where, v.reason) for v in violations]
+
+
+def corrupted(graph, solution, seed):
+    """``solution`` with a few rulers cleared and a few non-rulers added."""
+    rng = random.Random(seed)
+    outputs = dict(solution)
+    rulers = [u for u in graph.nodes if outputs[u] == 1]
+    for u in rng.sample(rulers, max(1, len(rulers) // 4)):
+        outputs[u] = 0
+    for u in rng.sample(list(graph.nodes), 3):
+        outputs[u] = 1
+    return outputs
+
+
+class TestRulingDomination:
+    def test_path_boundary(self):
+        graph = sim(nx.path_graph(6))
+        solution = {u: int(u == 0) for u in graph.nodes}
+        problem = ruling_set(2, 3)
+        assert listed(problem.violations(graph, {}, solution)) == [
+            (4, "no ruler within distance β=3"),
+            (5, "no ruler within distance β=3"),
+        ]
+        assert ruling_set(2, 5).is_solution(graph, {}, solution)
+
+    def test_rulers_at_both_ends(self):
+        graph = sim(nx.path_graph(9))
+        solution = {u: int(u in (0, 8)) for u in graph.nodes}
+        assert ruling_set(2, 4).is_solution(graph, {}, solution)
+        assert listed(ruling_set(2, 3).violations(graph, {}, solution)) == [
+            (4, "no ruler within distance β=3")
+        ]
+
+    def test_other_component_is_undominated(self):
+        graph = sim(nx.disjoint_union(nx.path_graph(3), nx.cycle_graph(4)))
+        solution = {u: int(u == 1) for u in graph.nodes}
+        found = listed(ruling_set(2, 10).violations(graph, {}, solution))
+        assert [where for where, _ in found] == [3, 4, 5, 6]
+
+    def test_empty_ruler_set_reports_every_node(self, g):
+        solution = {u: 0 for u in g.nodes}
+        found = ruling_set(3, 2).violations(g, {}, solution)
+        assert [v.where for v in found] == list(g.nodes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("alpha,beta", [(2, 1), (2, 2), (3, 2), (2, 4)])
+    def test_matches_per_node_reference(self, seed, alpha, beta):
+        graph = sim(nx.gnp_random_graph(60, 0.06, seed=seed))
+        outputs = corrupted(graph, greedy_mis(graph), seed)
+        got = listed(ruling_set(alpha, beta).violations(graph, {}, outputs))
+        assert got == reference_ruling_violations(alpha, beta, graph, outputs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_one_ruling_is_mis(self, seed):
+        graph = sim(nx.gnp_random_graph(50, 0.08, seed=seed))
+        clean = greedy_mis(graph)
+        for outputs in (clean, corrupted(graph, clean, seed)):
+            assert ruling_set(2, 1).is_solution(graph, {}, outputs) == (
+                MIS.is_solution(graph, {}, outputs)
+            )
 
 
 class TestColoringVerifier:
