@@ -732,7 +732,8 @@ def check_bit_identity(n=120):
 
     Covers the three stepping strategies — the
     ``batch ≡ compiled ≡ reference`` contract — plus fused lanes,
-    round-fused drives, whole alternations and live sessions.
+    round-fused drives, whole alternations (the matching row's on the
+    line-graph virtual domain among them) and live sessions.
     """
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=8), seed=8)
     guesses = {"m": graph.max_ident, "Delta": graph.max_degree}
@@ -834,6 +835,32 @@ def check_bit_identity(n=120):
     first = alternations[0]
     for other in alternations[1:]:
         if first.outputs != other.outputs or first.rounds != other.rounds:
+            return False
+    # Virtual-domain identity: the matching row's uniform run drives
+    # fast MIS on the line graph (array-built spec, lazy routing plans)
+    # through the batched virtual driver or the host processes; every
+    # strategy must agree under both rng schemes.  Its budgets leave
+    # the host commit replay and the per-host draws unobservable, so
+    # truncated Luby runs on the same line graph cover those.
+    spec = line_graph_spec(graph)
+    for rng in ("counter", "mt"):
+        matchings = []
+        truncated = []
+        for backend in BACKENDS:
+            base = "reference" if backend == "reference" else "compiled"
+            with use_backend(base, rng=rng), use_batch(backend == "batch"):
+                _, _, uniform = TABLE1["matching"].build()
+                matchings.append(uniform.run(graph, seed=3))
+                domain = VirtualDomain(graph, spec)
+                truncated.append([
+                    domain.run_restricted(luby_mis(), budget, seed=3)
+                    for budget in (2, 4, 8)
+                ])
+        first = matchings[0]
+        for other in matchings[1:]:
+            if first.outputs != other.outputs or first.rounds != other.rounds:
+                return False
+        if truncated[1:] != truncated[:1] * (len(truncated) - 1):
             return False
     # Live-session identity (D18): a mutate-then-rerun on a long-lived
     # session must equal a cold run on a from-scratch rebuild of the

@@ -8,7 +8,10 @@ numpy powers the batched frontier-step kernels (DESIGN.md D10).  It is
 a declared dependency, but the runtime degrades gracefully without it:
 `repro.local.batch` guards the import and every execution path falls
 back to per-node stepping, so an environment that cannot install numpy
-still runs the full pipeline (asserted by tests/test_batch_kernels.py).
+still runs the pipeline (asserted by tests/test_batch_kernels.py) —
+except the line-graph rows (matching, edge coloring), whose line graph
+is built as arrays and raises ParameterError naming numpy without it
+(DESIGN.md D23).
 """
 
 from setuptools import find_packages, setup

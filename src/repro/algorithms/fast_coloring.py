@@ -83,9 +83,10 @@ class FastColoringProcess(NodeProcess):
         return None
 
 
-#: Batch-kernel safety bounds: the Linial point matrix is ``n × q`` and
-#: the KW taken matrix ``n × (Δ̃+1)``; configurations beyond these fall
-#: back to per-node stepping rather than allocate absurd scratch.
+#: Batch-kernel safety bounds: a Linial step scans up to ``q`` point
+#: columns of length ``n`` and the KW taken matrix is ``n × (Δ̃+1)``;
+#: configurations beyond these fall back to per-node stepping rather
+#: than allocate absurd scratch.
 _BATCH_Q_LIMIT = 2048
 _BATCH_DELTA_LIMIT = 4096
 #: Colors must fit comfortably in int64 for the vectorized KW phase
@@ -103,9 +104,10 @@ class ColoringBatchKernel:
     round is a handful of numpy operations over the CSR slab:
 
     * rounds ``1..L`` — Linial reductions: digit-decompose the colors,
-      evaluate every node's polynomial at all of ``F_q`` (one Horner
-      sweep over an ``n × q`` matrix), cover-check against rival
-      neighbours through a per-row OR over the edge slab;
+      then scan the points of ``F_q`` in order, evaluating every node's
+      polynomial at point ``x`` (one Horner pass) only when the scan
+      reaches it, and cover-check against rival neighbours through a
+      per-row OR over the edge slab — the scan usually ends at ``x ≈ 0``;
     * rounds ``L+1..L+K`` — KW halving: the announcer set of a round is
       ``rank == phase_round``, announcements scatter into per-node
       ``taken`` rows, chosen values are per-row first-free scans.
@@ -283,12 +285,16 @@ class ColoringBatchKernel:
                     for j in range(d + 1):
                         digits[i, j] = value % q
                         value //= q
-        # P[u, x] = p_u(x) over F_q for every evaluation point at once
-        # (values < q ≤ 2048, so int32 holds the Horner intermediates).
-        xs = np.arange(q, dtype=np.int32)
-        points = np.zeros((n, q), dtype=np.int32)
-        for j in range(d, -1, -1):
-            points = (points * xs + digits[:, j : j + 1]) % q
+
+        def column(x):
+            # p_u(x) over F_q for every node u: one Horner pass (values
+            # < q ≤ 2048, so int32 holds the intermediates).  Columns are
+            # evaluated only when the scan reaches them.
+            col = np.zeros(n, dtype=np.int32)
+            for j in range(d, -1, -1):
+                col = (col * x + digits[:, j]) % q
+            return col
+
         # Rivals: neighbours with a different reduced color (digit rows
         # uniquely encode values below the space).
         rival = np.flatnonzero(~(digits[bg.owner] == digits[bg.neigh]).all(axis=1))
@@ -301,7 +307,7 @@ class ColoringBatchKernel:
         r_own = bg.owner[rival]
         r_nb = bg.neigh[rival]
         for x in range(q):
-            col = points[:, x]
+            col = column(x)
             hits = r_own[(col[r_nb] == col[r_own]) & searching[r_own]]
             covered = batch.row_flags(hits, n)
             settled = searching & ~covered
@@ -318,7 +324,7 @@ class ColoringBatchKernel:
         idx = np.flatnonzero(searching)
         if len(idx):
             # Every point covered: the scalar fallback is p(0).
-            new_colors[idx] = points[idx, 0]
+            new_colors[idx] = column(0)[idx]
         # Reduced colors always fit machine words (< q² + q), so even a
         # big-integer start promotes to the int64 array after one step.
         self.colors = new_colors

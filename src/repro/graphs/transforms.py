@@ -19,7 +19,8 @@ polynomial in the physical one (assumption D8).
 
 from __future__ import annotations
 
-from ..errors import InvalidInstanceError
+from ..errors import InvalidInstanceError, ParameterError
+from ..local.batch import BatchGraph, numpy_or_none
 from ..local.virtual import VirtualSpec
 
 
@@ -80,35 +81,145 @@ def coloring_from_mis(graph, spec, mis_outputs):
 def line_graph_spec(graph):
     """The line graph ``L(G)`` as a virtual-node specification.
 
-    Virtual node per physical edge, hosted at the endpoint with the
-    smaller identity; two edge-nodes are adjacent iff the edges share an
-    endpoint.  Some virtual edges need a two-hop relay (hosts ``u`` and
-    ``w`` of edges ``(u,v)``, ``(v,w)`` may be non-adjacent), so the
-    dilation is 2 in general.
+    Virtual node per physical edge ``(u, v)``, labelled with the endpoint
+    of smaller identity first and hosted there; two edge-nodes are
+    adjacent iff the edges share an endpoint.  Some virtual edges need a
+    two-hop relay (hosts ``u`` and ``w`` of edges ``(u,v)``, ``(w,v)``
+    may be non-adjacent), so the dilation is 2 in general.
 
     Virtual identities: ``ident(u) * (M + 2) + ident(v)`` for the edge
-    ``(u, v)`` with ``ident(u) < ident(v)``.
+    ``(u, v)`` with ``ident(u) < ident(v)`` and ``M`` the largest
+    physical identity.
+
+    Port order: the row of ``(u, v)`` lists the other edges at ``u``,
+    then the other edges at ``v``, each group in virtual-identity order.
+    A relayed pair of hosts routes through its common neighbour of
+    smallest identity.
+
+    Built as arrays over the physical CSR, and the spec carries its own
+    ``BatchGraph``.  The host-process routing plans (``send_plan``,
+    ``forward_plan``, ``recv_port``, ``routes``) are built on first
+    access: the batched virtual driver never reads them.
+
+    Requires numpy (DESIGN.md D23): without it this raises
+    :class:`~repro.errors.ParameterError` naming numpy.
     """
+    np = numpy_or_none()
+    if np is None:
+        raise ParameterError("line_graph_spec requires numpy")
+    cg = graph.compiled()
+    n = cg.n
+    labels = cg.labels
+    idents = cg.idents
+    offsets = np.asarray(cg.offsets, dtype=np.int64)
+    neigh = np.asarray(cg.neigh, dtype=np.int64)
+    degrees = np.diff(offsets)
+    owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    # Edges (a, b), a < b, in slab order: lexicographic in CSR index,
+    # which is identity order, so edge ids are virtual-identity order.
+    upper = neigh > owner
+    ea = owner[upper]
+    eb = neigh[upper]
+    m = len(ea)
+    if m == 0:
+        return VirtualSpec._assemble(graph, {}, {}, {}, {}, 1, {})
+    # Edge id of every slab slot; a lower slot takes its twin's id.
+    eid = np.empty(len(neigh), dtype=np.int64)
+    eid[upper] = np.arange(m)
+    lower = ~upper
+    rev = np.asarray(cg.rev, dtype=np.int64)
+    eid[lower] = eid[offsets[neigh[lower]] + rev[lower]]
+    # A CSR row lists a node's edges in virtual-identity order, so the
+    # row of (a, b) is row(a) then row(b), minus (a, b) itself.
+    seg_start = np.column_stack((offsets[ea], offsets[eb])).ravel()
+    seg_len = np.column_stack((degrees[ea], degrees[eb])).ravel()
+    seg_begin = np.cumsum(seg_len) - seg_len
+    slots = np.repeat(seg_start - seg_begin, seg_len) + np.arange(
+        int(seg_len.sum())
+    )
+    members = eid[slots]
+    vdeg = degrees[ea] + degrees[eb]
+    vneigh = members[members != np.repeat(np.arange(m), vdeg)]
+    voffsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(vdeg - 2, out=voffsets[1:])
+
+    dilation, relay_client_ports = _line_graph_relays(
+        np, n, labels, offsets, neigh, owner, ea * n + eb
+    )
+
+    ea_list = ea.tolist()
+    eb_list = eb.tolist()
     big = graph.max_ident + 2
-    host = {}
-    ident = {}
-    adj = {}
-    incident = {u: [] for u in graph.nodes}
-    for u, v in graph.edges():
-        iu, iv = graph.ident[u], graph.ident[v]
-        virt = (u, v) if iu < iv else (v, u)
-        host[virt] = virt[0]
-        ident[virt] = graph.ident[virt[0]] * big + graph.ident[virt[1]]
-        adj[virt] = []
-        incident[u].append(virt)
-        incident[v].append(virt)
-    for u in graph.nodes:
-        edges_here = sorted(incident[u], key=lambda e: ident[e])
-        for i, e in enumerate(edges_here):
-            for f in edges_here[i + 1 :]:
-                adj[e].append(f)
-                adj[f].append(e)
-    return VirtualSpec(host, ident, adj, graph)
+    vlabels = [(labels[a], labels[b]) for a, b in zip(ea_list, eb_list)]
+    vidents = [idents[a] * big + idents[b] for a, b in zip(ea_list, eb_list)]
+    bounds = voffsets.tolist()
+    flat = [vlabels[j] for j in vneigh.tolist()]
+    adj = {
+        virt: tuple(flat[bounds[i] : bounds[i + 1]])
+        for i, virt in enumerate(vlabels)
+    }
+    host = {virt: virt[0] for virt in vlabels}
+    hosted = {}
+    starts = np.flatnonzero(np.diff(ea, prepend=-1)).tolist() + [m]
+    for lo, hi in zip(starts, starts[1:]):
+        hosted[vlabels[lo][0]] = vlabels[lo:hi]
+    return VirtualSpec._assemble(
+        graph,
+        host,
+        dict(zip(vlabels, vidents)),
+        adj,
+        hosted,
+        dilation,
+        relay_client_ports,
+        batch=BatchGraph(vlabels, vidents, voffsets, vneigh),
+    )
+
+
+def _line_graph_relays(np, n, labels, offsets, neigh, owner, edge_keys):
+    """Dilation and relay client ports of ``L(G)``, from 2-path arrays.
+
+    Edges ``(p, x)`` and ``(q, x)`` with ``x`` above both hosts are
+    hosted at ``p`` and ``q``; when ``p`` and ``q`` are not adjacent the
+    pair relays through its common neighbour of smallest identity.  The
+    2-paths ``p - r - q`` (``p < q``) are enumerated in ``r`` order, so
+    the first path per host pair names its relay.
+
+    The same rule picks the relay in
+    :meth:`repro.local.virtual.VirtualSpec._build_routes`, which builds
+    the host-process plans of this spec on first access; the two must
+    agree, and the oracle tests in ``tests/test_virtual.py`` compare
+    both.
+    """
+    slot = np.arange(len(neigh), dtype=np.int64)
+    tail = offsets[owner + 1] - slot - 1
+    first = np.repeat(slot, tail)
+    second = first + 1 + (
+        np.arange(len(first), dtype=np.int64)
+        - np.repeat(np.cumsum(tail) - tail, tail)
+    )
+    r = owner[first]
+    keys = neigh[first] * n + neigh[second]
+    at = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+    apart = edge_keys[at] != keys
+    first, second, r, keys = first[apart], second[apart], r[apart], keys[apart]
+    _, lead, pair = np.unique(keys, return_index=True, return_inverse=True)
+    # Pairs some 2-path through a node above both hosts makes relayed.
+    relayed = np.zeros(len(lead), dtype=bool)
+    relayed[pair[r > neigh[second]]] = True
+    lead = lead[relayed]
+    if not len(lead):
+        return 1, {}
+    relays = np.concatenate((r[lead], r[lead]))
+    ports = np.concatenate((first[lead], second[lead])) - offsets[relays]
+    stride = len(neigh)
+    relays, ports = np.divmod(np.unique(relays * stride + ports), stride)
+    starts = np.flatnonzero(np.diff(relays, prepend=-1)).tolist()
+    bounds = starts + [len(ports)]
+    relays, ports = relays.tolist(), ports.tolist()
+    return 2, {
+        labels[relays[lo]]: frozenset(ports[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    }
 
 
 def edge_of_virt(virt):

@@ -178,7 +178,8 @@ def batch_graph_of_spec(spec):
     """The cached :class:`BatchGraph` of a virtual graph (identity order).
 
     Cached on the spec, mirroring ``batch_graph_of``'s per-CSR cache: a
-    step's guess run and pruner run share one mirror.
+    step's guess run and pruner run share one mirror.  Array-built specs
+    arrive with theirs; dict-built ones get it from their dicts here.
     """
     bg = spec._batch
     if bg is not None:

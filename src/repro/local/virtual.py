@@ -15,8 +15,20 @@ to a path of length ≤ 2 in ``G`` (internal to a host, a physical edge, or
 a two-hop route through a shared physical neighbour).  One virtual round
 therefore costs ``dilation`` ∈ {1, 2} physical rounds.  The paper notes
 such derived graphs "can be constructed by a local algorithm without
-using any global parameter"; we precompute the mapping host-side, which
-stands in for that constant-round construction.
+using any global parameter"; we compute the mapping centrally, which
+stands in for that constant-round construction.  What is computed, and
+when, depends on who reads it: hosting, identities, virtual ports, the
+dilation and each relay's client ports are built with the spec, because
+the batched virtual driver reads them; the host-process routing plans
+(``send_plan``, ``forward_plan``, ``recv_port``, ``routes``) are built
+eagerly by the validating dict constructor, but only on first access in
+an array-built spec (:func:`repro.graphs.line_graph_spec`), since only
+the host-process engines and :meth:`VirtualSpec.restricted` read them.
+
+Port-order contract: virtual ports follow the order of ``adj[v]``.  Any
+builder must produce the order a spec is tested against — for the line
+graph, the other edges at the lower-identity endpoint, then those at the
+higher one, each in virtual-identity order.
 
 Termination: a physical node may serve as a *relay* for virtual edges
 between other hosts, so it cannot stop when its own virtual nodes finish.
@@ -39,10 +51,11 @@ are bit-identical (asserted by the equivalence suite).
 
 Incremental restriction: :meth:`VirtualSpec.restricted` produces the spec
 induced on surviving virtual nodes in O(Σ surviving old-degree) by
-filtering the already-computed routing plans — the physical graph is
-unchanged by virtual pruning, so surviving pairs keep their routes and
-nothing is re-derived.  ``VirtualSpec(host, ident, adj, physical)`` (the
-full rebuild) remains the specification path it is tested against.
+filtering the parent's routing plans (building them first if they are
+still lazy) — the physical graph is unchanged by virtual pruning, so
+surviving pairs keep their routes and nothing is re-derived.
+``VirtualSpec(host, ident, adj, physical)`` (the full rebuild) remains
+the specification path it is tested against.
 """
 
 from __future__ import annotations
@@ -71,12 +84,22 @@ class VirtualSpec:
     adj:
         Mapping virtual node -> tuple of neighbour virtual nodes (virtual
         ports follow this order).
+    hosted:
+        Mapping physical node -> list of its virtual nodes, identity
+        order (only hosts with at least one virtual node appear).
     dilation:
         Physical rounds per virtual round (1 without relays, else 2).
-    routes:
-        Mapping virtual node -> tuple, one entry per virtual port, of
-        ``(neighbour, reverse_port, plan)`` — the pre-resolved dispatch
-        table the host processes iterate.
+    relay_client_ports:
+        Mapping relay -> frozenset of the relay's ports towards the hosts
+        whose traffic routes through it.
+    physical:
+        The physical :class:`~repro.local.graph.SimGraph` the spec routes
+        over.
+    recv_port, send_plan, forward_plan, routes:
+        The host-process routing plans (see :meth:`_build_routes`).  The
+        dict constructor builds them eagerly, validating the instance;
+        array-built specs build them on first access, since only the
+        host-process engines and :meth:`restricted` read them.
     """
 
     __slots__ = (
@@ -85,10 +108,11 @@ class VirtualSpec:
         "adj",
         "dilation",
         "hosted",
-        "send_plan",
-        "forward_plan",
-        "recv_port",
         "relay_client_ports",
+        "physical",
+        "_recv_port",
+        "_send_plan",
+        "_forward_plan",
         "_routes",
         "_batch",
     )
@@ -104,37 +128,102 @@ class VirtualSpec:
             self.hosted.setdefault(p, []).append(virt)
         for p in self.hosted:
             self.hosted[p].sort(key=lambda v: self.ident[v])
-        self.recv_port = {}
-        for virt, neighbours in self.adj.items():
-            for port, other in enumerate(neighbours):
-                self.recv_port[(other, virt)] = port
-        self._build_routes(physical_graph)
+        self.physical = physical_graph
+        self._recv_port = None
         self._routes = None
         #: Lazily built numpy mirror, shared by a step's guess and
         #: pruner runs.
         self._batch = None
+        # Eager on purpose: asymmetric adjacency and virtual edges
+        # without a physical route of length <= 2 raise here.
+        self.dilation, self.relay_client_ports = self._build_routes()
 
-    def _build_routes(self, graph):
+    @classmethod
+    def _assemble(
+        cls, physical, host, ident, adj, hosted, dilation, relay_client_ports,
+        *, batch=None,
+    ):
+        """A spec from already-derived fields; the plans stay lazy.
+
+        No validation: callers derive the fields from an instance that
+        is valid by construction (a physical CSR, or a valid spec).
+        """
+        spec = object.__new__(cls)
+        spec.host = host
+        spec.ident = ident
+        spec.adj = adj
+        spec.hosted = hosted
+        spec.dilation = dilation
+        spec.relay_client_ports = relay_client_ports
+        spec.physical = physical
+        spec._recv_port = None
+        spec._send_plan = None
+        spec._forward_plan = None
+        spec._routes = None
+        spec._batch = batch
+        return spec
+
+    @property
+    def recv_port(self):
+        """``(sender, receiver) -> receiver's port of the sender``."""
+        table = self._recv_port
+        if table is None:
+            table = self._recv_port = {}
+            for virt, neighbours in self.adj.items():
+                for port, other in enumerate(neighbours):
+                    table[(other, virt)] = port
+        return table
+
+    @property
+    def send_plan(self):
+        """``(sender, receiver) -> plan``: internal, direct or relay."""
+        if self._send_plan is None:
+            self._build_routes()
+        return self._send_plan
+
+    @property
+    def forward_plan(self):
+        """``relay -> {receiver: relay's port to the receiver's host}``."""
+        if self._forward_plan is None:
+            self._build_routes()
+        return self._forward_plan
+
+    def _build_routes(self):
+        """Fill the send and forward plans; return dilation and relay ports.
+
+        Raises :class:`InvalidInstanceError` on asymmetric adjacency or a
+        virtual edge whose hosts have no physical route of length <= 2.
+
+        A relayed pair routes through its common neighbour of smallest
+        identity.  The array line-graph builder
+        (``repro.graphs.transforms._line_graph_relays``) applies the same
+        rule to derive ``dilation`` and ``relay_client_ports`` without
+        these plans; the two must agree, and the oracle tests in
+        ``tests/test_virtual.py`` compare both.
+        """
+        graph = self.physical
+        recv_port = self.recv_port
         port_to = {u: {v: p for p, v, _ in graph.adj[u]} for u in graph.nodes}
         neighbour_sets = {
             u: frozenset(v for _, v, _ in graph.adj[u]) for u in graph.nodes
         }
-        self.send_plan = {}
-        self.forward_plan = {}
+        send_plan = {}
+        forward_plan = {}
         relay_clients = {}
-        needs_relay = False
         for virt, neighbours in self.adj.items():
             p = self.host[virt]
             for other in neighbours:
                 q = self.host[other]
-                if (other, virt) not in self.recv_port:
+                # ``virt`` must sit in ``other``'s row: the key is the
+                # reverse direction.
+                if (virt, other) not in recv_port:
                     raise InvalidInstanceError(
                         f"virtual adjacency not symmetric: {virt}->{other}"
                     )
                 if p == q:
-                    self.send_plan[(virt, other)] = ("internal",)
+                    send_plan[(virt, other)] = ("internal",)
                 elif q in port_to[p]:
-                    self.send_plan[(virt, other)] = ("direct", port_to[p][q])
+                    send_plan[(virt, other)] = ("direct", port_to[p][q])
                 else:
                     shared = neighbour_sets[p] & neighbour_sets[q]
                     if not shared:
@@ -148,24 +237,25 @@ class VirtualSpec:
                     # (kind, sender's port to relay, relay node, relay's
                     # port to the destination host, relay's port back to
                     # the sending host).
-                    self.send_plan[(virt, other)] = (
+                    send_plan[(virt, other)] = (
                         "relay",
                         port_to[p][relay],
                         relay,
                         port_to[relay][q],
                         port_to[relay][p],
                     )
-                    self.forward_plan.setdefault(relay, {})[other] = (
+                    forward_plan.setdefault(relay, {})[other] = (
                         port_to[relay][q]
                     )
                     relay_clients.setdefault(relay, set()).add(p)
-                    needs_relay = True
-        self.dilation = 2 if needs_relay else 1
+        self._send_plan = send_plan
+        self._forward_plan = forward_plan
         # Ports (at the relay) of the hosts whose traffic routes through it.
-        self.relay_client_ports = {}
-        for relay, clients in relay_clients.items():
-            ports = {port_to[relay][p] for p in clients}
-            self.relay_client_ports[relay] = frozenset(ports)
+        relay_client_ports = {
+            relay: frozenset(port_to[relay][p] for p in clients)
+            for relay, clients in relay_clients.items()
+        }
+        return (2 if relay_clients else 1), relay_client_ports
 
     @property
     def routes(self):
@@ -198,46 +288,42 @@ class VirtualSpec:
         ``VirtualSpec(host', ident', adj', physical)`` rebuild.
         """
         keep = keep if isinstance(keep, frozenset) else frozenset(keep)
-        spec = object.__new__(VirtualSpec)
-        spec.adj = {
+        adj = {
             v: tuple(w for w in neighbours if w in keep)
             for v, neighbours in self.adj.items()
             if v in keep
         }
-        spec.host = {v: self.host[v] for v in spec.adj}
-        spec.ident = {v: self.ident[v] for v in spec.adj}
-        spec.hosted = {}
+        hosted = {}
         for p, virts in self.hosted.items():
             survivors = [v for v in virts if v in keep]
             if survivors:
-                spec.hosted[p] = survivors
-        spec.recv_port = {}
-        for virt, neighbours in spec.adj.items():
-            for port, other in enumerate(neighbours):
-                spec.recv_port[(other, virt)] = port
+                hosted[p] = survivors
         send_plan = {}
         forward_plan = {}
         relay_client_ports = {}
-        needs_relay = False
         old_plan = self.send_plan
-        for virt, neighbours in spec.adj.items():
+        for virt, neighbours in adj.items():
             for other in neighbours:
                 plan = old_plan[(virt, other)]
                 send_plan[(virt, other)] = plan
                 if plan[0] == "relay":
-                    needs_relay = True
                     relay = plan[2]
                     forward_plan.setdefault(relay, {})[other] = plan[3]
                     relay_client_ports.setdefault(relay, set()).add(plan[4])
-        spec.send_plan = send_plan
-        spec.forward_plan = forward_plan
-        spec.dilation = 2 if needs_relay else 1
-        spec.relay_client_ports = {
-            relay: frozenset(ports)
-            for relay, ports in relay_client_ports.items()
-        }
-        spec._routes = None
-        spec._batch = None
+        spec = VirtualSpec._assemble(
+            self.physical,
+            {v: self.host[v] for v in adj},
+            {v: self.ident[v] for v in adj},
+            adj,
+            hosted,
+            2 if relay_client_ports else 1,
+            {
+                relay: frozenset(ports)
+                for relay, ports in relay_client_ports.items()
+            },
+        )
+        spec._send_plan = send_plan
+        spec._forward_plan = forward_plan
         return spec
 
     @property
@@ -720,14 +806,15 @@ def _host_commits(spec, physical, finish_vround, vindex):
             if k > last:
                 last = k
         announce[p] = None if last is None else (last - 1) * dilation
+    cg = physical.compiled()
     commit = dict(announce)
     for relay, ports in spec.relay_client_ports.items():
         worst = commit[relay]
         if worst is None:
             continue
-        row = physical.adj[relay]
+        row = cg.offsets[cg.index[relay]]
         for port in ports:
-            client_announce = announce[row[port][1]]
+            client_announce = announce[cg.labels[cg.neigh[row + port]]]
             if client_announce is None:
                 worst = None
                 break

@@ -7,6 +7,7 @@ guesses — the property every theorem in the paper silently relies on.
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,7 +40,8 @@ from repro.algorithms.linial import (
     linial_steps_upper,
     reduce_color,
 )
-from repro.local import run
+from repro.local import SimGraph, run, use_batch
+from repro.local.batch import BatchSetup, batch_graph_of
 from repro.mathutils import is_prime
 from repro.problems import MIS, ColoringProblem, PROPER_COLORING
 
@@ -226,6 +228,82 @@ class TestBadGuessBehaviour:
             medium_gnp, fast_coloring(), guesses={"m": m, "Delta": delta}
         )
         assert result.rounds <= fast_coloring_rounds(m, delta)
+
+    @staticmethod
+    def _across_stacks(graph, algo, guesses):
+        """(outputs, rounds) on reference and on compiled, batch on/off."""
+        seen = []
+        for backend, batching in (
+            ("reference", False),
+            ("compiled", False),
+            ("compiled", True),
+        ):
+            with use_batch(batching):
+                result = run(
+                    graph, algo, guesses=guesses, seed=5,
+                    backend=backend, rng="counter",
+                )
+            seen.append((result.outputs, result.rounds))
+        return seen
+
+    @pytest.mark.parametrize("make", [fast_coloring, fast_mis])
+    def test_all_points_covered_falls_back_identically(self, make):
+        """A star whose centre sees every point of F_q covered (Δ̃=1).
+
+        The centre's colour is the polynomial ``p(t) = 2 + 3t``; leaf
+        ``x`` carries ``p(t) + (t - x)``, which meets it at ``t = x``.
+        So the first Linial step finds no free point at the centre and
+        takes the ``p(0)`` branch (``p(0) = 2``, unlike every other
+        point).
+        """
+        m = 10**6
+        (q, d), *_ = linial_schedule(m, 1)[0]
+        centre = 2 + 3 * q
+        leaves = [(2 - x) % q + 4 * q for x in range(q)]
+
+        def value(color, x):
+            return (color % q + (color // q) * x) % q
+
+        for x in range(q):
+            assert any(value(c, x) == value(centre, x) for c in leaves)
+        graph = SimGraph.from_networkx(
+            nx.star_graph(q),
+            idents={0: centre + 1, **{i + 1: c + 1 for i, c in enumerate(leaves)}},
+        )
+        assert reduce_color(centre, leaves, q, d) == value(centre, 0) == 2
+        guesses = {"m": m, "Delta": 1}
+        seen = self._across_stacks(graph, make(), guesses)
+        assert seen[0] == seen[1] == seen[2]
+        # The final colours can hide the branch, so also compare the
+        # kernel's first Linial step with the scalar machine node by node.
+        bg = batch_graph_of(graph.compiled())
+        kernel = make().batch(bg, BatchSetup({}, guesses, "counter", None))
+        kernel.start()
+        kernel.step()
+        colors = [ident - 1 for ident in bg.idents]
+        expected = [
+            reduce_color(
+                colors[i],
+                [colors[j] for j in bg.neigh[bg.offsets[i] : bg.offsets[i + 1]]],
+                q,
+                d,
+            )
+            for i in range(bg.n)
+        ]
+        assert kernel.colors.tolist() == expected
+
+    @pytest.mark.parametrize("make", [fast_coloring, fast_mis])
+    def test_big_integer_identities_agree(self, make, small_gnp):
+        """Identities past 2^62 take the kernel's big-integer colour path."""
+        base = 1 << 70
+        graph = SimGraph.from_networkx(
+            small_gnp.to_networkx(),
+            idents={u: base + 7 * small_gnp.ident[u] for u in small_gnp.nodes},
+        )
+        guesses = {"m": graph.max_ident, "Delta": graph.max_degree}
+        assert linial_schedule(guesses["m"], guesses["Delta"])[0]
+        seen = self._across_stacks(graph, make(), guesses)
+        assert seen[0] == seen[1] == seen[2]
 
     def test_overestimates_still_correct(self, small_gnp):
         guesses = {

@@ -97,6 +97,14 @@ class TestFallbackWithoutNumpy:
         actual = domain.run_restricted(fast_mis(), 40, seed=5, guesses=guesses)
         assert actual == expected
 
+    def test_line_graph_spec_names_numpy(self, small_gnp, monkeypatch):
+        """The array line-graph builder is the one path needing numpy."""
+        from repro.errors import ParameterError
+
+        monkeypatch.setattr(batch_module, "_np", None)
+        with pytest.raises(ParameterError, match="numpy"):
+            line_graph_spec(small_gnp)
+
     def test_random_batch_raises_cleanly(self, monkeypatch):
         from repro.errors import ParameterError
 

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 
 from repro.algorithms.fast_mis import fast_mis
 from repro.algorithms.luby import luby_mis
+from repro.bench.workloads import WORKLOADS, build_graph
 from repro.core.domain import VirtualDomain
+from repro.errors import InvalidInstanceError
 from repro.graphs import clique_product_spec, line_graph_spec
 from repro.graphs.transforms import line_graph_max_degree
-from repro.local import SimGraph, flatten_outputs, run, virtualize
+from repro.local import SimGraph, VirtualSpec, flatten_outputs, run, virtualize
 from repro.problems import MIS
 
 
@@ -26,6 +30,72 @@ def explicit_simgraph(spec):
         for w in neighbours:
             g.add_edge(v, w)
     return SimGraph.from_networkx(g, idents=spec.ident)
+
+
+def dict_line_graph_spec(graph):
+    """The line graph built from dicts through the validating constructor.
+
+    The test oracle for the array builder :func:`line_graph_spec`.
+    """
+    big = graph.max_ident + 2
+    host = {}
+    ident = {}
+    adj = {}
+    incident = {u: [] for u in graph.nodes}
+    for u, v in graph.edges():
+        iu, iv = graph.ident[u], graph.ident[v]
+        virt = (u, v) if iu < iv else (v, u)
+        host[virt] = virt[0]
+        ident[virt] = graph.ident[virt[0]] * big + graph.ident[virt[1]]
+        adj[virt] = []
+        incident[u].append(virt)
+        incident[v].append(virt)
+    for u in graph.nodes:
+        edges_here = sorted(incident[u], key=lambda e: ident[e])
+        for i, e in enumerate(edges_here):
+            for f in edges_here[i + 1 :]:
+                adj[e].append(f)
+                adj[f].append(e)
+    return VirtualSpec(host, ident, adj, graph)
+
+
+def spec_fields(spec):
+    """Every field of a spec, the lazy routing plans forced."""
+    return {
+        "virtual_nodes": spec.virtual_nodes,
+        "host": spec.host,
+        "hosted": spec.hosted,
+        "ident": spec.ident,
+        "adj": spec.adj,
+        "dilation": spec.dilation,
+        "relay_client_ports": spec.relay_client_ports,
+        "send_plan": spec.send_plan,
+        "forward_plan": spec.forward_plan,
+        "recv_port": spec.recv_port,
+        "routes": spec.routes,
+    }
+
+
+def assert_matches_oracle(graph):
+    spec = line_graph_spec(graph)
+    oracle = dict_line_graph_spec(graph)
+    # The batch-path fields, compared before anything forces the plans.
+    assert spec.virtual_nodes == oracle.virtual_nodes
+    assert spec.dilation == oracle.dilation
+    assert spec.relay_client_ports == oracle.relay_client_ports
+    assert spec_fields(spec) == spec_fields(oracle)
+    keep = list(spec.virtual_nodes)[::2]
+    assert spec_fields(spec.restricted(keep)) == spec_fields(
+        oracle.restricted(keep)
+    )
+    return spec
+
+
+def permuted_idents(graph, seed):
+    nodes = list(graph.nodes())
+    values = list(range(1, len(nodes) + 1))
+    random.Random(seed).shuffle(values)
+    return dict(zip(nodes, values))
 
 
 GRAPHS = [
@@ -61,6 +131,118 @@ class TestLineGraphSpec:
         g = sim(nx.path_graph(5))
         spec = line_graph_spec(g)
         assert spec.dilation in (1, 2)
+
+
+class TestArrayLineGraphMatchesDictOracle:
+    """The array builder equals the dict builder in every field."""
+
+    def test_graph_atlas(self):
+        for number, graph in enumerate(nx.graph_atlas_g()):
+            assert_matches_oracle(sim(graph))
+            idents = permuted_idents(graph, number)
+            assert_matches_oracle(SimGraph.from_networkx(graph, idents=idents))
+
+    @pytest.mark.parametrize("family", ["gnp-sparse", "tree", "regular-4", "grid"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_families(self, family, seed):
+        graph = build_graph(WORKLOADS[family](120, seed=seed), seed=seed)
+        spec = assert_matches_oracle(graph)
+        assert spec.virtual_nodes
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            nx.complete_graph(6),
+            nx.disjoint_union_all([nx.complete_graph(k) for k in (2, 3, 4, 5)]),
+        ],
+    )
+    def test_cliques_need_no_relay(self, graph):
+        spec = assert_matches_oracle(sim(graph))
+        assert spec.dilation == 1
+        assert spec.relay_client_ports == {}
+
+    def test_star_relays_through_its_centre(self):
+        # Centre identity above every leaf: each edge is hosted at its
+        # leaf, and leaves reach each other only through the centre.
+        graph = nx.star_graph(4)
+        idents = {0: 10, 1: 1, 2: 2, 3: 3, 4: 4}
+        spec = assert_matches_oracle(SimGraph.from_networkx(graph, idents=idents))
+        assert spec.dilation == 2
+        assert spec.relay_client_ports == {0: frozenset(range(4))}
+
+    def test_path_relays_through_its_middle(self):
+        graph = nx.path_graph(3)
+        idents = {0: 1, 1: 3, 2: 2}
+        spec = assert_matches_oracle(SimGraph.from_networkx(graph, idents=idents))
+        assert spec.dilation == 2
+        assert spec.relay_client_ports == {1: frozenset({0, 1})}
+        assert spec.send_plan[((0, 1), (2, 1))][0] == "relay"
+
+    @pytest.mark.parametrize(
+        "graph", [nx.empty_graph(0), nx.empty_graph(5), nx.Graph([(0, 1), (1, 2)])]
+    )
+    def test_edgeless_graphs_and_isolated_nodes(self, graph):
+        graph = graph.copy()
+        graph.add_nodes_from([7, 8])
+        spec = assert_matches_oracle(sim(graph))
+        assert 7 not in spec.hosted and 8 not in spec.hosted
+
+    def test_batch_graph_is_carried(self):
+        from repro.local.batch import batch_graph_of_spec
+
+        g = sim(nx.gnp_random_graph(30, 0.2, seed=4))
+        spec = line_graph_spec(g)
+        bg = batch_graph_of_spec(spec)
+        assert bg is spec._batch
+        assert bg.labels == list(spec.virtual_nodes)
+        assert bg.idents == [spec.ident[v] for v in bg.labels]
+        for i, virt in enumerate(bg.labels):
+            row = bg.neigh[bg.offsets[i] : bg.offsets[i + 1]].tolist()
+            assert [bg.labels[j] for j in row] == list(spec.adj[virt])
+
+    def test_batched_run_leaves_the_plans_unbuilt(self):
+        g = sim(nx.gnp_random_graph(30, 0.2, seed=4))
+        spec = line_graph_spec(g)
+        guesses = {"Delta": 2 * g.max_degree, "m": (g.max_ident + 2) ** 2}
+        VirtualDomain(g, spec).run_restricted(fast_mis(), 60, guesses=guesses)
+        assert spec._recv_port is None
+        assert spec._send_plan is None
+        assert spec._forward_plan is None
+        assert spec._routes is None
+
+
+class TestVirtualSpecValidation:
+    """The dict constructor rejects malformed instances when it runs."""
+
+    def test_duplicate_identities(self):
+        g = sim(nx.path_graph(2))
+        with pytest.raises(InvalidInstanceError, match="unique"):
+            VirtualSpec(
+                {"a": 0, "b": 1},
+                {"a": 5, "b": 5},
+                {"a": ("b",), "b": ("a",)},
+                g,
+            )
+
+    def test_asymmetric_adjacency(self):
+        g = sim(nx.path_graph(2))
+        with pytest.raises(InvalidInstanceError, match="not symmetric"):
+            VirtualSpec(
+                {"a": 0, "b": 1},
+                {"a": 1, "b": 2},
+                {"a": ("b",), "b": ()},
+                g,
+            )
+
+    def test_no_route_of_length_two(self):
+        g = sim(nx.path_graph(4))
+        with pytest.raises(InvalidInstanceError, match="no physical route"):
+            VirtualSpec(
+                {"a": 0, "b": 3},
+                {"a": 1, "b": 2},
+                {"a": ("b",), "b": ("a",)},
+                g,
+            )
 
 
 class TestCliqueProductSpec:
