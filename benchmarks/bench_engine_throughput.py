@@ -51,23 +51,15 @@ from repro.algorithms.fast_mis import fast_mis  # noqa: E402
 from repro.algorithms.luby import luby_mis  # noqa: E402
 from repro.bench import WORKLOADS, build_graph  # noqa: E402
 from repro.core.domain import VirtualDomain  # noqa: E402
-from repro.core.alternating import AlternationDiverged  # noqa: E402
 from repro.graphs import line_graph_spec  # noqa: E402
 from repro.local import (  # noqa: E402
-    FaultPlan,
     GraphDelta,
     SimGraph,
-    byzantine_silent,
-    crash_at,
-    drop,
-    garble,
     open_session,
     run,
     run_many,
-    sample_plan,
     use_backend,
     use_batch,
-    use_faults,
     use_roundfuse,
 )
 
@@ -565,128 +557,6 @@ def unit_session_churn(n, reps, requests=8, churn=4):
     return out
 
 
-#: Adversarial node profiles swept by the degradation axis (D14).
-FAULT_PROFILES = {
-    "drop": lambda: drop(0.5),        # faulty senders drop half their edges
-    "garble": lambda: garble(0.5),    # faulty senders corrupt half their edges
-    "silent": byzantine_silent,       # faulty senders never speak
-    "crash": lambda: crash_at(2),     # faulty nodes die at round 2, output None
-}
-
-#: Fractions of the node set sampled into each profile.
-FAULT_RATES = (0.05, 0.2)
-
-
-def _mis_quality(graph, outputs):
-    """Violation counts of an output map read as an MIS indicator.
-
-    Returns ``(independence, maximality)``: edges with both endpoints
-    claiming membership, and non-members with no member neighbour.  A
-    fault-free alternation output scores (0, 0); under injection these
-    are the solution-quality axis of the degradation bench.
-    """
-    indep = maximal = 0
-    for u in graph.nodes:
-        if outputs.get(u) == 1:
-            for _, v, _ in graph.adj[u]:
-                if outputs.get(v) == 1 and graph.ident[u] < graph.ident[v]:
-                    indep += 1
-        elif not any(outputs.get(v) == 1 for _, v, _ in graph.adj[u]):
-            maximal += 1
-    return indep, maximal
-
-
-def unit_faults_alternation(n, seeds, reps, rates=FAULT_RATES,
-                            profiles=("drop", "garble", "silent", "crash")):
-    """Degradation axis (D14): Theorem-2 Luby alternation under faults.
-
-    Sweeps fault rate × adversarial profile over the gnp-sparse graph
-    and records how the alternation degrades relative to the ``honest``
-    baseline column: wall time, realized rounds/steps, the MIS-validity
-    of the final output (independence/maximality violation counts), and
-    ``diverged`` — seeds where the alternation hit its iteration cap.
-    Drop/garble/silence slow convergence (more alternation steps) and
-    can leak violations past the pruner — the pruner's own verdict
-    exchange is injected too, so its safety erodes with the fault rate;
-    crash profiles stall the alternation outright — crashed nodes
-    output ``None``, are kept by the pruner every iteration, and the
-    run diverges.  That stall is the *expected* datapoint, not an error.
-
-    Before recording, one faulted probe is diffed across the reference,
-    compiled and batch strategies — degradation numbers are a
-    pure function of ``(graph, algo, seed, plan)``, never of the engine
-    (the D14 determinism contract), and a baseline can never commit a
-    diverging injection path.
-    """
-    graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=4), seed=4)
-
-    probe_plan = sample_plan(graph, drop(0.5), 0.1, seed=17)
-    probe = []
-    for backend in BACKENDS:
-        with _backend_context(backend):
-            probe.append(
-                run(graph, luby_mis(), seed=1, rng="counter",
-                    faults=probe_plan)
-            )
-    first = probe[0]
-    for other in probe[1:]:
-        if (
-            first.outputs != other.outputs
-            or first.rounds != other.rounds
-            or first.messages != other.messages
-            or first.finish_round != other.finish_round
-        ):
-            raise SystemExit(
-                "faulted run diverged across strategies — refusing to record"
-            )
-
-    def measure(plan):
-        _, _, uniform = TABLE1["luby"].build()
-        state = {}
-
-        def fn():
-            rounds = steps = diverged = 0
-            outputs = None
-            for seed in seeds:
-                try:
-                    with use_faults(plan):
-                        result = uniform.run(graph, seed=seed)
-                except AlternationDiverged:
-                    diverged += 1
-                    continue
-                rounds += result.rounds
-                steps += len(result.steps)
-                outputs = result.outputs
-            state["rounds"] = rounds
-            state["steps"] = steps
-            state["diverged"] = diverged
-            state["outputs"] = outputs
-
-        fn()  # warm caches (CSR compile, schedule memos)
-        seconds = _best(fn, reps)
-        outputs = state.pop("outputs")
-        entry = {"seconds": round(seconds, 6)}
-        entry.update(state)
-        if outputs is not None:
-            indep, maximal = _mis_quality(graph, outputs)
-            entry["independence_violations"] = indep
-            entry["maximality_violations"] = maximal
-        return entry
-
-    out = {}
-    with use_backend("compiled", rng="counter"), use_batch(True):
-        out["honest"] = measure(None)
-        for name in profiles:
-            for rate in rates:
-                plan = sample_plan(
-                    graph, FAULT_PROFILES[name](), rate, seed=13
-                )
-                entry = measure(plan)
-                entry["faulty_nodes"] = len(plan.profiles)
-                out[f"{name}-r{rate}"] = entry
-    return out
-
-
 def unit_matching_dense(n, reps):
     """Matching-heavy scenario: fast MIS over a *dense* line graph.
 
@@ -758,31 +628,6 @@ def check_bit_identity(n=120):
                     or first.finish_round != other.finish_round
                 ):
                     return False
-    # Faulted identity (D14): an adversarial plan mixing every profile
-    # class must stay bit-identical across every strategy — fault fates
-    # come from the identity-keyed counter RNG, never from engine layout.
-    nodes = sorted(graph.nodes)
-    plan = FaultPlan({
-        nodes[1]: crash_at(1),
-        nodes[3]: byzantine_silent(),
-        nodes[5]: drop(0.5),
-        nodes[7]: garble(0.5),
-    })
-    faulted = []
-    for backend in BACKENDS:
-        with _backend_context(backend):
-            faulted.append(
-                run(graph, luby_mis(), seed=3, rng="counter", faults=plan)
-            )
-    first = faulted[0]
-    for other in faulted[1:]:
-        if (
-            first.outputs != other.outputs
-            or first.rounds != other.rounds
-            or first.messages != other.messages
-            or first.finish_round != other.finish_round
-        ):
-            return False
     # Fused identity (D16): every lane of a multi-run slab — mixed
     # algorithms, mixed seeds — must equal its solo run under both rng
     # schemes; a lane divergence fails the gate with exit 2.
@@ -867,6 +712,7 @@ def check_bit_identity(n=120):
     # mutated topology — per strategy and per fused lane.  The session
     # patches the CSR row slices incrementally, so this is the gate that
     # the patch path stays bit-exact.
+    nodes = sorted(graph.nodes)
     truth = graph.to_networkx()
     gone = next(iter(truth.edges()))
     grown = next(
@@ -962,13 +808,6 @@ def full_suite():
         # acceptance-gated ≥3× number, and the unit refuses to record
         # if a session rerun ever diverges from its rebuild oracle.
         "session-churn-n2000": unit_session_churn(2000, reps=3),
-        # Adversarial degradation axis (D14): fault rate × profile sweep
-        # on the same alternation — solution quality (MIS violation
-        # counts) and round counts under injection; crash profiles stall
-        # the alternation and are recorded as ``diverged`` seeds.
-        "faults-alternation-n2000": unit_faults_alternation(
-            2000, (1,), reps=1
-        ),
         "workload-sweep-n600": unit_workload_sweep(600, reps=3),
         "subgraph-cascade-n2000": unit_subgraph_cascade(2000, reps=3),
         "virtual-linegraph-n400": unit_virtual_linegraph(400, reps=3),
@@ -991,14 +830,6 @@ SMOKE_UNITS = {
     # driver.
     "smoke-alternation": lambda: unit_table1_row(
         "luby", SMOKE_N, (1, 2), reps=SMOKE_REPS
-    ),
-    # Fault-injection gate unit (D14): drop + crash profiles on a small
-    # alternation.  The recorded degradation numbers are informational;
-    # the hard guards are the faulted job in check_bit_identity and the
-    # unit's own cross-strategy probe, both of which fail the gate with
-    # exit 2 / SystemExit if an injection path stops being bit-identical.
-    "smoke-faults": lambda: unit_faults_alternation(
-        400, (1,), reps=2, rates=(0.1,), profiles=("drop", "crash")
     ),
     # Fused gate unit (D16): the seed-sweep slab vs sequential solo
     # runs, at the dispatch-floor size where the amortization is the

@@ -88,7 +88,6 @@ def hash_luby_mis():
             budget_of=lambda g: hl_phases(g["n"]),
             priorities=_hash_priorities,
         ),
-        fault_batch=True,
         fuse=True,
         # Round-fuse-safe (D17) via the Luby kernel's fixed-point
         # driver (hash priorities plug into the same draw seam).

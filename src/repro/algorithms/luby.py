@@ -108,18 +108,6 @@ class LubyBatchKernel:
     finish with 1 and broadcast the win); even rounds retire their
     neighbours (finish 0), apply the Monte-Carlo phase budget, and
     redraw bids for the survivors.
-
-    Fault injection (DESIGN.md D14, ``faults`` a
-    :class:`~repro.local.faults.BatchFaults` view or ``None``): crashed
-    nodes are force-finished before the round's logic, silenced/dropped
-    bids and wins are masked out of the rival/heard relations via
-    ``tainted_in`` (garbles too — a garbled payload fails the tag
-    check), and message counts use the sender-side ``delivered_out``
-    mask.  ``bidders`` snapshots aliveness at each bid round because the
-    honest path's ``alive[nb]`` proxy breaks when a bidder crashes at
-    the decision round — its already-sent bid must still beat its
-    neighbours.  The honest branches below are the pre-D14 code
-    verbatim.
     """
 
     __slots__ = (
@@ -132,12 +120,9 @@ class LubyBatchKernel:
         "winners",
         "deciding",
         "done",
-        "rounds",
-        "bidders",
-        "faults",
     )
 
-    def __init__(self, bg, draws, budget, faults=None):
+    def __init__(self, bg, draws, budget):
         np = batch.numpy_or_none()
         self.bg = bg
         self.draws = draws
@@ -148,9 +133,6 @@ class LubyBatchKernel:
         self.winners = None
         self.deciding = True
         self.done = False
-        self.rounds = 0
-        self.bidders = None
-        self.faults = faults
 
     def undone_indices(self):
         np = batch.numpy_or_none()
@@ -162,46 +144,10 @@ class LubyBatchKernel:
         self.phase += 1
         idx = np.flatnonzero(self.alive)
         self.prio[idx] = self.draws(idx, self.phase)
-        if self.faults is None:
-            return self.bg.charge(idx)
-        self.bidders = self.alive.copy()
-        delivered = self.faults.delivered_out(self.rounds)
-        return int((delivered & self.alive[self.bg.owner]).sum())
-
-    def _apply_crashes(self):
-        """Force-finish nodes crashing this round, before any logic.
-
-        Returns ``(finished indices, results)`` — empty when no active
-        node crashes at the current round.
-        """
-        np = batch.numpy_or_none()
-        crashed = self.faults.crashed_at(self.rounds)
-        if crashed is None:
-            return [], []
-        crashed = crashed & self.alive
-        idx = np.flatnonzero(crashed).tolist()
-        if idx:
-            self.alive = self.alive & ~crashed
-        crash_out = self.faults.crash_out
-        return idx, [crash_out[i] for i in idx]
+        return self.bg.charge(idx)
 
     def start(self):
         np = batch.numpy_or_none()
-        if self.faults is not None:
-            finished, results = self._apply_crashes()
-            isolated = np.flatnonzero(
-                ~self.alive & (self.bg.degrees == 0)
-            ).tolist()
-            if self.faults.has_crash:
-                crashed0 = self.faults.crashed_at(0)
-                if crashed0 is not None:
-                    isolated = [i for i in isolated if not crashed0[i]]
-            finished.extend(isolated)
-            results.extend([1] * len(isolated))
-            if not self.alive.any():
-                self.done = True
-                return finished, results, 0
-            return finished, results, self._draw_bids()
         isolated = np.flatnonzero(~self.alive).tolist()
         if not self.alive.any():
             self.done = True
@@ -212,24 +158,12 @@ class LubyBatchKernel:
     def step(self):
         np = batch.numpy_or_none()
         bg = self.bg
-        self.rounds += 1
-        faults = self.faults
-        crashed_idx, crashed_results = (
-            self._apply_crashes() if faults is not None else ([], [])
-        )
         alive = self.alive
         if self.deciding:
             # Decision round: a bidder beating every live rival joins.
             own, nb = bg.owner, bg.neigh
             po, pn = self.prio[own], self.prio[nb]
-            if faults is None:
-                rival = alive[own] & alive[nb]
-            else:
-                rival = (
-                    alive[own]
-                    & self.bidders[nb]
-                    & ~faults.tainted_in(self.rounds - 1)
-                )
+            rival = alive[own] & alive[nb]
             rival &= (pn < po) | ((pn == po) & (nb < own))
             beaten = batch.row_flags(own[rival], bg.n)
             winners = alive & ~beaten
@@ -237,28 +171,15 @@ class LubyBatchKernel:
             self.winners = winners
             self.deciding = False
             self.done = not bool(self.alive.any())
-            finished = crashed_idx + np.flatnonzero(winners).tolist()
-            results = crashed_results + [1] * (len(finished) - len(crashed_idx))
-            if faults is None:
-                messages = bg.charge(winners)
-            else:
-                messages = int(
-                    (faults.delivered_out(self.rounds) & winners[bg.owner]).sum()
-                )
-            return finished, results, messages
+            finished = np.flatnonzero(winners).tolist()
+            messages = bg.charge(winners)
+            return finished, [1] * len(finished), messages
         # Retirement round: losers hear the wins, survivors rebid.
-        if faults is None:
-            heard = self.winners[bg.neigh] & alive[bg.owner]
-        else:
-            heard = (
-                self.winners[bg.neigh]
-                & ~faults.tainted_in(self.rounds - 1)
-                & alive[bg.owner]
-            )
+        heard = self.winners[bg.neigh] & alive[bg.owner]
         retired = alive & batch.row_flags(bg.owner[heard], bg.n)
         alive = alive & ~retired
-        finished = crashed_idx + np.flatnonzero(retired).tolist()
-        results = crashed_results + [0] * (len(finished) - len(crashed_idx))
+        finished = np.flatnonzero(retired).tolist()
+        results = [0] * len(finished)
         if self.budget is not None and self.phase >= self.budget:
             cut = np.flatnonzero(alive).tolist()
             finished.extend(cut)
@@ -284,10 +205,7 @@ class LubyBatchKernel:
         afterwards.  The divergence cap is enforced in here — at most
         ``cap`` rounds execute, and a mid-phase exit leaves the kernel
         state exactly where the per-round loop would have left it
-        (``undone_indices`` reads ``alive``).  Honest runs only: an
-        injected kernel steps through the generic per-round loop, which
-        the engine's fault gate guarantees structurally — the guard
-        below is belt and braces.
+        (``undone_indices`` reads ``alive``).
         """
         np = batch.numpy_or_none()
         events = []
@@ -295,15 +213,6 @@ class LubyBatchKernel:
         if finished:
             events.append((0, finished, results))
         rounds = 0
-        if self.faults is not None:  # pragma: no cover - engine-gated
-            while not self.done and rounds < cap:
-                rounds += 1
-                finished, results, sent = self.step()
-                messages += sent
-                if finished:
-                    events.append((rounds, finished, results))
-            self.rounds = rounds
-            return events, rounds, messages
         bg = self.bg
         own, nb = bg.owner, bg.neigh
         n = bg.n
@@ -347,13 +256,11 @@ class LubyBatchKernel:
             self.alive = alive
             self.deciding = True
             if alive.any():
-                self.rounds = rounds
                 messages += self._draw_bids()
             else:
                 self.done = True
             if finished:
                 events.append((rounds, finished, results))
-        self.rounds = rounds
         return events, rounds, messages
 
 
@@ -374,7 +281,7 @@ def _luby_batch_factory(budget_of=None, priorities=None):
         else:
             draws = setup.draw_source(62).draws
         budget = budget_of(setup.guesses) if budget_of is not None else None
-        return LubyBatchKernel(bg, draws, budget, faults=setup.faults)
+        return LubyBatchKernel(bg, draws, budget)
 
     return factory
 
@@ -387,11 +294,9 @@ def luby_mis():
         requires=(),
         randomized=True,
         batch=_luby_batch_factory(),
-        fault_batch=True,
         fuse=True,
         # Round-fuse-safe (D17): self-terminating frontier kernel with
-        # a dedicated fixed-point driver (honest runs only — the fault
-        # gate routes injected runs to the per-round loop).
+        # a dedicated fixed-point driver.
         roundfuse=True,
     )
 
@@ -428,7 +333,6 @@ def luby_mc():
         requires=("n",),
         randomized=True,
         batch=_luby_batch_factory(budget_of=lambda g: mc_phases(g["n"])),
-        fault_batch=True,
         fuse=True,
         # Round-fuse-safe (D17): see luby_mis — the phase budget
         # self-terminates inside the fixed-point driver.

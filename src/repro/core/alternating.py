@@ -23,12 +23,7 @@ from __future__ import annotations
 from time import perf_counter
 
 from ..errors import ReproError
-from ..local.runner import (
-    last_faults,
-    last_stepping,
-    note_faults,
-    note_stepping,
-)
+from ..local.runner import last_stepping, note_stepping
 from .domain import as_domain
 
 
@@ -40,9 +35,7 @@ class StepRecord:
     ``"per-node"`` or ``"reference"`` (host orchestrations report the
     stepping of their last inner run; ``None`` when nothing executed).
     ``seconds`` is the step's wall clock, so traces and benches can
-    attribute time per step and per backend.  ``faults`` is the
-    description of the fault plan injected into the step's algorithm
-    run (DESIGN.md D14), ``None`` for honest steps.
+    attribute time per step and per backend.
     """
 
     __slots__ = (
@@ -56,7 +49,6 @@ class StepRecord:
         "pruned",
         "backends",
         "seconds",
-        "faults",
     )
 
     def __init__(
@@ -71,7 +63,6 @@ class StepRecord:
         pruned,
         backends=(None, None),
         seconds=None,
-        faults=None,
     ):
         self.label = label
         self.iteration = iteration
@@ -83,7 +74,6 @@ class StepRecord:
         self.pruned = pruned
         self.backends = backends
         self.seconds = seconds
-        self.faults = faults
 
     @property
     def nodes_after(self):
@@ -190,10 +180,8 @@ class AlternatingEngine:
         salt = f"{label}|{iteration}|{index}"
         started = perf_counter()
         note_stepping(None)
-        note_faults(None)
         tentative, charged = runner(self.domain, self.inputs, salt)
         algo_backend = last_stepping()
-        step_faults = last_faults()
         self.rounds += charged
         note_stepping(None)
         prune = self.pruning.apply(
@@ -218,7 +206,6 @@ class AlternatingEngine:
             pruned=len(prune.pruned),
             backends=(algo_backend, prune_backend),
             seconds=perf_counter() - started,
-            faults=step_faults,
         )
         self.steps.append(record)
         pruned = prune.pruned
@@ -303,8 +290,6 @@ def render_trace(result, *, max_steps=40):
         via = ""
         if algo_backend or prune_backend:
             via = f" via {algo_backend or '?'}/{prune_backend or '?'}"
-        if getattr(step, "faults", None):
-            via += f" !{step.faults}"
         lines.append(
             f"  | B(i={step.iteration},j={step.index}): "
             f"A={step.label} [{guess_text}] restricted to {step.budget} "

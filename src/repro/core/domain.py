@@ -31,10 +31,7 @@ work), not O(steps · n log n).
 
 from __future__ import annotations
 
-from functools import wraps
-
 from ..local.execution import current, resolve
-from ..local.faults import use_faults
 from ..local.graph import SimGraph
 from ..local.runner import execute, round_cap
 from ..local.virtual import (
@@ -214,24 +211,6 @@ class PhysicalDomain(Domain):
         return self.graph
 
 
-def _faultless(fn):
-    """Pin the ambient fault plan off for a virtual-domain execution.
-
-    D14 scopes fault injection to *physical* runs: the ambient plan is
-    keyed by physical node labels, while a virtual simulation executes
-    wrapped host processes whose labels (and message routes) belong to
-    the derived graph — injecting there would corrupt the simulation's
-    commit protocol rather than model a faulty physical node.
-    """
-
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        with use_faults(None):
-            return fn(*args, **kwargs)
-
-    return wrapper
-
-
 class VirtualDomain(Domain):
     """A derived graph simulated on the physical network.
 
@@ -260,7 +239,6 @@ class VirtualDomain(Domain):
     def neighbors(self, u):
         return self.spec.adj[u]
 
-    @_faultless
     def run_restricted(
         self,
         algorithm,
@@ -316,7 +294,6 @@ class VirtualDomain(Domain):
                 outputs[virt] = default_output
         return outputs, physical_budget
 
-    @_faultless
     def run_full(
         self,
         algorithm,

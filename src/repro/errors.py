@@ -26,10 +26,11 @@ class NonTerminationError(ReproError):
 class ParameterError(ReproError, ValueError):
     """A required global-parameter guess is missing or malformed.
 
-    Subclasses :class:`ValueError` so eager argument validation (fault
-    probabilities outside ``[0, 1]``, negative crash rounds, unknown
-    fault-plan labels) reads as the standard library convention to
-    callers that never import the library's error hierarchy.
+    Subclasses :class:`ValueError` so eager argument validation (a
+    negative or non-int ``max_rounds``, a malformed ``REPRO_*``
+    variable, a self-loop in a ``GraphDelta``) reads as the standard
+    library convention to callers that never import the library's error
+    hierarchy.
     """
 
 

@@ -20,23 +20,11 @@ from .composition import Chain, default_carry
 from .context import CounterRNG, NodeContext, make_rng
 from .engine import CompiledGraph
 from .execution import Execution, use_backend, use_batch, use_roundfuse
-from .faults import (
-    GARBLED,
-    FaultPlan,
-    byzantine_silent,
-    crash_at,
-    drop,
-    garble,
-    honest,
-    sample_plan,
-    set_default_faults,
-    use_faults,
-)
 from .fused import run_many, slab_cache_stats
 from .graph import GraphDelta, SimGraph
 from .message import Broadcast
 from .service import SimulationSession, open_session
-from .runner import RunResult, last_faults, run, run_restricted
+from .runner import RunResult, run, run_restricted
 from .virtual import (
     VirtualSpec,
     flatten_outputs,
@@ -52,19 +40,11 @@ __all__ = [
     "CompiledGraph",
     "CounterRNG",
     "Execution",
-    "FaultPlan",
     "FunctionProcess",
-    "GARBLED",
     "GraphDelta",
     "HostAlgorithm",
     "LocalAlgorithm",
-    "byzantine_silent",
-    "crash_at",
-    "drop",
     "estimate_bits",
-    "garble",
-    "honest",
-    "last_faults",
     "NodeContext",
     "NodeProcess",
     "RunResult",
@@ -78,10 +58,7 @@ __all__ = [
     "run",
     "run_many",
     "run_restricted",
-    "sample_plan",
     "slab_cache_stats",
-    "set_default_faults",
-    "use_faults",
     "run_virtual_batch",
     "run_virtual_batch_full",
     "run_with_wakeup",

@@ -91,7 +91,7 @@ class LocalAlgorithm:
 
     __slots__ = (
         "name", "process", "requires", "randomized", "batch",
-        "fault_batch", "fuse", "roundfuse",
+        "fuse", "roundfuse",
     )
 
     #: Domain kinds a per-node algorithm runs on (capability record).
@@ -99,14 +99,13 @@ class LocalAlgorithm:
 
     def __init__(
         self, name, process, requires=(), randomized=False, batch=None,
-        fault_batch=False, fuse=False, roundfuse=False,
+        fuse=False, roundfuse=False,
     ):
         self.name = name
         self.process = process
         self.requires = tuple(requires)
         self.randomized = bool(randomized)
         self.batch = batch
-        self.fault_batch = bool(fault_batch)
         self.fuse = bool(fuse)
         self.roundfuse = bool(roundfuse)
 
@@ -121,10 +120,7 @@ class LocalAlgorithm:
         ``kind`` selects the execution style (``"node"``: per-node
         processes through the runner; ``"host"``: self-restricting
         orchestration), ``supports_batch`` whether a frontier kernel is
-        registered, ``supports_faulted_batch`` whether it additionally
-        consumes fault-injection masks (D14 — uncertified kernels fall
-        back to the always-exact per-node stepping under an active plan),
-        ``supports_fuse`` whether the kernel may step several
+        registered, ``supports_fuse`` whether the kernel may step several
         independent runs as lanes of one block-diagonal slab (D16),
         ``supports_roundfuse`` whether the kernel's whole round
         schedule may execute inside one driver call (D17),
@@ -135,8 +131,6 @@ class LocalAlgorithm:
         return {
             "kind": "node",
             "supports_batch": self.batch is not None,
-            "supports_faulted_batch": self.fault_batch
-            and self.batch is not None,
             "supports_fuse": self.fuse and self.batch is not None,
             "supports_roundfuse": self.roundfuse and self.batch is not None,
             "domains": self.domains,
@@ -193,7 +187,6 @@ class HostAlgorithm:
         return {
             "kind": "host",
             "supports_batch": False,
-            "supports_faulted_batch": False,
             "supports_fuse": False,
             "supports_roundfuse": False,
             "domains": self.domains,

@@ -204,20 +204,14 @@ class BatchSetup:
 
     ``draw_source(bits)`` builds the per-node random-draw view lazily,
     so deterministic kernels never touch seed material.
-    ``faults`` is the run's :class:`~repro.local.faults.BatchFaults`
-    view over this kernel's CSR (``None`` for honest runs); only
-    factories of fault-certified algorithms (capability
-    ``supports_faulted_batch``) ever see a non-``None`` value — the
-    engine gates everyone else back to the per-node paths (D14).
     """
 
-    __slots__ = ("inputs", "guesses", "rng_mode", "faults", "_draw_builder")
+    __slots__ = ("inputs", "guesses", "rng_mode", "_draw_builder")
 
-    def __init__(self, inputs, guesses, rng_mode, draw_builder, faults=None):
+    def __init__(self, inputs, guesses, rng_mode, draw_builder):
         self.inputs = inputs
         self.guesses = guesses
         self.rng_mode = rng_mode
-        self.faults = faults
         self._draw_builder = draw_builder
 
     def draw_source(self, bits=62):
@@ -404,7 +398,7 @@ def generic_fixedpoint(kernel, cap):
 
 def make_engine_kernel(
     algorithm, cg, *, inputs, guesses, seed, salt, rng_mode, track_bits,
-    enabled, faults=None,
+    enabled,
 ):
     """Build the run's batch kernel, or ``None`` to step per node.
 
@@ -412,10 +406,7 @@ def make_engine_kernel(
     batching disabled, numpy missing, message-size tracking requested
     (payload bits are a property of the materialized tuples the batch
     path never builds), an empty graph, or the factory itself declining
-    the configuration (e.g. palette bounds it cannot represent).  An
-    active fault plan additionally requires the fault-certified
-    capability (``supports_faulted_batch``, D14) — uncertified kernels
-    would silently ignore the adversary, so they fall back per node.
+    the configuration (e.g. palette bounds it cannot represent).
     Eligibility is read off the algorithm's capability record
     (``supports_batch``), the same table the registry and the
     transformers dispatch on — not off the concrete class.
@@ -427,8 +418,6 @@ def make_engine_kernel(
     caps = capabilities_of(algorithm)
     if not caps.get("supports_batch"):
         return None
-    if faults is not None and not caps.get("supports_faulted_batch"):
-        return None
     factory = algorithm.batch
     bg = batch_graph_of(cg)
     setup = BatchSetup(
@@ -436,6 +425,5 @@ def make_engine_kernel(
         guesses,
         rng_mode,
         _engine_draw_builder(bg, rng_mode, seed, salt),
-        faults=faults.batch_view(bg) if faults is not None else None,
     )
     return factory(bg, setup)

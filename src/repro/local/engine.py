@@ -63,7 +63,6 @@ from ..errors import NonTerminationError
 from .algorithm import LocalAlgorithm
 from .batch import make_engine_kernel
 from .context import NodeContext, rng_source
-from .faults import DROP, GARBLE, GARBLED
 from .message import Broadcast, normalize_outgoing
 from .msgsize import estimate_bits
 
@@ -413,7 +412,6 @@ def run_compiled(
     default_output,
     track_bits,
     result_cls,
-    faults=None,
 ):
     """Execute one synchronous run on the compiled engine.
 
@@ -424,9 +422,7 @@ def run_compiled(
     (and the run is eligible — see
     :func:`repro.local.batch.make_engine_kernel`), the whole frontier is
     stepped per round through :func:`run_batch` instead of dispatching
-    per node.  Under an active fault plan the per-node path runs a
-    dedicated injected loop (:func:`_run_pernode_faulted`) so the honest
-    hot loop below stays branch-free.
+    per node.
     """
     from .runner import note_stepping
 
@@ -443,15 +439,13 @@ def run_compiled(
             rng_mode=rng_mode,
             track_bits=track_bits,
             enabled=True,
-            faults=faults,
         )
         if kernel is not None:
-            if faults is None and execution.roundfuse:
+            if execution.roundfuse:
                 # Round-fused tier (D17): certified kernels execute the
                 # whole schedule in one driver call; try_drive declines
                 # (capability, cap too small) back to the per-round loop
-                # below.  Injected runs never fuse — the fixed-point
-                # drivers are honest-only.
+                # below.
                 from .roundfuse import try_drive
 
                 fused = try_drive(
@@ -476,22 +470,6 @@ def run_compiled(
                 result_cls=result_cls,
             )
     note_stepping("per-node")
-    if faults is not None:
-        return _run_pernode_faulted(
-            cg,
-            algorithm,
-            inputs=inputs,
-            guesses=guesses,
-            seed=seed,
-            salt=salt,
-            cap=cap,
-            truncating=truncating,
-            default_output=default_output,
-            track_bits=track_bits,
-            rng_mode=rng_mode,
-            result_cls=result_cls,
-            faults=faults,
-        )
     n = cg.n
     labels = cg.labels
     idents = cg.idents
@@ -662,195 +640,6 @@ def run_compiled(
                 add_still(i)
         active = still_active
         # Wipe only the slots this round touched — the O(active) invariant.
-        for i in cur_touched:
-            cur[i] = None
-        cur_touched.clear()
-
-    total = max(finish_round.values()) if finish_round else 0
-    return result_cls(
-        outputs,
-        finish_round,
-        total,
-        messages,
-        frozenset(),
-        max_bits if track_bits else None,
-    )
-
-def _run_pernode_faulted(
-    cg,
-    algorithm,
-    *,
-    inputs,
-    guesses,
-    seed,
-    salt,
-    cap,
-    truncating,
-    default_output,
-    track_bits,
-    rng_mode,
-    result_cls,
-    faults,
-):
-    """The per-node loop under an active fault plan (DESIGN.md D14).
-
-    A separate function so the honest loop in :func:`run_compiled` stays
-    branch-free per payload.  Semantics mirror the faulted reference
-    loop exactly: crash-stop nodes are force-finished before acting at
-    their crash round, silenced senders deliver nothing (uncounted),
-    drops vanish in flight (uncounted), garbles arrive as
-    :data:`GARBLED` (counted, and sized as sent when tracking bits).
-    Per-edge fates come from :meth:`CompiledFaults.decide` — the same
-    closed form the batch masks vectorize, which is what keeps all four
-    stacks bit-identical under injection.
-    """
-    n = cg.n
-    labels = cg.labels
-    idents = cg.idents
-    degrees = cg.degrees
-    pairs = cg.pairs
-
-    make_gen = rng_source(rng_mode, seed, salt)
-    if type(algorithm) is LocalAlgorithm:
-        make_process = algorithm.process
-    else:
-        make_process = algorithm.make
-    get_input = inputs.get
-    processes = [
-        make_process(
-            NodeContext(
-                label,
-                ident,
-                degree,
-                get_input(label),
-                guesses,
-                None,
-                make_gen,
-                rng_mode,
-            )
-        )
-        for label, ident, degree in zip(labels, idents, degrees)
-    ]
-
-    outputs = {}
-    finish_round = {}
-    messages = 0
-    max_bits = 0
-
-    nxt = [None] * n
-    nxt_touched = []
-    cur = [None] * n
-    cur_touched = []
-
-    silenced = faults.silenced
-    decide = faults.decide
-    crash_of = faults.crash_of
-
-    def deliver(i, outgoing, rnd):
-        """Route one node's outgoing spec through the fault plan."""
-        nonlocal max_bits
-        outgoing = normalize_outgoing(outgoing, len(pairs[i]))
-        if outgoing is None:
-            return 0
-        label = labels[i]
-        ident = idents[i]
-        if silenced(label, rnd):
-            # Suppressed at source: the payload never leaves the node,
-            # so neither counts nor sizes observe it (matches the
-            # reference loop's faulted route).
-            return 0
-        count = 0
-        if isinstance(outgoing, Broadcast):
-            payload = outgoing.payload
-            if track_bits:
-                bits = estimate_bits(payload)
-                if bits > max_bits:
-                    max_bits = bits
-            for vi, rp in pairs[i]:
-                fate = decide(label, ident, idents[vi], rnd)
-                if fate == DROP:
-                    continue
-                box = nxt[vi]
-                if box is None:
-                    box = nxt[vi] = {}
-                    nxt_touched.append(vi)
-                box[rp] = GARBLED if fate == GARBLE else payload
-                count += 1
-            return count
-        row = pairs[i]
-        for port, payload in outgoing.items():
-            if track_bits:
-                bits = estimate_bits(payload)
-                if bits > max_bits:
-                    max_bits = bits
-            vi, rp = row[port]
-            fate = decide(label, ident, idents[vi], rnd)
-            if fate == DROP:
-                continue
-            box = nxt[vi]
-            if box is None:
-                box = nxt[vi] = {}
-                nxt_touched.append(vi)
-            box[rp] = GARBLED if fate == GARBLE else payload
-            count += 1
-        return count
-
-    active = []
-    for i in range(n):
-        crashed = crash_of(labels[i])
-        if crashed is not None and crashed[0] == 0:
-            outputs[labels[i]] = crashed[1]
-            finish_round[labels[i]] = 0
-            continue
-        process = processes[i]
-        messages += deliver(i, process.start(), 0)
-        if process.done:
-            label = labels[i]
-            outputs[label] = process.result
-            finish_round[label] = 0
-        else:
-            active.append(i)
-
-    rounds = 0
-    while active:
-        if rounds >= cap:
-            if truncating:
-                for i in active:
-                    label = labels[i]
-                    outputs[label] = default_output
-                    finish_round[label] = cap
-                return result_cls(
-                    outputs,
-                    finish_round,
-                    cap,
-                    messages,
-                    frozenset(labels[i] for i in active),
-                    max_bits if track_bits else None,
-                )
-            raise NonTerminationError(
-                algorithm.name, cap, [labels[i] for i in active]
-            )
-        rounds += 1
-        cur, cur_touched, nxt, nxt_touched = nxt, nxt_touched, cur, cur_touched
-        still_active = []
-        for i in active:
-            label = labels[i]
-            crashed = crash_of(label)
-            if crashed is not None and crashed[0] == rounds:
-                outputs[label] = crashed[1]
-                finish_round[label] = rounds
-                continue
-            process = processes[i]
-            box = cur[i]
-            messages += deliver(
-                i, process.receive(box if box is not None else {}), rounds
-            )
-            if process.done:
-                outputs[label] = process.result
-                finish_round[label] = rounds
-            else:
-                still_active.append(i)
-        active = still_active
         for i in cur_touched:
             cur[i] = None
         cur_touched.clear()

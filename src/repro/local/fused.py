@@ -20,7 +20,7 @@ streams are pure functions of ``(run key, identity)`` (the D9 purity
 argument): the fused draw source simply derives each lane's keys from
 *that lane's* ``(seed, salt)`` — a lane-offset derivation, not a shared
 slab-global stream.  The one thing a kernel cannot decompose by itself
-is its *message ledger* (a single per-round total), so every honest
+is its *message ledger* (a single per-round total), so every certified
 kernel routes its counts through ``BatchGraph.charge`` and
 :class:`FusedBatchGraph` splits them per lane as a side effect.  A
 kernel is only ever fused when its algorithm is certified ``fuse=True``
@@ -46,7 +46,6 @@ from . import batch
 from .algorithm import capabilities_of
 from .context import make_rng, run_key
 from .execution import resolve
-from .faults import resolve_faults
 from .runner import RunResult, execute, note_stepping, round_cap
 
 
@@ -59,7 +58,7 @@ class FusedBatchGraph(batch.BatchGraph):
     member graphs may carry colliding labels and identities.
 
     The :meth:`charge` override is the per-lane message ledger: every
-    honest kernel's counts flow through this one seam, so the exact
+    certified kernel's counts flow through this one seam, so the exact
     split is a by-product of the existing accounting, not a parallel
     re-derivation.
     """
@@ -465,8 +464,7 @@ def run_many(
         Resolved like a solo run.  Lanes fuse when the resolved
         backend is ``"compiled"`` with batching on and the algorithm is
         certified ``supports_fuse``; everything else — including every
-        lane when numpy is missing or a fault plan is ambient — runs
-        solo, bit-identically.
+        lane when numpy is missing — runs solo, bit-identically.
     lanes:
         Maximum lane width per slab (defaults to the ambient record's
         ``lanes``, pinned by ``use_backend("compiled", lanes=b)`` or
@@ -534,7 +532,6 @@ def run_many(
     width = execution.lanes
     fuse_ok = (
         batch.numpy_or_none() is not None
-        and not resolve_faults(None)
         and execution.backend == "compiled"
         and execution.batch
     )

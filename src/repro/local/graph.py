@@ -28,7 +28,7 @@ class GraphDelta:
     insertions — so inserted edges may touch inserted nodes, and a
     deleted edge must exist in the *pre*-delta graph.
 
-    Validation is eager and total (mirroring ``FaultPlan``): every
+    Validation is eager and total: every
     structural error — a self-loop, a duplicate within the delta, an
     ident that is not a positive integer — raises
     :class:`~repro.errors.ParameterError` at construction, and every

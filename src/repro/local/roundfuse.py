@@ -25,11 +25,10 @@ driver call:
   inside the driver, identical to :func:`repro.local.engine.run_batch`.
 
 Eligibility is capability-gated (``supports_roundfuse``) with the exact
-fallback discipline of D10–D16: an active fault plan, ``track_bits``,
-fused execution, an uncertified algorithm, or the
-``REPRO_ROUNDFUSE=0`` kill-switch (``Execution.roundfuse``) each
-degrade to the per-round batch path, bit-identical.  Fused drives are
-tagged ``"rf"`` in step records.
+fallback discipline of D10–D16: ``track_bits``, fused execution, an
+uncertified algorithm, or the ``REPRO_ROUNDFUSE=0`` kill-switch
+(``Execution.roundfuse``) each degrade to the per-round batch path,
+bit-identical.  Fused drives are tagged ``"rf"`` in step records.
 """
 
 from __future__ import annotations
@@ -40,12 +39,12 @@ from ..errors import NonTerminationError
 def try_drive(
     kernel, cg, algorithm, *, cap, truncating, default_output, result_cls
 ):
-    """Round-fuse one honest engine run, or return ``None`` to decline.
+    """Round-fuse one engine run, or return ``None`` to decline.
 
     The caller (:func:`repro.local.engine.run_compiled`) has already
-    built the batch kernel and gated faults, ``track_bits`` and the
-    execution's ``roundfuse`` switch; this helper adds the remaining
-    D17 gates — capability record and a driver that actually fits the
+    built the batch kernel and gated ``track_bits`` and the execution's
+    ``roundfuse`` switch; this helper adds the remaining D17 gates —
+    capability record and a driver that actually fits the
     configuration.  Declining is always safe: the per-round
     :func:`~repro.local.engine.run_batch` loop is the exact same state
     machine, one round at a time.

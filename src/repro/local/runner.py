@@ -42,7 +42,6 @@ from ..errors import NonTerminationError, ParameterError
 from .algorithm import capabilities_of
 from .context import NodeContext, rng_source
 from .execution import resolve
-from .faults import DROP, GARBLE, GARBLED, resolve_faults
 from .message import Broadcast, normalize_outgoing
 from .msgsize import estimate_bits
 
@@ -68,24 +67,6 @@ def note_stepping(kind):
 def last_stepping():
     """Stepping strategy of the most recent run (``None`` if none ran)."""
     return _LAST_STEPPING
-
-
-#: Fault-plan summary of the most recent run (``None`` when the run was
-#: honest) — the same diagnostic channel as :data:`_LAST_STEPPING`: the
-#: alternation engine samples it per step so traces can show which runs
-#: executed under an adversary without widening :class:`RunResult`.
-_LAST_FAULTS = None
-
-
-def note_faults(description):
-    """Record the fault-plan summary of the latest run (or ``None``)."""
-    global _LAST_FAULTS
-    _LAST_FAULTS = description
-
-
-def last_faults():
-    """Fault summary of the most recent run (``None`` if it was honest)."""
-    return _LAST_FAULTS
 
 
 class RunResult:
@@ -173,7 +154,7 @@ def run(
     options:
         The run itself, see :func:`execute`: ``inputs``, ``guesses``,
         ``seed``, ``salt``, ``max_rounds``, ``default_output``,
-        ``truncate``, ``track_bits`` and ``faults``.
+        ``truncate`` and ``track_bits``.
     """
     return execute(graph, algorithm, resolve(backend, rng), **options)
 
@@ -213,7 +194,6 @@ def execute(
     default_output=None,
     truncate=False,
     track_bits=False,
-    faults=None,
 ):
     """:func:`run` under an already-resolved ``execution`` record.
 
@@ -241,12 +221,6 @@ def execute(
     track_bits:
         Record the largest payload size observed (Section 6.2's
         message-size instrumentation; small runtime overhead).
-    faults:
-        Optional :class:`~repro.local.faults.FaultPlan` of adversarial
-        node profiles (DESIGN.md D14); ``None`` falls back to the
-        ambient plan pinned by :func:`~repro.local.faults.use_faults`.
-        An injected run is a pure function of its arguments plus the
-        plan and bit-identical across every backend.
     """
     if capabilities_of(algorithm).get("kind") != "node":
         raise TypeError(f"expected LocalAlgorithm, got {type(algorithm).__name__}")
@@ -259,11 +233,6 @@ def execute(
     inputs = inputs or {}
     truncating = truncate or default_output is not None
     cap = round_cap(max_rounds, truncating)
-    plan = resolve_faults(faults)
-    # Compiled once per run: the scalar per-run view every executor
-    # consumes (batch kernels derive their vectorized twin from it).
-    faults = plan.compile(graph.nodes, graph.ident, seed, salt) if plan else None
-    note_faults(plan.describe() if faults is not None else None)
     if execution.backend == "reference":
         return _run_reference(
             graph,
@@ -277,7 +246,6 @@ def execute(
             default_output=default_output,
             track_bits=track_bits,
             rng_mode=execution.rng_mode,
-            faults=faults,
         )
     from .engine import run_compiled
 
@@ -294,7 +262,6 @@ def execute(
         default_output=default_output,
         track_bits=track_bits,
         result_cls=RunResult,
-        faults=faults,
     )
 
 
@@ -311,18 +278,11 @@ def _run_reference(
     default_output,
     track_bits,
     rng_mode,
-    faults=None,
 ):
     """The specification loop: dict inboxes reallocated every round.
 
     Kept verbatim from the seed implementation (modulo the pluggable rng
-    scheme and the ``faults is not None`` guards) as the oracle for the
-    compiled engine's equivalence suite — including the faulted-run
-    semantics of DESIGN.md D14: a crash-stop node is force-finished
-    before acting at its crash round, a silenced sender's messages never
-    leave it (uncounted), dropped messages vanish in flight (uncounted),
-    garbled ones arrive as :data:`GARBLED` (counted — the bytes
-    travelled — and sized as sent).
+    scheme) as the oracle for the compiled engine's equivalence suite.
     """
     note_stepping("reference")
     make_gen = rng_source(rng_mode, seed, salt)
@@ -348,14 +308,11 @@ def _run_reference(
     # Round 0: wake-up.  `pending[u]` maps the receiver's port -> payload.
     pending = {u: {} for u in graph.nodes}
 
-    def route(u, outgoing, rnd):
+    def route(u, outgoing):
         nonlocal messages, max_bits
         outgoing = normalize_outgoing(outgoing, graph.degree(u))
         if outgoing is None:
             return
-        if faults is not None and faults.silenced(u, rnd):
-            return
-        ident = graph.ident
         if isinstance(outgoing, Broadcast):
             payload = outgoing.payload
             if track_bits:
@@ -363,14 +320,6 @@ def _run_reference(
                 if bits > max_bits:
                     max_bits = bits
             for _, v, reverse_port in graph.adj[u]:
-                if faults is not None:
-                    fate = faults.decide(u, ident[u], ident[v], rnd)
-                    if fate == DROP:
-                        continue
-                    if fate == GARBLE:
-                        pending[v][reverse_port] = GARBLED
-                        messages += 1
-                        continue
                 pending[v][reverse_port] = payload
                 messages += 1
             return
@@ -381,24 +330,12 @@ def _run_reference(
                 if bits > max_bits:
                     max_bits = bits
             _, v, reverse_port = adj[port]
-            if faults is not None:
-                fate = faults.decide(u, ident[u], ident[v], rnd)
-                if fate == DROP:
-                    continue
-                if fate == GARBLE:
-                    payload = GARBLED
             pending[v][reverse_port] = payload
             messages += 1
 
     for u in graph.nodes:
-        if faults is not None:
-            crashed = faults.crash_of(u)
-            if crashed is not None and crashed[0] == 0:
-                outputs[u] = crashed[1]
-                finish_round[u] = 0
-                continue
         process = processes[u]
-        route(u, process.start(), 0)
+        route(u, process.start())
         if process.done:
             outputs[u] = process.result
             finish_round[u] = 0
@@ -426,14 +363,8 @@ def _run_reference(
         pending = {u: {} for u in graph.nodes}
         still_active = []
         for u in active:
-            if faults is not None:
-                crashed = faults.crash_of(u)
-                if crashed is not None and crashed[0] == rounds:
-                    outputs[u] = crashed[1]
-                    finish_round[u] = rounds
-                    continue
             process = processes[u]
-            route(u, process.receive(delivery[u]), rounds)
+            route(u, process.receive(delivery[u]))
             if process.done:
                 outputs[u] = process.result
                 finish_round[u] = rounds

@@ -3,9 +3,10 @@
 The parser is exercised on plain mappings: every malformed value raises
 ``ParameterError`` naming its variable instead of silently becoming a
 default.  Removed backend names are rejected with the valid ones listed,
-the removed ``shard_channel=`` and ``shards=`` keywords are a
-``TypeError`` at every entry point, and a call without overrides
-resolves to the ambient record itself.
+the removed ``shard_channel=``, ``shards=`` and ``faults=`` keywords are
+a ``TypeError`` at every entry point, the fault-injection names are gone
+from the API, and a call without overrides resolves to the ambient
+record itself.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.core.domain import PhysicalDomain
 from repro.errors import ParameterError
 from repro.local import (
     Execution,
+    LocalAlgorithm,
     open_session,
     run,
     run_many,
@@ -74,12 +76,30 @@ class TestRemovedNames:
         with pytest.raises(TypeError, match="shard_channel"):
             entry_point(small_gnp, entry, shard_channel="inline")
 
-    @pytest.mark.parametrize("entry", (
-        "run", "use_backend", "open_session", "domain", "run_many",
-    ))
-    def test_shards_keyword_removed(self, small_gnp, entry):
-        with pytest.raises(TypeError, match="shards"):
-            entry_point(small_gnp, entry, shards=2)
+    @pytest.mark.parametrize("keyword,value,entry", [
+        *(pytest.param("shards", 2, entry, id=entry) for entry in (
+            "run", "use_backend", "open_session", "domain", "run_many",
+        )),
+        # Only the entry points that took ``faults=`` before D24; the
+        # domain runners never did.
+        *(pytest.param("faults", None, entry, id=f"faults-{entry}")
+          for entry in ("run", "rerun")),
+    ])
+    def test_shards_keyword_removed(self, small_gnp, keyword, value, entry):
+        with pytest.raises(TypeError, match=keyword):
+            entry_point(small_gnp, entry, **{keyword: value})
+
+    @pytest.mark.parametrize("case", ("import", "flag", "capability"))
+    def test_fault_injection_removed(self, case):
+        """D24: fault injection left the API along with ``faults=``."""
+        if case == "import":
+            with pytest.raises(ImportError):
+                from repro.local import use_faults  # noqa: F401
+        elif case == "flag":
+            with pytest.raises(TypeError, match="fault_batch"):
+                LocalAlgorithm("x", lambda ctx: None, fault_batch=True)
+        else:
+            assert "supports_faulted_batch" not in luby_mis().capabilities()
 
     def test_shards_field_removed(self):
         with pytest.raises(TypeError, match="shards"):
@@ -97,6 +117,7 @@ def entry_point(graph, entry, **removed):
         "domain": lambda: PhysicalDomain(graph).run_full(
             luby_mis(), **removed
         ),
+        "rerun": lambda: open_session(graph).rerun(luby_mis(), **removed),
     }
     return calls[entry]()
 
@@ -141,6 +162,13 @@ class TestResolution:
         for call in calls:
             with pytest.raises(ParameterError, match=re.escape(shown)):
                 call()
+
+    def test_parameter_errors_are_value_errors(self, small_gnp):
+        """Callers that never import the library's error hierarchy catch
+        eager argument validation as the standard ``ValueError``."""
+        assert issubclass(ParameterError, ValueError)
+        with pytest.raises(ValueError, match="max_rounds"):
+            run(small_gnp, luby_mis(), max_rounds=-1)
 
     def test_rng_mode_follows_the_backend_unless_pinned(self):
         assert resolve(backend="reference").rng_mode == "mt"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.algorithms.luby import luby_mis
 from repro.errors import (
     InvalidInstanceError,
     NonTerminationError,
@@ -187,3 +188,12 @@ class TestRunner:
         algo = zero_round_algorithm("echo", lambda ctx: ctx.input)
         result = run(g, algo, inputs={0: "a", 2: "c"})
         assert result.outputs == {0: "a", 1: None, 2: "c"}
+
+
+class TestNonTerminationDiagnostics:
+    def test_message_unchanged(self, small_gnp):
+        with pytest.raises(NonTerminationError) as excinfo:
+            run(small_gnp, luby_mis(), seed=2, rng="counter", max_rounds=1)
+        message = str(excinfo.value)
+        assert message.endswith("node(s) unfinished")
+        assert "shard" not in message

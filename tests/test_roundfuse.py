@@ -3,8 +3,8 @@
 Bit-identity of the fused drivers against the per-round batch loop and
 the reference stack for every roundfuse-certified kernel — full,
 restricted and virtual domains, both rng schemes — plus the exact
-fallback ladder (kill-switch, uncertified algorithm, active fault plan,
-``track_bits``, cap shorter than the schedule).
+fallback ladder (kill-switch, uncertified algorithm, ``track_bits``,
+cap shorter than the schedule).
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from repro.core.pruning import MatchingPruning, RulingSetPruning
 from repro.errors import NonTerminationError
 from repro.graphs import line_graph_spec
 from repro.local import (
-    FaultPlan,
-    crash_at,
-    drop,
     run,
     run_restricted,
     use_backend,
@@ -221,17 +218,6 @@ class TestFallbackLadder:
         fused = run(small_gnp, luby_mis(), seed=3, rng="counter",
                     backend="compiled")
         assert_results_equal(plain, fused, context="uncertified")
-
-    def test_active_faults_degrade(self, small_gnp):
-        """A fault plan gates the fused drivers out entirely."""
-        nodes = sorted(small_gnp.nodes)
-        plan = FaultPlan({nodes[0]: crash_at(1), nodes[3]: drop(0.5)})
-        base = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                   backend="reference", faults=plan)
-        got = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                  backend="compiled", faults=plan)
-        assert last_stepping() != "rf"
-        assert_results_equal(base, got, context="faulted")
 
     def test_track_bits_degrades(self, small_gnp):
         """Message-size tracking keeps the per-node path (no kernel)."""

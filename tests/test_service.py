@@ -10,9 +10,9 @@ both rng schemes.  Scripts are generated by the seeded, shrinkable
 bisects to the minimal failing prefix and prints it, so a red run is a
 small reproduction, not a 20-op haystack.
 
-Also here: eager ``GraphDelta`` validation edge cases (mirroring the
-FaultPlan validation), session lifecycle semantics and
-``StepRecord.backends`` attribution through a whole alternation.
+Also here: eager ``GraphDelta`` validation edge cases, session
+lifecycle semantics and ``StepRecord.backends`` attribution through a
+whole alternation.
 """
 
 from __future__ import annotations
