@@ -62,6 +62,7 @@ from repro.local import (  # noqa: E402
     use_batch,
     use_roundfuse,
 )
+from repro.local.fused import LANE_WIDTH  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
 
@@ -299,7 +300,9 @@ def unit_fused_sweep(n, b, reps):
     independent runs of a Table-1 MIS row over the same gnp-sparse
     graph, measured as ``b`` sequential solo runs on the batch path
     (``solo``) and as one :func:`repro.local.run_many` call packing
-    them into block-diagonal slabs of up to ``b`` lanes (``fused``).
+    them into block-diagonal slabs of up to ``LANE_WIDTH`` lanes
+    (``fused``).  Every unit passes ``b = 32 = LANE_WIDTH`` jobs, which
+    fill exactly one slab.
 
     Two rows bracket the regime (DESIGN.md D16): ``mis-fast`` (the
     Kuhn–Wattenhofer coloring + color-class sweep, hundreds of light
@@ -327,7 +330,7 @@ def unit_fused_sweep(n, b, reps):
         ]
 
     out = {}
-    with use_backend("compiled", rng="counter", lanes=b), use_batch(True):
+    with use_backend("compiled", rng="counter"), use_batch(True):
         for suffix, algo, guesses in rows:
             opts = {"guesses": guesses} if guesses else {}
             jobs = [(graph, algo, dict(opts, seed=s)) for s in seeds]
@@ -352,7 +355,7 @@ def unit_fused_sweep(n, b, reps):
                 fn()  # warm caches (CSR compile, slab build)
                 seconds = _best(fn, reps)
                 signatures[name] = state.pop("signature")
-                entry = {"seconds": round(seconds, 6), "lanes": b}
+                entry = {"seconds": round(seconds, 6), "lanes": LANE_WIDTH}
                 entry.update(state)
                 if entry["seconds"] > 0:
                     entry["rounds_per_sec"] = round(

@@ -1,24 +1,16 @@
-"""Fused multi-tenant execution: seed sweeps and portfolio races (D16).
+"""Fused multi-run execution: a seed sweep in one slab (D16).
 
-Two production shapes for the same engine.  First a **seed sweep**: 16
-independent MIS runs packed by ``run_many`` into one block-diagonal
-slab, stepped together by the unchanged certified kernels — each lane
-bit-identical to its solo ``run`` (asserted below), but the per-round
-Python dispatch is paid once for the fleet instead of once per run.
-Then a **speculative race**: four candidate algorithms launched as
-lanes of one slab, every finisher verified by the paper's pruning
-algorithm the moment it commits, the rest cancelled as soon as a
-winner survives verification (Corollary 1's portfolio at interactive
-latency).
+A **seed sweep**: 16 independent MIS runs packed by ``run_many`` into
+one block-diagonal slab, stepped together by the unchanged certified
+kernels — each lane bit-identical to its solo ``run`` (asserted below),
+but the per-round Python dispatch is paid once for the fleet instead of
+once per run.  Each job carries its own seed in its options.
 
 Run:  python examples/fused_seed_sweep.py
 """
 
-from repro.algorithms.fast_mis import fast_mis
-from repro.algorithms.hash_luby import hash_luby_mis
-from repro.algorithms.luby import luby_mc, luby_mis
+from repro.algorithms.luby import luby_mis
 from repro.bench import build_graph
-from repro.core import RaceArm, mis_pruning, render_trace, speculative_race
 from repro.graphs import families
 from repro.local import run, run_many
 from repro.problems import MIS
@@ -47,30 +39,9 @@ def seed_sweep(graph, seeds):
     print("lane checked bit-identical to its solo run\n")
 
 
-def portfolio_race(graph):
-    arms = [
-        luby_mis(),
-        # Deliberately undersized guess — the race doesn't trust any
-        # arm's declared bound, it verifies each finisher's output.
-        RaceArm(luby_mc(), guesses={"n": 8}),
-        RaceArm(hash_luby_mis(), guesses={"n": 2 * graph.n}),
-        RaceArm(
-            fast_mis(),
-            guesses={"m": graph.edge_count(), "Delta": graph.max_degree},
-        ),
-    ]
-    result = speculative_race(graph, arms, mis_pruning(), seed=3)
-    MIS.assert_solution(graph, {}, result.outputs, context="race")
-    print(f"speculative race: {len(arms)} arms as lanes of one slab")
-    print(f"winner: {result.winner!r} after {result.heats} heat(s); "
-          "losing lanes cancelled mid-slab\n")
-    print(render_trace(result))
-
-
 def main():
     graph = build_graph(families.gnp_avg_degree(150, 6.0, seed=11), seed=2)
     seed_sweep(graph, seeds=list(range(1, 17)))
-    portfolio_race(graph)
 
 
 if __name__ == "__main__":

@@ -17,25 +17,11 @@ Members implement ``run_budget(domain, inputs, seed, budget) ->
 products) and plain uniform LOCAL algorithms wrapped in
 :class:`LocalMember` qualify — matching the paper, where Theorem 4 is
 applied to already-uniformized algorithms.
-
-:func:`speculative_race` is the fused-engine twin (DESIGN.md D16): the
-candidate ``(A_i ; P)`` arms of a heat run as *lanes of one
-block-diagonal kernel* instead of sequentially, losing lanes are
-cancelled the round a winner's output verifies, and budgets still
-escalate geometrically — Corollary 1's portfolio at interactive
-latency.  The trade against :class:`Portfolio` is scope: racing is
-winner-take-all (an arm must solve the whole instance within its
-budget; there is no cross-iteration instance shrinking), so it keeps
-Theorem 4's certainty-of-correctness but not its per-node progress
-accounting.
 """
 
 from __future__ import annotations
 
-from ..errors import ParameterError
-from ..local.fused import run_many
-from ..local.runner import last_stepping
-from .alternating import AlternatingEngine, AlternationDiverged, StepRecord
+from .alternating import AlternatingEngine, AlternationDiverged
 from .domain import as_domain
 
 
@@ -139,190 +125,4 @@ def theorem4(members, pruning, *, name=None, base=2.0, max_iterations=60,
         base=base,
         max_iterations=max_iterations,
         default_output=default_output,
-    )
-
-
-class RaceArm:
-    """One candidate arm of a speculative race: algorithm + pinned guesses.
-
-    Unlike Theorem 4 members, arms need not be uniform — the race pins
-    each arm's guesses up front (the Corollary-1 candidate pool *is*
-    the non-uniform boxes under their guess schedule), and correctness
-    never depends on the guesses being right: a wrong-guess arm merely
-    fails verification and loses the heat.
-    """
-
-    def __init__(self, algorithm, *, guesses=None, name=None):
-        self.algorithm = algorithm
-        self.guesses = dict(guesses or {})
-        missing = [p for p in algorithm.requires if p not in self.guesses]
-        if missing:
-            raise ParameterError(
-                f"race arm {algorithm.name!r} requires guesses for {missing}"
-            )
-        if name is None:
-            tag = ",".join(f"{k}={v}" for k, v in sorted(self.guesses.items()))
-            name = f"{algorithm.name}[{tag}]" if tag else algorithm.name
-        self.name = name
-
-
-def _as_arm(candidate):
-    if isinstance(candidate, RaceArm):
-        return candidate
-    if isinstance(candidate, LocalMember):
-        return RaceArm(candidate.algorithm, name=candidate.name)
-    if isinstance(candidate, (tuple, list)) and len(candidate) == 2:
-        return RaceArm(candidate[0], guesses=candidate[1])
-    return RaceArm(candidate)
-
-
-class RaceResult:
-    """Outcome of a speculative race (render-compatible with traces).
-
-    Exposes the same ``name/outputs/rounds/steps/completed`` surface as
-    :class:`~repro.core.alternating.TransformResult`, so
-    :func:`~repro.core.alternating.render_trace` draws heats as boxes
-    (tagged ``via fused/...`` when the arms shared a slab), plus the
-    race verdict: ``winner``/``winner_index`` and the number of
-    ``heats`` run.
-    """
-
-    __slots__ = (
-        "name", "outputs", "rounds", "steps", "completed", "winner",
-        "winner_index", "heats",
-    )
-
-    def __init__(self, name, outputs, rounds, steps, winner, winner_index,
-                 heats):
-        self.name = name
-        self.outputs = outputs
-        self.rounds = rounds
-        self.steps = steps
-        self.completed = True
-        self.winner = winner
-        self.winner_index = winner_index
-        self.heats = heats
-
-    def __repr__(self):
-        return (
-            f"RaceResult({self.name!r}, winner={self.winner!r}, "
-            f"heats={self.heats}, rounds={self.rounds})"
-        )
-
-
-def speculative_race(
-    graph,
-    candidates,
-    pruning,
-    *,
-    inputs=None,
-    seed=0,
-    base=2.0,
-    max_heats=40,
-    default_output=0,
-    name=None,
-    lanes=None,
-):
-    """Race candidate arms as lanes of one fused run per heat.
-
-    Heat ``i`` submits every arm restricted to ``⌈base^i⌉`` rounds as
-    one :func:`~repro.local.fused.run_many` call.  The moment a lane
-    commits, its tentative output is *verified* by one application of
-    the pruning algorithm (monotone for all arms, as in Theorem 4): if
-    ``P`` prunes every node the output is a solution (Observation 3.4
-    with a single total prune) — that lane wins and all other lanes
-    are cancelled the same round.  Unverified finishers (a
-    Monte-Carlo arm's garbage, a truncated prefix) let the heat
-    continue; if no arm verifies, the budget doubles and the arms
-    re-race — the same geometric escalation as Theorem 4, without the
-    sequential ``k·2^i`` cost per iteration.
-
-    The ledger charges, per heat, the rounds actually stepped (the
-    winner's finish round, or the full budget) plus ``pruning.rounds``
-    per verification attempted.  Raises
-    :class:`~repro.core.alternating.AlternationDiverged` when
-    ``max_heats`` budgets are exhausted without a verified winner.
-    """
-    arms = [_as_arm(c) for c in candidates]
-    if not arms:
-        raise ParameterError("race needs at least one arm")
-    domain = as_domain(graph)
-    inputs = dict(inputs or {})
-    race_name = name or ("race[" + ",".join(a.name for a in arms) + "]")
-    jobs = [
-        (
-            domain.graph,
-            arm.algorithm,
-            {"guesses": arm.guesses, "salt": f"race|{j}|{arm.name}"},
-        )
-        for j, arm in enumerate(arms)
-    ]
-    total_rounds = 0
-    steps = []
-    for i in range(1, max_heats + 1):
-        budget = max(1, int(base**i))
-        winner = {}
-        verifications = 0
-        prune_backend = None
-
-        def verify(lane_index, result):
-            nonlocal verifications, prune_backend
-            if winner or result is None:
-                return ()
-            prune = pruning.apply(
-                domain,
-                inputs,
-                result.outputs,
-                seed=seed,
-                salt=f"race|verify|{i}|{lane_index}",
-            )
-            verifications += 1
-            prune_backend = last_stepping()
-            if len(prune.pruned) == domain.n:
-                winner["index"] = lane_index
-                winner["result"] = result
-                return [j for j in range(len(arms)) if j != lane_index]
-            return ()
-
-        run_many(
-            jobs,
-            seeds=seed,
-            max_rounds=budget,
-            default_output=default_output,
-            truncate=True,
-            lanes=lanes,
-            errors="return",
-            on_lane_done=verify,
-        )
-        algo_backend = last_stepping()
-        stepped = winner["result"].rounds if winner else budget
-        charged = stepped + pruning.rounds * verifications
-        total_rounds += charged
-        steps.append(
-            StepRecord(
-                label=(
-                    arms[winner["index"]].name if winner else race_name
-                ),
-                iteration=i,
-                index=1,
-                guesses={},
-                budget=budget,
-                charged=charged,
-                nodes_before=domain.n,
-                pruned=domain.n if winner else 0,
-                backends=(algo_backend, prune_backend),
-            )
-        )
-        if winner:
-            return RaceResult(
-                race_name,
-                dict(winner["result"].outputs),
-                total_rounds,
-                steps,
-                arms[winner["index"]].name,
-                winner["index"],
-                i,
-            )
-    raise AlternationDiverged(
-        f"{race_name}: no arm verified within {max_heats} heats"
     )

@@ -34,24 +34,6 @@ class ParameterError(ReproError, ValueError):
     """
 
 
-class LaneCancelled(ReproError):
-    """A fused lane was cancelled before completion (DESIGN.md D16).
-
-    Never raised by :func:`~repro.local.fused.run_many` itself: the
-    only way a lane gets cancelled is through the caller's own
-    ``on_lane_done`` hook (speculative racing), so the exception object
-    is placed in the lane's result slot for the caller to recognise.
-    """
-
-    def __init__(self, lane, winner=None):
-        self.lane = lane
-        self.winner = winner
-        message = f"lane {lane} cancelled"
-        if winner is not None:
-            message += f" after lane {winner} won"
-        super().__init__(message)
-
-
 class InvalidInstanceError(ReproError):
     """An instance violates the preconditions of a problem or algorithm."""
 

@@ -1,8 +1,8 @@
 """How runs execute: one frozen :class:`Execution` record, resolved once.
 
-Every executor choice — which engine, which random-source scheme, how
-wide a fused slab, and whether the batched (D10) and round-fused (D17)
-tiers may engage — lives in one immutable record.
+Every executor choice — which engine, which random-source scheme, and
+whether the batched (D10) and round-fused (D17) tiers may engage —
+lives in one immutable record.
 The process starts from :meth:`Execution.from_env`; the scopes
 :func:`use_backend`, :func:`use_batch` and :func:`use_roundfuse` swap
 the *ambient* record for a :func:`dataclasses.replace`-d copy; and
@@ -40,9 +40,9 @@ def env_setting(environ, name, default, kind=str, choices=None):
     """Read the variable ``name`` from the mapping ``environ``.
 
     Unset or blank gives ``default``.  ``kind`` is ``bool`` (one of
-    1/on/true/yes or 0/off/false/no, any case), ``int`` (at least 1)
-    or ``str``; ``choices`` restricts the accepted values.
-    Anything else raises :class:`~repro.errors.ParameterError`.
+    1/on/true/yes or 0/off/false/no, any case) or ``str``; ``choices``
+    restricts the accepted strings.  Anything else raises
+    :class:`~repro.errors.ParameterError`.
     """
     raw = environ.get(name, "").strip()
     if not raw:
@@ -51,17 +51,9 @@ def env_setting(environ, name, default, kind=str, choices=None):
         if raw.lower() not in _TRUE + _FALSE:
             raise ParameterError(f"{name}={raw!r}: use one of {_TRUE + _FALSE}")
         return raw.lower() in _TRUE
-    try:
-        value = kind(raw)
-    except ValueError:
-        raise ParameterError(
-            f"{name}={raw!r} is not a valid {kind.__name__}"
-        ) from None
-    if kind is int and value < 1:
-        raise ParameterError(f"{name}={raw!r} must be >= 1")
-    if choices is not None and value not in choices:
+    if choices is not None and raw not in choices:
         raise ParameterError(f"{name}={raw!r}: use one of {choices}")
-    return value
+    return raw
 
 
 @dataclass(frozen=True)
@@ -70,17 +62,13 @@ class Execution:
 
     ``rng`` is ``None`` for the backend's native scheme (``"mt"`` for
     the reference loop, ``"counter"`` otherwise; see :attr:`rng_mode`).
-    ``lanes`` caps the width of one fused
-    :func:`~repro.local.fused.run_many` slab (D16) and must be an int
-    (not a bool) of at least 1.  ``batch``
-    and ``roundfuse`` let compiled runs take the batched frontier
+    ``batch`` and ``roundfuse`` let compiled runs take the batched frontier
     stepping (D10) and the round-fused drivers (D17) when the algorithm
     is certified for them.
     """
 
     backend: str = "compiled"
     rng: str | None = None
-    lanes: int = 32
     batch: bool = True
     roundfuse: bool = True
 
@@ -93,14 +81,6 @@ class Execution:
             raise ParameterError(
                 f"unknown rng scheme {self.rng!r} (use {RNG_MODES})"
             )
-        lanes = self.lanes
-        if not isinstance(lanes, int) or isinstance(lanes, bool):
-            raise ParameterError(
-                f"lanes must be an int, got {lanes!r} "
-                f"({type(lanes).__name__})"
-            )
-        if lanes < 1:
-            raise ParameterError(f"lanes must be >= 1, got {lanes!r}")
 
     @classmethod
     def from_env(cls, environ):
@@ -109,7 +89,6 @@ class Execution:
             backend=env_setting(environ, "REPRO_BACKEND", "compiled",
                                 choices=BACKENDS),
             rng=env_setting(environ, "REPRO_RNG", None, choices=RNG_MODES),
-            lanes=env_setting(environ, "REPRO_FUSE_LANES", 32, int),
             batch=env_setting(environ, "REPRO_BATCH", True, bool),
             roundfuse=env_setting(environ, "REPRO_ROUNDFUSE", True, bool),
         )
@@ -119,17 +98,15 @@ class Execution:
         """The concrete random-source scheme runs draw from."""
         return self.rng or ("mt" if self.backend == "reference" else "counter")
 
-    def resolve(self, backend=None, rng=None, lanes=None):
+    def resolve(self, backend=None, rng=None):
         """This record under per-call overrides (``self`` when none)."""
-        if backend is None and rng is None and lanes is None:
+        if backend is None and rng is None:
             return self
         changes = {}
         if backend is not None:
             changes["backend"] = backend
         if rng is not None:
             changes["rng"] = rng
-        if lanes is not None:
-            changes["lanes"] = lanes
         return replace(self, **changes)
 
 
@@ -141,9 +118,9 @@ def current():
     return _ambient
 
 
-def resolve(backend=None, rng=None, lanes=None):
+def resolve(backend=None, rng=None):
     """The ambient record under per-call overrides."""
-    return _ambient.resolve(backend, rng, lanes)
+    return _ambient.resolve(backend, rng)
 
 
 @contextmanager
@@ -159,23 +136,15 @@ def installed(execution):
 
 
 @contextmanager
-def use_backend(backend, rng=None, lanes=None):
-    """Pin the backend (and optionally the rng scheme and fused lane
-    width) for every run in the scope.
+def use_backend(backend, rng=None):
+    """Pin the backend (and optionally the rng scheme) for every run in
+    the scope.
 
     The equivalence suite runs whole pipelines — alternations, virtual
     domains, portfolios — under each backend with the rng scheme pinned,
     proving the engines interchangeable end to end.
-    ``use_backend("compiled", lanes=b)`` packs every
-    :func:`~repro.local.fused.run_many` inside at most ``b`` runs per
-    block-diagonal slab (D16).
     """
-    if lanes is not None and backend == "reference":
-        raise ParameterError(
-            "use_backend(..., lanes=b) requires a compiled backend; "
-            "the reference loop never fuses runs"
-        )
-    with installed(_ambient.resolve(backend, rng, lanes)):
+    with installed(_ambient.resolve(backend, rng)):
         yield
 
 

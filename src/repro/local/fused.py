@@ -2,7 +2,7 @@
 
 The production workloads of this reproduction are rarely one huge graph
 — they are *fleets* of independent small runs: Table-1 seed sweeps,
-Corollary-1 portfolio arms, per-user matchmaking instances.  Each solo
+guess sweeps, per-user matchmaking instances.  Each solo
 run pays the full per-round Python dispatch cost alone; this module
 packs ``b`` independent ``(graph, algorithm, seed)`` instances into one
 **block-diagonal CSR slab** and steps them as *lanes* of a single batch
@@ -30,23 +30,30 @@ bit-identical.
 
 Per-lane termination is tracked by the driver (a lane's result is
 committed the round its last node finishes); a settled lane's edges are
-retired from the shared slab the same round, and a chunk whose lanes
-are all done or cancelled leaves the stepping loop — stragglers don't
-pay for the fleet.  Cancellation is exposed through the
-``on_lane_done`` hook, which is what :mod:`repro.core.portfolio` uses
-for speculative racing.
+retired from the shared slab the same round, so stragglers don't pay
+for the fleet.  Slabs are at most :data:`LANE_WIDTH` lanes wide.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from ..errors import LaneCancelled, NonTerminationError, ParameterError, ReproError
+from ..errors import NonTerminationError, ParameterError, ReproError
 from . import batch
 from .algorithm import capabilities_of
 from .context import make_rng, run_key
 from .execution import resolve
-from .runner import RunResult, execute, note_stepping, round_cap
+from .runner import (
+    RunResult,
+    execute,
+    note_stepping,
+    require_guesses,
+    round_cap,
+)
+
+#: Maximum number of lanes packed into one block-diagonal slab; a
+#: larger group of same-schedule jobs is split into chunks this wide.
+LANE_WIDTH = 32
 
 
 class FusedBatchGraph(batch.BatchGraph):
@@ -288,8 +295,7 @@ def _fused_draw_builder(bg, rng_mode, seeds, salts):
                 run_key(seeds[k], salts[k]) for k in range(bg.lane_count)
             )
             # Key derivation is a pure function of the per-lane run
-            # keys, so a repeated sweep (or a race re-running its arms
-            # at a doubled budget) reuses the concatenated key slab.
+            # keys, so a repeated sweep reuses the concatenated key slab.
             keys = bg._draw_cache.get(run_keys)
             if keys is None:
                 if len(bg._draw_cache) >= 8:
@@ -318,7 +324,6 @@ class _Lane:
     """Per-run bookkeeping of one ``run_many`` job."""
 
     __slots__ = (
-        "index",
         "graph",
         "algorithm",
         "guesses",
@@ -330,11 +335,9 @@ class _Lane:
         "remaining",
         "result",
         "error",
-        "cancelled",
     )
 
-    def __init__(self, index, graph, algorithm, guesses, inputs, seed, salt):
-        self.index = index
+    def __init__(self, graph, algorithm, guesses, inputs, seed, salt):
         self.graph = graph
         self.algorithm = algorithm
         self.guesses = guesses
@@ -346,7 +349,6 @@ class _Lane:
         self.remaining = 0
         self.result = None
         self.error = None
-        self.cancelled = False
 
     @property
     def settled(self):
@@ -373,9 +375,6 @@ class _Chunk:
         self.lanes = lanes
         self.value_of = np.empty(bg.n, dtype=object)
         self.round_of = np.zeros(bg.n, dtype=np.int64)
-
-    def live(self):
-        return any(not lane.settled for lane in self.lanes)
 
     def refresh_window(self):
         """Retire any newly settled lanes from the shared edge slab."""
@@ -405,45 +404,14 @@ class _Chunk:
         )
 
 
-def _per_lane(value, count, name):
-    if isinstance(value, (list, tuple)):
-        if len(value) != count:
-            raise ParameterError(
-                f"{name} has {len(value)} entries for {count} jobs"
-            )
-        return list(value)
-    return [value] * count
-
-
-def _cancel(lanes_list, cancels, winner):
-    for idx in cancels or ():
-        lane = lanes_list[idx]
-        if not lane.settled and not lane.cancelled:
-            lane.cancelled = True
-            lane.error = LaneCancelled(idx, winner=winner)
-
-
-def _notify(on_lane_done, lane, lanes_list):
-    if on_lane_done is None:
-        return
-    _cancel(lanes_list, on_lane_done(lane.index, lane.result), lane.index)
-
-
 def run_many(
     jobs,
     *,
-    seeds=0,
-    salts=0,
-    guesses=None,
-    inputs=None,
     max_rounds=None,
     default_output=None,
     truncate=False,
     backend=None,
     rng=None,
-    lanes=None,
-    errors="raise",
-    on_lane_done=None,
 ):
     """Execute independent runs, fusing certified ones into shared slabs.
 
@@ -451,12 +419,8 @@ def run_many(
     ----------
     jobs:
         Iterable of ``(graph, algorithm)`` or ``(graph, algorithm,
-        opts)`` where ``opts`` may override ``guesses``, ``inputs``,
-        ``seed`` and ``salt`` per job.
-    seeds, salts:
-        Scalar (applied to every lane) or one-per-job sequences.
-    guesses, inputs:
-        Call-wide bases merged under each job's own overrides.
+        opts)`` where ``opts`` may set ``guesses``, ``inputs``,
+        ``seed`` and ``salt`` for that job (defaults: none, none, 0, 0).
     max_rounds, default_output, truncate:
         Round restriction, applied to every lane with the exact
         semantics of :func:`~repro.local.runner.run`.
@@ -465,34 +429,15 @@ def run_many(
         backend is ``"compiled"`` with batching on and the algorithm is
         certified ``supports_fuse``; everything else — including every
         lane when numpy is missing — runs solo, bit-identically.
-    lanes:
-        Maximum lane width per slab (defaults to the ambient record's
-        ``lanes``, pinned by ``use_backend("compiled", lanes=b)`` or
-        ``REPRO_FUSE_LANES``).
-    errors:
-        ``"raise"`` raises the lowest-index lane's
-        :class:`NonTerminationError` after all lanes settle;
-        ``"return"`` places exception objects in the result list.
-    on_lane_done:
-        Optional hook ``(lane_index, result) -> cancel_indices`` called
-        the moment a lane commits; returned lanes are cancelled (their
-        slot becomes a :class:`~repro.errors.LaneCancelled`, never
-        raised) — the speculative-racing primitive.
 
-    Returns the per-job list of :class:`~repro.local.runner.RunResult`
-    (or exception objects under ``errors="return"``), each
-    field-for-field identical to the job's solo ``run``.
+    Returns the per-job list of :class:`~repro.local.runner.RunResult`,
+    each field-for-field identical to the job's solo ``run``.  A lane
+    that exceeds the round cap without truncation fails the call: once
+    every lane has settled, the lowest-index lane's
+    :class:`NonTerminationError` is raised.
     """
-    if errors not in ("raise", "return"):
-        raise ParameterError(f"errors must be 'raise' or 'return', got {errors!r}")
-    jobs = list(jobs)
-    count = len(jobs)
-    seed_list = _per_lane(seeds, count, "seeds")
-    salt_list = _per_lane(salts, count, "salts")
-    base_guesses = dict(guesses or {})
-    base_inputs = dict(inputs or {})
     lanes_list = []
-    for k, job in enumerate(jobs):
+    for job in jobs:
         if not isinstance(job, (tuple, list)) or len(job) not in (2, 3):
             raise ParameterError(
                 "each job must be (graph, algorithm) or (graph, algorithm, opts)"
@@ -506,30 +451,19 @@ def run_many(
             raise TypeError(
                 f"expected LocalAlgorithm, got {type(algorithm).__name__}"
             )
-        lane_guesses = dict(base_guesses)
-        lane_guesses.update(opts.get("guesses") or {})
-        missing = [p for p in algorithm.requires if p not in lane_guesses]
-        if missing:
-            raise ParameterError(
-                f"algorithm {algorithm.name!r} requires guesses for {missing}"
-            )
-        lane_inputs = dict(base_inputs)
-        lane_inputs.update(opts.get("inputs") or {})
         lanes_list.append(
             _Lane(
-                k,
                 graph,
                 algorithm,
-                lane_guesses,
-                lane_inputs,
-                opts.get("seed", seed_list[k]),
-                opts.get("salt", salt_list[k]),
+                require_guesses(algorithm, opts.get("guesses")),
+                dict(opts.get("inputs") or {}),
+                opts.get("seed", 0),
+                opts.get("salt", 0),
             )
         )
     truncating = truncate or default_output is not None
     cap = round_cap(max_rounds, truncating)
-    execution = resolve(backend, rng, lanes=lanes)
-    width = execution.lanes
+    execution = resolve(backend, rng)
     fuse_ok = (
         batch.numpy_or_none() is not None
         and execution.backend == "compiled"
@@ -555,8 +489,8 @@ def run_many(
             groups.setdefault((id(lane.algorithm), gkey), []).append(lane)
         claimed = set()
         for members in groups.values():
-            for at in range(0, len(members), width):
-                chunk_lanes = members[at : at + width]
+            for at in range(0, len(members), LANE_WIDTH):
+                chunk_lanes = members[at : at + LANE_WIDTH]
                 chunk = _build_chunk(chunk_lanes, execution.rng_mode, claimed)
                 if chunk is None:
                     solo.extend(chunk_lanes)
@@ -564,12 +498,9 @@ def run_many(
                     chunks.append(chunk)
     else:
         solo = list(lanes_list)
-    # Solo lanes run first (their cancellations can still skip later
-    # solo lanes); the fused drive then leaves last_stepping()=="fused"
-    # whenever any lane actually fused.
+    # Solo lanes run first, so the fused drive leaves
+    # last_stepping()=="fused" whenever any lane actually fused.
     for lane in solo:
-        if lane.settled:
-            continue
         try:
             lane.result = execute(
                 lane.graph,
@@ -585,28 +516,18 @@ def run_many(
             )
         except NonTerminationError as exc:
             lane.error = exc
-            continue
-        _notify(on_lane_done, lane, lanes_list)
     if chunks:
         _drive(
             chunks,
             cap=cap,
             truncating=truncating,
             default_output=default_output,
-            on_lane_done=on_lane_done,
-            lanes_list=lanes_list,
         )
-        # Noted after the drive so runs launched from on_lane_done hooks
-        # (e.g. racing's pruner verifications) don't mask the tag.
         note_stepping("fused")
-    if errors == "raise":
-        for lane in lanes_list:
-            if lane.error is not None and not lane.cancelled:
-                raise lane.error
-    return [
-        lane.result if lane.result is not None else lane.error
-        for lane in lanes_list
-    ]
+    for lane in lanes_list:
+        if lane.error is not None:
+            raise lane.error
+    return [lane.result for lane in lanes_list]
 
 
 def _build_chunk(chunk_lanes, rng_mode, claimed):
@@ -650,46 +571,37 @@ def _build_chunk(chunk_lanes, rng_mode, claimed):
     return _Chunk(bg, kernel, chunk_lanes)
 
 
-def _drive(chunks, *, cap, truncating, default_output, on_lane_done, lanes_list):
+def _drive(chunks, *, cap, truncating, default_output):
     """The fused round loop: ``run_batch``'s ledger, kept per lane.
 
-    All chunks advance in lockstep engine rounds (a racing winner at
-    round r cancels losers before their round r+1, even across
-    chunks).  A chunk leaves the loop when its kernel is done *or* all
-    its lanes are settled — cancelled fleets stop paying immediately.
+    All chunks advance in lockstep engine rounds; a chunk leaves the
+    loop when its kernel is done.
     """
     pending = []
     for chunk in chunks:
         finished, results, sent = chunk.kernel.start()
-        _distribute(chunk, finished, results, 0, sent, on_lane_done, lanes_list)
-        if not chunk.kernel.done and chunk.live():
+        _distribute(chunk, finished, results, 0, sent)
+        if not chunk.kernel.done:
             chunk.refresh_window()
             pending.append(chunk)
     rounds = 0
     while pending:
         if rounds >= cap:
             for chunk in pending:
-                _cut(chunk, cap, truncating, default_output, on_lane_done, lanes_list)
+                _cut(chunk, cap, truncating, default_output)
             return
         rounds += 1
         still = []
         for chunk in pending:
-            if not chunk.live():
-                continue
             finished, results, sent = chunk.kernel.step()
-            _distribute(
-                chunk, finished, results, rounds, sent, on_lane_done, lanes_list
-            )
-            if not chunk.kernel.done and chunk.live():
+            _distribute(chunk, finished, results, rounds, sent)
+            if not chunk.kernel.done:
+                chunk.refresh_window()
                 still.append(chunk)
-        # Settlements this round (completions anywhere, cancellations
-        # across chunks) retire their lanes' edges before the next step.
-        for chunk in still:
-            chunk.refresh_window()
         pending = still
 
 
-def _distribute(chunk, finished, results, round_no, sent, on_lane_done, lanes_list):
+def _distribute(chunk, finished, results, round_no, sent):
     """Credit one engine round to the chunk's lanes (vectorized)."""
     np = batch.numpy_or_none()
     bg = chunk.bg
@@ -713,18 +625,17 @@ def _distribute(chunk, finished, results, round_no, sent, on_lane_done, lanes_li
     for pos in np.flatnonzero(counts).tolist():
         lane = chunk.lanes[pos]
         lane.remaining -= int(counts[pos])
-        if lane.remaining == 0 and not lane.settled:
+        if lane.remaining == 0:
             chunk.materialize(pos, lane)
-            _notify(on_lane_done, lane, lanes_list)
 
 
-def _cut(chunk, cap, truncating, default_output, on_lane_done, lanes_list):
+def _cut(chunk, cap, truncating, default_output):
     """Round cap reached: truncate or fail each unfinished lane.
 
     Mirrors ``run_batch`` exactly — truncated lanes report
     ``rounds == cap`` with the forced nodes in ``truncated``; without
-    truncation the lane's slot becomes a :class:`NonTerminationError`
-    (other lanes' results stand, per the ``errors`` policy).
+    truncation the lane records a :class:`NonTerminationError`, which
+    :func:`run_many` raises once every lane has settled.
     """
     np = batch.numpy_or_none()
     bg = chunk.bg
@@ -752,4 +663,3 @@ def _cut(chunk, cap, truncating, default_output, on_lane_done, lanes_list):
             lane.result.outputs, lane.result.finish_round, cap,
             lane.messages, frozenset(stragglers), None,
         )
-        _notify(on_lane_done, lane, lanes_list)

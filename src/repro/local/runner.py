@@ -159,6 +159,23 @@ def run(
     return execute(graph, algorithm, resolve(backend, rng), **options)
 
 
+def require_guesses(algorithm, guesses, name=None):
+    """``guesses`` as a fresh dict, checked to cover ``algorithm.requires``.
+
+    Every entry point raises the same :class:`ParameterError` for a
+    missing guess; ``name`` overrides the algorithm name it reports
+    (virtual runs report ``virtual[<name>]``).
+    """
+    guesses = dict(guesses or {})
+    missing = [p for p in algorithm.requires if p not in guesses]
+    if missing:
+        name = algorithm.name if name is None else name
+        raise ParameterError(
+            f"algorithm {name!r} requires guesses for {missing}"
+        )
+    return guesses
+
+
 def round_cap(max_rounds, truncating):
     """The round cap a run with ``max_rounds`` executes under.
 
@@ -224,12 +241,7 @@ def execute(
     """
     if capabilities_of(algorithm).get("kind") != "node":
         raise TypeError(f"expected LocalAlgorithm, got {type(algorithm).__name__}")
-    guesses = dict(guesses or {})
-    missing = [p for p in algorithm.requires if p not in guesses]
-    if missing:
-        raise ParameterError(
-            f"algorithm {algorithm.name!r} requires guesses for {missing}"
-        )
+    guesses = require_guesses(algorithm, guesses)
     inputs = inputs or {}
     truncating = truncate or default_output is not None
     cap = round_cap(max_rounds, truncating)

@@ -51,8 +51,8 @@ class SimulationSession:
             session.mutate(GraphDelta(add_edges=[(3, 9)]))
             session.rerun(algo, seed=1)   # ≡ cold run on the new graph
 
-    Keyword pins (``backend``, ``rng``, ``lanes``) are
-    resolved once, at open, into the session's
+    Keyword pins (``backend``, ``rng``) are resolved once, at open,
+    into the session's
     :class:`~repro.local.execution.Execution` record — the ambient
     record for every :meth:`rerun`, :meth:`rerun_many` and
     :meth:`scope`.  Any rerun may override it per call, which is how
@@ -61,13 +61,13 @@ class SimulationSession:
 
     __slots__ = ("_graph", "_execution", "_epoch", "_reruns", "_closed")
 
-    def __init__(self, graph, *, backend=None, rng=None, lanes=None):
+    def __init__(self, graph, *, backend=None, rng=None):
         if not isinstance(graph, SimGraph):
             raise ParameterError(
                 f"sessions wrap a SimGraph, got {type(graph).__name__}"
             )
         self._graph = graph
-        self._execution = resolve(backend, rng, lanes)
+        self._execution = resolve(backend, rng)
         self._epoch = 0
         self._reruns = 0
         self._closed = False
@@ -169,9 +169,11 @@ class SimulationSession:
         ``algorithms`` is an iterable of node algorithms (or
         ``(algorithm, opts)`` pairs); every lane shares the session
         graph, so the whole sweep packs into one block-diagonal slab
-        (D16).  Accepts the keywords of
-        :func:`~repro.local.fused.run_many` (``seeds``, ``salts``,
-        ``lanes``, ...), which override the session record per call.
+        (D16).  Per-lane ``seed``, ``salt``, ``guesses`` and ``inputs``
+        go in each pair's ``opts``.  Accepts the keywords of
+        :func:`~repro.local.fused.run_many` (``max_rounds``,
+        ``default_output``, ``truncate``, ``backend``, ``rng``); the
+        last two override the session record per call.
         """
         jobs = []
         for entry in algorithms:
@@ -206,14 +208,10 @@ class SimulationSession:
         )
 
 
-def open_session(graph, *, backend=None, rng=None, lanes=None):
+def open_session(graph, *, backend=None, rng=None):
     """Open a :class:`SimulationSession` on ``graph``.
 
     The keyword pins become defaults for every ``rerun`` of the
     session; see :class:`SimulationSession`.
     """
-    return SimulationSession(graph, backend=backend, rng=rng, lanes=lanes)
-
-
-#: ``service.open(graph)`` spelling used in the service docs.
-open = open_session
+    return SimulationSession(graph, backend=backend, rng=rng)

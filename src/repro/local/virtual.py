@@ -60,7 +60,7 @@ the specification path it is tested against.
 
 from __future__ import annotations
 
-from ..errors import InvalidInstanceError, NonTerminationError, ParameterError
+from ..errors import InvalidInstanceError, NonTerminationError
 from .algorithm import LocalAlgorithm, NodeProcess, capabilities_of
 from .batch import (
     BatchSetup,
@@ -70,6 +70,7 @@ from .batch import (
 )
 from .context import NodeContext, sub_rng
 from .message import Broadcast
+from .runner import require_guesses
 
 
 class VirtualSpec:
@@ -770,16 +771,6 @@ def _drive_virtual(kernel, algorithm, max_vrounds, roundfuse):
     return finish_vround, results
 
 
-def _require_guesses(algorithm, guesses):
-    """Validate Γ̃ coverage with the runner's exact diagnostics."""
-    guesses = dict(guesses or {})
-    missing = [p for p in algorithm.requires if p not in guesses]
-    if missing:
-        name = f"virtual[{algorithm.name}]"
-        raise ParameterError(f"algorithm {name!r} requires guesses for {missing}")
-    return guesses
-
-
 def _host_commits(spec, physical, finish_vround, vindex):
     """Replay the host announce/commit protocol from kernel finish data.
 
@@ -867,7 +858,9 @@ def run_virtual_batch(
         return None
     if not capabilities_of(algorithm).get("supports_batch"):
         return None
-    guesses = _require_guesses(algorithm, guesses)
+    guesses = require_guesses(
+        algorithm, guesses, name=f"virtual[{algorithm.name}]"
+    )
     bg = batch_graph_of_spec(spec)
     kernel = _virtual_kernel(
         spec,
@@ -936,7 +929,9 @@ def run_virtual_batch_full(
         return None
     if not capabilities_of(algorithm).get("supports_batch"):
         return None
-    guesses = _require_guesses(algorithm, guesses)
+    guesses = require_guesses(
+        algorithm, guesses, name=f"virtual[{algorithm.name}]"
+    )
     bg = batch_graph_of_spec(spec)
     kernel = _virtual_kernel(
         spec,

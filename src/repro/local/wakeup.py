@@ -27,7 +27,7 @@ from .algorithm import LocalAlgorithm
 from .context import NodeContext, rng_source
 from .message import Broadcast, normalize_outgoing
 from .execution import resolve
-from .runner import SAFETY_ROUND_CAP, RunResult
+from .runner import SAFETY_ROUND_CAP, RunResult, require_guesses
 
 
 def run_with_wakeup(
@@ -61,12 +61,7 @@ def run_with_wakeup(
     """
     if not isinstance(algorithm, LocalAlgorithm):
         raise TypeError(f"expected LocalAlgorithm, got {type(algorithm).__name__}")
-    guesses = dict(guesses or {})
-    missing = [p for p in algorithm.requires if p not in guesses]
-    if missing:
-        raise ParameterError(
-            f"algorithm {algorithm.name!r} requires guesses for {missing}"
-        )
+    guesses = require_guesses(algorithm, guesses)
     inputs = inputs or {}
     wake = {u: int(wake.get(u, 0)) for u in graph.nodes}
     if any(t < 0 for t in wake.values()):

@@ -3,15 +3,17 @@
 The parser is exercised on plain mappings: every malformed value raises
 ``ParameterError`` naming its variable instead of silently becoming a
 default.  Removed backend names are rejected with the valid ones listed,
-the removed ``shard_channel=``, ``shards=`` and ``faults=`` keywords are
-a ``TypeError`` at every entry point, the fault-injection names are gone
-from the API, and a call without overrides resolves to the ambient
-record itself.
+the removed ``shard_channel=``, ``shards=``, ``faults=``, ``lanes=``,
+``errors=``, ``on_lane_done=`` and ``seeds=`` keywords are a
+``TypeError`` at every entry point that once took them, the
+fault-injection and racing names are gone from the API, and a call
+without overrides resolves to the ambient record itself.
 """
 
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -28,29 +30,41 @@ from repro.local import (
     use_batch,
     use_roundfuse,
 )
+from repro.local import fused
 from repro.local.execution import current, resolve
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class RecordingEnviron(dict):
+    """A mapping that records every key it is asked for."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked = []
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
 
 
 class TestEnvironmentParser:
     def test_defaults_when_unset_or_blank(self):
         assert Execution.from_env({}) == Execution()
-        assert Execution.from_env({"REPRO_FUSE_LANES": "  "}) == Execution()
+        assert Execution.from_env({"REPRO_BATCH": "  "}) == Execution()
 
     def test_values_parse(self):
         execution = Execution.from_env({
             "REPRO_BACKEND": "reference",
             "REPRO_RNG": "mt",
-            "REPRO_FUSE_LANES": "8",
             "REPRO_BATCH": "No",
             "REPRO_ROUNDFUSE": "off",
         })
         assert execution == Execution(
-            backend="reference", rng="mt", lanes=8, batch=False,
-            roundfuse=False,
+            backend="reference", rng="mt", batch=False, roundfuse=False,
         )
 
     @pytest.mark.parametrize("name,raw", [
-        ("REPRO_FUSE_LANES", "0"),
         ("REPRO_BATCH", "maybe"),
         ("REPRO_ROUNDFUSE", "2"),
         ("REPRO_BACKEND", "batch"),
@@ -60,6 +74,15 @@ class TestEnvironmentParser:
     def test_malformed_values_name_the_variable(self, name, raw):
         with pytest.raises(ParameterError, match=name):
             Execution.from_env({name: raw})
+
+    def test_readme_table_names_exactly_the_parsed_variables(self):
+        environ = RecordingEnviron()
+        Execution.from_env(environ)
+        documented = re.findall(
+            r"^\| `(REPRO_\w+)` \|", README.read_text(), re.MULTILINE
+        )
+        assert sorted(documented) == sorted(set(environ.asked))
+        assert len(documented) == len(set(documented))
 
 
 class TestRemovedNames:
@@ -84,6 +107,15 @@ class TestRemovedNames:
         # domain runners never did.
         *(pytest.param("faults", None, entry, id=f"faults-{entry}")
           for entry in ("run", "rerun")),
+        # D25: the fused lane width is a constant, and run_many lost its
+        # error policy, its lane callback and its call-wide seeds.
+        *(pytest.param("lanes", 2, entry, id=f"lanes-{entry}")
+          for entry in ("run_many", "use_backend", "open_session")),
+        *(pytest.param(keyword, value, entry, id=f"{keyword}-{entry}")
+          for keyword, value in (
+              ("errors", "raise"), ("on_lane_done", None), ("seeds", 0),
+          )
+          for entry in ("run_many", "rerun_many")),
     ])
     def test_shards_keyword_removed(self, small_gnp, keyword, value, entry):
         with pytest.raises(TypeError, match=keyword):
@@ -101,10 +133,32 @@ class TestRemovedNames:
         else:
             assert "supports_faulted_batch" not in luby_mis().capabilities()
 
+    @pytest.mark.parametrize("module,name", [
+        ("repro.core", "speculative_race"),
+        ("repro.core", "RaceArm"),
+        ("repro.core", "RaceResult"),
+        ("repro.errors", "LaneCancelled"),
+        ("repro.local.service", "open"),
+    ])
+    def test_racing_names_removed(self, module, name):
+        """D25: speculative racing, its cancellation error and the
+        ``service.open`` alias left the API."""
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
+
     def test_shards_field_removed(self):
         with pytest.raises(TypeError, match="shards"):
             Execution(shards=2)
         assert Execution.from_env({"REPRO_SHARDS": "3"}) == Execution()
+
+    def test_lanes_field_removed(self):
+        """D25: no ``lanes`` field, and the parser never asks for
+        ``REPRO_FUSE_LANES``."""
+        with pytest.raises(TypeError, match="lanes"):
+            Execution(lanes=2)
+        environ = RecordingEnviron(REPRO_FUSE_LANES="8")
+        assert Execution.from_env(environ) == Execution()
+        assert environ.asked and "REPRO_FUSE_LANES" not in environ.asked
 
 
 def entry_point(graph, entry, **removed):
@@ -118,6 +172,9 @@ def entry_point(graph, entry, **removed):
             luby_mis(), **removed
         ),
         "rerun": lambda: open_session(graph).rerun(luby_mis(), **removed),
+        "rerun_many": lambda: open_session(graph).rerun_many(
+            [luby_mis()], **removed
+        ),
     }
     return calls[entry]()
 
@@ -125,11 +182,11 @@ def entry_point(graph, entry, **removed):
 class TestResolution:
     def test_no_overrides_returns_the_ambient_record(self):
         assert resolve() is current()
-        with use_backend("compiled", rng="counter", lanes=4):
+        with use_backend("compiled", rng="counter"):
             assert resolve() is current()
-            assert current().lanes == 4
+            assert current().rng == "counter"
 
-    @pytest.mark.parametrize("name", ("lanes", "max_rounds"))
+    @pytest.mark.parametrize("name", ("max_rounds",))
     @pytest.mark.parametrize("value", (2.7, 0.5, True, False, "2", None, -1),
                              ids=("2.7", "0.5", "True", "False", "str",
                                   "None", "-1"))
@@ -138,27 +195,21 @@ class TestResolution:
         truncated (2.7 -> 2, True -> 1), misreported (0.5 -> 0) or
         reported back as a negative round count."""
         if isinstance(value, int) and not isinstance(value, bool):
-            floor = 0 if name == "max_rounds" else 1
-            shown = f"{name} must be >= {floor}, got {value!r}"
+            shown = f"{name} must be >= 0, got {value!r}"
         else:
             shown = f"{name} must be an int, got {value!r}"
-        if name == "lanes":
-            calls = [lambda: Execution(lanes=value)]
-            if value is not None:  # None means "no override" to resolve
-                calls.append(lambda: resolve(lanes=value))
-        else:
-            if value is None:  # no cap given: truncation has none to cut at
-                shown = "truncation requires an explicit max_rounds"
-            calls = [
-                lambda: run(small_gnp, luby_mis(), max_rounds=value,
-                            truncate=True, default_output=0),
-                lambda: run_many([(small_gnp, luby_mis())],
-                                 max_rounds=value, truncate=True),
-            ]
-            if value is not None:
-                calls.append(
-                    lambda: run(small_gnp, luby_mis(), max_rounds=value)
-                )
+        if value is None:  # no cap given: truncation has none to cut at
+            shown = "truncation requires an explicit max_rounds"
+        calls = [
+            lambda: run(small_gnp, luby_mis(), max_rounds=value,
+                        truncate=True, default_output=0),
+            lambda: run_many([(small_gnp, luby_mis())],
+                             max_rounds=value, truncate=True),
+        ]
+        if value is not None:
+            calls.append(
+                lambda: run(small_gnp, luby_mis(), max_rounds=value)
+            )
         for call in calls:
             with pytest.raises(ParameterError, match=re.escape(shown)):
                 call()
@@ -184,10 +235,11 @@ class TestResolution:
             assert current().backend == before.backend
         assert current() is before
 
-    def test_lanes_on_any_compiled_scope(self, small_gnp):
-        jobs = [(small_gnp, luby_mis(), {"seed": s}) for s in range(3)]
+    def test_lanes_on_any_compiled_scope(self, small_gnp, monkeypatch):
+        algo = luby_mis()
+        jobs = [(small_gnp, algo, {"seed": s}) for s in range(3)]
         plain = run_many(jobs)
-        with use_backend("compiled", lanes=2):
-            assert current().lanes == 2
+        monkeypatch.setattr(fused, "LANE_WIDTH", 2)
+        with use_backend("compiled", rng="counter"):
             chunked = run_many(jobs)
         assert [r.outputs for r in chunked] == [r.outputs for r in plain]

@@ -5,8 +5,8 @@ call is *field-for-field identical* to its solo :func:`repro.local.run`
 — outputs, finish rounds, total rounds, message counts, truncation sets
 — under both rng schemes, across heterogeneous graphs, algorithms and
 seeds, whether the lane fused into a block-diagonal slab or fell back
-to a solo run.  Plus the machinery around it: slab caching, per-lane
-termination/cancellation, backend wiring, and speculative racing.
+to a solo run.  Plus the machinery around it: chunking at the lane
+width, slab caching, per-lane termination and backend wiring.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from repro.algorithms.fast_mis import fast_mis
 from repro.algorithms.hash_luby import hash_luby_mis
 from repro.algorithms.luby import luby_mc, luby_mis
 from repro.algorithms.ruling_sets import bitwise_ruling_set
-from repro.core import (
-    AlternationDiverged,
-    RaceArm,
-    mis_pruning,
-    render_trace,
-    speculative_race,
-)
-from repro.errors import LaneCancelled, NonTerminationError, ParameterError
+from repro.errors import NonTerminationError, ParameterError
 from repro.graphs import families, identifiers
 from repro.local import (
     SimGraph,
@@ -35,12 +28,11 @@ from repro.local import (
     run_many,
     slab_cache_stats,
     use_backend,
-    zero_round_algorithm,
 )
 from repro.local import batch as batch_module
+from repro.local import fused as fused_module
 from repro.local.algorithm import capabilities_of
 from repro.local.fused import fused_slab_of
-from repro.problems import MIS
 
 numpy = pytest.importorskip("numpy")
 
@@ -107,45 +99,61 @@ class TestBitIdentity:
             assert fields_of(result) == fields_of(solo), job[1].name
             assert result.rounds <= 1
 
-    def test_chunked_lanes_match_unchunked(self, small_gnp):
-        jobs = [(small_gnp, luby_mis(), {"seed": s}) for s in range(5)]
+    def test_chunked_lanes_match_unchunked(self, small_gnp, monkeypatch):
+        algo = luby_mis()
+        jobs = [(small_gnp, algo, {"seed": s}) for s in range(5)]
         wide = run_many(jobs)
-        narrow = run_many(jobs, lanes=2)
+        monkeypatch.setattr(fused_module, "LANE_WIDTH", 2)
+        narrow = run_many(jobs)
         for a, b in zip(wide, narrow):
             assert fields_of(a) == fields_of(b)
 
-    def test_shared_slab_chunks_are_isolated(self, medium_gnp):
+    def test_shared_slab_chunks_are_isolated(self, medium_gnp, monkeypatch):
         # Eight lanes over one graph chunked to width 2: all four
         # chunks hash to the same cached slab and step concurrently,
         # so each must fork its own edge window — a lane settling in
         # one chunk must not shrink the slab under the others.
+        monkeypatch.setattr(fused_module, "LANE_WIDTH", 2)
         algo = luby_mis()
         jobs = [(medium_gnp, algo, {"seed": s}) for s in range(8)]
-        results = run_many(jobs, lanes=2)
+        results = run_many(jobs)
         for job, result in zip(jobs, results):
             assert fields_of(result) == fields_of(solo_twin(job, rng=None))
 
-    def test_scalar_and_per_lane_seeds(self, small_gnp):
+    def test_per_job_salt_changes_the_draws(self, small_gnp):
         algo = luby_mis()
-        jobs = [(small_gnp, algo)] * 3
-        by_list = run_many(jobs, seeds=[4, 4, 4], salts=[0, 0, "x"])
-        by_scalar = run_many(jobs, seeds=4)
-        assert fields_of(by_list[0]) == fields_of(by_scalar[0])
-        assert fields_of(by_list[1]) == fields_of(by_scalar[1])
-        assert by_list[2].outputs != by_list[0].outputs or (
-            by_list[2].finish_round != by_list[0].finish_round
+        jobs = [
+            (small_gnp, algo, {"seed": 4}),
+            (small_gnp, algo, {"seed": 4, "salt": 0}),
+            (small_gnp, algo, {"seed": 4, "salt": "x"}),
+        ]
+        plain, zero, salted = run_many(jobs)
+        assert fields_of(plain) == fields_of(zero)
+        assert fields_of(salted) == fields_of(solo_twin(jobs[2], rng=None))
+        assert (salted.outputs, salted.finish_round) != (
+            plain.outputs, plain.finish_round
         )
 
 
 class TestTermination:
-    def test_nontermination_lane_returned(self, path12):
+    def test_nontermination_raises_the_lowest_lane_error(self, path12):
+        # Lane 0 (fused) and lane 1 (solo: its algorithm is not
+        # certified to fuse) both miss the cap; lane 2 finishes.  Solo
+        # lanes run first, yet the error raised is lane 0's.
         finishes = build(families.gnp(5, 0.0, seed=1), seed=2)
-        jobs = [(path12, luby_mis()), (finishes, luby_mis())]
-        results = run_many(jobs, max_rounds=1, errors="return")
-        assert isinstance(results[0], NonTerminationError)
-        assert results[0].unfinished
-        assert results[1].rounds == 0
-        assert set(results[1].outputs.values()) == {1}
+        algo = luby_mis()
+        jobs = [
+            (path12, algo),
+            (path12, bitwise_ruling_set(), {"guesses": {"m": 64}}),
+            (finishes, algo),
+        ]
+        with pytest.raises(NonTerminationError) as caught:
+            run_many(jobs, max_rounds=1)
+        with pytest.raises(NonTerminationError) as solo:
+            run(path12, algo, max_rounds=1)
+        assert caught.value.algorithm_name == algo.name
+        assert caught.value.unfinished
+        assert sorted(caught.value.unfinished) == sorted(solo.value.unfinished)
 
     def test_nontermination_lane_raises_by_default(self, path12):
         with pytest.raises(NonTerminationError):
@@ -154,34 +162,6 @@ class TestTermination:
     def test_truncate_requires_max_rounds(self, small_gnp):
         with pytest.raises(ParameterError):
             run_many([(small_gnp, luby_mis())], truncate=True)
-
-    def test_errors_policy_validated(self, small_gnp):
-        with pytest.raises(ParameterError):
-            run_many([(small_gnp, luby_mis())], errors="ignore")
-
-
-class TestCancellation:
-    def test_winner_cancels_losers(self, small_gnp):
-        algo = luby_mis()
-        jobs = [(small_gnp, algo, {"seed": s}) for s in range(3)]
-        order = []
-
-        def first_wins(lane_index, result):
-            order.append(lane_index)
-            if len(order) == 1:
-                return [j for j in range(3) if j != lane_index]
-            return ()
-
-        results = run_many(jobs, on_lane_done=first_wins)
-        winner = order[0]
-        assert fields_of(results[winner]) == fields_of(
-            solo_twin(jobs[winner], rng=None)
-        )
-        losers = [r for j, r in enumerate(results) if j != winner]
-        assert all(isinstance(r, LaneCancelled) for r in losers)
-        assert all(r.winner == winner for r in losers)
-        # Cancelled lanes never raise, even under errors="raise".
-        assert len(order) == 1
 
 
 class TestFallbacks:
@@ -218,7 +198,7 @@ class TestSlabCache:
         jobs = [(small_gnp, luby_mis(), {"seed": s}) for s in range(4)]
         run_many(jobs)
         before = slab_cache_stats()
-        run_many(jobs, seeds=9)
+        run_many([(graph, algo, {"seed": 9}) for graph, algo, _ in jobs])
         after = slab_cache_stats()
         assert after["hits"] > before["hits"]
         assert after["misses"] == before["misses"]
@@ -250,7 +230,9 @@ class TestSlabCache:
         graph = build(families.gnp(24, 0.15, seed=6), seed=7)
         with open_session(graph) as session:
             jobs = [luby_mis() for _ in range(3)]
-            session.rerun_many(jobs, seeds=[1, 2, 3])
+            session.rerun_many(
+                [(algo, {"seed": s}) for algo, s in zip(jobs, [1, 2, 3])]
+            )
             old_cg = session.graph.compiled()
             old_mirror = batch_module.batch_graph_of(old_cg)
             assert any(id(old_cg) in key for key in _SLAB_CACHE)
@@ -273,7 +255,9 @@ class TestSlabCache:
 
             # The post-mutate fused sweep equals its solo runs on the
             # new topology (a stale slab would diverge here).
-            fused = session.rerun_many(jobs, seeds=[4, 5, 6])
+            fused = session.rerun_many(
+                [(algo, {"seed": s}) for algo, s in zip(jobs, [4, 5, 6])]
+            )
             for seed, lane in zip([4, 5, 6], fused):
                 solo = run(session.graph, luby_mis(), seed=seed,
                            backend="compiled")
@@ -281,25 +265,15 @@ class TestSlabCache:
 
 
 class TestBackendWiring:
-    def test_use_backend_fused_lanes(self, small_gnp):
-        jobs = [(small_gnp, luby_mis(), {"seed": s}) for s in range(4)]
+    def test_use_backend_fused_lanes(self, small_gnp, monkeypatch):
+        algo = luby_mis()
+        jobs = [(small_gnp, algo, {"seed": s}) for s in range(4)]
         plain = run_many(jobs)
-        with use_backend("compiled", lanes=2):
+        monkeypatch.setattr(fused_module, "LANE_WIDTH", 2)
+        with use_backend("compiled"):
             chunked = run_many(jobs)
         for a, b in zip(plain, chunked):
             assert fields_of(a) == fields_of(b)
-
-    def test_lanes_require_compiled_backend(self):
-        with pytest.raises(ParameterError, match="compiled backend"):
-            with use_backend("reference", lanes=2):
-                pass
-
-    def test_lanes_validated(self, small_gnp):
-        with pytest.raises(ParameterError):
-            run_many([(small_gnp, luby_mis())], lanes=0)
-        with pytest.raises(ParameterError):
-            with use_backend("compiled", lanes=0):
-                pass
 
     def test_job_shape_validated(self, small_gnp):
         with pytest.raises(ParameterError):
@@ -308,8 +282,6 @@ class TestBackendWiring:
             run_many([(small_gnp, luby_mis(), {"bogus": 1})])
         with pytest.raises(ParameterError):
             run_many([(small_gnp, luby_mc())])  # missing guess for n
-        with pytest.raises(ParameterError):
-            run_many([(small_gnp, luby_mis())] * 2, seeds=[1])
 
     def test_capability_table_publishes_supports_fuse(self):
         table = capability_table()
@@ -320,42 +292,3 @@ class TestBackendWiring:
             assert "supports_fuse" in record
             assert record["pruning"]["supports_fuse"] is False
 
-
-class TestSpeculativeRace:
-    def test_race_finds_verified_mis(self, small_gnp):
-        m = small_gnp.edge_count()
-        delta = small_gnp.max_degree
-        arms = [
-            luby_mis(),
-            RaceArm(luby_mc(), guesses={"n": 4}),  # hopeless guess
-            RaceArm(hash_luby_mis(), guesses={"n": 40}),
-            RaceArm(fast_mis(), guesses={"m": m, "Delta": delta}),
-        ]
-        result = speculative_race(small_gnp, arms, mis_pruning(), seed=3)
-        assert MIS.is_solution(small_gnp, {}, result.outputs)
-        assert result.completed
-        assert result.winner == arms[result.winner_index].name
-        assert result.heats == len(result.steps)
-        trace = render_trace(result)
-        assert "via fused/" in trace
-
-    def test_race_diverges_within_max_heats(self, small_gnp):
-        # An all-zeros "MIS" is independent but never maximal on a graph
-        # with edges, so this arm can never pass verification.
-        hopeless = zero_round_algorithm("all-out", lambda ctx: 0)
-        with pytest.raises(AlternationDiverged):
-            speculative_race(
-                small_gnp,
-                [hopeless],
-                mis_pruning(),
-                seed=1,
-                max_heats=2,
-            )
-
-    def test_race_arm_requires_guesses(self):
-        with pytest.raises(ParameterError):
-            RaceArm(luby_mc())
-
-    def test_race_needs_arms(self, small_gnp):
-        with pytest.raises(ParameterError):
-            speculative_race(small_gnp, [], mis_pruning())

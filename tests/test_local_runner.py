@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import networkx as nx
 import pytest
 
-from repro.algorithms.luby import luby_mis
+from repro.algorithms.luby import luby_mc, luby_mis
+from repro.core.domain import VirtualDomain
 from repro.errors import (
     InvalidInstanceError,
     NonTerminationError,
@@ -17,9 +20,12 @@ from repro.local import (
     NodeProcess,
     SimGraph,
     run,
+    run_many,
     run_restricted,
+    run_with_wakeup,
     zero_round_algorithm,
 )
+from repro.graphs import line_graph_spec
 
 
 class CountDown(NodeProcess):
@@ -197,3 +203,28 @@ class TestNonTerminationDiagnostics:
         message = str(excinfo.value)
         assert message.endswith("node(s) unfinished")
         assert "shard" not in message
+
+
+@pytest.mark.parametrize("entry", (
+    "run", "run_many", "run_with_wakeup", "run_restricted", "run_full",
+))
+@pytest.mark.parametrize("backend", ("compiled", "reference"))
+def test_missing_guess_message_is_shared(small_gnp, entry, backend):
+    """Every entry point reports a missing guess in the same words;
+    virtual-domain runs name the algorithm ``virtual[<name>]``."""
+    algo = luby_mc()
+    domain = VirtualDomain(small_gnp, line_graph_spec(small_gnp))
+    calls = {
+        "run": lambda: run(small_gnp, algo, backend=backend),
+        "run_many": lambda: run_many([(small_gnp, algo)], backend=backend),
+        "run_with_wakeup": lambda: run_with_wakeup(small_gnp, algo, {}),
+        "run_restricted": lambda: domain.run_restricted(
+            algo, 4, backend=backend
+        ),
+        "run_full": lambda: domain.run_full(algo, backend=backend),
+    }
+    name = algo.name if entry in ("run", "run_many", "run_with_wakeup") \
+        else f"virtual[{algo.name}]"
+    message = f"algorithm {name!r} requires guesses for ['n']"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        calls[entry]()

@@ -97,13 +97,12 @@ def make_executor(harness, rng):
                 seed = 100 + step
                 oracle = SimGraph.from_networkx(truth, idents=dict(idents))
                 if lanes:
-                    seeds = [seed + j for j in range(lanes)]
+                    opts = [{"seed": seed + j} for j in range(lanes)]
                     live = session.rerun_many(
-                        [luby_mis() for _ in seeds], seeds=seeds, **spec
+                        [(luby_mis(), o) for o in opts], **spec
                     )
                     cold = run_many(
-                        [(oracle, luby_mis()) for _ in seeds],
-                        seeds=seeds,
+                        [(oracle, luby_mis(), o) for o in opts],
                         rng=rng,
                         **spec,
                     )
@@ -315,7 +314,7 @@ class TestSessionLifecycle:
             assert_results_equal(base, ref, context="pin override")
 
     def test_scope_installs_every_pin(self, small_gnp):
-        """Regression: ``.scope()`` used to drop ``lanes`` unless the
+        """Regression: ``.scope()`` used to drop pins unless the
         (former) fused backend was pinned."""
         with open_session(small_gnp, backend="reference", rng="counter") as s:
             s.rerun(luby_mis(), seed=4)
@@ -324,9 +323,6 @@ class TestSessionLifecycle:
                 run(small_gnp, luby_mis(), seed=4)
                 assert last_stepping() == "reference"
                 assert current().rng == "counter"
-        with open_session(small_gnp, lanes=4) as s:
-            with s.scope():
-                assert current().lanes == 4
 
     def test_epoch_and_rerun_counters(self, small_gnp):
         with open_session(small_gnp) as s:
