@@ -10,8 +10,8 @@ a declared dependency, but the runtime degrades gracefully without it:
 back to per-node stepping, so an environment that cannot install numpy
 still runs the pipeline (asserted by tests/test_batch_kernels.py) —
 except the line-graph rows (matching, edge coloring), whose line graph
-is built as arrays and raises ParameterError naming numpy without it
-(DESIGN.md D23).
+is built as arrays, and G(n, p), whose pairs are drawn from numpy; both
+raise ParameterError naming numpy without it (DESIGN.md D23, D26).
 """
 
 from setuptools import find_packages, setup

@@ -25,7 +25,8 @@ import random
 
 import networkx as nx
 
-from ..errors import InvalidInstanceError
+from ..errors import InvalidInstanceError, ParameterError
+from ..local.batch import numpy_or_none
 
 
 def _check_n(n, minimum=1):
@@ -79,17 +80,77 @@ def triangulated_grid(rows, cols):
     return nx.convert_node_labels_to_integers(graph, ordering="sorted")
 
 
-def gnp(n, p, seed=0):
-    """Erdős–Rényi G(n, p) (general graphs)."""
+# Draws per ``random_sample`` call in :func:`gnp`: 2^16 doubles, 512 KB.
+GNP_CHUNK = 1 << 16
+
+
+def _random_state(np, seed):
+    """A legacy ``RandomState`` holding ``random.Random(seed)``'s MT19937 state."""
+    words = random.Random(seed).getstate()[1]
+    stream = np.random.RandomState()
+    stream.set_state(("MT19937", np.array(words[:624], dtype=np.uint32), words[624]))
+    return stream
+
+
+def _gnp(n, p, seed, where):
+    """``nx.gnp_random_graph(n, p, seed=seed)``, byte for byte.
+
+    networkx draws one ``random()`` per pair in ``itertools.combinations``
+    order and adds the pair when the draw is below ``p``.  CPython's
+    ``random()`` and numpy's legacy ``random_sample`` both build a double
+    as ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` from two MT19937 words,
+    so a ``RandomState`` given ``random.Random(seed)``'s state draws the
+    same doubles (DESIGN.md D26).  They come in chunks of at most
+    :data:`GNP_CHUNK`, so the working memory is O(chunk + n) plus the
+    hits for any ``n``.  Hit indices map back to (row, col) by one
+    ``searchsorted`` over the row starts, and the edges go in in draw
+    order, so node order and every adjacency dict's order match too.
+    """
     _check_n(n)
-    return nx.gnp_random_graph(n, p, seed=seed)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InvalidInstanceError(f"{where} seed must be an int, got {seed!r}")
+    if p >= 1:
+        return nx.complete_graph(n)
+    graph = nx.empty_graph(n)
+    if p <= 0 or n < 2:
+        return graph
+    np = numpy_or_none()
+    if np is None:
+        raise ParameterError(f"{where} requires numpy")
+    stream = _random_state(np, seed)
+    pairs = n * (n - 1) // 2
+    hits = []
+    for offset in range(0, pairs, GNP_CHUNK):
+        draws = stream.random_sample(min(GNP_CHUNK, pairs - offset))
+        hits.append(np.flatnonzero(draws < p) + offset)
+    k = np.concatenate(hits)
+    row = np.arange(n, dtype=np.int64)
+    starts = row * n - row * (row + 1) // 2
+    rows = np.searchsorted(starts, k, side="right") - 1
+    cols = k - starts[rows] + rows + 1
+    graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
+    return graph
+
+
+def gnp(n, p, seed=0):
+    """Erdős–Rényi G(n, p) (general graphs).
+
+    Byte-identical to ``nx.gnp_random_graph(n, p, seed=seed)``; Θ(n²)
+    draws, at most :data:`GNP_CHUNK` (512 KB) held at once.  ``seed``
+    must be an int.
+    """
+    return _gnp(n, p, seed, "gnp")
 
 
 def gnp_avg_degree(n, avg_degree, seed=0):
-    """G(n, p) parameterized by expected average degree."""
-    _check_n(n)
+    """G(n, p) parameterized by expected average degree.
+
+    Byte-identical to ``nx.gnp_random_graph`` at
+    ``p = min(1, avg_degree / (n - 1))``; Θ(n²) draws, at most
+    :data:`GNP_CHUNK` (512 KB) held at once.  ``seed`` must be an int.
+    """
     p = min(1.0, avg_degree / max(1, n - 1))
-    return nx.gnp_random_graph(n, p, seed=seed)
+    return _gnp(n, p, seed, "gnp_avg_degree")
 
 
 def random_regular(n, degree, seed=0):

@@ -98,12 +98,23 @@ class TestFallbackWithoutNumpy:
         assert actual == expected
 
     def test_line_graph_spec_names_numpy(self, small_gnp, monkeypatch):
-        """The array line-graph builder is the one path needing numpy."""
+        """The array line-graph builder needs numpy."""
         from repro.errors import ParameterError
 
         monkeypatch.setattr(batch_module, "_np", None)
         with pytest.raises(ParameterError, match="numpy"):
             line_graph_spec(small_gnp)
+
+    def test_gnp_names_numpy(self, monkeypatch):
+        """G(n, p) draws from numpy; only the draw-free ends skip it."""
+        from repro.errors import ParameterError
+        from repro.graphs import families
+
+        monkeypatch.setattr(batch_module, "_np", None)
+        with pytest.raises(ParameterError, match="gnp requires numpy"):
+            families.gnp(20, 0.2, seed=1)
+        assert families.gnp(5, 0, seed=1).number_of_edges() == 0
+        assert families.gnp(5, 1, seed=1).number_of_edges() == 10
 
     def test_random_batch_raises_cleanly(self, monkeypatch):
         from repro.errors import ParameterError

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -61,6 +62,74 @@ class TestFamilies:
         graph = families.dumbbell(6, 2)
         degrees = sorted(dict(graph.degree()).values())
         assert degrees[-1] >= 5
+
+
+def _shape(graph):
+    """What byte identity with networkx means here: node order, every
+    adjacency dict's order and the edge order."""
+    return (
+        list(graph.nodes()),
+        [list(graph.adj[u]) for u in graph],
+        list(graph.edges()),
+    )
+
+
+GNP_SEEDS = (0, 1, 77, 2**31 - 1)
+
+
+class TestGnpMatchesNetworkx:
+    """``families.gnp`` draws from numpy but must equal networkx exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 333])
+    @pytest.mark.parametrize("p", [0, 1e-3, "6/(n-1)", 0.5, 1])
+    def test_small_n_every_seed(self, n, p):
+        if p == "6/(n-1)":
+            p = 6 / max(1, n - 1)
+        # Dense graphs at n=333 cost ~0.1 s each in networkx: one seed.
+        for seed in GNP_SEEDS if n * p < 100 else GNP_SEEDS[2:3]:
+            expected = nx.gnp_random_graph(n, p, seed=seed)
+            assert _shape(families.gnp(n, p, seed=seed)) == _shape(expected)
+
+    @pytest.mark.parametrize(("p", "seed"), [(6 / 999, 1), (1e-3, 2**31 - 1)])
+    def test_n1000_spans_many_chunks(self, p, seed):
+        assert 1000 * 999 // 2 > 7 * families.GNP_CHUNK
+        expected = nx.gnp_random_graph(1000, p, seed=seed)
+        assert _shape(families.gnp(1000, p, seed=seed)) == _shape(expected)
+
+    def test_ragged_chunks(self, monkeypatch):
+        # 780 pairs in chunks of 64: twelve full chunks and a short one.
+        monkeypatch.setattr(families, "GNP_CHUNK", 64)
+        for p, seed in ((0.12, 77), (0.5, 0)):
+            expected = nx.gnp_random_graph(40, p, seed=seed)
+            assert _shape(families.gnp(40, p, seed=seed)) == _shape(expected)
+
+    @pytest.mark.parametrize(("n", "avg"), [(12, 11.0), (12, 50.0), (90, 6.0)])
+    def test_avg_degree(self, n, avg):
+        p = min(1.0, avg / (n - 1))
+        for seed in (0, 77):
+            expected = nx.gnp_random_graph(n, p, seed=seed)
+            got = families.gnp_avg_degree(n, avg, seed=seed)
+            assert _shape(got) == _shape(expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 77, 2**31 - 1])
+    def test_numpy_stream_canary(self, seed):
+        """CPython's ``random()`` and numpy's legacy ``random_sample`` give
+        the same doubles from one MT19937 state.  NEP 19 freezes the
+        legacy stream; if a numpy release ever broke it, every gnp graph
+        would change, so it fails here first."""
+        numpy = pytest.importorskip("numpy")
+        python = random.Random(seed)
+        expected = [python.random() for _ in range(10_000)]
+        drawn = families._random_state(numpy, seed).random_sample(10_000)
+        assert drawn.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "seed", [None, 1.0, "1", True, random.Random(1)], ids=repr
+    )
+    @pytest.mark.parametrize("maker", ["gnp", "gnp_avg_degree"])
+    def test_seed_must_be_an_int(self, maker, seed):
+        with pytest.raises(InvalidInstanceError, match=f"{maker} seed"):
+            getattr(families, maker)(10, 0.3, seed=seed)
 
 
 class TestIdentifiers:
