@@ -73,17 +73,28 @@ def numpy_or_none():
     return _np
 
 
-def stream_keys(key, idents):
-    """Per-node counter-stream keys ``key ^ (ident * mix)`` as uint64.
+def ident_mix(idents):
+    """Per-node ``(ident * mix) mod 2^64`` as a read-only uint64 array.
 
-    Identities may exceed 64 bits (derived-graph encodings), so the
-    mixing is done in Python big-int arithmetic before narrowing.
+    When every identity fits in 64 bits this is one wrapping uint64
+    multiply; identities past 2^64 - 1 (derived-graph encodings) are
+    mixed in Python big-int arithmetic before narrowing.
     """
     np = _np
-    return np.array(
-        [(key ^ ((ident * _IDENT_MIX) & _MASK64)) for ident in idents],
-        dtype=np.uint64,
-    )
+    if idents and max(idents) > _MASK64:
+        mixed = np.array(
+            [(ident * _IDENT_MIX) & _MASK64 for ident in idents],
+            dtype=np.uint64,
+        )
+    else:
+        mixed = np.array(idents, dtype=np.uint64) * np.uint64(_IDENT_MIX)
+    mixed.flags.writeable = False
+    return mixed
+
+
+def stream_keys(key, idents):
+    """Per-node counter-stream keys ``key ^ (ident * mix)`` as uint64."""
+    return ident_mix(idents) ^ _np.uint64(key)
 
 
 class CounterDraws:
@@ -139,7 +150,9 @@ class SequentialDraws:
 class BatchGraph:
     """Numpy CSR mirror plus label/identity views, in identity order."""
 
-    __slots__ = ("labels", "idents", "n", "offsets", "neigh", "owner", "degrees")
+    __slots__ = (
+        "labels", "idents", "n", "offsets", "neigh", "owner", "degrees", "_mix",
+    )
 
     def __init__(self, labels, idents, offsets, neigh):
         np = _np
@@ -150,6 +163,14 @@ class BatchGraph:
         self.neigh = np.asarray(neigh, dtype=np.int64)
         self.degrees = self.offsets[1:] - self.offsets[:-1]
         self.owner = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        self._mix = None
+
+    def ident_mix(self):
+        """This graph's :func:`ident_mix`, computed once and cached."""
+        mix = self._mix
+        if mix is None:
+            mix = self._mix = ident_mix(self.idents)
+        return mix
 
     def charge(self, senders=None):
         """Message count for a broadcast by ``senders`` (all nodes if
@@ -172,6 +193,46 @@ def batch_graph_of(cg):
     if bg is None:
         bg = cg._batch = BatchGraph(cg.labels, cg.idents, cg.offsets, cg.neigh)
     return bg
+
+
+def splice_batch_graph(bg, cg, runs, rebuilt, new_of):
+    """The mirror of ``cg``, spliced from its parent's mirror ``bg``.
+
+    :meth:`CompiledGraph.apply_delta <repro.local.engine.CompiledGraph.
+    apply_delta>` passes its plan: each ``(j, a, b)`` in ``runs`` says
+    parent rows ``a .. b-1`` became rows ``j ..`` of ``cg`` unchanged
+    (remapped through ``new_of`` when the node set changed), and every
+    row in ``rebuilt`` is read from ``cg``'s lists.  Runs copy as numpy
+    slices, so the long lists are never converted again.  The identity
+    mix carries over when the node set is unchanged.
+    """
+    np = _np
+    offsets = cg.offsets
+    out = object.__new__(BatchGraph)
+    out.labels = cg.labels
+    out.idents = cg.idents
+    out.n = cg.n
+    out.offsets = new_offsets = np.empty(cg.n + 1, dtype=np.int64)
+    new_offsets[0] = 0
+    out.neigh = neigh = np.empty(offsets[-1], dtype=np.int64)
+    out.owner = owner = np.empty(offsets[-1], dtype=np.int64)
+    src = bg.neigh
+    if new_of is not None:
+        src = np.asarray(new_of, dtype=np.int64)[src]
+    for j, a, b in runs:
+        lo, hi = int(bg.offsets[a]), int(bg.offsets[b])
+        start = offsets[j]
+        new_offsets[j + 1:j + 1 + b - a] = bg.offsets[a + 1:b + 1] + (start - lo)
+        neigh[start:start + hi - lo] = src[lo:hi]
+        owner[start:start + hi - lo] = bg.owner[lo:hi] + (j - a)
+    for j in rebuilt:
+        lo, hi = offsets[j], offsets[j + 1]
+        new_offsets[j + 1] = hi
+        neigh[lo:hi] = cg.neigh[lo:hi]
+        owner[lo:hi] = j
+    out.degrees = new_offsets[1:] - new_offsets[:-1]
+    out._mix = bg._mix if new_of is None else None
+    return out
 
 
 def batch_graph_of_spec(spec):
@@ -259,7 +320,8 @@ class _VirtualMtNodeFactory:
 def _engine_draw_builder(bg, rng_mode, seed, salt):
     def build(bits):
         if rng_mode == "counter":
-            return CounterDraws(stream_keys(run_key(seed, salt), bg.idents), bits)
+            keys = bg.ident_mix() ^ _np.uint64(run_key(seed, salt))
+            return CounterDraws(keys, bits)
         return SequentialDraws(
             _MtNodeFactory(seed, salt, bg.idents), bg.n, bits
         )

@@ -59,9 +59,12 @@ the equivalence contract between the two backends.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
+
 from ..errors import NonTerminationError
 from .algorithm import LocalAlgorithm
-from .batch import make_engine_kernel
+from .batch import make_engine_kernel, splice_batch_graph
 from .context import NodeContext, rng_source
 from .message import Broadcast, normalize_outgoing
 from .msgsize import estimate_bits
@@ -87,7 +90,7 @@ class CompiledGraph:
         "__weakref__",
     )
 
-    def __init__(self, graph, _raw=None):
+    def __init__(self, graph):
         self.graph = graph
         labels = graph.nodes
         self.labels = labels
@@ -96,18 +99,15 @@ class CompiledGraph:
         self.index = index
         ident = graph.ident
         self.idents = [ident[u] for u in labels]
-        if _raw is not None:
-            offsets, neigh, rev = _raw
-        else:
-            offsets = [0]
-            neigh = []
-            rev = []
-            adj = graph.adj
-            for u in labels:
-                for _, v, reverse_port in adj[u]:
-                    neigh.append(index[v])
-                    rev.append(reverse_port)
-                offsets.append(len(neigh))
+        offsets = [0]
+        neigh = []
+        rev = []
+        adj = graph.adj
+        for u in labels:
+            for _, v, reverse_port in adj[u]:
+                neigh.append(index[v])
+                rev.append(reverse_port)
+            offsets.append(len(neigh))
         self.offsets = offsets
         self.neigh = neigh
         self.rev = rev
@@ -117,6 +117,29 @@ class CompiledGraph:
         self._pairs = None
         #: Lazily built numpy mirror (repro.local.batch.BatchGraph).
         self._batch = None
+
+    @classmethod
+    def _attach(cls, graph, index, idents, offsets, neigh, rev, degrees):
+        """Attach a ready-made CSR to a CSR-born ``graph`` and return it.
+
+        ``index`` and ``idents`` may be the parent's own objects when the
+        node set is unchanged: like ``labels`` they are immutable by
+        contract, so sharing them is safe.
+        """
+        cg = cls.__new__(cls)
+        cg.graph = graph
+        cg.labels = graph.nodes
+        cg.n = len(graph.nodes)
+        cg.index = index
+        cg.idents = idents
+        cg.offsets = offsets
+        cg.neigh = neigh
+        cg.rev = rev
+        cg.degrees = degrees
+        cg._pairs = None
+        cg._batch = None
+        graph._compiled = cg
+        return cg
 
     @property
     def pairs(self):
@@ -187,29 +210,46 @@ class CompiledGraph:
                     # v's surviving row is our new reverse port.
                     new_rev.append(newport[offsets[v] + rev[k]])
             new_offsets.append(len(new_neigh))
-        new_labels = [labels[i] for i in survivor_idx]
-        ident = self.graph.ident
-        new_ident = {u: ident[u] for u in new_labels}
+        new_labels = tuple([labels[i] for i in survivor_idx])
+        idents = self.idents
+        new_idents = [idents[i] for i in survivor_idx]
         # The dict adjacency view is derived lazily by SimGraph.adj from
         # the attached CSR — instances that only ever run compiled (or
         # get pruned away) never build it.
-        child = SimGraph(new_labels, new_ident, None)
-        child._compiled = CompiledGraph(
-            child, _raw=(new_offsets, new_neigh, new_rev)
+        child = SimGraph._from_csr(new_labels, dict(zip(new_labels, new_idents)))
+        CompiledGraph._attach(
+            child,
+            {u: j for j, u in enumerate(new_labels)},
+            new_idents,
+            new_offsets,
+            new_neigh,
+            new_rev,
+            [new_offsets[j + 1] - new_offsets[j] for j in range(len(new_labels))],
         )
         return child
 
     def apply_delta(self, delta):
-        """Patched-CSR application of a validated :class:`GraphDelta`.
+        """Row-splice application of a validated :class:`GraphDelta`.
 
-        The insert/delete analogue of :meth:`restrict`'s rank scan
-        (DESIGN.md D18): untouched rows are copied as C-level slices
-        (edge-only deltas) or a flat index remap (node churn), touched
-        rows are rebuilt by a sorted merge of the surviving slice with
-        the insertions, and reverse ports renumber in one seen-counter
-        pass over the new CSR.  Total Python-level work is O(n + m) with
-        per-edge costs only on touched rows — no identity re-sort, no
-        networkx round-trip, no global re-porting.
+        The insert/delete analogue of :meth:`restrict` (DESIGN.md D18,
+        D27).  A row is *touched* when it is an endpoint of an added or
+        deleted edge, a neighbour of a deleted node, or an added node;
+        touched rows are rebuilt by a sorted merge.  Every maximal run of
+        untouched rows between two events (a touched, deleted or added
+        row) is copied as C-level slices of ``neigh``, ``rev`` and
+        ``degrees`` — remapped through ``new_of`` only when the node set
+        changes — and ``offsets`` re-accumulate from the spliced degrees
+        in one C-level pass.  Reverse ports are recomputed only for slots
+        that point into a rebuilt row: a slot between two untouched rows
+        keeps its ``rev``, because a monotone index remap preserves ranks.
+
+        Python-level work is O(churn · log Δ) for an edge-only delta, on
+        top of the C-level slab copies; node churn adds the O(n + m)
+        remap and a fresh label index.  When the node set is unchanged
+        the child shares ``labels``, ``index``, ``idents``, ``ident`` and
+        the node set with the parent (immutable by contract), and a
+        parent that already has its numpy mirror hands the child one
+        spliced from it (:func:`repro.local.batch.splice_batch_graph`).
 
         The caller (:meth:`SimGraph.apply_delta <repro.local.graph.
         SimGraph.apply_delta>`) has already validated ``delta``; rows
@@ -219,130 +259,145 @@ class CompiledGraph:
         """
         from .graph import SimGraph
 
+        graph = self.graph
         index = self.index
         offsets, neigh, rev = self.offsets, self.neigh, self.rev
-        labels = self.labels
-        idents = self.idents
+        labels, idents, degrees = self.labels, self.idents, self.degrees
         n = self.n
 
-        dead = bytearray(n)
-        for u in delta.del_nodes:
-            dead[index[u]] = 1
-        # Old-index pairs of deleted edges, both directions, plus the
-        # set of rows whose surviving slice differs from the old row.
+        dead = {index[u] for u in delta.del_nodes}
+        # Old-index pairs of deleted edges, both directions, and the
+        # surviving old rows whose contents change.
         dropped = set()
-        touched = bytearray(n)
+        touched = set()
         for u, v in delta.del_edges:
             iu, iv = index[u], index[v]
             dropped.add((iu, iv))
             dropped.add((iv, iu))
-            touched[iu] = 1
-            touched[iv] = 1
-        for u in delta.del_nodes:
-            i = index[u]
-            for k in range(offsets[i], offsets[i + 1]):
-                touched[neigh[k]] = 1
+            touched.add(iu)
+            touched.add(iv)
+        for i in dead:
+            touched.update(neigh[offsets[i]:offsets[i + 1]])
+        for edge in delta.add_edges:
+            for u in edge:
+                i = index.get(u)
+                if i is not None:
+                    touched.add(i)
+        touched -= dead
 
-        # Merge survivors (already in identity order) with the added
-        # nodes (sorted by identity) into the new node order.
-        added = sorted(delta.add_nodes, key=lambda pair: pair[1])
-        survivors = [i for i in range(n) if not dead[i]]
-        new_labels = []
-        new_ident = {}
-        new_of = [-1] * n  # old index -> new index (-1 when deleted)
-        old_of = []  # new index -> old index (-1 for added nodes)
-        added_index = {}
-        si = ai = 0
-        n_surv = len(survivors)
-        n_add = len(added)
-        while si < n_surv or ai < n_add:
-            if ai < n_add and (
-                si == n_surv or added[ai][1] < idents[survivors[si]]
-            ):
-                label, ident = added[ai]
-                added_index[label] = len(new_labels)
-                old_of.append(-1)
-                new_labels.append(label)
-                new_ident[label] = ident
-                ai += 1
-            else:
-                i = survivors[si]
-                new_of[i] = len(new_labels)
-                old_of.append(i)
-                u = labels[i]
-                new_labels.append(u)
-                new_ident[u] = idents[i]
-                si += 1
+        # Events in old-row order: an added node (kind 0) slots in before
+        # the first old row of larger identity; deleted rows (1) vanish;
+        # touched rows (2) are rebuilt; the end sentinel (3) flushes the
+        # last untouched run.  Added nodes at one position sort by
+        # identity, so labels are never compared.
+        events = sorted(
+            [(bisect_left(idents, ident), 0, ident, u)
+             for u, ident in delta.add_nodes]
+            + [(i, 1, 0, None) for i in dead]
+            + [(i, 2, 0, None) for i in touched]
+        )
+        events.append((n, 3, 0, None))
 
-        def index_new(u):
-            i = index.get(u)
-            if i is not None and not dead[i]:
-                return new_of[i]
-            return added_index[u]
+        if delta.del_nodes or delta.add_nodes:
+            # The node set changes: splice labels and identities, and
+            # map old row i to new row new_of[i] (-1 when deleted).
+            new_labels, new_idents, new_of = [], [], []
+            prev = 0
+            for pos, kind, ident, u in events:
+                if kind == 2:
+                    continue
+                if pos > prev:
+                    base = len(new_labels)
+                    new_labels += labels[prev:pos]
+                    new_idents += idents[prev:pos]
+                    new_of += range(base, base + pos - prev)
+                    prev = pos
+                if kind == 0:
+                    new_labels.append(u)
+                    new_idents.append(ident)
+                elif kind == 1:
+                    new_of.append(-1)
+                    prev = pos + 1
+            new_labels = tuple(new_labels)
+            new_index = dict(zip(new_labels, range(len(new_labels))))
+            new_ident = dict(graph.ident)
+            for u in delta.del_nodes:
+                del new_ident[u]
+            new_ident.update(delta.add_nodes)
+            node_set = graph._node_set.difference(delta.del_nodes).union(
+                u for u, _ in delta.add_nodes
+            )
+        else:
+            new_labels, new_idents, new_of = labels, idents, None
+            new_index, new_ident, node_set = index, graph.ident, graph._node_set
 
         inserts = {}
         for u, v in delta.add_edges:
-            ju, jv = index_new(u), index_new(v)
+            ju, jv = new_index[u], new_index[v]
             inserts.setdefault(ju, []).append(jv)
             inserts.setdefault(jv, []).append(ju)
 
-        # new_of is the identity map iff the node set is unchanged —
-        # then untouched rows copy as raw slices with no remap at all.
-        identity_map = not (delta.del_nodes or delta.add_nodes)
-        nn = len(new_labels)
-        new_offsets = [0]
         new_neigh = []
-        for j in range(nn):
-            i = old_of[j]
-            adds = inserts.get(j)
-            if i < 0:
-                # Fresh node: its row is exactly its sorted insertions.
-                if adds:
-                    new_neigh.extend(sorted(adds))
-            elif adds is None and not touched[i]:
-                row = neigh[offsets[i]:offsets[i + 1]]
-                if identity_map:
-                    new_neigh.extend(row)
-                else:
-                    new_neigh.extend([new_of[w] for w in row])
-            else:
-                # Sorted merge: the surviving slice and the insertions
-                # are both ascending in new-index order (new_of is
-                # monotone on survivors), so one linear pass keeps the
-                # row in canonical neighbour-identity order.
-                adds = sorted(adds) if adds else []
-                pa = 0
-                na = len(adds)
-                for k in range(offsets[i], offsets[i + 1]):
-                    w = neigh[k]
-                    if dead[w] or (i, w) in dropped:
-                        continue
-                    nw = new_of[w]
-                    while pa < na and adds[pa] < nw:
-                        new_neigh.append(adds[pa])
-                        pa += 1
-                    new_neigh.append(nw)
-                while pa < na:
-                    new_neigh.append(adds[pa])
-                    pa += 1
-            new_offsets.append(len(new_neigh))
+        new_rev = []
+        new_degrees = []
+        runs = []  # (new row, old row lo, old row hi) per copied run
+        rebuilt = []  # new rows built by merge
+        prev = 0
+        for pos, kind, _, _ in events:
+            if pos > prev:
+                lo, hi = offsets[prev], offsets[pos]
+                seg = neigh[lo:hi]
+                if new_of is not None:
+                    seg = [new_of[w] for w in seg]
+                runs.append((len(new_degrees), prev, pos))
+                new_neigh += seg
+                new_rev += rev[lo:hi]
+                new_degrees += degrees[prev:pos]
+                prev = pos
+            if kind == 3:
+                break
+            if kind == 1:
+                prev = pos + 1
+                continue
+            j = len(new_degrees)
+            row = inserts.get(j, [])
+            if kind == 2:
+                kept = [
+                    w for w in neigh[offsets[pos]:offsets[pos + 1]]
+                    if w not in dead and (pos, w) not in dropped
+                ]
+                if new_of is not None:
+                    kept = [new_of[w] for w in kept]
+                row = kept + row
+                prev = pos + 1
+            # The kept slice already ascends (new_of is monotone on
+            # survivors), so this sort is a near-linear merge.
+            row.sort()
+            rebuilt.append(j)
+            new_neigh += row
+            new_rev += [0] * len(row)
+            new_degrees.append(len(row))
+        new_offsets = list(accumulate(new_degrees, initial=0))
 
-        # Reverse ports in one seen-counter pass: rows are ascending and
-        # the relation is symmetric, so for a fixed target w the slots
-        # pointing at w arrive in ascending owner order — the running
-        # count seen[w] is exactly the owner's rank (= port) in w's row.
-        new_rev = [0] * len(new_neigh)
-        seen = [0] * nn
-        pos = 0
-        for w in new_neigh:
-            new_rev[pos] = seen[w]
-            seen[w] += 1
-            pos += 1
+        # Reverse ports for every slot touching a rebuilt row j: the slot
+        # j -> v at port p has rev r = rank of j in v's new row, and v's
+        # slot r points back at port p.
+        for j in rebuilt:
+            lo, hi = new_offsets[j], new_offsets[j + 1]
+            for k in range(lo, hi):
+                v = new_neigh[k]
+                vlo = new_offsets[v]
+                r = bisect_left(new_neigh, j, vlo, new_offsets[v + 1]) - vlo
+                new_rev[k] = r
+                new_rev[vlo + r] = k - lo
 
-        child = SimGraph(new_labels, new_ident, None)
-        child._compiled = CompiledGraph(
-            child, _raw=(new_offsets, new_neigh, new_rev)
+        child = SimGraph._from_csr(new_labels, new_ident, node_set)
+        cg = CompiledGraph._attach(
+            child, new_index, new_idents, new_offsets, new_neigh, new_rev,
+            new_degrees,
         )
+        if self._batch is not None:
+            cg._batch = splice_batch_graph(self._batch, cg, runs, rebuilt, new_of)
         return child
 
 

@@ -124,7 +124,7 @@ class FusedBatchGraph(batch.BatchGraph):
         np = batch.numpy_or_none()
         twin = FusedBatchGraph.__new__(FusedBatchGraph)
         for name in (
-            "labels", "idents", "n", "offsets", "degrees",
+            "labels", "idents", "n", "offsets", "degrees", "_mix",
             "lane_of", "lane_bounds", "lane_count",
             "_fdegrees", "_lane_degrees", "_draw_cache",
             "_full_owner", "_full_neigh", "_edge_bounds",
@@ -282,10 +282,11 @@ class _FusedMtFactory:
 def _fused_draw_builder(bg, rng_mode, seeds, salts):
     """Per-lane draw derivation: each lane's streams match its solo run.
 
-    Counter scheme: concatenate per-lane ``stream_keys`` derived from
-    that lane's ``run_key(seed, salt)`` — the closed per-draw form then
-    yields bit-identical values because a node's draw index (its phase)
-    advances exactly as in the solo run (lanes share the schedule).
+    Counter scheme: each lane's slice of the slab's identity mix is
+    keyed by that lane's ``run_key(seed, salt)`` — the closed per-draw
+    form then yields bit-identical values because a node's draw index
+    (its phase) advances exactly as in the solo run (lanes share the
+    schedule).
     """
 
     def build(bits):
@@ -300,16 +301,9 @@ def _fused_draw_builder(bg, rng_mode, seeds, salts):
             if keys is None:
                 if len(bg._draw_cache) >= 8:
                     bg._draw_cache.clear()
-                keys = np.concatenate(
-                    [
-                        batch.stream_keys(
-                            run_keys[k],
-                            bg.idents[
-                                bg.lane_bounds[k] : bg.lane_bounds[k + 1]
-                            ],
-                        )
-                        for k in range(bg.lane_count)
-                    ]
+                keys = bg.ident_mix() ^ np.repeat(
+                    np.array(run_keys, dtype=np.uint64),
+                    np.diff(bg.lane_bounds),
                 )
                 bg._draw_cache[run_keys] = keys
             return batch.CounterDraws(keys, bits)

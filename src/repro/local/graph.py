@@ -139,20 +139,24 @@ class GraphDelta:
                 raise ParameterError(
                     f"cannot add node {u!r}: label already in the graph"
                 )
-        surviving_idents = {
-            graph.ident[u] for u in graph.nodes if u not in deleted
-        }
-        for u, ident in self.add_nodes:
-            if ident in surviving_idents:
-                raise ParameterError(
-                    f"added node {u!r}: identity {ident} collides with a "
-                    f"surviving node"
-                )
-        final = (node_set - deleted) | added_labels
+        if self.add_nodes:
+            surviving_idents = {
+                graph.ident[u] for u in graph.nodes if u not in deleted
+            }
+            for u, ident in self.add_nodes:
+                if ident in surviving_idents:
+                    raise ParameterError(
+                        f"added node {u!r}: identity {ident} collides with "
+                        f"a surviving node"
+                    )
+
+        def final(u):
+            return u in added_labels or (u in node_set and u not in deleted)
+
         dropped = {frozenset(e) for e in self.del_edges}
         for u, v in self.add_edges:
-            if u not in final or v not in final:
-                missing = u if u not in final else v
+            if not (final(u) and final(v)):
+                missing = v if final(u) else u
                 raise ParameterError(
                     f"added edge ({u!r}, {v!r}) touches unknown node "
                     f"{missing!r}"
@@ -205,6 +209,26 @@ class SimGraph:
         self._node_set = frozenset(self.nodes)
         #: Lazily built CSR view (repro.local.engine.CompiledGraph).
         self._compiled = None
+
+    @classmethod
+    def _from_csr(cls, nodes, ident, node_set=None):
+        """A CSR-born graph: ``adj`` is derived lazily from the CSR the
+        caller attaches (:meth:`CompiledGraph.restrict <repro.local.
+        engine.CompiledGraph.restrict>`, :meth:`CompiledGraph.apply_delta
+        <repro.local.engine.CompiledGraph.apply_delta>`).
+
+        ``nodes`` (a tuple), ``ident`` and ``node_set`` are taken as
+        given, not copied: a child with its parent's node set shares
+        them, which is safe because they are immutable by contract.
+        """
+        graph = cls.__new__(cls)
+        graph.nodes = nodes
+        graph.ident = ident
+        graph._adj = None
+        graph._degree = None
+        graph._node_set = frozenset(nodes) if node_set is None else node_set
+        graph._compiled = None
+        return graph
 
     @property
     def adj(self):
@@ -350,8 +374,12 @@ class SimGraph:
         Delta validation (:meth:`GraphDelta.validate`) probes edges on
         every session mutate; going through the dict view would rebuild
         the O(m) adjacency on each CSR-born child and erase the
-        incremental win, so this bisects the CSR row directly.
+        incremental win, so this bisects the CSR row directly.  A label
+        not in the graph is ``False`` on either representation.
         """
+        node_set = self._node_set
+        if u not in node_set or v not in node_set:
+            return False
         if self._adj is not None:
             return any(w == v for _, w, _ in self._adj[u])
         from bisect import bisect_left

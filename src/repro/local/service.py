@@ -5,9 +5,13 @@ a complete static graph and rebuilds whatever it needs.  A
 :class:`SimulationSession` turns them into a service a traffic-serving
 system can sit on: it keeps a live :class:`~repro.local.engine.
 CompiledGraph`, applies :class:`~repro.local.graph.GraphDelta` edits
-incrementally (CSR row-slice patching), and keeps one execution
-record across requests — a rerun after a small delta skips the
-networkx round-trip, the identity sort and the re-porting that a cold
+incrementally, and keeps one execution record across requests.  A
+mutate splices only the touched CSR rows (DESIGN.md D27): its
+Python-level work is O(churn · log Δ) for an edge-only delta, beside
+C-level copies of the untouched slab, and the numpy mirror and the
+cached identity mix are carried into the new graph rather than rebuilt
+— so a rerun after a small delta skips the networkx round-trip, the
+identity sort, the re-porting and the mirror conversion that a cold
 rebuild pays.
 
 Correctness contract (enforced by ``tests/test_service.py``): for every
@@ -20,10 +24,12 @@ backend attribution — on every stack (reference / compiled / fused
   brand-new graph object rather than patching the old one in place, so
   every cache keyed by object identity (the ``batch_graph_of`` mirror,
   the fused draw-slab cache) is coherent by
-  definition — a new topology arrives with empty caches instead of
-  stale ones.  The only cross-object cache, the fused slab registry, is
-  evicted explicitly on every mutate/close
-  (:func:`~repro.local.fused.release_slabs_of`).
+  definition — a new topology arrives with fresh caches (the mirror
+  spliced into new arrays) instead of stale ones.  What the new graph
+  shares with the old — labels, identities, the label index and the
+  identity mix when the node set is unchanged — is immutable.  The only
+  cross-object cache, the fused slab registry, is evicted explicitly on
+  every mutate/close (:func:`~repro.local.fused.release_slabs_of`).
 * The incremental CSR patch produces the *canonical* layout — node
   order = identity order, rows sorted by neighbour identity, ports =
   ranks — which is exactly what a from-scratch build produces, so equal

@@ -43,6 +43,26 @@ class TestCounterRandomBatch:
             scalar = [stream.getrandbits(62) for stream in streams]
             assert batched.tolist() == scalar, draw
 
+    @pytest.mark.parametrize(
+        "idents",
+        [
+            [1, 2**63, 2**64 - 1],
+            [2**64, 2**70],
+            [1, 2**63, 2**64 - 1, 2**64, 2**70],
+        ],
+    )
+    def test_stream_keys_match_big_int_formula(self, idents):
+        """The wrapping uint64 multiply (identities up to 2^64 - 1) and the
+        big-int fallback (past it) both equal the scalar formula."""
+        mask = (1 << 64) - 1
+        key = run_key(11, "mix")
+        mix = 0xD1342543DE82EF95
+        expected = [key ^ ((ident * mix) & mask) for ident in idents]
+        assert batch_module.stream_keys(key, idents).tolist() == expected
+        assert batch_module.ident_mix(idents).tolist() == [
+            (ident * mix) & mask for ident in idents
+        ]
+
     @pytest.mark.parametrize("bits", (1, 8, 53, 62, 64))
     def test_bit_widths(self, bits):
         keys = batch_module.stream_keys(3, [5, 6, 7])

@@ -321,6 +321,24 @@ class TestBatchEquivalence:
         assert last_stepping() == "rf"
         assert_results_equal(reference, compiled, context="big idents")
 
+    @pytest.mark.parametrize(
+        "top", [2**64 - 1, 2**70], ids=["u64-max", "past-u64"]
+    )
+    def test_counter_luby_identities_around_two_to_the_64(self, top):
+        """Counter-rng Luby draws from the identity mix; identities at and
+        past 2^64 - 1 (and a set straddling it) keep batched = reference."""
+        import networkx as nx
+
+        from repro.local import SimGraph
+        from repro.local.runner import last_stepping
+
+        graph = nx.cycle_graph(8)
+        pool = [1, 2**63, 2**64 - 2, top, 2**63 + 5, 7, 2**62, top - 9]
+        sim = SimGraph.from_networkx(graph, idents=dict(enumerate(pool)))
+        reference, compiled = run_both(sim, luby_mis(), "counter", seed=9)
+        assert last_stepping() in ("batch", "rf")
+        assert_results_equal(reference, compiled, context=top)
+
     def test_nontermination_parity(self, small_gnp):
         errors = {}
         for batching in (False, True):

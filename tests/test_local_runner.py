@@ -110,6 +110,20 @@ class TestSimGraph:
         assert g.max_degree == 0
         assert g.max_ident == 0
 
+    @pytest.mark.parametrize("born", ["dict", "csr"])
+    def test_has_edge_unknown_label_is_false(self, born):
+        """Labels outside the graph are not an error on either
+        representation: the dict view and the CSR agree."""
+        g = sim(nx.path_graph(4))
+        if born == "csr":
+            g = sim(nx.path_graph(5)).subgraph({0, 1, 2, 3})
+            assert g._adj is None
+        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert not g.has_edge(0, 2)
+        for u, v in ((0, 99), (99, 0), (99, 98), ("x", 1)):
+            assert g.has_edge(u, v) is False
+        assert g.has_edge(2, 3)
+
 
 class TestRunner:
     def test_round_counting(self):

@@ -33,16 +33,53 @@ from repro.local import (
     run_many,
     use_backend,
 )
-from repro.local.batch import numpy_or_none
+from repro.local.batch import BatchGraph, ident_mix, numpy_or_none
 from repro.local.execution import current
 from repro.local.runner import last_stepping
 
 RESULT_FIELDS = ("outputs", "finish_round", "rounds", "messages", "truncated")
+CSR_FIELDS = ("offsets", "neigh", "rev", "degrees", "idents", "labels")
+MIRROR_FIELDS = ("offsets", "neigh", "owner", "degrees")
 
 
 def assert_results_equal(a, b, context=""):
     for field in RESULT_FIELDS:
         assert getattr(a, field) == getattr(b, field), (field, context)
+
+
+def csr_state(graph):
+    """Copies of a graph's CSR arrays and, when built, its numpy mirror
+    (identity mix included once cached)."""
+    cg = graph.compiled()
+    state = {field: list(getattr(cg, field)) for field in CSR_FIELDS}
+    bg = cg._batch
+    if bg is not None:
+        for field in MIRROR_FIELDS:
+            state["batch." + field] = getattr(bg, field).tolist()
+        if bg._mix is not None:
+            state["batch.mix"] = bg._mix.tolist()
+    return state
+
+
+def assert_csr_matches_fresh(live, oracle, context=""):
+    """The live graph's patched CSR (and spliced mirror) equal a build
+    from scratch, array for array."""
+    cg, fresh = live.compiled(), oracle.compiled()
+    for field in CSR_FIELDS:
+        assert list(getattr(cg, field)) == list(getattr(fresh, field)), (
+            field, context,
+        )
+    bg = cg._batch
+    if bg is None:
+        return
+    ref = BatchGraph(fresh.labels, fresh.idents, fresh.offsets, fresh.neigh)
+    for field in MIRROR_FIELDS:
+        assert getattr(bg, field).tolist() == getattr(ref, field).tolist(), (
+            "batch." + field, context,
+        )
+    assert bg.ident_mix().tolist() == ident_mix(fresh.idents).tolist(), (
+        "batch.mix", context,
+    )
 
 
 def build(graph, *, seed=0):
@@ -84,12 +121,18 @@ def make_executor(harness, rng):
         with open_session(base_graph, rng=rng) as session:
             for step, (kind, payload) in enumerate(script.ops):
                 if kind == "mutate":
+                    retired = session.graph
+                    before = csr_state(retired)
                     session.mutate(payload)
+                    # Functional mutation: the child may share node-side
+                    # objects with its parent but must never write them.
+                    assert csr_state(retired) == before, ("retired", step)
                     harness.apply_to_networkx(truth, idents, payload)
                     oracle = SimGraph.from_networkx(truth, idents=dict(idents))
                     live = session.graph
                     assert live.nodes == oracle.nodes, ("nodes", step)
                     assert live.ident == oracle.ident, ("ident", step)
+                    assert_csr_matches_fresh(live, oracle, context=step)
                     assert live.adj == oracle.adj, ("adj", step)
                     continue
                 spec = dict(payload)
@@ -281,6 +324,35 @@ class TestGraphDeltaValidation:
         assert inc.nodes == reb.nodes
         assert inc.ident == reb.ident
         assert inc.adj == reb.adj
+
+    @pytest.mark.parametrize("node_churn", [False, True])
+    def test_mutate_leaves_retired_graph_untouched(self, graph, node_churn):
+        """The child may share node-side objects with its parent; the
+        parent's CSR, mirror and identity mix must still read as before."""
+        u, gone = graph.nodes[0], graph.nodes[5]
+        v = next(
+            w for w in graph.nodes[1:5] if not graph.has_edge(u, w)
+        )
+        edge = next(e for e in graph.edges() if u not in e)
+        delta = GraphDelta(del_edges=[edge], add_edges=[(u, v)])
+        if node_churn:
+            # The added node reuses the deleted node's identity.
+            delta = GraphDelta(
+                del_edges=[edge],
+                add_edges=[(u, v), ("z", u)],
+                add_nodes={"z": graph.ident[gone]},
+                del_nodes=[gone],
+            )
+        with open_session(graph, rng="counter") as session:
+            session.rerun(luby_mis(), seed=1)  # builds mirror + identity mix
+            retired = session.graph
+            before = csr_state(retired)
+            if numpy_or_none() is not None:
+                assert "batch.mix" in before
+            session.mutate(delta)
+            assert csr_state(retired) == before
+            oracle = retired.apply_delta_rebuild(delta)
+            assert_csr_matches_fresh(session.graph, oracle)
 
 
 # ----------------------------------------------------------------------
