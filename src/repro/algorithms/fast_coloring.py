@@ -109,8 +109,10 @@ class ColoringBatchKernel:
       reaches it, and cover-check against rival neighbours through a
       per-row OR over the edge slab — the scan usually ends at ``x ≈ 0``;
     * rounds ``L+1..L+K`` — KW halving: the announcer set of a round is
-      ``rank == phase_round``, announcements scatter into per-node
-      ``taken`` rows, chosen values are per-row first-free scans.
+      one slice of the phase's rank-sorted order, chosen values are
+      per-row first-free scans, and the next round scatters each
+      announcement into its same-group neighbours' ``taken`` rows by
+      walking the announcers' CSR rows — O(Σ degree of announcers).
 
     Identities can exceed 64 bits on derived graphs, so the *first*
     digit decomposition runs in Python big-int arithmetic when the color
@@ -130,16 +132,10 @@ class ColoringBatchKernel:
         "colors",
         "kw_index",
         "group",
-        "rank",
         "rank_order",
-        "rank_sorted",
+        "rank_bounds",
         "taken",
-        "same_own",
-        "same_nb",
-        "fresh_phase",
-        "ann_mask",
-        "ann_group",
-        "ann_value",
+        "announced",
         "in_sweep",
         "done",
         "_undone",
@@ -154,26 +150,28 @@ class ColoringBatchKernel:
         self.L = len(steps)
         self.K = len(self.kw_phases) * 2 * (delta + 1)
         self.round = 0
+        # 1-based initial colors: an input "color", else the identity.
         inputs = setup.inputs
-        colors = []
-        for label, ident in zip(bg.labels, bg.idents):
-            value = inputs.get(label)
-            if isinstance(value, dict) and "color" in value:
-                colors.append(int(value["color"]) - 1)
-            else:
-                colors.append(ident - 1)
-        if all(0 <= c < _BATCH_COLOR_LIMIT for c in colors):
+        seeds = bg.idents
+        if any(isinstance(v, dict) and "color" in v for v in inputs.values()):
+            seeds = [
+                int(value["color"])
+                if isinstance(value, dict) and "color" in value
+                else ident
+                for value, ident in zip(map(inputs.get, bg.labels), seeds)
+            ]
+        if not seeds or (1 <= min(seeds) and max(seeds) <= _BATCH_COLOR_LIMIT):
             # Machine-word color space: keep the whole schedule in int64
             # arrays.
-            self.colors = np.asarray(colors, dtype=np.int64)
+            self.colors = np.asarray(seeds, dtype=np.int64) - 1
             self.colors_obj = None
         else:
             # Big-integer identities: peel the first reduction with
             # Python ints, enter machine words at _enter_kw.
             self.colors = None
-            self.colors_obj = colors
+            self.colors_obj = [c - 1 for c in seeds]
         self.kw_index = 0
-        self.ann_mask = None
+        self.announced = None
         self.in_sweep = False
         self.done = False
         self._undone = None
@@ -211,25 +209,18 @@ class ColoringBatchKernel:
 
     def _enter_phase(self):
         np = batch.numpy_or_none()
-        bg = self.bg
         group_size = 2 * (self.delta + 1)
         self.group = self.colors // group_size
-        self.rank = self.colors % group_size
-        self.taken = np.zeros((bg.n, self.delta + 1), dtype=bool)
-        # Group and rank are frozen for the whole phase; the structures
-        # derived from them — the same-group edge set whose
-        # announcements can ever land in a taken set, and the sorted
-        # announcer schedule — are computed lazily on first use in
-        # _kw_step.  Rounds then cost O(group-local traffic), not
-        # O(edge slab).
-        self.same_own = None
-        self.same_nb = None
-        self.rank_order = None
-        self.rank_sorted = None
-        # The first round of a phase may still receive announcements
-        # made under the *previous* phase's groups; only that round
-        # needs the general cross-group filter.
-        self.fresh_phase = True
+        self.taken = np.zeros((self.bg.n, self.delta + 1), dtype=bool)
+        # The phase's whole announcer schedule, once: ranks are below
+        # 2·_BATCH_DELTA_LIMIT, so the stable sort runs on uint16 keys
+        # (a radix sort), and round r announces
+        # rank_order[rank_bounds[r]:rank_bounds[r + 1]].
+        rank = (self.colors % group_size).astype(np.uint16)
+        self.rank_order = np.argsort(rank, kind="stable")
+        self.rank_bounds = np.searchsorted(
+            rank[self.rank_order], np.arange(group_size + 1)
+        ).tolist()
 
     def _complete(self):
         """Schedule exhausted: commit final colors (1-based)."""
@@ -335,43 +326,25 @@ class ColoringBatchKernel:
         bg = self.bg
         group_size = 2 * (self.delta + 1)
         phase_round = (j - 1) % group_size
-        if self.ann_mask is not None:
-            if self.fresh_phase:
-                # Cross-boundary absorb: announcements carry the group
-                # they were made under, receivers filter on their new one.
-                own, nb = bg.owner, bg.neigh
-                hits = self.ann_mask[nb] & (self.ann_group[nb] == self.group[own])
-                self.taken[own[hits], self.ann_value[nb[hits]]] = True
-            else:
-                if self.same_own is None:
-                    same = self.group[bg.owner] == self.group[bg.neigh]
-                    self.same_own = bg.owner[same]
-                    self.same_nb = bg.neigh[same]
-                sel = self.ann_mask[self.same_nb]
-                self.taken[self.same_own[sel], self.ann_value[self.same_nb[sel]]] = True
-        self.fresh_phase = False
-        if self.rank_order is None:
-            self.rank_order = np.argsort(self.rank, kind="stable")
-            self.rank_sorted = self.rank[self.rank_order]
-        lo = np.searchsorted(self.rank_sorted, phase_round, "left")
-        hi = np.searchsorted(self.rank_sorted, phase_round, "right")
-        rows = self.rank_order[lo:hi]
+        if self.announced is not None:
+            # Sender-side absorb: walk last round's announcers' CSR rows;
+            # a neighbour takes the value when its current group is the
+            # one it was announced under (the same test across a phase
+            # boundary, where the groups were just recomputed).
+            rows, value, group = self.announced
+            k, w = bg.row_slots(rows)
+            hit = self.group[w] == group[rows][k]
+            self.taken[w[hit], value[k[hit]]] = True
+            self.announced = None
+        bounds = self.rank_bounds
+        rows = self.rank_order[bounds[phase_round]:bounds[phase_round + 1]]
         messages = 0
         if len(rows):
             free = ~self.taken[rows]
-            has_free = free.any(axis=1)
-            value = np.where(has_free, free.argmax(axis=1), 0)
+            value = np.where(free.any(axis=1), free.argmax(axis=1), 0)
             self.colors[rows] = self.group[rows] * (self.delta + 1) + value
-            ann_mask = np.zeros(bg.n, dtype=bool)
-            ann_mask[rows] = True
-            ann_value = np.zeros(bg.n, dtype=np.int64)
-            ann_value[rows] = value
-            self.ann_mask = ann_mask
-            self.ann_group = self.group
-            self.ann_value = ann_value
+            self.announced = rows, value, self.group
             messages = bg.charge(rows)
-        else:
-            self.ann_mask = None
         finished, results = [], []
         if j % group_size == 0:
             self.kw_index += 1

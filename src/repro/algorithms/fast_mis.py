@@ -113,26 +113,12 @@ class MISBatchKernel(ColoringBatchKernel):
         hi = np.searchsorted(self.slots_sorted, s, "right")
         deciders = self.sweep_order[self.sweep_ptr : hi]
         self.sweep_ptr = hi
-        if len(deciders):
-            # Gather each decider's row: blocked iff any neighbour
-            # already joined.  Rows are walked as one flat fancy index
-            # (O(Σ degree of deciders); every node decides once).
-            starts = bg.offsets[deciders]
-            lens = bg.degrees[deciders]
-            total = int(lens.sum())
-            if total:
-                rows = np.repeat(np.arange(len(deciders)), lens)
-                edge = np.arange(total) - np.repeat(
-                    np.cumsum(lens) - lens, lens
-                )
-                hit = self.in_mis[bg.neigh[np.repeat(starts, lens) + edge]]
-                blocked = np.bincount(
-                    rows, weights=hit, minlength=len(deciders)
-                ) > 0
-            else:
-                blocked = np.zeros(len(deciders), dtype=bool)
-        else:
-            blocked = np.zeros(0, dtype=bool)
+        # Gather each decider's row: blocked iff any neighbour already
+        # joined (O(Σ degree of deciders); every node decides once).
+        k, w = bg.row_slots(deciders)
+        blocked = np.bincount(
+            k, weights=self.in_mis[w], minlength=len(deciders)
+        ) > 0
         joiners = deciders[~blocked]
         self.in_mis[joiners] = True
         finished = joiners.tolist()

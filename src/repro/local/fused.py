@@ -136,6 +136,9 @@ class FusedBatchGraph(batch.BatchGraph):
         twin._live = np.ones(self.lane_count, dtype=bool)
         return twin
 
+    def csr_neigh(self):
+        return self._full_neigh
+
     def reset_window(self):
         """Restore the full edge slab (cached slabs are reused across runs)."""
         if not self._live.all():

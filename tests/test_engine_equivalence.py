@@ -16,7 +16,7 @@ import pytest
 
 from repro.algorithms import TABLE1
 from repro.algorithms.arboricity import h_partition
-from repro.algorithms.fast_coloring import fast_coloring
+from repro.algorithms.fast_coloring import ColoringBatchKernel, fast_coloring
 from repro.algorithms.fast_mis import fast_mis
 from repro.algorithms.greedy import greedy_coloring, greedy_matching
 from repro.algorithms.hash_luby import hash_luby_mis
@@ -32,6 +32,7 @@ from repro.local import (
     LocalAlgorithm,
     NodeProcess,
     run,
+    run_many,
     run_restricted,
     use_backend,
     use_batch,
@@ -402,6 +403,87 @@ class TestBatchEquivalence:
         assert results[False].outputs == results[True].outputs
         assert results[False].rounds == results[True].rounds
         assert len(results[False].steps) == len(results[True].steps)
+
+
+class TestKWBoundaries:
+    """The KW kernel's announcement edge cases, per node vs batch vs fused.
+
+    A round absorbs last round's announcements by walking the
+    announcers' CSR rows (DESIGN.md D28), so these are the cases that
+    path must get right: an announcement made in a phase's last rank
+    landing under the next phase's groups, adjacent nodes announcing in
+    the same round (possible only under an underestimated Δ̃), and long
+    runs of empty ranks.  A spy on ``_kw_step`` asserts each case
+    really occurs.
+    """
+
+    CASES = {
+        # Δ̃ = 1 on a degree-12 graph: many phases, and the last rank of
+        # a phase announces to neighbours that share the next group
+        # (on this graph, testing the sender's next-phase group instead
+        # of the one it announced under changes the colors).
+        "cross-phase": ({"Delta": 1}, "cross"),
+        # Δ̃ = 3 with a tiny m̃: Linial leaves adjacent equal colors.
+        "adjacent-announcers": ({"m": 12, "Delta": 3}, "adjacent"),
+        # Δ̃ = 40: group size 82, most ranks empty.
+        "empty-rank-runs": ({"Delta": 40}, "empty-run"),
+    }
+
+    @pytest.fixture
+    def kw_events(self, monkeypatch):
+        numpy = pytest.importorskip("numpy")
+        events = set()
+        quiet = [0]  # consecutive rounds without announcers
+        original = ColoringBatchKernel._kw_step
+
+        def spy(kernel, j):
+            entered = kernel.kw_index
+            out = original(kernel, j)
+            if kernel.announced is None:
+                quiet[0] += 1
+                if quiet[0] >= 8:
+                    events.add("empty-run")
+                return out
+            quiet[0] = 0
+            rows, _, group = kernel.announced
+            k, w = kernel.bg.row_slots(rows)
+            if numpy.isin(w, rows).any():
+                events.add("adjacent")
+            next_phase = kernel.kw_index > entered and not (
+                kernel.done or kernel.in_sweep
+            )
+            if next_phase and (kernel.group[w] == group[rows][k]).any():
+                events.add("cross")
+            return out
+
+        monkeypatch.setattr(ColoringBatchKernel, "_kw_step", spy)
+        return events
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("rng", RNGS)
+    @pytest.mark.parametrize("make", (fast_coloring, fast_mis))
+    def test_per_node_batch_and_fused_agree(self, case, rng, make, kw_events):
+        graph = build_graph(WORKLOADS["gnp-sparse"](52, seed=3), seed=4)
+        other = build_graph(WORKLOADS["tree"](40, seed=5), seed=6)
+        guesses, event = self.CASES[case]
+        guesses = {"m": graph.max_ident, **guesses}
+        algorithm = make()
+        pernode, batched = run_batch_both(
+            graph, algorithm, rng, seed=11, guesses=guesses
+        )
+        assert_results_equal(pernode, batched, context=(case, rng))
+        assert event in kw_events
+        kw_events.clear()
+        jobs = [
+            (other, algorithm, {"guesses": guesses, "seed": 1}),
+            (graph, algorithm, {"guesses": guesses, "seed": 11}),
+            (graph, algorithm, {"guesses": guesses, "seed": 2}),
+        ]
+        for (lane_graph, _, opts), fused in zip(jobs, run_many(jobs, rng=rng)):
+            with use_batch(False):
+                solo = run(lane_graph, algorithm, rng=rng, **opts)
+            assert_results_equal(solo, fused, context=(case, rng, "fused"))
+        assert event in kw_events
 
 
 def assert_prune_results_equal(a, b, context=""):

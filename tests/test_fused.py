@@ -120,6 +120,30 @@ class TestBitIdentity:
         for job, result in zip(jobs, results):
             assert fields_of(result) == fields_of(solo_twin(job, rng=None))
 
+    @pytest.mark.parametrize("rng", ("counter", "mt"))
+    def test_fast_mis_lanes_of_different_sizes(self, rng, monkeypatch):
+        # A smaller lane finishes its sweep first and retires its edges
+        # from the live window while larger lanes still sweep; their
+        # CSR rows must still be read from the whole slab.
+        graphs = [
+            build(families.gnp_avg_degree(n, 6.0, seed=50 + k), seed=5)
+            for k, n in enumerate((300, 350, 400, 450))
+        ]
+        still_live = []
+        retire = fused_module.FusedBatchGraph.retire_lanes
+
+        def spy(slab, positions):
+            retire(slab, positions)
+            still_live.append(int(slab._live.sum()))
+
+        monkeypatch.setattr(fused_module.FusedBatchGraph, "retire_lanes", spy)
+        algo = fast_mis()
+        opts = {"guesses": {"Delta": 60, "m": 10**6}, "seed": 1}
+        jobs = [(graph, algo, opts) for graph in graphs]
+        for job, result in zip(jobs, run_many(jobs, rng=rng)):
+            assert fields_of(result) == fields_of(solo_twin(job, rng=rng))
+        assert any(still_live)
+
     def test_per_job_salt_changes_the_draws(self, small_gnp):
         algo = luby_mis()
         jobs = [
