@@ -614,66 +614,64 @@ def check_bit_identity(n=120):
         (luby_mis(), None),
         (fast_mis(), guesses),
     )
-    for rng in ("counter", "mt"):
-        for algo, g in jobs:
-            results = []
-            for backend in BACKENDS:
-                with _backend_context(backend):
-                    results.append(
-                        run(graph, algo, seed=3, guesses=g, rng=rng)
-                    )
-            first = results[0]
-            for other in results[1:]:
-                if (
-                    first.outputs != other.outputs
-                    or first.rounds != other.rounds
-                    or first.messages != other.messages
-                    or first.finish_round != other.finish_round
-                ):
-                    return False
-    # Fused identity (D16): every lane of a multi-run slab — mixed
-    # algorithms, mixed seeds — must equal its solo run under both rng
-    # schemes; a lane divergence fails the gate with exit 2.
-    algo = luby_mis()
-    for rng in ("counter", "mt"):
-        lanes = [(graph, algo, {"seed": s}) for s in (3, 4, 5)]
-        lanes.append((graph, fast_mis(), {"guesses": guesses, "seed": 3}))
-        fused = run_many(lanes, rng=rng)
-        for (g, a, opts), got in zip(lanes, fused):
-            solo = run(
-                g, a, seed=opts["seed"], guesses=opts.get("guesses"), rng=rng
-            )
+    # Every job runs under rng="counter": the compiled tiers draw no
+    # other scheme (DESIGN.md D29), and the reference loop's mt streams
+    # are pinned by tests/test_rng_specification.py.
+    rng = "counter"
+    for algo, g in jobs:
+        results = []
+        for backend in BACKENDS:
+            with _backend_context(backend):
+                results.append(run(graph, algo, seed=3, guesses=g, rng=rng))
+        first = results[0]
+        for other in results[1:]:
             if (
-                solo.outputs != got.outputs
-                or solo.rounds != got.rounds
-                or solo.messages != got.messages
-                or solo.finish_round != got.finish_round
+                first.outputs != other.outputs
+                or first.rounds != other.rounds
+                or first.messages != other.messages
+                or first.finish_round != other.finish_round
             ):
                 return False
+    # Fused identity (D16): every lane of a multi-run slab — mixed
+    # algorithms, mixed seeds — must equal its solo run; a lane
+    # divergence fails the gate with exit 2.
+    algo = luby_mis()
+    lanes = [(graph, algo, {"seed": s}) for s in (3, 4, 5)]
+    lanes.append((graph, fast_mis(), {"guesses": guesses, "seed": 3}))
+    fused = run_many(lanes, rng=rng)
+    for (g, a, opts), got in zip(lanes, fused):
+        solo = run(
+            g, a, seed=opts["seed"], guesses=opts.get("guesses"), rng=rng
+        )
+        if (
+            solo.outputs != got.outputs
+            or solo.rounds != got.rounds
+            or solo.messages != got.messages
+            or solo.finish_round != got.finish_round
+        ):
+            return False
     # Round-fused identity (D17): every roundfuse-certified kernel
     # driven fused must equal its per-round batch run — phase-scheduled
-    # (h-partition) and fixed-point (Luby family) drivers both, under
-    # both rng schemes.
+    # (h-partition) and fixed-point (Luby family) drivers both.
     rf_jobs = jobs + ((h_partition(), {"a": 2, "n": 1 << 24}),)
-    for rng in ("counter", "mt"):
-        for algo, g in rf_jobs:
-            pair = []
-            for fused_on in (True, False):
-                with use_backend("compiled", rng=rng), use_batch(True), \
-                        use_roundfuse(fused_on):
-                    pair.append(run(graph, algo, seed=3, guesses=g, rng=rng))
-            fused_run, plain = pair
-            if (
-                fused_run.outputs != plain.outputs
-                or fused_run.rounds != plain.rounds
-                or fused_run.messages != plain.messages
-                or fused_run.finish_round != plain.finish_round
-            ):
-                return False
+    for algo, g in rf_jobs:
+        pair = []
+        for fused_on in (True, False):
+            with use_backend("compiled", rng=rng), use_batch(True), \
+                    use_roundfuse(fused_on):
+                pair.append(run(graph, algo, seed=3, guesses=g, rng=rng))
+        fused_run, plain = pair
+        if (
+            fused_run.outputs != plain.outputs
+            or fused_run.rounds != plain.rounds
+            or fused_run.messages != plain.messages
+            or fused_run.finish_round != plain.finish_round
+        ):
+            return False
     # Whole-alternation identity: guess runs AND pruner runs must agree
     # across every stepping strategy (D11 pruner batch contract).  The
-    # rng scheme is pinned — the strategies are
-    # only comparable under the same random streams.
+    # rng scheme is pinned — the strategies are only comparable under
+    # the same random streams.
     alternations = []
     for backend in BACKENDS:
         base = "reference" if backend == "reference" else "compiled"
@@ -687,29 +685,28 @@ def check_bit_identity(n=120):
     # Virtual-domain identity: the matching row's uniform run drives
     # fast MIS on the line graph (array-built spec, lazy routing plans)
     # through the batched virtual driver or the host processes; every
-    # strategy must agree under both rng schemes.  Its budgets leave
-    # the host commit replay and the per-host draws unobservable, so
-    # truncated Luby runs on the same line graph cover those.
+    # strategy must agree.  Its budgets leave the host commit replay and
+    # the per-host draws unobservable, so truncated Luby runs on the
+    # same line graph cover those.
     spec = line_graph_spec(graph)
-    for rng in ("counter", "mt"):
-        matchings = []
-        truncated = []
-        for backend in BACKENDS:
-            base = "reference" if backend == "reference" else "compiled"
-            with use_backend(base, rng=rng), use_batch(backend == "batch"):
-                _, _, uniform = TABLE1["matching"].build()
-                matchings.append(uniform.run(graph, seed=3))
-                domain = VirtualDomain(graph, spec)
-                truncated.append([
-                    domain.run_restricted(luby_mis(), budget, seed=3)
-                    for budget in (2, 4, 8)
-                ])
-        first = matchings[0]
-        for other in matchings[1:]:
-            if first.outputs != other.outputs or first.rounds != other.rounds:
-                return False
-        if truncated[1:] != truncated[:1] * (len(truncated) - 1):
+    matchings = []
+    truncated = []
+    for backend in BACKENDS:
+        base = "reference" if backend == "reference" else "compiled"
+        with use_backend(base, rng=rng), use_batch(backend == "batch"):
+            _, _, uniform = TABLE1["matching"].build()
+            matchings.append(uniform.run(graph, seed=3))
+            domain = VirtualDomain(graph, spec)
+            truncated.append([
+                domain.run_restricted(luby_mis(), budget, seed=3)
+                for budget in (2, 4, 8)
+            ])
+    first = matchings[0]
+    for other in matchings[1:]:
+        if first.outputs != other.outputs or first.rounds != other.rounds:
             return False
+    if truncated[1:] != truncated[:1] * (len(truncated) - 1):
+        return False
     # Live-session identity (D18): a mutate-then-rerun on a long-lived
     # session must equal a cold run on a from-scratch rebuild of the
     # mutated topology — per strategy and per fused lane.  The session

@@ -17,10 +17,10 @@ D10: the batch-step contract):
   order, so kernels may tie-break on the node *index* wherever the
   per-node machines tie-break on the identity.
 * :class:`BatchSetup` — the per-run context a kernel factory receives
-  (inputs, guesses, rng scheme and a lazily-built draw source).
-* Draw sources — vectorized (counter scheme) or loop-based (Mersenne
-  Twister) access to each node's private random stream, producing the
-  exact values the scalar per-node generators would.
+  (inputs, guesses and a lazily-built draw source).
+* :class:`CounterDraws` — vectorized access to each node's private
+  counter-scheme stream, producing the exact values the scalar per-node
+  generators would.  The compiled engine draws no other scheme (D29).
 * :func:`row_flags` — "some selected edge points at this node" flag
   reduction over the edge slab.
 
@@ -45,17 +45,15 @@ A kernel instance drives one run:
     default output (and what :class:`NonTerminationError` reports).
 
 The contract with the per-node path is *bit-identity*: for the same
-``(graph, algorithm, inputs, guesses, seed, salt, rng scheme)`` the
-kernel must yield a field-for-field identical
+``(graph, algorithm, inputs, guesses, seed, salt)`` the kernel must
+yield a field-for-field identical
 :class:`~repro.local.runner.RunResult` (asserted by
 ``tests/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
 
-import random
-
-from .context import _IDENT_MIX, _MASK64, CounterRNG, make_rng, run_key
+from .context import _IDENT_MIX, _MASK64, CounterRNG, run_key
 
 try:  # pragma: no cover - exercised via the fallback test's monkeypatch
     import numpy as _np
@@ -113,38 +111,6 @@ class CounterDraws:
 
     def draws(self, idx, draw):
         return CounterRNG.random_batch(self.keys[idx], draw, self.bits)
-
-
-class SequentialDraws:
-    """Loop-based draws for schemes without a closed per-draw form (mt).
-
-    Generators are materialized lazily per node and advanced one value
-    per draw — exactly the scalar consumption pattern, so the values
-    match the per-node path bit for bit.  Draw indices must therefore
-    arrive in the scalar order: each node's ``t``-th request is its
-    ``t``-th draw (kernels guarantee this: a node draws once per phase
-    while undecided).
-    """
-
-    __slots__ = ("factory", "gens", "bits")
-
-    def __init__(self, factory, n, bits=62):
-        self.factory = factory
-        self.gens = [None] * n
-        self.bits = bits
-
-    def draws(self, idx, draw):
-        np = _np
-        gens = self.gens
-        factory = self.factory
-        bits = self.bits
-        out = np.empty(len(idx), dtype=np.uint64)
-        for j, i in enumerate(idx.tolist()):
-            gen = gens[i]
-            if gen is None:
-                gen = gens[i] = factory(i)
-            out[j] = gen.getrandbits(bits)
-        return out
 
 
 class BatchGraph:
@@ -286,69 +252,26 @@ class BatchSetup:
     so deterministic kernels never touch seed material.
     """
 
-    __slots__ = ("inputs", "guesses", "rng_mode", "_draw_builder")
+    __slots__ = ("inputs", "guesses", "_draw_builder")
 
-    def __init__(self, inputs, guesses, rng_mode, draw_builder):
+    def __init__(self, inputs, guesses, draw_builder):
         self.inputs = inputs
         self.guesses = guesses
-        self.rng_mode = rng_mode
         self._draw_builder = draw_builder
 
     def draw_source(self, bits=62):
         return self._draw_builder(bits)
 
 
-class _MtNodeFactory:
-    """Picklable ``local index -> random.Random`` for the mt scheme."""
-
-    __slots__ = ("seed", "salt", "idents")
-
-    def __init__(self, seed, salt, idents):
-        self.seed = seed
-        self.salt = salt
-        self.idents = idents
-
-    def __call__(self, i):
-        return make_rng(self.seed, self.salt, self.idents[i])
-
-
-class _VirtualMtNodeFactory:
-    """Picklable nested host→sub mt derivation (see
-    :func:`virtual_draw_builder`)."""
-
-    __slots__ = ("seed", "salt", "idents", "hosts", "host_idents", "base_cache")
-
-    def __init__(self, seed, salt, idents, hosts, host_idents):
-        self.seed = seed
-        self.salt = salt
-        self.idents = idents
-        self.hosts = hosts
-        self.host_idents = host_idents
-        self.base_cache = {}
-
-    def __call__(self, i):
-        p = self.hosts[i]
-        base = self.base_cache.get(p)
-        if base is None:
-            base = self.base_cache[p] = make_rng(
-                self.seed, self.salt, self.host_idents[p]
-            ).getrandbits(64)
-        return random.Random(f"{base}|virt|{self.idents[i]}")
-
-
-def _engine_draw_builder(bg, rng_mode, seed, salt):
+def _engine_draw_builder(bg, seed, salt):
     def build(bits):
-        if rng_mode == "counter":
-            keys = bg.ident_mix() ^ _np.uint64(run_key(seed, salt))
-            return CounterDraws(keys, bits)
-        return SequentialDraws(
-            _MtNodeFactory(seed, salt, bg.idents), bg.n, bits
-        )
+        keys = bg.ident_mix() ^ _np.uint64(run_key(seed, salt))
+        return CounterDraws(keys, bits)
 
     return build
 
 
-def virtual_draw_builder(bg, spec, physical, rng_mode, seed, salt):
+def virtual_draw_builder(bg, spec, physical, seed, salt):
     """Draw builder reproducing the virtual layer's nested derivation.
 
     Each host draws a 64-bit base from its own stream (its first draw),
@@ -358,25 +281,19 @@ def virtual_draw_builder(bg, spec, physical, rng_mode, seed, salt):
     """
 
     def build(bits):
-        np = _np
-        hosts = [spec.host[v] for v in bg.labels]
+        host_of = spec.host
         host_ident = physical.ident
-        if rng_mode == "counter":
-            key = run_key(seed, salt)
-            base_cache = {}
-            keys = np.empty(bg.n, dtype=np.uint64)
-            for i, p in enumerate(hosts):
-                base = base_cache.get(p)
-                if base is None:
-                    host_key = key ^ ((host_ident[p] * _IDENT_MIX) & _MASK64)
-                    base = base_cache[p] = CounterRNG(host_key).getrandbits(64)
-                keys[i] = base ^ ((bg.idents[i] * _IDENT_MIX) & _MASK64)
-            return CounterDraws(keys, bits)
-        return SequentialDraws(
-            _VirtualMtNodeFactory(seed, salt, bg.idents, hosts, host_ident),
-            bg.n,
-            bits,
-        )
+        key = run_key(seed, salt)
+        base_cache = {}
+        keys = _np.empty(bg.n, dtype=_np.uint64)
+        for i, v in enumerate(bg.labels):
+            p = host_of[v]
+            base = base_cache.get(p)
+            if base is None:
+                host_key = key ^ ((host_ident[p] * _IDENT_MIX) & _MASK64)
+                base = base_cache[p] = CounterRNG(host_key).getrandbits(64)
+            keys[i] = base ^ ((bg.idents[i] * _IDENT_MIX) & _MASK64)
+        return CounterDraws(keys, bits)
 
     return build
 
@@ -478,8 +395,7 @@ def generic_fixedpoint(kernel, cap):
 
 
 def make_engine_kernel(
-    algorithm, cg, *, inputs, guesses, seed, salt, rng_mode, track_bits,
-    enabled,
+    algorithm, cg, *, inputs, guesses, seed, salt, track_bits, enabled,
 ):
     """Build the run's batch kernel, or ``None`` to step per node.
 
@@ -501,10 +417,6 @@ def make_engine_kernel(
         return None
     factory = algorithm.batch
     bg = batch_graph_of(cg)
-    setup = BatchSetup(
-        inputs,
-        guesses,
-        rng_mode,
-        _engine_draw_builder(bg, rng_mode, seed, salt),
+    return factory(
+        bg, BatchSetup(inputs, guesses, _engine_draw_builder(bg, seed, salt))
     )
-    return factory(bg, setup)

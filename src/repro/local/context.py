@@ -20,12 +20,14 @@ Two per-node derivation schemes exist (DESIGN.md, deviation D9):
   (:class:`CounterRNG`) keyed by a per-run SHA-512 digest mixed with the
   node identity.  Construction is ~50ns; streams are independent across
   nodes and reproducible across processes.  This is the compiled
-  engine's default and is in the same spirit as the paper's
-  deterministic-given-IDs derandomization (``hash_luby``).
+  engine's only scheme (DESIGN.md D29) and is in the same spirit as the
+  paper's deterministic-given-IDs derandomization (``hash_luby``).
 
-Both schemes give bit-identical executions across the reference and
-compiled runner backends — the equivalence suite pins the scheme when
-comparing backends.
+The reference loop runs either scheme (``"mt"`` by default, as the
+seed-faithful specification); the compiled engine and its batch, fused
+and virtual tiers draw ``"counter"`` only.  Under ``"counter"`` the two
+runner backends give bit-identical executions — the equivalence suite
+pins it when comparing them.
 
 Contexts may be constructed with an eager generator (``rng=...``) or a
 lazy factory (``rng_factory=...``); the factory is only invoked the
@@ -228,8 +230,9 @@ def sub_rng(mode, base, ident):
 
     Used by the virtual-node layer: the host draws ``base`` once from its
     own source, each hosted virtual node gets an independent stream.
-    Matches the host's derivation scheme so that reference and compiled
-    host processes remain bit-identical under a pinned scheme.
+    Matches the host's derivation scheme: the counter branch is what the
+    compiled virtual tiers reproduce, the mt branch serves the reference
+    loop's host processes.
     """
     if mode == "counter":
         return counter_rng(base, ident)

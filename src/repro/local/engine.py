@@ -472,7 +472,8 @@ def run_compiled(
 
     Arguments arrive pre-validated from :func:`repro.local.runner.run`;
     the returned ``result_cls`` instance is field-for-field identical to
-    what the reference loop produces for the same configuration.  When
+    what the reference loop produces for the same configuration under
+    ``rng="counter"``, the only scheme this engine draws (D29).  When
     ``execution.batch`` is on and the algorithm registers a batch kernel
     (and the run is eligible — see
     :func:`repro.local.batch.make_engine_kernel`), the whole frontier is
@@ -481,7 +482,6 @@ def run_compiled(
     """
     from .runner import note_stepping
 
-    rng_mode = execution.rng_mode
     cg = graph.compiled()
     if execution.batch:
         kernel = make_engine_kernel(
@@ -491,7 +491,6 @@ def run_compiled(
             guesses=guesses,
             seed=seed,
             salt=salt,
-            rng_mode=rng_mode,
             track_bits=track_bits,
             enabled=True,
         )
@@ -531,7 +530,8 @@ def run_compiled(
     degrees = cg.degrees
     pairs = cg.pairs
 
-    make_gen = rng_source(rng_mode, seed, salt)
+    # The compiled engine draws the counter scheme only (D29).
+    make_gen = rng_source("counter", seed, salt)
     # For plain LocalAlgorithm instances, `make` is pure delegation to the
     # process factory — skip the extra call layer.  Subclasses keep their
     # `make` hook.
@@ -550,7 +550,7 @@ def run_compiled(
                 guesses,
                 None,
                 make_gen,
-                rng_mode,
+                "counter",
             )
         )
         for label, ident, degree in zip(labels, idents, degrees)

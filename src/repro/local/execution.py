@@ -62,9 +62,12 @@ class Execution:
 
     ``rng`` is ``None`` for the backend's native scheme (``"mt"`` for
     the reference loop, ``"counter"`` otherwise; see :attr:`rng_mode`).
-    ``batch`` and ``roundfuse`` let compiled runs take the batched frontier
-    stepping (D10) and the round-fused drivers (D17) when the algorithm
-    is certified for them.
+    The compiled engine draws the counter scheme only (D29): pinning
+    ``"mt"`` on it raises :class:`~repro.errors.ParameterError` here, so
+    no fast path ever sees a scheme name.  ``batch`` and ``roundfuse``
+    (real bools, never coerced) let compiled runs take the batched
+    frontier stepping (D10) and the round-fused drivers (D17) when the
+    algorithm is certified for them.
     """
 
     backend: str = "compiled"
@@ -81,17 +84,31 @@ class Execution:
             raise ParameterError(
                 f"unknown rng scheme {self.rng!r} (use {RNG_MODES})"
             )
+        if self.backend == "compiled" and self.rng == "mt":
+            raise ParameterError(
+                "rng='mt' runs only on backend='reference'; the compiled "
+                "engine draws rng='counter'"
+            )
+        for name in ("batch", "roundfuse"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ParameterError(
+                    f"{name} must be a bool, got {value!r} "
+                    f"({type(value).__name__})"
+                )
 
     @classmethod
     def from_env(cls, environ):
         """The record the ``REPRO_*`` variables of ``environ`` describe."""
-        return cls(
-            backend=env_setting(environ, "REPRO_BACKEND", "compiled",
-                                choices=BACKENDS),
-            rng=env_setting(environ, "REPRO_RNG", None, choices=RNG_MODES),
-            batch=env_setting(environ, "REPRO_BATCH", True, bool),
-            roundfuse=env_setting(environ, "REPRO_ROUNDFUSE", True, bool),
-        )
+        backend = env_setting(environ, "REPRO_BACKEND", "compiled",
+                              choices=BACKENDS)
+        rng = env_setting(environ, "REPRO_RNG", None, choices=RNG_MODES)
+        batch = env_setting(environ, "REPRO_BATCH", True, bool)
+        roundfuse = env_setting(environ, "REPRO_ROUNDFUSE", True, bool)
+        try:
+            return cls(backend, rng, batch, roundfuse)
+        except ParameterError as exc:  # each value parsed: the pairing
+            raise ParameterError(f"REPRO_RNG={rng!r}: {exc}") from None
 
     @property
     def rng_mode(self):
@@ -141,8 +158,8 @@ def use_backend(backend, rng=None):
     the scope.
 
     The equivalence suite runs whole pipelines — alternations, virtual
-    domains, portfolios — under each backend with the rng scheme pinned,
-    proving the engines interchangeable end to end.
+    domains, portfolios — under each backend with ``rng="counter"``
+    pinned, proving the engines interchangeable end to end.
     """
     with installed(_ambient.resolve(backend, rng)):
         yield
@@ -152,8 +169,8 @@ def use_backend(backend, rng=None):
 def use_batch(enabled):
     """Pin the batched frontier stepping (D10) on or off in the scope
     (the equivalence suite diffs batch and per-node stepping under
-    ``use_batch(False)``)."""
-    with installed(replace(_ambient, batch=bool(enabled))):
+    ``use_batch(False)``).  ``enabled`` must be a bool."""
+    with installed(replace(_ambient, batch=enabled)):
         yield
 
 
@@ -161,6 +178,6 @@ def use_batch(enabled):
 def use_roundfuse(enabled):
     """Pin the round-fused drivers (D17) on or off in the scope (the
     equivalence suite diffs fused and per-round stepping under
-    ``use_roundfuse(False)``)."""
-    with installed(replace(_ambient, roundfuse=bool(enabled))):
+    ``use_roundfuse(False)``).  ``enabled`` must be a bool."""
+    with installed(replace(_ambient, roundfuse=enabled)):
         yield

@@ -41,7 +41,7 @@ import weakref
 from ..errors import NonTerminationError, ParameterError, ReproError
 from . import batch
 from .algorithm import capabilities_of
-from .context import make_rng, run_key
+from .context import run_key
 from .execution import resolve
 from .runner import (
     RunResult,
@@ -261,58 +261,32 @@ def fused_slab_of(cgs):
     return slab
 
 
-class _FusedMtFactory:
-    """``slab index -> random.Random`` seeded from the *lane's* material.
-
-    The mt twin of the lane-offset counter derivation: node ``i`` of
-    lane ``k`` gets exactly the generator its solo run would build from
-    ``(seed_k, salt_k, ident_i)``.
-    """
-
-    __slots__ = ("lane_of", "idents", "seeds", "salts")
-
-    def __init__(self, lane_of, idents, seeds, salts):
-        self.lane_of = lane_of
-        self.idents = idents
-        self.seeds = seeds
-        self.salts = salts
-
-    def __call__(self, i):
-        k = int(self.lane_of[i])
-        return make_rng(self.seeds[k], self.salts[k], self.idents[i])
-
-
-def _fused_draw_builder(bg, rng_mode, seeds, salts):
+def _fused_draw_builder(bg, seeds, salts):
     """Per-lane draw derivation: each lane's streams match its solo run.
 
-    Counter scheme: each lane's slice of the slab's identity mix is
-    keyed by that lane's ``run_key(seed, salt)`` — the closed per-draw
-    form then yields bit-identical values because a node's draw index
-    (its phase) advances exactly as in the solo run (lanes share the
-    schedule).
+    Each lane's slice of the slab's identity mix is keyed by that lane's
+    ``run_key(seed, salt)`` — the closed per-draw counter form then
+    yields bit-identical values because a node's draw index (its phase)
+    advances exactly as in the solo run (lanes share the schedule).
     """
 
     def build(bits):
         np = batch.numpy_or_none()
-        if rng_mode == "counter":
-            run_keys = tuple(
-                run_key(seeds[k], salts[k]) for k in range(bg.lane_count)
-            )
-            # Key derivation is a pure function of the per-lane run
-            # keys, so a repeated sweep reuses the concatenated key slab.
-            keys = bg._draw_cache.get(run_keys)
-            if keys is None:
-                if len(bg._draw_cache) >= 8:
-                    bg._draw_cache.clear()
-                keys = bg.ident_mix() ^ np.repeat(
-                    np.array(run_keys, dtype=np.uint64),
-                    np.diff(bg.lane_bounds),
-                )
-                bg._draw_cache[run_keys] = keys
-            return batch.CounterDraws(keys, bits)
-        return batch.SequentialDraws(
-            _FusedMtFactory(bg.lane_of, bg.idents, seeds, salts), bg.n, bits
+        run_keys = tuple(
+            run_key(seeds[k], salts[k]) for k in range(bg.lane_count)
         )
+        # Key derivation is a pure function of the per-lane run keys, so
+        # a repeated sweep reuses the concatenated key slab.
+        keys = bg._draw_cache.get(run_keys)
+        if keys is None:
+            if len(bg._draw_cache) >= 8:
+                bg._draw_cache.clear()
+            keys = bg.ident_mix() ^ np.repeat(
+                np.array(run_keys, dtype=np.uint64),
+                np.diff(bg.lane_bounds),
+            )
+            bg._draw_cache[run_keys] = keys
+        return batch.CounterDraws(keys, bits)
 
     return build
 
@@ -488,7 +462,7 @@ def run_many(
         for members in groups.values():
             for at in range(0, len(members), LANE_WIDTH):
                 chunk_lanes = members[at : at + LANE_WIDTH]
-                chunk = _build_chunk(chunk_lanes, execution.rng_mode, claimed)
+                chunk = _build_chunk(chunk_lanes, claimed)
                 if chunk is None:
                     solo.extend(chunk_lanes)
                 else:
@@ -527,7 +501,7 @@ def run_many(
     return [lane.result for lane in lanes_list]
 
 
-def _build_chunk(chunk_lanes, rng_mode, claimed):
+def _build_chunk(chunk_lanes, claimed):
     """Slab + kernel for one group chunk (``None``: factory declined).
 
     ``claimed`` holds the slab ids already handed to earlier chunks of
@@ -550,10 +524,8 @@ def _build_chunk(chunk_lanes, rng_mode, claimed):
     setup = batch.BatchSetup(
         fused_inputs,
         dict(chunk_lanes[0].guesses),
-        rng_mode,
         _fused_draw_builder(
             bg,
-            rng_mode,
             [lane.seed for lane in chunk_lanes],
             [lane.salt for lane in chunk_lanes],
         ),

@@ -21,13 +21,15 @@ Two interchangeable executors implement these semantics:
 
 * ``backend="compiled"`` (default) — the CSR engine of
   :mod:`repro.local.engine`: flat integer-indexed adjacency, O(active +
-  messages) rounds, lazy per-node random sources (``rng="counter"`` by
-  default).
+  messages) rounds, lazy per-node random sources.  It draws
+  ``rng="counter"`` only; pinning ``rng="mt"`` on it raises
+  :class:`~repro.errors.ParameterError` (DESIGN.md D29).
 * ``backend="reference"`` — the original dict-based loop below, kept
   verbatim as the executable specification (eager Mersenne-Twister
-  sources, ``rng="mt"`` by default).  It is the oracle the equivalence
-  suite (``tests/test_engine_equivalence.py``) diffs the engine against:
-  under a pinned ``rng`` scheme the two backends produce bit-identical
+  sources, ``rng="mt"`` by default, ``rng="counter"`` on request).  It
+  is the oracle the equivalence suite
+  (``tests/test_engine_equivalence.py``) diffs the engine against:
+  under ``rng="counter"`` the two backends produce bit-identical
   :class:`RunResult` fields.
 
 Select per call (``run(..., backend=..., rng=...)``) or per scope
@@ -147,8 +149,9 @@ def run(
         ``"reference"`` (the specification loop).  ``None`` uses the
         ambient :class:`~repro.local.execution.Execution` record.
     rng:
-        Per-node random-source scheme, ``"counter"`` or ``"mt"``;
-        ``None`` uses the backend's native scheme.  Pin it when diffing
+        Per-node random-source scheme, ``"counter"`` or ``"mt"``
+        (``"mt"`` on the reference backend only); ``None`` uses the
+        backend's native scheme.  Pin ``"counter"`` when diffing
         backends — the schemes produce different (equally valid) random
         streams.
     options:

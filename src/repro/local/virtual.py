@@ -46,7 +46,7 @@ Host engines: two interchangeable host-process implementations exist,
 mirroring the runner backends.  The *reference* host is the seed's
 dict-driven implementation; the *compiled* host keeps an explicit list of
 undone virtual processes, a done-counter instead of all()-scans, and
-pre-resolved per-port route tables.  Under a pinned rng scheme the two
+pre-resolved per-port route tables.  Under ``rng="counter"`` the two
 are bit-identical (asserted by the equivalence suite).
 
 Incremental restriction: :meth:`VirtualSpec.restricted` produces the spec
@@ -70,7 +70,7 @@ from .batch import (
 )
 from .context import NodeContext, sub_rng
 from .message import Broadcast
-from .runner import require_guesses
+from .runner import note_stepping, require_guesses
 
 
 class VirtualSpec:
@@ -486,8 +486,8 @@ class _VirtualHostProcess(NodeProcess):
 class _CompiledHostProcess(NodeProcess):
     """Compiled host engine: same protocol, O(undone + traffic) rounds.
 
-    Bit-identical to :class:`_VirtualHostProcess` under a pinned rng
-    scheme (equivalence suite), but:
+    Bit-identical to :class:`_VirtualHostProcess` under
+    ``rng="counter"`` (equivalence suite), but:
 
     * hosted virtual processes that finished leave the ``pending`` list,
       so a round costs O(undone), not O(hosted);
@@ -703,32 +703,25 @@ def virtualize(spec, algorithm, *, virt_inputs=None, name=None, engine=None):
 
 
 def _virtual_kernel(
-    spec,
-    algorithm,
-    physical,
-    *,
-    virt_inputs,
-    guesses,
-    seed,
-    salt,
-    execution,
-    bg,
+    spec, algorithm, physical, virt_inputs, guesses, seed, salt
 ):
-    """Build the virtual run's batch kernel (``None`` when the factory
-    declines)."""
-    rng_mode = execution.rng_mode
-    setup = BatchSetup(
-        virt_inputs,
-        guesses,
-        rng_mode,
-        virtual_draw_builder(bg, spec, physical, rng_mode, seed, salt),
+    """``(mirror, kernel)`` for a batched virtual run, or ``None`` when
+    the run is ineligible (numpy missing, empty spec, no batch
+    capability) or the factory declines."""
+    if not batch_available() or not spec.adj:
+        return None
+    if not capabilities_of(algorithm).get("supports_batch"):
+        return None
+    guesses = require_guesses(
+        algorithm, guesses, name=f"virtual[{algorithm.name}]"
     )
-    kernel = algorithm.batch(bg, setup)
-    if kernel is not None:
-        from .runner import note_stepping
-
-        note_stepping("batch")
-    return kernel
+    bg = batch_graph_of_spec(spec)
+    draws = virtual_draw_builder(bg, spec, physical, seed, salt)
+    kernel = algorithm.batch(bg, BatchSetup(virt_inputs or {}, guesses, draws))
+    if kernel is None:
+        return None
+    note_stepping("batch")
+    return bg, kernel
 
 
 def _drive_virtual(kernel, algorithm, max_vrounds, roundfuse):
@@ -746,7 +739,6 @@ def _drive_virtual(kernel, algorithm, max_vrounds, roundfuse):
     results = {}
     if roundfuse and capabilities_of(algorithm).get("supports_roundfuse"):
         from .roundfuse import drive_kernel
-        from .runner import note_stepping
 
         driven = drive_kernel(kernel, max_vrounds - 1)
         if driven is not None:
@@ -854,27 +846,12 @@ def run_virtual_batch(
     Equivalence with the host path is asserted by the equivalence suite
     for full, truncated and restricted-spec runs.
     """
-    if not batch_available() or not spec.adj:
-        return None
-    if not capabilities_of(algorithm).get("supports_batch"):
-        return None
-    guesses = require_guesses(
-        algorithm, guesses, name=f"virtual[{algorithm.name}]"
+    built = _virtual_kernel(
+        spec, algorithm, physical, virt_inputs, guesses, seed, salt
     )
-    bg = batch_graph_of_spec(spec)
-    kernel = _virtual_kernel(
-        spec,
-        algorithm,
-        physical,
-        virt_inputs=virt_inputs or {},
-        guesses=guesses,
-        seed=seed,
-        salt=salt,
-        execution=execution,
-        bg=bg,
-    )
-    if kernel is None:
+    if built is None:
         return None
+    bg, kernel = built
 
     max_vrounds = cap // spec.dilation + 1
     finish_vround, results = _drive_virtual(
@@ -925,27 +902,12 @@ def run_virtual_batch_full(
     not commit.  Returns ``(outputs, rounds)`` or ``None`` when the
     configuration is ineligible for the batch path.
     """
-    if not batch_available() or not spec.adj:
-        return None
-    if not capabilities_of(algorithm).get("supports_batch"):
-        return None
-    guesses = require_guesses(
-        algorithm, guesses, name=f"virtual[{algorithm.name}]"
+    built = _virtual_kernel(
+        spec, algorithm, physical, virt_inputs, guesses, seed, salt
     )
-    bg = batch_graph_of_spec(spec)
-    kernel = _virtual_kernel(
-        spec,
-        algorithm,
-        physical,
-        virt_inputs=virt_inputs or {},
-        guesses=guesses,
-        seed=seed,
-        salt=salt,
-        execution=execution,
-        bg=bg,
-    )
-    if kernel is None:
+    if built is None:
         return None
+    bg, kernel = built
 
     max_vrounds = cap // spec.dilation + 1
     # The horizon grows with the stepping itself — kernel state

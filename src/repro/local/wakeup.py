@@ -26,7 +26,7 @@ from ..errors import NonTerminationError, ParameterError
 from .algorithm import LocalAlgorithm
 from .context import NodeContext, rng_source
 from .message import Broadcast, normalize_outgoing
-from .execution import resolve
+from .execution import current
 from .runner import SAFETY_ROUND_CAP, RunResult, require_guesses
 
 
@@ -49,10 +49,12 @@ def run_with_wakeup(
     wake:
         Mapping node -> global wake-up tick (non-negative int).
     rng:
-        Per-node random-source scheme (``"counter"`` or ``"mt"``);
-        ``None`` resolves exactly like :func:`repro.local.runner.run`'s
-        default, so an all-zero wake pattern reproduces the synchronous
-        run bit for bit — including for randomized algorithms.
+        Per-node random-source scheme (``"counter"`` or ``"mt"``).  This
+        is its own per-node loop, not the compiled engine, so either
+        scheme runs under any ambient backend.  ``None`` resolves
+        exactly like :func:`repro.local.runner.run`'s default, so an
+        all-zero wake pattern reproduces the synchronous run bit for
+        bit — including for randomized algorithms.
 
     Returns a :class:`~repro.local.runner.RunResult` whose
     ``finish_round`` records *global* finish ticks; use
@@ -67,7 +69,7 @@ def run_with_wakeup(
     if any(t < 0 for t in wake.values()):
         raise ParameterError("wake-up times must be non-negative")
     cap = SAFETY_ROUND_CAP if max_ticks is None else max_ticks
-    rng_mode = resolve(rng=rng).rng_mode
+    rng_mode = rng or current().rng_mode
     make_gen = rng_source(rng_mode, seed, salt)
 
     processes = {}

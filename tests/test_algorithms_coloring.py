@@ -277,7 +277,7 @@ class TestBadGuessBehaviour:
         # The final colours can hide the branch, so also compare the
         # kernel's first Linial step with the scalar machine node by node.
         bg = batch_graph_of(graph.compiled())
-        kernel = make().batch(bg, BatchSetup({}, guesses, "counter", None))
+        kernel = make().batch(bg, BatchSetup({}, guesses, None))
         kernel.start()
         kernel.step()
         colors = [ident - 1 for ident in bg.idents]

@@ -269,7 +269,7 @@ class TestBackendSelection:
         cg = small_gnp.compiled()
         kernel = make_engine_kernel(
             luby_mis(), cg, inputs={}, guesses={}, seed=0, salt=0,
-            rng_mode="counter", track_bits=False, enabled=True,
+            track_bits=False, enabled=True,
         )
         assert kernel is not None
         from repro.local.algorithm import LocalAlgorithm, NodeProcess
@@ -278,7 +278,7 @@ class TestBackendSelection:
         assert (
             make_engine_kernel(
                 plain, cg, inputs={}, guesses={}, seed=0, salt=0,
-                rng_mode="counter", track_bits=False, enabled=True,
+                track_bits=False, enabled=True,
             )
             is None
         )

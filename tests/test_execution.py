@@ -6,8 +6,10 @@ default.  Removed backend names are rejected with the valid ones listed,
 the removed ``shard_channel=``, ``shards=``, ``faults=``, ``lanes=``,
 ``errors=``, ``on_lane_done=`` and ``seeds=`` keywords are a
 ``TypeError`` at every entry point that once took them, the
-fault-injection and racing names are gone from the API, and a call
-without overrides resolves to the ambient record itself.
+fault-injection and racing names are gone from the API, the compiled
+engine refuses ``rng="mt"`` at every entry point (D29), the on/off
+switches take real bools only, and a call without overrides resolves to
+the ambient record itself.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ class TestEnvironmentParser:
         ("REPRO_BACKEND", "batch"),
         ("REPRO_BACKEND", "sharded"),
         ("REPRO_RNG", "xorshift"),
+        # Valid on its own, but the default backend is compiled (D29).
+        ("REPRO_RNG", "mt"),
     ])
     def test_malformed_values_name_the_variable(self, name, raw):
         with pytest.raises(ParameterError, match=name):
@@ -146,6 +150,16 @@ class TestRemovedNames:
         with pytest.raises(ImportError):
             exec(f"from {module} import {name}", {})
 
+    @pytest.mark.parametrize("entry", (
+        "run", "run_many", "use_backend", "open_session", "domain",
+    ))
+    def test_compiled_mt_rejected(self, small_gnp, entry):
+        """D29: the compiled engine draws the counter scheme only; a
+        pinned mt scheme is an error, never a silent reference run."""
+        with use_backend("compiled"):
+            with pytest.raises(ParameterError, match="rng='mt' runs only"):
+                entry_point(small_gnp, entry, rng="mt")
+
     def test_shards_field_removed(self):
         with pytest.raises(TypeError, match="shards"):
             Execution(shards=2)
@@ -186,14 +200,31 @@ class TestResolution:
             assert resolve() is current()
             assert current().rng == "counter"
 
-    @pytest.mark.parametrize("name", ("max_rounds",))
-    @pytest.mark.parametrize("value", (2.7, 0.5, True, False, "2", None, -1),
-                             ids=("2.7", "0.5", "True", "False", "str",
-                                  "None", "-1"))
+    @pytest.mark.parametrize("name,value", [
+        *(pytest.param("max_rounds", value, id=f"{shown}-max_rounds")
+          for value, shown in (
+              (2.7, "2.7"), (0.5, "0.5"), (True, "True"), (False, "False"),
+              ("2", "str"), (None, "None"), (-1, "-1"),
+          )),
+        *(pytest.param(name, value, id=f"{shown}-{name}")
+          for name in ("batch", "roundfuse")
+          for value, shown in (("off", "off"), ("no", "no"), (0, "0"),
+                               (1, "1"), (None, "None"))),
+    ])
     def test_counts_must_be_ints(self, small_gnp, name, value):
         """Bad counts raise showing the value as passed, instead of being
         truncated (2.7 -> 2, True -> 1), misreported (0.5 -> 0) or
-        reported back as a negative round count."""
+        reported back as a negative round count.  The same holds for
+        the on/off switches, which once coerced with ``bool()`` — so
+        ``use_batch("off")`` turned batching on."""
+        if name != "max_rounds":
+            scope = {"batch": use_batch, "roundfuse": use_roundfuse}[name]
+            shown = f"{name} must be a bool, got {value!r}"
+            for call in (lambda: Execution(**{name: value}),
+                         lambda: scope(value).__enter__()):
+                with pytest.raises(ParameterError, match=re.escape(shown)):
+                    call()
+            return
         if isinstance(value, int) and not isinstance(value, bool):
             shown = f"{name} must be >= 0, got {value!r}"
         else:
@@ -224,9 +255,13 @@ class TestResolution:
     def test_rng_mode_follows_the_backend_unless_pinned(self):
         assert resolve(backend="reference").rng_mode == "mt"
         assert resolve(backend="compiled").rng_mode == "counter"
-        with use_backend("compiled", rng="mt"):
-            assert resolve(backend="reference").rng_mode == "mt"
+        with use_backend("reference", rng="counter"):
+            assert current().rng_mode == "counter"
+        with use_backend("reference", rng="mt"):
             assert current().rng_mode == "mt"
+            # A pinned mt scheme cannot move to the compiled engine (D29).
+            with pytest.raises(ParameterError, match="rng='mt' runs only"):
+                resolve(backend="compiled")
 
     def test_scopes_swap_and_restore_the_record(self):
         before = current()

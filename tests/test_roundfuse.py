@@ -2,7 +2,8 @@
 
 Bit-identity of the fused drivers against the per-round batch loop and
 the reference stack for every roundfuse-certified kernel — full,
-restricted and virtual domains, both rng schemes — plus the exact
+restricted and virtual domains, under the counter scheme the compiled
+tiers draw (D29) — plus the exact
 fallback ladder (kill-switch, uncertified algorithm, ``track_bits``,
 cap shorter than the schedule).
 """
@@ -48,7 +49,8 @@ def batching_on():
     with use_batch(True):
         yield
 
-RNGS = ("counter", "mt")
+#: The compiled tiers draw the counter scheme only (DESIGN.md D29).
+RNGS = ("counter",)
 
 RESULT_FIELDS = (
     "outputs",

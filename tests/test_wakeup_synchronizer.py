@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.algorithms.luby import luby_mis
 from repro.local import (
     Broadcast,
     Chain,
@@ -15,6 +16,7 @@ from repro.local import (
     run_with_wakeup,
     running_time,
     termination_times,
+    use_backend,
 )
 
 
@@ -81,6 +83,21 @@ class TestSynchronizerEquivalence:
         sync = run(g, flood(3))
         woken = run_with_wakeup(g, flood(3), wake)
         assert woken.outputs == sync.outputs
+
+    def test_mt_wakeup_matches_the_reference_loop(self, small_gnp):
+        """The synchronizer is its own per-node loop, so ``rng="mt"``
+        runs under a compiled ambient record (the compiled engine itself
+        rejects mt, D29) and reproduces the reference run bit for bit."""
+        wake = {u: 0 for u in small_gnp.nodes}
+        with use_backend("compiled"):
+            woken = run_with_wakeup(
+                small_gnp, luby_mis(), wake, rng="mt", seed=7
+            )
+        ref = run(small_gnp, luby_mis(), backend="reference", rng="mt",
+                  seed=7)
+        assert woken.outputs == ref.outputs
+        assert woken.finish_round == ref.finish_round
+        assert (woken.rounds, woken.messages) == (ref.rounds, ref.messages)
 
     def test_simultaneous_wakeup_matches_round_counts(self):
         g = sim(nx.path_graph(8))
