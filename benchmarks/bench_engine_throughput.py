@@ -60,9 +60,9 @@ from repro.local import (  # noqa: E402
     run_many,
     use_backend,
     use_batch,
-    use_roundfuse,
 )
 from repro.local.fused import LANE_WIDTH  # noqa: E402
+from repro.local.runner import last_stepping  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
 
@@ -83,10 +83,10 @@ RATIOS = (
     # luby row (fused_gain_luby) is recorded as information — its solo
     # side is milliseconds-scale and too noisy for an 80% floor.
     ("fused_gain", "solo", "fused"),
-    # Round-fused unit (D17): per-round batch loop seconds / fused-drive
+    # Round-fused unit (D17, D30): per-node stepping seconds / rf-drive
     # seconds on the round-floor workloads (long fixed schedules of
     # cheap rounds) — the per-round Python floor this ratio tracks.
-    ("roundfuse_gain", "batch", "roundfuse"),
+    ("rf_gain", "per-node", "rf"),
     # Session unit (D18): stateless cold rebuild-per-request seconds /
     # live-session mutate+rerun seconds on a churn workload — the
     # incremental CSR patch win the live-graph service exists for.
@@ -375,24 +375,22 @@ def unit_fused_sweep(n, b, reps):
     return out
 
 
-def unit_roundfuse(n, reps, alt_n=150):
-    """Round-fused phase drivers (D17): per-round batch vs fused drive.
+def unit_rf(n, reps, alt_n=150):
+    """Round-fused driver (D17, D30): per-node stepping vs the rf drive.
 
-    The round-floor scenario this PR exists for, in two halves timed
-    together: H-partition peeling with a deliberately stretched ``ñ``
-    guess (``n⁸``, the overshooting-guess regime the Theorem-2 ladder
-    produces naturally → an ~8× longer fixed lockstep schedule of cheap
-    bincount rounds, the regime where the fused driver's fixed-point
-    early exit plus the hoisted per-round ledger bookkeeping dominate),
-    and the Theorem-2 Luby alternation at small ``alt_n`` (every
-    ``B_i = (A_i ; P)`` step is a handful of cheap pruner/decision
-    rounds, so per-round Python dispatch is most of the wall clock).
+    The round-floor scenario, in two halves timed together: H-partition
+    peeling with a deliberately stretched ``ñ`` guess (``n⁸``, the
+    overshooting-guess regime the Theorem-2 ladder produces naturally →
+    an ~8× longer fixed lockstep schedule of cheap bincount rounds, the
+    regime where the phase driver's fixed-point early exit and the
+    hoisted per-round ledger bookkeeping dominate), and the Theorem-2
+    Luby alternation at small ``alt_n`` (every ``B_i = (A_i ; P)`` step
+    is a handful of cheap pruner/decision rounds).
 
-    ``batch`` forces the per-round loop (``use_roundfuse(False)``);
-    ``roundfuse`` lets the fused drivers run.  Both configurations are
-    checked bit-identical before anything is recorded — a baseline can
-    never commit a diverging fused drive.  ``roundfuse_gain`` =
-    batch seconds / roundfuse seconds is the tracked (smoke-gated)
+    ``per-node`` forces per-node compiled stepping (``use_batch(False)``);
+    ``rf`` drives the batch kernels round-fused.  Both configurations
+    are checked bit-identical before anything is recorded.  ``rf_gain``
+    = per-node seconds / rf seconds is the tracked (smoke-gated)
     number.
     """
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=4), seed=4)
@@ -400,51 +398,54 @@ def unit_roundfuse(n, reps, alt_n=150):
     peel = h_partition()
     peel_guesses = {"a": 2, "n": n**8}
 
+    def fn(state):
+        rounds = messages = 0
+        signature = []
+        for seed in (1, 2):
+            got = run(graph, peel, seed=seed, guesses=peel_guesses)
+            rounds += got.rounds
+            messages += got.messages
+            signature.append(
+                (got.rounds, got.messages, got.outputs, got.finish_round)
+            )
+        _, _, uniform = TABLE1["luby"].build()
+        alt = uniform.run(small, seed=1)
+        rounds += alt.rounds
+        signature.append((alt.rounds, alt.outputs))
+        state.update(rounds=rounds, messages=messages, signature=signature)
+
+    # The two sides are timed in alternation, so a slow spell of the
+    # host hits both; the rf side takes milliseconds, so each of its
+    # turns is the best of ten calls.
+    sides = (("per-node", False, 1), ("rf", True, 10))
+    states = {key: {} for key, _, _ in sides}
+    best = {}
+    for turn in range(reps + 1):  # turn 0 warms caches (CSR, memos)
+        for key, batching, calls in sides:
+            with use_backend("compiled", rng="counter"), \
+                    use_batch(batching):
+                seconds = _best(lambda: fn(states[key]), calls)
+            if turn:
+                best[key] = min(best.get(key, seconds), seconds)
     out = {}
     signatures = {}
-    with use_backend("compiled", rng="counter"), use_batch(True):
-        for key, fused_on in (("batch", False), ("roundfuse", True)):
-            with use_roundfuse(fused_on):
-                state = {}
-
-                def fn():
-                    rounds = messages = 0
-                    signature = []
-                    for seed in (1, 2):
-                        got = run(
-                            graph, peel, seed=seed, guesses=peel_guesses
-                        )
-                        rounds += got.rounds
-                        messages += got.messages
-                        signature.append(
-                            (got.rounds, got.messages, got.outputs,
-                             got.finish_round)
-                        )
-                    _, _, uniform = TABLE1["luby"].build()
-                    alt = uniform.run(small, seed=1)
-                    rounds += alt.rounds
-                    signature.append((alt.rounds, alt.outputs))
-                    state["rounds"] = rounds
-                    state["messages"] = messages
-                    state["signature"] = signature
-
-                fn()  # warm caches (CSR compile, schedule memos)
-                seconds = _best(fn, reps)
-                signatures[key] = state.pop("signature")
-                entry = {"seconds": round(seconds, 6)}
-                entry.update(state)
-                if entry["seconds"] > 0:
-                    entry["rounds_per_sec"] = round(
-                        entry["rounds"] / entry["seconds"], 1
-                    )
-                out[key] = entry
-    if signatures["batch"] != signatures["roundfuse"]:
+    for key, _, _ in sides:
+        state = states[key]
+        signatures[key] = state.pop("signature")
+        entry = {"seconds": round(best[key], 6)}
+        entry.update(state)
+        if entry["seconds"] > 0:
+            entry["rounds_per_sec"] = round(
+                entry["rounds"] / entry["seconds"], 1
+            )
+        out[key] = entry
+    if signatures["per-node"] != signatures["rf"]:
         raise SystemExit(
-            "round-fused drive diverged from the per-round batch loop — "
+            "round-fused drive diverged from per-node stepping — "
             "refusing to record"
         )
-    out["roundfuse_gain"] = round(
-        out["batch"]["seconds"] / out["roundfuse"]["seconds"], 2
+    out["rf_gain"] = round(
+        out["per-node"]["seconds"] / out["rf"]["seconds"], 2
     )
     return out
 
@@ -604,15 +605,21 @@ def check_bit_identity(n=120):
     """Quick identity check across every stepping strategy (smoke net).
 
     Covers the three stepping strategies — the
-    ``batch ≡ compiled ≡ reference`` contract — plus fused lanes,
-    round-fused drives, whole alternations (the matching row's on the
-    line-graph virtual domain among them) and live sessions.
+    ``batch ≡ compiled ≡ reference`` contract, where ``batch`` is the
+    round-fused drive of every kernel family — plus fused lanes, whole
+    alternations (the matching row's on the line-graph virtual domain
+    among them) and live sessions.
     """
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=8), seed=8)
     guesses = {"m": graph.max_ident, "Delta": graph.max_degree}
+    # Round-fused identity (D17, D30): the batch strategy drives every
+    # kernel family round-fused — fixed-point (Luby), generic (fast
+    # MIS) and phase-scheduled (h-partition) — and each drive must
+    # equal the reference loop and per-node stepping.
     jobs = (
         (luby_mis(), None),
         (fast_mis(), guesses),
+        (h_partition(), {"a": 2, "n": 1 << 24}),
     )
     # Every job runs under rng="counter": the compiled tiers draw no
     # other scheme (DESIGN.md D29), and the reference loop's mt streams
@@ -623,6 +630,8 @@ def check_bit_identity(n=120):
         for backend in BACKENDS:
             with _backend_context(backend):
                 results.append(run(graph, algo, seed=3, guesses=g, rng=rng))
+                if backend == "batch" and last_stepping() != "rf":
+                    return False
         first = results[0]
         for other in results[1:]:
             if (
@@ -648,24 +657,6 @@ def check_bit_identity(n=120):
             or solo.rounds != got.rounds
             or solo.messages != got.messages
             or solo.finish_round != got.finish_round
-        ):
-            return False
-    # Round-fused identity (D17): every roundfuse-certified kernel
-    # driven fused must equal its per-round batch run — phase-scheduled
-    # (h-partition) and fixed-point (Luby family) drivers both.
-    rf_jobs = jobs + ((h_partition(), {"a": 2, "n": 1 << 24}),)
-    for algo, g in rf_jobs:
-        pair = []
-        for fused_on in (True, False):
-            with use_backend("compiled", rng=rng), use_batch(True), \
-                    use_roundfuse(fused_on):
-                pair.append(run(graph, algo, seed=3, guesses=g, rng=rng))
-        fused_run, plain = pair
-        if (
-            fused_run.outputs != plain.outputs
-            or fused_run.rounds != plain.rounds
-            or fused_run.messages != plain.messages
-            or fused_run.finish_round != plain.finish_round
         ):
             return False
     # Whole-alternation identity: guess runs AND pruner runs must agree
@@ -796,12 +787,11 @@ def full_suite():
         # and only the dispatch share amortizes.
         "fused-sweep-n60xb32": unit_fused_sweep(60, 32, reps=3),
         "fused-sweep-n500xb32": unit_fused_sweep(500, 32, reps=3),
-        # Round-fused drivers (D17): the per-round Python floor on
+        # Round-fused driver (D17, D30): the per-round Python floor on
         # long-fixed-schedule workloads — stretched H-partition peeling
-        # plus a pruner-heavy small-n alternation, per-round batch loop
-        # vs one fused drive per run (roundfuse_gain is the tracked
-        # ≥3× number).
-        "roundfloor-n1200": unit_roundfuse(1200, reps=3),
+        # plus a pruner-heavy small-n alternation, per-node stepping vs
+        # one rf drive per run (rf_gain is the tracked number).
+        "roundfloor-n1200": unit_rf(1200, reps=3),
         # Live-graph session service (D18): per-request small delta +
         # rerun on a long-lived session vs a stateless cold rebuild of
         # the whole topology per request — session_gain is the
@@ -839,13 +829,14 @@ SMOKE_UNITS = {
     # any lane stops being bit-identical to its solo run, and
     # check_bit_identity diffs fused lanes on every smoke run.
     "smoke-fused": lambda: unit_fused_sweep(60, 32, reps=2),
-    # Round-fused gate unit (D17): the same round-floor scenario at
-    # smoke size.  roundfuse_gain falling below 80% of the baseline
-    # means the fused drivers stopped amortizing the per-round floor;
-    # the unit refuses to record if a fused drive stops being
-    # bit-identical, and check_bit_identity diffs roundfuse on/off on
-    # every smoke run.
-    "smoke-roundfuse": lambda: unit_roundfuse(600, reps=2, alt_n=100),
+    # Round-fused gate unit (D17, D30): the same round-floor scenario
+    # at smoke size.  rf_gain falling below 80% of the baseline means
+    # the rf drive stopped amortizing the per-round floor; the unit
+    # refuses to record if an rf drive stops being bit-identical to
+    # per-node stepping, and check_bit_identity diffs every kernel
+    # family's rf drive against the reference loop and per-node
+    # stepping on every smoke run.
+    "smoke-roundfuse": lambda: unit_rf(600, reps=2, alt_n=100),
     # Live-session gate unit (D18): the churn scenario at smoke size.
     # session_gain falling below 80% of the baseline means the
     # incremental CSR patch stopped beating stateless rebuilds; the
@@ -888,10 +879,9 @@ def render(units):
                 f"  luby={entry.get('fused_gain_luby', 0):.2f}x"
                 f"  (b={entry['fused']['lanes']})"
             )
-        if "roundfuse_gain" in entry:
+        if "rf_gain" in entry:
             lines.append(
-                f"  roundfuse vs per-round batch: "
-                f"{entry['roundfuse_gain']:.2f}x"
+                f"  rf drive vs per-node stepping: {entry['rf_gain']:.2f}x"
             )
         if "session_gain" in entry:
             lines.append(
@@ -987,9 +977,10 @@ def main(argv=None):
                     "engine with batched frontier-step kernels (D10). "
                     "speedup = reference/compiled, speedup_batch = "
                     "reference/batch, batch_gain = compiled/batch, "
-                    "roundfuse_gain = per-round batch/round-fused drive "
-                    "(D17 phase-fused + fixed-point drivers, pure-numpy "
-                    "tier), session_gain = stateless cold "
+                    "rf_gain = per-node stepping/round-fused drive "
+                    "(D17/D30 phase-fused + fixed-point drivers, the one "
+                    "ledger of every batch-kernel run), session_gain = "
+                    "stateless cold "
                     "rebuild-per-request/live-session mutate+rerun (D18 "
                     "incremental CSR patch on a long-lived session)."
                 ),

@@ -157,9 +157,6 @@ def h_partition():
         process=HPartitionProcess,
         requires=("a", "n"),
         batch=_h_partition_batch_factory(),
-        # Round-fuse-safe (D17): fixed lockstep schedule, full-broadcast
-        # rounds, and a fused peeling loop with a proven fixed point.
-        roundfuse=True,
     )
 
 

@@ -184,16 +184,6 @@ class ColoringBatchKernel:
             undone = self._undone = list(range(self.bg.n))
         return undone
 
-    def run_fixedpoint(self, cap):
-        """Round-fused drive (D17) through the generic fixed-point loop.
-
-        The coloring schedule's per-round message counts vary (group-
-        local traffic, announcement rows), so arithmetic phase
-        accounting does not apply; the win is hoisting the driver's
-        per-round ledger bookkeeping.
-        """
-        return batch.generic_fixedpoint(self, cap)
-
     # -- stage transitions ----------------------------------------------
     def _enter_kw(self):
         """Freeze colors into the KW reducer state; may finish at once."""
@@ -397,10 +387,6 @@ def fast_coloring():
         requires=("m", "Delta"),
         batch=_coloring_batch_factory(),
         fuse=True,
-        # Round-fuse-safe (D17): self-terminating schedule driven
-        # through the generic fixed-point loop (variable per-round
-        # message counts rule out arithmetic phase accounting).
-        roundfuse=True,
     )
 
 

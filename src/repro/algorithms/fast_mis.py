@@ -138,9 +138,6 @@ def fast_mis():
         requires=("m", "Delta"),
         batch=_coloring_batch_factory(MISBatchKernel),
         fuse=True,
-        # Round-fuse-safe (D17): see fast_coloring — the sweep
-        # self-terminates inside the generic fixed-point loop.
-        roundfuse=True,
     )
 
 

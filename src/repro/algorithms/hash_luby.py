@@ -89,9 +89,6 @@ def hash_luby_mis():
             priorities=_hash_priorities,
         ),
         fuse=True,
-        # Round-fuse-safe (D17) via the Luby kernel's fixed-point
-        # driver (hash priorities plug into the same draw seam).
-        roundfuse=True,
     )
 
 

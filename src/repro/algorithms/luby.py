@@ -204,7 +204,7 @@ class LubyBatchKernel:
         settles the returned ``(round, finished, results)`` events
         afterwards.  The divergence cap is enforced in here — at most
         ``cap`` rounds execute, and a mid-phase exit leaves the kernel
-        state exactly where the per-round loop would have left it
+        state exactly where stepping round by round would have left it
         (``undone_indices`` reads ``alive``).
         """
         np = batch.numpy_or_none()
@@ -295,9 +295,6 @@ def luby_mis():
         randomized=True,
         batch=_luby_batch_factory(),
         fuse=True,
-        # Round-fuse-safe (D17): self-terminating frontier kernel with
-        # a dedicated fixed-point driver.
-        roundfuse=True,
     )
 
 
@@ -334,9 +331,6 @@ def luby_mc():
         randomized=True,
         batch=_luby_batch_factory(budget_of=lambda g: mc_phases(g["n"])),
         fuse=True,
-        # Round-fuse-safe (D17): see luby_mis — the phase budget
-        # self-terminates inside the fixed-point driver.
-        roundfuse=True,
     )
 
 

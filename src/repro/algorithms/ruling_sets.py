@@ -184,10 +184,6 @@ def bitwise_ruling_set():
         process=BitwiseRulingProcess,
         requires=("m",),
         batch=_bitwise_batch_factory(),
-        # Round-fuse-safe (D17): fixed bitlen(m̃) lockstep schedule with
-        # full-broadcast rounds; the fused cascade precomputes all bit
-        # columns in one pass.
-        roundfuse=True,
     )
 
 
@@ -229,9 +225,6 @@ def sw_ruling_set(c):
         requires=("n",),
         randomized=True,
         batch=_luby_batch_factory(budget_of=lambda g: sw_phases(c, g["n"])),
-        # Round-fuse-safe (D17) through the Luby kernel's fixed-point
-        # driver (the phase budget self-terminates inside it).
-        roundfuse=True,
     )
 
 

@@ -31,9 +31,10 @@ class StepRecord:
     """One ``A_i ; P`` step of an alternation.
 
     ``backends`` attributes the step's two runs to their stepping
-    strategy — ``(algorithm, pruning)``, each ``"batch"``,
-    ``"per-node"`` or ``"reference"`` (host orchestrations report the
-    stepping of their last inner run; ``None`` when nothing executed).
+    strategy — ``(algorithm, pruning)``, each ``"rf"`` (a batch
+    kernel's round-fused drive), ``"per-node"`` or ``"reference"``
+    (host orchestrations report the stepping of their last inner run;
+    ``None`` when nothing executed).
     ``seconds`` is the step's wall clock, so traces and benches can
     attribute time per step and per backend.
     """

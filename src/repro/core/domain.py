@@ -262,7 +262,6 @@ class VirtualDomain(Domain):
                 self.spec,
                 algorithm,
                 self.physical,
-                execution,
                 cap=physical_budget,
                 virt_inputs=inputs or {},
                 guesses=guesses,
@@ -314,7 +313,6 @@ class VirtualDomain(Domain):
                 self.spec,
                 algorithm,
                 self.physical,
-                execution,
                 cap=round_cap(max_rounds, False),
                 virt_inputs=inputs or {},
                 guesses=guesses,

@@ -113,7 +113,6 @@ class PruningAlgorithm:
             "rounds": self.rounds,
             "supports_batch": False,
             "supports_fuse": False,
-            "supports_roundfuse": False,
             "domains": LocalAlgorithm.domains,
             "randomized": False,
             "uniform": True,
@@ -124,7 +123,6 @@ class PruningAlgorithm:
             return caps
         caps["supports_batch"] = inner.get("supports_batch", False)
         caps["supports_fuse"] = inner.get("supports_fuse", False)
-        caps["supports_roundfuse"] = inner.get("supports_roundfuse", False)
         caps["domains"] = inner.get("domains", caps["domains"])
         return caps
 
@@ -349,10 +347,6 @@ class RulingSetPruning(PruningAlgorithm):
             name=self.name,
             process=lambda ctx: _RulingSetPruneProcess(ctx, beta),
             batch=_ruling_prune_batch_factory(beta),
-            # Round-fuse-safe (D17): fixed 1+β lockstep schedule with
-            # full-broadcast rounds; the fused flood has a proven
-            # monotone fixed point.
-            roundfuse=True,
         )
 
 
@@ -498,9 +492,6 @@ class MatchingPruning(PruningAlgorithm):
             name=self.name,
             process=_MatchingPruneProcess,
             batch=_matching_prune_batch_factory(),
-            # Round-fuse-safe (D17): fixed 3-round lockstep schedule
-            # with full-broadcast rounds (generic fused phase loop).
-            roundfuse=True,
         )
 
 
@@ -655,7 +646,4 @@ class SLCPruning(PruningAlgorithm):
             name=self.name,
             process=_SLCPruneProcess,
             batch=_slc_prune_batch_factory(),
-            # Round-fuse-safe (D17): fixed 2-round lockstep schedule
-            # with full-broadcast rounds (generic fused phase loop).
-            roundfuse=True,
         )

@@ -19,7 +19,7 @@ from .msgsize import estimate_bits
 from .composition import Chain, default_carry
 from .context import CounterRNG, NodeContext, make_rng
 from .engine import CompiledGraph
-from .execution import Execution, use_backend, use_batch, use_roundfuse
+from .execution import Execution, use_backend, use_batch
 from .fused import run_many, slab_cache_stats
 from .graph import GraphDelta, SimGraph
 from .message import Broadcast
@@ -66,7 +66,6 @@ __all__ = [
     "termination_times",
     "use_backend",
     "use_batch",
-    "use_roundfuse",
     "virtualize",
     "zero_round_algorithm",
 ]

@@ -64,11 +64,12 @@ class LocalAlgorithm:
     batch:
         Optional batched-step kernel factory
         ``(BatchGraph, BatchSetup) -> kernel | None`` (DESIGN.md D10).
-        When present, the compiled engine steps the whole active
-        frontier per round through the kernel instead of dispatching
-        ``receive`` per node; a factory may return ``None`` to decline a
-        configuration it cannot reproduce bit-identically, in which case
-        the engine falls back to per-node stepping.
+        When present, the compiled engine runs the whole schedule
+        through the kernel in one round-fused drive (D17, D30) instead
+        of dispatching ``receive`` per node; a factory may return
+        ``None`` to decline a configuration it cannot reproduce
+        bit-identically, in which case the engine falls back to
+        per-node stepping.
     fuse:
         Whether the batch kernel is certified *fuse-safe* (DESIGN.md
         D16): all cross-node reads follow CSR edges or compare by
@@ -77,21 +78,10 @@ class LocalAlgorithm:
         ``BatchGraph.charge``.  Only then may the fused engine run the
         kernel on a block-diagonal multi-run slab; uncertified
         algorithms run each lane solo instead.
-    roundfuse:
-        Whether the batch kernel is certified *round-fuse-safe*
-        (DESIGN.md D17): the kernel either runs a fixed schedule known
-        at construction (``LockstepKernel`` subclasses exposing
-        ``run_phases``, whose message total settles arithmetically as
-        ``schedule × degrees.sum()``) or self-terminates and exposes a
-        ``run_fixedpoint`` driver whose per-round events replay the
-        exact ``start``/``step`` outcomes.  Only then may the engine
-        execute the whole round schedule inside one driver call;
-        uncertified kernels keep today's per-round stepping.
     """
 
     __slots__ = (
-        "name", "process", "requires", "randomized", "batch",
-        "fuse", "roundfuse",
+        "name", "process", "requires", "randomized", "batch", "fuse",
     )
 
     #: Domain kinds a per-node algorithm runs on (capability record).
@@ -99,7 +89,7 @@ class LocalAlgorithm:
 
     def __init__(
         self, name, process, requires=(), randomized=False, batch=None,
-        fuse=False, roundfuse=False,
+        fuse=False,
     ):
         self.name = name
         self.process = process
@@ -107,7 +97,6 @@ class LocalAlgorithm:
         self.randomized = bool(randomized)
         self.batch = batch
         self.fuse = bool(fuse)
-        self.roundfuse = bool(roundfuse)
 
     @property
     def uniform(self):
@@ -120,10 +109,9 @@ class LocalAlgorithm:
         ``kind`` selects the execution style (``"node"``: per-node
         processes through the runner; ``"host"``: self-restricting
         orchestration), ``supports_batch`` whether a frontier kernel is
-        registered, ``supports_fuse`` whether the kernel may step several
+        registered (its solo runs execute round-fused, D17/D30),
+        ``supports_fuse`` whether the kernel may step several
         independent runs as lanes of one block-diagonal slab (D16),
-        ``supports_roundfuse`` whether the kernel's whole round
-        schedule may execute inside one driver call (D17),
         ``domains`` where the algorithm may execute.  The registry
         (``repro.algorithms.registry``) aggregates these per Table-1
         row.
@@ -132,7 +120,6 @@ class LocalAlgorithm:
             "kind": "node",
             "supports_batch": self.batch is not None,
             "supports_fuse": self.fuse and self.batch is not None,
-            "supports_roundfuse": self.roundfuse and self.batch is not None,
             "domains": self.domains,
             "randomized": self.randomized,
             "uniform": self.uniform,
@@ -188,7 +175,6 @@ class HostAlgorithm:
             "kind": "host",
             "supports_batch": False,
             "supports_fuse": False,
-            "supports_roundfuse": False,
             "domains": self.domains,
             "randomized": self.randomized,
             "uniform": self.uniform,

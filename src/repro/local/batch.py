@@ -23,6 +23,10 @@ D10: the batch-step contract):
   generators would.  The compiled engine draws no other scheme (D29).
 * :func:`row_flags` — "some selected edge points at this node" flag
   reduction over the edge slab.
+* :func:`drive_kernel` and :func:`settle` — the round-fused driver
+  (D17, D30), the one ledger of every solo kernel run, physical or
+  virtual: the whole round schedule runs inside one call, never one
+  interpreter return per simulated round.
 
 numpy is optional: when it is missing (or a kernel factory declines the
 configuration) every caller falls back to the per-node stepping path, so
@@ -53,6 +57,7 @@ yield a field-for-field identical
 
 from __future__ import annotations
 
+from ..errors import NonTerminationError
 from .context import _IDENT_MIX, _MASK64, CounterRNG, run_key
 
 try:  # pragma: no cover - exercised via the fallback test's monkeypatch
@@ -88,11 +93,6 @@ def ident_mix(idents):
         mixed = np.array(idents, dtype=np.uint64) * np.uint64(_IDENT_MIX)
     mixed.flags.writeable = False
     return mixed
-
-
-def stream_keys(key, idents):
-    """Per-node counter-stream keys ``key ^ (ident * mix)`` as uint64."""
-    return ident_mix(idents) ^ _np.uint64(key)
 
 
 class CounterDraws:
@@ -318,9 +318,9 @@ class LockstepKernel:
     in ``__slots__`` and implement ``step()``.
 
     ``schedule`` is the number of ``step()`` calls the kernel takes to
-    finish (every node terminates on exactly the last one).  Declaring
-    it enables the round-fused driver (DESIGN.md D17): the whole
-    schedule executes inside one :meth:`run_phases` call and the
+    finish (every node terminates on exactly the last one).  When it
+    fits the round cap, the round-fused driver (DESIGN.md D17) runs the
+    whole schedule inside one :meth:`run_phases` call and the
     message total settles arithmetically as
     ``schedule × degrees.sum()`` — ``start`` plus steps 1..schedule-1
     each charge one full broadcast, the finishing step charges 0.
@@ -328,7 +328,7 @@ class LockstepKernel:
 
     __slots__ = ("bg", "round", "done", "schedule", "_undone")
 
-    def __init__(self, bg, schedule=None):
+    def __init__(self, bg, schedule):
         self.bg = bg
         self.round = 0
         self.done = False
@@ -369,15 +369,15 @@ class LockstepKernel:
 
 
 def generic_fixedpoint(kernel, cap):
-    """Step a self-terminating kernel to its fixed point in one call.
+    """Step a kernel to its fixed point in one call.
 
-    The shared ``run_fixedpoint`` body for kernels without a dedicated
-    fused loop (D17): the per-round events — ``(round, finished,
-    results)`` — replay exactly what the per-round driver would have
-    committed, with the ledger bookkeeping (dict writes, cap compare
-    per commit, checkpoint probing) hoisted out of the loop.  At most
-    ``cap`` rounds execute; a kernel still undone afterwards is the
-    caller's truncation/non-termination case.
+    The round-fused driver's default (D17, D30) for kernels without a
+    dedicated ``run_fixedpoint``, and for lockstep schedules the cap
+    cuts short: ``start`` then ``step`` until done or ``cap`` rounds,
+    recording each round's ``(round, finished, results)`` event, with
+    the ledger bookkeeping (dict writes, checkpoint probing) left to
+    :func:`settle`.  A kernel still undone afterwards is the caller's
+    truncation/non-termination case.
     """
     events = []
     finished, results, messages = kernel.start()
@@ -392,6 +392,81 @@ def generic_fixedpoint(kernel, cap):
         if finished:
             events.append((rounds, finished, results))
     return events, rounds, messages
+
+
+def drive_kernel(kernel, cap):
+    """Run a freshly built kernel's whole schedule, at most ``cap`` rounds.
+
+    * **Phase-fused** — a :class:`LockstepKernel` whose ``schedule``
+      fits the cap runs :meth:`~LockstepKernel.run_phases`: every node
+      finishes at round ``schedule`` and the message total settles
+      arithmetically as ``schedule × degrees.sum()``.
+    * **Fixed-point** — a kernel with a dedicated ``run_fixedpoint``
+      (the Luby family) runs it.
+    * **Generic** — everything else, including a lockstep schedule the
+      cap cuts short, runs :func:`generic_fixedpoint`.
+
+    Returns ``(events, rounds, messages)``: ``events`` is the list of
+    ``(round, finished_indices, results)`` commits of the run,
+    ``rounds`` how many ``step()`` rounds executed (``rounds == cap``
+    with ``kernel.done`` false means the cap bit — truncation or
+    :class:`NonTerminationError` — is the caller's to settle).  Shared
+    by the engine and the virtual-domain drivers.
+    """
+    if isinstance(kernel, LockstepKernel) and kernel.schedule <= cap:
+        schedule = kernel.schedule
+        charge = kernel.bg.charge()
+        kernel.start()
+        results = kernel.run_phases()
+        events = [(schedule, list(range(kernel.bg.n)), results)]
+        return events, schedule, schedule * charge
+    run_fixedpoint = getattr(kernel, "run_fixedpoint", None)
+    if run_fixedpoint is not None:
+        return run_fixedpoint(cap)
+    return generic_fixedpoint(kernel, cap)
+
+
+def settle(
+    driven, kernel, labels, algorithm, *, cap, truncating, default_output,
+    result_cls,
+):
+    """Fold a drive's events into the LOCAL-model ledger.
+
+    Outputs and termination times come from the finish events;
+    truncation forces the default output at the cap, non-termination
+    raises with the undone labels — field for field what the per-node
+    paths report.
+    """
+    events, _, messages = driven
+    outputs = {}
+    finish_round = {}
+    for rnd, finished, results in events:
+        for i, value in zip(finished, results):
+            label = labels[i]
+            outputs[label] = value
+            finish_round[label] = rnd
+    if not kernel.done:
+        undone = kernel.undone_indices()
+        if truncating:
+            for i in undone:
+                label = labels[i]
+                outputs[label] = default_output
+                finish_round[label] = cap
+            return result_cls(
+                outputs,
+                finish_round,
+                cap,
+                messages,
+                frozenset(labels[i] for i in undone),
+                None,
+            )
+        raise NonTerminationError(
+            algorithm.name, cap, [labels[i] for i in undone]
+        )
+    total = max(finish_round.values()) if finish_round else 0
+    return result_cls(
+        outputs, finish_round, total, messages, frozenset(), None
+    )
 
 
 def make_engine_kernel(

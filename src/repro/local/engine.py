@@ -64,7 +64,12 @@ from itertools import accumulate
 
 from ..errors import NonTerminationError
 from .algorithm import LocalAlgorithm
-from .batch import make_engine_kernel, splice_batch_graph
+from .batch import (
+    drive_kernel,
+    make_engine_kernel,
+    settle,
+    splice_batch_graph,
+)
 from .context import NodeContext, rng_source
 from .message import Broadcast, normalize_outgoing
 from .msgsize import estimate_bits
@@ -401,58 +406,6 @@ class CompiledGraph:
         return child
 
 
-def run_batch(
-    kernel, cg, algorithm, *, cap, truncating, default_output, result_cls
-):
-    """Drive one run through a whole-frontier batch kernel.
-
-    The kernel owns the per-node state and the message exchange (as
-    arrays over the CSR slab); this loop keeps the LOCAL-model ledger —
-    round counting, termination times, truncation, non-termination
-    diagnostics — so a batch run reports field-for-field what the
-    per-node paths report (DESIGN.md D10).
-    """
-    labels = cg.labels
-    outputs = {}
-    finish_round = {}
-    finished, results, messages = kernel.start()
-    for i, value in zip(finished, results):
-        label = labels[i]
-        outputs[label] = value
-        finish_round[label] = 0
-    rounds = 0
-    while not kernel.done:
-        if rounds >= cap:
-            undone = kernel.undone_indices()
-            if truncating:
-                for i in undone:
-                    label = labels[i]
-                    outputs[label] = default_output
-                    finish_round[label] = cap
-                return result_cls(
-                    outputs,
-                    finish_round,
-                    cap,
-                    messages,
-                    frozenset(labels[i] for i in undone),
-                    None,
-                )
-            raise NonTerminationError(
-                algorithm.name, cap, [labels[i] for i in undone]
-            )
-        rounds += 1
-        finished, results, sent = kernel.step()
-        messages += sent
-        for i, value in zip(finished, results):
-            label = labels[i]
-            outputs[label] = value
-            finish_round[label] = rounds
-    total = max(finish_round.values()) if finish_round else 0
-    return result_cls(
-        outputs, finish_round, total, messages, frozenset(), None
-    )
-
-
 def run_compiled(
     graph,
     algorithm,
@@ -476,9 +429,9 @@ def run_compiled(
     ``rng="counter"``, the only scheme this engine draws (D29).  When
     ``execution.batch`` is on and the algorithm registers a batch kernel
     (and the run is eligible — see
-    :func:`repro.local.batch.make_engine_kernel`), the whole frontier is
-    stepped per round through :func:`run_batch` instead of dispatching
-    per node.
+    :func:`repro.local.batch.make_engine_kernel`), the kernel's whole
+    schedule runs in one :func:`repro.local.batch.drive_kernel`
+    call instead of dispatching per node.
     """
     from .runner import note_stepping
 
@@ -495,28 +448,11 @@ def run_compiled(
             enabled=True,
         )
         if kernel is not None:
-            if execution.roundfuse:
-                # Round-fused tier (D17): certified kernels execute the
-                # whole schedule in one driver call; try_drive declines
-                # (capability, cap too small) back to the per-round loop
-                # below.
-                from .roundfuse import try_drive
-
-                fused = try_drive(
-                    kernel,
-                    cg,
-                    algorithm,
-                    cap=cap,
-                    truncating=truncating,
-                    default_output=default_output,
-                    result_cls=result_cls,
-                )
-                if fused is not None:
-                    return fused
-            note_stepping("batch")
-            return run_batch(
+            note_stepping("rf")
+            return settle(
+                drive_kernel(kernel, cap),
                 kernel,
-                cg,
+                cg.labels,
                 algorithm,
                 cap=cap,
                 truncating=truncating,

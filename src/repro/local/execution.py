@@ -1,10 +1,10 @@
 """How runs execute: one frozen :class:`Execution` record, resolved once.
 
 Every executor choice — which engine, which random-source scheme, and
-whether the batched (D10) and round-fused (D17) tiers may engage —
-lives in one immutable record.
+whether the batch kernels (D10; their solo runs are round-fused, D17)
+may engage — lives in one immutable record.
 The process starts from :meth:`Execution.from_env`; the scopes
-:func:`use_backend`, :func:`use_batch` and :func:`use_roundfuse` swap
+:func:`use_backend` and :func:`use_batch` swap
 the *ambient* record for a :func:`dataclasses.replace`-d copy; and
 :func:`run
 <repro.local.runner.run>`, :func:`run_many <repro.local.fused.run_many>`,
@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 from ..errors import ParameterError
 
-#: ``"compiled"`` is the CSR engine (batched and round-fused tiers
-#: auto-engage for certified kernels), ``"reference"`` the seed-faithful
+#: ``"compiled"`` is the CSR engine (registered batch kernels run
+#: round-fused), ``"reference"`` the seed-faithful
 #: specification loop.
 BACKENDS = ("compiled", "reference")
 RNG_MODES = ("counter", "mt")
@@ -64,16 +64,14 @@ class Execution:
     the reference loop, ``"counter"`` otherwise; see :attr:`rng_mode`).
     The compiled engine draws the counter scheme only (D29): pinning
     ``"mt"`` on it raises :class:`~repro.errors.ParameterError` here, so
-    no fast path ever sees a scheme name.  ``batch`` and ``roundfuse``
-    (real bools, never coerced) let compiled runs take the batched
-    frontier stepping (D10) and the round-fused drivers (D17) when the
-    algorithm is certified for them.
+    no fast path ever sees a scheme name.  ``batch`` (a real bool,
+    never coerced) lets compiled runs drive an algorithm's registered
+    batch kernel round-fused (D10, D17) instead of stepping per node.
     """
 
     backend: str = "compiled"
     rng: str | None = None
     batch: bool = True
-    roundfuse: bool = True
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -89,13 +87,11 @@ class Execution:
                 "rng='mt' runs only on backend='reference'; the compiled "
                 "engine draws rng='counter'"
             )
-        for name in ("batch", "roundfuse"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ParameterError(
-                    f"{name} must be a bool, got {value!r} "
-                    f"({type(value).__name__})"
-                )
+        if not isinstance(self.batch, bool):
+            raise ParameterError(
+                f"batch must be a bool, got {self.batch!r} "
+                f"({type(self.batch).__name__})"
+            )
 
     @classmethod
     def from_env(cls, environ):
@@ -104,9 +100,8 @@ class Execution:
                               choices=BACKENDS)
         rng = env_setting(environ, "REPRO_RNG", None, choices=RNG_MODES)
         batch = env_setting(environ, "REPRO_BATCH", True, bool)
-        roundfuse = env_setting(environ, "REPRO_ROUNDFUSE", True, bool)
         try:
-            return cls(backend, rng, batch, roundfuse)
+            return cls(backend, rng, batch)
         except ParameterError as exc:  # each value parsed: the pairing
             raise ParameterError(f"REPRO_RNG={rng!r}: {exc}") from None
 
@@ -167,17 +162,8 @@ def use_backend(backend, rng=None):
 
 @contextmanager
 def use_batch(enabled):
-    """Pin the batched frontier stepping (D10) on or off in the scope
-    (the equivalence suite diffs batch and per-node stepping under
-    ``use_batch(False)``).  ``enabled`` must be a bool."""
+    """Pin the batch kernels (D10, driven round-fused) on or off in the
+    scope (the equivalence suite diffs kernel and per-node stepping
+    under ``use_batch(False)``).  ``enabled`` must be a bool."""
     with installed(replace(_ambient, batch=enabled)):
-        yield
-
-
-@contextmanager
-def use_roundfuse(enabled):
-    """Pin the round-fused drivers (D17) on or off in the scope (the
-    equivalence suite diffs fused and per-round stepping under
-    ``use_roundfuse(False)``).  ``enabled`` must be a bool."""
-    with installed(replace(_ambient, roundfuse=enabled)):
         yield

@@ -541,7 +541,8 @@ def _build_chunk(chunk_lanes, claimed):
 
 
 def _drive(chunks, *, cap, truncating, default_output):
-    """The fused round loop: ``run_batch``'s ledger, kept per lane.
+    """The fused round loop: the solo drive's ledger
+    (:func:`repro.local.batch.settle`), kept per lane.
 
     All chunks advance in lockstep engine rounds; a chunk leaves the
     loop when its kernel is done.
@@ -601,7 +602,7 @@ def _distribute(chunk, finished, results, round_no, sent):
 def _cut(chunk, cap, truncating, default_output):
     """Round cap reached: truncate or fail each unfinished lane.
 
-    Mirrors ``run_batch`` exactly — truncated lanes report
+    Mirrors the solo ``settle`` exactly — truncated lanes report
     ``rounds == cap`` with the forced nodes in ``truncated``; without
     truncation the lane records a :class:`NonTerminationError`, which
     :func:`run_many` raises once every lane has settled.

@@ -51,8 +51,8 @@ from .msgsize import estimate_bits
 SAFETY_ROUND_CAP = 100_000
 
 #: Stepping strategy of the most recent run in this process
-#: (``"reference"``, ``"per-node"``, ``"batch"``, ``"rf"`` or
-#: ``"fused"``); ``None`` before the first run.  The alternation engine
+#: (``"reference"``, ``"per-node"``, ``"rf"`` or ``"fused"``);
+#: ``None`` before the first run.  The alternation engine
 #: samples this right after each guess/pruning run to attribute wall
 #: clock per step (StepRecord backends) — a diagnostic channel,
 #: deliberately kept out of :class:`RunResult` so the backend
@@ -142,10 +142,9 @@ def run(
     algorithm:
         A :class:`LocalAlgorithm`.
     backend:
-        ``"compiled"`` (CSR engine; batched and round-fused stepping
-        engage automatically for certified kernels, see
-        :func:`~repro.local.execution.use_batch` and
-        :func:`~repro.local.execution.use_roundfuse`) or
+        ``"compiled"`` (CSR engine; an algorithm's registered batch
+        kernel runs round-fused automatically, see
+        :func:`~repro.local.execution.use_batch`) or
         ``"reference"`` (the specification loop).  ``None`` uses the
         ambient :class:`~repro.local.execution.Execution` record.
     rng:

@@ -66,6 +66,7 @@ from .batch import (
     BatchSetup,
     available as batch_available,
     batch_graph_of_spec,
+    drive_kernel,
     virtual_draw_builder,
 )
 from .context import NodeContext, sub_rng
@@ -720,46 +721,28 @@ def _virtual_kernel(
     kernel = algorithm.batch(bg, BatchSetup(virt_inputs or {}, guesses, draws))
     if kernel is None:
         return None
-    note_stepping("batch")
     return bg, kernel
 
 
-def _drive_virtual(kernel, algorithm, max_vrounds, roundfuse):
-    """Step a virtual kernel to its horizon; returns finish/result maps.
+def _drive_virtual(kernel, spec, cap):
+    """Drive a virtual kernel within physical cap ``cap``; returns
+    finish/result maps.
 
     The shared drive of :func:`run_virtual_batch` and
-    :func:`run_virtual_batch_full`.  Round-fuse-certified kernels (D17)
-    execute their whole schedule in one fused call — virtual round
-    ``k`` is engine round ``k-1``, so the fused drive gets the engine
-    cap ``max_vrounds - 1`` and its events map back by ``+1``.  An
-    ineligible or switched-off (``roundfuse`` false) configuration
-    falls through to the per-round loop.
+    :func:`run_virtual_batch_full`: one
+    :func:`~repro.local.batch.drive_kernel` call (D17, D30).  Virtual
+    round ``k`` is engine round ``k-1`` and runs at physical round
+    ``(k-1) * dilation``, so the drive gets the engine cap
+    ``cap // dilation`` and its events map back by ``+1``.
     """
     finish_vround = {}
     results = {}
-    if roundfuse and capabilities_of(algorithm).get("supports_roundfuse"):
-        from .roundfuse import drive_kernel
-
-        driven = drive_kernel(kernel, max_vrounds - 1)
-        if driven is not None:
-            events, _rounds, _messages = driven
-            for rnd, finished, values in events:
-                for i, value in zip(finished, values):
-                    finish_vround[i] = rnd + 1
-                    results[i] = value
-            note_stepping("rf")
-            return finish_vround, results
-    finished, values, _ = kernel.start()
-    for i, value in zip(finished, values):
-        finish_vround[i] = 1
-        results[i] = value
-    vround = 1
-    while not kernel.done and vround < max_vrounds:
-        vround += 1
-        finished, values, _ = kernel.step()
+    events, _rounds, _messages = drive_kernel(kernel, cap // spec.dilation)
+    for rnd, finished, values in events:
         for i, value in zip(finished, values):
-            finish_vround[i] = vround
+            finish_vround[i] = rnd + 1
             results[i] = value
+    note_stepping("rf")
     return finish_vround, results
 
 
@@ -811,7 +794,6 @@ def run_virtual_batch(
     spec,
     algorithm,
     physical,
-    execution,
     *,
     cap,
     virt_inputs,
@@ -833,8 +815,8 @@ def run_virtual_batch(
       derived exactly as the hosts derive it (host base draw + sub
       stream, :func:`virtual_draw_builder`);
     * virtual round ``k`` corresponds to physical round
-      ``(k-1) * dilation``, so the kernel is stepped
-      ``cap // dilation + 1`` times at most;
+      ``(k-1) * dilation``, so the kernel runs at most
+      ``cap // dilation + 1`` virtual rounds;
     * host commit times are replayed from the announcement protocol: a
       host announces when its last hosted virtual node finishes, a relay
       additionally waits one round past each client host's announcement
@@ -853,10 +835,7 @@ def run_virtual_batch(
         return None
     bg, kernel = built
 
-    max_vrounds = cap // spec.dilation + 1
-    finish_vround, results = _drive_virtual(
-        kernel, algorithm, max_vrounds, execution.roundfuse
-    )
+    finish_vround, results = _drive_virtual(kernel, spec, cap)
 
     vindex = {label: i for i, label in enumerate(bg.labels)}
     # A relay commits only after every client host's announcement has
@@ -879,7 +858,6 @@ def run_virtual_batch_full(
     spec,
     algorithm,
     physical,
-    execution,
     *,
     cap,
     virt_inputs,
@@ -891,10 +869,10 @@ def run_virtual_batch_full(
 
     Closes the ROADMAP "still per-node" gap for ``run_full`` on virtual
     domains: with no declared round budget to hand the driver, the
-    kernel is stepped to its fixed point (every virtual node finished),
-    capped only by the physical round limit — the budget grows with the
-    stepping itself.  The observable product mirrors the host simulation
-    bit for bit: the per-virtual-node output map plus the physical
+    kernel is driven to its fixed point (every virtual node finished),
+    capped only by the physical round limit.  The observable product
+    mirrors the host simulation bit for bit: the per-virtual-node
+    output map plus the physical
     running time ``max(host commit rounds)`` replayed from the
     announcement protocol — and when the cap bites, the same
     :class:`~repro.errors.NonTerminationError` the physical runner
@@ -909,13 +887,7 @@ def run_virtual_batch_full(
         return None
     bg, kernel = built
 
-    max_vrounds = cap // spec.dilation + 1
-    # The horizon grows with the stepping itself — kernel state
-    # persists, so extending a budget is just stepping further (a
-    # doubling-and-restart schedule degenerates to this loop).
-    finish_vround, results = _drive_virtual(
-        kernel, algorithm, max_vrounds, execution.roundfuse
-    )
+    finish_vround, results = _drive_virtual(kernel, spec, cap)
 
     vindex = {label: i for i, label in enumerate(bg.labels)}
     commit = _host_commits(spec, physical, finish_vround, vindex)

@@ -36,7 +36,7 @@ class TestCounterRandomBatch:
     def test_matches_scalar_draws_element_for_element(self):
         key = run_key(7, "salt")
         idents = [1, 2, 97, 12345, 2**66 + 3]
-        keys = batch_module.stream_keys(key, idents)
+        keys = batch_module.ident_mix(idents) ^ numpy.uint64(key)
         streams = [counter_rng(key, ident) for ident in idents]
         for draw in range(1, 7):
             batched = CounterRNG.random_batch(keys, draw)
@@ -52,26 +52,28 @@ class TestCounterRandomBatch:
         ],
     )
     def test_stream_keys_match_big_int_formula(self, idents):
-        """The wrapping uint64 multiply (identities up to 2^64 - 1) and the
-        big-int fallback (past it) both equal the scalar formula."""
+        """The production stream keys ``ident_mix(idents) ^ key`` equal
+        the scalar formula under the wrapping uint64 multiply
+        (identities up to 2^64 - 1) and the big-int fallback (past it)."""
         mask = (1 << 64) - 1
         key = run_key(11, "mix")
         mix = 0xD1342543DE82EF95
         expected = [key ^ ((ident * mix) & mask) for ident in idents]
-        assert batch_module.stream_keys(key, idents).tolist() == expected
+        keys = batch_module.ident_mix(idents) ^ numpy.uint64(key)
+        assert keys.tolist() == expected
         assert batch_module.ident_mix(idents).tolist() == [
             (ident * mix) & mask for ident in idents
         ]
 
     @pytest.mark.parametrize("bits", (1, 8, 53, 62, 64))
     def test_bit_widths(self, bits):
-        keys = batch_module.stream_keys(3, [5, 6, 7])
+        keys = batch_module.ident_mix([5, 6, 7]) ^ numpy.uint64(3)
         batched = CounterRNG.random_batch(keys, 1, bits)
         scalar = [CounterRNG(int(k)).getrandbits(bits) for k in keys.tolist()]
         assert batched.tolist() == scalar
 
     def test_rejects_bad_arguments(self):
-        keys = batch_module.stream_keys(0, [1])
+        keys = batch_module.ident_mix([1]) ^ numpy.uint64(0)
         with pytest.raises(ValueError):
             CounterRNG.random_batch(keys, 0)
         with pytest.raises(ValueError):
@@ -81,7 +83,8 @@ class TestCounterRandomBatch:
         """CounterDraws(idx, t) is the t-th draw of each node's stream."""
         key = run_key(1, 0)
         idents = [11, 22, 33, 44]
-        draws = batch_module.CounterDraws(batch_module.stream_keys(key, idents))
+        keys = batch_module.ident_mix(idents) ^ numpy.uint64(key)
+        draws = batch_module.CounterDraws(keys)
         idx = numpy.array([0, 2, 3])
         second = draws.draws(idx, 2)
         for position, node in enumerate(idx.tolist()):

@@ -341,7 +341,7 @@ class TestBatchEquivalence:
         pool = [1, 2**63, 2**64 - 2, top, 2**63 + 5, 7, 2**62, top - 9]
         sim = SimGraph.from_networkx(graph, idents=dict(enumerate(pool)))
         reference, compiled = run_both(sim, luby_mis(), "counter", seed=9)
-        assert last_stepping() in ("batch", "rf")
+        assert last_stepping() == "rf"
         assert_results_equal(reference, compiled, context=top)
 
     def test_nontermination_parity(self, small_gnp):
@@ -657,8 +657,8 @@ class TestPrunerBatchEquivalence:
             _, _, uniform = TABLE1["luby"].build()
             result = uniform.run(small_gnp, seed=13)
         assert result.steps
-        # Both halves of each B_i = (A_i ; P) step are roundfuse-
-        # certified, so the fused driver tags them "rf" (D17).
+        # Both halves of each B_i = (A_i ; P) step register a batch
+        # kernel, so the round-fused driver tags them "rf" (D17, D30).
         for step in result.steps:
             assert step.backends == ("rf", "rf")
             assert step.seconds is not None and step.seconds >= 0

@@ -6,10 +6,10 @@ default.  Removed backend names are rejected with the valid ones listed,
 the removed ``shard_channel=``, ``shards=``, ``faults=``, ``lanes=``,
 ``errors=``, ``on_lane_done=`` and ``seeds=`` keywords are a
 ``TypeError`` at every entry point that once took them, the
-fault-injection and racing names are gone from the API, the compiled
-engine refuses ``rng="mt"`` at every entry point (D29), the on/off
-switches take real bools only, and a call without overrides resolves to
-the ambient record itself.
+fault-injection, racing and round-fuse switch names are gone from the
+API, the compiled engine refuses ``rng="mt"`` at every entry point
+(D29), the batch switch takes real bools only, and a call without
+overrides resolves to the ambient record itself.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.local import (
     run_many,
     use_backend,
     use_batch,
-    use_roundfuse,
 )
 from repro.local import fused
 from repro.local.execution import current, resolve
@@ -60,15 +59,13 @@ class TestEnvironmentParser:
             "REPRO_BACKEND": "reference",
             "REPRO_RNG": "mt",
             "REPRO_BATCH": "No",
-            "REPRO_ROUNDFUSE": "off",
         })
         assert execution == Execution(
-            backend="reference", rng="mt", batch=False, roundfuse=False,
+            backend="reference", rng="mt", batch=False,
         )
 
     @pytest.mark.parametrize("name,raw", [
         ("REPRO_BATCH", "maybe"),
-        ("REPRO_ROUNDFUSE", "2"),
         ("REPRO_BACKEND", "batch"),
         ("REPRO_BACKEND", "sharded"),
         ("REPRO_RNG", "xorshift"),
@@ -174,6 +171,26 @@ class TestRemovedNames:
         assert Execution.from_env(environ) == Execution()
         assert environ.asked and "REPRO_FUSE_LANES" not in environ.asked
 
+    @pytest.mark.parametrize("case", ("env", "field", "flag", "scope"))
+    def test_roundfuse_switches_removed(self, case):
+        """D30: every batch-kernel run is round-fused, so the kill
+        switch, its field and scope, and the certification flag left
+        the API."""
+        if case == "env":
+            environ = RecordingEnviron(REPRO_ROUNDFUSE="0")
+            assert Execution.from_env(environ) == Execution()
+            assert environ.asked and "REPRO_ROUNDFUSE" not in environ.asked
+        elif case == "field":
+            with pytest.raises(TypeError, match="roundfuse"):
+                Execution(roundfuse=False)
+        elif case == "flag":
+            with pytest.raises(TypeError, match="roundfuse"):
+                LocalAlgorithm("x", lambda ctx: None, roundfuse=True)
+            assert "supports_roundfuse" not in luby_mis().capabilities()
+        else:
+            with pytest.raises(ImportError):
+                from repro.local import use_roundfuse  # noqa: F401
+
 
 def entry_point(graph, entry, **removed):
     """Call one public execution entry point with ``removed`` keywords."""
@@ -207,7 +224,7 @@ class TestResolution:
               ("2", "str"), (None, "None"), (-1, "-1"),
           )),
         *(pytest.param(name, value, id=f"{shown}-{name}")
-          for name in ("batch", "roundfuse")
+          for name in ("batch",)
           for value, shown in (("off", "off"), ("no", "no"), (0, "0"),
                                (1, "1"), (None, "None"))),
     ])
@@ -218,10 +235,9 @@ class TestResolution:
         the on/off switches, which once coerced with ``bool()`` — so
         ``use_batch("off")`` turned batching on."""
         if name != "max_rounds":
-            scope = {"batch": use_batch, "roundfuse": use_roundfuse}[name]
             shown = f"{name} must be a bool, got {value!r}"
             for call in (lambda: Execution(**{name: value}),
-                         lambda: scope(value).__enter__()):
+                         lambda: use_batch(value).__enter__()):
                 with pytest.raises(ParameterError, match=re.escape(shown)):
                     call()
             return
@@ -265,8 +281,8 @@ class TestResolution:
 
     def test_scopes_swap_and_restore_the_record(self):
         before = current()
-        with use_batch(False), use_roundfuse(False):
-            assert not current().batch and not current().roundfuse
+        with use_batch(False):
+            assert not current().batch
             assert current().backend == before.backend
         assert current() is before
 

@@ -1,11 +1,14 @@
-"""Round-fused phase/fixed-point drivers (DESIGN.md D17).
+"""The round-fused driver, the one ledger of every batch-kernel run
+(DESIGN.md D17, D30).
 
-Bit-identity of the fused drivers against the per-round batch loop and
-the reference stack for every roundfuse-certified kernel — full,
-restricted and virtual domains, under the counter scheme the compiled
-tiers draw (D29) — plus the exact
-fallback ladder (kill-switch, uncertified algorithm, ``track_bits``,
-cap shorter than the schedule).
+Every algorithm that registers a batch kernel is driven through
+:func:`repro.local.batch.drive_kernel` on full, truncated, pruner and
+virtual runs, and each run is diffed field for field against the
+reference loop (``rng="counter"``, the only scheme the compiled tiers
+draw, D29) and against per-node compiled stepping (``use_batch(False)``).
+Caps shorter than a lockstep schedule, and kernels without a dedicated
+loop, go through :func:`repro.local.batch.generic_fixedpoint` with the
+same round-by-round truncation.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import pytest
 
 from repro.algorithms import TABLE1, capability_table
 from repro.algorithms.arboricity import h_partition
-from repro.algorithms.fast_coloring import fast_coloring
-from repro.algorithms.fast_mis import fast_mis
+from repro.algorithms.fast_coloring import ColoringBatchKernel, fast_coloring
+from repro.algorithms.fast_mis import MISBatchKernel, fast_mis
 from repro.algorithms.hash_luby import hash_luby_mis
 from repro.algorithms.luby import luby_mc, luby_mis
 from repro.algorithms.ruling_sets import bitwise_ruling_set, sw_ruling_set
@@ -26,15 +29,8 @@ from repro.core.domain import PhysicalDomain, VirtualDomain
 from repro.core.pruning import MatchingPruning, RulingSetPruning
 from repro.errors import NonTerminationError
 from repro.graphs import line_graph_spec
-from repro.local import (
-    run,
-    run_restricted,
-    use_backend,
-    use_batch,
-    use_roundfuse,
-)
+from repro.local import run, run_restricted, use_backend, use_batch
 from repro.local import batch as batch_module
-from repro.local import roundfuse
 from repro.local.algorithm import capabilities_of
 from repro.local.batch import batch_graph_of
 from repro.local.runner import last_stepping
@@ -44,10 +40,11 @@ numpy = pytest.importorskip("numpy")
 
 @pytest.fixture(autouse=True)
 def batching_on():
-    """Every test here diffs the batched tiers: pin batching on (the
+    """Every test here diffs the kernel runs: pin batching on (the
     suite stays green under ``REPRO_BATCH=0`` too)."""
     with use_batch(True):
         yield
+
 
 #: The compiled tiers draw the counter scheme only (DESIGN.md D29).
 RNGS = ("counter",)
@@ -61,14 +58,21 @@ RESULT_FIELDS = (
     "max_message_bits",
 )
 
+#: The three ways a run can execute, each with the tag it leaves.
+STRATEGIES = (
+    ("reference", "reference", True),
+    ("per-node", "compiled", False),
+    ("rf", "compiled", True),
+)
+
 
 def assert_results_equal(a, b, context=""):
     for field in RESULT_FIELDS:
         assert getattr(a, field) == getattr(b, field), (field, context)
 
 
-def certified_algorithms(graph):
-    """Every roundfuse-certified kernel, with good and garbage guesses."""
+def kernel_algorithms(graph):
+    """Every algorithm with a batch kernel, with good and garbage guesses."""
     good = {"m": graph.max_ident, "Delta": graph.max_degree}
     return [
         ("luby-mis", luby_mis(), None),
@@ -85,49 +89,65 @@ def certified_algorithms(graph):
     ]
 
 
-def run_three_ways(graph, algorithm, rng, **kwargs):
-    """(reference, per-round batch, round-fused) with stepping checks."""
-    ref = run(graph, algorithm, backend="reference", rng=rng, **kwargs)
-    with use_roundfuse(False):
-        batched = run(graph, algorithm, backend="compiled", rng=rng, **kwargs)
-        assert last_stepping() == "batch"
-    with use_roundfuse(True):
-        fused = run(graph, algorithm, backend="compiled", rng=rng, **kwargs)
-        assert last_stepping() == "rf"
-    return ref, batched, fused
+def run_three_ways(call):
+    """``call()`` under the reference loop, per-node compiled stepping
+    and the round-fused driver; checks each run's stepping tag."""
+    results = {}
+    for tag, backend, batching in STRATEGIES:
+        with use_backend(backend, rng="counter"), use_batch(batching):
+            results[tag] = call()
+            assert last_stepping() == tag
+    return results
+
+
+def assert_three_equal(results, context):
+    assert_results_equal(results["reference"], results["rf"], (context, "ref"))
+    assert_results_equal(results["per-node"], results["rf"], (context, "pn"))
+
+
+@pytest.fixture
+def generic_calls(monkeypatch):
+    """Record every drive that falls through to ``generic_fixedpoint``:
+    ``(kernel class, cap, schedule)`` per call."""
+    calls = []
+    generic = batch_module.generic_fixedpoint
+
+    def spy(kernel, cap):
+        calls.append((type(kernel), cap, getattr(kernel, "schedule", None)))
+        return generic(kernel, cap)
+
+    monkeypatch.setattr(batch_module, "generic_fixedpoint", spy)
+    return calls
 
 
 class TestFusedBitIdentity:
-    """fused ≡ batch ≡ reference for every certified kernel (D17)."""
+    """rf ≡ reference ≡ per-node for every kernel algorithm (D17, D30)."""
 
     @pytest.mark.parametrize("rng", RNGS)
     def test_full_runs(self, small_gnp, rng):
-        for label, algorithm, guesses in certified_algorithms(small_gnp):
-            ref, batched, fused = run_three_ways(
-                small_gnp, algorithm, rng, seed=11, guesses=guesses
+        for label, algorithm, guesses in kernel_algorithms(small_gnp):
+            results = run_three_ways(
+                lambda: run(small_gnp, algorithm, seed=11, guesses=guesses)
             )
-            assert_results_equal(ref, batched, context=(rng, label, "bat"))
-            assert_results_equal(ref, fused, context=(rng, label, "rf"))
+            assert_three_equal(results, (rng, label))
 
     @pytest.mark.parametrize("rounds", (1, 2, 7, 40))
     def test_truncated_runs(self, small_gnp, rounds):
         """Restriction parity — including caps shorter than a schedule
-        (where the phase driver declines) and fixed-point truncation."""
-        for label, algorithm, guesses in certified_algorithms(small_gnp):
-            with use_roundfuse(False):
-                batched = run_restricted(
+        and fixed-point truncation."""
+        for label, algorithm, guesses in kernel_algorithms(small_gnp):
+            results = run_three_ways(
+                lambda: run_restricted(
                     small_gnp, algorithm, rounds, default_output="cut",
-                    guesses=guesses, backend="compiled", rng="counter",
+                    guesses=guesses,
                 )
-            fused = run_restricted(
-                small_gnp, algorithm, rounds, default_output="cut",
-                guesses=guesses, backend="compiled", rng="counter",
             )
-            assert_results_equal(batched, fused, context=(rounds, label))
+            assert_three_equal(results, (rounds, label))
 
     @pytest.mark.parametrize("rng", RNGS)
     def test_virtual_runs(self, small_gnp, rng):
-        """Fused drives through the virtual (line-graph) batch driver."""
+        """Drives through the virtual (line-graph) batch driver equal
+        the host simulation on both host engines."""
         spec = line_graph_spec(small_gnp)
         guesses = {
             "m": (small_gnp.max_ident + 2) ** 2,
@@ -139,15 +159,16 @@ class TestFusedBitIdentity:
         )
         for algorithm, g, budget in jobs:
             outs = {}
-            for key, fused_on in (("batch", False), ("rf", True)):
-                with use_backend("compiled", rng=rng), use_batch(True), \
-                        use_roundfuse(fused_on):
-                    domain = VirtualDomain(small_gnp, spec)
-                    outs[key] = domain.run_restricted(
+            for tag, backend, batching in STRATEGIES:
+                with use_backend(backend, rng=rng), use_batch(batching):
+                    outs[tag] = VirtualDomain(small_gnp, spec).run_restricted(
                         algorithm, budget, inputs=None, guesses=g,
                         seed=7, salt="rf", default_output=0,
                     )
-            assert outs["batch"] == outs["rf"], (rng, algorithm.name)
+                    if tag == "rf":
+                        assert last_stepping() == "rf"
+            assert outs["reference"] == outs["rf"], (rng, algorithm.name)
+            assert outs["per-node"] == outs["rf"], (rng, algorithm.name)
 
     @pytest.mark.parametrize("beta", (1, 3))
     def test_pruner_application(self, small_gnp, beta):
@@ -155,71 +176,124 @@ class TestFusedBitIdentity:
         rng = random.Random(beta)
         tentative = {u: rng.choice([0, 1]) for u in small_gnp.nodes}
         results = {}
-        for key, fused_on in (("batch", False), ("rf", True)):
-            with use_backend("compiled", rng="counter"), use_batch(True), \
-                    use_roundfuse(fused_on):
-                results[key] = RulingSetPruning(beta).apply(
+        for tag, backend, batching in STRATEGIES:
+            with use_backend(backend, rng="counter"), use_batch(batching):
+                results[tag] = RulingSetPruning(beta).apply(
                     PhysicalDomain(small_gnp), {}, dict(tentative)
                 )
-        assert results["batch"].pruned == results["rf"].pruned
-        assert results["batch"].new_inputs == results["rf"].new_inputs
-        assert results["batch"].rounds == results["rf"].rounds
+        for tag in ("reference", "per-node"):
+            assert results[tag].pruned == results["rf"].pruned, tag
+            assert results[tag].new_inputs == results["rf"].new_inputs, tag
+            assert results[tag].rounds == results["rf"].rounds, tag
 
     def test_nontermination_parity(self, small_gnp):
-        """Without truncation both paths raise the same divergence."""
-        for fused_on in (False, True):
-            with use_roundfuse(fused_on):
+        """Without truncation every strategy raises the same divergence."""
+        raised = {}
+        for tag, backend, batching in STRATEGIES:
+            with use_backend(backend, rng="counter"), use_batch(batching):
                 with pytest.raises(NonTerminationError) as err:
-                    run(
-                        small_gnp, luby_mis(), seed=11, rng="counter",
-                        backend="compiled", max_rounds=1,
-                    )
-                assert err.value.rounds == 1
+                    run(small_gnp, luby_mis(), seed=11, max_rounds=1)
+            raised[tag] = (err.value.rounds, str(err.value))
+        assert raised["rf"][0] == 1
+        assert raised["reference"] == raised["rf"] == raised["per-node"]
 
     def test_whole_alternation(self, small_gnp):
-        """Theorem-2 pipeline: fused ≡ per-round, steps tagged rf."""
+        """Theorem-2 pipeline: rf ≡ reference ≡ per-node, steps tagged."""
         outcomes = {}
-        for key, fused_on in (("batch", False), ("rf", True)):
-            with use_backend("compiled", rng="counter"), use_batch(True), \
-                    use_roundfuse(fused_on):
+        for tag, backend, batching in STRATEGIES:
+            with use_backend(backend, rng="counter"), use_batch(batching):
                 _, _, uniform = TABLE1["luby"].build()
-                outcomes[key] = uniform.run(small_gnp, seed=13)
+                outcomes[tag] = uniform.run(small_gnp, seed=13)
         fused = outcomes["rf"]
-        assert fused.outputs == outcomes["batch"].outputs
-        assert fused.rounds == outcomes["batch"].rounds
+        for tag in ("reference", "per-node"):
+            assert fused.outputs == outcomes[tag].outputs, tag
+            assert fused.rounds == outcomes[tag].rounds, tag
+            assert all(
+                step.backends == (tag, tag) for step in outcomes[tag].steps
+            )
         assert all(step.backends == ("rf", "rf") for step in fused.steps)
-        assert all(
-            step.backends == ("batch", "batch")
-            for step in outcomes["batch"].steps
-        )
         assert "via rf/rf" in render_trace(fused)
-        assert "via batch/batch" in render_trace(outcomes["batch"])
+        assert "via per-node/per-node" in render_trace(outcomes["per-node"])
 
 
 class TestFallbackLadder:
-    """Every ineligible configuration degrades per-round, bit-identical."""
+    """What runs off the phase path: caps shorter than a lockstep
+    schedule and kernels without a dedicated loop run
+    ``generic_fixedpoint``; ``use_batch(False)`` and ``track_bits``
+    keep the per-node path."""
 
     def test_kill_switch(self, small_gnp):
-        with use_roundfuse(False):
+        """``use_batch(False)`` (``REPRO_BATCH=0``) is the one switch
+        that turns the rf drive off: per-node stepping, same bits."""
+        with use_batch(False):
             off = run(small_gnp, luby_mis(), seed=3, rng="counter",
                       backend="compiled")
-            assert last_stepping() == "batch"
-        with use_roundfuse(True):
-            on = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                     backend="compiled")
-            assert last_stepping() == "rf"
+            assert last_stepping() == "per-node"
+        on = run(small_gnp, luby_mis(), seed=3, rng="counter",
+                 backend="compiled")
+        assert last_stepping() == "rf"
         assert_results_equal(off, on, context="kill-switch")
 
-    def test_uncertified_algorithm(self, small_gnp):
-        """A batch kernel without the capability stays per-round."""
-        algo = luby_mis()
-        algo.roundfuse = False
-        assert capabilities_of(algo)["supports_roundfuse"] is False
-        plain = run(small_gnp, algo, seed=3, rng="counter", backend="compiled")
-        assert last_stepping() == "batch"
-        fused = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                    backend="compiled")
-        assert_results_equal(plain, fused, context="uncertified")
+    @pytest.mark.parametrize("cap", (0, 1, 3))
+    def test_cap_below_schedule_physical(self, small_gnp, generic_calls,
+                                         cap):
+        """Truncation mid-schedule equals the reference truncated run."""
+        jobs = (
+            (bitwise_ruling_set(), {"m": small_gnp.max_ident}),
+            (h_partition(), {"a": 2, "n": small_gnp.n**4}),
+        )
+        for algorithm, guesses in jobs:
+            generic_calls.clear()
+            results = run_three_ways(
+                lambda: run_restricted(
+                    small_gnp, algorithm, cap, default_output="cut",
+                    guesses=guesses,
+                )
+            )
+            assert_three_equal(results, (cap, algorithm.name))
+            assert results["rf"].truncated == frozenset(small_gnp.nodes)
+            [(_, driven_cap, schedule)] = generic_calls
+            assert driven_cap == cap < schedule, algorithm.name
+
+    def test_cap_below_schedule_virtual(self, small_gnp, generic_calls):
+        """On a virtual domain the physical budget reaches the driver
+        through the dilation; a cut schedule equals the host runs."""
+        spec = line_graph_spec(small_gnp)
+        algorithm = h_partition()
+        guesses = {"a": 2, "n": small_gnp.n**8}
+        budget = 2
+        outs = {}
+        for tag, backend, batching in STRATEGIES:
+            generic_calls.clear()
+            with use_backend(backend, rng="counter"), use_batch(batching):
+                domain = VirtualDomain(small_gnp, spec)
+                outs[tag] = domain.run_restricted(
+                    algorithm, budget, guesses=guesses, default_output=-1,
+                )
+        [(_, driven_cap, schedule)] = generic_calls
+        physical_cap = outs["rf"][1]
+        assert driven_cap == physical_cap // spec.dilation < schedule
+        assert outs["reference"] == outs["rf"]
+        assert outs["per-node"] == outs["rf"]
+        assert set(outs["rf"][0].values()) == {-1}
+
+    @pytest.mark.parametrize("label", ("fast-mis", "fast-coloring"))
+    def test_kernel_without_dedicated_loop(self, small_gnp, generic_calls,
+                                           label):
+        """The coloring/MIS kernels have neither ``run_phases`` nor
+        ``run_fixedpoint``: the driver steps them generically."""
+        assert not hasattr(ColoringBatchKernel, "run_fixedpoint")
+        assert not hasattr(MISBatchKernel, "run_phases")
+        algorithm, guesses = {
+            label: (algorithm, guesses)
+            for label, algorithm, guesses in kernel_algorithms(small_gnp)
+        }[label]
+        results = run_three_ways(
+            lambda: run(small_gnp, algorithm, seed=5, guesses=guesses)
+        )
+        assert_three_equal(results, label)
+        [(kernel_cls, _, _)] = generic_calls
+        assert issubclass(kernel_cls, ColoringBatchKernel)
 
     def test_track_bits_degrades(self, small_gnp):
         """Message-size tracking keeps the per-node path (no kernel)."""
@@ -233,53 +307,27 @@ class TestFallbackLadder:
         assert tracked.rounds == fused.rounds
         assert tracked.messages == fused.messages
 
-    def test_drive_declines_stepped_kernel(self, small_gnp):
-        """Only fresh kernels fuse — a replayed round 0 would corrupt."""
-        bg = batch_graph_of(small_gnp.compiled())
-        from repro.algorithms.ruling_sets import BitwiseRulingKernel
-
-        kernel = BitwiseRulingKernel(bg, 6)
-        assert roundfuse.drive_kernel(kernel, 3) is None  # cap < schedule
-        kernel.start()
-        kernel.step()
-        assert roundfuse.drive_kernel(kernel, 100) is None  # already moving
-        done = BitwiseRulingKernel(bg, 6)
-        done.start()
-        done.run_phases()
-        assert roundfuse.drive_kernel(done, 100) is None  # already done
-
 
 class TestCapabilityPublication:
-    """supports_roundfuse travels on the capability records."""
+    """The capability records publish batch and fuse, nothing else."""
 
     def test_capability_table_rows(self):
         table = capability_table()
         for row_id, caps in table.items():
-            assert "supports_roundfuse" in caps, row_id
-            assert "supports_roundfuse" in caps["pruning"], row_id
-            # Certification implies a batch kernel to fuse.
-            if caps["supports_roundfuse"]:
-                assert caps["supports_batch"], row_id
-        assert table["luby"]["supports_roundfuse"] is True
-        assert table["luby"]["pruning"]["supports_roundfuse"] is True
-        # Host orchestrations never fuse at top level.
-        assert table["matching"]["supports_roundfuse"] is False
+            for record in (caps, caps["pruning"]):
+                assert "supports_roundfuse" not in record, row_id
+                # Lane fusion implies a batch kernel to fuse.
+                if record["supports_fuse"]:
+                    assert record["supports_batch"], row_id
+        assert table["luby"]["supports_batch"] is True
+        assert table["luby"]["pruning"]["supports_batch"] is True
+        # Host orchestrations never run a kernel at top level.
+        assert table["matching"]["supports_batch"] is False
 
-    def test_certified_algorithms_advertise(self, small_gnp):
-        for label, algorithm, _ in certified_algorithms(small_gnp):
-            assert capabilities_of(algorithm)["supports_roundfuse"], label
-        assert capabilities_of(MatchingPruning())["supports_roundfuse"]
-
-    def test_flag_requires_batch_kernel(self):
-        from repro.local import Broadcast, LocalAlgorithm, NodeProcess
-
-        class Echo(NodeProcess):
-            def start(self):
-                self.finish(1)
-                return Broadcast(None)
-
-        algo = LocalAlgorithm(name="echo", process=Echo, roundfuse=True)
-        assert capabilities_of(algo)["supports_roundfuse"] is False
+    def test_kernel_algorithms_advertise_batch(self, small_gnp):
+        for label, algorithm, _ in kernel_algorithms(small_gnp):
+            assert capabilities_of(algorithm)["supports_batch"], label
+        assert capabilities_of(MatchingPruning())["supports_batch"]
 
 
 class TestLockstepKernelCache:
@@ -294,20 +342,11 @@ class TestLockstepKernelCache:
 
     def test_mis_sweep_stays_dynamic(self, small_gnp):
         """MIS sweep-mode undone sets shrink per round — never cached."""
-        from repro.algorithms.fast_mis import MISBatchKernel
-
-        with use_roundfuse(False):
-            truncated = run_restricted(
-                small_gnp, fast_mis(), 3, default_output=0,
-                guesses={"m": small_gnp.max_ident,
-                         "Delta": small_gnp.max_degree},
-                backend="compiled", rng="counter",
+        guesses = {"m": small_gnp.max_ident, "Delta": small_gnp.max_degree}
+        results = run_three_ways(
+            lambda: run_restricted(
+                small_gnp, fast_mis(), 3, default_output=0, guesses=guesses,
             )
-        fused = run_restricted(
-            small_gnp, fast_mis(), 3, default_output=0,
-            guesses={"m": small_gnp.max_ident,
-                     "Delta": small_gnp.max_degree},
-            backend="compiled", rng="counter",
         )
-        assert truncated.truncated == fused.truncated
+        assert_three_equal(results, "mis-sweep")
         assert MISBatchKernel.undone_indices is not None
