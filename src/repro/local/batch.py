@@ -470,12 +470,12 @@ def settle(
 
 
 def make_engine_kernel(
-    algorithm, cg, *, inputs, guesses, seed, salt, track_bits, enabled,
+    algorithm, cg, *, inputs, guesses, seed, salt, track_bits,
 ):
     """Build the run's batch kernel, or ``None`` to step per node.
 
     Fallback rules (DESIGN.md D10): no advertised batch capability,
-    batching disabled, numpy missing, message-size tracking requested
+    numpy missing, message-size tracking requested
     (payload bits are a property of the materialized tuples the batch
     path never builds), an empty graph, or the factory itself declining
     the configuration (e.g. palette bounds it cannot represent).
@@ -483,7 +483,7 @@ def make_engine_kernel(
     (``supports_batch``), the same table the registry and the
     transformers dispatch on — not off the concrete class.
     """
-    if not enabled or track_bits or _np is None or cg.n == 0:
+    if track_bits or _np is None or cg.n == 0:
         return None
     from .algorithm import capabilities_of
 

@@ -445,7 +445,6 @@ def run_compiled(
             seed=seed,
             salt=salt,
             track_bits=track_bits,
-            enabled=True,
         )
         if kernel is not None:
             note_stepping("rf")

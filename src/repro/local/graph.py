@@ -198,10 +198,11 @@ class SimGraph:
     def __init__(self, nodes, ident, adj):
         self.nodes = tuple(nodes)
         self.ident = dict(ident)
-        # ``adj`` may be None for graphs born from a CSR restriction
-        # (repro.local.engine.CompiledGraph.restrict); the dict view is
-        # then derived lazily from the CSR on first access, so graphs
-        # that only ever run on the compiled engine never build it.
+        # ``adj`` given here makes a dict-born graph, whose CSR is
+        # compiled from it on first use.  Library-built graphs are
+        # CSR-born instead (``_from_csr``) and derive the dict view
+        # lazily, so the compiled engine and the CSR verifiers never
+        # build it.
         self._adj = adj
         self._degree = (
             None if adj is None else {u: len(adj[u]) for u in self.nodes}
@@ -213,9 +214,10 @@ class SimGraph:
     @classmethod
     def _from_csr(cls, nodes, ident, node_set=None):
         """A CSR-born graph: ``adj`` is derived lazily from the CSR the
-        caller attaches (:meth:`CompiledGraph.restrict <repro.local.
-        engine.CompiledGraph.restrict>`, :meth:`CompiledGraph.apply_delta
-        <repro.local.engine.CompiledGraph.apply_delta>`).
+        caller attaches (:meth:`_build`, :meth:`CompiledGraph.restrict
+        <repro.local.engine.CompiledGraph.restrict>`,
+        :meth:`CompiledGraph.apply_delta <repro.local.engine.
+        CompiledGraph.apply_delta>`).
 
         ``nodes`` (a tuple), ``ident`` and ``node_set`` are taken as
         given, not copied: a child with its parent's node set shares
@@ -238,8 +240,7 @@ class SimGraph:
             if cg is None:
                 raise InvalidInstanceError(
                     "SimGraph built with adj=None but no compiled CSR "
-                    "attached; adj=None is reserved for "
-                    "CompiledGraph.restrict children"
+                    "attached; adj=None is reserved for CSR-born graphs"
                 )
             labels = cg.labels
             offsets, neigh, rev = cg.offsets, cg.neigh, cg.rev
@@ -275,7 +276,8 @@ class SimGraph:
         """
         if graph.is_directed():
             raise InvalidInstanceError("LOCAL networks are undirected")
-        if any(u == v for u, v in graph.edges()):
+        view = dict(graph.adjacency())
+        if any(u in nbrs for u, nbrs in view.items()):
             raise InvalidInstanceError("self-loops are not allowed")
         if idents is None:
             labels = list(graph.nodes())
@@ -299,27 +301,46 @@ class SimGraph:
             raise InvalidInstanceError(
                 "identities must be positive integers (paper Section 2)"
             )
-        return cls._build(list(graph.nodes()), idents, graph.adj)
+        return cls._build(view, idents, view)
 
     @classmethod
     def _build(cls, labels, idents, neighbour_view):
-        nodes = sorted(labels, key=lambda u: idents[u])
-        order = {}
+        """The canonical CSR-born graph on ``labels`` (DESIGN.md D31).
+
+        ``neighbour_view[u]`` iterates ``u``'s neighbours: labels in
+        ``labels``, symmetric, with no self-loop and no repeat.  Nodes
+        go in identity order, so a row sorted by neighbour *index* is
+        sorted by identity and its positions are the ports.  Reverse
+        ports take one pass over the rows in owner order: the k-th time
+        ``j`` appears as a neighbour, the owner is ``j``'s k-th smallest
+        neighbour and so sits at port k of row ``j``.  The dict view
+        (``adj``) and the degree table are derived lazily from the CSR.
+        ``idents`` becomes the graph's ``ident`` without a copy.
+        """
+        from .engine import CompiledGraph
+
+        nodes = tuple(sorted(labels, key=idents.__getitem__))
+        index = {u: i for i, u in enumerate(nodes)}
+        at = index.__getitem__
+        offsets = [0]
+        neigh = []
+        degrees = []
         for u in nodes:
-            neighbours = sorted(
-                (v for v in neighbour_view[u] if v in idents and v != u),
-                key=lambda v: idents[v],
-            )
-            order[u] = neighbours
-        port_of = {
-            u: {v: p for p, v in enumerate(order[u])} for u in nodes
-        }
-        adj = {}
-        for u in nodes:
-            adj[u] = tuple(
-                (p, v, port_of[v][u]) for p, v in enumerate(order[u])
-            )
-        return cls(nodes, idents, adj)
+            row = sorted(map(at, neighbour_view[u]))
+            neigh += row
+            degrees.append(len(row))
+            offsets.append(len(neigh))
+        seen = [0] * len(nodes)
+        rev = []
+        for j in neigh:
+            rev.append(seen[j])
+            seen[j] += 1
+        graph = cls._from_csr(nodes, idents)
+        CompiledGraph._attach(
+            graph, index, [idents[u] for u in nodes], offsets, neigh, rev,
+            degrees,
+        )
+        return graph
 
     # ------------------------------------------------------------------
     # queries
@@ -337,8 +358,7 @@ class SimGraph:
             if cg is None:
                 raise InvalidInstanceError(
                     "SimGraph built with adj=None but no compiled CSR "
-                    "attached; adj=None is reserved for "
-                    "CompiledGraph.restrict children"
+                    "attached; adj=None is reserved for CSR-born graphs"
                 )
             table = self._degree = dict(zip(cg.labels, cg.degrees))
         return table
@@ -362,8 +382,13 @@ class SimGraph:
         return self._degrees[u]
 
     def neighbors(self, u):
-        """Neighbour labels of ``u`` in port order."""
-        return tuple(v for _, v, _ in self.adj[u])
+        """Neighbour labels of ``u`` in port order, read off the CSR."""
+        cg = self.compiled()
+        i = cg.index[u]
+        labels = cg.labels
+        return tuple(
+            [labels[j] for j in cg.neigh[cg.offsets[i]:cg.offsets[i + 1]]]
+        )
 
     def has_node(self, u):
         return u in self._node_set
@@ -395,12 +420,19 @@ class SimGraph:
         return sum(self._degrees.values()) // 2
 
     def edges(self):
-        """Iterate over edges as (u, v) with ident(u) < ident(v)."""
-        for u in self.nodes:
-            iu = self.ident[u]
-            for _, v, _ in self.adj[u]:
-                if iu < self.ident[v]:
-                    yield (u, v)
+        """Iterate over edges as (u, v) with ident(u) < ident(v).
+
+        Rows in node order, neighbours in port order; walks the CSR, so
+        a CSR-born graph never builds its dict view here.
+        """
+        cg = self.compiled()
+        labels, idents = cg.labels, cg.idents
+        offsets, neigh = cg.offsets, cg.neigh
+        for i, u in enumerate(labels):
+            iu = idents[i]
+            for j in neigh[offsets[i]:offsets[i + 1]]:
+                if iu < idents[j]:
+                    yield (u, labels[j])
 
     # ------------------------------------------------------------------
     # derived graphs

@@ -16,23 +16,34 @@ from __future__ import annotations
 from .base import Problem, Violation, require_outputs
 
 
+def _partners(cg, outputs):
+    """``partner[i]``: the CSR index of ``i``'s matched neighbour, or -1.
+
+    Under the paper's rule, ``(u, v)`` is matched iff ``y(u) = y(v)`` and
+    no other node of ``N(u) ∪ N(v)`` shares that value — that is, iff
+    ``v`` is ``u``'s only same-valued neighbour and ``u`` is ``v``'s.  So
+    a node is matched to at most one neighbour.
+    """
+    offsets, neigh = cg.offsets, cg.neigh
+    values = [outputs.get(u) for u in cg.labels]
+    only = [-1] * cg.n
+    for i, value in enumerate(values):
+        row = neigh[offsets[i]:offsets[i + 1]]
+        same = [j for j in row if values[j] == value]
+        if len(same) == 1:
+            only[i] = same[0]
+    return [j if j >= 0 and only[j] == i else -1 for i, j in enumerate(only)]
+
+
 def matched_pairs(graph, outputs):
-    """Set of matched edges under the paper's encoding."""
-    pairs = set()
-    for u, v in graph.edges():
-        if outputs.get(u) != outputs.get(v):
-            continue
-        value = outputs[u]
-        clean = True
-        for w in set(graph.neighbors(u)) | set(graph.neighbors(v)):
-            if w in (u, v):
-                continue
-            if outputs.get(w) == value:
-                clean = False
-                break
-        if clean:
-            pairs.add((u, v))
-    return pairs
+    """Matched edges ``(u, v)`` with ``Id(u) < Id(v)``, paper's encoding."""
+    cg = graph.compiled()
+    labels, idents = cg.labels, cg.idents
+    return {
+        (labels[i], labels[j])
+        for i, j in enumerate(_partners(cg, outputs))
+        if j >= 0 and idents[i] < idents[j]
+    }
 
 
 class MaximalMatchingProblem(Problem):
@@ -42,27 +53,15 @@ class MaximalMatchingProblem(Problem):
 
     def violations(self, graph, inputs, outputs):
         require_outputs(graph, outputs)
-        found = []
-        pairs = matched_pairs(graph, outputs)
-        matched_nodes = set()
-        incident = {u: 0 for u in graph.nodes}
-        for u, v in pairs:
-            matched_nodes.update((u, v))
-            incident[u] += 1
-            incident[v] += 1
-        for u in graph.nodes:
-            if incident[u] > 1:
-                found.append(Violation(u, "node matched to two neighbours"))
-        for u in graph.nodes:
-            if u in matched_nodes:
-                continue
-            if not all(v in matched_nodes for v in graph.neighbors(u)):
-                found.append(
-                    Violation(
-                        u, "unmatched node with an unmatched neighbour"
-                    )
-                )
-        return found
+        cg = graph.compiled()
+        offsets, neigh = cg.offsets, cg.neigh
+        matched = [j >= 0 for j in _partners(cg, outputs)]
+        return [
+            Violation(u, "unmatched node with an unmatched neighbour")
+            for i, u in enumerate(cg.labels)
+            if not matched[i]
+            and not all(matched[j] for j in neigh[offsets[i]:offsets[i + 1]])
+        ]
 
 
 MAXIMAL_MATCHING = MaximalMatchingProblem()

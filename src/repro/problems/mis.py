@@ -23,19 +23,26 @@ class MISProblem(Problem):
 
     def violations(self, graph, inputs, outputs):
         require_outputs(graph, outputs)
+        cg = graph.compiled()
+        labels, idents = cg.labels, cg.idents
+        offsets, neigh = cg.offsets, cg.neigh
+        member = [in_set(outputs[u]) for u in labels]
         found = []
-        for u in graph.nodes:
-            if in_set(outputs[u]):
-                for v in graph.neighbors(u):
-                    if in_set(outputs[v]) and graph.ident[u] < graph.ident[v]:
+        for i, u in enumerate(labels):
+            row = neigh[offsets[i]:offsets[i + 1]]
+            if member[i]:
+                iu = idents[i]
+                for j in row:
+                    if member[j] and iu < idents[j]:
                         found.append(
-                            Violation((u, v), "two adjacent nodes in the set")
+                            Violation(
+                                (u, labels[j]), "two adjacent nodes in the set"
+                            )
                         )
-            else:
-                if not any(in_set(outputs[v]) for v in graph.neighbors(u)):
-                    found.append(
-                        Violation(u, "node outside the set with no neighbor in it")
-                    )
+            elif not any(member[j] for j in row):
+                found.append(
+                    Violation(u, "node outside the set with no neighbor in it")
+                )
         return found
 
 

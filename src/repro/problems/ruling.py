@@ -13,20 +13,23 @@ from .base import Problem, Violation, require_outputs
 from .mis import in_set
 
 
-def _bfs_within(graph, source, limit):
-    """Nodes within distance ``limit`` of ``source`` (excluding it)."""
+def _bfs_within(cg, source, limit):
+    """``(index, distance)`` of the nodes within ``limit`` hops of CSR
+    node ``source`` (excluding it), in BFS order."""
+    offsets, neigh = cg.offsets, cg.neigh
     seen = {source: 0}
     queue = deque([source])
     reached = []
     while queue:
-        u = queue.popleft()
-        if seen[u] == limit:
+        i = queue.popleft()
+        dist = seen[i]
+        if dist == limit:
             continue
-        for v in graph.neighbors(u):
-            if v not in seen:
-                seen[v] = seen[u] + 1
-                reached.append((v, seen[v]))
-                queue.append(v)
+        for j in neigh[offsets[i]:offsets[i + 1]]:
+            if j not in seen:
+                seen[j] = dist + 1
+                reached.append((j, dist + 1))
+                queue.append(j)
     return reached
 
 
@@ -42,30 +45,36 @@ class RulingSetProblem(Problem):
 
     def violations(self, graph, inputs, outputs):
         require_outputs(graph, outputs)
+        cg = graph.compiled()
+        labels, idents, index = cg.labels, cg.idents, cg.index
+        offsets, neigh = cg.offsets, cg.neigh
+        ruler = [in_set(outputs[u]) for u in labels]
         found = []
-        rulers = {u for u in graph.nodes if in_set(outputs[u])}
-        for u in rulers:
-            for v, dist in _bfs_within(graph, u, self.alpha - 1):
-                if v in rulers and graph.ident[u] < graph.ident[v]:
+        # Close pairs are reported in the iteration order of the ruler
+        # label set, so build it exactly as a label set.
+        for u in {u for u, r in zip(labels, ruler) if r}:
+            i = index[u]
+            for j, dist in _bfs_within(cg, i, self.alpha - 1):
+                if ruler[j] and idents[i] < idents[j]:
                     found.append(
                         Violation(
-                            (u, v),
+                            (u, labels[j]),
                             f"rulers at distance {dist} < α={self.alpha}",
                         )
                     )
         # Domination: one BFS from all rulers at once, cut off at β.
-        reached = set(rulers)
-        frontier = list(rulers)
+        reached = ruler[:]
+        frontier = [i for i, r in enumerate(ruler) if r]
         for _ in range(self.beta):
             next_frontier = []
-            for u in frontier:
-                for v in graph.neighbors(u):
-                    if v not in reached:
-                        reached.add(v)
-                        next_frontier.append(v)
+            for i in frontier:
+                for j in neigh[offsets[i]:offsets[i + 1]]:
+                    if not reached[j]:
+                        reached[j] = True
+                        next_frontier.append(j)
             frontier = next_frontier
-        for u in graph.nodes:
-            if u not in reached:
+        for i, u in enumerate(labels):
+            if not reached[i]:
                 found.append(
                     Violation(u, f"no ruler within distance β={self.beta}")
                 )

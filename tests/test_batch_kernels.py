@@ -272,7 +272,7 @@ class TestBackendSelection:
         cg = small_gnp.compiled()
         kernel = make_engine_kernel(
             luby_mis(), cg, inputs={}, guesses={}, seed=0, salt=0,
-            track_bits=False, enabled=True,
+            track_bits=False,
         )
         assert kernel is not None
         from repro.local.algorithm import LocalAlgorithm, NodeProcess
@@ -281,7 +281,7 @@ class TestBackendSelection:
         assert (
             make_engine_kernel(
                 plain, cg, inputs={}, guesses={}, seed=0, salt=0,
-                track_bits=False, enabled=True,
+                track_bits=False,
             )
             is None
         )

@@ -124,7 +124,16 @@ class TestGnpMatchesNetworkx:
         assert drawn.tolist() == expected
 
     @pytest.mark.parametrize(
-        "seed", [None, 1.0, "1", True, random.Random(1)], ids=repr
+        "seed",
+        [
+            None,
+            1.0,
+            "1",
+            True,
+            # repr() of an instance embeds its address; pin a stable id.
+            pytest.param(random.Random(1), id="random.Random(1)"),
+        ],
+        ids=repr,
     )
     @pytest.mark.parametrize("maker", ["gnp", "gnp_avg_degree"])
     def test_seed_must_be_an_int(self, maker, seed):
