@@ -294,15 +294,17 @@ def unit_virtual_linegraph(n, reps):
 
 
 def unit_fused_sweep(n, b, reps):
-    """Fused multi-run engine (D16): one b-lane slab vs b solo runs.
+    """Fused multi-run engine (D16, D32): one b-lane slab vs b solo runs.
 
     The seed-sweep workload the fused engine exists for — ``b``
     independent runs of a Table-1 MIS row over the same gnp-sparse
-    graph, measured as ``b`` sequential solo runs on the batch path
+    graph, measured as ``b`` sequential round-fused solo runs
     (``solo``) and as one :func:`repro.local.run_many` call packing
     them into block-diagonal slabs of up to ``LANE_WIDTH`` lanes
     (``fused``).  Every unit passes ``b = 32 = LANE_WIDTH`` jobs, which
-    fill exactly one slab.
+    fill exactly one slab.  Both sides run the same driver,
+    ``batch.drive_kernel`` — once per solo run, once per slab — so the
+    gain is the slab's amortization alone.
 
     Two rows bracket the regime (DESIGN.md D16): ``mis-fast`` (the
     Kuhn–Wattenhofer coloring + color-class sweep, hundreds of light

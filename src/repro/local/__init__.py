@@ -20,7 +20,7 @@ from .composition import Chain, default_carry
 from .context import CounterRNG, NodeContext, make_rng
 from .engine import CompiledGraph
 from .execution import Execution, use_backend, use_batch
-from .fused import run_many, slab_cache_stats
+from .fused import run_many
 from .graph import GraphDelta, SimGraph
 from .message import Broadcast
 from .service import SimulationSession, open_session
@@ -58,7 +58,6 @@ __all__ = [
     "run",
     "run_many",
     "run_restricted",
-    "slab_cache_stats",
     "run_virtual_batch",
     "run_virtual_batch_full",
     "run_with_wakeup",

@@ -138,24 +138,18 @@ class BatchGraph:
             mix = self._mix = ident_mix(self.idents)
         return mix
 
-    def csr_neigh(self):
-        """The whole neighbour array that ``offsets`` index."""
-        return self.neigh
-
     def row_slots(self, rows):
         """Every CSR slot of ``rows``, row by row, in O(Σ their degree).
 
         Returns ``(k, w)``: slot ``i`` lies in row ``rows[k[i]]`` and
-        points at neighbour ``w[i]``.  Reads :meth:`csr_neigh`, never a
-        fused slab's live edge window, whose positions ``offsets`` do
-        not index.
+        points at neighbour ``w[i]``.
         """
         np = _np
         lens = self.degrees[rows]
         k = np.repeat(np.arange(len(rows)), lens)
         first = np.cumsum(lens) - lens
         slot = np.arange(len(k)) + (self.offsets[rows] - first)[k]
-        return k, self.csr_neigh()[slot]
+        return k, self.neigh[slot]
 
     def charge(self, senders=None):
         """Message count for a broadcast by ``senders`` (all nodes if

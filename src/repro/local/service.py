@@ -184,8 +184,12 @@ class SimulationSession:
         jobs = []
         for entry in algorithms:
             if isinstance(entry, (tuple, list)):
-                algorithm, opts = entry
-                jobs.append((self._graph, algorithm, opts))
+                if len(entry) != 2:
+                    raise ParameterError(
+                        "each rerun_many entry must be an algorithm or "
+                        f"(algorithm, opts), got {len(entry)} items"
+                    )
+                jobs.append((self._graph, *entry))
             else:
                 jobs.append((self._graph, entry))
         with self.scope():

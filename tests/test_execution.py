@@ -157,6 +157,12 @@ class TestRemovedNames:
             with pytest.raises(ParameterError, match="rng='mt' runs only"):
                 entry_point(small_gnp, entry, rng="mt")
 
+    def test_slab_cache_stats_removed(self):
+        """D32: the fused-slab cache counters were diagnostics only
+        tests read; the cache itself stays."""
+        with pytest.raises(ImportError):
+            from repro.local import slab_cache_stats  # noqa: F401
+
     def test_shards_field_removed(self):
         with pytest.raises(TypeError, match="shards"):
             Execution(shards=2)

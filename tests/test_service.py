@@ -414,3 +414,17 @@ class TestSessionLifecycle:
             stats = s.stats()
             assert stats["epoch"] == 2
             assert stats["reruns"] == 1
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param(("algo",), id="one-item"),
+        pytest.param(("algo", {}, "extra"), id="three-items"),
+    ])
+    def test_rerun_many_entry_shape_validated(self, small_gnp, entry):
+        """A malformed entry is a ParameterError naming the expected
+        shape, as a malformed ``run_many`` job is — not a bare
+        unpacking ValueError."""
+        algo = luby_mis()
+        entry = tuple(algo if item == "algo" else item for item in entry)
+        with open_session(small_gnp) as s:
+            with pytest.raises(ParameterError, match=r"\(algorithm, opts\)"):
+                s.rerun_many([entry])
