@@ -1,28 +1,29 @@
-"""Engine throughput tracker: reference loop vs per-node CSR vs batch.
+"""Engine throughput tracker: reference loop vs the batch kernels.
 
-Measures the three execution strategies (DESIGN.md, backend contract +
+Measures the two execution strategies (DESIGN.md, backend contract +
 D10 batch-step contract) on the workloads the reproduction actually
 runs — Table-1 MIS and matching uniform transforms, plain Luby runs,
 the cross-family workload sweep, incremental vs rebuild restriction,
 and the matching-heavy dense line-graph substrate — and records
-rounds/sec, messages/sec and the pairwise speedups into
+rounds/sec, messages/sec and the speedups into
 ``benchmarks/BENCH_engine.json``:
 
 * ``reference`` — the seed-faithful specification stack;
-* ``compiled`` — the CSR engine stepping per node (batch disabled);
-* ``batch`` — the CSR engine with the batched frontier-step kernels.
+* ``batch`` — the compiled CSR engine, which drives every registered
+  batch kernel round-fused (a run without a kernel takes the reference
+  loop under ``rng="counter"``, DESIGN.md D33).
 
-``speedup`` is reference/compiled (the PR-1 metric), ``speedup_batch``
-reference/batch, and ``batch_gain`` compiled/batch — the lever this
-file exists to track for the per-virtual-node-bound workloads.
+``speedup_batch`` is reference/batch.
 
 Usage
 -----
 ``python benchmarks/bench_engine_throughput.py``            full suite, print table
 ``python benchmarks/bench_engine_throughput.py --update``   full suite, rewrite BENCH_engine.json
+    in one pass, stamped with the commit, core count and numpy version;
+    refuses to run from a checkout whose files differ from that commit
 ``python benchmarks/bench_engine_throughput.py --smoke``    quick subset; exit 1 if any
     recorded speedup regressed >20% against the committed baseline,
-    exit 2 if the three strategies stopped being bit-identical
+    exit 2 if the strategies stopped being bit-identical
 
 The smoke gate compares *speedups* (a machine-relative quantity), not
 absolute times, so it is stable across runner hardware.
@@ -36,10 +37,10 @@ import json
 import os
 import platform
 import random
+import subprocess
 import sys
 import tempfile
 import time
-from contextlib import ExitStack
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -59,7 +60,6 @@ from repro.local import (  # noqa: E402
     run,
     run_many,
     use_backend,
-    use_batch,
 )
 from repro.local.fused import LANE_WIDTH  # noqa: E402
 from repro.local.runner import last_stepping  # noqa: E402
@@ -70,23 +70,22 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
 #: of the committed baseline's value.
 REGRESSION_TOLERANCE = 0.80
 
-BACKENDS = ("reference", "compiled", "batch")
+BACKENDS = ("reference", "batch")
 
 #: Speedup ratios recorded per unit (numerator strategy / denominator).
 RATIOS = (
-    ("speedup", "reference", "compiled"),
     ("speedup_batch", "reference", "batch"),
-    ("batch_gain", "compiled", "batch"),
     # Fused unit (D16): b sequential solo runs / one b-lane fused
     # run_many — the multi-run dispatch amortization this PR exists
     # to track.  Only the dispatch-bound mis-fast row is gated; the
     # luby row (fused_gain_luby) is recorded as information — its solo
     # side is milliseconds-scale and too noisy for an 80% floor.
     ("fused_gain", "solo", "fused"),
-    # Round-fused unit (D17, D30): per-node stepping seconds / rf-drive
-    # seconds on the round-floor workloads (long fixed schedules of
-    # cheap rounds) — the per-round Python floor this ratio tracks.
-    ("rf_gain", "per-node", "rf"),
+    # Round-fused unit (D17, D30): reference-loop seconds under the
+    # counter scheme / rf-drive seconds on the round-floor workloads
+    # (long fixed schedules of cheap rounds) — the per-round Python
+    # floor this ratio tracks.
+    ("rf_gain", "reference", "rf"),
     # Session unit (D18): stateless cold rebuild-per-request seconds /
     # live-session mutate+rerun seconds on a churn workload — the
     # incremental CSR patch win the live-graph service exists for.
@@ -110,15 +109,11 @@ def _atomic_write_text(path, text):
         raise
 
 
-def _backend_context(backend):
-    """Context stack pinning one of the three execution strategies."""
-    stack = ExitStack()
-    if backend == "reference":
-        stack.enter_context(use_backend("reference"))
-    else:
-        stack.enter_context(use_backend("compiled"))
-        stack.enter_context(use_batch(backend == "batch"))
-    return stack
+def _backend_context(backend, rng=None):
+    """Scope pinning one of the two execution strategies."""
+    return use_backend(
+        "reference" if backend == "reference" else "compiled", rng=rng
+    )
 
 
 def _best(fn, reps):
@@ -244,9 +239,9 @@ def unit_workload_sweep(n, reps):
 def unit_subgraph_cascade(n, reps):
     """Alternation-style restriction cascade: keep 85% per step.
 
-    The reference backend takes the rebuild path, the compiled/batch
-    backends the incremental CSR path (both produce identical graphs —
-    the equivalence suite asserts it); ``ops`` counts restriction steps.
+    The reference backend takes the rebuild path, the batch strategy
+    the incremental CSR path (both produce identical graphs — the
+    equivalence suite asserts it); ``ops`` counts restriction steps.
     """
     base = build_graph(WORKLOADS["gnp-sparse"](n, seed=4), seed=4)
 
@@ -332,7 +327,7 @@ def unit_fused_sweep(n, b, reps):
         ]
 
     out = {}
-    with use_backend("compiled", rng="counter"), use_batch(True):
+    with use_backend("compiled", rng="counter"):
         for suffix, algo, guesses in rows:
             opts = {"guesses": guesses} if guesses else {}
             jobs = [(graph, algo, dict(opts, seed=s)) for s in seeds]
@@ -378,7 +373,7 @@ def unit_fused_sweep(n, b, reps):
 
 
 def unit_rf(n, reps, alt_n=150):
-    """Round-fused driver (D17, D30): per-node stepping vs the rf drive.
+    """Round-fused driver (D17, D30): the reference loop vs the rf drive.
 
     The round-floor scenario, in two halves timed together: H-partition
     peeling with a deliberately stretched ``ñ`` guess (``n⁸``, the
@@ -389,11 +384,11 @@ def unit_rf(n, reps, alt_n=150):
     Luby alternation at small ``alt_n`` (every ``B_i = (A_i ; P)`` step
     is a handful of cheap pruner/decision rounds).
 
-    ``per-node`` forces per-node compiled stepping (``use_batch(False)``);
-    ``rf`` drives the batch kernels round-fused.  Both configurations
-    are checked bit-identical before anything is recorded.  ``rf_gain``
-    = per-node seconds / rf seconds is the tracked (smoke-gated)
-    number.
+    ``reference`` runs the reference loop under ``rng="counter"`` (what
+    a compiled run without a kernel executes, D33); ``rf`` drives the
+    batch kernels round-fused.  Both configurations are checked
+    bit-identical before anything is recorded.  ``rf_gain`` = reference
+    seconds / rf seconds is the tracked (smoke-gated) number.
     """
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=4), seed=4)
     small = build_graph(WORKLOADS["gnp-sparse"](alt_n, seed=4), seed=4)
@@ -419,13 +414,12 @@ def unit_rf(n, reps, alt_n=150):
     # The two sides are timed in alternation, so a slow spell of the
     # host hits both; the rf side takes milliseconds, so each of its
     # turns is the best of ten calls.
-    sides = (("per-node", False, 1), ("rf", True, 10))
+    sides = (("reference", "reference", 1), ("rf", "compiled", 10))
     states = {key: {} for key, _, _ in sides}
     best = {}
     for turn in range(reps + 1):  # turn 0 warms caches (CSR, memos)
-        for key, batching, calls in sides:
-            with use_backend("compiled", rng="counter"), \
-                    use_batch(batching):
+        for key, backend, calls in sides:
+            with use_backend(backend, rng="counter"):
                 seconds = _best(lambda: fn(states[key]), calls)
             if turn:
                 best[key] = min(best.get(key, seconds), seconds)
@@ -441,13 +435,13 @@ def unit_rf(n, reps, alt_n=150):
                 entry["rounds"] / entry["seconds"], 1
             )
         out[key] = entry
-    if signatures["per-node"] != signatures["rf"]:
+    if signatures["reference"] != signatures["rf"]:
         raise SystemExit(
-            "round-fused drive diverged from per-node stepping — "
+            "round-fused drive diverged from the reference loop — "
             "refusing to record"
         )
     out["rf_gain"] = round(
-        out["per-node"]["seconds"] / out["rf"]["seconds"], 2
+        out["reference"]["seconds"] / out["rf"]["seconds"], 2
     )
     return out
 
@@ -570,7 +564,7 @@ def unit_matching_dense(n, reps):
     so the per-virtual-node algorithm floor the batch kernels remove is
     unmistakable.  One full-budget restricted run of the matching row's
     inner engine; the reference column is omitted (the seed stack needs
-    minutes here) — ``batch_gain`` is the tracked number.
+    minutes here), so the batch seconds are recorded as information.
     """
     graph = build_graph(WORKLOADS["gnp-dense"](n, seed=6), seed=6)
     spec = line_graph_spec(graph)
@@ -598,26 +592,23 @@ def unit_matching_dense(n, reps):
 
         return fn, lambda: dict(state)
 
-    return _per_backend(
-        make, reps, backends=("compiled", "batch"), warm=False
-    )
+    return _per_backend(make, reps, backends=("batch",), warm=False)
 
 
 def check_bit_identity(n=120):
     """Quick identity check across every stepping strategy (smoke net).
 
-    Covers the three stepping strategies — the
-    ``batch ≡ compiled ≡ reference`` contract, where ``batch`` is the
-    round-fused drive of every kernel family — plus fused lanes, whole
-    alternations (the matching row's on the line-graph virtual domain
-    among them) and live sessions.
+    Covers the two stepping strategies — the ``batch ≡ reference``
+    contract, where ``batch`` is the round-fused drive of every kernel
+    family — plus fused lanes, whole alternations (the matching row's on
+    the line-graph virtual domain among them) and live sessions.
     """
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=8), seed=8)
     guesses = {"m": graph.max_ident, "Delta": graph.max_degree}
     # Round-fused identity (D17, D30): the batch strategy drives every
     # kernel family round-fused — fixed-point (Luby), generic (fast
     # MIS) and phase-scheduled (h-partition) — and each drive must
-    # equal the reference loop and per-node stepping.
+    # equal the reference loop.
     jobs = (
         (luby_mis(), None),
         (fast_mis(), guesses),
@@ -667,8 +658,7 @@ def check_bit_identity(n=120):
     # the same random streams.
     alternations = []
     for backend in BACKENDS:
-        base = "reference" if backend == "reference" else "compiled"
-        with use_backend(base, rng="counter"), use_batch(backend == "batch"):
+        with _backend_context(backend, rng="counter"):
             _, _, uniform = TABLE1["luby"].build()
             alternations.append(uniform.run(graph, seed=3))
     first = alternations[0]
@@ -685,8 +675,7 @@ def check_bit_identity(n=120):
     matchings = []
     truncated = []
     for backend in BACKENDS:
-        base = "reference" if backend == "reference" else "compiled"
-        with use_backend(base, rng=rng), use_batch(backend == "batch"):
+        with _backend_context(backend, rng=rng):
             _, _, uniform = TABLE1["matching"].build()
             matchings.append(uniform.run(graph, seed=3))
             domain = VirtualDomain(graph, spec)
@@ -767,7 +756,7 @@ def full_suite():
         "table1-matching-n2000": unit_table1_row("matching", 2000, (1,), reps=1),
         # Pruning-heavy alternation: multi-seed Theorem-2 Luby pipeline,
         # where every step runs the P(2,1) pruner — the floor the D11
-        # pruner kernels remove (batch_gain is the tracked number).
+        # pruner kernels remove.
         "uniform-alternation-n2000": unit_table1_row(
             "luby", 2000, (1, 2, 3), reps=3
         ),
@@ -791,7 +780,7 @@ def full_suite():
         "fused-sweep-n500xb32": unit_fused_sweep(500, 32, reps=3),
         # Round-fused driver (D17, D30): the per-round Python floor on
         # long-fixed-schedule workloads — stretched H-partition peeling
-        # plus a pruner-heavy small-n alternation, per-node stepping vs
+        # plus a pruner-heavy small-n alternation, the reference loop vs
         # one rf drive per run (rf_gain is the tracked number).
         "roundfloor-n1200": unit_rf(1200, reps=3),
         # Live-graph session service (D18): per-request small delta +
@@ -835,9 +824,8 @@ SMOKE_UNITS = {
     # at smoke size.  rf_gain falling below 80% of the baseline means
     # the rf drive stopped amortizing the per-round floor; the unit
     # refuses to record if an rf drive stops being bit-identical to
-    # per-node stepping, and check_bit_identity diffs every kernel
-    # family's rf drive against the reference loop and per-node
-    # stepping on every smoke run.
+    # the reference loop, and check_bit_identity diffs every kernel
+    # family's rf drive against the reference loop on every smoke run.
     "smoke-roundfuse": lambda: unit_rf(600, reps=2, alt_n=100),
     # Live-session gate unit (D18): the churn scenario at smoke size.
     # session_gain falling below 80% of the baseline means the
@@ -856,9 +844,8 @@ def smoke_suite(only=None):
 
 def render(units):
     lines = [
-        f"{'unit':24} {'reference':>11} {'compiled':>11} {'batch':>11}"
-        f" {'ref/cmp':>8} {'ref/bat':>8} {'cmp/bat':>8}",
-        "-" * 88,
+        f"{'unit':24} {'reference':>11} {'batch':>11} {'ref/bat':>8}",
+        "-" * 57,
     ]
 
     def cell(entry):
@@ -871,9 +858,8 @@ def render(units):
 
     for name, entry in units.items():
         lines.append(
-            f"{name:24} {cell(entry.get('reference'))} {cell(entry.get('compiled'))}"
-            f" {cell(entry.get('batch'))} {ratio(entry.get('speedup'))}"
-            f" {ratio(entry.get('speedup_batch'))} {ratio(entry.get('batch_gain'))}"
+            f"{name:24} {cell(entry.get('reference'))}"
+            f" {cell(entry.get('batch'))} {ratio(entry.get('speedup_batch'))}"
         )
         if "fused_gain" in entry:
             lines.append(
@@ -883,7 +869,7 @@ def render(units):
             )
         if "rf_gain" in entry:
             lines.append(
-                f"  rf drive vs per-node stepping: {entry['rf_gain']:.2f}x"
+                f"  rf drive vs reference loop: {entry['rf_gain']:.2f}x"
             )
         if "session_gain" in entry:
             lines.append(
@@ -891,6 +877,42 @@ def render(units):
                 f" ({entry['session']['requests']} churn requests)"
             )
     return "\n".join(lines)
+
+
+def _provenance(baseline):
+    """``(commit, None)`` for a checkout that matches its commit, else
+    ``(None, reason)``.
+
+    A recorded baseline must describe committed code, so every file git
+    sees — tracked changes and untracked files alike — must be clean;
+    only the baseline being rewritten is exempt.
+    """
+    root = Path(__file__).resolve().parents[1]
+    exclude = []
+    if baseline.resolve().is_relative_to(root):
+        exclude = [f":(exclude){baseline.resolve().relative_to(root)}"]
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, check=True,
+            capture_output=True, text=True,
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain", "--", ".", *exclude],
+            cwd=root, check=True, capture_output=True, text=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError) as exc:
+        return None, f"cannot read the commit ({exc})"
+    if dirty:
+        return None, "the checkout differs from its commit:\n" + dirty
+    return commit, None
+
+
+def _numpy_version():
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy.__version__
 
 
 def main(argv=None):
@@ -954,6 +976,11 @@ def main(argv=None):
         print("smoke ok: within 20% of committed baseline speedups")
         return 0
 
+    if args.update:
+        commit, reason = _provenance(args.baseline)
+        if commit is None:
+            print(f"FAIL: refusing to rewrite the baseline: {reason}")
+            return 1
     if args.update and not check_bit_identity():
         # The smoke gate refuses divergence with exit 2; the baseline
         # writer must be equally strict — a committed BENCH_engine.json
@@ -969,22 +996,25 @@ def main(argv=None):
         smoke = smoke_suite()
         payload = {
             "meta": {
+                "commit": commit,
                 "python": platform.python_version(),
+                "numpy": _numpy_version(),
                 "machine": platform.machine(),
                 "cores": os.cpu_count(),
                 "note": (
-                    "best-of-N wall times. reference = seed-faithful stack "
-                    "(dict loop, eager MT rng, rebuild restriction); "
-                    "compiled = CSR engine stepping per node; batch = CSR "
-                    "engine with batched frontier-step kernels (D10). "
-                    "speedup = reference/compiled, speedup_batch = "
-                    "reference/batch, batch_gain = compiled/batch, "
-                    "rf_gain = per-node stepping/round-fused drive "
-                    "(D17/D30 phase-fused + fixed-point drivers, the one "
-                    "ledger of every batch-kernel run), session_gain = "
-                    "stateless cold "
-                    "rebuild-per-request/live-session mutate+rerun (D18 "
-                    "incremental CSR patch on a long-lived session)."
+                    "best-of-N wall times, all recorded in one pass. "
+                    "reference = seed-faithful stack (dict loop, eager MT "
+                    "rng, rebuild restriction); batch = compiled CSR "
+                    "engine driving the batched frontier-step kernels "
+                    "round-fused (D10, D17, D30; a run without a kernel "
+                    "takes the reference loop under rng=counter, D33). "
+                    "speedup_batch = reference/batch, fused_gain = b "
+                    "sequential solo runs / one b-lane fused run_many "
+                    "slab (D16, D32; fused_gain_luby is information "
+                    "only), rf_gain = reference loop under rng=counter / "
+                    "round-fused drive, session_gain = stateless cold "
+                    "rebuild-per-request / live-session mutate+rerun "
+                    "(D18 incremental CSR patch on a long-lived session)."
                 ),
             },
             "units": units,

@@ -6,8 +6,8 @@ path and carries the dependency metadata.
 
 numpy powers the batched frontier-step kernels (DESIGN.md D10).  It is
 a declared dependency, but the runtime degrades gracefully without it:
-`repro.local.batch` guards the import and every execution path falls
-back to per-node stepping, so an environment that cannot install numpy
+`repro.local.batch` guards the import and every run falls back to the
+reference loop (DESIGN.md D33), so an environment that cannot install numpy
 still runs the pipeline (asserted by tests/test_batch_kernels.py) —
 except the line-graph rows (matching, edge coloring), whose line graph
 is built as arrays, and G(n, p), whose pairs are drawn from numpy; both

@@ -85,7 +85,7 @@ class FastColoringProcess(NodeProcess):
 
 #: Batch-kernel safety bounds: a Linial step scans up to ``q`` point
 #: columns of length ``n`` and the KW taken matrix is ``n × (Δ̃+1)``;
-#: configurations beyond these fall back to per-node stepping rather
+#: configurations beyond these fall back to the reference loop rather
 #: than allocate absurd scratch.
 _BATCH_Q_LIMIT = 2048
 _BATCH_DELTA_LIMIT = 4096
@@ -363,8 +363,8 @@ def _coloring_batch_factory(kernel_cls=ColoringBatchKernel):
         if not steps:
             # Without a Linial stage the colors feed the KW arithmetic
             # unreduced: decline when the identity/input space cannot
-            # live in int64 (the run falls back per node, which is
-            # always exact).
+            # live in int64 (the run falls back to the reference loop,
+            # which is always exact).
             for label, ident in zip(bg.labels, bg.idents):
                 value = setup.inputs.get(label)
                 color = (

@@ -32,9 +32,10 @@ class StepRecord:
 
     ``backends`` attributes the step's two runs to their stepping
     strategy — ``(algorithm, pruning)``, each ``"rf"`` (a batch
-    kernel's round-fused drive), ``"per-node"`` or ``"reference"``
-    (host orchestrations report the stepping of their last inner run;
-    ``None`` when nothing executed).
+    kernel's round-fused drive) or ``"reference"`` (the reference loop,
+    which also runs every compiled run without a kernel, D33); host
+    orchestrations report the stepping of their last inner run, and
+    ``None`` means nothing executed.
     ``seconds`` is the step's wall clock, so traces and benches can
     attribute time per step and per backend.
     """
@@ -123,7 +124,7 @@ class TransformResult:
         Returns ``{"algo|prune": {"steps": k, "seconds": s}}`` over the
         recorded :class:`StepRecord` backends — what the throughput
         bench prints to show where an alternation's time actually went
-        (e.g. batch guess runs stuck with per-node pruning).
+        (e.g. batch guess runs stuck with reference-loop pruning).
         """
         summary = {}
         for step in self.steps:

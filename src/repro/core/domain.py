@@ -55,7 +55,7 @@ def _resolve_exec(exec_kwargs):
     the same names, defaults and validation as
     :func:`repro.local.runner.run` — and resolve them exactly once
     here into the :class:`~repro.local.execution.Execution` the run
-    executes under, so backend/batch selection can never drift
+    executes under, so backend selection can never drift
     between ``run_restricted`` and ``run_full`` or between domain kinds.
     """
     unknown = set(exec_kwargs) - {"backend", "rng"}
@@ -253,7 +253,7 @@ class VirtualDomain(Domain):
     ):
         execution = _resolve_exec(exec_kwargs)
         physical_budget = budget * self.spec.dilation + VIRTUAL_OVERHEAD
-        if execution.backend != "reference" and execution.batch:
+        if execution.backend == "compiled":
             # Batched fast path: the kernel runs on the virtual graph
             # itself and the host commit protocol is replayed from the
             # spec's routing tables — bit-identical domain outputs with
@@ -271,10 +271,7 @@ class VirtualDomain(Domain):
             )
             if outputs is not None:
                 return outputs, physical_budget
-        wrapped = virtualize(
-            self.spec, algorithm, virt_inputs=inputs or {},
-            engine=execution.backend,
-        )
+        wrapped = virtualize(self.spec, algorithm, virt_inputs=inputs or {})
         result = execute(
             self.physical,
             wrapped,
@@ -305,7 +302,7 @@ class VirtualDomain(Domain):
         **exec_kwargs,
     ):
         execution = _resolve_exec(exec_kwargs)
-        if execution.backend != "reference" and execution.batch:
+        if execution.backend == "compiled":
             # Batched full run (D10 closure): step the kernel to its
             # fixed point and replay the host commit rounds — no host
             # simulation, same outputs/rounds.
@@ -321,10 +318,7 @@ class VirtualDomain(Domain):
             )
             if got is not None:
                 return got
-        wrapped = virtualize(
-            self.spec, algorithm, virt_inputs=inputs or {},
-            engine=execution.backend,
-        )
+        wrapped = virtualize(self.spec, algorithm, virt_inputs=inputs or {})
         result = execute(
             self.physical,
             wrapped,

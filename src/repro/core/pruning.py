@@ -226,7 +226,8 @@ def _value_codes(values):
     The matching and SLC pruners compare tentative outputs for
     *equality* only, so any hashable payloads vectorize as int64 codes.
     Returns ``None`` for unhashable values — the factory then declines
-    and the run steps per node (where raw ``==`` needs no hashing).
+    and the run takes the reference loop (where raw ``==`` needs no
+    hashing).
     """
     codes = {}
     out = []

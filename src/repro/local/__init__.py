@@ -19,7 +19,7 @@ from .msgsize import estimate_bits
 from .composition import Chain, default_carry
 from .context import CounterRNG, NodeContext, make_rng
 from .engine import CompiledGraph
-from .execution import Execution, use_backend, use_batch
+from .execution import Execution, use_backend
 from .fused import run_many
 from .graph import GraphDelta, SimGraph
 from .message import Broadcast
@@ -64,7 +64,6 @@ __all__ = [
     "running_time",
     "termination_times",
     "use_backend",
-    "use_batch",
     "virtualize",
     "zero_round_algorithm",
 ]

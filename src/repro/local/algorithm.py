@@ -68,8 +68,8 @@ class LocalAlgorithm:
         through the kernel in one round-fused drive (D17, D30) instead
         of dispatching ``receive`` per node; a factory may return
         ``None`` to decline a configuration it cannot reproduce
-        bit-identically, in which case the engine falls back to
-        per-node stepping.
+        bit-identically, in which case the run takes the reference
+        loop under ``rng="counter"`` (D33).
     fuse:
         Whether the batch kernel is certified *fuse-safe* (DESIGN.md
         D16): all cross-node reads follow CSR edges or compare by

@@ -1,7 +1,7 @@
 """Batched frontier-step infrastructure for the compiled engine.
 
-The per-node execution paths (reference loop, compiled CSR loop) spend
-their time dispatching one Python ``receive`` per active node per round.
+The per-node interpreter (the reference loop) spends its time
+dispatching one Python ``receive`` per active node per round.
 For the lockstep state machines that dominate the reproduction's hot
 workloads — Luby-style priority phases, the Linial/Kuhn–Wattenhofer
 coloring schedule, the color-class MIS sweep — every node of a round
@@ -29,8 +29,8 @@ D10: the batch-step contract):
   interpreter return per simulated round.
 
 numpy is optional: when it is missing (or a kernel factory declines the
-configuration) every caller falls back to the per-node stepping path, so
-the engine never *requires* the dependency.  Kernels register on a
+configuration) every caller falls back to the reference loop under
+``rng="counter"`` (D33), so the engine never *requires* the dependency.  Kernels register on a
 :class:`~repro.local.algorithm.LocalAlgorithm` through its ``batch``
 factory; eligibility rules live in :func:`make_engine_kernel`.
 
@@ -48,7 +48,7 @@ A kernel instance drives one run:
     Indices still running, ascending — what truncation forces to the
     default output (and what :class:`NonTerminationError` reports).
 
-The contract with the per-node path is *bit-identity*: for the same
+The contract with the reference loop is *bit-identity*: for the same
 ``(graph, algorithm, inputs, guesses, seed, salt)`` the kernel must
 yield a field-for-field identical
 :class:`~repro.local.runner.RunResult` (asserted by
@@ -428,8 +428,8 @@ def settle(
 
     Outputs and termination times come from the finish events;
     truncation forces the default output at the cap, non-termination
-    raises with the undone labels — field for field what the per-node
-    paths report.
+    raises with the undone labels — field for field what the reference
+    loop reports.
     """
     events, _, messages = driven
     outputs = {}
@@ -466,7 +466,7 @@ def settle(
 def make_engine_kernel(
     algorithm, cg, *, inputs, guesses, seed, salt, track_bits,
 ):
-    """Build the run's batch kernel, or ``None`` to step per node.
+    """Build the run's batch kernel, or ``None`` to run the reference loop.
 
     Fallback rules (DESIGN.md D10): no advertised batch capability,
     numpy missing, message-size tracking requested

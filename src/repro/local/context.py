@@ -25,9 +25,10 @@ Two per-node derivation schemes exist (DESIGN.md, deviation D9):
 
 The reference loop runs either scheme (``"mt"`` by default, as the
 seed-faithful specification); the compiled engine and its batch, fused
-and virtual tiers draw ``"counter"`` only.  Under ``"counter"`` the two
-runner backends give bit-identical executions — the equivalence suite
-pins it when comparing them.
+and virtual tiers draw ``"counter"`` only, and a compiled run without a
+batch kernel is the reference loop under ``"counter"`` (D33).  Under
+``"counter"`` the two runner backends give bit-identical executions —
+the equivalence suite pins it when comparing them.
 
 Contexts may be constructed with an eager generator (``rng=...``) or a
 lazy factory (``rng_factory=...``); the factory is only invoked the
@@ -231,8 +232,8 @@ def sub_rng(mode, base, ident):
     Used by the virtual-node layer: the host draws ``base`` once from its
     own source, each hosted virtual node gets an independent stream.
     Matches the host's derivation scheme: the counter branch is what the
-    compiled virtual tiers reproduce, the mt branch serves the reference
-    loop's host processes.
+    batched virtual driver reproduces, the mt branch serves host
+    processes under the reference backend's default scheme.
     """
     if mode == "counter":
         return counter_rng(base, ident)

@@ -1,10 +1,14 @@
-"""Compiled execution core: CSR graph engine and O(active) round loop.
+"""Compiled execution core: CSR graph engine and the batch-kernel entry.
 
 This module is the ``backend="compiled"`` implementation of
 :func:`repro.local.runner.run`.  It executes the same synchronous LOCAL
 semantics as the reference loop (which survives as
-``backend="reference"`` and doubles as the executable specification) but
-is built for throughput:
+``backend="reference"`` and doubles as the executable specification):
+a run whose algorithm registers a batch kernel is driven round-fused by
+:func:`repro.local.batch.drive_kernel`; every other run — no kernel,
+numpy missing, ``track_bits``, or a factory that declines — is handed
+back to the reference loop under ``rng="counter"`` (DESIGN.md D33), so
+the reference loop is the one per-node interpreter.
 
 CSR layout
 ----------
@@ -20,25 +24,7 @@ flat slab:
   in the receiver's own numbering, i.e. exactly where a payload sent
   through slot ``k`` lands in the receiver's inbox;
 * ``idents`` / ``labels`` / ``degrees`` — per-index identity, label and
-  degree; ``index`` maps labels back to indices;
-* ``pairs`` — per-row ``((neighbour_index, reverse_port), ...)`` tuples,
-  a pre-zipped view of the slab that the inner loop iterates (CPython
-  unpacks a pre-built tuple faster than it can index two arrays).
-
-O(active) frontier invariant
-----------------------------
-The round loop touches only (a) nodes that are still running and (b)
-inboxes that actually received a payload.  Inboxes are double-buffered
-flat lists (``cur``/``nxt``) with an explicit touched-list per buffer;
-after a round the consumed buffer is wiped by walking its touched list,
-never by reallocating n dicts.  A round therefore costs
-O(active + messages delivered) — independent of n once the frontier has
-shrunk — where the reference loop pays an Θ(n) inbox reallocation every
-round.
-
-Message-size accounting (``track_bits``) is compiled into a separate
-delivery path so the untracked hot path never tests the flag per
-payload.
+  degree; ``index`` maps labels back to indices.
 
 Incremental restriction
 -----------------------
@@ -62,17 +48,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate
 
-from ..errors import NonTerminationError
-from .algorithm import LocalAlgorithm
 from .batch import (
     drive_kernel,
     make_engine_kernel,
     settle,
     splice_batch_graph,
 )
-from .context import NodeContext, rng_source
-from .message import Broadcast, normalize_outgoing
-from .msgsize import estimate_bits
 
 
 class CompiledGraph:
@@ -88,7 +69,6 @@ class CompiledGraph:
         "offsets",
         "neigh",
         "rev",
-        "_pairs",
         "_batch",
         # Weak-referenceable so the fused engine's slab cache (D16) can
         # evict block-diagonal slabs when a member graph is collected.
@@ -119,7 +99,6 @@ class CompiledGraph:
         self.degrees = [
             offsets[i + 1] - offsets[i] for i in range(self.n)
         ]
-        self._pairs = None
         #: Lazily built numpy mirror (repro.local.batch.BatchGraph).
         self._batch = None
 
@@ -141,31 +120,9 @@ class CompiledGraph:
         cg.neigh = neigh
         cg.rev = rev
         cg.degrees = degrees
-        cg._pairs = None
         cg._batch = None
         graph._compiled = cg
         return cg
-
-    @property
-    def pairs(self):
-        """Per-row pre-zipped ``((neighbour_index, reverse_port), ...)``.
-
-        Built lazily: restriction-only children (alternation instances
-        that get pruned before ever running) never pay for it.
-        """
-        rows = self._pairs
-        if rows is None:
-            offsets, neigh, rev = self.offsets, self.neigh, self.rev
-            rows = self._pairs = [
-                tuple(
-                    zip(
-                        neigh[offsets[i]:offsets[i + 1]],
-                        rev[offsets[i]:offsets[i + 1]],
-                    )
-                )
-                for i in range(self.n)
-            ]
-        return rows
 
     def restrict(self, keep_set):
         """Induced ``SimGraph`` on ``keep_set`` with an attached CSR.
@@ -409,7 +366,6 @@ class CompiledGraph:
 def run_compiled(
     graph,
     algorithm,
-    execution,
     *,
     inputs,
     guesses,
@@ -421,225 +377,40 @@ def run_compiled(
     track_bits,
     result_cls,
 ):
-    """Execute one synchronous run on the compiled engine.
+    """Drive the run's batch kernel, or return ``None`` when none runs.
 
-    Arguments arrive pre-validated from :func:`repro.local.runner.run`;
-    the returned ``result_cls`` instance is field-for-field identical to
-    what the reference loop produces for the same configuration under
-    ``rng="counter"``, the only scheme this engine draws (D29).  When
-    ``execution.batch`` is on and the algorithm registers a batch kernel
-    (and the run is eligible — see
-    :func:`repro.local.batch.make_engine_kernel`), the kernel's whole
-    schedule runs in one :func:`repro.local.batch.drive_kernel`
-    call instead of dispatching per node.
+    Arguments arrive pre-validated from :func:`repro.local.runner.run`.
+    When the algorithm registers a batch kernel and the run is eligible
+    (see :func:`repro.local.batch.make_engine_kernel`), the kernel's
+    whole schedule runs in one :func:`repro.local.batch.drive_kernel`
+    call and the returned ``result_cls`` instance is field-for-field
+    identical to what the reference loop produces under
+    ``rng="counter"``, the only scheme this engine draws (D29).
+    ``None`` tells the caller to run the reference loop under that
+    scheme instead (D33).
     """
     from .runner import note_stepping
 
     cg = graph.compiled()
-    if execution.batch:
-        kernel = make_engine_kernel(
-            algorithm,
-            cg,
-            inputs=inputs,
-            guesses=guesses,
-            seed=seed,
-            salt=salt,
-            track_bits=track_bits,
-        )
-        if kernel is not None:
-            note_stepping("rf")
-            return settle(
-                drive_kernel(kernel, cap),
-                kernel,
-                cg.labels,
-                algorithm,
-                cap=cap,
-                truncating=truncating,
-                default_output=default_output,
-                result_cls=result_cls,
-            )
-    note_stepping("per-node")
-    n = cg.n
-    labels = cg.labels
-    idents = cg.idents
-    degrees = cg.degrees
-    pairs = cg.pairs
-
-    # The compiled engine draws the counter scheme only (D29).
-    make_gen = rng_source("counter", seed, salt)
-    # For plain LocalAlgorithm instances, `make` is pure delegation to the
-    # process factory — skip the extra call layer.  Subclasses keep their
-    # `make` hook.
-    if type(algorithm) is LocalAlgorithm:
-        make_process = algorithm.process
-    else:
-        make_process = algorithm.make
-    get_input = inputs.get
-    processes = [
-        make_process(
-            NodeContext(
-                label,
-                ident,
-                degree,
-                get_input(label),
-                guesses,
-                None,
-                make_gen,
-                "counter",
-            )
-        )
-        for label, ident, degree in zip(labels, idents, degrees)
-    ]
-
-    outputs = {}
-    finish_round = {}
-    messages = 0
-    max_bits = 0
-
-    # Double-buffered flat inboxes: `nxt` collects deliveries for the next
-    # round, `cur` is consumed this round and wiped via its touched list.
-    nxt = [None] * n
-    nxt_touched = []
-    cur = [None] * n
-    cur_touched = []
-
-    def deliver_slow(i, outgoing):
-        """Targeted/odd outgoing specs; returns payload count.
-
-        The Broadcast fast path is inlined in the round loops below —
-        this handles port dicts (validated with the specification's exact
-        diagnostics) plus Broadcast/dict subclasses.
-        """
-        nonlocal max_bits
-        if isinstance(outgoing, Broadcast):
-            payload = outgoing.payload
-            if track_bits:
-                bits = estimate_bits(payload)
-                if bits > max_bits:
-                    max_bits = bits
-            row = pairs[i]
-            for vi, rp in row:
-                box = nxt[vi]
-                if box is None:
-                    box = nxt[vi] = {}
-                    nxt_touched.append(vi)
-                box[rp] = payload
-            return len(row)
-        if not isinstance(outgoing, dict):
-            normalize_outgoing(outgoing, len(pairs[i]))  # raises TypeError
-        row = pairs[i]
-        degree = len(row)
-        count = 0
-        for port, payload in outgoing.items():
-            if not isinstance(port, int) or port < 0 or port >= degree:
-                # Re-raise with the specification's exact diagnostics.
-                normalize_outgoing(outgoing, degree)
-            if track_bits:
-                bits = estimate_bits(payload)
-                if bits > max_bits:
-                    max_bits = bits
-            vi, rp = row[port]
-            box = nxt[vi]
-            if box is None:
-                box = nxt[vi] = {}
-                nxt_touched.append(vi)
-            box[rp] = payload
-            count += 1
-        return count
-
-    touch = nxt_touched.append
-    active = []
-    add_active = active.append
-    for i in range(n):
-        process = processes[i]
-        outgoing = process.start()
-        if outgoing is not None:
-            if type(outgoing) is Broadcast:
-                payload = outgoing.payload
-                if track_bits:
-                    bits = estimate_bits(payload)
-                    if bits > max_bits:
-                        max_bits = bits
-                row = pairs[i]
-                for vi, rp in row:
-                    box = nxt[vi]
-                    if box is None:
-                        box = nxt[vi] = {}
-                        touch(vi)
-                    box[rp] = payload
-                messages += len(row)
-            else:
-                messages += deliver_slow(i, outgoing)
-        if process.done:
-            label = labels[i]
-            outputs[label] = process.result
-            finish_round[label] = 0
-        else:
-            add_active(i)
-
-    rounds = 0
-    while active:
-        if rounds >= cap:
-            if truncating:
-                for i in active:
-                    label = labels[i]
-                    outputs[label] = default_output
-                    finish_round[label] = cap
-                return result_cls(
-                    outputs,
-                    finish_round,
-                    cap,
-                    messages,
-                    frozenset(labels[i] for i in active),
-                    max_bits if track_bits else None,
-                )
-            raise NonTerminationError(
-                algorithm.name, cap, [labels[i] for i in active]
-            )
-        rounds += 1
-        cur, cur_touched, nxt, nxt_touched = nxt, nxt_touched, cur, cur_touched
-        touch = nxt_touched.append
-        still_active = []
-        add_still = still_active.append
-        for i in active:
-            process = processes[i]
-            box = cur[i]
-            outgoing = process.receive(box if box is not None else {})
-            if outgoing is not None:
-                if type(outgoing) is Broadcast:
-                    payload = outgoing.payload
-                    if track_bits:
-                        bits = estimate_bits(payload)
-                        if bits > max_bits:
-                            max_bits = bits
-                    row = pairs[i]
-                    for vi, rp in row:
-                        box = nxt[vi]
-                        if box is None:
-                            box = nxt[vi] = {}
-                            touch(vi)
-                        box[rp] = payload
-                    messages += len(row)
-                else:
-                    messages += deliver_slow(i, outgoing)
-            if process.done:
-                label = labels[i]
-                outputs[label] = process.result
-                finish_round[label] = rounds
-            else:
-                add_still(i)
-        active = still_active
-        # Wipe only the slots this round touched — the O(active) invariant.
-        for i in cur_touched:
-            cur[i] = None
-        cur_touched.clear()
-
-    total = max(finish_round.values()) if finish_round else 0
-    return result_cls(
-        outputs,
-        finish_round,
-        total,
-        messages,
-        frozenset(),
-        max_bits if track_bits else None,
+    kernel = make_engine_kernel(
+        algorithm,
+        cg,
+        inputs=inputs,
+        guesses=guesses,
+        seed=seed,
+        salt=salt,
+        track_bits=track_bits,
+    )
+    if kernel is None:
+        return None
+    note_stepping("rf")
+    return settle(
+        drive_kernel(kernel, cap),
+        kernel,
+        cg.labels,
+        algorithm,
+        cap=cap,
+        truncating=truncating,
+        default_output=default_output,
+        result_cls=result_cls,
     )

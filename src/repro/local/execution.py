@@ -1,11 +1,9 @@
 """How runs execute: one frozen :class:`Execution` record, resolved once.
 
-Every executor choice — which engine, which random-source scheme, and
-whether the batch kernels (D10; their solo runs are round-fused, D17)
-may engage — lives in one immutable record.
-The process starts from :meth:`Execution.from_env`; the scopes
-:func:`use_backend` and :func:`use_batch` swap
-the *ambient* record for a :func:`dataclasses.replace`-d copy; and
+Every executor choice — which engine and which random-source scheme —
+lives in one immutable record.  The process starts from
+:meth:`Execution.from_env`; the scope :func:`use_backend` swaps the
+*ambient* record for a :func:`dataclasses.replace`-d copy; and
 :func:`run
 <repro.local.runner.run>`, :func:`run_many <repro.local.fused.run_many>`,
 the domain runners and the session service each :func:`resolve` their
@@ -26,31 +24,24 @@ from dataclasses import dataclass, replace
 
 from ..errors import ParameterError
 
-#: ``"compiled"`` is the CSR engine (registered batch kernels run
-#: round-fused), ``"reference"`` the seed-faithful
-#: specification loop.
+#: ``"compiled"`` drives an algorithm's registered batch kernel
+#: round-fused and runs the reference loop under ``rng="counter"``
+#: otherwise (D33); ``"reference"`` is the seed-faithful specification
+#: loop.
 BACKENDS = ("compiled", "reference")
 RNG_MODES = ("counter", "mt")
 
-_TRUE = ("1", "on", "true", "yes")
-_FALSE = ("0", "off", "false", "no")
 
-
-def env_setting(environ, name, default, kind=str, choices=None):
+def env_setting(environ, name, default, choices=None):
     """Read the variable ``name`` from the mapping ``environ``.
 
-    Unset or blank gives ``default``.  ``kind`` is ``bool`` (one of
-    1/on/true/yes or 0/off/false/no, any case) or ``str``; ``choices``
-    restricts the accepted strings.  Anything else raises
+    Unset or blank gives ``default``; ``choices`` restricts the accepted
+    strings, and anything else raises
     :class:`~repro.errors.ParameterError`.
     """
     raw = environ.get(name, "").strip()
     if not raw:
         return default
-    if kind is bool:
-        if raw.lower() not in _TRUE + _FALSE:
-            raise ParameterError(f"{name}={raw!r}: use one of {_TRUE + _FALSE}")
-        return raw.lower() in _TRUE
     if choices is not None and raw not in choices:
         raise ParameterError(f"{name}={raw!r}: use one of {choices}")
     return raw
@@ -64,14 +55,11 @@ class Execution:
     the reference loop, ``"counter"`` otherwise; see :attr:`rng_mode`).
     The compiled engine draws the counter scheme only (D29): pinning
     ``"mt"`` on it raises :class:`~repro.errors.ParameterError` here, so
-    no fast path ever sees a scheme name.  ``batch`` (a real bool,
-    never coerced) lets compiled runs drive an algorithm's registered
-    batch kernel round-fused (D10, D17) instead of stepping per node.
+    no fast path ever sees a scheme name.
     """
 
     backend: str = "compiled"
     rng: str | None = None
-    batch: bool = True
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -87,11 +75,6 @@ class Execution:
                 "rng='mt' runs only on backend='reference'; the compiled "
                 "engine draws rng='counter'"
             )
-        if not isinstance(self.batch, bool):
-            raise ParameterError(
-                f"batch must be a bool, got {self.batch!r} "
-                f"({type(self.batch).__name__})"
-            )
 
     @classmethod
     def from_env(cls, environ):
@@ -99,9 +82,8 @@ class Execution:
         backend = env_setting(environ, "REPRO_BACKEND", "compiled",
                               choices=BACKENDS)
         rng = env_setting(environ, "REPRO_RNG", None, choices=RNG_MODES)
-        batch = env_setting(environ, "REPRO_BATCH", True, bool)
         try:
-            return cls(backend, rng, batch)
+            return cls(backend, rng)
         except ParameterError as exc:  # each value parsed: the pairing
             raise ParameterError(f"REPRO_RNG={rng!r}: {exc}") from None
 
@@ -159,11 +141,3 @@ def use_backend(backend, rng=None):
     with installed(_ambient.resolve(backend, rng)):
         yield
 
-
-@contextmanager
-def use_batch(enabled):
-    """Pin the batch kernels (D10, driven round-fused) on or off in the
-    scope (the equivalence suite diffs kernel and per-node stepping
-    under ``use_batch(False)``).  ``enabled`` must be a bool."""
-    with installed(replace(_ambient, batch=enabled)):
-        yield

@@ -298,7 +298,6 @@ def run_many(
     fuse_ok = (
         batch.numpy_or_none() is not None
         and execution.backend == "compiled"
-        and execution.batch
     )
     groups, solo = {}, []
     for lane in lanes_list:

@@ -20,15 +20,17 @@ Backends
 Two interchangeable executors implement these semantics:
 
 * ``backend="compiled"`` (default) — the CSR engine of
-  :mod:`repro.local.engine`: flat integer-indexed adjacency, O(active +
-  messages) rounds, lazy per-node random sources.  It draws
+  :mod:`repro.local.engine`: an algorithm's registered batch kernel is
+  driven round-fused; a run without one (no kernel, numpy missing,
+  ``track_bits``, or a declining factory) takes the reference loop
+  below under ``rng="counter"`` (DESIGN.md D33).  It draws
   ``rng="counter"`` only; pinning ``rng="mt"`` on it raises
   :class:`~repro.errors.ParameterError` (DESIGN.md D29).
 * ``backend="reference"`` — the original dict-based loop below, kept
   verbatim as the executable specification (eager Mersenne-Twister
-  sources, ``rng="mt"`` by default, ``rng="counter"`` on request).  It
-  is the oracle the equivalence suite
-  (``tests/test_engine_equivalence.py``) diffs the engine against:
+  sources, ``rng="mt"`` by default, ``rng="counter"`` on request) and
+  the one per-node interpreter.  It is the oracle the equivalence suite
+  (``tests/test_engine_equivalence.py``) diffs the kernels against:
   under ``rng="counter"`` the two backends produce bit-identical
   :class:`RunResult` fields.
 
@@ -51,7 +53,7 @@ from .msgsize import estimate_bits
 SAFETY_ROUND_CAP = 100_000
 
 #: Stepping strategy of the most recent run in this process
-#: (``"reference"``, ``"per-node"``, ``"rf"`` or ``"fused"``);
+#: (``"reference"``, ``"rf"`` or ``"fused"``);
 #: ``None`` before the first run.  The alternation engine
 #: samples this right after each guess/pruning run to attribute wall
 #: clock per step (StepRecord backends) — a diagnostic channel,
@@ -143,9 +145,9 @@ def run(
         A :class:`LocalAlgorithm`.
     backend:
         ``"compiled"`` (CSR engine; an algorithm's registered batch
-        kernel runs round-fused automatically, see
-        :func:`~repro.local.execution.use_batch`) or
-        ``"reference"`` (the specification loop).  ``None`` uses the
+        kernel runs round-fused, any other run takes the reference loop
+        under ``rng="counter"``) or ``"reference"`` (the specification
+        loop).  ``None`` uses the
         ambient :class:`~repro.local.execution.Execution` record.
     rng:
         Per-node random-source scheme, ``"counter"`` or ``"mt"``
@@ -247,8 +249,10 @@ def execute(
     inputs = inputs or {}
     truncating = truncate or default_output is not None
     cap = round_cap(max_rounds, truncating)
-    if execution.backend == "reference":
-        return _run_reference(
+    if execution.backend == "compiled":
+        from .engine import run_compiled
+
+        result = run_compiled(
             graph,
             algorithm,
             inputs=inputs,
@@ -259,14 +263,13 @@ def execute(
             truncating=truncating,
             default_output=default_output,
             track_bits=track_bits,
-            rng_mode=execution.rng_mode,
+            result_cls=RunResult,
         )
-    from .engine import run_compiled
-
-    return run_compiled(
+        if result is not None:
+            return result
+    return _run_reference(
         graph,
         algorithm,
-        execution,
         inputs=inputs,
         guesses=guesses,
         seed=seed,
@@ -275,7 +278,7 @@ def execute(
         truncating=truncating,
         default_output=default_output,
         track_bits=track_bits,
-        result_cls=RunResult,
+        rng_mode=execution.rng_mode,
     )
 
 
@@ -296,7 +299,9 @@ def _run_reference(
     """The specification loop: dict inboxes reallocated every round.
 
     Kept verbatim from the seed implementation (modulo the pluggable rng
-    scheme) as the oracle for the compiled engine's equivalence suite.
+    scheme) as the oracle for the batch kernels' equivalence suite, and
+    the one per-node interpreter: compiled runs without a batch kernel
+    land here under ``rng="counter"`` (D33).
     """
     note_stepping("reference")
     make_gen = rng_source(rng_mode, seed, salt)

@@ -20,10 +20,10 @@ stands in for that constant-round construction.  What is computed, and
 when, depends on who reads it: hosting, identities, virtual ports, the
 dilation and each relay's client ports are built with the spec, because
 the batched virtual driver reads them; the host-process routing plans
-(``send_plan``, ``forward_plan``, ``recv_port``, ``routes``) are built
-eagerly by the validating dict constructor, but only on first access in
-an array-built spec (:func:`repro.graphs.line_graph_spec`), since only
-the host-process engines and :meth:`VirtualSpec.restricted` read them.
+(``send_plan``, ``forward_plan``, ``recv_port``) are built eagerly by
+the validating dict constructor, but only on first access in an
+array-built spec (:func:`repro.graphs.line_graph_spec`), since only the
+host process and :meth:`VirtualSpec.restricted` read them.
 
 Port-order contract: virtual ports follow the order of ``adj[v]``.  Any
 builder must produce the order a spec is tested against — for the line
@@ -42,12 +42,11 @@ Restriction semantics: when a run of the wrapped algorithm is truncated
 their output dict yet contribute the default output for all their hosted
 virtual nodes — a valid instance of the paper's "arbitrary output".
 
-Host engines: two interchangeable host-process implementations exist,
-mirroring the runner backends.  The *reference* host is the seed's
-dict-driven implementation; the *compiled* host keeps an explicit list of
-undone virtual processes, a done-counter instead of all()-scans, and
-pre-resolved per-port route tables.  Under ``rng="counter"`` the two
-are bit-identical (asserted by the equivalence suite).
+Host process: one host-process implementation, the seed's dict-driven
+one, runs the simulation on every backend.  A wrapped algorithm has no
+batch kernel, so the compiled backend runs it on the reference loop
+under ``rng="counter"`` (DESIGN.md D33); the domains reach the batched
+virtual driver below instead whenever the inner algorithm has a kernel.
 
 Incremental restriction: :meth:`VirtualSpec.restricted` produces the spec
 induced on surviving virtual nodes in O(Σ surviving old-degree) by
@@ -97,11 +96,11 @@ class VirtualSpec:
     physical:
         The physical :class:`~repro.local.graph.SimGraph` the spec routes
         over.
-    recv_port, send_plan, forward_plan, routes:
+    recv_port, send_plan, forward_plan:
         The host-process routing plans (see :meth:`_build_routes`).  The
         dict constructor builds them eagerly, validating the instance;
         array-built specs build them on first access, since only the
-        host-process engines and :meth:`restricted` read them.
+        host process and :meth:`restricted` read them.
     """
 
     __slots__ = (
@@ -115,7 +114,6 @@ class VirtualSpec:
         "_recv_port",
         "_send_plan",
         "_forward_plan",
-        "_routes",
         "_batch",
     )
 
@@ -132,7 +130,6 @@ class VirtualSpec:
             self.hosted[p].sort(key=lambda v: self.ident[v])
         self.physical = physical_graph
         self._recv_port = None
-        self._routes = None
         #: Lazily built numpy mirror, shared by a step's guess and
         #: pruner runs.
         self._batch = None
@@ -161,7 +158,6 @@ class VirtualSpec:
         spec._recv_port = None
         spec._send_plan = None
         spec._forward_plan = None
-        spec._routes = None
         spec._batch = batch
         return spec
 
@@ -259,27 +255,6 @@ class VirtualSpec:
         }
         return (2 if relay_clients else 1), relay_client_ports
 
-    @property
-    def routes(self):
-        """Pre-zipped host dispatch tables, built on first use.
-
-        Only the host-process engines walk these; the batched virtual
-        driver reads the plans directly, so runs that never fall back to
-        host simulation never pay for the indexing.
-        """
-        table = self._routes
-        if table is None:
-            recv_port = self.recv_port
-            send_plan = self.send_plan
-            table = self._routes = {
-                virt: tuple(
-                    (other, recv_port[(virt, other)], send_plan[(virt, other)])
-                    for other in neighbours
-                )
-                for virt, neighbours in self.adj.items()
-            }
-        return table
-
     def restricted(self, keep):
         """Spec induced on the surviving virtual nodes (incremental).
 
@@ -336,9 +311,8 @@ class VirtualSpec:
 class _VirtualHostProcess(NodeProcess):
     """Physical-node process simulating all hosted virtual processes.
 
-    The reference host engine — dict-driven, kept as the seed wrote it
-    (modulo the pluggable rng scheme) to serve as the specification for
-    :class:`_CompiledHostProcess`.
+    Dict-driven, kept as the seed wrote it (modulo the pluggable rng
+    scheme); the batched virtual driver is diffed against it.
     """
 
     __slots__ = (
@@ -484,220 +458,19 @@ class _VirtualHostProcess(NodeProcess):
         return self._emit(sends, fin)
 
 
-class _CompiledHostProcess(NodeProcess):
-    """Compiled host engine: same protocol, O(undone + traffic) rounds.
-
-    Bit-identical to :class:`_VirtualHostProcess` under
-    ``rng="counter"`` (equivalence suite), but:
-
-    * hosted virtual processes that finished leave the ``pending`` list,
-      so a round costs O(undone), not O(hosted);
-    * ``undone`` is a counter — no all()-scan over sub-processes at every
-      decision point;
-    * dispatch walks the spec's pre-resolved ``routes`` table: one tuple
-      unpack per virtual payload instead of three dict lookups.
-    """
-
-    __slots__ = (
-        "spec",
-        "outputs",
-        "subs",
-        "pending",
-        "undone",
-        "phase",
-        "virt_round_inbox",
-        "announced",
-        "announced_ports",
-        "client_ports",
-        "forward_table",
-        "relay_only_parity",
-    )
-
-    def __init__(self, ctx, spec, algorithm, virt_inputs):
-        super().__init__(ctx)
-        self.spec = spec
-        base = ctx.rng.getrandbits(64)
-        mode = ctx.rng_mode
-        self.outputs = {}
-        self.virt_round_inbox = {}
-        self.phase = 0
-        self.announced = False
-        self.announced_ports = set()
-        self.client_ports = spec.relay_client_ports.get(ctx.node, frozenset())
-        self.forward_table = spec.forward_plan.get(ctx.node, {})
-        self.relay_only_parity = spec.dilation == 2
-        make = algorithm.make
-        get_input = virt_inputs.get
-        ident_of = spec.ident
-        adj = spec.adj
-        guesses = ctx.guesses
-        factory = lambda ident: sub_rng(mode, base, ident)
-        pending = []
-        subs = {}
-        for virt in spec.hosted.get(ctx.node, ()):
-            sub = make(
-                NodeContext(
-                    virt,
-                    ident_of[virt],
-                    len(adj[virt]),
-                    get_input(virt),
-                    guesses,
-                    None,
-                    factory,
-                    mode,
-                )
-            )
-            subs[virt] = sub
-            pending.append((virt, sub))
-        self.subs = subs
-        self.pending = pending
-        self.undone = len(pending)
-
-    # -- virtual round plumbing -----------------------------------------
-    def _advance(self, starting, sends):
-        # Same buffer swap as the reference host: internal messages land
-        # in the *next* virtual round's inbox.
-        current = self.virt_round_inbox
-        self.virt_round_inbox = {}
-        routes = self.spec.routes
-        inbox_get = current.get
-        survivors = []
-        keep = survivors.append
-        for virt, sub in self.pending:
-            outgoing = sub.start() if starting else sub.receive(inbox_get(virt, {}))
-            if outgoing is not None:
-                route = routes[virt]
-                if isinstance(outgoing, Broadcast):
-                    # Bind under a name the consuming loop never rebinds:
-                    # the generator reads it lazily at each yield.
-                    bp = outgoing.payload
-                    items = (
-                        (entry, bp) for entry in route
-                    )
-                else:
-                    items = (
-                        (route[vport], payload)
-                        for vport, payload in outgoing.items()
-                    )
-                for (other, rport, plan), payload in items:
-                    kind = plan[0]
-                    if kind == "internal":
-                        box = self.virt_round_inbox.get(other)
-                        if box is None:
-                            box = self.virt_round_inbox[other] = {}
-                        box[rport] = payload
-                    elif kind == "direct":
-                        bucket = sends.get(plan[1])
-                        if bucket is None:
-                            bucket = sends[plan[1]] = []
-                        bucket.append(("dlv", other, rport, payload))
-                    else:
-                        bucket = sends.get(plan[1])
-                        if bucket is None:
-                            bucket = sends[plan[1]] = []
-                        bucket.append(("rly", other, rport, payload))
-            if sub.done:
-                self.outputs[virt] = sub.result
-                self.undone -= 1
-            else:
-                keep((virt, sub))
-        self.pending = survivors
-
-    def _absorb(self, inbox, sends):
-        table = self.forward_table
-        inbox_acc = self.virt_round_inbox
-        for port, message in inbox.items():
-            if not (isinstance(message, tuple) and message and message[0] == "vmsg"):
-                continue
-            _, payloads, fin = message
-            if fin:
-                self.announced_ports.add(port)
-            for kind, virt, rport, payload in payloads:
-                if kind == "dlv":
-                    box = inbox_acc.get(virt)
-                    if box is None:
-                        box = inbox_acc[virt] = {}
-                    box[rport] = payload
-                else:
-                    out_port = table[virt]
-                    bucket = sends.get(out_port)
-                    if bucket is None:
-                        bucket = sends[out_port] = []
-                    bucket.append(("dlv", virt, rport, payload))
-
-    def _emit(self, sends, fin):
-        if fin:
-            get = sends.get
-            return {
-                port: ("vmsg", tuple(get(port, ())), True)
-                for port in range(self.ctx.degree)
-            }
-        if not sends:
-            return None
-        return {
-            port: ("vmsg", tuple(payloads), False)
-            for port, payloads in sends.items()
-        }
-
-    def _maybe_finish(self):
-        if self.undone == 0 and self.client_ports <= self.announced_ports:
-            self.finish(dict(self.outputs))
-
-    # -- NodeProcess API --------------------------------------------------
-    def start(self):
-        sends = {}
-        fin = False
-        if self.subs:
-            self._advance(starting=True, sends=sends)
-        if self.undone == 0 and not self.announced:
-            self.announced = True
-            fin = True
-        self._maybe_finish()
-        return self._emit(sends, fin)
-
-    def receive(self, inbox):
-        sends = {}
-        self._absorb(inbox, sends)
-        self.phase += 1
-        relay_only = self.relay_only_parity and self.phase % 2 == 1
-        if not relay_only and self.undone:
-            self._advance(starting=False, sends=sends)
-        fin = False
-        if self.undone == 0 and not self.announced:
-            self.announced = True
-            fin = True
-        self._maybe_finish()
-        return self._emit(sends, fin)
-
-
-def virtualize(spec, algorithm, *, virt_inputs=None, name=None, engine=None):
+def virtualize(spec, algorithm, *, virt_inputs=None, name=None):
     """Wrap ``algorithm`` (for the derived graph) as a physical algorithm.
 
     The wrapped algorithm's output at a physical node is the dict
     ``virtual node -> output``; use :func:`flatten_outputs` to merge the
     per-host dicts into a single mapping over virtual nodes.
-
-    ``engine`` selects the host-process implementation (``"reference"``
-    or any compiled backend); ``None`` follows the ambient execution
-    record at process-construction time, so domain runs stay internally
-    consistent.
     """
     virt_inputs = virt_inputs or {}
-
-    def process(ctx):
-        kind = engine
-        if kind is None:
-            from .execution import current
-
-            kind = current().backend
-        host_cls = (
-            _VirtualHostProcess if kind == "reference" else _CompiledHostProcess
-        )
-        return host_cls(ctx, spec, algorithm, virt_inputs)
-
     return LocalAlgorithm(
         name=name or f"virtual[{algorithm.name}]",
-        process=process,
+        process=lambda ctx: _VirtualHostProcess(
+            ctx, spec, algorithm, virt_inputs
+        ),
         requires=algorithm.requires,
         randomized=algorithm.randomized,
     )

@@ -22,12 +22,11 @@ from repro.core.pruning import (
     mis_pruning,
 )
 from repro.graphs import line_graph_spec
-from repro.local import CounterRNG, run, use_batch
+from repro.local import CounterRNG, run, use_backend
 from repro.local import batch as batch_module
 from repro.local.algorithm import HostAlgorithm, capabilities_of
 from repro.local.context import counter_rng, run_key
-from repro.local.execution import current, resolve
-from repro.local.runner import last_stepping
+from repro.local.execution import resolve
 
 numpy = pytest.importorskip("numpy")
 
@@ -93,25 +92,28 @@ class TestCounterRandomBatch:
             assert int(second[position]) == stream.getrandbits(62)
 
 
+def reference_counter():
+    """The scope every kernel-less compiled run must equal (D33)."""
+    return use_backend("reference", rng="counter")
+
+
 class TestFallbackWithoutNumpy:
     def test_runs_green_and_identical(self, small_gnp, monkeypatch):
-        """With numpy gone every path falls back to per-node stepping."""
-        with use_batch(False):
+        """With numpy gone every run takes the reference loop."""
+        with reference_counter():
             expected = run(small_gnp, luby_mis(), seed=3)
         monkeypatch.setattr(batch_module, "_np", None)
         assert not batch_module.available()
-        for batching in (False, True):
-            with use_batch(batching):
-                result = run(small_gnp, luby_mis(), seed=3)
-            assert result.outputs == expected.outputs
-            assert result.rounds == expected.rounds
-            assert result.messages == expected.messages
+        result = run(small_gnp, luby_mis(), seed=3)
+        assert result.outputs == expected.outputs
+        assert result.rounds == expected.rounds
+        assert result.messages == expected.messages
 
     def test_virtual_domain_falls_back(self, small_gnp, monkeypatch):
         spec = line_graph_spec(small_gnp)
         guesses = {"m": small_gnp.max_ident**2, "Delta": 2 * small_gnp.max_degree}
         domain = VirtualDomain(small_gnp, spec)
-        with use_batch(False):
+        with reference_counter():
             expected = domain.run_restricted(
                 fast_mis(), 40, seed=5, guesses=guesses
             )
@@ -153,13 +155,12 @@ class TestFallbackWithoutNumpy:
             (h_partition(), {"a": 2, "n": small_gnp.n}),
         )
         expected = []
-        with use_batch(False):
+        with reference_counter():
             for algo, guesses in jobs:
                 expected.append(run(small_gnp, algo, seed=3, guesses=guesses))
         monkeypatch.setattr(batch_module, "_np", None)
         for (algo, guesses), want in zip(jobs, expected):
-            with use_batch(True):
-                got = run(small_gnp, algo, seed=3, guesses=guesses)
+            got = run(small_gnp, algo, seed=3, guesses=guesses)
             assert got.outputs == want.outputs
             assert got.rounds == want.rounds
             assert got.messages == want.messages
@@ -169,7 +170,7 @@ class TestFallbackWithoutNumpy:
         tentative = {u: small_gnp.ident[u] % 2 for u in small_gnp.nodes}
         pruners = (mis_pruning(), MatchingPruning())
         expected = []
-        with use_batch(False):
+        with reference_counter():
             for pruner in pruners:
                 expected.append(
                     pruner.apply(PhysicalDomain(small_gnp), {}, tentative)
@@ -241,28 +242,16 @@ class TestCapabilities:
 
 class TestBackendSelection:
     def test_batch_backend_resolves(self):
-        """Batching is a flag on the compiled record, not a backend."""
-        with use_batch(True):
-            compiled = resolve("compiled")
-            assert compiled.batch is True
-            assert compiled.rng_mode == "counter"
-            assert resolve("reference").rng_mode == "mt"
-
-    def test_batch_request_overrides_disabled_switch(self, small_gnp):
-        with use_batch(False):
-            assert current().batch is False
-            pernode = run(small_gnp, luby_mis(), seed=3)
-            assert last_stepping() == "per-node"
-            with use_batch(True):
-                forced = run(small_gnp, luby_mis(), seed=3)
-                assert last_stepping() != "per-node"
-        assert pernode.outputs == forced.outputs
-        assert pernode.rounds == forced.rounds
+        """Batching is the compiled backend's own behaviour, not a
+        backend or a flag (D33): the record carries backend and rng."""
+        compiled = resolve("compiled")
+        assert compiled.rng_mode == "counter"
+        assert not hasattr(compiled, "batch")
+        assert resolve("reference").rng_mode == "mt"
 
     def test_track_bits_falls_back(self, small_gnp):
-        """Message-size instrumentation always uses per-node stepping."""
-        with use_batch(True):
-            result = run(small_gnp, luby_mis(), seed=3, track_bits=True)
+        """Message-size instrumentation runs the reference loop."""
+        result = run(small_gnp, luby_mis(), seed=3, track_bits=True)
         assert result.max_message_bits is not None
         assert result.max_message_bits > 0
 

@@ -12,26 +12,34 @@ the CSR.  The dict loops they replaced are kept here as oracles and must
 give the same ``Violation`` lists, entry for entry and in order, on
 dict-born, CSR-born and restricted graphs.
 
-Guard: a whole Table-1 request — build, non-uniform box, uniform
+Guards: a whole Table-1 request — build, non-uniform box, uniform
 transform, oracle parameters, both verifications — never derives the
-dict view.
+dict view; and the measured requests (every Table-1 row, a
+``guess-sweep``-shaped ``run_many``, a session ``mutate`` + ``rerun``)
+only ever drive batch kernels, so a kernel that starts declining cannot
+silently move a workload onto the reference loop (D33).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
 
 import networkx as nx
 import pytest
 
+from repro.algorithms.fast_mis import fast_mis
 from repro.algorithms.greedy import greedy_matching, greedy_mis
+from repro.algorithms.hash_luby import hash_luby_mis
+from repro.algorithms.luby import luby_mis
 from repro.algorithms.registry import TABLE1
 from repro.bench import WORKLOADS as FAMILIES
 from repro.bench import harness
 from repro.errors import InvalidInstanceError
 from repro.graphs.identifiers import poly_idents
-from repro.local import SimGraph, batch
+from repro.local import GraphDelta, SimGraph, batch, open_session, run_many
+from repro.local import runner
 from repro.params import actual_parameters
 from repro.problems import (
     MAXIMAL_MATCHING,
@@ -522,10 +530,9 @@ class TestVerifierOracle:
 _FAMILY = {"mis-arb-product": "tree", "mis-arb-nonly": "tree"}
 
 
-@pytest.mark.parametrize("row_id", sorted(TABLE1))
-def test_table1_request_never_builds_dict_view(row_id):
+def _table1_request(row_id):
     """Generate, build, run both boxes and verify both outputs, as one
-    ``table1-repro`` op does, then check the dict view is still unbuilt."""
+    ``table1-repro`` op does; returns the graph."""
     seed = 5
     nx_graph = FAMILIES[_FAMILY.get(row_id, "gnp-sparse")](80, seed=seed)
     graph = SimGraph.from_networkx(nx_graph, idents=poly_idents(nx_graph, seed=seed))
@@ -537,4 +544,73 @@ def test_table1_request_never_builds_dict_view(row_id):
     actual_parameters(graph, ["n", "Delta", "m", "a"])
     assert row.problem.is_solution(graph, {}, nu_outputs)
     assert row.problem.is_solution(graph, {}, result.outputs)
-    assert graph._adj is None
+    return graph
+
+
+@pytest.mark.parametrize("row_id", sorted(TABLE1))
+def test_table1_request_never_builds_dict_view(row_id):
+    """One ``table1-repro`` op leaves the dict view unbuilt."""
+    assert _table1_request(row_id)._adj is None
+
+
+# ----------------------------------------------------------------------
+# guard: the measured requests only ever drive batch kernels
+# ----------------------------------------------------------------------
+#: The stepping tags the measured workloads may leave: a solo kernel
+#: drive, a fused chunk, and the alternation engine's per-step reset.
+WORKLOAD_TAGS = {"rf", "fused", None}
+
+
+@pytest.fixture
+def stepping_tags(monkeypatch):
+    """Every tag noted while the test runs: a spy on each module's
+    binding of :func:`repro.local.runner.note_stepping`."""
+    tags = []
+    original = runner.note_stepping
+
+    def spy(kind):
+        tags.append(kind)
+        original(kind)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and (
+            getattr(module, "note_stepping", None) is original
+        ):
+            monkeypatch.setattr(module, "note_stepping", spy)
+    return tags
+
+
+@pytest.mark.parametrize("row_id", sorted(TABLE1))
+def test_table1_request_drives_only_kernels(row_id, stepping_tags):
+    _table1_request(row_id)
+    assert "rf" in stepping_tags
+    assert set(stepping_tags) <= WORKLOAD_TAGS, row_id
+
+
+def test_sweep_and_session_drive_only_kernels(stepping_tags):
+    """A ``guess-sweep``-shaped ``run_many`` (three algorithms, two
+    lanes each, three guess levels) and a session ``mutate`` +
+    ``rerun``."""
+    nx_graph = FAMILIES["gnp-sparse"](80, seed=3)
+    graph = SimGraph.from_networkx(nx_graph, idents=poly_idents(nx_graph, seed=3))
+    truth = actual_parameters(graph, ["Delta", "m", "n"])
+    for k in (0, 1, 2):
+        guesses = (
+            {"Delta": truth["Delta"] * 2**k, "m": truth["m"] ** (k + 1)},
+            {"n": truth["n"] ** (k + 1)},
+            {},
+        )
+        run_many([
+            (graph, algorithm, {"guesses": g, "seed": s})
+            for algorithm, g in zip(
+                (fast_mis(), hash_luby_mis(), luby_mis()), guesses
+            )
+            for s in (1, 2)
+        ])
+    assert set(stepping_tags) == {"fused"}
+    stepping_tags.clear()
+    edge = next(iter(nx_graph.edges()))
+    with open_session(graph) as session:
+        session.mutate(GraphDelta(del_edges=[edge]))
+        session.rerun(luby_mis(), seed=4)
+    assert stepping_tags == ["rf"]

@@ -36,7 +36,6 @@ from repro.local import (
     run_many,
     run_restricted,
     use_backend,
-    use_batch,
 )
 from repro.problems import MIS, ColorList, SLCInput
 
@@ -239,15 +238,6 @@ class TestVirtualDomainEquivalence:
         assert outputs["reference"] == outputs["compiled"]
 
 
-def run_batch_both(graph, algorithm, rng, **kwargs):
-    """One per-node compiled run, one batched run of the same config."""
-    with use_batch(False):
-        pernode = run(graph, algorithm, backend="compiled", rng=rng, **kwargs)
-    with use_batch(True):
-        batched = run(graph, algorithm, backend="compiled", rng=rng, **kwargs)
-    return pernode, batched
-
-
 def kernel_algorithms(graph):
     """Every algorithm with a batch kernel, with good and garbage guesses."""
     good = {"m": graph.max_ident, "Delta": graph.max_degree}
@@ -269,31 +259,31 @@ def kernel_algorithms(graph):
 
 
 class TestBatchEquivalence:
-    """Batch-vs-per-node bit identity for every batched kernel (D10)."""
+    """Batch-vs-reference bit identity for every batched kernel (D10)."""
 
     @pytest.mark.parametrize("workload", ("gnp-sparse", "tree", "star-noise"))
     @pytest.mark.parametrize("rng", RNGS)
     def test_full_runs(self, workload, rng):
         graph = build_graph(WORKLOADS[workload](52, seed=3), seed=4)
         for label, algorithm, guesses in kernel_algorithms(graph):
-            pernode, batched = run_batch_both(
+            reference, batched = run_both(
                 graph, algorithm, rng, seed=11, guesses=guesses
             )
-            assert_results_equal(pernode, batched, context=(workload, rng, label))
+            assert_results_equal(
+                reference, batched, context=(workload, rng, label)
+            )
 
     @pytest.mark.parametrize("rounds", (1, 2, 7))
     def test_truncated_runs(self, small_gnp, rounds):
         for label, algorithm, guesses in kernel_algorithms(small_gnp):
-            with use_batch(False):
-                pernode = run_restricted(
+            reference, batched = (
+                run_restricted(
                     small_gnp, algorithm, rounds, default_output="cut",
-                    guesses=guesses, backend="compiled", rng="counter",
+                    guesses=guesses, backend=backend, rng="counter",
                 )
-            batched = run_restricted(
-                small_gnp, algorithm, rounds, default_output="cut",
-                guesses=guesses, backend="compiled", rng="counter",
+                for backend in BACKENDS
             )
-            assert_results_equal(pernode, batched, context=(rounds, label))
+            assert_results_equal(reference, batched, context=(rounds, label))
 
     def test_batch_matches_reference(self, small_gnp):
         for label, algorithm, guesses in kernel_algorithms(small_gnp):
@@ -346,12 +336,12 @@ class TestBatchEquivalence:
 
     def test_nontermination_parity(self, small_gnp):
         errors = {}
-        for batching in (False, True):
-            with use_batch(batching):
-                with pytest.raises(NonTerminationError) as excinfo:
-                    run(small_gnp, luby_mis(), max_rounds=1, rng="counter")
-            errors[batching] = str(excinfo.value)
-        assert errors[False] == errors[True]
+        for backend in BACKENDS:
+            with pytest.raises(NonTerminationError) as excinfo:
+                run(small_gnp, luby_mis(), max_rounds=1, backend=backend,
+                    rng="counter")
+            errors[backend] = str(excinfo.value)
+        assert errors["reference"] == errors["compiled"]
 
     @pytest.mark.parametrize("rng", RNGS)
     @pytest.mark.parametrize("budget", (2, 8, 40))
@@ -363,54 +353,53 @@ class TestBatchEquivalence:
             ("fast-mis", fast_mis(), guesses),
         ):
             outputs = {}
-            for batching in (False, True):
+            for backend in BACKENDS:
                 domain = VirtualDomain(small_gnp, spec)
-                with use_batch(batching):
-                    outputs[batching] = domain.run_restricted(
-                        algorithm, budget, seed=19, guesses=g, rng=rng
-                    )
-            assert outputs[False] == outputs[True], (label, rng, budget)
+                outputs[backend] = domain.run_restricted(
+                    algorithm, budget, seed=19, guesses=g, backend=backend,
+                    rng=rng,
+                )
+            assert outputs["reference"] == outputs["compiled"], (
+                label, rng, budget,
+            )
 
     def test_clique_product_domain(self, small_gnp):
         spec = clique_product_spec(small_gnp)
         outputs = {}
-        for batching in (False, True):
+        for backend in BACKENDS:
             domain = VirtualDomain(small_gnp, spec)
-            with use_batch(batching):
-                outputs[batching] = domain.run_restricted(
-                    luby_mis(), 30, seed=23, rng="counter"
-                )
-        assert outputs[False] == outputs[True]
+            outputs[backend] = domain.run_restricted(
+                luby_mis(), 30, seed=23, backend=backend, rng="counter"
+            )
+        assert outputs["reference"] == outputs["compiled"]
 
     def test_restricted_spec_domain(self, small_gnp):
         """Batch driver on an incrementally restricted virtual spec."""
         spec = line_graph_spec(small_gnp)
         keep = set(list(spec.virtual_nodes)[::2])
         outputs = {}
-        for batching in (False, True):
+        for backend in BACKENDS:
             domain = VirtualDomain(small_gnp, spec)
-            with use_batch(batching):
+            with use_backend(backend, rng="counter"):
                 sub = domain.subgraph(keep)
-                outputs[batching] = sub.run_restricted(
-                    luby_mis(), 24, seed=29, rng="counter"
-                )
-        assert outputs[False] == outputs[True]
+                outputs[backend] = sub.run_restricted(luby_mis(), 24, seed=29)
+        assert outputs["reference"] == outputs["compiled"]
 
     def test_matching_row_pipeline(self, small_gnp):
-        """Whole matching alternation: batch vs per-node stepping."""
+        """Whole matching alternation: batch vs the reference loop."""
         results = {}
-        for batching in (False, True):
-            with use_backend("compiled", rng="counter"):
-                with use_batch(batching):
-                    _, _, uniform = TABLE1["matching"].build()
-                    results[batching] = uniform.run(small_gnp, seed=17)
-        assert results[False].outputs == results[True].outputs
-        assert results[False].rounds == results[True].rounds
-        assert len(results[False].steps) == len(results[True].steps)
+        for backend in BACKENDS:
+            with use_backend(backend, rng="counter"):
+                _, _, uniform = TABLE1["matching"].build()
+                results[backend] = uniform.run(small_gnp, seed=17)
+        ref, cmp_ = results["reference"], results["compiled"]
+        assert ref.outputs == cmp_.outputs
+        assert ref.rounds == cmp_.rounds
+        assert len(ref.steps) == len(cmp_.steps)
 
 
 class TestKWBoundaries:
-    """The KW kernel's announcement edge cases, per node vs batch vs fused.
+    """The KW kernel's announcement edge cases, reference vs batch vs fused.
 
     A round absorbs last round's announcements by walking the
     announcers' CSR rows (DESIGN.md D28), so these are the cases that
@@ -472,10 +461,10 @@ class TestKWBoundaries:
         guesses, event = self.CASES[case]
         guesses = {"m": graph.max_ident, **guesses}
         algorithm = make()
-        pernode, batched = run_batch_both(
+        reference, batched = run_both(
             graph, algorithm, rng, seed=11, guesses=guesses
         )
-        assert_results_equal(pernode, batched, context=(case, rng))
+        assert_results_equal(reference, batched, context=(case, rng))
         assert event in kw_events
         kw_events.clear()
         jobs = [
@@ -484,8 +473,9 @@ class TestKWBoundaries:
             (graph, algorithm, {"guesses": guesses, "seed": 2}),
         ]
         for (lane_graph, _, opts), fused in zip(jobs, run_many(jobs, rng=rng)):
-            with use_batch(False):
-                solo = run(lane_graph, algorithm, rng=rng, **opts)
+            solo = run(
+                lane_graph, algorithm, backend="reference", rng=rng, **opts
+            )
             assert_results_equal(solo, fused, context=(case, rng, "fused"))
         assert event in kw_events
 
@@ -497,15 +487,15 @@ def assert_prune_results_equal(a, b, context=""):
 
 
 def apply_both(pruner, domain_factory, inputs, tentative, seed=3):
-    """One per-node pruning application, one batched, same config."""
-    with use_batch(False):
-        pernode = pruner.apply(
+    """One reference-loop pruning application, one batched, same config."""
+    with use_backend("reference", rng="counter"):
+        reference = pruner.apply(
             domain_factory(), inputs, tentative, seed=seed, salt="eq"
         )
     batched = pruner.apply(
         domain_factory(), inputs, tentative, seed=seed, salt="eq"
     )
-    return pernode, batched
+    return reference, batched
 
 
 def slc_instance(graph, rng):
@@ -523,20 +513,20 @@ def slc_instance(graph, rng):
 
 
 class TestPrunerBatchEquivalence:
-    """Batch-vs-per-node bit identity for the pruner kernels (D11)."""
+    """Batch-vs-reference bit identity for the pruner kernels (D11)."""
 
     @pytest.mark.parametrize("beta", (1, 2, 4))
     @pytest.mark.parametrize("seed", (0, 1))
     def test_ruling_set_pruning(self, small_gnp, beta, seed):
         rng = random.Random(seed)
         tentative = {u: rng.choice([0, 1]) for u in small_gnp.nodes}
-        pernode, batched = apply_both(
+        reference, batched = apply_both(
             RulingSetPruning(beta),
             lambda: PhysicalDomain(small_gnp),
             {},
             tentative,
         )
-        assert_prune_results_equal(pernode, batched, (beta, seed))
+        assert_prune_results_equal(reference, batched, (beta, seed))
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_matching_pruning(self, small_gnp, seed):
@@ -551,29 +541,29 @@ class TestPrunerBatchEquivalence:
                 tentative[u] = ("U", small_gnp.ident[u])
             else:
                 tentative[u] = 0  # truncation default
-        pernode, batched = apply_both(
+        reference, batched = apply_both(
             MatchingPruning(), lambda: PhysicalDomain(small_gnp), {}, tentative
         )
-        assert_prune_results_equal(pernode, batched, seed)
+        assert_prune_results_equal(reference, batched, seed)
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_slc_pruning_rewrites_inputs_identically(self, small_gnp, seed):
         inputs, tentative = slc_instance(small_gnp, random.Random(seed))
-        pernode, batched = apply_both(
+        reference, batched = apply_both(
             SLCPruning(), lambda: PhysicalDomain(small_gnp), inputs, tentative
         )
-        assert_prune_results_equal(pernode, batched, seed)
-        survivors = set(small_gnp.nodes) - pernode.pruned
+        assert_prune_results_equal(reference, batched, seed)
+        survivors = set(small_gnp.nodes) - reference.pruned
         rewritten = [
             u
             for u in survivors
-            if pernode.new_inputs[u].colors.removed
+            if reference.new_inputs[u].colors.removed
         ]
         assert rewritten  # the rewrite actually bit
         for u in rewritten:
             assert (
                 batched.new_inputs[u].colors.removed
-                == pernode.new_inputs[u].colors.removed
+                == reference.new_inputs[u].colors.removed
             )
 
     def test_restricted_domain_survivors(self, medium_gnp):
@@ -582,15 +572,15 @@ class TestPrunerBatchEquivalence:
         sub = PhysicalDomain(medium_gnp).subgraph(keep)
         rng = random.Random(7)
         tentative = {u: rng.choice([0, 1]) for u in sub.nodes}
-        pernode, batched = apply_both(
+        reference, batched = apply_both(
             RulingSetPruning(2), lambda: sub, {}, tentative
         )
-        assert_prune_results_equal(pernode, batched)
+        assert_prune_results_equal(reference, batched)
         inputs, slc_tent = slc_instance(sub.as_simgraph(), random.Random(9))
-        pernode, batched = apply_both(
+        reference, batched = apply_both(
             SLCPruning(), lambda: sub, inputs, slc_tent
         )
-        assert_prune_results_equal(pernode, batched)
+        assert_prune_results_equal(reference, batched)
 
     def test_virtual_domain_pruning(self, small_gnp):
         """Pruner kernels through the virtual batch driver (line graph)."""
@@ -607,10 +597,10 @@ class TestPrunerBatchEquivalence:
             (RulingSetPruning(1), mis_bits),
             (MatchingPruning(), matching),
         ):
-            pernode, batched = apply_both(
+            reference, batched = apply_both(
                 pruner, lambda: VirtualDomain(small_gnp, spec), {}, tentative
             )
-            assert_prune_results_equal(pernode, batched, pruner.name)
+            assert_prune_results_equal(reference, batched, pruner.name)
 
     def test_restricted_spec_survivors(self, small_gnp):
         """Pruner kernels on an incrementally restricted VirtualSpec."""
@@ -619,18 +609,18 @@ class TestPrunerBatchEquivalence:
         sub = VirtualDomain(small_gnp, spec).subgraph(keep)
         rng = random.Random(13)
         tentative = {v: rng.choice([0, 1]) for v in sub.nodes}
-        pernode, batched = apply_both(
+        reference, batched = apply_both(
             RulingSetPruning(1), lambda: sub, {}, tentative
         )
-        assert_prune_results_equal(pernode, batched)
+        assert_prune_results_equal(reference, batched)
 
     def test_unhashable_values_fall_back(self, small_gnp):
         """Unencodable ŷ values decline batching but stay correct."""
         tentative = {u: ["unhashable", u] for u in small_gnp.nodes}
-        pernode, batched = apply_both(
+        reference, batched = apply_both(
             MatchingPruning(), lambda: PhysicalDomain(small_gnp), {}, tentative
         )
-        assert_prune_results_equal(pernode, batched)
+        assert_prune_results_equal(reference, batched)
 
     def test_pruner_runs_as_plain_algorithm(self, small_gnp):
         """The pruner's LocalAlgorithm itself satisfies the D10 contract."""
@@ -640,20 +630,18 @@ class TestPrunerBatchEquivalence:
         }
         for pruner in (RulingSetPruning(2), MatchingPruning()):
             algo = pruner.algorithm()
-            with use_batch(False):
-                pernode = run_restricted(
+            reference, batched = (
+                run_restricted(
                     small_gnp, algo, pruner.rounds, default_output=("keep", None),
-                    inputs=pair_inputs, backend="compiled", rng="counter",
+                    inputs=pair_inputs, backend=backend, rng="counter",
                 )
-            batched = run_restricted(
-                small_gnp, algo, pruner.rounds, default_output=("keep", None),
-                inputs=pair_inputs, backend="compiled", rng="counter",
+                for backend in BACKENDS
             )
-            assert_results_equal(pernode, batched, context=pruner.name)
+            assert_results_equal(reference, batched, context=pruner.name)
 
     def test_alternation_records_backends(self, small_gnp):
         """StepRecords attribute both runs of a step to their backend."""
-        with use_backend("compiled", rng="counter"), use_batch(True):
+        with use_backend("compiled", rng="counter"):
             _, _, uniform = TABLE1["luby"].build()
             result = uniform.run(small_gnp, seed=13)
         assert result.steps
@@ -669,14 +657,15 @@ class TestPrunerBatchEquivalence:
                 "seconds": summary["rf|rf"]["seconds"],
             }
         }
-        with use_backend("compiled", rng="counter"), use_batch(False):
+        with use_backend("reference", rng="counter"):
             _, _, uniform = TABLE1["luby"].build()
-            pernode = uniform.run(small_gnp, seed=13)
+            reference = uniform.run(small_gnp, seed=13)
         assert all(
-            step.backends == ("per-node", "per-node") for step in pernode.steps
+            step.backends == ("reference", "reference")
+            for step in reference.steps
         )
-        assert pernode.outputs == result.outputs
-        assert pernode.rounds == result.rounds
+        assert reference.outputs == result.outputs
+        assert reference.rounds == result.rounds
 
 
 class TestVirtualRunFullBatch:
@@ -688,18 +677,18 @@ class TestVirtualRunFullBatch:
     def test_line_graph_full(self, small_gnp, rng):
         spec = line_graph_spec(small_gnp)
         domain = VirtualDomain(small_gnp, spec)
-        with use_batch(False):
-            pernode = domain.run_full(luby_mis(), seed=23, rng=rng)
+        with use_backend("reference", rng="counter"):
+            reference = domain.run_full(luby_mis(), seed=23, rng=rng)
         batched = domain.run_full(luby_mis(), seed=23, rng=rng)
-        assert pernode == batched
+        assert reference == batched
 
     def test_clique_product_full(self, small_gnp):
         spec = clique_product_spec(small_gnp)
         domain = VirtualDomain(small_gnp, spec)
-        with use_batch(False):
-            pernode = domain.run_full(luby_mis(), seed=23, rng="counter")
+        with use_backend("reference", rng="counter"):
+            reference = domain.run_full(luby_mis(), seed=23, rng="counter")
         batched = domain.run_full(luby_mis(), seed=23, rng="counter")
-        assert pernode == batched
+        assert reference == batched
 
     def test_matches_reference_stack(self, small_gnp):
         spec = line_graph_spec(small_gnp)
@@ -719,21 +708,21 @@ class TestVirtualRunFullBatch:
             "m": small_gnp.max_ident**2,
             "Delta": 2 * small_gnp.max_degree,
         }
-        with use_batch(False):
-            pernode = domain.run_full(fast_mis(), seed=9, guesses=guesses)
+        with use_backend("reference", rng="counter"):
+            reference = domain.run_full(fast_mis(), seed=9, guesses=guesses)
         batched = domain.run_full(fast_mis(), seed=9, guesses=guesses)
-        assert pernode == batched
+        assert reference == batched
 
     def test_nontermination_parity(self, small_gnp):
         spec = line_graph_spec(small_gnp)
         domain = VirtualDomain(small_gnp, spec)
         errors = {}
-        for batching in (False, True):
-            with use_batch(batching):
+        for backend in BACKENDS:
+            with use_backend(backend, rng="counter"):
                 with pytest.raises(NonTerminationError) as excinfo:
                     domain.run_full(luby_mis(), seed=23, max_rounds=2)
-            errors[batching] = str(excinfo.value)
-        assert errors[False] == errors[True]
+            errors[backend] = str(excinfo.value)
+        assert errors["reference"] == errors["compiled"]
 
 
 def spec_signature(spec):
@@ -745,7 +734,6 @@ def spec_signature(spec):
         spec.send_plan,
         spec.forward_plan,
         spec.relay_client_ports,
-        spec.routes,
     )
 
 

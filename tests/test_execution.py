@@ -6,10 +6,10 @@ default.  Removed backend names are rejected with the valid ones listed,
 the removed ``shard_channel=``, ``shards=``, ``faults=``, ``lanes=``,
 ``errors=``, ``on_lane_done=`` and ``seeds=`` keywords are a
 ``TypeError`` at every entry point that once took them, the
-fault-injection, racing and round-fuse switch names are gone from the
-API, the compiled engine refuses ``rng="mt"`` at every entry point
-(D29), the batch switch takes real bools only, and a call without
-overrides resolves to the ambient record itself.
+fault-injection, racing, round-fuse and batch switch names are gone
+from the API, the compiled engine refuses ``rng="mt"`` at every entry
+point (D29), and a call without overrides resolves to the ambient
+record itself.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.local import (
     run,
     run_many,
     use_backend,
-    use_batch,
 )
 from repro.local import fused
 from repro.local.execution import current, resolve
@@ -52,20 +51,16 @@ class RecordingEnviron(dict):
 class TestEnvironmentParser:
     def test_defaults_when_unset_or_blank(self):
         assert Execution.from_env({}) == Execution()
-        assert Execution.from_env({"REPRO_BATCH": "  "}) == Execution()
+        assert Execution.from_env({"REPRO_BACKEND": "  "}) == Execution()
 
     def test_values_parse(self):
         execution = Execution.from_env({
             "REPRO_BACKEND": "reference",
             "REPRO_RNG": "mt",
-            "REPRO_BATCH": "No",
         })
-        assert execution == Execution(
-            backend="reference", rng="mt", batch=False,
-        )
+        assert execution == Execution(backend="reference", rng="mt")
 
     @pytest.mark.parametrize("name,raw", [
-        ("REPRO_BATCH", "maybe"),
         ("REPRO_BACKEND", "batch"),
         ("REPRO_BACKEND", "sharded"),
         ("REPRO_RNG", "xorshift"),
@@ -197,6 +192,18 @@ class TestRemovedNames:
             with pytest.raises(ImportError):
                 from repro.local import use_roundfuse  # noqa: F401
 
+    def test_batch_switch_removed(self):
+        """D33: a compiled run without a batch kernel is the reference
+        loop under ``rng="counter"``, so the switch that selected the
+        per-node compiled loop — variable, scope and field — is gone."""
+        environ = RecordingEnviron(REPRO_BATCH="0")
+        assert Execution.from_env(environ) == Execution()
+        assert environ.asked and "REPRO_BATCH" not in environ.asked
+        with pytest.raises(ImportError):
+            from repro.local import use_batch  # noqa: F401
+        with pytest.raises(TypeError, match="batch"):
+            Execution(batch=False)
+
 
 def entry_point(graph, entry, **removed):
     """Call one public execution entry point with ``removed`` keywords."""
@@ -237,15 +244,12 @@ class TestResolution:
     def test_counts_must_be_ints(self, small_gnp, name, value):
         """Bad counts raise showing the value as passed, instead of being
         truncated (2.7 -> 2, True -> 1), misreported (0.5 -> 0) or
-        reported back as a negative round count.  The same holds for
-        the on/off switches, which once coerced with ``bool()`` — so
-        ``use_batch("off")`` turned batching on."""
+        reported back as a negative round count.  No switch takes such
+        a value silently either: ``batch`` is not a field (D33), so
+        every value, ``"off"`` included, is a ``TypeError``."""
         if name != "max_rounds":
-            shown = f"{name} must be a bool, got {value!r}"
-            for call in (lambda: Execution(**{name: value}),
-                         lambda: use_batch(value).__enter__()):
-                with pytest.raises(ParameterError, match=re.escape(shown)):
-                    call()
+            with pytest.raises(TypeError, match=name):
+                Execution(**{name: value})
             return
         if isinstance(value, int) and not isinstance(value, bool):
             shown = f"{name} must be >= 0, got {value!r}"
@@ -287,9 +291,9 @@ class TestResolution:
 
     def test_scopes_swap_and_restore_the_record(self):
         before = current()
-        with use_batch(False):
-            assert not current().batch
-            assert current().backend == before.backend
+        with use_backend("reference", rng="counter"):
+            assert current().backend == "reference"
+            assert current().rng == "counter"
         assert current() is before
 
     def test_lanes_on_any_compiled_scope(self, small_gnp, monkeypatch):

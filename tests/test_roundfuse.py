@@ -5,10 +5,11 @@ Every algorithm that registers a batch kernel is driven through
 :func:`repro.local.batch.drive_kernel` on full, truncated, pruner and
 virtual runs, and each run is diffed field for field against the
 reference loop (``rng="counter"``, the only scheme the compiled tiers
-draw, D29) and against per-node compiled stepping (``use_batch(False)``).
-Caps shorter than a lockstep schedule, and kernels without a dedicated
-loop, go through :func:`repro.local.batch.generic_fixedpoint` with the
-same round-by-round truncation.
+draw, D29).  Caps shorter than a lockstep schedule, and kernels without
+a dedicated loop, go through :func:`repro.local.batch.generic_fixedpoint`
+with the same round-by-round truncation.  A compiled run that drives no
+kernel takes the reference loop itself (D33); the fallback ladder pins
+every trigger of that.
 """
 
 from __future__ import annotations
@@ -29,21 +30,19 @@ from repro.core.domain import PhysicalDomain, VirtualDomain
 from repro.core.pruning import MatchingPruning, RulingSetPruning
 from repro.errors import NonTerminationError
 from repro.graphs import line_graph_spec
-from repro.local import run, run_restricted, use_backend, use_batch
+from repro.local import (
+    LocalAlgorithm,
+    run,
+    run_restricted,
+    use_backend,
+    virtualize,
+)
 from repro.local import batch as batch_module
 from repro.local.algorithm import capabilities_of
 from repro.local.batch import batch_graph_of
 from repro.local.runner import last_stepping
 
 numpy = pytest.importorskip("numpy")
-
-
-@pytest.fixture(autouse=True)
-def batching_on():
-    """Every test here diffs the kernel runs: pin batching on (the
-    suite stays green under ``REPRO_BATCH=0`` too)."""
-    with use_batch(True):
-        yield
 
 
 #: The compiled tiers draw the counter scheme only (DESIGN.md D29).
@@ -58,11 +57,10 @@ RESULT_FIELDS = (
     "max_message_bits",
 )
 
-#: The three ways a run can execute, each with the tag it leaves.
+#: The two ways a run can execute, each with the tag it leaves.
 STRATEGIES = (
-    ("reference", "reference", True),
-    ("per-node", "compiled", False),
-    ("rf", "compiled", True),
+    ("reference", "reference"),
+    ("rf", "compiled"),
 )
 
 
@@ -89,20 +87,19 @@ def kernel_algorithms(graph):
     ]
 
 
-def run_three_ways(call):
-    """``call()`` under the reference loop, per-node compiled stepping
-    and the round-fused driver; checks each run's stepping tag."""
+def run_both_ways(call):
+    """``call()`` under the reference loop and the round-fused driver;
+    checks each run's stepping tag."""
     results = {}
-    for tag, backend, batching in STRATEGIES:
-        with use_backend(backend, rng="counter"), use_batch(batching):
+    for tag, backend in STRATEGIES:
+        with use_backend(backend, rng="counter"):
             results[tag] = call()
             assert last_stepping() == tag
     return results
 
 
-def assert_three_equal(results, context):
-    assert_results_equal(results["reference"], results["rf"], (context, "ref"))
-    assert_results_equal(results["per-node"], results["rf"], (context, "pn"))
+def assert_both_equal(results, context):
+    assert_results_equal(results["reference"], results["rf"], context)
 
 
 @pytest.fixture
@@ -121,33 +118,33 @@ def generic_calls(monkeypatch):
 
 
 class TestFusedBitIdentity:
-    """rf ≡ reference ≡ per-node for every kernel algorithm (D17, D30)."""
+    """rf ≡ reference for every kernel algorithm (D17, D30)."""
 
     @pytest.mark.parametrize("rng", RNGS)
     def test_full_runs(self, small_gnp, rng):
         for label, algorithm, guesses in kernel_algorithms(small_gnp):
-            results = run_three_ways(
+            results = run_both_ways(
                 lambda: run(small_gnp, algorithm, seed=11, guesses=guesses)
             )
-            assert_three_equal(results, (rng, label))
+            assert_both_equal(results, (rng, label))
 
     @pytest.mark.parametrize("rounds", (1, 2, 7, 40))
     def test_truncated_runs(self, small_gnp, rounds):
         """Restriction parity — including caps shorter than a schedule
         and fixed-point truncation."""
         for label, algorithm, guesses in kernel_algorithms(small_gnp):
-            results = run_three_ways(
+            results = run_both_ways(
                 lambda: run_restricted(
                     small_gnp, algorithm, rounds, default_output="cut",
                     guesses=guesses,
                 )
             )
-            assert_three_equal(results, (rounds, label))
+            assert_both_equal(results, (rounds, label))
 
     @pytest.mark.parametrize("rng", RNGS)
     def test_virtual_runs(self, small_gnp, rng):
         """Drives through the virtual (line-graph) batch driver equal
-        the host simulation on both host engines."""
+        the host simulation."""
         spec = line_graph_spec(small_gnp)
         guesses = {
             "m": (small_gnp.max_ident + 2) ** 2,
@@ -159,16 +156,14 @@ class TestFusedBitIdentity:
         )
         for algorithm, g, budget in jobs:
             outs = {}
-            for tag, backend, batching in STRATEGIES:
-                with use_backend(backend, rng=rng), use_batch(batching):
+            for tag, backend in STRATEGIES:
+                with use_backend(backend, rng=rng):
                     outs[tag] = VirtualDomain(small_gnp, spec).run_restricted(
                         algorithm, budget, inputs=None, guesses=g,
                         seed=7, salt="rf", default_output=0,
                     )
-                    if tag == "rf":
-                        assert last_stepping() == "rf"
+                    assert last_stepping() == tag
             assert outs["reference"] == outs["rf"], (rng, algorithm.name)
-            assert outs["per-node"] == outs["rf"], (rng, algorithm.name)
 
     @pytest.mark.parametrize("beta", (1, 3))
     def test_pruner_application(self, small_gnp, beta):
@@ -176,63 +171,138 @@ class TestFusedBitIdentity:
         rng = random.Random(beta)
         tentative = {u: rng.choice([0, 1]) for u in small_gnp.nodes}
         results = {}
-        for tag, backend, batching in STRATEGIES:
-            with use_backend(backend, rng="counter"), use_batch(batching):
+        for tag, backend in STRATEGIES:
+            with use_backend(backend, rng="counter"):
                 results[tag] = RulingSetPruning(beta).apply(
                     PhysicalDomain(small_gnp), {}, dict(tentative)
                 )
-        for tag in ("reference", "per-node"):
-            assert results[tag].pruned == results["rf"].pruned, tag
-            assert results[tag].new_inputs == results["rf"].new_inputs, tag
-            assert results[tag].rounds == results["rf"].rounds, tag
+        want, got = results["reference"], results["rf"]
+        assert want.pruned == got.pruned
+        assert want.new_inputs == got.new_inputs
+        assert want.rounds == got.rounds
 
     def test_nontermination_parity(self, small_gnp):
         """Without truncation every strategy raises the same divergence."""
         raised = {}
-        for tag, backend, batching in STRATEGIES:
-            with use_backend(backend, rng="counter"), use_batch(batching):
+        for tag, backend in STRATEGIES:
+            with use_backend(backend, rng="counter"):
                 with pytest.raises(NonTerminationError) as err:
                     run(small_gnp, luby_mis(), seed=11, max_rounds=1)
             raised[tag] = (err.value.rounds, str(err.value))
         assert raised["rf"][0] == 1
-        assert raised["reference"] == raised["rf"] == raised["per-node"]
+        assert raised["reference"] == raised["rf"]
 
     def test_whole_alternation(self, small_gnp):
-        """Theorem-2 pipeline: rf ≡ reference ≡ per-node, steps tagged."""
+        """Theorem-2 pipeline: rf ≡ reference, steps tagged."""
         outcomes = {}
-        for tag, backend, batching in STRATEGIES:
-            with use_backend(backend, rng="counter"), use_batch(batching):
+        for tag, backend in STRATEGIES:
+            with use_backend(backend, rng="counter"):
                 _, _, uniform = TABLE1["luby"].build()
                 outcomes[tag] = uniform.run(small_gnp, seed=13)
-        fused = outcomes["rf"]
-        for tag in ("reference", "per-node"):
-            assert fused.outputs == outcomes[tag].outputs, tag
-            assert fused.rounds == outcomes[tag].rounds, tag
-            assert all(
-                step.backends == (tag, tag) for step in outcomes[tag].steps
-            )
+        fused, reference = outcomes["rf"], outcomes["reference"]
+        assert fused.outputs == reference.outputs
+        assert fused.rounds == reference.rounds
+        assert all(
+            step.backends == ("reference", "reference")
+            for step in reference.steps
+        )
         assert all(step.backends == ("rf", "rf") for step in fused.steps)
         assert "via rf/rf" in render_trace(fused)
-        assert "via per-node/per-node" in render_trace(outcomes["per-node"])
+        assert "via reference/reference" in render_trace(reference)
+
+
+def declining(algorithm):
+    """``algorithm`` with a batch factory that declines every run."""
+    return LocalAlgorithm(
+        f"{algorithm.name}-declined",
+        algorithm.process,
+        requires=algorithm.requires,
+        randomized=algorithm.randomized,
+        batch=lambda bg, setup: None,
+    )
+
+
+#: Every way a compiled run ends up driving no kernel (D33), as
+#: ``trigger -> (algorithm factory, run options, numpy present)``.
+KERNEL_LESS = {
+    "no-kernel": (
+        lambda: LocalAlgorithm(
+            "luby-no-kernel", luby_mis().process, randomized=True
+        ),
+        {},
+        True,
+    ),
+    "factory-declines": (lambda: declining(luby_mis()), {}, True),
+    "track-bits": (luby_mis, {"track_bits": True}, True),
+    "no-numpy": (luby_mis, {}, False),
+}
 
 
 class TestFallbackLadder:
     """What runs off the phase path: caps shorter than a lockstep
     schedule and kernels without a dedicated loop run
-    ``generic_fixedpoint``; ``use_batch(False)`` and ``track_bits``
-    keep the per-node path."""
+    ``generic_fixedpoint``; a compiled run that drives no kernel takes
+    the reference loop under ``rng="counter"`` (D33)."""
 
-    def test_kill_switch(self, small_gnp):
-        """``use_batch(False)`` (``REPRO_BATCH=0``) is the one switch
-        that turns the rf drive off: per-node stepping, same bits."""
-        with use_batch(False):
-            off = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                      backend="compiled")
-            assert last_stepping() == "per-node"
-        on = run(small_gnp, luby_mis(), seed=3, rng="counter",
-                 backend="compiled")
-        assert last_stepping() == "rf"
-        assert_results_equal(off, on, context="kill-switch")
+    @pytest.mark.parametrize("trigger", sorted(KERNEL_LESS))
+    def test_kernel_less_runs_take_the_reference_loop(
+        self, small_gnp, monkeypatch, trigger
+    ):
+        """Each remaining trigger: the compiled run is tagged
+        ``reference`` and equals ``backend="reference", rng="counter"``
+        field for field — full, truncated, diverging and virtual."""
+        make, options, numpy_present = KERNEL_LESS[trigger]
+        spec = line_graph_spec(small_gnp)  # the array builder needs numpy
+        if not numpy_present:
+            monkeypatch.setattr(batch_module, "_np", None)
+        algorithm = make()
+
+        def each_backend(call):
+            results = {}
+            for backend in ("reference", "compiled"):
+                with use_backend(backend, rng="counter"):
+                    results[backend] = call()
+                    assert last_stepping() == "reference", backend
+            return results
+
+        runs = (
+            lambda: run(small_gnp, algorithm, seed=3, **options),
+            lambda: run_restricted(
+                small_gnp, algorithm, 2, default_output="cut", seed=3,
+                **options,
+            ),
+        )
+        for call in runs:
+            results = each_backend(call)
+            assert_results_equal(
+                results["reference"], results["compiled"], trigger
+            )
+        assert results["compiled"].truncated
+
+        def diverge():
+            with pytest.raises(NonTerminationError) as err:
+                run(small_gnp, algorithm, seed=3, max_rounds=1, **options)
+            return err.value.rounds, str(err.value)
+
+        raised = each_backend(diverge)
+        assert raised["reference"] == raised["compiled"]
+
+        if options:
+            # Domains take no track_bits: run the host simulation itself.
+            wrapped = virtualize(spec, algorithm)
+            virtual = each_backend(
+                lambda: run(small_gnp, wrapped, seed=3, **options)
+            )
+            assert_results_equal(
+                virtual["reference"], virtual["compiled"], trigger
+            )
+            return
+        virtual = each_backend(
+            lambda: VirtualDomain(small_gnp, spec).run_restricted(
+                algorithm, 6, seed=3, default_output=-1,
+            )
+        )
+        assert virtual["reference"] == virtual["compiled"]
 
     @pytest.mark.parametrize("cap", (0, 1, 3))
     def test_cap_below_schedule_physical(self, small_gnp, generic_calls,
@@ -244,13 +314,13 @@ class TestFallbackLadder:
         )
         for algorithm, guesses in jobs:
             generic_calls.clear()
-            results = run_three_ways(
+            results = run_both_ways(
                 lambda: run_restricted(
                     small_gnp, algorithm, cap, default_output="cut",
                     guesses=guesses,
                 )
             )
-            assert_three_equal(results, (cap, algorithm.name))
+            assert_both_equal(results, (cap, algorithm.name))
             assert results["rf"].truncated == frozenset(small_gnp.nodes)
             [(_, driven_cap, schedule)] = generic_calls
             assert driven_cap == cap < schedule, algorithm.name
@@ -263,9 +333,9 @@ class TestFallbackLadder:
         guesses = {"a": 2, "n": small_gnp.n**8}
         budget = 2
         outs = {}
-        for tag, backend, batching in STRATEGIES:
+        for tag, backend in STRATEGIES:
             generic_calls.clear()
-            with use_backend(backend, rng="counter"), use_batch(batching):
+            with use_backend(backend, rng="counter"):
                 domain = VirtualDomain(small_gnp, spec)
                 outs[tag] = domain.run_restricted(
                     algorithm, budget, guesses=guesses, default_output=-1,
@@ -274,7 +344,6 @@ class TestFallbackLadder:
         physical_cap = outs["rf"][1]
         assert driven_cap == physical_cap // spec.dilation < schedule
         assert outs["reference"] == outs["rf"]
-        assert outs["per-node"] == outs["rf"]
         assert set(outs["rf"][0].values()) == {-1}
 
     @pytest.mark.parametrize("label", ("fast-mis", "fast-coloring"))
@@ -288,18 +357,18 @@ class TestFallbackLadder:
             label: (algorithm, guesses)
             for label, algorithm, guesses in kernel_algorithms(small_gnp)
         }[label]
-        results = run_three_ways(
+        results = run_both_ways(
             lambda: run(small_gnp, algorithm, seed=5, guesses=guesses)
         )
-        assert_three_equal(results, label)
+        assert_both_equal(results, label)
         [(kernel_cls, _, _)] = generic_calls
         assert issubclass(kernel_cls, ColoringBatchKernel)
 
     def test_track_bits_degrades(self, small_gnp):
-        """Message-size tracking keeps the per-node path (no kernel)."""
+        """Message-size tracking drives no kernel, yet counts the same
+        rounds and messages as the rf drive."""
         tracked = run(small_gnp, luby_mis(), seed=3, rng="counter",
                       backend="compiled", track_bits=True)
-        assert last_stepping() == "per-node"
         assert tracked.max_message_bits is not None
         fused = run(small_gnp, luby_mis(), seed=3, rng="counter",
                     backend="compiled")
@@ -343,10 +412,10 @@ class TestLockstepKernelCache:
     def test_mis_sweep_stays_dynamic(self, small_gnp):
         """MIS sweep-mode undone sets shrink per round — never cached."""
         guesses = {"m": small_gnp.max_ident, "Delta": small_gnp.max_degree}
-        results = run_three_ways(
+        results = run_both_ways(
             lambda: run_restricted(
                 small_gnp, fast_mis(), 3, default_output=0, guesses=guesses,
             )
         )
-        assert_three_equal(results, "mis-sweep")
+        assert_both_equal(results, "mis-sweep")
         assert MISBatchKernel.undone_indices is not None

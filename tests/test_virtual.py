@@ -72,7 +72,6 @@ def spec_fields(spec):
         "send_plan": spec.send_plan,
         "forward_plan": spec.forward_plan,
         "recv_port": spec.recv_port,
-        "routes": spec.routes,
     }
 
 
@@ -208,7 +207,6 @@ class TestArrayLineGraphMatchesDictOracle:
         assert spec._recv_port is None
         assert spec._send_plan is None
         assert spec._forward_plan is None
-        assert spec._routes is None
 
 
 class TestVirtualSpecValidation:
