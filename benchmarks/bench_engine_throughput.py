@@ -61,6 +61,7 @@ from repro.local import (  # noqa: E402
     run_many,
     use_backend,
 )
+from repro.local.batch import numpy_or_none  # noqa: E402
 from repro.local.fused import LANE_WIDTH  # noqa: E402
 from repro.local.runner import last_stepping  # noqa: E402
 
@@ -907,14 +908,6 @@ def _provenance(baseline):
     return commit, None
 
 
-def _numpy_version():
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy.__version__
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="quick regression gate")
@@ -998,7 +991,7 @@ def main(argv=None):
             "meta": {
                 "commit": commit,
                 "python": platform.python_version(),
-                "numpy": _numpy_version(),
+                "numpy": getattr(numpy_or_none(), "__version__", None),
                 "machine": platform.machine(),
                 "cores": os.cpu_count(),
                 "note": (
