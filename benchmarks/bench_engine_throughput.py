@@ -49,6 +49,7 @@ from repro.algorithms import TABLE1  # noqa: E402
 from repro.algorithms.arboricity import h_partition  # noqa: E402
 from repro.algorithms.fast_coloring import fast_coloring_rounds  # noqa: E402
 from repro.algorithms.fast_mis import fast_mis  # noqa: E402
+from repro.algorithms.hash_luby import hash_luby_mis  # noqa: E402
 from repro.algorithms.luby import luby_mis  # noqa: E402
 from repro.bench import WORKLOADS, build_graph  # noqa: E402
 from repro.core.domain import VirtualDomain  # noqa: E402
@@ -596,6 +597,16 @@ def unit_matching_dense(n, reps):
     return _per_backend(make, reps, backends=("batch",), warm=False)
 
 
+def _same_run(a, b):
+    """Two runs agree on outputs, rounds, messages and finish rounds."""
+    return (
+        a.outputs == b.outputs
+        and a.rounds == b.rounds
+        and a.messages == b.messages
+        and a.finish_round == b.finish_round
+    )
+
+
 def check_bit_identity(n=120):
     """Quick identity check across every stepping strategy (smoke net).
 
@@ -628,12 +639,7 @@ def check_bit_identity(n=120):
                     return False
         first = results[0]
         for other in results[1:]:
-            if (
-                first.outputs != other.outputs
-                or first.rounds != other.rounds
-                or first.messages != other.messages
-                or first.finish_round != other.finish_round
-            ):
+            if not _same_run(first, other):
                 return False
     # Fused identity (D16): every lane of a multi-run slab — mixed
     # algorithms, mixed seeds — must equal its solo run; a lane
@@ -646,13 +652,23 @@ def check_bit_identity(n=120):
         solo = run(
             g, a, seed=opts["seed"], guesses=opts.get("guesses"), rng=rng
         )
-        if (
-            solo.outputs != got.outputs
-            or solo.rounds != got.rounds
-            or solo.messages != got.messages
-            or solo.finish_round != got.finish_round
-        ):
+        if not _same_run(solo, got):
             return False
+    # Guess-sweep identity (D34): a chunk shaped like perfbench's
+    # guess-sweep at k = 2 — fast MIS at Δ̃ = 4Δ, m̃ = m³ and hash-Luby
+    # at ñ = n³ — runs the longest KW schedules and the most Luby slot
+    # compactions; every lane must equal its solo run on both strategies.
+    over = {"Delta": 4 * graph.max_degree, "m": graph.max_ident**3}
+    sweep = [
+        (graph, a, {"guesses": g, "seed": s})
+        for a, g in ((fast_mis(), over), (hash_luby_mis(), {"n": graph.n**3}))
+        for s in (3, 4)
+    ]
+    for (g, a, opts), got in zip(sweep, run_many(sweep, rng=rng)):
+        for backend in BACKENDS:
+            with _backend_context(backend):
+                if not _same_run(run(g, a, rng=rng, **opts), got):
+                    return False
     # Whole-alternation identity: guess runs AND pruner runs must agree
     # across every stepping strategy (D11 pruner batch contract).  The
     # rng scheme is pinned — the strategies are only comparable under
@@ -738,15 +754,7 @@ def check_bit_identity(n=120):
             rng="counter",
         )
         pairs.extend(zip(live_lanes, cold_lanes))
-    for live, cold in pairs:
-        if (
-            live.outputs != cold.outputs
-            or live.rounds != cold.rounds
-            or live.messages != cold.messages
-            or live.finish_round != cold.finish_round
-        ):
-            return False
-    return True
+    return all(_same_run(live, cold) for live, cold in pairs)
 
 
 def full_suite():

@@ -84,7 +84,7 @@ class FastColoringProcess(NodeProcess):
 
 
 #: Batch-kernel safety bounds: a Linial step scans up to ``q`` point
-#: columns of length ``n`` and the KW taken matrix is ``n × (Δ̃+1)``;
+#: columns of length ``n`` and the KW taken matrix is at most ``n × (Δ̃+1)``;
 #: configurations beyond these fall back to the reference loop rather
 #: than allocate absurd scratch.
 _BATCH_Q_LIMIT = 2048
@@ -103,21 +103,24 @@ class ColoringBatchKernel:
     one global round counter replaces n per-node stage pointers and each
     round is a handful of numpy operations over the CSR slab:
 
-    * rounds ``1..L`` — Linial reductions: digit-decompose the colors,
-      then scan the points of ``F_q`` in order, evaluating every node's
-      polynomial at point ``x`` (one Horner pass) only when the scan
-      reaches it, and cover-check against rival neighbours through a
-      per-row OR over the edge slab — the scan usually ends at ``x ≈ 0``;
-    * rounds ``L+1..L+K`` — KW halving: the announcer set of a round is
-      one slice of the phase's rank-sorted order, chosen values are
-      per-row first-free scans, and the next round scatters each
-      announcement into its same-group neighbours' ``taken`` rows by
-      walking the announcers' CSR rows — O(Σ degree of announcers).
+    * rounds ``1..L`` — Linial reductions: rivals are the slots whose
+      endpoints' reduced colors differ (one int64 compare per slot),
+      then the scan walks the points of ``F_q`` in order, evaluating
+      every node's polynomial at point ``x`` (one Horner pass over its
+      digits) only when the scan reaches it, and cover-checks against
+      the still-searching rivals — the scan usually ends at ``x ≈ 0``;
+    * rounds ``L+1..L+K`` — KW halving: each phase sorts its nodes by
+      rank once and lays out their CSR slots in that order, so a round's
+      announcers and their slots are two slices; chosen values are
+      per-row first-free scans over at most ``2·max_degree + 1``
+      columns, and the next round scatters each announcement into its
+      same-group neighbours' ``taken`` rows — O(Σ degree of announcers).
 
     Identities can exceed 64 bits on derived graphs, so the *first*
-    digit decomposition runs in Python big-int arithmetic when the color
-    space demands it; every later palette is tiny.  Bit-identity with
-    the per-node machines is asserted by the equivalence suite.
+    reduction runs in Python big-int arithmetic when the color space
+    demands it; every later palette is tiny.  Bit-identity with the
+    reference loop under ``rng="counter"`` is asserted by the
+    equivalence suite.
     """
 
     __slots__ = (
@@ -134,6 +137,9 @@ class ColoringBatchKernel:
         "group",
         "rank_order",
         "rank_bounds",
+        "plan_k",
+        "plan_dst",
+        "slot_bounds",
         "taken",
         "announced",
         "in_sweep",
@@ -199,18 +205,27 @@ class ColoringBatchKernel:
 
     def _enter_phase(self):
         np = batch.numpy_or_none()
+        bg = self.bg
         group_size = 2 * (self.delta + 1)
         self.group = self.colors // group_size
-        self.taken = np.zeros((self.bg.n, self.delta + 1), dtype=bool)
-        # The phase's whole announcer schedule, once: ranks are below
-        # 2·_BATCH_DELTA_LIMIT, so the stable sort runs on uint16 keys
-        # (a radix sort), and round r announces
-        # rank_order[rank_bounds[r]:rank_bounds[r + 1]].
+        # A row's taken set holds at most one carried value plus one
+        # in-phase value per neighbour, so its first free value is below
+        # 2·max_degree + 1 and the columns past that are never read.
+        width = min(self.delta + 1, 2 * int(bg.degrees.max(initial=0)) + 1)
+        self.taken = np.zeros((bg.n, width), dtype=bool)
+        # The phase's whole announcer schedule and slot plan, once: ranks
+        # are below 2·_BATCH_DELTA_LIMIT, so the stable sort runs on
+        # uint16 keys (a radix sort).  Round r announces
+        # rank_order[rank_bounds[r]:rank_bounds[r + 1]], whose CSR slots
+        # are plan_k/plan_dst[slot_bounds[r]:slot_bounds[r + 1]].
         rank = (self.colors % group_size).astype(np.uint16)
         self.rank_order = np.argsort(rank, kind="stable")
-        self.rank_bounds = np.searchsorted(
+        bounds = np.searchsorted(
             rank[self.rank_order], np.arange(group_size + 1)
-        ).tolist()
+        )
+        self.plan_k, self.plan_dst = bg.row_slots(self.rank_order)
+        self.rank_bounds = bounds.tolist()
+        self.slot_bounds = np.searchsorted(self.plan_k, bounds).tolist()
 
     def _complete(self):
         """Schedule exhausted: commit final colors (1-based)."""
@@ -245,27 +260,37 @@ class ColoringBatchKernel:
         digits = np.empty((n, d + 1), dtype=np.int32)
         if self.colors is not None:
             # Machine-word colors: when the evaluation space exceeds the
-            # color range the modulo is the identity, so the peel stays
-            # in int64 either way.
-            value = self.colors % space if space < _BATCH_COLOR_LIMIT else self.colors.copy()
+            # color range the modulo is the identity.
+            reduced = self.colors % space if space < _BATCH_COLOR_LIMIT else self.colors
+        elif space < _BATCH_COLOR_LIMIT:
+            # First reduction of a huge identity space whose reduced
+            # space fits machine words.
+            reduced = np.asarray(
+                [c % space for c in self.colors_obj], dtype=np.int64
+            )
+        else:
+            # Even the reduced space overflows: peel digits with Python
+            # big ints, then stay in machine words forever after.
+            reduced = None
+            for i, c in enumerate(self.colors_obj):
+                value = c % space
+                for j in range(d + 1):
+                    digits[i, j] = value % q
+                    value //= q
+        if reduced is not None:
+            value = reduced
             for j in range(d + 1):
                 digits[:, j] = value % q
-                value //= q
+                value = value // q
+            # Rivals: neighbours with a different reduced color, one
+            # int64 compare per slot.
+            rival = np.flatnonzero(reduced[bg.owner] != reduced[bg.neigh])
         else:
-            # First reduction of a huge identity space: peel digits with
-            # Python big ints where even the reduced space overflows,
-            # then stay in machine words forever after.
-            reduced = [c % space for c in self.colors_obj]
-            if space < _BATCH_COLOR_LIMIT:
-                value = np.asarray(reduced, dtype=np.int64)
-                for j in range(d + 1):
-                    digits[:, j] = value % q
-                    value //= q
-            else:
-                for i, value in enumerate(reduced):
-                    for j in range(d + 1):
-                        digits[i, j] = value % q
-                        value //= q
+            # Digit rows uniquely encode values below the space, so
+            # comparing them is comparing the reduced colors.
+            rival = np.flatnonzero(
+                ~(digits[bg.owner] == digits[bg.neigh]).all(axis=1)
+            )
 
         def column(x):
             # p_u(x) over F_q for every node u: one Horner pass (values
@@ -276,9 +301,6 @@ class ColoringBatchKernel:
                 col = (col * x + digits[:, j]) % q
             return col
 
-        # Rivals: neighbours with a different reduced color (digit rows
-        # uniquely encode values below the space).
-        rival = np.flatnonzero(~(digits[bg.owner] == digits[bg.neigh]).all(axis=1))
         # First-free-point scan, one evaluation column at a time with
         # early exit: a random-like collision pattern frees almost every
         # node at x = 0, so the expected work is O(edges), not O(edges·q)
@@ -313,28 +335,29 @@ class ColoringBatchKernel:
 
     def _kw_step(self, j):
         np = batch.numpy_or_none()
-        bg = self.bg
         group_size = 2 * (self.delta + 1)
         phase_round = (j - 1) % group_size
         if self.announced is not None:
-            # Sender-side absorb: walk last round's announcers' CSR rows;
-            # a neighbour takes the value when its current group is the
+            # Sender-side absorb over last round's announcers' slots: a
+            # neighbour takes the value when its current group is the
             # one it was announced under (the same test across a phase
             # boundary, where the groups were just recomputed).
-            rows, value, group = self.announced
-            k, w = bg.row_slots(rows)
-            hit = self.group[w] == group[rows][k]
-            self.taken[w[hit], value[k[hit]]] = True
+            src, dst, value, group = self.announced
+            hit = self.group[dst] == group[src]
+            self.taken[dst[hit], value[hit]] = True
             self.announced = None
-        bounds = self.rank_bounds
-        rows = self.rank_order[bounds[phase_round]:bounds[phase_round + 1]]
+        lo, hi = self.rank_bounds[phase_round:phase_round + 2]
         messages = 0
-        if len(rows):
+        if hi > lo:
+            rows = self.rank_order[lo:hi]
             free = ~self.taken[rows]
             value = np.where(free.any(axis=1), free.argmax(axis=1), 0)
             self.colors[rows] = self.group[rows] * (self.delta + 1) + value
-            self.announced = rows, value, self.group
-            messages = bg.charge(rows)
+            # Each slot's sender as its position in this round's slice.
+            a, b = self.slot_bounds[phase_round:phase_round + 2]
+            k = self.plan_k[a:b] - lo
+            self.announced = rows[k], self.plan_dst[a:b], value[k], self.group
+            messages = self.bg.charge(rows)
         finished, results = [], []
         if j % group_size == 0:
             self.kw_index += 1

@@ -117,8 +117,6 @@ class LubyBatchKernel:
         "alive",
         "prio",
         "phase",
-        "winners",
-        "deciding",
         "done",
     )
 
@@ -130,8 +128,6 @@ class LubyBatchKernel:
         self.alive = bg.degrees > 0
         self.prio = np.zeros(bg.n, dtype=np.uint64)
         self.phase = 0
-        self.winners = None
-        self.deciding = True
         self.done = False
 
     def undone_indices(self):
@@ -155,57 +151,18 @@ class LubyBatchKernel:
         messages = self._draw_bids()
         return isolated, [1] * len(isolated), messages
 
-    def step(self):
-        np = batch.numpy_or_none()
-        bg = self.bg
-        alive = self.alive
-        if self.deciding:
-            # Decision round: a bidder beating every live rival joins.
-            own, nb = bg.owner, bg.neigh
-            po, pn = self.prio[own], self.prio[nb]
-            rival = alive[own] & alive[nb]
-            rival &= (pn < po) | ((pn == po) & (nb < own))
-            beaten = batch.row_flags(own[rival], bg.n)
-            winners = alive & ~beaten
-            self.alive = alive & beaten
-            self.winners = winners
-            self.deciding = False
-            self.done = not bool(self.alive.any())
-            finished = np.flatnonzero(winners).tolist()
-            messages = bg.charge(winners)
-            return finished, [1] * len(finished), messages
-        # Retirement round: losers hear the wins, survivors rebid.
-        heard = self.winners[bg.neigh] & alive[bg.owner]
-        retired = alive & batch.row_flags(bg.owner[heard], bg.n)
-        alive = alive & ~retired
-        finished = np.flatnonzero(retired).tolist()
-        results = [0] * len(finished)
-        if self.budget is not None and self.phase >= self.budget:
-            cut = np.flatnonzero(alive).tolist()
-            finished.extend(cut)
-            results.extend([NOT_IN_SET] * len(cut))
-            alive[:] = False
-        self.alive = alive
-        self.deciding = True
-        messages = 0
-        if alive.any():
-            messages = self._draw_bids()
-        else:
-            self.done = True
-        return finished, results, messages
-
-
     def run_fixedpoint(self, cap):
-        """Frontier-to-fixed-point drive for the round-fused tier (D17).
+        """The kernel's one stepping loop (D17, D34).
 
         Executes the whole decide/retire phase alternation inside one
         call with the hot-loop locals hoisted (CSR slabs, priority
         array, budget) and no per-round ledger bookkeeping; the driver
         settles the returned ``(round, finished, results)`` events
-        afterwards.  The divergence cap is enforced in here — at most
-        ``cap`` rounds execute, and a mid-phase exit leaves the kernel
-        state exactly where stepping round by round would have left it
-        (``undone_indices`` reads ``alive``).
+        afterwards.  Each decision round reads only the slots still
+        live at both ends, so a round costs O(live edges) once the
+        frontier has shrunk.  The divergence cap is enforced in here —
+        at most ``cap`` rounds execute, and a mid-phase exit leaves
+        ``alive`` (what ``undone_indices`` reads) as of that round.
         """
         np = batch.numpy_or_none()
         events = []
@@ -224,16 +181,20 @@ class LubyBatchKernel:
         alive = self.alive
         while not self.done and rounds < cap:
             # Decision round: a bidder beating every live rival joins.
+            # Dead nodes stay dead, so once at most half of the slot list
+            # is live–live it shrinks to those slots: later rounds (this
+            # retirement's win notices among them) read no other slot.
             rounds += 1
-            po, pn = prio[own], prio[nb]
             rival = alive[own] & alive[nb]
+            if 2 * np.count_nonzero(rival) <= len(own):
+                own, nb = own[rival], nb[rival]
+                rival = rival[rival]
+            po, pn = prio[own], prio[nb]
             rival &= (pn < po) | ((pn == po) & (nb < own))
             beaten = flags(own[rival], n)
             winners = alive & ~beaten
             alive = alive & beaten
             self.alive = alive
-            self.winners = winners
-            self.deciding = False
             self.done = not bool(alive.any())
             joined = flatnonzero(winners).tolist()
             messages += charge(winners)
@@ -254,7 +215,6 @@ class LubyBatchKernel:
                 results.extend([NOT_IN_SET] * len(cut))
                 alive = alive & False
             self.alive = alive
-            self.deciding = True
             if alive.any():
                 messages += self._draw_bids()
             else:

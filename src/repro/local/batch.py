@@ -41,7 +41,8 @@ A kernel instance drives one run:
     terminated this round, ``results`` their outputs, ``messages`` the
     number of point-to-point deliveries the round produced.
 ``step() -> (finished, results, messages)``
-    One communication round.
+    One communication round (a kernel with its own
+    ``run_fixedpoint(cap)`` loop, such as Luby's, has no ``step``).
 ``done``
     True once every node has terminated.
 ``undone_indices() -> list``

@@ -42,6 +42,8 @@ Select per call (``run(..., backend=..., rng=...)``) or per scope
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from ..errors import NonTerminationError, ParameterError
 from .algorithm import capabilities_of
 from .context import NodeContext, rng_source
@@ -296,7 +298,7 @@ def _run_reference(
     track_bits,
     rng_mode,
 ):
-    """The specification loop: dict inboxes reallocated every round.
+    """The specification loop: fresh dict inboxes every round.
 
     Kept verbatim from the seed implementation (modulo the pluggable rng
     scheme) as the oracle for the batch kernels' equivalence suite, and
@@ -324,8 +326,9 @@ def _run_reference(
     max_bits = 0
     active = []
 
-    # Round 0: wake-up.  `pending[u]` maps the receiver's port -> payload.
-    pending = {u: {} for u in graph.nodes}
+    # Round 0: wake-up.  `pending[u]` maps the receiver's port -> payload;
+    # only a node that receives a message gets an inbox.
+    pending = defaultdict(dict)
 
     def route(u, outgoing):
         nonlocal messages, max_bits
@@ -379,11 +382,11 @@ def _run_reference(
             raise NonTerminationError(algorithm.name, cap, active)
         rounds += 1
         delivery = pending
-        pending = {u: {} for u in graph.nodes}
+        pending = defaultdict(dict)
         still_active = []
         for u in active:
             process = processes[u]
-            route(u, process.receive(delivery[u]))
+            route(u, process.receive(delivery.get(u, {})))
             if process.done:
                 outputs[u] = process.result
                 finish_round[u] = rounds

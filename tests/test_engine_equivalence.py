@@ -438,14 +438,15 @@ class TestKWBoundaries:
                     events.add("empty-run")
                 return out
             quiet[0] = 0
-            rows, _, group = kernel.announced
-            k, w = kernel.bg.row_slots(rows)
-            if numpy.isin(w, rows).any():
+            # One entry per announcer slot: sender, receiver, value, and
+            # the group array the senders announced under.
+            src, dst, _, group = kernel.announced
+            if numpy.isin(dst, src).any():
                 events.add("adjacent")
             next_phase = kernel.kw_index > entered and not (
                 kernel.done or kernel.in_sweep
             )
-            if next_phase and (kernel.group[w] == group[rows][k]).any():
+            if next_phase and (kernel.group[dst] == group[src]).any():
                 events.add("cross")
             return out
 
