@@ -53,6 +53,7 @@ from repro.algorithms.hash_luby import hash_luby_mis  # noqa: E402
 from repro.algorithms.luby import luby_mis  # noqa: E402
 from repro.bench import WORKLOADS, build_graph  # noqa: E402
 from repro.core.domain import VirtualDomain  # noqa: E402
+from repro.core.pruning import MatchingPruning  # noqa: E402
 from repro.graphs import line_graph_spec  # noqa: E402
 from repro.local import (  # noqa: E402
     GraphDelta,
@@ -60,6 +61,7 @@ from repro.local import (  # noqa: E402
     open_session,
     run,
     run_many,
+    run_restricted,
     use_backend,
 )
 from repro.local.batch import numpy_or_none  # noqa: E402
@@ -612,7 +614,8 @@ def check_bit_identity(n=120):
 
     Covers the two stepping strategies — the ``batch ≡ reference``
     contract, where ``batch`` is the round-fused drive of every kernel
-    family — plus fused lanes, whole alternations (the matching row's on
+    family, lockstep schedules cut by their cap included — plus fused
+    lanes, whole alternations (the matching row's on
     the line-graph virtual domain among them) and live sessions.
     """
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=8), seed=8)
@@ -641,6 +644,28 @@ def check_bit_identity(n=120):
         for other in results[1:]:
             if not _same_run(first, other):
                 return False
+    # Cut-cap lockstep identity (D35): a cap below a lockstep schedule
+    # settles by arithmetic and runs no kernel code, so h-partition
+    # (schedule 25) and P_MM (schedule 3) truncated below it must equal
+    # the reference loop's truncated run, messages included.
+    draw = random.Random(8).choice
+    tentative = {u: (None, draw((0, 1, 2))) for u in sorted(graph.nodes)}
+    cut_jobs = (
+        (h_partition(), {"a": 2, "n": 1 << 24}, None, 3),
+        (MatchingPruning().algorithm(), None, tentative, 2),
+    )
+    for algo, g, inputs, cap in cut_jobs:
+        results = []
+        for backend in BACKENDS:
+            with _backend_context(backend):
+                results.append(run_restricted(
+                    graph, algo, cap, guesses=g, inputs=inputs, rng=rng,
+                ))
+                if backend == "batch" and last_stepping() != "rf":
+                    return False
+        first, other = results
+        if not _same_run(first, other) or first.truncated != other.truncated:
+            return False
     # Fused identity (D16): every lane of a multi-run slab — mixed
     # algorithms, mixed seeds — must equal its solo run; a lane
     # divergence fails the gate with exit 2.

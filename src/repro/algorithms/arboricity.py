@@ -84,30 +84,11 @@ class HPartitionKernel(batch.LockstepKernel):
     peeling stage stops paying one Python ``receive`` per node.
     """
 
-    __slots__ = ("threshold", "phases", "cls", "prev_peeled")
+    __slots__ = ("threshold",)
 
     def __init__(self, bg, threshold, phases):
         super().__init__(bg, schedule=phases)
-        np = batch.numpy_or_none()
         self.threshold = threshold
-        self.phases = phases
-        self.cls = np.zeros(bg.n, dtype=np.int64)
-        self.prev_peeled = np.zeros(bg.n, dtype=bool)
-
-    def step(self):
-        np = batch.numpy_or_none()
-        bg = self.bg
-        self.round += 1
-        peeled_neighbours = np.bincount(
-            bg.owner[self.prev_peeled[bg.neigh]], minlength=bg.n
-        )
-        alive = bg.degrees - peeled_neighbours
-        fresh = (self.cls == 0) & (alive <= self.threshold)
-        self.cls[fresh] = self.round
-        if self.round < self.phases:
-            self.prev_peeled = self.cls != 0
-            return [], [], self._broadcast()
-        return self.finish([int(c) for c in self.cls.tolist()])
 
     def run_phases(self):
         """Fused peeling to fixed point (D17).
@@ -123,9 +104,9 @@ class HPartitionKernel(batch.LockstepKernel):
         bg = self.bg
         neigh, owner, degrees = bg.neigh, bg.owner, bg.degrees
         threshold = self.threshold
-        cls = self.cls
-        prev_peeled = self.prev_peeled
-        for r in range(1, self.phases + 1):
+        cls = np.zeros(bg.n, dtype=np.int64)
+        prev_peeled = np.zeros(bg.n, dtype=bool)
+        for r in range(1, self.schedule + 1):
             peeled_neighbours = np.bincount(
                 owner[prev_peeled[neigh]], minlength=bg.n
             )
@@ -134,9 +115,7 @@ class HPartitionKernel(batch.LockstepKernel):
                 break
             cls[fresh] = r
             prev_peeled = cls != 0
-        self.round = self.phases
-        self.prev_peeled = cls != 0
-        return self.finish([int(c) for c in cls.tolist()])[1]
+        return [int(c) for c in cls.tolist()]
 
 
 def _h_partition_batch_factory():

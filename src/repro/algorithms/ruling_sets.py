@@ -84,51 +84,23 @@ class BitwiseRulingKernel(batch.LockstepKernel):
     walks it in lockstep, so the per-round work is one boolean gather
     over the edge slab: a 1-side candidate drops out when some neighbour
     was still a candidate last round and shows a 0 bit at the round's
-    index.  Identities may exceed 64 bits (derived-graph encodings), so
-    each round's bit column is peeled with Python big-int arithmetic —
-    lazily, one column per step, since every column is read exactly
-    once.
+    index.
     """
 
-    __slots__ = ("bits", "cand", "prev_cand")
-
-    def __init__(self, bg, bits):
-        super().__init__(bg, schedule=bits)
-        np = batch.numpy_or_none()
-        self.bits = bits
-        self.cand = np.ones(bg.n, dtype=bool)
-        self.prev_cand = self.cand
-
-    def _column(self):
-        """Everyone's bit at index ``bits - round`` (MSB first)."""
-        np = batch.numpy_or_none()
-        shift = self.bits - self.round
-        return np.array(
-            [(ident >> shift) & 1 for ident in self.bg.idents], dtype=bool
-        )
-
-    def step(self):
-        bg = self.bg
-        self.round += 1
-        column = self._column()
-        zero_rival = self.prev_cand[bg.neigh] & ~column[bg.neigh]
-        blocked = batch.row_flags(bg.owner[zero_rival], bg.n)
-        self.cand = self.cand & ~(column & blocked)
-        if self.round < self.bits:
-            self.prev_cand = self.cand
-            return [], [], self._broadcast()
-        return self.finish([1 if c else 0 for c in self.cand.tolist()])
+    __slots__ = ()
 
     def _column_matrix(self):
-        """All ``bits`` columns in round order as one (n, bits) matrix.
+        """All ``schedule`` bit columns in round order as one
+        (n, schedule) matrix.
 
-        One big-int pass (``to_bytes`` per identity) replaces the
-        per-round O(n) Python column peel: ``unpackbits`` emits each
+        Identities may exceed 64 bits (derived-graph encodings), so the
+        bits are peeled with Python big-int arithmetic, in one pass
+        (``to_bytes`` per identity): ``unpackbits`` emits each
         identity's masked bits MSB-first, which *is* the round order
         (round r reads bit index ``bits - r``).
         """
         np = batch.numpy_or_none()
-        bits = self.bits
+        bits = self.schedule
         nbytes = (bits + 7) // 8
         mask = (1 << bits) - 1
         packed = b"".join(
@@ -141,24 +113,21 @@ class BitwiseRulingKernel(batch.LockstepKernel):
         """Fused MSB→LSB cascade over the precomputed bit matrix (D17).
 
         No fixed point exists here (every round reads a different
-        column), so the win is hoisting the per-round Python column
-        build and ledger bookkeeping out of the ``bits``-long loop.
+        column).  A round reads the candidate flags its neighbours
+        broadcast the round before, which are the flags ``cand`` holds
+        when the round starts.
         """
+        np = batch.numpy_or_none()
         bg = self.bg
         colmat = self._column_matrix().astype(bool)
         neigh, owner = bg.neigh, bg.owner
-        cand = self.cand
-        prev_cand = self.prev_cand
-        for r in range(self.bits):
+        cand = np.ones(bg.n, dtype=bool)
+        for r in range(self.schedule):
             column = colmat[:, r]
-            zero_rival = prev_cand[neigh] & ~column[neigh]
+            zero_rival = cand[neigh] & ~column[neigh]
             blocked = batch.row_flags(owner[zero_rival], bg.n)
             cand = cand & ~(column & blocked)
-            prev_cand = cand
-        self.prev_cand = prev_cand
-        self.cand = cand
-        self.round = self.bits
-        return self.finish([1 if c else 0 for c in cand.tolist()])[1]
+        return [1 if c else 0 for c in cand.tolist()]
 
 
 def _bitwise_batch_factory():

@@ -250,7 +250,7 @@ class RulingSetPruneKernel(batch.LockstepKernel):
     scatter — no per-node dispatch.
     """
 
-    __slots__ = ("beta", "y_in", "center", "center_near", "prev_flag")
+    __slots__ = ("beta", "y_in")
 
     def __init__(self, bg, inputs, beta):
         super().__init__(bg, schedule=1 + beta)
@@ -260,29 +260,6 @@ class RulingSetPruneKernel(batch.LockstepKernel):
             [in_set(y) for y in _tentative_of(inputs, bg.labels, 0)],
             dtype=bool,
         )
-        self.center = None
-        self.center_near = None
-        self.prev_flag = None
-
-    def step(self):
-        np = batch.numpy_or_none()
-        bg = self.bg
-        self.round += 1
-        r = self.round
-        if r == 1:
-            rival = self.y_in[bg.owner] & self.y_in[bg.neigh]
-            beaten = batch.row_flags(bg.owner[rival], bg.n)
-            self.center = self.y_in & ~beaten
-            self.center_near = np.zeros(bg.n, dtype=bool)
-            self.prev_flag = self.center
-            return [], [], self._broadcast()
-        heard = self.prev_flag[bg.neigh]
-        self.center_near |= batch.row_flags(bg.owner[heard], bg.n)
-        if r < self.beta + 1:
-            self.prev_flag = self.center | self.center_near
-            return [], [], self._broadcast()
-        pruned = self.center | (~self.y_in & self.center_near)
-        return self.finish([PRUNE if p else KEEP for p in pruned.tolist()])
 
     def run_phases(self):
         """Fused center detection + β-flood to fixed point (D17).
@@ -308,12 +285,8 @@ class RulingSetPruneKernel(batch.LockstepKernel):
                 break
             center_near = new_near
             prev_flag = center | center_near
-        self.center = center
-        self.center_near = center_near
-        self.prev_flag = prev_flag
-        self.round = self.beta + 1
         pruned = center | (~y_in & center_near)
-        return self.finish([PRUNE if p else KEEP for p in pruned.tolist()])[1]
+        return [PRUNE if p else KEEP for p in pruned.tolist()]
 
 
 def _ruling_prune_batch_factory(beta):
@@ -429,39 +402,30 @@ class MatchingPruneKernel(batch.LockstepKernel):
     reduces the saturation test ``all neighbours matched``.
     """
 
-    __slots__ = ("y", "same_count", "eq", "matched")
+    __slots__ = ("y",)
 
     def __init__(self, bg, codes):
         super().__init__(bg, schedule=3)
         np = batch.numpy_or_none()
         self.y = np.asarray(codes, dtype=np.int64)
-        self.same_count = None
-        self.eq = None
-        self.matched = None
 
-    def step(self):
+    def run_phases(self):
         np = batch.numpy_or_none()
         bg = self.bg
         own, nb = bg.owner, bg.neigh
-        self.round += 1
-        r = self.round
-        if r == 1:
-            self.eq = self.y[own] == self.y[nb]
-            self.same_count = np.bincount(own[self.eq], minlength=bg.n)
-            # cnt(v) per neighbour is sent as targeted messages — one per
-            # port, which is exactly one payload per edge slot.
-            return [], [], self._broadcast()
-        if r == 2:
-            excluded = self.eq.astype(np.int64)
-            their_count = self.same_count[nb] - excluded
-            my_count = self.same_count[own] - excluded
-            hit = self.eq & (their_count == 0) & (my_count == 0)
-            self.matched = batch.row_flags(own[hit], bg.n)
-            return [], [], self._broadcast()
-        matched_neighbours = np.bincount(own[self.matched[nb]], minlength=bg.n)
-        all_matched = matched_neighbours == bg.degrees
-        pruned = self.matched | all_matched
-        return self.finish([PRUNE if p else KEEP for p in pruned.tolist()])
+        eq = self.y[own] == self.y[nb]
+        same_count = np.bincount(own[eq], minlength=bg.n)
+        # cnt(v) per neighbour travels as targeted messages — one per
+        # port, so round 1 charges one payload per edge slot, as the
+        # driver's lockstep ledger assumes.
+        excluded = eq.astype(np.int64)
+        their_count = same_count[nb] - excluded
+        my_count = same_count[own] - excluded
+        hit = eq & (their_count == 0) & (my_count == 0)
+        matched = batch.row_flags(own[hit], bg.n)
+        matched_neighbours = np.bincount(own[matched[nb]], minlength=bg.n)
+        pruned = matched | (matched_neighbours == bg.degrees)
+        return [PRUNE if p else KEEP for p in pruned.tolist()]
 
 
 def _matching_prune_batch_factory():
@@ -562,7 +526,7 @@ class SLCPruneKernel(batch.LockstepKernel):
     makes the D11 new-inputs contract satisfiable at all).
     """
 
-    __slots__ = ("xs", "ys", "codes", "ok")
+    __slots__ = ("xs", "ys", "codes")
 
     def __init__(self, bg, xs, ys, codes):
         super().__init__(bg, schedule=2)
@@ -570,40 +534,34 @@ class SLCPruneKernel(batch.LockstepKernel):
         self.xs = xs
         self.ys = ys
         self.codes = np.asarray(codes, dtype=np.int64)
-        self.ok = None
 
-    def step(self):
+    def run_phases(self):
+        np = batch.numpy_or_none()
         bg = self.bg
-        self.round += 1
-        if self.round == 1:
-            own, nb = bg.owner, bg.neigh
-            clash = self.codes[own] == self.codes[nb]
-            conflicted = batch.row_flags(own[clash], bg.n)
-            np = batch.numpy_or_none()
-            in_list = np.array(
-                [
-                    isinstance(x, SLCInput) and y in x.colors
-                    for x, y in zip(self.xs, self.ys)
-                ],
-                dtype=bool,
-            )
-            self.ok = in_list & ~conflicted
-            return [], [], self._broadcast()
-        offsets, neigh = bg.offsets, bg.neigh
-        ok = self.ok
-        ys = self.ys
+        offsets, own, neigh = bg.offsets, bg.owner, bg.neigh
+        clash = self.codes[own] == self.codes[neigh]
+        conflicted = batch.row_flags(own[clash], bg.n)
+        xs, ys = self.xs, self.ys
+        in_list = np.array(
+            [
+                isinstance(x, SLCInput) and y in x.colors
+                for x, y in zip(xs, ys)
+            ],
+            dtype=bool,
+        )
+        ok = in_list & ~conflicted
         results = []
         for i, pruned in enumerate(ok.tolist()):
             if pruned:
                 results.append(PRUNE)
                 continue
-            x = self.xs[i]
+            x = xs[i]
             if isinstance(x, SLCInput):
                 row = neigh[offsets[i] : offsets[i + 1]]
                 used = [ys[j] for j in row[ok[row]].tolist()]
                 x = SLCInput(x.delta_hat, x.colors.without(used), x.base_color)
             results.append(("keep", x))
-        return self.finish(results)
+        return results
 
 
 def _slc_prune_batch_factory():

@@ -34,20 +34,27 @@ configuration) every caller falls back to the reference loop under
 :class:`~repro.local.algorithm.LocalAlgorithm` through its ``batch``
 factory; eligibility rules live in :func:`make_engine_kernel`.
 
-A kernel instance drives one run:
+A kernel instance drives one run through exactly one stepping loop,
+chosen by its shape:
 
-``start() -> (finished, results, messages)``
-    Round 0 (wake-up).  ``finished`` is a list of node indices that
-    terminated this round, ``results`` their outputs, ``messages`` the
-    number of point-to-point deliveries the round produced.
-``step() -> (finished, results, messages)``
-    One communication round (a kernel with its own
-    ``run_fixedpoint(cap)`` loop, such as Luby's, has no ``step``).
-``done``
-    True once every node has terminated.
-``undone_indices() -> list``
-    Indices still running, ascending — what truncation forces to the
-    default output (and what :class:`NonTerminationError` reports).
+``run_phases() -> results``
+    A :class:`LockstepKernel` (fixed ``schedule``, every node active
+    until the last round): the whole schedule in one call, returning
+    every node's result in index order.  The driver settles everything
+    else arithmetically, including a cap the schedule does not fit.
+``run_fixedpoint(cap) -> (events, rounds, messages)``
+    A self-terminating frontier (the Luby family): its own loop up to
+    ``cap`` rounds, leaving truncation to :func:`settle`.
+``start()``, then ``step()`` per round ``-> (finished, results, messages)``
+    Everything else (the coloring/MIS kernels), stepped by
+    :func:`generic_fixedpoint`.  ``finished`` lists the node indices
+    that terminated that round, ``results`` their outputs, ``messages``
+    the point-to-point deliveries the round produced.
+
+Every kernel also exposes ``done`` (true once every node terminated)
+and ``undone_indices()`` — the indices still running, ascending: what
+truncation forces to the default output (and what
+:class:`NonTerminationError` reports).
 
 The contract with the reference loop is *bit-identity*: for the same
 ``(graph, algorithm, inputs, guesses, seed, salt)`` the kernel must
@@ -305,29 +312,21 @@ class LockstepKernel:
     """Base for kernels whose nodes all run the full fixed schedule.
 
     The pruners, the bitwise ruling cascade and the H-partition peeling
-    keep *every* node active until the final round and broadcast one
-    payload per edge slot per round, so their bookkeeping is identical:
-    ``undone_indices`` is always the whole column, each non-final round
-    charges ``degrees.sum()`` messages, and the final round reports all
-    results with :meth:`finish`.  Subclasses keep only their own state
-    in ``__slots__`` and implement ``step()``.
-
-    ``schedule`` is the number of ``step()`` calls the kernel takes to
-    finish (every node terminates on exactly the last one).  When it
-    fits the round cap, the round-fused driver (DESIGN.md D17) runs the
-    whole schedule inside one :meth:`run_phases` call and the
-    message total settles arithmetically as
-    ``schedule × degrees.sum()`` — ``start`` plus steps 1..schedule-1
-    each charge one full broadcast, the finishing step charges 0.
+    keep *every* node active until round ``schedule``, when all of them
+    terminate together, and broadcast one payload per edge slot in
+    every earlier round (round 0 included).  So a run's ledger is a
+    function of ``schedule`` and the cap alone, and
+    :func:`drive_kernel` settles it without kernel code: a subclass
+    keeps only its inputs in ``__slots__`` and implements
+    :meth:`run_phases`.
     """
 
-    __slots__ = ("bg", "round", "done", "schedule", "_undone")
+    __slots__ = ("bg", "schedule", "done", "_undone")
 
     def __init__(self, bg, schedule):
         self.bg = bg
-        self.round = 0
-        self.done = False
         self.schedule = schedule
+        self.done = False
         self._undone = None
 
     def undone_indices(self):
@@ -336,43 +335,28 @@ class LockstepKernel:
             undone = self._undone = list(range(self.bg.n))
         return undone
 
-    def _broadcast(self):
-        return self.bg.charge()
-
-    def start(self):
-        return [], [], self._broadcast()
-
-    def finish(self, results):
-        """Mark the run done and report every node's result."""
-        self.done = True
-        return list(range(self.bg.n)), results, 0
-
     def run_phases(self):
-        """Execute the remaining schedule in one call; return results.
+        """Run the whole schedule in one call; return every node's
+        result in index order.
 
-        The generic fallback simply loops ``step()`` — subclasses
-        override with a fused phase loop that skips the per-round
-        bookkeeping (and may early-exit once their state provably stops
-        changing).  The driver has already consumed :meth:`start`'s
-        accounting arithmetically, so only the results list matters
-        here; callers must have checked ``schedule`` fits the round cap.
+        Must equal the per-node process under ``rng="counter"`` bit for
+        bit.  It may stop early only at a proven fixed point (a round
+        that changes nothing makes every later round identical).
         """
-        results = None
-        while not self.done:
-            _, results, _ = self.step()
-        return results
+        raise NotImplementedError
 
 
 def generic_fixedpoint(kernel, cap):
-    """Step a kernel to its fixed point in one call.
+    """Step a ``start``/``step`` kernel to its fixed point in one call.
 
-    The round-fused driver's default (D17, D30) for kernels without a
-    dedicated ``run_fixedpoint``, and for lockstep schedules the cap
-    cuts short: ``start`` then ``step`` until done or ``cap`` rounds,
-    recording each round's ``(round, finished, results)`` event, with
-    the ledger bookkeeping (dict writes, checkpoint probing) left to
-    :func:`settle`.  A kernel still undone afterwards is the caller's
-    truncation/non-termination case.
+    The round-fused driver's loop (D17, D30) for kernels with neither
+    :meth:`LockstepKernel.run_phases` nor a dedicated
+    ``run_fixedpoint`` — the coloring/MIS kernels: ``start`` then
+    ``step`` until done or ``cap`` rounds, recording each round's
+    ``(round, finished, results)`` event, with the ledger bookkeeping
+    (dict writes, checkpoint probing) left to :func:`settle`.  A kernel
+    still undone afterwards is the caller's truncation/non-termination
+    case.
     """
     events = []
     finished, results, messages = kernel.start()
@@ -392,27 +376,32 @@ def generic_fixedpoint(kernel, cap):
 def drive_kernel(kernel, cap):
     """Run a freshly built kernel's whole schedule, at most ``cap`` rounds.
 
-    * **Phase-fused** — a :class:`LockstepKernel` whose ``schedule``
-      fits the cap runs :meth:`~LockstepKernel.run_phases`: every node
-      finishes at round ``schedule`` and the message total settles
-      arithmetically as ``schedule × degrees.sum()``.
+    * **Lockstep** — a :class:`LockstepKernel` settles by arithmetic
+      (D35).  When its ``schedule`` fits the cap it runs
+      :meth:`~LockstepKernel.run_phases`: every node finishes at round
+      ``schedule`` and the messages are ``schedule × degrees.sum()``.
+      When the cap cuts the schedule short no node can have finished,
+      so no kernel code runs: the drive is ``cap`` rounds with no
+      event and ``(cap + 1) × degrees.sum()`` messages (round 0 and
+      rounds 1..cap each broadcast on every edge slot).
     * **Fixed-point** — a kernel with a dedicated ``run_fixedpoint``
       (the Luby family) runs it.
-    * **Generic** — everything else, including a lockstep schedule the
-      cap cuts short, runs :func:`generic_fixedpoint`.
+    * **Generic** — everything else runs :func:`generic_fixedpoint`.
 
     Returns ``(events, rounds, messages)``: ``events`` is the list of
     ``(round, finished_indices, results)`` commits of the run,
-    ``rounds`` how many ``step()`` rounds executed (``rounds == cap``
-    with ``kernel.done`` false means the cap bit — truncation or
+    ``rounds`` how many rounds executed (``rounds == cap`` with
+    ``kernel.done`` false means the cap bit — truncation or
     :class:`NonTerminationError` — is the caller's to settle).  Shared
     by the engine and the virtual-domain drivers.
     """
-    if isinstance(kernel, LockstepKernel) and kernel.schedule <= cap:
+    if isinstance(kernel, LockstepKernel):
         schedule = kernel.schedule
         charge = kernel.bg.charge()
-        kernel.start()
+        if schedule > cap:
+            return [], cap, (cap + 1) * charge
         results = kernel.run_phases()
+        kernel.done = True
         events = [(schedule, list(range(kernel.bg.n)), results)]
         return events, schedule, schedule * charge
     run_fixedpoint = getattr(kernel, "run_fixedpoint", None)

@@ -476,12 +476,23 @@ def virtualize(spec, algorithm, *, virt_inputs=None, name=None):
     )
 
 
-def _virtual_kernel(
-    spec, algorithm, physical, virt_inputs, guesses, seed, salt
+def _drive_virtual(
+    spec, algorithm, physical, *, cap, virt_inputs, guesses, seed, salt
 ):
-    """``(mirror, kernel)`` for a batched virtual run, or ``None`` when
-    the run is ineligible (numpy missing, empty spec, no batch
-    capability) or the factory declines."""
+    """Drive a virtual run's kernel within physical cap ``cap``.
+
+    The shared prologue of :func:`run_virtual_batch` and
+    :func:`run_virtual_batch_full`.  Returns ``(results, vindex,
+    commit)`` — bg index -> result of every node that finished, virtual
+    label -> bg index, and :func:`_host_commits`' host -> physical
+    commit round — or ``None`` when the run is ineligible (numpy
+    missing, empty spec, no batch capability) or the factory declines.
+
+    The drive is one :func:`~repro.local.batch.drive_kernel` call (D17,
+    D30).  Virtual round ``k`` is engine round ``k-1`` and runs at
+    physical round ``(k-1) * dilation``, so the drive gets the engine
+    cap ``cap // dilation`` and its events map back by ``+1``.
+    """
     if not batch_available() or not spec.adj:
         return None
     if not capabilities_of(algorithm).get("supports_batch"):
@@ -494,20 +505,6 @@ def _virtual_kernel(
     kernel = algorithm.batch(bg, BatchSetup(virt_inputs or {}, guesses, draws))
     if kernel is None:
         return None
-    return bg, kernel
-
-
-def _drive_virtual(kernel, spec, cap):
-    """Drive a virtual kernel within physical cap ``cap``; returns
-    finish/result maps.
-
-    The shared drive of :func:`run_virtual_batch` and
-    :func:`run_virtual_batch_full`: one
-    :func:`~repro.local.batch.drive_kernel` call (D17, D30).  Virtual
-    round ``k`` is engine round ``k-1`` and runs at physical round
-    ``(k-1) * dilation``, so the drive gets the engine cap
-    ``cap // dilation`` and its events map back by ``+1``.
-    """
     finish_vround = {}
     results = {}
     events, _rounds, _messages = drive_kernel(kernel, cap // spec.dilation)
@@ -516,7 +513,9 @@ def _drive_virtual(kernel, spec, cap):
             finish_vround[i] = rnd + 1
             results[i] = value
     note_stepping("rf")
-    return finish_vround, results
+    vindex = {label: i for i, label in enumerate(bg.labels)}
+    commit = _host_commits(spec, physical, finish_vround, vindex)
+    return results, vindex, commit
 
 
 def _host_commits(spec, physical, finish_vround, vindex):
@@ -601,20 +600,13 @@ def run_virtual_batch(
     Equivalence with the host path is asserted by the equivalence suite
     for full, truncated and restricted-spec runs.
     """
-    built = _virtual_kernel(
-        spec, algorithm, physical, virt_inputs, guesses, seed, salt
+    driven = _drive_virtual(
+        spec, algorithm, physical, cap=cap, virt_inputs=virt_inputs,
+        guesses=guesses, seed=seed, salt=salt,
     )
-    if built is None:
+    if driven is None:
         return None
-    bg, kernel = built
-
-    finish_vround, results = _drive_virtual(kernel, spec, cap)
-
-    vindex = {label: i for i, label in enumerate(bg.labels)}
-    # A relay commits only after every client host's announcement has
-    # crossed its physical edge (one round after it is broadcast).
-    commit = _host_commits(spec, physical, finish_vround, vindex)
-
+    results, vindex, commit = driven
     outputs = {}
     host_of = spec.host
     for virt in spec.virtual_nodes:
@@ -653,17 +645,13 @@ def run_virtual_batch_full(
     not commit.  Returns ``(outputs, rounds)`` or ``None`` when the
     configuration is ineligible for the batch path.
     """
-    built = _virtual_kernel(
-        spec, algorithm, physical, virt_inputs, guesses, seed, salt
+    driven = _drive_virtual(
+        spec, algorithm, physical, cap=cap, virt_inputs=virt_inputs,
+        guesses=guesses, seed=seed, salt=salt,
     )
-    if built is None:
+    if driven is None:
         return None
-    bg, kernel = built
-
-    finish_vround, results = _drive_virtual(kernel, spec, cap)
-
-    vindex = {label: i for i, label in enumerate(bg.labels)}
-    commit = _host_commits(spec, physical, finish_vround, vindex)
+    results, vindex, commit = driven
     overdue = [
         p
         for p in physical.nodes

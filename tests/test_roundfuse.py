@@ -5,11 +5,12 @@ Every algorithm that registers a batch kernel is driven through
 :func:`repro.local.batch.drive_kernel` on full, truncated, pruner and
 virtual runs, and each run is diffed field for field against the
 reference loop (``rng="counter"``, the only scheme the compiled tiers
-draw, D29).  Caps shorter than a lockstep schedule, and kernels without
-a dedicated loop, go through :func:`repro.local.batch.generic_fixedpoint`
-with the same round-by-round truncation.  A compiled run that drives no
-kernel takes the reference loop itself (D33); the fallback ladder pins
-every trigger of that.
+draw, D29).  A cap shorter than a lockstep schedule settles by
+arithmetic and runs no kernel code (D35); kernels without a dedicated
+loop go through :func:`repro.local.batch.generic_fixedpoint` with the
+same round-by-round truncation.  Every kernel has exactly one stepping
+loop.  A compiled run that drives no kernel takes the reference loop
+itself (D33); the fallback ladder pins every trigger of that.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.algorithms.luby import luby_mc, luby_mis
 from repro.algorithms.ruling_sets import bitwise_ruling_set, sw_ruling_set
 from repro.core.alternating import render_trace
 from repro.core.domain import PhysicalDomain, VirtualDomain
-from repro.core.pruning import MatchingPruning, RulingSetPruning
+from repro.core.pruning import MatchingPruning, RulingSetPruning, SLCPruning
 from repro.errors import NonTerminationError
 from repro.graphs import line_graph_spec
 from repro.local import (
@@ -39,8 +40,9 @@ from repro.local import (
 )
 from repro.local import batch as batch_module
 from repro.local.algorithm import capabilities_of
-from repro.local.batch import batch_graph_of
+from repro.local.batch import LockstepKernel, batch_graph_of
 from repro.local.runner import last_stepping
+from repro.problems.coloring import ColorList, SLCInput
 
 numpy = pytest.importorskip("numpy")
 
@@ -87,6 +89,34 @@ def kernel_algorithms(graph):
     ]
 
 
+def lockstep_jobs(nodes, max_degree, guesses):
+    """Every lockstep kernel algorithm, as ``(label, algorithm, guesses,
+    inputs)`` over ``nodes``: H-partition and the bitwise ruling set
+    under ``guesses``, and the four pruners on seeded ``(x, ŷ)`` inputs
+    with conflicts in them."""
+    rng = random.Random(4)
+    colors = SLCInput(max_degree, ColorList(2 * (max_degree + 1),
+                                            max_degree + 1))
+
+    def pairs(draw):
+        return {u: draw() for u in nodes}
+
+    return [
+        ("h-partition", h_partition(), guesses, None),
+        ("bitwise-ruling", bitwise_ruling_set(), guesses, None),
+        *(
+            (f"P(2,{beta})", RulingSetPruning(beta).algorithm(), None,
+             pairs(lambda: (None, rng.choice([0, 1]))))
+            for beta in (1, 2)
+        ),
+        ("P_MM", MatchingPruning().algorithm(), None,
+         pairs(lambda: (None, rng.choice([0, 1, 2])))),
+        ("P_SLC", SLCPruning().algorithm(), None,
+         pairs(lambda: (colors, (rng.randint(1, 3), 1)
+                        if rng.random() < 0.7 else 0))),
+    ]
+
+
 def run_both_ways(call):
     """``call()`` under the reference loop and the round-fused driver;
     checks each run's stepping tag."""
@@ -102,6 +132,14 @@ def assert_both_equal(results, context):
     assert_results_equal(results["reference"], results["rf"], context)
 
 
+def divergence(call):
+    """The :class:`NonTerminationError` ``call()`` raises, as
+    ``(rounds, text, unfinished nodes)``."""
+    with pytest.raises(NonTerminationError) as err:
+        call()
+    return err.value.rounds, str(err.value), err.value.unfinished
+
+
 @pytest.fixture
 def generic_calls(monkeypatch):
     """Record every drive that falls through to ``generic_fixedpoint``:
@@ -114,6 +152,21 @@ def generic_calls(monkeypatch):
         return generic(kernel, cap)
 
     monkeypatch.setattr(batch_module, "generic_fixedpoint", spy)
+    return calls
+
+
+@pytest.fixture
+def run_phases_calls(monkeypatch):
+    """Record every lockstep kernel's ``run_phases`` call:
+    ``(kernel class, schedule)`` per call."""
+    calls = []
+    for cls in LockstepKernel.__subclasses__():
+
+        def spy(kernel, run_phases=cls.run_phases):
+            calls.append((type(kernel), kernel.schedule))
+            return run_phases(kernel)
+
+        monkeypatch.setattr(cls, "run_phases", spy)
     return calls
 
 
@@ -239,10 +292,10 @@ KERNEL_LESS = {
 
 
 class TestFallbackLadder:
-    """What runs off the phase path: caps shorter than a lockstep
-    schedule and kernels without a dedicated loop run
-    ``generic_fixedpoint``; a compiled run that drives no kernel takes
-    the reference loop under ``rng="counter"`` (D33)."""
+    """What runs off the phase path: a cap shorter than a lockstep
+    schedule runs no kernel code (D35), kernels without a dedicated
+    loop run ``generic_fixedpoint``, and a compiled run that drives no
+    kernel takes the reference loop under ``rng="counter"`` (D33)."""
 
     @pytest.mark.parametrize("trigger", sorted(KERNEL_LESS))
     def test_kernel_less_runs_take_the_reference_loop(
@@ -305,46 +358,88 @@ class TestFallbackLadder:
         assert virtual["reference"] == virtual["compiled"]
 
     @pytest.mark.parametrize("cap", (0, 1, 3))
-    def test_cap_below_schedule_physical(self, small_gnp, generic_calls,
+    def test_cap_below_schedule_physical(self, small_gnp, run_phases_calls,
                                          cap):
-        """Truncation mid-schedule equals the reference truncated run."""
-        jobs = (
-            (bitwise_ruling_set(), {"m": small_gnp.max_ident}),
-            (h_partition(), {"a": 2, "n": small_gnp.n**4}),
-        )
-        for algorithm, guesses in jobs:
-            generic_calls.clear()
+        """A cap below a lockstep schedule runs no kernel code: truncated,
+        the run equals the reference truncated run; not truncated, it
+        raises the reference loop's divergence.  ``cap`` is clipped to
+        ``schedule - 1``, so 3 is the last cut round of every pruner."""
+        guesses = {"m": small_gnp.max_ident, "a": 2, "n": small_gnp.n**4}
+        for label, algorithm, g, inputs in lockstep_jobs(
+            small_gnp.nodes, small_gnp.max_degree, guesses
+        ):
+            run_phases_calls.clear()
+            full = run_both_ways(
+                lambda: run(small_gnp, algorithm, guesses=g, inputs=inputs)
+            )
+            assert_both_equal(full, label)
+            [(_, schedule)] = run_phases_calls
+            assert full["rf"].rounds == schedule, label
+            run_phases_calls.clear()
+            cut = min(cap, schedule - 1)
             results = run_both_ways(
                 lambda: run_restricted(
-                    small_gnp, algorithm, cap, default_output="cut",
-                    guesses=guesses,
+                    small_gnp, algorithm, cut, default_output="cut",
+                    guesses=g, inputs=inputs,
                 )
             )
-            assert_both_equal(results, (cap, algorithm.name))
+            assert_both_equal(results, (cut, label))
             assert results["rf"].truncated == frozenset(small_gnp.nodes)
-            [(_, driven_cap, schedule)] = generic_calls
-            assert driven_cap == cap < schedule, algorithm.name
-
-    def test_cap_below_schedule_virtual(self, small_gnp, generic_calls):
-        """On a virtual domain the physical budget reaches the driver
-        through the dilation; a cut schedule equals the host runs."""
-        spec = line_graph_spec(small_gnp)
-        algorithm = h_partition()
-        guesses = {"a": 2, "n": small_gnp.n**8}
-        budget = 2
-        outs = {}
-        for tag, backend in STRATEGIES:
-            generic_calls.clear()
-            with use_backend(backend, rng="counter"):
-                domain = VirtualDomain(small_gnp, spec)
-                outs[tag] = domain.run_restricted(
-                    algorithm, budget, guesses=guesses, default_output=-1,
+            raised = run_both_ways(
+                lambda: divergence(
+                    lambda: run(
+                        small_gnp, algorithm, guesses=g, inputs=inputs,
+                        max_rounds=cut,
+                    )
                 )
-        [(_, driven_cap, schedule)] = generic_calls
-        physical_cap = outs["rf"][1]
-        assert driven_cap == physical_cap // spec.dilation < schedule
-        assert outs["reference"] == outs["rf"]
-        assert set(outs["rf"][0].values()) == {-1}
+            )
+            assert raised["reference"] == raised["rf"], (cut, label)
+            assert run_phases_calls == [], (cut, label)
+
+    def test_cap_below_schedule_virtual(self, small_gnp, run_phases_calls):
+        """On a virtual domain the physical cap reaches the driver
+        through the dilation (engine cap ``physical // dilation``).  At
+        engine caps 0, 1 and ``schedule - 1`` no kernel code runs, and
+        each run equals the host runs: truncated (``run_restricted``,
+        whose overhead keeps the engine cap ≥ 1) and diverging
+        (``run_full``)."""
+        spec = line_graph_spec(small_gnp)
+        max_degree = max(len(row) for row in spec.adj.values())
+        guesses = {
+            "m": (small_gnp.max_ident + 2) ** 2, "a": 2, "n": small_gnp.n**8,
+        }
+        domain = VirtualDomain(small_gnp, spec)
+        for label, algorithm, g, inputs in lockstep_jobs(
+            spec.virtual_nodes, max_degree, guesses
+        ):
+            run_phases_calls.clear()
+            full = run_both_ways(
+                lambda: domain.run_full(algorithm, inputs=inputs, guesses=g)
+            )
+            assert full["reference"] == full["rf"], label
+            [(_, schedule)] = run_phases_calls
+            run_phases_calls.clear()
+            for cap in sorted({0, 1, schedule - 1}):
+                if cap:
+                    outs = run_both_ways(
+                        lambda: domain.run_restricted(
+                            algorithm, cap - 1, inputs=inputs, guesses=g,
+                            default_output=-1,
+                        )
+                    )
+                    assert outs["rf"][1] // spec.dilation == cap, label
+                    assert outs["reference"] == outs["rf"], (cap, label)
+                    assert set(outs["rf"][0].values()) == {-1}
+                raised = run_both_ways(
+                    lambda: divergence(
+                        lambda: domain.run_full(
+                            algorithm, inputs=inputs, guesses=g,
+                            max_rounds=cap * spec.dilation,
+                        )
+                    )
+                )
+                assert raised["reference"] == raised["rf"], (cap, label)
+            assert run_phases_calls == [], label
 
     @pytest.mark.parametrize("label", ("fast-mis", "fast-coloring"))
     def test_kernel_without_dedicated_loop(self, small_gnp, generic_calls,
@@ -375,6 +470,53 @@ class TestFallbackLadder:
         assert tracked.outputs == fused.outputs
         assert tracked.rounds == fused.rounds
         assert tracked.messages == fused.messages
+
+
+#: The three stepping loops a batch kernel may define (D35).
+STEPPING_LOOPS = ("run_phases", "run_fixedpoint", "step")
+
+
+class TestOneSteppingLoop:
+    """Each kernel's recurrence is written once (D35)."""
+
+    def test_every_kernel_defines_one_loop(self, small_gnp):
+        """Every kernel class a registered batch factory builds defines
+        exactly one stepping loop; a lockstep kernel's is its own
+        ``run_phases`` and it has no ``step``."""
+        bg = batch_graph_of(small_gnp.compiled())
+
+        def setup_of(inputs, guesses):
+            return batch_module.BatchSetup(
+                inputs or {}, guesses or {},
+                lambda bits: batch_module.CounterDraws(bg.ident_mix(), bits),
+            )
+
+        guesses = {"m": small_gnp.max_ident, "a": 2, "n": small_gnp.n}
+        jobs = [(a, g, None) for _, a, g in kernel_algorithms(small_gnp)]
+        jobs += [
+            (a, g, inputs)
+            for _, a, g, inputs in lockstep_jobs(
+                small_gnp.nodes, small_gnp.max_degree, guesses
+            )
+        ]
+        classes = {
+            type(algorithm.batch(bg, setup_of(inputs, g)))
+            for algorithm, g, inputs in jobs
+        }
+        lockstep = {cls for cls in classes if issubclass(cls, LockstepKernel)}
+        assert lockstep == set(LockstepKernel.__subclasses__())
+        for cls in classes:
+            loops = [
+                name
+                for name in STEPPING_LOOPS
+                if getattr(cls, name, None) not in (
+                    None, getattr(LockstepKernel, name, None)
+                )
+            ]
+            assert len(loops) == 1, (cls.__name__, loops)
+            if cls in lockstep:
+                assert loops == ["run_phases"], cls.__name__
+                assert not hasattr(cls, "step"), cls.__name__
 
 
 class TestCapabilityPublication:
