@@ -11,7 +11,9 @@ rounds/sec, messages/sec and the speedups into
 * ``reference`` — the seed-faithful specification stack;
 * ``batch`` — the compiled CSR engine, which drives every registered
   batch kernel round-fused (a run without a kernel takes the reference
-  loop under ``rng="counter"``, DESIGN.md D33).
+  loop, DESIGN.md D33).
+
+Both draw the one counter random scheme (DESIGN.md D36).
 
 ``speedup_batch`` is reference/batch.
 
@@ -113,10 +115,10 @@ def _atomic_write_text(path, text):
         raise
 
 
-def _backend_context(backend, rng=None):
+def _backend_context(backend):
     """Scope pinning one of the two execution strategies."""
     return use_backend(
-        "reference" if backend == "reference" else "compiled", rng=rng
+        "reference" if backend == "reference" else "compiled"
     )
 
 
@@ -331,7 +333,7 @@ def unit_fused_sweep(n, b, reps):
         ]
 
     out = {}
-    with use_backend("compiled", rng="counter"):
+    with use_backend("compiled"):
         for suffix, algo, guesses in rows:
             opts = {"guesses": guesses} if guesses else {}
             jobs = [(graph, algo, dict(opts, seed=s)) for s in seeds]
@@ -388,8 +390,8 @@ def unit_rf(n, reps, alt_n=150):
     Luby alternation at small ``alt_n`` (every ``B_i = (A_i ; P)`` step
     is a handful of cheap pruner/decision rounds).
 
-    ``reference`` runs the reference loop under ``rng="counter"`` (what
-    a compiled run without a kernel executes, D33); ``rf`` drives the
+    ``reference`` runs the reference loop (what a compiled run without
+    a kernel executes, D33); ``rf`` drives the
     batch kernels round-fused.  Both configurations are checked
     bit-identical before anything is recorded.  ``rf_gain`` = reference
     seconds / rf seconds is the tracked (smoke-gated) number.
@@ -423,7 +425,7 @@ def unit_rf(n, reps, alt_n=150):
     best = {}
     for turn in range(reps + 1):  # turn 0 warms caches (CSR, memos)
         for key, backend, calls in sides:
-            with use_backend(backend, rng="counter"):
+            with use_backend(backend):
                 seconds = _best(lambda: fn(states[key]), calls)
             if turn:
                 best[key] = min(best.get(key, seconds), seconds)
@@ -510,7 +512,7 @@ def unit_session_churn(n, reps, requests=8, churn=4):
 
     def session_once():
         signature = []
-        with open_session(graph, rng="counter") as session:
+        with open_session(graph) as session:
             for delta, _ in script:
                 session.mutate(delta)
                 result = session.rerun(algo, seed=5)
@@ -521,7 +523,7 @@ def unit_session_churn(n, reps, requests=8, churn=4):
         signature = []
         for _, snapshot in script:
             rebuilt = SimGraph.from_networkx(snapshot, idents=idents)
-            result = run(rebuilt, algo, seed=5, rng="counter")
+            result = run(rebuilt, algo, seed=5)
             signature.append((result.rounds, result.outputs))
         return signature
 
@@ -629,15 +631,11 @@ def check_bit_identity(n=120):
         (fast_mis(), guesses),
         (h_partition(), {"a": 2, "n": 1 << 24}),
     )
-    # Every job runs under rng="counter": the compiled tiers draw no
-    # other scheme (DESIGN.md D29), and the reference loop's mt streams
-    # are pinned by tests/test_rng_specification.py.
-    rng = "counter"
     for algo, g in jobs:
         results = []
         for backend in BACKENDS:
             with _backend_context(backend):
-                results.append(run(graph, algo, seed=3, guesses=g, rng=rng))
+                results.append(run(graph, algo, seed=3, guesses=g))
                 if backend == "batch" and last_stepping() != "rf":
                     return False
         first = results[0]
@@ -659,7 +657,7 @@ def check_bit_identity(n=120):
         for backend in BACKENDS:
             with _backend_context(backend):
                 results.append(run_restricted(
-                    graph, algo, cap, guesses=g, inputs=inputs, rng=rng,
+                    graph, algo, cap, guesses=g, inputs=inputs,
                 ))
                 if backend == "batch" and last_stepping() != "rf":
                     return False
@@ -672,10 +670,10 @@ def check_bit_identity(n=120):
     algo = luby_mis()
     lanes = [(graph, algo, {"seed": s}) for s in (3, 4, 5)]
     lanes.append((graph, fast_mis(), {"guesses": guesses, "seed": 3}))
-    fused = run_many(lanes, rng=rng)
+    fused = run_many(lanes)
     for (g, a, opts), got in zip(lanes, fused):
         solo = run(
-            g, a, seed=opts["seed"], guesses=opts.get("guesses"), rng=rng
+            g, a, seed=opts["seed"], guesses=opts.get("guesses")
         )
         if not _same_run(solo, got):
             return False
@@ -689,18 +687,16 @@ def check_bit_identity(n=120):
         for a, g in ((fast_mis(), over), (hash_luby_mis(), {"n": graph.n**3}))
         for s in (3, 4)
     ]
-    for (g, a, opts), got in zip(sweep, run_many(sweep, rng=rng)):
+    for (g, a, opts), got in zip(sweep, run_many(sweep)):
         for backend in BACKENDS:
             with _backend_context(backend):
-                if not _same_run(run(g, a, rng=rng, **opts), got):
+                if not _same_run(run(g, a, **opts), got):
                     return False
     # Whole-alternation identity: guess runs AND pruner runs must agree
-    # across every stepping strategy (D11 pruner batch contract).  The
-    # rng scheme is pinned — the strategies are only comparable under
-    # the same random streams.
+    # across every stepping strategy (D11 pruner batch contract).
     alternations = []
     for backend in BACKENDS:
-        with _backend_context(backend, rng="counter"):
+        with _backend_context(backend):
             _, _, uniform = TABLE1["luby"].build()
             alternations.append(uniform.run(graph, seed=3))
     first = alternations[0]
@@ -717,7 +713,7 @@ def check_bit_identity(n=120):
     matchings = []
     truncated = []
     for backend in BACKENDS:
-        with _backend_context(backend, rng=rng):
+        with _backend_context(backend):
             _, _, uniform = TABLE1["matching"].build()
             matchings.append(uniform.run(graph, seed=3))
             domain = VirtualDomain(graph, spec)
@@ -763,20 +759,19 @@ def check_bit_identity(n=120):
         # A session resolves its execution record at open, so each
         # strategy gets its own session.
         with _backend_context(backend), \
-                open_session(graph, rng="counter") as session:
+                open_session(graph) as session:
             session.mutate(delta)
             pairs.append((
                 session.rerun(luby_mis(), seed=3),
-                run(oracle, luby_mis(), seed=3, rng="counter"),
+                run(oracle, luby_mis(), seed=3),
             ))
-    with open_session(graph, rng="counter") as session:
+    with open_session(graph) as session:
         session.mutate(delta)
         live_lanes = session.rerun_many(
             [(luby_mis(), {"seed": s}) for s in (3, 4)]
         )
         cold_lanes = run_many(
             [(oracle, luby_mis(), {"seed": s}) for s in (3, 4)],
-            rng="counter",
         )
         pairs.extend(zip(live_lanes, cold_lanes))
     return all(_same_run(live, cold) for live, cold in pairs)
@@ -1029,15 +1024,16 @@ def main(argv=None):
                 "cores": os.cpu_count(),
                 "note": (
                     "best-of-N wall times, all recorded in one pass. "
-                    "reference = seed-faithful stack (dict loop, eager MT "
-                    "rng, rebuild restriction); batch = compiled CSR "
-                    "engine driving the batched frontier-step kernels "
+                    "reference = seed-faithful stack (dict loop, eager "
+                    "counter rng, rebuild restriction); batch = compiled "
+                    "CSR engine driving the batched frontier-step kernels "
                     "round-fused (D10, D17, D30; a run without a kernel "
-                    "takes the reference loop under rng=counter, D33). "
+                    "takes the reference loop, D33). Both draw the one "
+                    "counter rng scheme (D36). "
                     "speedup_batch = reference/batch, fused_gain = b "
                     "sequential solo runs / one b-lane fused run_many "
                     "slab (D16, D32; fused_gain_luby is information "
-                    "only), rf_gain = reference loop under rng=counter / "
+                    "only), rf_gain = reference loop / "
                     "round-fused drive, session_gain = stateless cold "
                     "rebuild-per-request / live-session mutate+rerun "
                     "(D18 incremental CSR patch on a long-lived session)."

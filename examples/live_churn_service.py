@@ -75,7 +75,7 @@ def main():
     ]
 
     algo = luby_mis()
-    with open_session(overlay, rng="counter") as session:
+    with open_session(overlay) as session:
         warm = session.rerun(algo, seed=11)
         MIS.assert_solution(session.graph, {}, warm.outputs)
         print(f"request 0 (no churn): |MIS|={sum(warm.outputs.values())}, "
@@ -97,7 +97,7 @@ def main():
             oracle = SimGraph.from_networkx(truth, idents=idents)
 
             live = session.rerun(algo, seed=11)
-            cold = run(oracle, algo, seed=11, rng="counter")
+            cold = run(oracle, algo, seed=11)
             assert (live.outputs, live.rounds, live.messages) == (
                 cold.outputs, cold.rounds, cold.messages
             ), "session diverged from cold rebuild"

@@ -119,8 +119,7 @@ class ColoringBatchKernel:
     Identities can exceed 64 bits on derived graphs, so the *first*
     reduction runs in Python big-int arithmetic when the color space
     demands it; every later palette is tiny.  Bit-identity with the
-    reference loop under ``rng="counter"`` is asserted by the
-    equivalence suite.
+    reference loop is asserted by the equivalence suite.
     """
 
     __slots__ = (

@@ -57,8 +57,7 @@ class _SLCWrapProcess(NodeProcess):
         guesses = dict(ctx.guesses)
         guesses["Delta"] = x.delta_hat
         # Share the outer node's random source, lazily: the inner
-        # algorithm may never draw, and the scheme tag must propagate so
-        # nested layers derive sub-streams consistently.
+        # algorithm may never draw.
         inner_ctx = NodeContext(
             node=ctx.node,
             ident=ctx.ident,
@@ -66,7 +65,6 @@ class _SLCWrapProcess(NodeProcess):
             input=None,
             guesses=guesses,
             rng_factory=lambda _ident: ctx.rng,
-            rng_mode=ctx.rng_mode,
         )
         self.inner = base_algorithm.make(inner_ctx)
 

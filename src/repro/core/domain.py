@@ -17,10 +17,10 @@ Restriction semantics follow the paper: a budgeted run forces the default
 output ("0") on nodes that have not terminated.
 
 Domain runs honour the ambient execution record
-(:func:`repro.local.execution.use_backend`) and accept the full executor
-selection per call (``backend`` / ``rng``, resolved once by
-:func:`_resolve_exec` into one
-:class:`~repro.local.execution.Execution`) — so a whole transformer
+(:func:`repro.local.execution.use_backend`) and accept a ``backend``
+override per call (resolved once into one
+:class:`~repro.local.execution.Execution`, exactly as
+:func:`repro.local.runner.run` resolves it) — so a whole transformer
 pipeline switches executor without the transformers knowing: each
 alternation step's guess run *and* pruning run execute under the
 scope's record.
@@ -45,26 +45,6 @@ from ..local.virtual import (
 #: Extra physical rounds charged per virtual-domain run for the
 #: host-announcement handshake of the virtual layer.
 VIRTUAL_OVERHEAD = 3
-
-
-def _resolve_exec(exec_kwargs):
-    """The one dispatch helper behind every domain runner.
-
-    Domains accept the executor-selection flags (``backend``, ``rng``)
-    as pass-through keyword arguments —
-    the same names, defaults and validation as
-    :func:`repro.local.runner.run` — and resolve them exactly once
-    here into the :class:`~repro.local.execution.Execution` the run
-    executes under, so backend selection can never drift
-    between ``run_restricted`` and ``run_full`` or between domain kinds.
-    """
-    unknown = set(exec_kwargs) - {"backend", "rng"}
-    if unknown:
-        raise TypeError(
-            f"unexpected execution keyword(s) {sorted(unknown)}; "
-            "domains accept backend/rng"
-        )
-    return resolve(**exec_kwargs)
 
 
 class Domain:
@@ -165,12 +145,12 @@ class PhysicalDomain(Domain):
         seed=0,
         salt=0,
         default_output=0,
-        **exec_kwargs,
+        backend=None,
     ):
         result = execute(
             self.graph,
             algorithm,
-            _resolve_exec(exec_kwargs),
+            resolve(backend),
             max_rounds=budget,
             default_output=default_output,
             truncate=True,
@@ -190,12 +170,12 @@ class PhysicalDomain(Domain):
         seed=0,
         salt=0,
         max_rounds=None,
-        **exec_kwargs,
+        backend=None,
     ):
         result = execute(
             self.graph,
             algorithm,
-            _resolve_exec(exec_kwargs),
+            resolve(backend),
             inputs=inputs,
             guesses=guesses,
             seed=seed,
@@ -249,9 +229,9 @@ class VirtualDomain(Domain):
         seed=0,
         salt=0,
         default_output=0,
-        **exec_kwargs,
+        backend=None,
     ):
-        execution = _resolve_exec(exec_kwargs)
+        execution = resolve(backend)
         physical_budget = budget * self.spec.dilation + VIRTUAL_OVERHEAD
         if execution.backend == "compiled":
             # Batched fast path: the kernel runs on the virtual graph
@@ -299,9 +279,9 @@ class VirtualDomain(Domain):
         seed=0,
         salt=0,
         max_rounds=None,
-        **exec_kwargs,
+        backend=None,
     ):
-        execution = _resolve_exec(exec_kwargs)
+        execution = resolve(backend)
         if execution.backend == "compiled":
             # Batched full run (D10 closure): step the kernel to its
             # fixed point and replay the host commit rounds — no host

@@ -17,7 +17,7 @@ from .algorithm import (
 )
 from .msgsize import estimate_bits
 from .composition import Chain, default_carry
-from .context import CounterRNG, NodeContext, make_rng
+from .context import CounterRNG, NodeContext
 from .engine import CompiledGraph
 from .execution import Execution, use_backend
 from .fused import run_many
@@ -53,7 +53,6 @@ __all__ = [
     "VirtualSpec",
     "default_carry",
     "flatten_outputs",
-    "make_rng",
     "open_session",
     "run",
     "run_many",

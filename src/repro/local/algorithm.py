@@ -69,7 +69,7 @@ class LocalAlgorithm:
         of dispatching ``receive`` per node; a factory may return
         ``None`` to decline a configuration it cannot reproduce
         bit-identically, in which case the run takes the reference
-        loop under ``rng="counter"`` (D33).
+        loop (D33).
     fuse:
         Whether the batch kernel is certified *fuse-safe* (DESIGN.md
         D16): all cross-node reads follow CSR edges or compare by

@@ -29,8 +29,8 @@ D10: the batch-step contract):
   interpreter return per simulated round.
 
 numpy is optional: when it is missing (or a kernel factory declines the
-configuration) every caller falls back to the reference loop under
-``rng="counter"`` (D33), so the engine never *requires* the dependency.  Kernels register on a
+configuration) every caller falls back to the reference loop (D33), so
+the engine never *requires* the dependency.  Kernels register on a
 :class:`~repro.local.algorithm.LocalAlgorithm` through its ``batch``
 factory; eligibility rules live in :func:`make_engine_kernel`.
 
@@ -104,7 +104,7 @@ def ident_mix(idents):
 
 
 class CounterDraws:
-    """Vectorized per-node draws for the ``"counter"`` rng scheme.
+    """Vectorized per-node draws of the counter rng scheme.
 
     ``draws(idx, t)`` returns, for each node index in ``idx``, the value
     the node's ``t``-th ``getrandbits(bits)`` call would produce on its
@@ -279,7 +279,7 @@ def virtual_draw_builder(bg, spec, physical, seed, salt):
     Each host draws a 64-bit base from its own stream (its first draw),
     then every hosted virtual node derives an independent sub-stream
     from ``(base, virtual identity)`` — see
-    :func:`repro.local.context.sub_rng`.
+    :class:`repro.local.virtual._VirtualHostProcess`.
     """
 
     def build(bits):
@@ -339,8 +339,7 @@ class LockstepKernel:
         """Run the whole schedule in one call; return every node's
         result in index order.
 
-        Must equal the per-node process under ``rng="counter"`` bit for
-        bit.  It may stop early only at a proven fixed point (a round
+        Must equal the per-node process bit for bit.  It may stop early only at a proven fixed point (a round
         that changes nothing makes every later round identical).
         """
         raise NotImplementedError

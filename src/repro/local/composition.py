@@ -78,7 +78,6 @@ class _ChainProcess(NodeProcess):
             input=self.carry(stage, ctx.input, self.sub_outputs),
             guesses=ctx.guesses,
             rng_factory=lambda ident: random.Random(f"{ident}|chain-stage|{stage}"),
-            rng_mode=ctx.rng_mode,
         )
 
     def _progress(self):

@@ -10,25 +10,14 @@ simulations honest.
 
 Random sources
 --------------
-Two per-node derivation schemes exist (DESIGN.md, deviation D9):
-
-* ``"mt"`` — the seed repository's scheme: a :class:`random.Random`
-  (Mersenne Twister) seeded from ``f"{seed!r}|{salt!r}|{ident!r}"``.
-  SHA-512-based seeding is stable across processes but costs ~7µs per
-  node, which dominates run setup at n in the thousands.
-* ``"counter"`` — a splitmix64 counter generator
-  (:class:`CounterRNG`) keyed by a per-run SHA-512 digest mixed with the
-  node identity.  Construction is ~50ns; streams are independent across
-  nodes and reproducible across processes.  This is the compiled
-  engine's only scheme (DESIGN.md D29) and is in the same spirit as the
-  paper's deterministic-given-IDs derandomization (``hash_luby``).
-
-The reference loop runs either scheme (``"mt"`` by default, as the
-seed-faithful specification); the compiled engine and its batch, fused
-and virtual tiers draw ``"counter"`` only, and a compiled run without a
-batch kernel is the reference loop under ``"counter"`` (D33).  Under
-``"counter"`` the two runner backends give bit-identical executions —
-the equivalence suite pins it when comparing them.
+Every run draws one per-node derivation scheme (DESIGN.md D9, D36): a
+splitmix64-style counter generator (:class:`CounterRNG`) keyed by a
+per-run SHA-512 digest of ``(seed, salt)`` mixed with the node identity.
+Construction is ~50ns; streams are independent across nodes and
+reproducible across processes, in the same spirit as the paper's
+deterministic-given-IDs derandomization (``hash_luby``).  The reference
+loop, the compiled engine and its batch, fused and virtual tiers all
+draw it, so the two runner backends give bit-identical executions.
 
 Contexts may be constructed with an eager generator (``rng=...``) or a
 lazy factory (``rng_factory=...``); the factory is only invoked the
@@ -39,7 +28,6 @@ for generator construction.
 from __future__ import annotations
 
 import hashlib
-import random
 
 from ..errors import ParameterError
 
@@ -145,18 +133,6 @@ class CounterRNG:
         return z >> np.uint64(64 - bits)
 
 
-def make_rng(seed, salt, ident):
-    """Derive a per-node RNG from the run seed, a salt and the identity.
-
-    Different nodes get independent streams; re-running with the same
-    seed reproduces the execution exactly (needed both for debugging and
-    for the deterministic-given-IDs algorithms).  String seed material is
-    hashed by :class:`random.Random` with SHA-512, which is stable across
-    processes (unlike built-in ``hash``).  This is the ``"mt"`` scheme.
-    """
-    return random.Random(f"{seed!r}|{salt!r}|{ident!r}")
-
-
 #: ``"{seed!r}|{salt!r}"`` -> 64-bit key.  The digest is a pure function
 #: of the material, so the memo can never go stale; the bound guards
 #: pathological seed churn (cleared wholesale — refilling is cheap).
@@ -165,7 +141,7 @@ _RUN_KEY_CACHE_MAX = 4096
 
 
 def run_key(seed, salt):
-    """64-bit per-run key for the ``"counter"`` scheme (SHA-512 based).
+    """64-bit per-run key (SHA-512 based).
 
     Memoized by digest material: a long-lived session
     (:mod:`repro.local.service`, D18) re-derives the key for the same
@@ -183,25 +159,17 @@ def run_key(seed, salt):
 
 
 def counter_rng(key, ident):
-    """Per-node :class:`CounterRNG` from a run key and a node identity."""
+    """Per-node :class:`CounterRNG` from a run key and a node identity.
+
+    The virtual-node layer also keys hosted nodes' streams with it: the
+    host draws a 64-bit base once from its own source and passes it as
+    ``key``.
+    """
     return CounterRNG(key ^ ((ident * _IDENT_MIX) & _MASK64))
 
 
-class _MtSource:
-    """Picklable ``ident -> random.Random`` factory (the mt scheme)."""
-
-    __slots__ = ("seed", "salt")
-
-    def __init__(self, seed, salt):
-        self.seed = seed
-        self.salt = salt
-
-    def __call__(self, ident):
-        return make_rng(self.seed, self.salt, ident)
-
-
 class _CounterSource:
-    """Picklable ``ident -> CounterRNG`` factory (the counter scheme)."""
+    """Picklable ``ident -> CounterRNG`` factory."""
 
     __slots__ = ("key",)
 
@@ -212,32 +180,14 @@ class _CounterSource:
         return counter_rng(self.key, ident)
 
 
-def rng_source(mode, seed, salt):
-    """Return ``ident -> generator`` for a named derivation scheme.
+def rng_source(seed, salt):
+    """Return the ``ident -> CounterRNG`` source of one run.
 
     The returned callable is also a valid lazy ``rng_factory`` for
     :class:`NodeContext` — one shared instance serves every node of a
-    run.  Both sources are plain picklable objects, not closures.
+    run.  It is a plain picklable object, not a closure.
     """
-    if mode == "mt":
-        return _MtSource(seed, salt)
-    if mode == "counter":
-        return _CounterSource(run_key(seed, salt))
-    raise ParameterError(f"unknown rng scheme {mode!r} (use 'mt' or 'counter')")
-
-
-def sub_rng(mode, base, ident):
-    """Derive a hosted virtual node's RNG from a host-drawn 64-bit base.
-
-    Used by the virtual-node layer: the host draws ``base`` once from its
-    own source, each hosted virtual node gets an independent stream.
-    Matches the host's derivation scheme: the counter branch is what the
-    batched virtual driver reproduces, the mt branch serves host
-    processes under the reference backend's default scheme.
-    """
-    if mode == "counter":
-        return counter_rng(base, ident)
-    return random.Random(f"{base}|virt|{ident}")
+    return _CounterSource(run_key(seed, salt))
 
 
 class NodeContext:
@@ -264,10 +214,6 @@ class NodeContext:
         reproducible from the run seed.  Materialized lazily when the
         context was built with ``rng_factory`` (a callable receiving the
         node identity, so one shared factory serves a whole run).
-    rng_mode:
-        Name of the derivation scheme (``"mt"`` or ``"counter"``) so
-        nested layers (virtual hosts, chains) can derive sub-streams
-        consistently.
     """
 
     __slots__ = (
@@ -276,7 +222,6 @@ class NodeContext:
         "degree",
         "input",
         "guesses",
-        "rng_mode",
         "_rng",
         "_rng_factory",
     )
@@ -290,14 +235,12 @@ class NodeContext:
         guesses,
         rng=None,
         rng_factory=None,
-        rng_mode="mt",
     ):
         self.node = node
         self.ident = ident
         self.degree = degree
         self.input = input
         self.guesses = guesses
-        self.rng_mode = rng_mode
         self._rng = rng
         self._rng_factory = rng_factory
 

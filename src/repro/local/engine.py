@@ -7,8 +7,9 @@ semantics as the reference loop (which survives as
 a run whose algorithm registers a batch kernel is driven round-fused by
 :func:`repro.local.batch.drive_kernel`; every other run — no kernel,
 numpy missing, ``track_bits``, or a factory that declines — is handed
-back to the reference loop under ``rng="counter"`` (DESIGN.md D33), so
-the reference loop is the one per-node interpreter.
+back to the reference loop (DESIGN.md D33), so the reference loop is
+the one per-node interpreter.  Both draw the one counter random scheme
+of :mod:`repro.local.context` (DESIGN.md D36).
 
 CSR layout
 ----------
@@ -384,10 +385,8 @@ def run_compiled(
     (see :func:`repro.local.batch.make_engine_kernel`), the kernel's
     whole schedule runs in one :func:`repro.local.batch.drive_kernel`
     call and the returned ``result_cls`` instance is field-for-field
-    identical to what the reference loop produces under
-    ``rng="counter"``, the only scheme this engine draws (D29).
-    ``None`` tells the caller to run the reference loop under that
-    scheme instead (D33).
+    identical to what the reference loop produces.  ``None`` tells the
+    caller to run the reference loop instead (D33).
     """
     from .runner import note_stepping
 

@@ -1,7 +1,7 @@
 """How runs execute: one frozen :class:`Execution` record, resolved once.
 
-Every executor choice — which engine and which random-source scheme —
-lives in one immutable record.  The process starts from
+Every executor choice — today, which engine — lives in one immutable
+record.  The process starts from
 :meth:`Execution.from_env`; the scope :func:`use_backend` swaps the
 *ambient* record for a :func:`dataclasses.replace`-d copy; and
 :func:`run
@@ -25,11 +25,10 @@ from dataclasses import dataclass, replace
 from ..errors import ParameterError
 
 #: ``"compiled"`` drives an algorithm's registered batch kernel
-#: round-fused and runs the reference loop under ``rng="counter"``
-#: otherwise (D33); ``"reference"`` is the seed-faithful specification
-#: loop.
+#: round-fused and runs the reference loop otherwise (D33);
+#: ``"reference"`` is the seed-faithful specification loop.  Both draw
+#: the one counter random scheme (D36).
 BACKENDS = ("compiled", "reference")
-RNG_MODES = ("counter", "mt")
 
 
 def env_setting(environ, name, default, choices=None):
@@ -49,59 +48,27 @@ def env_setting(environ, name, default, choices=None):
 
 @dataclass(frozen=True)
 class Execution:
-    """One executor configuration.
-
-    ``rng`` is ``None`` for the backend's native scheme (``"mt"`` for
-    the reference loop, ``"counter"`` otherwise; see :attr:`rng_mode`).
-    The compiled engine draws the counter scheme only (D29): pinning
-    ``"mt"`` on it raises :class:`~repro.errors.ParameterError` here, so
-    no fast path ever sees a scheme name.
-    """
+    """One executor configuration."""
 
     backend: str = "compiled"
-    rng: str | None = None
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ParameterError(
                 f"unknown backend {self.backend!r} (use {BACKENDS})"
             )
-        if self.rng is not None and self.rng not in RNG_MODES:
-            raise ParameterError(
-                f"unknown rng scheme {self.rng!r} (use {RNG_MODES})"
-            )
-        if self.backend == "compiled" and self.rng == "mt":
-            raise ParameterError(
-                "rng='mt' runs only on backend='reference'; the compiled "
-                "engine draws rng='counter'"
-            )
 
     @classmethod
     def from_env(cls, environ):
         """The record the ``REPRO_*`` variables of ``environ`` describe."""
-        backend = env_setting(environ, "REPRO_BACKEND", "compiled",
-                              choices=BACKENDS)
-        rng = env_setting(environ, "REPRO_RNG", None, choices=RNG_MODES)
-        try:
-            return cls(backend, rng)
-        except ParameterError as exc:  # each value parsed: the pairing
-            raise ParameterError(f"REPRO_RNG={rng!r}: {exc}") from None
+        return cls(env_setting(environ, "REPRO_BACKEND", "compiled",
+                               choices=BACKENDS))
 
-    @property
-    def rng_mode(self):
-        """The concrete random-source scheme runs draw from."""
-        return self.rng or ("mt" if self.backend == "reference" else "counter")
-
-    def resolve(self, backend=None, rng=None):
+    def resolve(self, backend=None):
         """This record under per-call overrides (``self`` when none)."""
-        if backend is None and rng is None:
+        if backend is None:
             return self
-        changes = {}
-        if backend is not None:
-            changes["backend"] = backend
-        if rng is not None:
-            changes["rng"] = rng
-        return replace(self, **changes)
+        return replace(self, backend=backend)
 
 
 _ambient = Execution.from_env(os.environ)
@@ -112,9 +79,9 @@ def current():
     return _ambient
 
 
-def resolve(backend=None, rng=None):
+def resolve(backend=None):
     """The ambient record under per-call overrides."""
-    return _ambient.resolve(backend, rng)
+    return _ambient.resolve(backend)
 
 
 @contextmanager
@@ -130,14 +97,13 @@ def installed(execution):
 
 
 @contextmanager
-def use_backend(backend, rng=None):
-    """Pin the backend (and optionally the rng scheme) for every run in
-    the scope.
+def use_backend(backend):
+    """Pin the backend for every run in the scope.
 
     The equivalence suite runs whole pipelines — alternations, virtual
-    domains, portfolios — under each backend with ``rng="counter"``
-    pinned, proving the engines interchangeable end to end.
+    domains, portfolios — under each backend, proving the engines
+    interchangeable end to end.
     """
-    with installed(_ambient.resolve(backend, rng)):
+    with installed(_ambient.resolve(backend)):
         yield
 

@@ -224,7 +224,6 @@ def run_many(
     default_output=None,
     truncate=False,
     backend=None,
-    rng=None,
 ):
     """Execute independent runs, fusing certified ones into shared slabs.
 
@@ -237,11 +236,11 @@ def run_many(
     max_rounds, default_output, truncate:
         Round restriction, applied to every lane with the exact
         semantics of :func:`~repro.local.runner.run`.
-    backend, rng:
+    backend:
         Resolved like a solo run.  Lanes fuse when the resolved
-        backend is ``"compiled"`` with batching on and the algorithm is
-        certified ``supports_fuse``; everything else — including every
-        lane when numpy is missing — runs solo, bit-identically.
+        backend is ``"compiled"`` and the algorithm is certified
+        ``supports_fuse``; everything else — including every lane when
+        numpy is missing — runs solo, bit-identically.
 
     Returns the per-job list of :class:`~repro.local.runner.RunResult`,
     each field-for-field identical to the job's solo ``run``.  A lane
@@ -276,7 +275,7 @@ def run_many(
         )
     truncating = truncate or default_output is not None
     cap = round_cap(max_rounds, truncating)
-    execution = resolve(backend, rng)
+    execution = resolve(backend)
 
     def run_solo(lane):
         try:

@@ -23,20 +23,18 @@ Two interchangeable executors implement these semantics:
   :mod:`repro.local.engine`: an algorithm's registered batch kernel is
   driven round-fused; a run without one (no kernel, numpy missing,
   ``track_bits``, or a declining factory) takes the reference loop
-  below under ``rng="counter"`` (DESIGN.md D33).  It draws
-  ``rng="counter"`` only; pinning ``rng="mt"`` on it raises
-  :class:`~repro.errors.ParameterError` (DESIGN.md D29).
+  below (DESIGN.md D33).
 * ``backend="reference"`` — the original dict-based loop below, kept
-  verbatim as the executable specification (eager Mersenne-Twister
-  sources, ``rng="mt"`` by default, ``rng="counter"`` on request) and
+  verbatim as the executable specification (eager per-node sources) and
   the one per-node interpreter.  It is the oracle the equivalence suite
-  (``tests/test_engine_equivalence.py``) diffs the kernels against:
-  under ``rng="counter"`` the two backends produce bit-identical
-  :class:`RunResult` fields.
+  (``tests/test_engine_equivalence.py``) diffs the kernels against: the
+  two backends produce bit-identical :class:`RunResult` fields.
 
-Select per call (``run(..., backend=..., rng=...)``) or per scope
-(:func:`~repro.local.execution.use_backend`, or the ``REPRO_BACKEND`` /
-``REPRO_RNG`` environment variables); both resolve into one
+Both draw the one counter random scheme
+(:mod:`repro.local.context`, DESIGN.md D36).  Select per call
+(``run(..., backend=...)``) or per scope
+(:func:`~repro.local.execution.use_backend`, or the ``REPRO_BACKEND``
+environment variable); both resolve into one
 :class:`~repro.local.execution.Execution` record.
 """
 
@@ -134,7 +132,6 @@ def run(
     algorithm,
     *,
     backend=None,
-    rng=None,
     **options,
 ):
     """Execute ``algorithm`` on ``graph`` and return a :class:`RunResult`.
@@ -147,22 +144,16 @@ def run(
         A :class:`LocalAlgorithm`.
     backend:
         ``"compiled"`` (CSR engine; an algorithm's registered batch
-        kernel runs round-fused, any other run takes the reference loop
-        under ``rng="counter"``) or ``"reference"`` (the specification
-        loop).  ``None`` uses the
-        ambient :class:`~repro.local.execution.Execution` record.
-    rng:
-        Per-node random-source scheme, ``"counter"`` or ``"mt"``
-        (``"mt"`` on the reference backend only); ``None`` uses the
-        backend's native scheme.  Pin ``"counter"`` when diffing
-        backends — the schemes produce different (equally valid) random
-        streams.
+        kernel runs round-fused, any other run takes the reference
+        loop) or ``"reference"`` (the specification loop).  ``None``
+        uses the ambient :class:`~repro.local.execution.Execution`
+        record.
     options:
         The run itself, see :func:`execute`: ``inputs``, ``guesses``,
         ``seed``, ``salt``, ``max_rounds``, ``default_output``,
         ``truncate`` and ``track_bits``.
     """
-    return execute(graph, algorithm, resolve(backend, rng), **options)
+    return execute(graph, algorithm, resolve(backend), **options)
 
 
 def require_guesses(algorithm, guesses, name=None):
@@ -280,7 +271,6 @@ def execute(
         truncating=truncating,
         default_output=default_output,
         track_bits=track_bits,
-        rng_mode=execution.rng_mode,
     )
 
 
@@ -296,17 +286,16 @@ def _run_reference(
     truncating,
     default_output,
     track_bits,
-    rng_mode,
 ):
     """The specification loop: fresh dict inboxes every round.
 
-    Kept verbatim from the seed implementation (modulo the pluggable rng
+    Kept verbatim from the seed implementation (modulo the counter rng
     scheme) as the oracle for the batch kernels' equivalence suite, and
     the one per-node interpreter: compiled runs without a batch kernel
-    land here under ``rng="counter"`` (D33).
+    land here (D33).
     """
     note_stepping("reference")
-    make_gen = rng_source(rng_mode, seed, salt)
+    make_gen = rng_source(seed, salt)
     processes = {}
     for u in graph.nodes:
         ctx = NodeContext(
@@ -316,7 +305,6 @@ def _run_reference(
             input=inputs.get(u),
             guesses=guesses,
             rng=make_gen(graph.ident[u]),
-            rng_mode=rng_mode,
         )
         processes[u] = algorithm.make(ctx)
 

@@ -57,8 +57,7 @@ class SimulationSession:
             session.mutate(GraphDelta(add_edges=[(3, 9)]))
             session.rerun(algo, seed=1)   # ≡ cold run on the new graph
 
-    Keyword pins (``backend``, ``rng``) are resolved once, at open,
-    into the session's
+    The ``backend`` pin is resolved once, at open, into the session's
     :class:`~repro.local.execution.Execution` record — the ambient
     record for every :meth:`rerun`, :meth:`rerun_many` and
     :meth:`scope`.  Any rerun may override it per call, which is how
@@ -67,13 +66,13 @@ class SimulationSession:
 
     __slots__ = ("_graph", "_execution", "_epoch", "_reruns", "_closed")
 
-    def __init__(self, graph, *, backend=None, rng=None):
+    def __init__(self, graph, *, backend=None):
         if not isinstance(graph, SimGraph):
             raise ParameterError(
                 f"sessions wrap a SimGraph, got {type(graph).__name__}"
             )
         self._graph = graph
-        self._execution = resolve(backend, rng)
+        self._execution = resolve(backend)
         self._epoch = 0
         self._reruns = 0
         self._closed = False
@@ -178,8 +177,8 @@ class SimulationSession:
         (D16).  Per-lane ``seed``, ``salt``, ``guesses`` and ``inputs``
         go in each pair's ``opts``.  Accepts the keywords of
         :func:`~repro.local.fused.run_many` (``max_rounds``,
-        ``default_output``, ``truncate``, ``backend``, ``rng``); the
-        last two override the session record per call.
+        ``default_output``, ``truncate``, ``backend``); ``backend``
+        overrides the session record per call.
         """
         jobs = []
         for entry in algorithms:
@@ -218,10 +217,10 @@ class SimulationSession:
         )
 
 
-def open_session(graph, *, backend=None, rng=None):
+def open_session(graph, *, backend=None):
     """Open a :class:`SimulationSession` on ``graph``.
 
-    The keyword pins become defaults for every ``rerun`` of the
+    The ``backend`` pin becomes the default for every ``rerun`` of the
     session; see :class:`SimulationSession`.
     """
-    return SimulationSession(graph, backend=backend, rng=rng)
+    return SimulationSession(graph, backend=backend)

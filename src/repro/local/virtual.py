@@ -45,8 +45,8 @@ virtual nodes — a valid instance of the paper's "arbitrary output".
 Host process: one host-process implementation, the seed's dict-driven
 one, runs the simulation on every backend.  A wrapped algorithm has no
 batch kernel, so the compiled backend runs it on the reference loop
-under ``rng="counter"`` (DESIGN.md D33); the domains reach the batched
-virtual driver below instead whenever the inner algorithm has a kernel.
+(DESIGN.md D33); the domains reach the batched virtual driver below
+instead whenever the inner algorithm has a kernel.
 
 Incremental restriction: :meth:`VirtualSpec.restricted` produces the spec
 induced on surviving virtual nodes in O(Σ surviving old-degree) by
@@ -68,7 +68,7 @@ from .batch import (
     drive_kernel,
     virtual_draw_builder,
 )
-from .context import NodeContext, sub_rng
+from .context import NodeContext, counter_rng
 from .message import Broadcast
 from .runner import note_stepping, require_guesses
 
@@ -311,7 +311,7 @@ class VirtualSpec:
 class _VirtualHostProcess(NodeProcess):
     """Physical-node process simulating all hosted virtual processes.
 
-    Dict-driven, kept as the seed wrote it (modulo the pluggable rng
+    Dict-driven, kept as the seed wrote it (modulo the counter rng
     scheme); the batched virtual driver is diffed against it.
     """
 
@@ -334,7 +334,6 @@ class _VirtualHostProcess(NodeProcess):
         self.algorithm = algorithm
         self.virt_inputs = virt_inputs
         base = ctx.rng.getrandbits(64)
-        mode = ctx.rng_mode
         self.subs = {}
         self.outputs = {}
         self.virt_round_inbox = {}
@@ -349,8 +348,7 @@ class _VirtualHostProcess(NodeProcess):
                 degree=len(spec.adj[virt]),
                 input=virt_inputs.get(virt),
                 guesses=ctx.guesses,
-                rng=sub_rng(mode, base, spec.ident[virt]),
-                rng_mode=mode,
+                rng=counter_rng(base, spec.ident[virt]),
             )
             self.subs[virt] = self.algorithm.make(sub_ctx)
 

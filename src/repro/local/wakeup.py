@@ -26,7 +26,6 @@ from ..errors import NonTerminationError, ParameterError
 from .algorithm import LocalAlgorithm
 from .context import NodeContext, rng_source
 from .message import Broadcast, normalize_outgoing
-from .execution import current
 from .runner import SAFETY_ROUND_CAP, RunResult, require_guesses
 
 
@@ -40,7 +39,6 @@ def run_with_wakeup(
     seed=0,
     salt=0,
     max_ticks=None,
-    rng=None,
 ):
     """Run ``algorithm`` under a wake-up pattern with the α synchronizer.
 
@@ -48,13 +46,11 @@ def run_with_wakeup(
     ----------
     wake:
         Mapping node -> global wake-up tick (non-negative int).
-    rng:
-        Per-node random-source scheme (``"counter"`` or ``"mt"``).  This
-        is its own per-node loop, not the compiled engine, so either
-        scheme runs under any ambient backend.  ``None`` resolves
-        exactly like :func:`repro.local.runner.run`'s default, so an
-        all-zero wake pattern reproduces the synchronous run bit for
-        bit — including for randomized algorithms.
+
+    This is its own per-node loop, not the compiled engine, and it draws
+    the same per-node random sources as :func:`repro.local.runner.run`,
+    so an all-zero wake pattern reproduces the synchronous run bit for
+    bit under either backend — including for randomized algorithms.
 
     Returns a :class:`~repro.local.runner.RunResult` whose
     ``finish_round`` records *global* finish ticks; use
@@ -69,8 +65,7 @@ def run_with_wakeup(
     if any(t < 0 for t in wake.values()):
         raise ParameterError("wake-up times must be non-negative")
     cap = SAFETY_ROUND_CAP if max_ticks is None else max_ticks
-    rng_mode = rng or current().rng_mode
-    make_gen = rng_source(rng_mode, seed, salt)
+    make_gen = rng_source(seed, salt)
 
     processes = {}
     for u in graph.nodes:
@@ -81,7 +76,6 @@ def run_with_wakeup(
             input=inputs.get(u),
             guesses=guesses,
             rng=make_gen(graph.ident[u]),
-            rng_mode=rng_mode,
         )
         processes[u] = algorithm.make(ctx)
 

@@ -236,7 +236,7 @@ class TestBadGuessBehaviour:
         for backend in ("reference", "compiled"):
             result = run(
                 graph, algo, guesses=guesses, seed=5,
-                backend=backend, rng="counter",
+                backend=backend,
             )
             seen.append((result.outputs, result.rounds))
         return seen

@@ -26,7 +26,7 @@ from repro.local import CounterRNG, run, use_backend
 from repro.local import batch as batch_module
 from repro.local.algorithm import HostAlgorithm, capabilities_of
 from repro.local.context import counter_rng, run_key
-from repro.local.execution import resolve
+from repro.local.execution import Execution, resolve
 
 numpy = pytest.importorskip("numpy")
 
@@ -94,7 +94,7 @@ class TestCounterRandomBatch:
 
 def reference_counter():
     """The scope every kernel-less compiled run must equal (D33)."""
-    return use_backend("reference", rng="counter")
+    return use_backend("reference")
 
 
 class TestFallbackWithoutNumpy:
@@ -243,11 +243,12 @@ class TestCapabilities:
 class TestBackendSelection:
     def test_batch_backend_resolves(self):
         """Batching is the compiled backend's own behaviour, not a
-        backend or a flag (D33): the record carries backend and rng."""
+        backend or a flag (D33): the record carries the backend alone
+        (D36)."""
         compiled = resolve("compiled")
-        assert compiled.rng_mode == "counter"
+        assert compiled == Execution(backend="compiled")
         assert not hasattr(compiled, "batch")
-        assert resolve("reference").rng_mode == "mt"
+        assert resolve("reference") == Execution(backend="reference")
 
     def test_track_bits_falls_back(self, small_gnp):
         """Message-size instrumentation runs the reference loop."""

@@ -1,11 +1,11 @@
 """Cross-backend equivalence suite (DESIGN.md, backend contract).
 
 Proves the compiled engine and the reference loop are interchangeable:
-bit-identical :class:`RunResult` fields under ``rng="counter"`` (the
-only scheme the compiled engine draws, DESIGN.md D29) on every workload
-family, for truncated and self-terminating runs, for
-targeted-message algorithms, with message-size tracking, through whole
-alternation pipelines, and on virtual (line-graph) domains.  Also pins
+bit-identical :class:`RunResult` fields under the one counter random
+scheme both draw (DESIGN.md D29, D36) on every workload family, for
+truncated and self-terminating runs, for targeted-message algorithms,
+with message-size tracking, through whole alternation pipelines, and on
+virtual (line-graph) domains.  Also pins
 the incremental restriction paths against their rebuild specifications.
 """
 
@@ -40,10 +40,6 @@ from repro.local import (
 from repro.problems import MIS, ColorList, SLCInput
 
 BACKENDS = ("reference", "compiled")
-#: The schemes both backends run: the compiled engine is counter-only
-#: (D29); the reference loop's mt streams are pinned by
-#: ``tests/test_rng_specification.py``.
-RNGS = ("counter",)
 
 RESULT_FIELDS = (
     "outputs",
@@ -60,9 +56,9 @@ def assert_results_equal(a, b, context=""):
         assert getattr(a, field) == getattr(b, field), (field, context)
 
 
-def run_both(graph, algorithm, rng, **kwargs):
-    ref = run(graph, algorithm, backend="reference", rng=rng, **kwargs)
-    cmp_ = run(graph, algorithm, backend="compiled", rng=rng, **kwargs)
+def run_both(graph, algorithm, **kwargs):
+    ref = run(graph, algorithm, backend="reference", **kwargs)
+    cmp_ = run(graph, algorithm, backend="compiled", **kwargs)
     return ref, cmp_
 
 
@@ -96,53 +92,50 @@ def ping_pong():
 
 class TestRunEquivalence:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("rng", RNGS)
-    def test_luby_all_workloads(self, workload, rng):
+    def test_luby_all_workloads(self, workload):
         graph = build_graph(WORKLOADS[workload](48, seed=3), seed=4)
-        ref, cmp_ = run_both(graph, luby_mis(), rng, seed=11)
-        assert_results_equal(ref, cmp_, context=(workload, rng))
+        ref, cmp_ = run_both(graph, luby_mis(), seed=11)
+        assert_results_equal(ref, cmp_, context=workload)
         assert MIS.is_solution(graph, {}, cmp_.outputs)
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_seed_sweep(self, small_gnp, seed):
-        for rng in RNGS:
-            ref, cmp_ = run_both(small_gnp, luby_mis(), rng, seed=seed)
-            assert_results_equal(ref, cmp_, context=(seed, rng))
+        ref, cmp_ = run_both(small_gnp, luby_mis(), seed=seed)
+        assert_results_equal(ref, cmp_, context=seed)
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("rng", RNGS)
-    def test_truncated_run(self, workload, rng):
+    def test_truncated_run(self, workload):
         graph = build_graph(WORKLOADS[workload](48, seed=3), seed=4)
         ref = run_restricted(
             graph, luby_mis(), 2, default_output="cut",
-            backend="reference", rng=rng,
+            backend="reference",
         )
         cmp_ = run_restricted(
             graph, luby_mis(), 2, default_output="cut",
-            backend="compiled", rng=rng,
+            backend="compiled",
         )
-        assert_results_equal(ref, cmp_, context=(workload, rng))
+        assert_results_equal(ref, cmp_, context=workload)
 
     def test_truncation_bites(self, small_gnp):
         ref = run_restricted(
             small_gnp, luby_mis(), 2, default_output="cut",
-            backend="reference", rng="counter",
+            backend="reference",
         )
         cmp_ = run_restricted(
             small_gnp, luby_mis(), 2, default_output="cut",
-            backend="compiled", rng="counter",
+            backend="compiled",
         )
         assert_results_equal(ref, cmp_)
         assert ref.truncated  # the restriction actually bit
 
     def test_targeted_messages(self, small_gnp):
-        ref, cmp_ = run_both(small_gnp, ping_pong(), "counter", seed=5)
+        ref, cmp_ = run_both(small_gnp, ping_pong(), seed=5)
         assert_results_equal(ref, cmp_)
         assert cmp_.messages > 0
 
     def test_track_bits(self, small_gnp):
         ref, cmp_ = run_both(
-            small_gnp, luby_mis(), "counter", seed=7, track_bits=True
+            small_gnp, luby_mis(), seed=7, track_bits=True
         )
         assert_results_equal(ref, cmp_)
         assert cmp_.max_message_bits is not None
@@ -154,7 +147,7 @@ class TestRunEquivalence:
         from repro.local import SimGraph
 
         graph = SimGraph.from_networkx(nx.empty_graph(0))
-        ref, cmp_ = run_both(graph, luby_mis(), "counter")
+        ref, cmp_ = run_both(graph, luby_mis())
         assert_results_equal(ref, cmp_)
 
     def test_nontermination_parity(self, path12):
@@ -195,7 +188,7 @@ class TestPipelineEquivalence:
     def test_uniform_rows(self, small_gnp, row):
         results = {}
         for backend in BACKENDS:
-            with use_backend(backend, rng="counter"):
+            with use_backend(backend):
                 _, _, uniform = TABLE1[row].build()
                 results[backend] = uniform.run(small_gnp, seed=13)
         ref, cmp_ = results["reference"], results["compiled"]
@@ -207,7 +200,7 @@ class TestPipelineEquivalence:
         """Virtual-domain (line-graph) alternation, both backends."""
         results = {}
         for backend in BACKENDS:
-            with use_backend(backend, rng="counter"):
+            with use_backend(backend):
                 _, _, uniform = TABLE1["matching"].build()
                 results[backend] = uniform.run(small_gnp, seed=17)
         ref, cmp_ = results["reference"], results["compiled"]
@@ -216,14 +209,13 @@ class TestPipelineEquivalence:
 
 
 class TestVirtualDomainEquivalence:
-    @pytest.mark.parametrize("rng", RNGS)
-    def test_line_graph_restricted_run(self, small_gnp, rng):
+    def test_line_graph_restricted_run(self, small_gnp):
         spec = line_graph_spec(small_gnp)
         outputs = {}
         for backend in BACKENDS:
             domain = VirtualDomain(small_gnp, spec)
             outputs[backend] = domain.run_restricted(
-                luby_mis(), 24, seed=19, backend=backend, rng=rng
+                luby_mis(), 24, seed=19, backend=backend
             )
         assert outputs["reference"] == outputs["compiled"]
 
@@ -233,7 +225,7 @@ class TestVirtualDomainEquivalence:
         for backend in BACKENDS:
             domain = VirtualDomain(small_gnp, spec)
             outputs[backend] = domain.run_full(
-                luby_mis(), seed=23, backend=backend, rng="counter"
+                luby_mis(), seed=23, backend=backend
             )
         assert outputs["reference"] == outputs["compiled"]
 
@@ -262,15 +254,14 @@ class TestBatchEquivalence:
     """Batch-vs-reference bit identity for every batched kernel (D10)."""
 
     @pytest.mark.parametrize("workload", ("gnp-sparse", "tree", "star-noise"))
-    @pytest.mark.parametrize("rng", RNGS)
-    def test_full_runs(self, workload, rng):
+    def test_full_runs(self, workload):
         graph = build_graph(WORKLOADS[workload](52, seed=3), seed=4)
         for label, algorithm, guesses in kernel_algorithms(graph):
             reference, batched = run_both(
-                graph, algorithm, rng, seed=11, guesses=guesses
+                graph, algorithm, seed=11, guesses=guesses
             )
             assert_results_equal(
-                reference, batched, context=(workload, rng, label)
+                reference, batched, context=(workload, label)
             )
 
     @pytest.mark.parametrize("rounds", (1, 2, 7))
@@ -279,7 +270,7 @@ class TestBatchEquivalence:
             reference, batched = (
                 run_restricted(
                     small_gnp, algorithm, rounds, default_output="cut",
-                    guesses=guesses, backend=backend, rng="counter",
+                    guesses=guesses, backend=backend,
                 )
                 for backend in BACKENDS
             )
@@ -288,11 +279,11 @@ class TestBatchEquivalence:
     def test_batch_matches_reference(self, small_gnp):
         for label, algorithm, guesses in kernel_algorithms(small_gnp):
             reference = run(
-                small_gnp, algorithm, backend="reference", rng="counter",
+                small_gnp, algorithm, backend="reference",
                 seed=5, guesses=guesses,
             )
             batched = run(
-                small_gnp, algorithm, backend="compiled", rng="counter",
+                small_gnp, algorithm, backend="compiled",
                 seed=5, guesses=guesses,
             )
             assert_results_equal(reference, batched, context=label)
@@ -311,7 +302,7 @@ class TestBatchEquivalence:
         sim = SimGraph.from_networkx(graph, idents=idents)
         guesses = {"m": max(idents.values()), "Delta": 2}
         reference, compiled = run_both(
-            sim, fast_mis(), "counter", seed=3, guesses=guesses
+            sim, fast_mis(), seed=3, guesses=guesses
         )
         assert last_stepping() == "rf"
         assert_results_equal(reference, compiled, context="big idents")
@@ -330,7 +321,7 @@ class TestBatchEquivalence:
         graph = nx.cycle_graph(8)
         pool = [1, 2**63, 2**64 - 2, top, 2**63 + 5, 7, 2**62, top - 9]
         sim = SimGraph.from_networkx(graph, idents=dict(enumerate(pool)))
-        reference, compiled = run_both(sim, luby_mis(), "counter", seed=9)
+        reference, compiled = run_both(sim, luby_mis(), seed=9)
         assert last_stepping() == "rf"
         assert_results_equal(reference, compiled, context=top)
 
@@ -338,14 +329,12 @@ class TestBatchEquivalence:
         errors = {}
         for backend in BACKENDS:
             with pytest.raises(NonTerminationError) as excinfo:
-                run(small_gnp, luby_mis(), max_rounds=1, backend=backend,
-                    rng="counter")
+                run(small_gnp, luby_mis(), max_rounds=1, backend=backend)
             errors[backend] = str(excinfo.value)
         assert errors["reference"] == errors["compiled"]
 
-    @pytest.mark.parametrize("rng", RNGS)
     @pytest.mark.parametrize("budget", (2, 8, 40))
-    def test_line_graph_domain(self, small_gnp, rng, budget):
+    def test_line_graph_domain(self, small_gnp, budget):
         spec = line_graph_spec(small_gnp)
         guesses = {"m": small_gnp.max_ident**2, "Delta": 2 * small_gnp.max_degree}
         for label, algorithm, g in (
@@ -357,10 +346,9 @@ class TestBatchEquivalence:
                 domain = VirtualDomain(small_gnp, spec)
                 outputs[backend] = domain.run_restricted(
                     algorithm, budget, seed=19, guesses=g, backend=backend,
-                    rng=rng,
                 )
             assert outputs["reference"] == outputs["compiled"], (
-                label, rng, budget,
+                label, budget,
             )
 
     def test_clique_product_domain(self, small_gnp):
@@ -369,7 +357,7 @@ class TestBatchEquivalence:
         for backend in BACKENDS:
             domain = VirtualDomain(small_gnp, spec)
             outputs[backend] = domain.run_restricted(
-                luby_mis(), 30, seed=23, backend=backend, rng="counter"
+                luby_mis(), 30, seed=23, backend=backend
             )
         assert outputs["reference"] == outputs["compiled"]
 
@@ -380,7 +368,7 @@ class TestBatchEquivalence:
         outputs = {}
         for backend in BACKENDS:
             domain = VirtualDomain(small_gnp, spec)
-            with use_backend(backend, rng="counter"):
+            with use_backend(backend):
                 sub = domain.subgraph(keep)
                 outputs[backend] = sub.run_restricted(luby_mis(), 24, seed=29)
         assert outputs["reference"] == outputs["compiled"]
@@ -389,7 +377,7 @@ class TestBatchEquivalence:
         """Whole matching alternation: batch vs the reference loop."""
         results = {}
         for backend in BACKENDS:
-            with use_backend(backend, rng="counter"):
+            with use_backend(backend):
                 _, _, uniform = TABLE1["matching"].build()
                 results[backend] = uniform.run(small_gnp, seed=17)
         ref, cmp_ = results["reference"], results["compiled"]
@@ -454,18 +442,17 @@ class TestKWBoundaries:
         return events
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("rng", RNGS)
     @pytest.mark.parametrize("make", (fast_coloring, fast_mis))
-    def test_per_node_batch_and_fused_agree(self, case, rng, make, kw_events):
+    def test_per_node_batch_and_fused_agree(self, case, make, kw_events):
         graph = build_graph(WORKLOADS["gnp-sparse"](52, seed=3), seed=4)
         other = build_graph(WORKLOADS["tree"](40, seed=5), seed=6)
         guesses, event = self.CASES[case]
         guesses = {"m": graph.max_ident, **guesses}
         algorithm = make()
         reference, batched = run_both(
-            graph, algorithm, rng, seed=11, guesses=guesses
+            graph, algorithm, seed=11, guesses=guesses
         )
-        assert_results_equal(reference, batched, context=(case, rng))
+        assert_results_equal(reference, batched, context=case)
         assert event in kw_events
         kw_events.clear()
         jobs = [
@@ -473,11 +460,9 @@ class TestKWBoundaries:
             (graph, algorithm, {"guesses": guesses, "seed": 11}),
             (graph, algorithm, {"guesses": guesses, "seed": 2}),
         ]
-        for (lane_graph, _, opts), fused in zip(jobs, run_many(jobs, rng=rng)):
-            solo = run(
-                lane_graph, algorithm, backend="reference", rng=rng, **opts
-            )
-            assert_results_equal(solo, fused, context=(case, rng, "fused"))
+        for (lane_graph, _, opts), fused in zip(jobs, run_many(jobs)):
+            solo = run(lane_graph, algorithm, backend="reference", **opts)
+            assert_results_equal(solo, fused, context=(case, "fused"))
         assert event in kw_events
 
 
@@ -489,7 +474,7 @@ def assert_prune_results_equal(a, b, context=""):
 
 def apply_both(pruner, domain_factory, inputs, tentative, seed=3):
     """One reference-loop pruning application, one batched, same config."""
-    with use_backend("reference", rng="counter"):
+    with use_backend("reference"):
         reference = pruner.apply(
             domain_factory(), inputs, tentative, seed=seed, salt="eq"
         )
@@ -634,7 +619,7 @@ class TestPrunerBatchEquivalence:
             reference, batched = (
                 run_restricted(
                     small_gnp, algo, pruner.rounds, default_output=("keep", None),
-                    inputs=pair_inputs, backend=backend, rng="counter",
+                    inputs=pair_inputs, backend=backend,
                 )
                 for backend in BACKENDS
             )
@@ -642,7 +627,7 @@ class TestPrunerBatchEquivalence:
 
     def test_alternation_records_backends(self, small_gnp):
         """StepRecords attribute both runs of a step to their backend."""
-        with use_backend("compiled", rng="counter"):
+        with use_backend("compiled"):
             _, _, uniform = TABLE1["luby"].build()
             result = uniform.run(small_gnp, seed=13)
         assert result.steps
@@ -658,7 +643,7 @@ class TestPrunerBatchEquivalence:
                 "seconds": summary["rf|rf"]["seconds"],
             }
         }
-        with use_backend("reference", rng="counter"):
+        with use_backend("reference"):
             _, _, uniform = TABLE1["luby"].build()
             reference = uniform.run(small_gnp, seed=13)
         assert all(
@@ -674,31 +659,30 @@ class TestVirtualRunFullBatch:
     ROADMAP "still per-node" gap): doubling budget to the fixed point,
     bit-identical outputs *and* physical rounds vs the host loop."""
 
-    @pytest.mark.parametrize("rng", RNGS)
-    def test_line_graph_full(self, small_gnp, rng):
+    def test_line_graph_full(self, small_gnp):
         spec = line_graph_spec(small_gnp)
         domain = VirtualDomain(small_gnp, spec)
-        with use_backend("reference", rng="counter"):
-            reference = domain.run_full(luby_mis(), seed=23, rng=rng)
-        batched = domain.run_full(luby_mis(), seed=23, rng=rng)
+        with use_backend("reference"):
+            reference = domain.run_full(luby_mis(), seed=23)
+        batched = domain.run_full(luby_mis(), seed=23)
         assert reference == batched
 
     def test_clique_product_full(self, small_gnp):
         spec = clique_product_spec(small_gnp)
         domain = VirtualDomain(small_gnp, spec)
-        with use_backend("reference", rng="counter"):
-            reference = domain.run_full(luby_mis(), seed=23, rng="counter")
-        batched = domain.run_full(luby_mis(), seed=23, rng="counter")
+        with use_backend("reference"):
+            reference = domain.run_full(luby_mis(), seed=23)
+        batched = domain.run_full(luby_mis(), seed=23)
         assert reference == batched
 
     def test_matches_reference_stack(self, small_gnp):
         spec = line_graph_spec(small_gnp)
-        with use_backend("reference", rng="counter"):
+        with use_backend("reference"):
             ref = VirtualDomain(small_gnp, spec).run_full(
                 luby_mis(), seed=31
             )
         got = VirtualDomain(small_gnp, spec).run_full(
-            luby_mis(), seed=31, rng="counter"
+            luby_mis(), seed=31
         )
         assert ref == got
 
@@ -709,7 +693,7 @@ class TestVirtualRunFullBatch:
             "m": small_gnp.max_ident**2,
             "Delta": 2 * small_gnp.max_degree,
         }
-        with use_backend("reference", rng="counter"):
+        with use_backend("reference"):
             reference = domain.run_full(fast_mis(), seed=9, guesses=guesses)
         batched = domain.run_full(fast_mis(), seed=9, guesses=guesses)
         assert reference == batched
@@ -719,7 +703,7 @@ class TestVirtualRunFullBatch:
         domain = VirtualDomain(small_gnp, spec)
         errors = {}
         for backend in BACKENDS:
-            with use_backend(backend, rng="counter"):
+            with use_backend(backend):
                 with pytest.raises(NonTerminationError) as excinfo:
                     domain.run_full(luby_mis(), seed=23, max_rounds=2)
             errors[backend] = str(excinfo.value)
@@ -813,7 +797,7 @@ class TestIncrementalRestriction:
         outputs = {}
         for backend in BACKENDS:
             domain = VirtualDomain(small_gnp, spec)
-            with use_backend(backend, rng="counter"):
+            with use_backend(backend):
                 sub = domain.subgraph(keep)
                 outputs[backend] = sub.run_restricted(luby_mis(), 24, seed=29)
         assert outputs["reference"] == outputs["compiled"]
@@ -824,7 +808,7 @@ class TestCounterRNG:
         from repro.local import CounterRNG
         from repro.local.context import rng_source
 
-        source = rng_source("counter", 1, "salt")
+        source = rng_source(1, "salt")
         a1 = source(101)
         a2 = source(101)
         b = source(102)

@@ -6,28 +6,30 @@ default.  Removed backend names are rejected with the valid ones listed,
 the removed ``shard_channel=``, ``shards=``, ``faults=``, ``lanes=``,
 ``errors=``, ``on_lane_done=`` and ``seeds=`` keywords are a
 ``TypeError`` at every entry point that once took them, the
-fault-injection, racing, round-fuse and batch switch names are gone
-from the API, the compiled engine refuses ``rng="mt"`` at every entry
-point (D29), and a call without overrides resolves to the ambient
-record itself.
+fault-injection, racing, round-fuse, batch and rng switch names are
+gone from the API (every run draws the one counter scheme, D36), and a
+call without overrides resolves to the ambient record itself.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.algorithms.luby import luby_mis
-from repro.core.domain import PhysicalDomain
+from repro.core.domain import PhysicalDomain, VirtualDomain
 from repro.errors import ParameterError
+from repro.graphs import line_graph_spec
 from repro.local import (
     Execution,
     LocalAlgorithm,
     open_session,
     run,
     run_many,
+    run_with_wakeup,
     use_backend,
 )
 from repro.local import fused
@@ -54,18 +56,15 @@ class TestEnvironmentParser:
         assert Execution.from_env({"REPRO_BACKEND": "  "}) == Execution()
 
     def test_values_parse(self):
-        execution = Execution.from_env({
-            "REPRO_BACKEND": "reference",
-            "REPRO_RNG": "mt",
-        })
-        assert execution == Execution(backend="reference", rng="mt")
+        execution = Execution.from_env({"REPRO_BACKEND": "reference"})
+        assert execution == Execution(backend="reference")
+        assert Execution.from_env({"REPRO_BACKEND": " compiled "}) == (
+            Execution(backend="compiled")
+        )
 
     @pytest.mark.parametrize("name,raw", [
         ("REPRO_BACKEND", "batch"),
         ("REPRO_BACKEND", "sharded"),
-        ("REPRO_RNG", "xorshift"),
-        # Valid on its own, but the default backend is compiled (D29).
-        ("REPRO_RNG", "mt"),
     ])
     def test_malformed_values_name_the_variable(self, name, raw):
         with pytest.raises(ParameterError, match=name):
@@ -142,15 +141,26 @@ class TestRemovedNames:
         with pytest.raises(ImportError):
             exec(f"from {module} import {name}", {})
 
-    @pytest.mark.parametrize("entry", (
-        "run", "run_many", "use_backend", "open_session", "domain",
-    ))
-    def test_compiled_mt_rejected(self, small_gnp, entry):
-        """D29: the compiled engine draws the counter scheme only; a
-        pinned mt scheme is an error, never a silent reference run."""
-        with use_backend("compiled"):
-            with pytest.raises(ParameterError, match="rng='mt' runs only"):
-                entry_point(small_gnp, entry, rng="mt")
+    def test_rng_switch_removed(self, small_gnp):
+        """D36: every run draws the counter scheme, so the variable, the
+        field, the mt generator and the ``rng=`` keyword are gone."""
+        environ = RecordingEnviron(REPRO_RNG="mt")
+        assert Execution.from_env(environ) == Execution()
+        assert environ.asked and "REPRO_RNG" not in environ.asked
+        assert [f.name for f in fields(Execution)] == ["backend"]
+        with pytest.raises(TypeError, match="rng"):
+            Execution(rng="counter")
+        with pytest.raises(ImportError):
+            from repro.local import make_rng  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.local.context import make_rng  # noqa: F401, F811
+        for entry in (
+            "run", "run_many", "use_backend", "open_session", "rerun",
+            "rerun_many", "domain", "domain_restricted", "virtual_domain",
+            "virtual_domain_restricted", "wakeup",
+        ):
+            with pytest.raises(TypeError, match="rng"):
+                entry_point(small_gnp, entry, rng="counter")
 
     def test_slab_cache_stats_removed(self):
         """D32: the fused-slab cache counters were diagnostics only
@@ -194,7 +204,7 @@ class TestRemovedNames:
 
     def test_batch_switch_removed(self):
         """D33: a compiled run without a batch kernel is the reference
-        loop under ``rng="counter"``, so the switch that selected the
+        loop, so the switch that selected the
         per-node compiled loop — variable, scope and field — is gone."""
         environ = RecordingEnviron(REPRO_BATCH="0")
         assert Execution.from_env(environ) == Execution()
@@ -215,6 +225,18 @@ def entry_point(graph, entry, **removed):
         "domain": lambda: PhysicalDomain(graph).run_full(
             luby_mis(), **removed
         ),
+        "domain_restricted": lambda: PhysicalDomain(graph).run_restricted(
+            luby_mis(), 2, **removed
+        ),
+        "virtual_domain": lambda: VirtualDomain(
+            graph, line_graph_spec(graph)
+        ).run_full(luby_mis(), **removed),
+        "virtual_domain_restricted": lambda: VirtualDomain(
+            graph, line_graph_spec(graph)
+        ).run_restricted(luby_mis(), 2, **removed),
+        "wakeup": lambda: run_with_wakeup(
+            graph, luby_mis(), {}, **removed
+        ),
         "rerun": lambda: open_session(graph).rerun(luby_mis(), **removed),
         "rerun_many": lambda: open_session(graph).rerun_many(
             [luby_mis()], **removed
@@ -226,9 +248,9 @@ def entry_point(graph, entry, **removed):
 class TestResolution:
     def test_no_overrides_returns_the_ambient_record(self):
         assert resolve() is current()
-        with use_backend("compiled", rng="counter"):
+        with use_backend("reference"):
             assert resolve() is current()
-            assert current().rng == "counter"
+            assert current().backend == "reference"
 
     @pytest.mark.parametrize("name,value", [
         *(pytest.param("max_rounds", value, id=f"{shown}-max_rounds")
@@ -278,22 +300,13 @@ class TestResolution:
         with pytest.raises(ValueError, match="max_rounds"):
             run(small_gnp, luby_mis(), max_rounds=-1)
 
-    def test_rng_mode_follows_the_backend_unless_pinned(self):
-        assert resolve(backend="reference").rng_mode == "mt"
-        assert resolve(backend="compiled").rng_mode == "counter"
-        with use_backend("reference", rng="counter"):
-            assert current().rng_mode == "counter"
-        with use_backend("reference", rng="mt"):
-            assert current().rng_mode == "mt"
-            # A pinned mt scheme cannot move to the compiled engine (D29).
-            with pytest.raises(ParameterError, match="rng='mt' runs only"):
-                resolve(backend="compiled")
-
     def test_scopes_swap_and_restore_the_record(self):
         before = current()
-        with use_backend("reference", rng="counter"):
+        with use_backend("reference"):
+            assert current() == Execution(backend="reference")
+            with use_backend("compiled"):
+                assert current() == Execution(backend="compiled")
             assert current().backend == "reference"
-            assert current().rng == "counter"
         assert current() is before
 
     def test_lanes_on_any_compiled_scope(self, small_gnp, monkeypatch):
@@ -301,6 +314,6 @@ class TestResolution:
         jobs = [(small_gnp, algo, {"seed": s}) for s in range(3)]
         plain = run_many(jobs)
         monkeypatch.setattr(fused, "LANE_WIDTH", 2)
-        with use_backend("compiled", rng="counter"):
+        with use_backend("compiled"):
             chunked = run_many(jobs)
         assert [r.outputs for r in chunked] == [r.outputs for r in plain]

@@ -69,7 +69,7 @@ def jobs_matrix(small_gnp, medium_gnp):
     ]
 
 
-def solo_twin(job, *, rng, **kwargs):
+def solo_twin(job, **kwargs):
     graph, algorithm = job[0], job[1]
     opts = job[2] if len(job) == 3 else {}
     return run(
@@ -78,26 +78,23 @@ def solo_twin(job, *, rng, **kwargs):
         guesses=opts.get("guesses"),
         seed=opts.get("seed", 0),
         salt=opts.get("salt", 0),
-        rng=rng,
         **kwargs,
     )
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("rng", ("counter",))
-    def test_heterogeneous_matrix(self, small_gnp, medium_gnp, rng):
+    def test_heterogeneous_matrix(self, small_gnp, medium_gnp):
         jobs = jobs_matrix(small_gnp, medium_gnp)
-        fused = run_many(jobs, rng=rng)
+        fused = run_many(jobs)
         for job, result in zip(jobs, fused):
-            solo = solo_twin(job, rng=rng)
+            solo = solo_twin(job)
             assert fields_of(result) == fields_of(solo), job[1].name
 
-    @pytest.mark.parametrize("rng", ("counter",))
-    def test_truncated_lanes_match_solo(self, small_gnp, medium_gnp, rng):
+    def test_truncated_lanes_match_solo(self, small_gnp, medium_gnp):
         jobs = jobs_matrix(small_gnp, medium_gnp)
-        fused = run_many(jobs, max_rounds=1, default_output=0, rng=rng)
+        fused = run_many(jobs, max_rounds=1, default_output=0)
         for job, result in zip(jobs, fused):
-            solo = solo_twin(job, rng=rng, max_rounds=1, default_output=0)
+            solo = solo_twin(job, max_rounds=1, default_output=0)
             assert fields_of(result) == fields_of(solo), job[1].name
             assert result.rounds <= 1
 
@@ -120,10 +117,9 @@ class TestBitIdentity:
         jobs = [(medium_gnp, algo, {"seed": s}) for s in range(8)]
         results = run_many(jobs)
         for job, result in zip(jobs, results):
-            assert fields_of(result) == fields_of(solo_twin(job, rng=None))
+            assert fields_of(result) == fields_of(solo_twin(job))
 
-    @pytest.mark.parametrize("rng", ("counter",))
-    def test_fast_mis_lanes_of_different_sizes(self, rng):
+    def test_fast_mis_lanes_of_different_sizes(self):
         # Lanes of different sizes finish their sweeps in different
         # rounds; each still reports exactly its solo run.
         graphs = [
@@ -133,9 +129,9 @@ class TestBitIdentity:
         algo = fast_mis()
         opts = {"guesses": {"Delta": 60, "m": 10**6}, "seed": 1}
         jobs = [(graph, algo, opts) for graph in graphs]
-        results = run_many(jobs, rng=rng)
+        results = run_many(jobs)
         for job, result in zip(jobs, results):
-            assert fields_of(result) == fields_of(solo_twin(job, rng=rng))
+            assert fields_of(result) == fields_of(solo_twin(job))
         assert len({result.rounds for result in results}) > 1
 
     def test_one_drive_per_chunk(self, small_gnp, monkeypatch):
@@ -168,7 +164,7 @@ class TestBitIdentity:
         assert all(slab is slabs[0] for slab in slabs)
         assert slabs[0] is fused_slab_of((small_gnp.compiled(),) * 8)
         for job, result in zip(jobs, results):
-            assert fields_of(result) == fields_of(solo_twin(job, rng=None))
+            assert fields_of(result) == fields_of(solo_twin(job))
 
     def test_per_job_salt_changes_the_draws(self, small_gnp):
         algo = luby_mis()
@@ -179,7 +175,7 @@ class TestBitIdentity:
         ]
         plain, zero, salted = run_many(jobs)
         assert fields_of(plain) == fields_of(zero)
-        assert fields_of(salted) == fields_of(solo_twin(jobs[2], rng=None))
+        assert fields_of(salted) == fields_of(solo_twin(jobs[2]))
         assert (salted.outputs, salted.finish_round) != (
             plain.outputs, plain.finish_round
         )
@@ -220,7 +216,7 @@ class TestTermination:
                  algo, opts)
                 for k, n in enumerate((20, 40, 60, 80))
             ]
-        solo_rounds = [solo_twin(job, rng=None).rounds for job in jobs]
+        solo_rounds = [solo_twin(job).rounds for job in jobs]
         cap = min(solo_rounds)
         assert cap < max(solo_rounds)
         # A sequence default is one output per cut node, not an array
@@ -229,7 +225,7 @@ class TestTermination:
             results = run_many(jobs, max_rounds=cap, default_output=default)
             for job, result in zip(jobs, results):
                 solo = solo_twin(
-                    job, rng=None, max_rounds=cap, default_output=default
+                    job, max_rounds=cap, default_output=default
                 )
                 assert fields_of(result) == fields_of(solo)
             assert {bool(r.truncated) for r in results} == {False, True}
@@ -237,7 +233,7 @@ class TestTermination:
             run_many(jobs, max_rounds=cap)
         lowest = solo_rounds.index(next(r for r in solo_rounds if r > cap))
         with pytest.raises(NonTerminationError) as solo:
-            solo_twin(jobs[lowest], rng=None, max_rounds=cap)
+            solo_twin(jobs[lowest], max_rounds=cap)
         assert sorted(caught.value.unfinished) == sorted(solo.value.unfinished)
 
     def test_nontermination_lane_raises_by_default(self, path12):
@@ -292,7 +288,7 @@ class TestFallbacks:
         ]
         fused = run_many(jobs)
         for job, result in zip(jobs, fused):
-            assert fields_of(result) == fields_of(solo_twin(job, rng=None))
+            assert fields_of(result) == fields_of(solo_twin(job))
 
     def test_numpy_free_environment(self, small_gnp, monkeypatch):
         jobs = [(small_gnp, luby_mis(), {"seed": s}) for s in range(3)]
@@ -305,7 +301,7 @@ class TestFallbacks:
         jobs = [(small_gnp, luby_mis(), {"seed": s}) for s in range(2)]
         via_ref = run_many(jobs, backend="reference")
         for job, result in zip(jobs, via_ref):
-            solo = solo_twin(job, rng=None, backend="reference")
+            solo = solo_twin(job, backend="reference")
             assert fields_of(result) == fields_of(solo)
 
 

@@ -213,7 +213,7 @@ class TestRunner:
 class TestNonTerminationDiagnostics:
     def test_message_unchanged(self, small_gnp):
         with pytest.raises(NonTerminationError) as excinfo:
-            run(small_gnp, luby_mis(), seed=2, rng="counter", max_rounds=1)
+            run(small_gnp, luby_mis(), seed=2, max_rounds=1)
         message = str(excinfo.value)
         assert message.endswith("node(s) unfinished")
         assert "shard" not in message

@@ -7,7 +7,7 @@ skip work — Linial rivals compared on machine words, the KW first-free
 scan capped at ``2·max_degree + 1`` columns, the Luby slot list compacted
 to live–live slots (DESIGN.md D34) — so every case here runs solo on the
 compiled backend and as a lane of a fused chunk, and each must equal the
-reference loop under ``rng="counter"`` field for field.
+reference loop field for field.
 
 The caps cut the kernels where their state is most delicate: mid-Linial,
 mid-KW, at the end of the first KW phase and one round past it (the
@@ -125,14 +125,14 @@ def check_solo_and_fused(graphs, algorithm, guesses, cap, context):
         (graph, algorithm, {"guesses": guesses, "seed": seed})
         for seed, graph in enumerate(graphs, start=7)
     ]
-    fused = run_many(jobs, backend="compiled", rng="counter", **opts)
+    fused = run_many(jobs, backend="compiled", **opts)
     references = []
     for (graph, _, job), lane in zip(jobs, fused):
         reference = run(
-            graph, algorithm, backend="reference", rng="counter", **job, **opts
+            graph, algorithm, backend="reference", **job, **opts
         )
         solo = run(
-            graph, algorithm, backend="compiled", rng="counter", **job, **opts
+            graph, algorithm, backend="compiled", **job, **opts
         )
         assert_same(reference, solo, context + ("solo",))
         assert_same(reference, lane, context + ("fused",))
@@ -187,7 +187,7 @@ def test_luby_mc_budget_cut_matches_reference(luby_lanes, monkeypatch):
         )
         check_solo_and_fused(graphs, luby_mc(), guesses, 3, ("budget", family))
         for seed, (graph, result) in enumerate(zip(graphs, budgeted), start=7):
-            settled = run(graph, luby_mis(), seed=seed, rng="counter")
+            settled = run(graph, luby_mis(), seed=seed)
             cut_after_compaction += (
                 result.rounds < settled.rounds
                 and compaction_round(graph, result) == 3

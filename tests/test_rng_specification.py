@@ -1,12 +1,14 @@
-"""The seed-faithful specification: the reference loop under ``rng="mt"``.
+"""The specification streams: the reference loop's counter draws.
 
-The compiled engine draws the counter scheme only (DESIGN.md D29), so no
-cross-backend diff checks the Mersenne-Twister streams any more.  These
-golden values pin them instead: a Luby run on a fixed small G(n, p)
-graph, and a truncated Luby run on that graph's line-graph virtual
-domain, whose hosts derive their virtual nodes' streams through
-``sub_rng``'s mt branch.  The values were recorded before the compiled
-mt twins were deleted and must never change.
+Every run draws the one counter scheme (DESIGN.md D36), and the
+equivalence suites prove the compiled tiers equal the reference loop
+under it.  These golden values pin the reference loop itself, so a
+change to the scheme cannot slip through as a change both sides make
+together: a Luby run on a fixed small G(n, p) graph, and a truncated
+Luby run on that graph's line-graph virtual domain, whose hosts derive
+their virtual nodes' streams from a host-drawn base.  The values were
+recorded on the reference loop before the Mersenne-Twister scheme was
+deleted and must never change.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ def digest(mapping):
 
 
 def test_luby_run_matches_the_recorded_specification(small_gnp):
-    result = run(small_gnp, luby_mis(), backend="reference", rng="mt", seed=11)
-    assert digest(result.outputs) == "16b6b62aa0612957"
-    assert digest(result.finish_round) == "9c2df404f68b8e34"
-    assert (result.rounds, result.messages) == (3, 235)
+    result = run(small_gnp, luby_mis(), backend="reference", seed=11)
+    assert digest(result.outputs) == "f5b7025dd970e728"
+    assert digest(result.finish_round) == "56a555ba11d8d5a2"
+    assert (result.rounds, result.messages) == (5, 299)
     assert not result.truncated
 
 
@@ -38,10 +40,9 @@ def test_truncated_line_graph_run_matches_the_recorded_specification(
 ):
     domain = VirtualDomain(small_gnp, line_graph_spec(small_gnp))
     outputs, charged = domain.run_restricted(
-        luby_mis(), 2, seed=19, default_output="cut",
-        backend="reference", rng="mt",
+        luby_mis(), 2, seed=19, default_output="cut", backend="reference",
     )
     values = list(outputs.values())
-    assert (len(values), values.count("cut"), values.count(1)) == (87, 46, 12)
-    assert digest(outputs) == "2357cbebd314f29b"
+    assert (len(values), values.count("cut"), values.count(1)) == (87, 52, 8)
+    assert digest(outputs) == "ee17eddb586ccb63"
     assert charged == 7

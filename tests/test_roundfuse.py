@@ -4,8 +4,7 @@
 Every algorithm that registers a batch kernel is driven through
 :func:`repro.local.batch.drive_kernel` on full, truncated, pruner and
 virtual runs, and each run is diffed field for field against the
-reference loop (``rng="counter"``, the only scheme the compiled tiers
-draw, D29).  A cap shorter than a lockstep schedule settles by
+reference loop (both draw the one counter scheme, D29, D36).  A cap shorter than a lockstep schedule settles by
 arithmetic and runs no kernel code (D35); kernels without a dedicated
 loop go through :func:`repro.local.batch.generic_fixedpoint` with the
 same round-by-round truncation.  Every kernel has exactly one stepping
@@ -45,10 +44,6 @@ from repro.local.runner import last_stepping
 from repro.problems.coloring import ColorList, SLCInput
 
 numpy = pytest.importorskip("numpy")
-
-
-#: The compiled tiers draw the counter scheme only (DESIGN.md D29).
-RNGS = ("counter",)
 
 RESULT_FIELDS = (
     "outputs",
@@ -122,7 +117,7 @@ def run_both_ways(call):
     checks each run's stepping tag."""
     results = {}
     for tag, backend in STRATEGIES:
-        with use_backend(backend, rng="counter"):
+        with use_backend(backend):
             results[tag] = call()
             assert last_stepping() == tag
     return results
@@ -173,13 +168,12 @@ def run_phases_calls(monkeypatch):
 class TestFusedBitIdentity:
     """rf ≡ reference for every kernel algorithm (D17, D30)."""
 
-    @pytest.mark.parametrize("rng", RNGS)
-    def test_full_runs(self, small_gnp, rng):
+    def test_full_runs(self, small_gnp):
         for label, algorithm, guesses in kernel_algorithms(small_gnp):
             results = run_both_ways(
                 lambda: run(small_gnp, algorithm, seed=11, guesses=guesses)
             )
-            assert_both_equal(results, (rng, label))
+            assert_both_equal(results, label)
 
     @pytest.mark.parametrize("rounds", (1, 2, 7, 40))
     def test_truncated_runs(self, small_gnp, rounds):
@@ -194,8 +188,7 @@ class TestFusedBitIdentity:
             )
             assert_both_equal(results, (rounds, label))
 
-    @pytest.mark.parametrize("rng", RNGS)
-    def test_virtual_runs(self, small_gnp, rng):
+    def test_virtual_runs(self, small_gnp):
         """Drives through the virtual (line-graph) batch driver equal
         the host simulation."""
         spec = line_graph_spec(small_gnp)
@@ -210,13 +203,13 @@ class TestFusedBitIdentity:
         for algorithm, g, budget in jobs:
             outs = {}
             for tag, backend in STRATEGIES:
-                with use_backend(backend, rng=rng):
+                with use_backend(backend):
                     outs[tag] = VirtualDomain(small_gnp, spec).run_restricted(
                         algorithm, budget, inputs=None, guesses=g,
                         seed=7, salt="rf", default_output=0,
                     )
                     assert last_stepping() == tag
-            assert outs["reference"] == outs["rf"], (rng, algorithm.name)
+            assert outs["reference"] == outs["rf"], algorithm.name
 
     @pytest.mark.parametrize("beta", (1, 3))
     def test_pruner_application(self, small_gnp, beta):
@@ -225,7 +218,7 @@ class TestFusedBitIdentity:
         tentative = {u: rng.choice([0, 1]) for u in small_gnp.nodes}
         results = {}
         for tag, backend in STRATEGIES:
-            with use_backend(backend, rng="counter"):
+            with use_backend(backend):
                 results[tag] = RulingSetPruning(beta).apply(
                     PhysicalDomain(small_gnp), {}, dict(tentative)
                 )
@@ -238,7 +231,7 @@ class TestFusedBitIdentity:
         """Without truncation every strategy raises the same divergence."""
         raised = {}
         for tag, backend in STRATEGIES:
-            with use_backend(backend, rng="counter"):
+            with use_backend(backend):
                 with pytest.raises(NonTerminationError) as err:
                     run(small_gnp, luby_mis(), seed=11, max_rounds=1)
             raised[tag] = (err.value.rounds, str(err.value))
@@ -249,7 +242,7 @@ class TestFusedBitIdentity:
         """Theorem-2 pipeline: rf ≡ reference, steps tagged."""
         outcomes = {}
         for tag, backend in STRATEGIES:
-            with use_backend(backend, rng="counter"):
+            with use_backend(backend):
                 _, _, uniform = TABLE1["luby"].build()
                 outcomes[tag] = uniform.run(small_gnp, seed=13)
         fused, reference = outcomes["rf"], outcomes["reference"]
@@ -295,14 +288,14 @@ class TestFallbackLadder:
     """What runs off the phase path: a cap shorter than a lockstep
     schedule runs no kernel code (D35), kernels without a dedicated
     loop run ``generic_fixedpoint``, and a compiled run that drives no
-    kernel takes the reference loop under ``rng="counter"`` (D33)."""
+    kernel takes the reference loop (D33)."""
 
     @pytest.mark.parametrize("trigger", sorted(KERNEL_LESS))
     def test_kernel_less_runs_take_the_reference_loop(
         self, small_gnp, monkeypatch, trigger
     ):
         """Each remaining trigger: the compiled run is tagged
-        ``reference`` and equals ``backend="reference", rng="counter"``
+        ``reference`` and equals ``backend="reference"``
         field for field — full, truncated, diverging and virtual."""
         make, options, numpy_present = KERNEL_LESS[trigger]
         spec = line_graph_spec(small_gnp)  # the array builder needs numpy
@@ -313,7 +306,7 @@ class TestFallbackLadder:
         def each_backend(call):
             results = {}
             for backend in ("reference", "compiled"):
-                with use_backend(backend, rng="counter"):
+                with use_backend(backend):
                     results[backend] = call()
                     assert last_stepping() == "reference", backend
             return results
@@ -462,10 +455,10 @@ class TestFallbackLadder:
     def test_track_bits_degrades(self, small_gnp):
         """Message-size tracking drives no kernel, yet counts the same
         rounds and messages as the rf drive."""
-        tracked = run(small_gnp, luby_mis(), seed=3, rng="counter",
+        tracked = run(small_gnp, luby_mis(), seed=3,
                       backend="compiled", track_bits=True)
         assert tracked.max_message_bits is not None
-        fused = run(small_gnp, luby_mis(), seed=3, rng="counter",
+        fused = run(small_gnp, luby_mis(), seed=3,
                     backend="compiled")
         assert tracked.outputs == fused.outputs
         assert tracked.rounds == fused.rounds

@@ -4,9 +4,8 @@ Contract under test: for every delta sequence, a session's
 ``.rerun()`` on its incrementally-patched graph is **bit-identical** to
 a cold ``run()`` on a graph rebuilt from scratch — outputs, rounds,
 message counts, truncation and backend attribution — on every stack
-(reference / compiled / the session's own record / fused lanes) under
-the counter scheme, and on reference-backend sessions under the mt
-scheme, which the compiled engine does not draw (DESIGN.md D29).  Scripts are generated by the seeded, shrinkable
+(reference / compiled / the session's own record / fused lanes).
+Scripts are generated by the seeded, shrinkable
 ``DeltaScript`` machinery in ``conftest.py``: on divergence the harness
 bisects to the minimal failing prefix and prints it, so a red run is a
 small reproduction, not a 20-op haystack.
@@ -89,25 +88,20 @@ def build(graph, *, seed=0):
 
 
 # ----------------------------------------------------------------------
-# The differential matrix: counter/mt rng × three script blocks × every
-# stack, every rerun diffed against a from-scratch rebuild oracle.  The
-# compiled engine draws counter only (D29), so mt cells are reference
-# sessions rerun on the reference stack alone; they run twice the
-# scripts to carry their share of the volume from that one stack.
+# The differential matrix: three script blocks × every stack, every
+# rerun diffed against a from-scratch rebuild oracle.  Six scripts per
+# block keep the volume above the acceptance floor.
 # ----------------------------------------------------------------------
-MATRIX = [(rng, block) for rng in ("counter", "mt") for block in (1, 2, 3)]
-SCRIPT_SEEDS = {"counter": (7, 8, 9), "mt": (7, 8, 9, 10, 11, 12)}
+MATRIX = (1, 2, 3)
+SCRIPT_SEEDS = (7, 8, 9, 10, 11, 12)
 
 #: Volume accounting for the acceptance floor (≥200 compared cases).
 VOLUME = {"cases": 0, "params": set()}
 
 
-def rerun_specs(rng):
+def rerun_specs():
     """One rerun spec per stack; the session's own record (batched
-    stepping) and fused lanes only when numpy exists.  Under mt only
-    the reference stack runs."""
-    if rng == "mt":
-        return [{"backend": "reference"}]
+    stepping) and fused lanes only when numpy exists."""
     specs = [
         {"backend": "reference"},
         {"backend": "compiled"},
@@ -118,7 +112,7 @@ def rerun_specs(rng):
     return specs
 
 
-def make_executor(harness, rng):
+def make_executor(harness):
     """Script executor diffing every rerun against the rebuild oracle."""
 
     def execute(script):
@@ -126,8 +120,7 @@ def make_executor(harness, rng):
         idents = dict(script.idents)
         base_graph = SimGraph.from_networkx(truth, idents=dict(idents))
         cases = 0
-        backend = "reference" if rng == "mt" else None
-        with open_session(base_graph, backend=backend, rng=rng) as session:
+        with open_session(base_graph) as session:
             for step, (kind, payload) in enumerate(script.ops):
                 if kind == "mutate":
                     retired = session.graph
@@ -154,9 +147,7 @@ def make_executor(harness, rng):
                         [(luby_mis(), o) for o in opts], **spec
                     )
                     cold = run_many(
-                        [(oracle, luby_mis(), o) for o in opts],
-                        rng=rng,
-                        **spec,
+                        [(oracle, luby_mis(), o) for o in opts], **spec
                     )
                     for lane, (a, b) in enumerate(zip(live, cold)):
                         assert_results_equal(a, b, context=(step, spec, lane))
@@ -164,7 +155,7 @@ def make_executor(harness, rng):
                 else:
                     live = session.rerun(luby_mis(), seed=seed, **spec)
                     live_attr = last_stepping()
-                    cold = run(oracle, luby_mis(), seed=seed, rng=rng, **spec)
+                    cold = run(oracle, luby_mis(), seed=seed, **spec)
                     cold_attr = last_stepping()
                     assert live_attr == cold_attr, (
                         "backend attribution", step, spec, live_attr, cold_attr,
@@ -176,12 +167,12 @@ def make_executor(harness, rng):
     return execute
 
 
-@pytest.mark.parametrize("rng,block", MATRIX)
-def test_differential_delta_scripts(delta_harness, rng, block):
-    execute = make_executor(delta_harness, rng)
-    specs = rerun_specs(rng)
+@pytest.mark.parametrize("block", MATRIX)
+def test_differential_delta_scripts(delta_harness, block):
+    execute = make_executor(delta_harness)
+    specs = rerun_specs()
     cases = 0
-    for seed in SCRIPT_SEEDS[rng]:
+    for seed in SCRIPT_SEEDS:
         script = delta_harness.make_script(
             1000 * block + seed, steps=12, rerun_specs=specs
         )
@@ -190,7 +181,7 @@ def test_differential_delta_scripts(delta_harness, rng, block):
         except AssertionError:
             delta_harness.shrink(script, execute)
     VOLUME["cases"] += cases
-    VOLUME["params"].add((rng, block))
+    VOLUME["params"].add(block)
     assert cases >= 30  # every matrix cell carries real volume
 
 
@@ -210,7 +201,7 @@ def test_alternation_attribution_matches_rebuild(delta_harness):
     truth = nx.Graph(script.base)
     idents = dict(script.idents)
     base_graph = SimGraph.from_networkx(truth, idents=dict(idents))
-    with open_session(base_graph, rng="counter") as session:
+    with open_session(base_graph) as session:
         for kind, payload in script.ops:
             if kind == "mutate":
                 session.mutate(payload)
@@ -218,7 +209,7 @@ def test_alternation_attribution_matches_rebuild(delta_harness):
         oracle = SimGraph.from_networkx(truth, idents=dict(idents))
         with session.scope():
             live = uniform.run(session.graph, seed=5)
-        with use_backend("compiled", rng="counter"):
+        with use_backend("compiled"):
             cold = uniform.run(oracle, seed=5)
     assert live.outputs == cold.outputs
     assert live.rounds == cold.rounds
@@ -352,7 +343,7 @@ class TestGraphDeltaValidation:
                 add_nodes={"z": graph.ident[gone]},
                 del_nodes=[gone],
             )
-        with open_session(graph, rng="counter") as session:
+        with open_session(graph) as session:
             session.rerun(luby_mis(), seed=1)  # builds mirror + identity mix
             retired = session.graph
             before = csr_state(retired)
@@ -388,7 +379,7 @@ class TestSessionLifecycle:
                 session.mutate({"add_edges": []})
 
     def test_pins_apply_and_per_call_overrides_win(self, small_gnp):
-        with open_session(small_gnp, backend="compiled", rng="counter") as s:
+        with open_session(small_gnp, backend="compiled") as s:
             base = s.rerun(luby_mis(), seed=4)
             assert last_stepping() is not None
             ref = s.rerun(luby_mis(), seed=4, backend="reference")
@@ -397,13 +388,13 @@ class TestSessionLifecycle:
     def test_scope_installs_every_pin(self, small_gnp):
         """Regression: ``.scope()`` used to drop pins unless the
         (former) fused backend was pinned."""
-        with open_session(small_gnp, backend="reference", rng="counter") as s:
+        with open_session(small_gnp, backend="reference") as s:
             s.rerun(luby_mis(), seed=4)
             assert last_stepping() == "reference"
             with s.scope():
                 run(small_gnp, luby_mis(), seed=4)
                 assert last_stepping() == "reference"
-                assert current().rng == "counter"
+                assert current().backend == "reference"
 
     def test_epoch_and_rerun_counters(self, small_gnp):
         with open_session(small_gnp) as s:

@@ -84,17 +84,16 @@ class TestSynchronizerEquivalence:
         woken = run_with_wakeup(g, flood(3), wake)
         assert woken.outputs == sync.outputs
 
-    def test_mt_wakeup_matches_the_reference_loop(self, small_gnp):
-        """The synchronizer is its own per-node loop, so ``rng="mt"``
-        runs under a compiled ambient record (the compiled engine itself
-        rejects mt, D29) and reproduces the reference run bit for bit."""
+    @pytest.mark.parametrize("backend", ("compiled", "reference"))
+    def test_wakeup_matches_the_reference_loop(self, small_gnp, backend):
+        """The synchronizer is its own per-node loop drawing the one
+        counter scheme (D36), so under either ambient record an
+        all-zero wake pattern reproduces the reference run bit for
+        bit."""
         wake = {u: 0 for u in small_gnp.nodes}
-        with use_backend("compiled"):
-            woken = run_with_wakeup(
-                small_gnp, luby_mis(), wake, rng="mt", seed=7
-            )
-        ref = run(small_gnp, luby_mis(), backend="reference", rng="mt",
-                  seed=7)
+        with use_backend(backend):
+            woken = run_with_wakeup(small_gnp, luby_mis(), wake, seed=7)
+        ref = run(small_gnp, luby_mis(), backend="reference", seed=7)
         assert woken.outputs == ref.outputs
         assert woken.finish_round == ref.finish_round
         assert (woken.rounds, woken.messages) == (ref.rounds, ref.messages)
