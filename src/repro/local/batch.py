@@ -339,8 +339,9 @@ class LockstepKernel:
         """Run the whole schedule in one call; return every node's
         result in index order.
 
-        Must equal the per-node process bit for bit.  It may stop early only at a proven fixed point (a round
-        that changes nothing makes every later round identical).
+        Must equal the per-node process bit for bit.  It may stop early
+        only at a proven fixed point (a round that changes nothing makes
+        every later round identical).
         """
         raise NotImplementedError
 

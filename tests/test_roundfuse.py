@@ -4,10 +4,11 @@
 Every algorithm that registers a batch kernel is driven through
 :func:`repro.local.batch.drive_kernel` on full, truncated, pruner and
 virtual runs, and each run is diffed field for field against the
-reference loop (both draw the one counter scheme, D29, D36).  A cap shorter than a lockstep schedule settles by
-arithmetic and runs no kernel code (D35); kernels without a dedicated
-loop go through :func:`repro.local.batch.generic_fixedpoint` with the
-same round-by-round truncation.  Every kernel has exactly one stepping
+reference loop (both draw the one counter scheme, D29, D36).  A cap
+shorter than a lockstep schedule settles by arithmetic and runs no
+kernel code (D35); kernels without a dedicated loop go through
+:func:`repro.local.batch.generic_fixedpoint` with the same
+round-by-round truncation.  Every kernel has exactly one stepping
 loop.  A compiled run that drives no kernel takes the reference loop
 itself (D33); the fallback ladder pins every trigger of that.
 """
