@@ -141,26 +141,32 @@ class TestRemovedNames:
         with pytest.raises(ImportError):
             exec(f"from {module} import {name}", {})
 
-    def test_rng_switch_removed(self, small_gnp):
+    @pytest.mark.parametrize("case", (
+        "env", "field", "import",
+        # Every entry point that took ``rng=`` before D36.
+        "run", "run_many", "use_backend", "open_session", "rerun",
+        "rerun_many", "domain", "domain_restricted", "virtual_domain",
+        "virtual_domain_restricted", "wakeup",
+    ))
+    def test_rng_switch_removed(self, small_gnp, case):
         """D36: every run draws the counter scheme, so the variable, the
         field, the mt generator and the ``rng=`` keyword are gone."""
-        environ = RecordingEnviron(REPRO_RNG="mt")
-        assert Execution.from_env(environ) == Execution()
-        assert environ.asked and "REPRO_RNG" not in environ.asked
-        assert [f.name for f in fields(Execution)] == ["backend"]
-        with pytest.raises(TypeError, match="rng"):
-            Execution(rng="counter")
-        with pytest.raises(ImportError):
-            from repro.local import make_rng  # noqa: F401
-        with pytest.raises(ImportError):
-            from repro.local.context import make_rng  # noqa: F401, F811
-        for entry in (
-            "run", "run_many", "use_backend", "open_session", "rerun",
-            "rerun_many", "domain", "domain_restricted", "virtual_domain",
-            "virtual_domain_restricted", "wakeup",
-        ):
+        if case == "env":
+            environ = RecordingEnviron(REPRO_RNG="mt")
+            assert Execution.from_env(environ) == Execution()
+            assert environ.asked and "REPRO_RNG" not in environ.asked
+        elif case == "field":
+            assert [f.name for f in fields(Execution)] == ["backend"]
             with pytest.raises(TypeError, match="rng"):
-                entry_point(small_gnp, entry, rng="counter")
+                Execution(rng="counter")
+        elif case == "import":
+            with pytest.raises(ImportError):
+                from repro.local import make_rng  # noqa: F401
+            with pytest.raises(ImportError):
+                from repro.local.context import make_rng  # noqa: F401, F811
+        else:
+            with pytest.raises(TypeError, match="rng"):
+                entry_point(small_gnp, case, rng="counter")
 
     def test_slab_cache_stats_removed(self):
         """D32: the fused-slab cache counters were diagnostics only
