@@ -51,6 +51,7 @@ from repro.algorithms import TABLE1  # noqa: E402
 from repro.algorithms.arboricity import h_partition  # noqa: E402
 from repro.algorithms.fast_coloring import fast_coloring_rounds  # noqa: E402
 from repro.algorithms.fast_mis import fast_mis  # noqa: E402
+from repro.algorithms.greedy import greedy_coloring  # noqa: E402
 from repro.algorithms.hash_luby import hash_luby_mis  # noqa: E402
 from repro.algorithms.luby import luby_mis  # noqa: E402
 from repro.bench import WORKLOADS, build_graph  # noqa: E402
@@ -623,9 +624,9 @@ def check_bit_identity(n=120):
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=8), seed=8)
     guesses = {"m": graph.max_ident, "Delta": graph.max_degree}
     # Round-fused identity (D17, D30): the batch strategy drives every
-    # kernel family round-fused — fixed-point (Luby), generic (fast
-    # MIS) and phase-scheduled (h-partition) — and each drive must
-    # equal the reference loop.
+    # kernel family round-fused — fixed-point (Luby, fast MIS, D37) and
+    # phase-scheduled (h-partition) — and each drive must equal the
+    # reference loop.
     jobs = (
         (luby_mis(), None),
         (fast_mis(), guesses),
@@ -692,6 +693,45 @@ def check_bit_identity(n=120):
             with _backend_context(backend):
                 if not _same_run(run(g, a, **opts), got):
                     return False
+    # Fixed-point identity (D37): at Δ̃ = 4Δ the coloring kernel reaches
+    # the KW fixed point phases before its schedule ends and settles the
+    # rest by arithmetic.  A fused fast-MIS chunk cut in the last KW
+    # round, inside those settled phases, must equal each lane's solo
+    # run on both strategies, truncated sets included.
+    mis = fast_mis()
+    cap = fast_coloring_rounds(over["m"], over["Delta"]) - 1
+    chunk = [(graph, mis, {"guesses": over, "seed": s}) for s in (3, 4)]
+    cut = run_many(chunk, max_rounds=cap, default_output=-1)
+    if last_stepping() != "fused":
+        return False
+    for (g, a, opts), got in zip(chunk, cut):
+        for backend in BACKENDS:
+            with _backend_context(backend):
+                solo = run(g, a, max_rounds=cap, default_output=-1, **opts)
+            if not _same_run(solo, got) or solo.truncated != got.truncated:
+                return False
+    # Near misses the fixed-point test must refuse: one-group phases
+    # entered with carried announcements (Δ̃ = 2 is below this graph's
+    # degree), and a proper input coloring that is not first-fit (the
+    # greedy classes relabelled), whose first KW phase recolors.
+    greedy = greedy_coloring(graph)
+    relabel = list(range(1, max(greedy.values()) + 1))
+    random.Random(8).shuffle(relabel)
+    relabelled = {u: {"color": relabel[c - 1]} for u, c in greedy.items()}
+    near = (
+        ({"m": graph.max_ident, "Delta": 2}, None),
+        ({"m": 4 * (graph.max_degree + 1), "Delta": graph.max_degree},
+         relabelled),
+    )
+    for g, inputs in near:
+        results = []
+        for backend in BACKENDS:
+            with _backend_context(backend):
+                results.append(
+                    run(graph, mis, seed=3, guesses=g, inputs=inputs)
+                )
+        if not _same_run(*results):
+            return False
     # Whole-alternation identity: guess runs AND pruner runs must agree
     # across every stepping strategy (D11 pruner batch contract).
     alternations = []

@@ -100,8 +100,9 @@ class ColoringBatchKernel:
 
     The entire round layout of :class:`FastColoringProcess` is a pure
     function of the guesses, and every node walks it in lockstep — so
-    one global round counter replaces n per-node stage pointers and each
-    round is a handful of numpy operations over the CSR slab:
+    one loop, :meth:`run_fixedpoint`, replaces n per-node stage
+    pointers and each stage is a handful of numpy operations over the
+    CSR slab:
 
     * rounds ``1..L`` — Linial reductions: rivals are the slots whose
       endpoints' reduced colors differ (one int64 compare per slot),
@@ -109,12 +110,24 @@ class ColoringBatchKernel:
       every node's polynomial at point ``x`` (one Horner pass over its
       digits) only when the scan reaches it, and cover-checks against
       the still-searching rivals — the scan usually ends at ``x ≈ 0``;
-    * rounds ``L+1..L+K`` — KW halving: each phase sorts its nodes by
-      rank once and lays out their CSR slots in that order, so a round's
-      announcers and their slots are two slices; chosen values are
-      per-row first-free scans over at most ``2·max_degree + 1``
-      columns, and the next round scatters each announcement into its
-      same-group neighbours' ``taken`` rows — O(Σ degree of announcers).
+    * rounds ``L+1..L+K`` — KW halving, one :meth:`_kw_phase` per
+      phase: the phase sorts its nodes by rank once and lays out their
+      CSR slots in that order, so a rank's announcers and their slots
+      are two slices, and it visits only the non-empty ranks.  Chosen
+      values are per-row first-free scans over at most
+      ``2·max_degree + 1`` columns; an announcement is absorbed only
+      where it can still be read — by same-group neighbours of higher
+      rank, or, from the phase's last rank, by the next phase's
+      ``taken`` rows under the same group test the scalar machine
+      applies.  Every node announces once per phase, so a phase is
+      charged once.
+
+    Once a phase starts with no carried announcement, with every color
+    in ``[0, Δ̃]`` (one group, no announcer at the last rank), and hands
+    its colors back unchanged — :meth:`_repeats` checks this in one pass
+    before the phase would run — every later phase repeats it exactly:
+    that phase and the rest of the schedule are settled by arithmetic
+    (DESIGN.md D37).
 
     Identities can exceed 64 bits on derived graphs, so the *first*
     reduction runs in Python big-int arithmetic when the color space
@@ -128,20 +141,10 @@ class ColoringBatchKernel:
         "steps",
         "kw_phases",
         "L",
-        "K",
-        "round",
+        "width",
         "colors_obj",
         "colors",
-        "kw_index",
-        "group",
-        "rank_order",
-        "rank_bounds",
-        "plan_k",
-        "plan_dst",
-        "slot_bounds",
-        "taken",
-        "announced",
-        "in_sweep",
+        "rank",
         "done",
         "_undone",
     )
@@ -153,8 +156,10 @@ class ColoringBatchKernel:
         self.steps = steps
         self.kw_phases = kw_schedule(palette, delta)
         self.L = len(steps)
-        self.K = len(self.kw_phases) * 2 * (delta + 1)
-        self.round = 0
+        # A row's taken set holds at most one carried value plus one
+        # in-phase value per neighbour, so its first free value is below
+        # 2·max_degree + 1 and the KW columns past that are never read.
+        self.width = min(delta + 1, 2 * int(bg.degrees.max(initial=0)) + 1)
         # 1-based initial colors: an input "color", else the identity.
         inputs = setup.inputs
         seeds = bg.idents
@@ -172,84 +177,76 @@ class ColoringBatchKernel:
             self.colors_obj = None
         else:
             # Big-integer identities: peel the first reduction with
-            # Python ints, enter machine words at _enter_kw.
+            # Python ints (the factory guarantees a Linial stage).
             self.colors = None
             self.colors_obj = [c - 1 for c in seeds]
-        self.kw_index = 0
-        self.announced = None
-        self.in_sweep = False
         self.done = False
         self._undone = None
 
     def undone_indices(self):
         # The schedule is lockstep: until it completes, every node runs
-        # (cached — the MIS subclass bypasses the cache mid-sweep).
+        # (a cap inside the MIS sweep sets the list to the nodes left).
         undone = self._undone
         if undone is None:
             undone = self._undone = list(range(self.bg.n))
         return undone
 
-    # -- stage transitions ----------------------------------------------
-    def _enter_kw(self):
-        """Freeze colors into the KW reducer state; may finish at once."""
-        np = batch.numpy_or_none()
-        if self.colors is None:
-            # Big-int Linial stage: values are tiny after one reduction.
-            self.colors = np.asarray(self.colors_obj, dtype=np.int64)
-            self.colors_obj = None
-        if not self.kw_phases:
-            return self._complete()
-        self._enter_phase()
-        return [], []
+    def run_fixedpoint(self, cap):
+        """The kernel's one stepping loop (D37): at most ``cap`` rounds.
 
-    def _enter_phase(self):
-        np = batch.numpy_or_none()
-        bg = self.bg
+        Returns ``(events, rounds, messages)`` for the driver to settle.
+        The coloring stages end at round ``L + K``; :meth:`_tail` then
+        commits the colors (or, in the MIS subclass, sweeps them).
+        """
+        events = []
+        end, messages = self._color(cap)
+        if end is None:
+            return events, cap, messages
+        rounds, sent = self._tail(end, cap, events)
+        return events, rounds, messages + sent
+
+    def _color(self, cap):
+        """Linial then KW within ``cap`` rounds; returns ``(end,
+        messages)``, ``end`` the round the schedule completes or
+        ``None`` when the cap cuts it."""
+        charge = self.bg.charge
+        messages = 0
+        if self.steps:
+            messages = charge()  # round 0 broadcasts the initial colors
+            for r, (q, d) in enumerate(self.steps, 1):
+                if r > cap:
+                    return None, messages
+                self._linial_step(q, d)
+                if r < self.L:
+                    messages += charge()
         group_size = 2 * (self.delta + 1)
-        self.group = self.colors // group_size
-        # A row's taken set holds at most one carried value plus one
-        # in-phase value per neighbour, so its first free value is below
-        # 2·max_degree + 1 and the columns past that are never read.
-        width = min(self.delta + 1, 2 * int(bg.degrees.max(initial=0)) + 1)
-        self.taken = np.zeros((bg.n, width), dtype=bool)
-        # The phase's whole announcer schedule and slot plan, once: ranks
-        # are below 2·_BATCH_DELTA_LIMIT, so the stable sort runs on
-        # uint16 keys (a radix sort).  Round r announces
-        # rank_order[rank_bounds[r]:rank_bounds[r + 1]], whose CSR slots
-        # are plan_k/plan_dst[slot_bounds[r]:slot_bounds[r + 1]].
-        rank = (self.colors % group_size).astype(np.uint16)
-        self.rank_order = np.argsort(rank, kind="stable")
-        bounds = np.searchsorted(
-            rank[self.rank_order], np.arange(group_size + 1)
-        )
-        self.plan_k, self.plan_dst = bg.row_slots(self.rank_order)
-        self.rank_bounds = bounds.tolist()
-        self.slot_bounds = np.searchsorted(self.plan_k, bounds).tolist()
+        end = self.L
+        carry = None
+        fixed = False
+        for _ in self.kw_phases:
+            limit = min(group_size, cap - end)
+            if limit <= 0:
+                return None, messages
+            if not fixed:
+                fixed = carry is None and self._repeats()
+                if fixed:
+                    # One group: a node's rank is its color, and every
+                    # later phase is this one again.
+                    self.rank = self.colors
+                else:
+                    carry = self._kw_phase(carry, limit)
+            if limit < group_size:
+                return None, messages + charge(self.rank < limit)
+            messages += charge()
+            end += group_size
+        return end, messages
 
-    def _complete(self):
-        """Schedule exhausted: commit final colors (1-based)."""
+    def _tail(self, end, cap, events):
+        """Schedule complete at round ``end``: commit final colors
+        (1-based).  Returns ``(rounds, messages)``."""
         self.done = True
-        return list(range(self.bg.n)), [int(c) + 1 for c in self.colors]
-
-    # -- round steps ----------------------------------------------------
-    def start(self):
-        if self.L:
-            return [], [], self.bg.charge()
-        finished, results = self._enter_kw()
-        return finished, results, 0
-
-    def step(self):
-        self.round += 1
-        r = self.round
-        if self.in_sweep:
-            return self._sweep_step(r - self.L - self.K)
-        if r <= self.L:
-            self._linial_step(*self.steps[r - 1])
-            if r < self.L:
-                return [], [], self.bg.charge()
-            finished, results = self._enter_kw()
-            return finished, results, 0
-        return self._kw_step(r - self.L)
+        events.append((end, list(range(self.bg.n)), (self.colors + 1).tolist()))
+        return end, 0
 
     def _linial_step(self, q, d):
         np = batch.numpy_or_none()
@@ -332,42 +329,83 @@ class ColoringBatchKernel:
         self.colors = new_colors
         self.colors_obj = None
 
-    def _kw_step(self, j):
-        np = batch.numpy_or_none()
-        group_size = 2 * (self.delta + 1)
-        phase_round = (j - 1) % group_size
-        if self.announced is not None:
-            # Sender-side absorb over last round's announcers' slots: a
-            # neighbour takes the value when its current group is the
-            # one it was announced under (the same test across a phase
-            # boundary, where the groups were just recomputed).
-            src, dst, value, group = self.announced
-            hit = self.group[dst] == group[src]
-            self.taken[dst[hit], value[hit]] = True
-            self.announced = None
-        lo, hi = self.rank_bounds[phase_round:phase_round + 2]
-        messages = 0
-        if hi > lo:
-            rows = self.rank_order[lo:hi]
-            free = ~self.taken[rows]
-            value = np.where(free.any(axis=1), free.argmax(axis=1), 0)
-            self.colors[rows] = self.group[rows] * (self.delta + 1) + value
-            # Each slot's sender as its position in this round's slice.
-            a, b = self.slot_bounds[phase_round:phase_round + 2]
-            k = self.plan_k[a:b] - lo
-            self.announced = rows[k], self.plan_dst[a:b], value[k], self.group
-            messages = self.bg.charge(rows)
-        finished, results = [], []
-        if j % group_size == 0:
-            self.kw_index += 1
-            if self.kw_index == len(self.kw_phases):
-                finished, results = self._complete()
-            else:
-                self._enter_phase()
-        return finished, results, messages
+    def _repeats(self):
+        """Whether a phase entered with these colors and no carried
+        announcement hands them back unchanged.
 
-    def _sweep_step(self, s):
-        raise NotImplementedError("sweep belongs to the MIS kernel")
+        With every color in ``[0, Δ̃]`` the phase has one group and a
+        node's rank is its color, so if no node below a node's rank
+        recolors, the node picks the first value missing among its
+        lower-colored neighbours' colors.  Every node picking its own
+        color is then the phase's output, by induction over the ranks —
+        one pass over the CSR checks it.  The next phase starts from the
+        same colors with no carry (no node sits in the last rank), so
+        every later phase repeats this one.
+        """
+        np = batch.numpy_or_none()
+        bg = self.bg
+        colors = self.colors
+        width = self.width
+        if colors.min(initial=0) < 0 or colors.max(initial=0) >= width:
+            # A color the first-free scan cannot pick changes.
+            return False
+        below = np.zeros((bg.n, width), dtype=bool)
+        own, nb = colors[bg.owner], colors[bg.neigh]
+        lower = nb < own
+        below[bg.owner[lower], nb[lower]] = True
+        return np.array_equal(below.argmin(axis=1), colors)
+
+    def _kw_phase(self, carry, limit):
+        """Ranks ``0..limit-1`` of one KW phase; returns its ``carry``.
+
+        ``carry`` holds the previous phase's last-rank announcements as
+        ``(sender, receiver, value, sender groups)`` per slot: they
+        arrive in this phase's first round, and a receiver takes the
+        value when its new group is the one it was announced under.
+        The returned one is this phase's (``None`` when its last rank
+        is empty or was not reached).
+        """
+        np = batch.numpy_or_none()
+        bg = self.bg
+        delta = self.delta
+        group_size = 2 * (delta + 1)
+        colors = self.colors
+        group = colors // group_size
+        # Ranks are below 2·_BATCH_DELTA_LIMIT, so the stable sort runs
+        # on uint16 keys (a radix sort).  Rank r announces
+        # order[bounds[r]:bounds[r + 1]], whose CSR slots are
+        # plan_k/plan_dst[slot_bounds[r]:slot_bounds[r + 1]].
+        rank = self.rank = (colors % group_size).astype(np.uint16)
+        order = np.argsort(rank, kind="stable")
+        bounds = np.searchsorted(rank[order], np.arange(group_size + 1))
+        plan_k, plan_dst = bg.row_slots(order)
+        slot_bounds = np.searchsorted(plan_k, bounds).tolist()
+        rank_bounds = bounds.tolist()
+        taken = np.zeros((bg.n, self.width), dtype=bool)
+        if carry is not None:
+            src, dst, value, sent_group = carry
+            hit = group[dst] == sent_group[src]
+            taken[dst[hit], value[hit]] = True
+        carry = None
+        for r in np.flatnonzero(np.diff(bounds[: limit + 1])).tolist():
+            lo, hi = rank_bounds[r], rank_bounds[r + 1]
+            rows = order[lo:hi]
+            # First free value; a row with every value taken picks 0
+            # (bad guesses: garbage, the pruner's job).
+            value = taken[rows].argmin(axis=1)
+            colors[rows] = group[rows] * (delta + 1) + value
+            # Each slot's sender as its position in this rank's slice.
+            a, b = slot_bounds[r], slot_bounds[r + 1]
+            k = plan_k[a:b] - lo
+            src, dst, sent = rows[k], plan_dst[a:b], value[k]
+            if r == group_size - 1:
+                carry = src, dst, sent, group
+            else:
+                # Only same-group neighbours still to announce read it;
+                # the phase's taken rows are dropped at its end.
+                keep = (group[dst] == group[src]) & (rank[dst] > r)
+                taken[dst[keep], sent[keep]] = True
+        return carry
 
 
 def _coloring_batch_factory(kernel_cls=ColoringBatchKernel):
@@ -385,8 +423,8 @@ def _coloring_batch_factory(kernel_cls=ColoringBatchKernel):
         if not steps:
             # Without a Linial stage the colors feed the KW arithmetic
             # unreduced: decline when the identity/input space cannot
-            # live in int64 (the run falls back to the reference loop,
-            # which is always exact).
+            # live in int64, or an input color is below 1 (the run falls
+            # back to the reference loop, which is always exact).
             for label, ident in zip(bg.labels, bg.idents):
                 value = setup.inputs.get(label)
                 color = (
@@ -394,7 +432,7 @@ def _coloring_batch_factory(kernel_cls=ColoringBatchKernel):
                     if isinstance(value, dict) and "color" in value
                     else ident
                 )
-                if color >= _BATCH_COLOR_LIMIT:
+                if not 1 <= color < _BATCH_COLOR_LIMIT:
                     return None
         return kernel_cls(bg, setup, steps, palette, delta)
 

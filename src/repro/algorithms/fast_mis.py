@@ -71,63 +71,55 @@ class MISBatchKernel(ColoringBatchKernel):
     """Coloring kernel plus the vectorized color-class sweep.
 
     Instead of finishing with the final colors, schedule completion
-    opens the sweep: in sweep slot ``s`` every undecided node of color
-    ``s-1`` joins unless a neighbour joined in an earlier slot.  Slots
-    are indexed through a sorted color order and blocking gathers over
-    the *deciders'* adjacency rows (each node decides exactly once, so
-    the whole sweep costs O(n log n + edges)); empty slots (gapped
-    garbage colors under bad guesses) cost O(1) instead of a frontier
-    scan.
+    opens the sweep (:meth:`_tail`): in sweep slot ``s`` every undecided
+    node of color ``s-1`` joins unless a neighbour joined in an earlier
+    slot.  Slots are indexed through a sorted color order and blocking
+    gathers over the *deciders'* adjacency rows (each node decides
+    exactly once, so the whole sweep costs O(n log n + edges)); only
+    non-empty slots are visited, so the gapped garbage colors of bad
+    guesses cost nothing per empty slot.
 
     The blocking test is a decider-side gather — a decider reads the
-    ``in_mis`` flags of its neighbours.  The sweep schedule
-    (``sweep_order``/``slots_sorted``) is derived lazily at the first
-    sweep round.
+    ``in_mis`` flags of its neighbours.  A cap inside the sweep leaves
+    the nodes of the later slots undone.
     """
 
-    __slots__ = ("in_mis", "sweep_order", "slots_sorted", "sweep_ptr")
+    __slots__ = ()
 
-    def _complete(self):
-        np = batch.numpy_or_none()
-        self.sweep_order = None
-        self.slots_sorted = None
-        self.sweep_ptr = 0
-        self.in_mis = np.zeros(self.bg.n, dtype=bool)
-        self.in_sweep = True
-        return [], []
-
-    def undone_indices(self):
-        np = batch.numpy_or_none()
-        if self.in_sweep and self.sweep_order is not None:
-            # Dynamic during the sweep — never served from the cache.
-            return np.sort(self.sweep_order[self.sweep_ptr :]).tolist()
-        return super().undone_indices()
-
-    def _sweep_step(self, s):
+    def _tail(self, end, cap, events):
+        """The sweep after the coloring completes at round ``end``: slot
+        ``s`` decides at round ``end + s``, within ``cap``."""
         np = batch.numpy_or_none()
         bg = self.bg
-        if self.sweep_order is None:
-            slots = self.colors + 1  # colors are 0-based, slots 1-based
-            self.sweep_order = np.argsort(slots, kind="stable")
-            self.slots_sorted = slots[self.sweep_order]
-        hi = np.searchsorted(self.slots_sorted, s, "right")
-        deciders = self.sweep_order[self.sweep_ptr : hi]
-        self.sweep_ptr = hi
-        # Gather each decider's row: blocked iff any neighbour already
-        # joined (O(Σ degree of deciders); every node decides once).
-        k, w = bg.row_slots(deciders)
-        blocked = np.bincount(
-            k, weights=self.in_mis[w], minlength=len(deciders)
-        ) > 0
-        joiners = deciders[~blocked]
-        self.in_mis[joiners] = True
-        finished = joiners.tolist()
-        results = [1] * len(finished)
-        lost = deciders[blocked].tolist()
-        finished.extend(lost)
-        results.extend([0] * len(lost))
-        self.done = self.sweep_ptr == bg.n
-        return finished, results, bg.charge(joiners)
+        slots = self.colors + 1  # colors are 0-based, slots 1-based
+        order = np.argsort(slots, kind="stable")
+        ranked = slots[order]
+        bounds = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), bg.n]
+        in_mis = np.zeros(bg.n, dtype=bool)
+        messages = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            rnd = end + int(ranked[lo])
+            if rnd > cap:
+                # Cut mid-sweep: the nodes still to decide run on.
+                self._undone = np.sort(order[lo:]).tolist()
+                return cap, messages
+            deciders = order[lo:hi]
+            # Gather each decider's row: blocked iff any neighbour already
+            # joined (O(Σ degree of deciders); every node decides once).
+            k, w = bg.row_slots(deciders)
+            blocked = np.bincount(
+                k, weights=in_mis[w], minlength=len(deciders)
+            ) > 0
+            joiners, lost = deciders[~blocked], deciders[blocked]
+            in_mis[joiners] = True
+            events.append((
+                rnd,
+                joiners.tolist() + lost.tolist(),
+                [1] * len(joiners) + [0] * len(lost),
+            ))
+            messages += bg.charge(joiners)
+        self.done = True
+        return rnd, messages
 
 
 def fast_mis():

@@ -142,15 +142,6 @@ class LubyBatchKernel:
         self.prio[idx] = self.draws(idx, self.phase)
         return self.bg.charge(idx)
 
-    def start(self):
-        np = batch.numpy_or_none()
-        isolated = np.flatnonzero(~self.alive).tolist()
-        if not self.alive.any():
-            self.done = True
-            return isolated, [1] * len(isolated), 0
-        messages = self._draw_bids()
-        return isolated, [1] * len(isolated), messages
-
     def run_fixedpoint(self, cap):
         """The kernel's one stepping loop (D17, D34).
 
@@ -165,10 +156,11 @@ class LubyBatchKernel:
         ``alive`` (what ``undone_indices`` reads) as of that round.
         """
         np = batch.numpy_or_none()
-        events = []
-        finished, results, messages = self.start()
-        if finished:
-            events.append((0, finished, results))
+        # Round 0: isolated nodes join, the rest bid.
+        isolated = np.flatnonzero(~self.alive).tolist()
+        events = [(0, isolated, [1] * len(isolated))] if isolated else []
+        self.done = not self.alive.any()
+        messages = 0 if self.done else self._draw_bids()
         rounds = 0
         bg = self.bg
         own, nb = bg.owner, bg.neigh

@@ -43,13 +43,14 @@ chosen by its shape:
     every node's result in index order.  The driver settles everything
     else arithmetically, including a cap the schedule does not fit.
 ``run_fixedpoint(cap) -> (events, rounds, messages)``
-    A self-terminating frontier (the Luby family): its own loop up to
-    ``cap`` rounds, leaving truncation to :func:`settle`.
-``start()``, then ``step()`` per round ``-> (finished, results, messages)``
-    Everything else (the coloring/MIS kernels), stepped by
-    :func:`generic_fixedpoint`.  ``finished`` lists the node indices
-    that terminated that round, ``results`` their outputs, ``messages``
-    the point-to-point deliveries the round produced.
+    Every other kernel (the Luby family, the coloring/MIS kernels): its
+    own loop up to ``cap`` rounds, leaving truncation to
+    :func:`settle`.  ``events`` lists ``(round, finished, results)``
+    commits — the node indices that terminated that round and their
+    outputs — and ``messages`` the point-to-point deliveries of every
+    executed round.  The loop may skip work it can prove changes
+    nothing: rounds without events or messages, and a fixed point's
+    repeats, which it settles by arithmetic.
 
 Every kernel also exposes ``done`` (true once every node terminated)
 and ``undone_indices()`` — the indices still running, ascending: what
@@ -346,33 +347,6 @@ class LockstepKernel:
         raise NotImplementedError
 
 
-def generic_fixedpoint(kernel, cap):
-    """Step a ``start``/``step`` kernel to its fixed point in one call.
-
-    The round-fused driver's loop (D17, D30) for kernels with neither
-    :meth:`LockstepKernel.run_phases` nor a dedicated
-    ``run_fixedpoint`` — the coloring/MIS kernels: ``start`` then
-    ``step`` until done or ``cap`` rounds, recording each round's
-    ``(round, finished, results)`` event, with the ledger bookkeeping
-    (dict writes, checkpoint probing) left to :func:`settle`.  A kernel
-    still undone afterwards is the caller's truncation/non-termination
-    case.
-    """
-    events = []
-    finished, results, messages = kernel.start()
-    if finished:
-        events.append((0, finished, results))
-    rounds = 0
-    step = kernel.step
-    while not kernel.done and rounds < cap:
-        rounds += 1
-        finished, results, sent = step()
-        messages += sent
-        if finished:
-            events.append((rounds, finished, results))
-    return events, rounds, messages
-
-
 def drive_kernel(kernel, cap):
     """Run a freshly built kernel's whole schedule, at most ``cap`` rounds.
 
@@ -384,9 +358,8 @@ def drive_kernel(kernel, cap):
       so no kernel code runs: the drive is ``cap`` rounds with no
       event and ``(cap + 1) × degrees.sum()`` messages (round 0 and
       rounds 1..cap each broadcast on every edge slot).
-    * **Fixed-point** — a kernel with a dedicated ``run_fixedpoint``
-      (the Luby family) runs it.
-    * **Generic** — everything else runs :func:`generic_fixedpoint`.
+    * **Fixed-point** — every other kernel runs its own
+      ``run_fixedpoint(cap)``.
 
     Returns ``(events, rounds, messages)``: ``events`` is the list of
     ``(round, finished_indices, results)`` commits of the run,
@@ -404,10 +377,7 @@ def drive_kernel(kernel, cap):
         kernel.done = True
         events = [(schedule, list(range(kernel.bg.n)), results)]
         return events, schedule, schedule * charge
-    run_fixedpoint = getattr(kernel, "run_fixedpoint", None)
-    if run_fixedpoint is not None:
-        return run_fixedpoint(cap)
-    return generic_fixedpoint(kernel, cap)
+    return kernel.run_fixedpoint(cap)
 
 
 def settle(

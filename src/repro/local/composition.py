@@ -23,10 +23,8 @@ this gives the exact ``t1 + t2`` bound of Observation 2.1.
 
 from __future__ import annotations
 
-import random
-
 from .algorithm import LocalAlgorithm, NodeProcess
-from .context import NodeContext
+from .context import NodeContext, counter_rng
 
 
 def default_carry(stage_index, original_input, previous_outputs):
@@ -68,16 +66,17 @@ class _ChainProcess(NodeProcess):
     def _sub_ctx(self):
         stage = self.stage_index
         ctx = self.ctx
-        # Stage RNGs are derived from the identity alone (stable across
-        # backends); built lazily so deterministic stages never pay for
-        # generator construction.
+        # Each stage draws from its own sub-stream of the node's stream:
+        # the node's s-th 64-bit draw keys stage s, as a virtual host
+        # keys its hosted nodes, so stage streams follow the run's seed
+        # and salt and stay independent of one another.
         return NodeContext(
             node=ctx.node,
             ident=ctx.ident,
             degree=ctx.degree,
             input=self.carry(stage, ctx.input, self.sub_outputs),
             guesses=ctx.guesses,
-            rng_factory=lambda ident: random.Random(f"{ident}|chain-stage|{stage}"),
+            rng=counter_rng(ctx.rng.getrandbits(64), ctx.ident),
         )
 
     def _progress(self):

@@ -270,11 +270,11 @@ class TestBadGuessBehaviour:
         seen = self._across_stacks(graph, make(), guesses)
         assert seen[0] == seen[1]
         # The final colours can hide the branch, so also compare the
-        # kernel's first Linial step with the scalar machine node by node.
+        # kernel's first Linial step (a one-round cap stops right after
+        # it) with the scalar machine node by node.
         bg = batch_graph_of(graph.compiled())
         kernel = make().batch(bg, BatchSetup({}, guesses, None))
-        kernel.start()
-        kernel.step()
+        kernel.run_fixedpoint(1)
         colors = [ident - 1 for ident in bg.idents]
         expected = [
             reduce_color(
@@ -286,6 +286,29 @@ class TestBadGuessBehaviour:
             for i in range(bg.n)
         ]
         assert kernel.colors.tolist() == expected
+
+    @pytest.mark.parametrize("make", [fast_coloring, fast_mis])
+    def test_nonpositive_input_colors_take_the_reference_loop(
+        self, make, small_gnp
+    ):
+        """Input colors below 1 with no Linial stage: the KW stage keeps
+        negative colors, so MIS nodes sit in sweep slots below 1 that the
+        scalar machine never reaches.  The kernel declines and the run
+        truncates exactly as the reference loop does."""
+        bg = batch_graph_of(small_gnp.compiled())
+        inputs = {u: {"color": i % 5 - 1} for i, u in enumerate(bg.labels)}
+        guesses = {"m": 4 * (small_gnp.max_degree + 1),
+                   "Delta": small_gnp.max_degree}
+        assert not linial_schedule(guesses["m"], guesses["Delta"])[0]
+        assert make().batch(bg, BatchSetup(inputs, guesses, None)) is None
+        results = [
+            run(small_gnp, make(), guesses=guesses, inputs=inputs, seed=5,
+                backend=backend, max_rounds=400, default_output=-1)
+            for backend in ("reference", "compiled")
+        ]
+        assert results[0].outputs == results[1].outputs
+        assert results[0].finish_round == results[1].finish_round
+        assert results[0].messages == results[1].messages
 
     @pytest.mark.parametrize("make", [fast_coloring, fast_mis])
     def test_big_integer_identities_agree(self, make, small_gnp):

@@ -389,12 +389,16 @@ class TestBatchEquivalence:
 class TestKWBoundaries:
     """The KW kernel's announcement edge cases, reference vs batch vs fused.
 
-    A round absorbs last round's announcements by walking the
-    announcers' CSR rows (DESIGN.md D28), so these are the cases that
-    path must get right: an announcement made in a phase's last rank
-    landing under the next phase's groups, adjacent nodes announcing in
-    the same round (possible only under an underestimated Δ̃), and long
-    runs of empty ranks.  A spy on ``_kw_step`` asserts each case
+    A phase visits only its non-empty ranks, absorbs an in-phase
+    announcement only where a later same-group rank reads it, carries
+    only last-rank announcements into the next phase, and stops at a
+    fixed point (DESIGN.md D28, D37).  So these are the cases that path
+    must get right: an announcement made in a phase's last rank landing
+    under the next phase's groups, adjacent nodes announcing in the
+    same round, long runs of empty ranks, a phase whose last
+    announcement comes before its last rank and would pass the next
+    phase's group test if it were carried, and a fixed point with
+    phases left to settle.  A spy on ``_kw_phase`` asserts each case
     really occurs.
     """
 
@@ -403,42 +407,70 @@ class TestKWBoundaries:
         # a phase announces to neighbours that share the next group
         # (on this graph, testing the sender's next-phase group instead
         # of the one it announced under changes the colors).
-        "cross-phase": ({"Delta": 1}, "cross"),
-        # Δ̃ = 3 with a tiny m̃: Linial leaves adjacent equal colors.
-        "adjacent-announcers": ({"m": 12, "Delta": 3}, "adjacent"),
-        # Δ̃ = 40: group size 82, most ranks empty.
-        "empty-rank-runs": ({"Delta": 40}, "empty-run"),
+        "cross-phase": ({"Delta": 1}, ("cross",)),
+        # Δ̃ = 3 with a tiny m̃: no Linial stage, and neighbours share
+        # ranks.
+        "adjacent-announcers": ({"m": 12, "Delta": 3}, ("adjacent",)),
+        # Δ̃ = 40: group size 82, most ranks empty; phases end before
+        # their last rank, and the colors settle into one group with
+        # phases to spare.
+        "empty-rank-runs": (
+            {"Delta": 40}, ("empty-run", "dropped", "fixed-point")
+        ),
     }
 
     @pytest.fixture
     def kw_events(self, monkeypatch):
         numpy = pytest.importorskip("numpy")
         events = set()
-        quiet = [0]  # consecutive rounds without announcers
-        original = ColoringBatchKernel._kw_step
+        phases_run = {}
+        phase, repeats = ColoringBatchKernel._kw_phase, ColoringBatchKernel._repeats
 
-        def spy(kernel, j):
-            entered = kernel.kw_index
-            out = original(kernel, j)
-            if kernel.announced is None:
-                quiet[0] += 1
-                if quiet[0] >= 8:
-                    events.add("empty-run")
-                return out
-            quiet[0] = 0
-            # One entry per announcer slot: sender, receiver, value, and
-            # the group array the senders announced under.
-            src, dst, _, group = kernel.announced
-            if numpy.isin(dst, src).any():
+        def phase_spy(kernel, carry, limit):
+            bg = kernel.bg
+            group_size = 2 * (kernel.delta + 1)
+            entry = kernel.colors.copy()
+            group, rank = entry // group_size, entry % group_size
+            out = phase(kernel, carry, limit)
+            index = phases_run[id(kernel)] = phases_run.get(id(kernel), -1) + 1
+            left = len(kernel.kw_phases) - index - 1
+            if carry is not None:
+                # One entry per carried slot: sender, receiver, value,
+                # and the group array the senders announced under.
+                src, dst, _, sent_group = carry
+                if (group[dst] == sent_group[src]).any():
+                    events.add("cross")
+            live = rank[bg.owner] < limit
+            if (rank[bg.owner] == rank[bg.neigh])[live].any():
                 events.add("adjacent")
-            next_phase = kernel.kw_index > entered and not (
-                kernel.done or kernel.in_sweep
-            )
-            if next_phase and (kernel.group[dst] == group[src]).any():
-                events.add("cross")
+            empty = numpy.bincount(rank, minlength=group_size)[:limit] == 0
+            run = 0
+            for is_empty in empty.tolist():
+                run = run + 1 if is_empty else 0
+                if run >= 8:
+                    events.add("empty-run")
+            last = int(rank.max())
+            if limit == group_size and last < group_size - 1 and left:
+                # The phase's last announcers precede its last rank, and
+                # carrying them would reach a same-group receiver.
+                senders = numpy.flatnonzero(rank == last)
+                k, w = bg.row_slots(senders)
+                next_group = kernel.colors // group_size
+                if (next_group[w] == group[senders[k]]).any():
+                    events.add("dropped")
             return out
 
-        monkeypatch.setattr(ColoringBatchKernel, "_kw_step", spy)
+        def repeats_spy(kernel):
+            out = repeats(kernel)
+            colors = kernel.colors
+            if out:
+                events.add("fixed-point")
+            elif 0 <= colors.min() and colors.max() <= kernel.delta:
+                events.add("one-group-recolor")
+            return out
+
+        monkeypatch.setattr(ColoringBatchKernel, "_kw_phase", phase_spy)
+        monkeypatch.setattr(ColoringBatchKernel, "_repeats", repeats_spy)
         return events
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -446,14 +478,14 @@ class TestKWBoundaries:
     def test_per_node_batch_and_fused_agree(self, case, make, kw_events):
         graph = build_graph(WORKLOADS["gnp-sparse"](52, seed=3), seed=4)
         other = build_graph(WORKLOADS["tree"](40, seed=5), seed=6)
-        guesses, event = self.CASES[case]
+        guesses, expected = self.CASES[case]
         guesses = {"m": graph.max_ident, **guesses}
         algorithm = make()
         reference, batched = run_both(
             graph, algorithm, seed=11, guesses=guesses
         )
         assert_results_equal(reference, batched, context=case)
-        assert event in kw_events
+        assert kw_events.issuperset(expected), (case, kw_events)
         kw_events.clear()
         jobs = [
             (other, algorithm, {"guesses": guesses, "seed": 1}),
@@ -463,7 +495,38 @@ class TestKWBoundaries:
         for (lane_graph, _, opts), fused in zip(jobs, run_many(jobs)):
             solo = run(lane_graph, algorithm, backend="reference", **opts)
             assert_results_equal(solo, fused, context=(case, "fused"))
-        assert event in kw_events
+        assert kw_events.issuperset(expected), (case, "fused", kw_events)
+
+
+    @pytest.mark.parametrize("make", (fast_coloring, fast_mis))
+    def test_one_group_phase_that_recolors(self, make, kw_events):
+        """A phase whose colors all lie in one group is not a fixed point
+        by itself: a proper input coloring with its classes relabelled
+        (so a node may sit above a missing lower color) recolors in the
+        first KW phase, and only a later phase repeats."""
+        graph = build_graph(WORKLOADS["gnp-sparse"](52, seed=3), seed=4)
+        delta = graph.max_degree
+        greedy = greedy_coloring(graph)
+        relabel = list(range(1, max(greedy.values()) + 1))
+        random.Random(7).shuffle(relabel)
+        inputs = {u: {"color": relabel[c - 1]} for u, c in greedy.items()}
+        # No Linial stage (the palette guess is below q²) and two KW
+        # phases from a palette of 4(Δ̃+1).
+        guesses = {"m": 4 * (delta + 1), "Delta": delta}
+        algorithm = make()
+        reference, batched = run_both(
+            graph, algorithm, seed=11, guesses=guesses, inputs=inputs
+        )
+        assert_results_equal(reference, batched, context="recolor")
+        assert {"one-group-recolor", "fixed-point"} <= kw_events, kw_events
+        jobs = [
+            (graph, algorithm, {"guesses": guesses, "inputs": inputs,
+                                "seed": seed})
+            for seed in (1, 2)
+        ]
+        for (_, _, opts), fused in zip(jobs, run_many(jobs)):
+            solo = run(graph, algorithm, backend="reference", **opts)
+            assert_results_equal(solo, fused, context=("recolor", "fused"))
 
 
 def assert_prune_results_equal(a, b, context=""):

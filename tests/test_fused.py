@@ -253,12 +253,10 @@ class _UnchargedKernel:
         self.bg = bg
         self.done = False
 
-    def start(self):
-        return [], [], 0
-
-    def step(self):
+    def run_fixedpoint(self, cap):
         self.done = True
-        return list(range(self.bg.n)), [0] * self.bg.n, int(self.bg.degrees.sum())
+        events = [(1, list(range(self.bg.n)), [0] * self.bg.n)]
+        return events, 1, int(self.bg.degrees.sum())
 
     def undone_indices(self):
         return [] if self.done else list(range(self.bg.n))

@@ -12,7 +12,11 @@ reference loop field for field.
 The caps cut the kernels where their state is most delicate: mid-Linial,
 mid-KW, at the end of the first KW phase and one round past it (the
 cross-phase carry), and mid-sweep; the Luby family is cut right after
-its slot list has been compacted.
+its slot list has been compacted.  Overestimated Δ̃ is also where the
+coloring kernel reaches the KW fixed point and settles the remaining
+phases by arithmetic (DESIGN.md D37), so those runs are cut at the
+first settled phase's boundary, inside a settled phase, and mid-sweep
+after the settled phases.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import pytest
 
 from repro.algorithms import luby as luby_module
 from repro.algorithms.color_reduction import kw_total_rounds
-from repro.algorithms.fast_coloring import fast_coloring
+from repro.algorithms.fast_coloring import ColoringBatchKernel, fast_coloring
 from repro.algorithms.fast_mis import fast_mis
 from repro.algorithms.hash_luby import hash_luby_mis
 from repro.algorithms.linial import linial_schedule
@@ -150,6 +154,59 @@ def test_coloring_kernels_match_reference(lanes, family, k, make):
         check_solo_and_fused(
             graphs, make(), guesses, cap, (make.__name__, family, k, name)
         )
+
+
+@pytest.mark.parametrize("k", LEVELS)
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("make", (fast_mis, fast_coloring))
+def test_coloring_kernels_cut_around_settled_phases(
+    lanes, family, k, make, monkeypatch
+):
+    graphs = lanes[family]
+    guesses = overestimates(graphs, k)
+    algorithm = make()
+    context = (make.__name__, family, k)
+    computed = {}
+    phase = ColoringBatchKernel._kw_phase
+
+    def count_phases(kernel, carry, limit):
+        computed[kernel] = computed.get(kernel, 0) + 1
+        return phase(kernel, carry, limit)
+
+    monkeypatch.setattr(ColoringBatchKernel, "_kw_phase", count_phases)
+    full = check_solo_and_fused(graphs, algorithm, guesses, None, context)
+    delta = guesses["Delta"]
+    steps, palette = linial_schedule(guesses["m"], delta)
+    linial = len(steps)
+    group = 2 * (delta + 1)
+    kw = kw_total_rounds(palette, delta)
+    # The fused chunk reaches the fixed point when its slowest lane
+    # does, so its count of simulated phases is the largest.
+    settled = max(computed.values())
+    assert settled < kw // group, context  # some phase is settled
+    start = linial + settled * group
+    caps = {
+        "first-settled-boundary": start,
+        "in-first-settled": start + group // 2,
+        "in-last-settled": linial + kw - 1,
+    }
+    for name, cap in caps.items():
+        cut = check_solo_and_fused(
+            graphs, algorithm, guesses, cap, context + (name,)
+        )
+        assert all(result.truncated for result in cut), context + (name,)
+    if make is fast_mis:
+        sweep = sorted({
+            rnd
+            for result in full
+            for rnd in result.finish_round.values()
+            if rnd > linial + kw
+        })
+        cap = sweep[len(sweep) // 2]
+        cut = check_solo_and_fused(
+            graphs, algorithm, guesses, cap, context + ("mid-sweep",)
+        )
+        assert any(result.truncated for result in cut), context
 
 
 @pytest.mark.parametrize("k", LEVELS)

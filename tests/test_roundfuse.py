@@ -6,9 +6,8 @@ Every algorithm that registers a batch kernel is driven through
 virtual runs, and each run is diffed field for field against the
 reference loop (both draw the one counter scheme, D29, D36).  A cap
 shorter than a lockstep schedule settles by arithmetic and runs no
-kernel code (D35); kernels without a dedicated loop go through
-:func:`repro.local.batch.generic_fixedpoint` with the same
-round-by-round truncation.  Every kernel has exactly one stepping
+kernel code (D35); every other kernel runs its own ``run_fixedpoint``
+loop up to the cap (D34, D37).  Every kernel has exactly one stepping
 loop.  A compiled run that drives no kernel takes the reference loop
 itself (D33); the fallback ladder pins every trigger of that.
 """
@@ -137,17 +136,17 @@ def divergence(call):
 
 
 @pytest.fixture
-def generic_calls(monkeypatch):
-    """Record every drive that falls through to ``generic_fixedpoint``:
-    ``(kernel class, cap, schedule)`` per call."""
+def coloring_loop_calls(monkeypatch):
+    """Record every coloring/MIS kernel's ``run_fixedpoint`` call:
+    ``(kernel class, cap)`` per call."""
     calls = []
-    generic = batch_module.generic_fixedpoint
+    loop = ColoringBatchKernel.run_fixedpoint
 
     def spy(kernel, cap):
-        calls.append((type(kernel), cap, getattr(kernel, "schedule", None)))
-        return generic(kernel, cap)
+        calls.append((type(kernel), cap))
+        return loop(kernel, cap)
 
-    monkeypatch.setattr(batch_module, "generic_fixedpoint", spy)
+    monkeypatch.setattr(ColoringBatchKernel, "run_fixedpoint", spy)
     return calls
 
 
@@ -287,9 +286,9 @@ KERNEL_LESS = {
 
 class TestFallbackLadder:
     """What runs off the phase path: a cap shorter than a lockstep
-    schedule runs no kernel code (D35), kernels without a dedicated
-    loop run ``generic_fixedpoint``, and a compiled run that drives no
-    kernel takes the reference loop (D33)."""
+    schedule runs no kernel code (D35), the coloring/MIS kernels cut
+    their own loop (D37), and a compiled run that drives no kernel
+    takes the reference loop (D33)."""
 
     @pytest.mark.parametrize("trigger", sorted(KERNEL_LESS))
     def test_kernel_less_runs_take_the_reference_loop(
@@ -436,12 +435,15 @@ class TestFallbackLadder:
             assert run_phases_calls == [], label
 
     @pytest.mark.parametrize("label", ("fast-mis", "fast-coloring"))
-    def test_kernel_without_dedicated_loop(self, small_gnp, generic_calls,
-                                           label):
-        """The coloring/MIS kernels have neither ``run_phases`` nor
-        ``run_fixedpoint``: the driver steps them generically."""
-        assert not hasattr(ColoringBatchKernel, "run_fixedpoint")
-        assert not hasattr(MISBatchKernel, "run_phases")
+    def test_coloring_kernels_own_their_loop(self, small_gnp,
+                                             coloring_loop_calls, label):
+        """The coloring/MIS kernels run their own ``run_fixedpoint``:
+        one call per drive, full or cut mid-KW, and no per-round
+        ``start``/``step`` protocol is left for a driver to step."""
+        assert not hasattr(batch_module, "generic_fixedpoint")
+        for cls in (ColoringBatchKernel, MISBatchKernel):
+            assert not hasattr(cls, "start") and not hasattr(cls, "step")
+            assert not hasattr(cls, "run_phases")
         algorithm, guesses = {
             label: (algorithm, guesses)
             for label, algorithm, guesses in kernel_algorithms(small_gnp)
@@ -450,8 +452,19 @@ class TestFallbackLadder:
             lambda: run(small_gnp, algorithm, seed=5, guesses=guesses)
         )
         assert_both_equal(results, label)
-        [(kernel_cls, _, _)] = generic_calls
-        assert issubclass(kernel_cls, ColoringBatchKernel)
+        full = results["rf"].rounds
+        cut = run_both_ways(
+            lambda: run_restricted(
+                small_gnp, algorithm, full // 2, default_output=-1,
+                seed=5, guesses=guesses,
+            )
+        )
+        assert_both_equal(cut, (label, "cut"))
+        assert cut["rf"].truncated
+        # One drive per compiled run: the full one, then the cut one.
+        [(first_cls, _), (cut_cls, cut_cap)] = coloring_loop_calls
+        assert first_cls is cut_cls and cut_cap == full // 2
+        assert issubclass(first_cls, ColoringBatchKernel)
 
     def test_track_bits_degrades(self, small_gnp):
         """Message-size tracking drives no kernel, yet counts the same
@@ -466,17 +479,17 @@ class TestFallbackLadder:
         assert tracked.messages == fused.messages
 
 
-#: The three stepping loops a batch kernel may define (D35).
-STEPPING_LOOPS = ("run_phases", "run_fixedpoint", "step")
+#: The two stepping loops a batch kernel may define (D35, D37).
+STEPPING_LOOPS = ("run_phases", "run_fixedpoint")
 
 
 class TestOneSteppingLoop:
-    """Each kernel's recurrence is written once (D35)."""
+    """Each kernel's recurrence is written once (D35, D37)."""
 
     def test_every_kernel_defines_one_loop(self, small_gnp):
         """Every kernel class a registered batch factory builds defines
         exactly one stepping loop; a lockstep kernel's is its own
-        ``run_phases`` and it has no ``step``."""
+        ``run_phases``, and no kernel has ``start`` or ``step``."""
         bg = batch_graph_of(small_gnp.compiled())
 
         def setup_of(inputs, guesses):
@@ -510,7 +523,9 @@ class TestOneSteppingLoop:
             assert len(loops) == 1, (cls.__name__, loops)
             if cls in lockstep:
                 assert loops == ["run_phases"], cls.__name__
-                assert not hasattr(cls, "step"), cls.__name__
+            # No kernel keeps a per-round protocol beside its loop.
+            assert not hasattr(cls, "start"), cls.__name__
+            assert not hasattr(cls, "step"), cls.__name__
 
 
 class TestCapabilityPublication:
@@ -546,12 +561,17 @@ class TestLockstepKernelCache:
         assert kernel.undone_indices() is first
 
     def test_mis_sweep_stays_dynamic(self, small_gnp):
-        """MIS sweep-mode undone sets shrink per round — never cached."""
+        """MIS undone sets shrink slot by slot: a cap inside the sweep
+        leaves only the later slots' nodes undone, not the cached
+        every-node list of the coloring stages."""
         guesses = {"m": small_gnp.max_ident, "Delta": small_gnp.max_degree}
-        results = run_both_ways(
-            lambda: run_restricted(
-                small_gnp, fast_mis(), 3, default_output=0, guesses=guesses,
+        full = run(small_gnp, fast_mis(), guesses=guesses)
+        for cap in (3, full.rounds - 1):
+            results = run_both_ways(
+                lambda: run_restricted(
+                    small_gnp, fast_mis(), cap, default_output=0,
+                    guesses=guesses,
+                )
             )
-        )
-        assert_both_equal(results, "mis-sweep")
-        assert MISBatchKernel.undone_indices is not None
+            assert_both_equal(results, ("mis-sweep", cap))
+        assert 0 < len(results["rf"].truncated) < small_gnp.n

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.algorithms.luby import luby_mis
+from repro.problems import MIS
 from repro.local import (
     Broadcast,
     Chain,
@@ -162,6 +163,26 @@ class TestObservation21:
         woken = run_with_wakeup(g, chained, wake)
         sync = run(g, chained)
         assert woken.outputs == sync.outputs
+
+    def test_chain_stage_streams_follow_the_seed(self, small_gnp):
+        """A randomized stage draws a sub-stream of the node's stream:
+        ``Chain([luby])`` changes with the run's seed and salt, as plain
+        Luby does, stays a valid MIS, and both backends agree."""
+        chained = Chain([luby_mis()])
+        seen = set()
+        for opts in ({"seed": 0}, {"seed": 1}, {"seed": 2}, {"seed": 3},
+                     {"seed": 0, "salt": "other"}):
+            ref = run(small_gnp, chained, backend="reference", **opts)
+            compiled = run(small_gnp, chained, backend="compiled", **opts)
+            assert ref.outputs == compiled.outputs, opts
+            assert ref.finish_round == compiled.finish_round, opts
+            assert (ref.rounds, ref.messages) == (
+                compiled.rounds, compiled.messages
+            ), opts
+            mis = {u: out[0] for u, out in ref.outputs.items()}
+            assert MIS.is_solution(small_gnp, {}, mis), opts
+            seen.add(tuple(sorted(mis.items())))
+        assert len(seen) == 5
 
     def test_chain_requires_union(self):
         a = LocalAlgorithm("a", lambda ctx: MaxFlood(ctx, 1), requires=("n",))
