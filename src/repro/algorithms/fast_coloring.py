@@ -346,8 +346,9 @@ class ColoringBatchKernel:
         bg = self.bg
         colors = self.colors
         width = self.width
-        if colors.min(initial=0) < 0 or colors.max(initial=0) >= width:
-            # A color the first-free scan cannot pick changes.
+        if colors.max(initial=0) >= width:
+            # A color the first-free scan cannot pick changes (colors
+            # are never negative: the factory sees to it).
             return False
         below = np.zeros((bg.n, width), dtype=bool)
         own, nb = colors[bg.owner], colors[bg.neigh]

@@ -398,8 +398,8 @@ class TestKWBoundaries:
     same round, long runs of empty ranks, a phase whose last
     announcement comes before its last rank and would pass the next
     phase's group test if it were carried, and a fixed point with
-    phases left to settle.  A spy on ``_kw_phase`` asserts each case
-    really occurs.
+    phases left to settle.  Spies on ``_kw_phase`` and ``_repeats``
+    assert each case really occurs.
     """
 
     CASES = {
@@ -424,7 +424,8 @@ class TestKWBoundaries:
         numpy = pytest.importorskip("numpy")
         events = set()
         phases_run = {}
-        phase, repeats = ColoringBatchKernel._kw_phase, ColoringBatchKernel._repeats
+        phase = ColoringBatchKernel._kw_phase
+        repeats = ColoringBatchKernel._repeats
 
         def phase_spy(kernel, carry, limit):
             bg = kernel.bg
@@ -432,7 +433,9 @@ class TestKWBoundaries:
             entry = kernel.colors.copy()
             group, rank = entry // group_size, entry % group_size
             out = phase(kernel, carry, limit)
-            index = phases_run[id(kernel)] = phases_run.get(id(kernel), -1) + 1
+            # Keyed by the kernel itself, which keeps it alive: an id
+            # could be reused by the next run's kernel.
+            index = phases_run[kernel] = phases_run.get(kernel, -1) + 1
             left = len(kernel.kw_phases) - index - 1
             if carry is not None:
                 # One entry per carried slot: sender, receiver, value,
