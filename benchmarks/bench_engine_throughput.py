@@ -694,8 +694,8 @@ def check_bit_identity(n=120):
                 if not _same_run(run(g, a, **opts), got):
                     return False
     # Fixed-point identity (D37): at Δ̃ = 4Δ the coloring kernel reaches
-    # the KW fixed point phases before its schedule ends and settles the
-    # rest by arithmetic.  A fused fast-MIS chunk cut in the last KW
+    # the KW fixed point phases before its schedule ends and settles
+    # those phases by arithmetic.  A fused fast-MIS chunk cut in the last KW
     # round, inside those settled phases, must equal each lane's solo
     # run on both strategies, truncated sets included.
     mis = fast_mis()
@@ -723,13 +723,13 @@ def check_bit_identity(n=120):
         ({"m": 4 * (graph.max_degree + 1), "Delta": graph.max_degree},
          relabelled),
     )
-    for g, inputs in near:
+    for near_guesses, inputs in near:
         results = []
         for backend in BACKENDS:
             with _backend_context(backend):
-                results.append(
-                    run(graph, mis, seed=3, guesses=g, inputs=inputs)
-                )
+                results.append(run(
+                    graph, mis, seed=3, guesses=near_guesses, inputs=inputs,
+                ))
         if not _same_run(*results):
             return False
     # Whole-alternation identity: guess runs AND pruner runs must agree
