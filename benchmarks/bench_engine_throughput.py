@@ -58,14 +58,18 @@ from repro.bench import WORKLOADS, build_graph  # noqa: E402
 from repro.core.domain import VirtualDomain  # noqa: E402
 from repro.core.pruning import MatchingPruning  # noqa: E402
 from repro.graphs import line_graph_spec  # noqa: E402
+from repro.errors import NonTerminationError  # noqa: E402
 from repro.local import (  # noqa: E402
     GraphDelta,
     SimGraph,
+    flatten_outputs,
     open_session,
     run,
     run_many,
     run_restricted,
+    run_virtual_batch,
     use_backend,
+    virtualize,
 )
 from repro.local.batch import numpy_or_none  # noqa: E402
 from repro.local.fused import LANE_WIDTH  # noqa: E402
@@ -766,6 +770,42 @@ def check_bit_identity(n=120):
         if first.outputs != other.outputs or first.rounds != other.rounds:
             return False
     if truncated[1:] != truncated[:1] * (len(truncated) - 1):
+        return False
+    # Relay-window identity: a relay commits one round after the last
+    # announcement of its client hosts.  At dilation 2 every
+    # announcement is even, so a host committing at an odd round is a
+    # relay held by a client, and one round earlier the cap lies
+    # between the relay's own announcement and its client's
+    # announcement + 1.  A line-graph fast-MIS run truncated there must
+    # give the same outputs and leave the same hosts unfinished on both
+    # strategies.  Δ̃ = 2 keeps the schedule short (59 physical rounds).
+    short = {"m": graph.max_ident, "Delta": 2}
+    hosts = virtualize(spec, mis)
+    full = run(graph, hosts, guesses=short, seed=3, backend="reference")
+    held = [r for r in full.finish_round.values() if r % 2]
+    if spec.dilation != 2 or not held:
+        return False
+    cap = min(held) - 1
+    cut = run_restricted(
+        graph, hosts, cap, guesses=short, seed=3, default_output=None,
+        backend="reference",
+    )
+    batched = run_virtual_batch(
+        spec, mis, graph, cap=cap, virt_inputs={}, guesses=short, seed=3,
+        salt=0, default_output=-1,
+    )
+    if batched != flatten_outputs(spec, cut.outputs, default=-1):
+        return False
+    unfinished = []
+    for backend in BACKENDS:
+        with _backend_context(backend):
+            try:
+                VirtualDomain(graph, spec).run_full(
+                    mis, guesses=short, seed=3, max_rounds=cap
+                )
+            except NonTerminationError as exc:
+                unfinished.append(exc.unfinished)
+    if len(unfinished) != 2 or unfinished[0] != unfinished[1]:
         return False
     # Live-session identity (D18): a mutate-then-rerun on a long-lived
     # session must equal a cold run on a from-scratch rebuild of the

@@ -253,7 +253,6 @@ class UniformColoring:
         domain = as_domain(graph)
         if domain.n == 0:
             return ColoringResult(self.name, {}, 0, [], 0)
-        boundaries = self.g.layer_boundaries(domain.max_degree)
         layer_nodes = {}
         for u in domain.nodes:
             layer = self.g.layer_of(domain.degree(u))
@@ -265,6 +264,11 @@ class UniformColoring:
         phase2_rounds = 0
         colors_used = set()
         for layer, members in sorted(layer_nodes.items()):
+            # A member knows D_layer and D_layer+1 from its own degree:
+            # the boundaries are a prefix-stable sequence.
+            boundaries = self.g.layer_boundaries(
+                max(1, domain.degree(members[0]))
+            )
             delta_hat = boundaries[layer]
             report = LayerReport(
                 layer, boundaries[layer - 1], delta_hat - 1, len(members)

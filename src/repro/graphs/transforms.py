@@ -20,8 +20,21 @@ polynomial in the physical one (assumption D8).
 from __future__ import annotations
 
 from ..errors import InvalidInstanceError, ParameterError
-from ..local.batch import BatchGraph, numpy_or_none
+from ..local.batch import BatchGraph, batch_graph_of, numpy_or_none
 from ..local.virtual import VirtualSpec
+
+
+def virtual_identity(graph):
+    """The encoding ``(physical identity, index) -> virtual identity``.
+
+    ``ident * (M + 2) + index`` with ``M`` the largest physical
+    identity: injective for indices up to ``M + 1`` and at most
+    ``(M+1)(M+2)``.  Both derived graphs encode through it, the line
+    graph with ``index = ident(v)`` and the clique product with the
+    clique position.
+    """
+    big = graph.max_ident + 2
+    return lambda ident, index: ident * big + index
 
 
 def clique_product_spec(graph):
@@ -30,10 +43,9 @@ def clique_product_spec(graph):
     Virtual node ``(u, i)`` (``i ∈ 0..deg(u)``) is hosted at ``u``; clique
     edges are internal, cross edges ride the physical edge — dilation 1.
 
-    Virtual identities: ``ident(u) * (M + 2) + i`` with ``M`` the largest
-    physical identity, hence unique and ≤ ``(M+1)(M+2)``.
+    Virtual identities: :func:`virtual_identity` of ``(ident(u), i)``.
     """
-    big = graph.max_ident + 2
+    encode = virtual_identity(graph)
     adj = {}
     ident = {}
     host = {}
@@ -42,7 +54,7 @@ def clique_product_spec(graph):
         for i in range(size):
             virt = (u, i)
             host[virt] = u
-            ident[virt] = graph.ident[u] * big + i
+            ident[virt] = encode(graph.ident[u], i)
             clique = [(u, j) for j in range(size) if j != i]
             adj[virt] = clique
     for u, v in graph.edges():
@@ -87,19 +99,18 @@ def line_graph_spec(graph):
     two-hop relay (hosts ``u`` and ``w`` of edges ``(u,v)``, ``(w,v)``
     may be non-adjacent), so the dilation is 2 in general.
 
-    Virtual identities: ``ident(u) * (M + 2) + ident(v)`` for the edge
-    ``(u, v)`` with ``ident(u) < ident(v)`` and ``M`` the largest
-    physical identity.
+    Virtual identities: :func:`virtual_identity` of ``(ident(u),
+    ident(v))`` for the edge ``(u, v)`` with ``ident(u) < ident(v)``.
 
     Port order: the row of ``(u, v)`` lists the other edges at ``u``,
     then the other edges at ``v``, each group in virtual-identity order.
     A relayed pair of hosts routes through its common neighbour of
     smallest identity.
 
-    Built as arrays over the physical CSR, and the spec carries its own
-    ``BatchGraph``.  The host-process routing plans (``send_plan``,
-    ``forward_plan``, ``recv_port``, ``routes``) are built on first
-    access: the batched virtual driver never reads them.
+    Built as arrays over the physical CSR: the spec holds its
+    ``BatchGraph``, the host index, the dilation and the relay pairs,
+    which is all the batched virtual driver reads.  The dict views and
+    the host-process routing plans are built on first read.
 
     Requires numpy (DESIGN.md D23): without it this raises
     :class:`~repro.errors.ParameterError` naming numpy.
@@ -111,18 +122,15 @@ def line_graph_spec(graph):
     n = cg.n
     labels = cg.labels
     idents = cg.idents
-    offsets = np.asarray(cg.offsets, dtype=np.int64)
-    neigh = np.asarray(cg.neigh, dtype=np.int64)
-    degrees = np.diff(offsets)
-    owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    physical = batch_graph_of(cg)
+    offsets, neigh, owner = physical.offsets, physical.neigh, physical.owner
+    degrees = physical.degrees
     # Edges (a, b), a < b, in slab order: lexicographic in CSR index,
     # which is identity order, so edge ids are virtual-identity order.
     upper = neigh > owner
     ea = owner[upper]
     eb = neigh[upper]
     m = len(ea)
-    if m == 0:
-        return VirtualSpec._assemble(graph, {}, {}, {}, {}, 1, {})
     # Edge id of every slab slot; a lower slot takes its twin's id.
     eid = np.empty(len(neigh), dtype=np.int64)
     eid[upper] = np.arange(m)
@@ -142,47 +150,33 @@ def line_graph_spec(graph):
     vneigh = members[members != np.repeat(np.arange(m), vdeg)]
     voffsets = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(vdeg - 2, out=voffsets[1:])
-
-    dilation, relay_client_ports = _line_graph_relays(
-        np, n, labels, offsets, neigh, owner, ea * n + eb
-    )
-
-    ea_list = ea.tolist()
-    eb_list = eb.tolist()
-    big = graph.max_ident + 2
-    vlabels = [(labels[a], labels[b]) for a, b in zip(ea_list, eb_list)]
-    vidents = [idents[a] * big + idents[b] for a, b in zip(ea_list, eb_list)]
-    bounds = voffsets.tolist()
-    flat = [vlabels[j] for j in vneigh.tolist()]
-    adj = {
-        virt: tuple(flat[bounds[i] : bounds[i + 1]])
-        for i, virt in enumerate(vlabels)
-    }
-    host = {virt: virt[0] for virt in vlabels}
-    hosted = {}
-    starts = np.flatnonzero(np.diff(ea, prepend=-1)).tolist() + [m]
-    for lo, hi in zip(starts, starts[1:]):
-        hosted[vlabels[lo][0]] = vlabels[lo:hi]
+    relays = _line_graph_relays(np, n, offsets, neigh, owner, ea * n + eb)
+    encode = virtual_identity(graph)
+    pairs = list(zip(ea.tolist(), eb.tolist()))
     return VirtualSpec._assemble(
-        graph,
-        host,
-        dict(zip(vlabels, vidents)),
-        adj,
-        hosted,
-        dilation,
-        relay_client_ports,
-        batch=BatchGraph(vlabels, vidents, voffsets, vneigh),
+        physical=graph,
+        dilation=2 if len(relays[0]) else 1,
+        batch=BatchGraph(
+            [(labels[a], labels[b]) for a, b in pairs],
+            [encode(idents[a], idents[b]) for a, b in pairs],
+            voffsets,
+            vneigh,
+        ),
+        host_index=ea,
+        relays=relays,
     )
 
 
-def _line_graph_relays(np, n, labels, offsets, neigh, owner, edge_keys):
-    """Dilation and relay client ports of ``L(G)``, from 2-path arrays.
+def _line_graph_relays(np, n, offsets, neigh, owner, edge_keys):
+    """Relay pairs of ``L(G)``, from 2-path arrays.
 
     Edges ``(p, x)`` and ``(q, x)`` with ``x`` above both hosts are
     hosted at ``p`` and ``q``; when ``p`` and ``q`` are not adjacent the
     pair relays through its common neighbour of smallest identity.  The
     2-paths ``p - r - q`` (``p < q``) are enumerated in ``r`` order, so
-    the first path per host pair names its relay.
+    the first path per host pair names its relay.  Returns ``(relays,
+    clients)``: the CSR indices of every relay and each client host it
+    serves, in slot order.
 
     The same rule picks the relay in
     :meth:`repro.local.virtual.VirtualSpec._build_routes`, which builds
@@ -207,19 +201,9 @@ def _line_graph_relays(np, n, labels, offsets, neigh, owner, edge_keys):
     relayed = np.zeros(len(lead), dtype=bool)
     relayed[pair[r > neigh[second]]] = True
     lead = lead[relayed]
-    if not len(lead):
-        return 1, {}
-    relays = np.concatenate((r[lead], r[lead]))
-    ports = np.concatenate((first[lead], second[lead])) - offsets[relays]
-    stride = len(neigh)
-    relays, ports = np.divmod(np.unique(relays * stride + ports), stride)
-    starts = np.flatnonzero(np.diff(relays, prepend=-1)).tolist()
-    bounds = starts + [len(ports)]
-    relays, ports = relays.tolist(), ports.tolist()
-    return 2, {
-        labels[relays[lo]]: frozenset(ports[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    }
+    # A relay's slot towards a client names both: its row and its entry.
+    served = np.unique(np.concatenate((first[lead], second[lead])))
+    return owner[served], neigh[served]
 
 
 def edge_of_virt(virt):

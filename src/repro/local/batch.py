@@ -274,29 +274,22 @@ def _engine_draw_builder(bg, seed, salt):
     return build
 
 
-def virtual_draw_builder(bg, spec, physical, seed, salt):
+def virtual_draw_builder(bg, host_index, physical, seed, salt):
     """Draw builder reproducing the virtual layer's nested derivation.
 
     Each host draws a 64-bit base from its own stream (its first draw),
     then every hosted virtual node derives an independent sub-stream
     from ``(base, virtual identity)`` — see
-    :class:`repro.local.virtual._VirtualHostProcess`.
+    :class:`repro.local.virtual._VirtualHostProcess`.  ``host_index``
+    holds each virtual node's host as a physical CSR index.
     """
 
     def build(bits):
-        host_of = spec.host
-        host_ident = physical.ident
-        key = run_key(seed, salt)
-        base_cache = {}
-        keys = _np.empty(bg.n, dtype=_np.uint64)
-        for i, v in enumerate(bg.labels):
-            p = host_of[v]
-            base = base_cache.get(p)
-            if base is None:
-                host_key = key ^ ((host_ident[p] * _IDENT_MIX) & _MASK64)
-                base = base_cache[p] = CounterRNG(host_key).getrandbits(64)
-            keys[i] = base ^ ((bg.idents[i] * _IDENT_MIX) & _MASK64)
-        return CounterDraws(keys, bits)
+        mix = batch_graph_of(physical.compiled()).ident_mix()
+        base = CounterRNG.random_batch(
+            mix ^ _np.uint64(run_key(seed, salt)), 1, 64
+        )
+        return CounterDraws(base[host_index] ^ bg.ident_mix(), bits)
 
     return build
 

@@ -16,14 +16,19 @@ a two-hop route through a shared physical neighbour).  One virtual round
 therefore costs ``dilation`` ∈ {1, 2} physical rounds.  The paper notes
 such derived graphs "can be constructed by a local algorithm without
 using any global parameter"; we compute the mapping centrally, which
-stands in for that constant-round construction.  What is computed, and
-when, depends on who reads it: hosting, identities, virtual ports, the
-dilation and each relay's client ports are built with the spec, because
-the batched virtual driver reads them; the host-process routing plans
-(``send_plan``, ``forward_plan``, ``recv_port``) are built eagerly by
-the validating dict constructor, but only on first access in an
-array-built spec (:func:`repro.graphs.line_graph_spec`), since only the
-host process and :meth:`VirtualSpec.restricted` read them.
+stands in for that constant-round construction.
+
+What is computed, and when, depends on who reads it.  An array-built
+spec (:func:`repro.graphs.line_graph_spec`) holds only what the batched
+virtual driver reads: its ``BatchGraph``, the host index array, the
+dilation and the relay pairs.  The dict views (``host``, ``ident``,
+``adj``, ``hosted``, ``relay_client_ports``) and the host-process
+routing plans (``send_plan``, ``forward_plan``, ``recv_port``) are built
+on first read, because only the host process,
+:meth:`VirtualSpec.restricted`, the virtual domain's per-node accessors
+and the tests read them.  The validating dict constructor builds the
+views and the plans eagerly; a batched run derives its host index and
+relay pairs from the views once and caches them on the spec.
 
 Port-order contract: virtual ports follow the order of ``adj[v]``.  Any
 builder must produce the order a spec is tested against — for the line
@@ -66,6 +71,7 @@ from .batch import (
     available as batch_available,
     batch_graph_of_spec,
     drive_kernel,
+    numpy_or_none,
     virtual_draw_builder,
 )
 from .context import NodeContext, counter_rng
@@ -73,118 +79,144 @@ from .message import Broadcast
 from .runner import note_stepping, require_guesses
 
 
+def _lazy(slot, build):
+    """A property reading ``slot``, filled by ``build(spec)`` on first read."""
+
+    def get(spec):
+        if getattr(spec, slot) is None:
+            build(spec)
+        return getattr(spec, slot)
+
+    return property(get)
+
+
 class VirtualSpec:
     """Hosting and routing data for a derived (virtual) graph.
 
     Attributes
     ----------
-    host:
-        Mapping virtual node -> physical node.
-    ident:
-        Mapping virtual node -> unique integer identity.
-    adj:
-        Mapping virtual node -> tuple of neighbour virtual nodes (virtual
-        ports follow this order).
-    hosted:
-        Mapping physical node -> list of its virtual nodes, identity
-        order (only hosts with at least one virtual node appear).
     dilation:
         Physical rounds per virtual round (1 without relays, else 2).
-    relay_client_ports:
-        Mapping relay -> frozenset of the relay's ports towards the hosts
-        whose traffic routes through it.
     physical:
         The physical :class:`~repro.local.graph.SimGraph` the spec routes
         over.
+    host_index, relays:
+        The arrays the batched virtual driver reads, in the physical
+        CSR's index space: the host of each virtual node in
+        ``BatchGraph`` order (identity order), and ``(relay, client)``
+        with one entry per relay and client host whose traffic routes
+        through it.
+    host, ident, adj, hosted, relay_client_ports:
+        The dict views: virtual node -> physical node; virtual node ->
+        unique integer identity; virtual node -> tuple of neighbour
+        virtual nodes (virtual ports follow this order); physical node
+        -> its virtual nodes in identity order (hosts with none are
+        absent); relay -> frozenset of its ports towards its client
+        hosts.
     recv_port, send_plan, forward_plan:
-        The host-process routing plans (see :meth:`_build_routes`).  The
-        dict constructor builds them eagerly, validating the instance;
-        array-built specs build them on first access, since only the
-        host process and :meth:`restricted` read them.
+        The host-process routing plans (see :meth:`_build_routes`).
+
+    The dict constructor builds the views and plans eagerly, validating
+    the instance, and derives the arrays from the views on first read.
+    An array-built spec holds the arrays and builds the views and plans
+    on first read.
     """
 
     __slots__ = (
-        "host",
-        "ident",
-        "adj",
         "dilation",
-        "hosted",
-        "relay_client_ports",
         "physical",
+        "_host",
+        "_ident",
+        "_adj",
+        "_hosted",
+        "_relay_client_ports",
         "_recv_port",
         "_send_plan",
         "_forward_plan",
         "_batch",
+        "_host_index",
+        "_relays",
     )
 
     def __init__(self, host, ident, adj, physical_graph):
-        self.host = dict(host)
-        self.ident = dict(ident)
-        self.adj = {v: tuple(neigh) for v, neigh in adj.items()}
-        if len(set(self.ident.values())) != len(self.ident):
-            raise InvalidInstanceError("virtual identities must be unique")
-        self.hosted = {}
-        for virt, p in self.host.items():
-            self.hosted.setdefault(p, []).append(virt)
-        for p in self.hosted:
-            self.hosted[p].sort(key=lambda v: self.ident[v])
+        for name in self.__slots__:
+            setattr(self, name, None)
         self.physical = physical_graph
-        self._recv_port = None
-        #: Lazily built numpy mirror, shared by a step's guess and
-        #: pruner runs.
-        self._batch = None
+        self._host = dict(host)
+        self._ident = ident = dict(ident)
+        self._adj = {v: tuple(neigh) for v, neigh in adj.items()}
+        if len(set(ident.values())) != len(ident):
+            raise InvalidInstanceError("virtual identities must be unique")
+        self._hosted = hosted = {}
+        for virt, p in self._host.items():
+            hosted.setdefault(p, []).append(virt)
+        for virts in hosted.values():
+            virts.sort(key=ident.__getitem__)
         # Eager on purpose: asymmetric adjacency and virtual edges
         # without a physical route of length <= 2 raise here.
-        self.dilation, self.relay_client_ports = self._build_routes()
+        self.dilation, self._relay_client_ports = self._build_routes()
 
     @classmethod
-    def _assemble(
-        cls, physical, host, ident, adj, hosted, dilation, relay_client_ports,
-        *, batch=None,
-    ):
-        """A spec from already-derived fields; the plans stay lazy.
+    def _assemble(cls, **fields):
+        """A spec from already-derived fields; the rest stay lazy.
 
         No validation: callers derive the fields from an instance that
         is valid by construction (a physical CSR, or a valid spec).
         """
         spec = object.__new__(cls)
-        spec.host = host
-        spec.ident = ident
-        spec.adj = adj
-        spec.hosted = hosted
-        spec.dilation = dilation
-        spec.relay_client_ports = relay_client_ports
-        spec.physical = physical
-        spec._recv_port = None
-        spec._send_plan = None
-        spec._forward_plan = None
-        spec._batch = batch
+        for name in cls.__slots__:
+            setattr(spec, name, fields.pop(name.lstrip("_"), None))
+        assert not fields, f"unknown spec fields {sorted(fields)}"
         return spec
 
-    @property
-    def recv_port(self):
+    def _build_views(self):
+        """The dict views of an array-built spec."""
+        bg = self._batch
+        cg = self.physical.compiled()
+        virts = bg.labels
+        hosts = [cg.labels[a] for a in self._host_index.tolist()]
+        self._host = dict(zip(virts, hosts))
+        self._ident = dict(zip(virts, bg.idents))
+        bounds = bg.offsets.tolist()
+        flat = [virts[j] for j in bg.neigh.tolist()]
+        self._adj = {
+            virt: tuple(flat[bounds[i] : bounds[i + 1]])
+            for i, virt in enumerate(virts)
+        }
+        self._hosted = {}
+        for virt, p in zip(virts, hosts):
+            self._hosted.setdefault(p, []).append(virt)
+        ports = {}
+        for relay, client in zip(*(a.tolist() for a in self._relays)):
+            row = cg.neigh[cg.offsets[relay] : cg.offsets[relay + 1]]
+            ports.setdefault(cg.labels[relay], set()).add(row.index(client))
+        self._relay_client_ports = {
+            relay: frozenset(group) for relay, group in ports.items()
+        }
+
+    def _build_arrays(self):
+        """The host index and relay pairs of a dict-built spec."""
+        np = numpy_or_none()
+        cg = self.physical.compiled()
+        index = cg.index
+        host = self._host
+        self._host_index = np.array(
+            [index[host[v]] for v in batch_graph_of_spec(self).labels],
+            dtype=np.int64,
+        )
+        pairs = [
+            (index[relay], cg.neigh[cg.offsets[index[relay]] + port])
+            for relay, ports in self._relay_client_ports.items()
+            for port in ports
+        ]
+        self._relays = tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+    def _build_recv_port(self):
         """``(sender, receiver) -> receiver's port of the sender``."""
-        table = self._recv_port
-        if table is None:
-            table = self._recv_port = {}
-            for virt, neighbours in self.adj.items():
-                for port, other in enumerate(neighbours):
-                    table[(other, virt)] = port
-        return table
-
-    @property
-    def send_plan(self):
-        """``(sender, receiver) -> plan``: internal, direct or relay."""
-        if self._send_plan is None:
-            self._build_routes()
-        return self._send_plan
-
-    @property
-    def forward_plan(self):
-        """``relay -> {receiver: relay's port to the receiver's host}``."""
-        if self._forward_plan is None:
-            self._build_routes()
-        return self._forward_plan
+        self._recv_port = table = {}
+        for virt, neighbours in self.adj.items():
+            for port, other in enumerate(neighbours):
+                table[(other, virt)] = port
 
     def _build_routes(self):
         """Fill the send and forward plans; return dilation and relay ports.
@@ -195,9 +227,9 @@ class VirtualSpec:
         A relayed pair routes through its common neighbour of smallest
         identity.  The array line-graph builder
         (``repro.graphs.transforms._line_graph_relays``) applies the same
-        rule to derive ``dilation`` and ``relay_client_ports`` without
-        these plans; the two must agree, and the oracle tests in
-        ``tests/test_virtual.py`` compare both.
+        rule to derive the relay pairs without these plans; the two must
+        agree, and the oracle tests in ``tests/test_virtual.py`` compare
+        both.
         """
         graph = self.physical
         recv_port = self.recv_port
@@ -255,6 +287,17 @@ class VirtualSpec:
         }
         return (2 if relay_clients else 1), relay_client_ports
 
+    host = _lazy("_host", _build_views)
+    ident = _lazy("_ident", _build_views)
+    adj = _lazy("_adj", _build_views)
+    hosted = _lazy("_hosted", _build_views)
+    relay_client_ports = _lazy("_relay_client_ports", _build_views)
+    host_index = _lazy("_host_index", _build_arrays)
+    relays = _lazy("_relays", _build_arrays)
+    recv_port = _lazy("_recv_port", _build_recv_port)
+    send_plan = _lazy("_send_plan", _build_routes)
+    forward_plan = _lazy("_forward_plan", _build_routes)
+
     def restricted(self, keep):
         """Spec induced on the surviving virtual nodes (incremental).
 
@@ -287,25 +330,24 @@ class VirtualSpec:
                     relay = plan[2]
                     forward_plan.setdefault(relay, {})[other] = plan[3]
                     relay_client_ports.setdefault(relay, set()).add(plan[4])
-        spec = VirtualSpec._assemble(
-            self.physical,
-            {v: self.host[v] for v in adj},
-            {v: self.ident[v] for v in adj},
-            adj,
-            hosted,
-            2 if relay_client_ports else 1,
-            {
+        return VirtualSpec._assemble(
+            physical=self.physical,
+            dilation=2 if relay_client_ports else 1,
+            host={v: self.host[v] for v in adj},
+            ident={v: self.ident[v] for v in adj},
+            adj=adj,
+            hosted=hosted,
+            relay_client_ports={
                 relay: frozenset(ports)
                 for relay, ports in relay_client_ports.items()
             },
+            send_plan=send_plan,
+            forward_plan=forward_plan,
         )
-        spec._send_plan = send_plan
-        spec._forward_plan = forward_plan
-        return spec
 
     @property
     def virtual_nodes(self):
-        return tuple(self.adj.keys())
+        return tuple(self._batch.labels if self._adj is None else self._adj)
 
 
 class _VirtualHostProcess(NodeProcess):
@@ -480,83 +522,65 @@ def _drive_virtual(
     """Drive a virtual run's kernel within physical cap ``cap``.
 
     The shared prologue of :func:`run_virtual_batch` and
-    :func:`run_virtual_batch_full`.  Returns ``(results, vindex,
-    commit)`` — bg index -> result of every node that finished, virtual
-    label -> bg index, and :func:`_host_commits`' host -> physical
-    commit round — or ``None`` when the run is ineligible (numpy
-    missing, empty spec, no batch capability) or the factory declines.
+    :func:`run_virtual_batch_full`.  Returns ``(bg, results, commit)``
+    — the virtual ``BatchGraph``, each bg index's result (``None``
+    until it finishes) and :func:`_host_commits`' commit array — or
+    ``None`` when the run is ineligible (numpy missing, empty spec, no
+    batch capability) or the factory declines.
 
     The drive is one :func:`~repro.local.batch.drive_kernel` call (D17,
     D30).  Virtual round ``k`` is engine round ``k-1`` and runs at
     physical round ``(k-1) * dilation``, so the drive gets the engine
     cap ``cap // dilation`` and its events map back by ``+1``.
     """
-    if not batch_available() or not spec.adj:
+    if not batch_available():
         return None
     if not capabilities_of(algorithm).get("supports_batch"):
+        return None
+    bg = batch_graph_of_spec(spec)
+    if not bg.n:
         return None
     guesses = require_guesses(
         algorithm, guesses, name=f"virtual[{algorithm.name}]"
     )
-    bg = batch_graph_of_spec(spec)
-    draws = virtual_draw_builder(bg, spec, physical, seed, salt)
+    draws = virtual_draw_builder(bg, spec.host_index, physical, seed, salt)
     kernel = algorithm.batch(bg, BatchSetup(virt_inputs or {}, guesses, draws))
     if kernel is None:
         return None
-    finish_vround = {}
-    results = {}
+    finish = numpy_or_none().zeros(bg.n, dtype="int64")
+    results = [None] * bg.n
     events, _rounds, _messages = drive_kernel(kernel, cap // spec.dilation)
     for rnd, finished, values in events:
+        finish[finished] = rnd + 1
         for i, value in zip(finished, values):
-            finish_vround[i] = rnd + 1
             results[i] = value
     note_stepping("rf")
-    vindex = {label: i for i, label in enumerate(bg.labels)}
-    commit = _host_commits(spec, physical, finish_vround, vindex)
-    return results, vindex, commit
+    return bg, results, _host_commits(spec, physical, finish)
 
 
-def _host_commits(spec, physical, finish_vround, vindex):
+def _host_commits(spec, physical, finish):
     """Replay the host announce/commit protocol from kernel finish data.
 
-    ``finish_vround`` maps bg index -> virtual round (1-based) the node
-    finished in; missing = not within the simulated horizon.  Returns
-    ``host -> physical commit round`` (``None`` = beyond the horizon):
-    a host announces at the physical round its last virtual node
+    ``finish[i]`` is the virtual round (1-based) bg node ``i`` finished
+    in, 0 = not within the simulated horizon.  Returns one physical
+    commit round per physical CSR index (-1 = beyond the horizon): a
+    host announces at the physical round its last virtual node
     finishes, a relay additionally waits one round past each client
     host's announcement.
     """
-    dilation = spec.dilation
-    announce = {}
-    for p in physical.nodes:
-        virts = spec.hosted.get(p)
-        if not virts:
-            announce[p] = 0
-            continue
-        last = 0
-        for v in virts:
-            k = finish_vround.get(vindex[v])
-            if k is None:
-                last = None
-                break
-            if k > last:
-                last = k
-        announce[p] = None if last is None else (last - 1) * dilation
-    cg = physical.compiled()
-    commit = dict(announce)
-    for relay, ports in spec.relay_client_ports.items():
-        worst = commit[relay]
-        if worst is None:
-            continue
-        row = cg.offsets[cg.index[relay]]
-        for port in ports:
-            client_announce = announce[cg.labels[cg.neigh[row + port]]]
-            if client_announce is None:
-                worst = None
-                break
-            if client_announce + 1 > worst:
-                worst = client_announce + 1
-        commit[relay] = worst
+    np = numpy_or_none()
+    n = physical.compiled().n
+    hosts = spec.host_index
+    relays, clients = spec.relays
+    last = np.zeros(n, dtype=np.int64)
+    np.maximum.at(last, hosts, finish)
+    announce = np.maximum(last - 1, 0) * spec.dilation
+    never = np.zeros(n, dtype=bool)
+    never[hosts[finish == 0]] = True
+    commit = announce.copy()
+    np.maximum.at(commit, relays, announce[clients] + 1)
+    never[relays[never[clients]]] = True
+    commit[never] = -1
     return commit
 
 
@@ -604,17 +628,13 @@ def run_virtual_batch(
     )
     if driven is None:
         return None
-    results, vindex, commit = driven
-    outputs = {}
-    host_of = spec.host
-    for virt in spec.virtual_nodes:
-        committed = commit[host_of[virt]]
-        if committed is not None and committed <= cap:
-            value = results[vindex[virt]]
-            outputs[virt] = default_output if value is None else value
-        else:
-            outputs[virt] = default_output
-    return outputs
+    bg, results, commit = driven
+    committed = commit[spec.host_index]
+    ready = ((committed >= 0) & (committed <= cap)).tolist()
+    return {
+        virt: default_output if not ok or value is None else value
+        for virt, ok, value in zip(bg.labels, ready, results)
+    }
 
 
 def run_virtual_batch_full(
@@ -649,21 +669,16 @@ def run_virtual_batch_full(
     )
     if driven is None:
         return None
-    results, vindex, commit = driven
-    overdue = [
-        p
-        for p in physical.nodes
-        if commit[p] is None or commit[p] > cap
-    ]
+    bg, results, commit = driven
+    overdue = ((commit < 0) | (commit > cap)).nonzero()[0].tolist()
     if overdue:
         # Same diagnostics the physical runner raises for the wrapped
         # algorithm: the hosts still active at the cap, identity order.
-        raise NonTerminationError(f"virtual[{algorithm.name}]", cap, overdue)
-    outputs = {
-        virt: results[vindex[virt]] for virt in spec.virtual_nodes
-    }
-    rounds = max(commit.values()) if commit else 0
-    return outputs, rounds
+        labels = physical.compiled().labels
+        raise NonTerminationError(
+            f"virtual[{algorithm.name}]", cap, [labels[i] for i in overdue]
+        )
+    return dict(zip(bg.labels, results)), int(commit.max(initial=0))
 
 
 def flatten_outputs(spec, physical_outputs, *, default=None):

@@ -125,3 +125,33 @@ class TestSLCWrapper:
         algo = LocalAlgorithm("dummy", Dummy, requires=("n",))
         with pytest.raises(ParameterError):
             theorem5(algo, AdditiveBound([linear("n")]), g_quadratic())
+
+
+class TestTheorem5ReadsNoGlobalDegree:
+    """Theorem 5 layers nodes by their own degree; nothing reads Δ."""
+
+    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    @pytest.mark.parametrize("lam", [1, 4])
+    def test_max_degree_is_never_read(self, small_gnp, lam, backend, monkeypatch):
+        import networkx as nx
+
+        from repro.core.domain import Domain, PhysicalDomain, VirtualDomain
+        from repro.local import SimGraph, use_backend
+
+        nu = lambda_coloring_nonuniform(lam)
+        uc = theorem5(nu.algorithm, nu.bound, lambda_colors_bound(lam))
+        edgeless = SimGraph.from_networkx(nx.empty_graph(3))
+        with use_backend(backend):
+            expected = [uc.run(g, seed=4) for g in (small_gnp, edgeless)]
+
+        def global_read(self):
+            raise AssertionError("Theorem 5 read the global max_degree")
+
+        for cls in (SimGraph, Domain, PhysicalDomain, VirtualDomain):
+            monkeypatch.setattr(cls, "max_degree", property(global_read))
+        with use_backend(backend):
+            got = [uc.run(g, seed=4) for g in (small_gnp, edgeless)]
+        for want, result in zip(expected, got):
+            assert result.outputs == want.outputs
+            assert result.rounds == want.rounds
+        assert PROPER_COLORING.is_solution(small_gnp, {}, got[0].outputs)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.algorithms import TABLE1
@@ -32,11 +34,13 @@ from repro.local import (
     Broadcast,
     LocalAlgorithm,
     NodeProcess,
+    SimGraph,
     run,
     run_many,
     run_restricted,
     use_backend,
 )
+from repro.local import virtual
 from repro.problems import MIS, ColorList, SLCInput
 
 BACKENDS = ("reference", "compiled")
@@ -774,6 +778,98 @@ class TestVirtualRunFullBatch:
                     domain.run_full(luby_mis(), seed=23, max_rounds=2)
             errors[backend] = str(excinfo.value)
         assert errors["reference"] == errors["compiled"]
+
+
+
+class TestRelayBumpSweep:
+    """The host commit replay at every physical cap, relays included.
+
+    A relay commits one round after the last announcement of its client
+    hosts, so from its own announcement up to that round its virtual
+    nodes still take the default output and it still counts as
+    unfinished.  The star and the path relay through a node that hosts
+    nothing; on ``small_gnp``'s line graph relays host edges too.
+    """
+
+    @staticmethod
+    def graph(name, small_gnp):
+        if name == "star":
+            idents = {0: 10, 1: 1, 2: 2, 3: 3, 4: 4}
+            return SimGraph.from_networkx(nx.star_graph(4), idents=idents)
+        if name == "path":
+            idents = {0: 1, 1: 3, 2: 2}
+            return SimGraph.from_networkx(nx.path_graph(3), idents=idents)
+        return small_gnp
+
+    @pytest.mark.parametrize("algorithm", ["luby", "fast-mis"])
+    @pytest.mark.parametrize("name", ["star", "path", "small_gnp"])
+    def test_every_physical_cap(self, small_gnp, name, algorithm, monkeypatch):
+        graph = self.graph(name, small_gnp)
+        spec = line_graph_spec(graph)
+        assert spec.dilation == 2
+        # Δ̃ = 2 keeps fast MIS's schedule short (61 physical rounds on
+        # small_gnp's line graph); the backends agree under any guess.
+        algo, guesses = {
+            "luby": (luby_mis(), None),
+            "fast-mis": (fast_mis(), {"m": graph.max_ident**2, "Delta": 2}),
+        }[algorithm]
+        domain = VirtualDomain(graph, spec)
+        finishes = []
+        replay = virtual._host_commits
+
+        def spy(spec, physical, finish):
+            finishes.append(finish.copy())
+            return replay(spec, physical, finish)
+
+        monkeypatch.setattr(virtual, "_host_commits", spy)
+        full = {
+            backend: domain.run_full(
+                algo, seed=5, guesses=guesses, backend=backend
+            )
+            for backend in BACKENDS
+        }
+        assert full["reference"] == full["compiled"]
+        rounds = full["compiled"][1]
+        # Host announcements of the full run, to locate the relay
+        # windows the sweep below must cross.
+        last = np.zeros(graph.n, dtype=np.int64)
+        np.maximum.at(last, spec.host_index, finishes[0])
+        announce = np.maximum(last - 1, 0) * spec.dilation
+        pairs = list(zip(*(a.tolist() for a in spec.relays)))
+
+        def bumps(caps, relays):
+            return any(
+                announce[r] <= cap <= announce[c]
+                for r, c in pairs
+                if r in relays
+                for cap in caps
+            )
+
+        assert bumps(range(rounds), {r for r, _ in pairs})
+        for cap in range(rounds):
+            errors = {}
+            for backend in BACKENDS:
+                with pytest.raises(NonTerminationError) as excinfo:
+                    domain.run_full(
+                        algo, seed=5, guesses=guesses, max_rounds=cap,
+                        backend=backend,
+                    )
+                errors[backend] = (str(excinfo.value), excinfo.value.unfinished)
+            assert errors["reference"] == errors["compiled"], cap
+        caps = []
+        for budget in range(rounds // spec.dilation + 1):
+            outputs = [
+                domain.run_restricted(
+                    algo, budget, seed=5, guesses=guesses, default_output=-1,
+                    backend=backend,
+                )
+                for backend in BACKENDS
+            ]
+            assert outputs[0] == outputs[1], budget
+            caps.append(outputs[0][1])
+        if name == "small_gnp":
+            # A bumped relay that hosts edges, at a run_restricted cap.
+            assert bumps(caps, set(spec.host_index.tolist()))
 
 
 def spec_signature(spec):

@@ -203,10 +203,39 @@ class TestArrayLineGraphMatchesDictOracle:
         g = sim(nx.gnp_random_graph(30, 0.2, seed=4))
         spec = line_graph_spec(g)
         guesses = {"Delta": 2 * g.max_degree, "m": (g.max_ident + 2) ** 2}
-        VirtualDomain(g, spec).run_restricted(fast_mis(), 60, guesses=guesses)
-        assert spec._recv_port is None
-        assert spec._send_plan is None
-        assert spec._forward_plan is None
+        domain = VirtualDomain(g, spec)
+        domain.run_restricted(fast_mis(), 60, guesses=guesses)
+        # Luby draws random bits: the draw builder reads the host index.
+        domain.run_restricted(luby_mis(), 60)
+        domain.run_full(luby_mis())
+        assert spec.dilation == 2
+        assert_unbuilt(spec)
+
+    def test_matching_row_leaves_every_spec_unbuilt(self, monkeypatch):
+        from repro.algorithms import TABLE1, matching
+
+        built = []
+
+        def spy(graph):
+            built.append(line_graph_spec(graph))
+            return built[-1]
+
+        monkeypatch.setattr(matching, "line_graph_spec", spy)
+        graph = build_graph(WORKLOADS["gnp-sparse"](120, seed=1), seed=1)
+        _, _, uniform = TABLE1["matching"].build()
+        uniform.run(graph, seed=3)
+        assert len(built) >= 2
+        for spec in built:
+            assert_unbuilt(spec)
+
+
+def assert_unbuilt(spec):
+    """No dict view and no routing plan of an array-built spec exists."""
+    for slot in (
+        "_host", "_ident", "_adj", "_hosted", "_relay_client_ports",
+        "_recv_port", "_send_plan", "_forward_plan",
+    ):
+        assert getattr(spec, slot) is None, slot
 
 
 class TestVirtualSpecValidation:
