@@ -45,6 +45,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.algorithms import TABLE1  # noqa: E402
@@ -71,7 +73,6 @@ from repro.local import (  # noqa: E402
     use_backend,
     virtualize,
 )
-from repro.local.batch import numpy_or_none  # noqa: E402
 from repro.local.fused import LANE_WIDTH  # noqa: E402
 from repro.local.runner import last_stepping  # noqa: E402
 
@@ -1099,7 +1100,7 @@ def main(argv=None):
             "meta": {
                 "commit": commit,
                 "python": platform.python_version(),
-                "numpy": getattr(numpy_or_none(), "__version__", None),
+                "numpy": numpy.__version__,
                 "machine": platform.machine(),
                 "cores": os.cpu_count(),
                 "note": (

@@ -1,17 +1,15 @@
-"""Legacy shim so `pip install -e . --no-use-pep517` works offline.
+"""Package metadata, and a legacy shim for offline installs.
 
-The environment has setuptools but no `wheel`, which breaks PEP 517
-editable installs; this file enables the classic `setup.py develop`
-path and carries the dependency metadata.
+`pip install -e .` builds through PEP 517, which needs network access
+for its isolated build environment.  Offline, with setuptools but no
+`wheel` (pip 23.1 and later refuse `--no-use-pep517` without it),
+`python setup.py develop --no-deps` installs the same package.
 
-numpy powers the batched frontier-step kernels (DESIGN.md D10).  It is
-a declared dependency, but the runtime degrades gracefully without it:
-`repro.local.batch` guards the import and every run falls back to the
-reference loop (DESIGN.md D33), so an environment that cannot install numpy
-still runs the pipeline (asserted by tests/test_batch_kernels.py) —
-except the line-graph rows (matching, edge coloring), whose line graph
-is built as arrays, and G(n, p), whose pairs are drawn from numpy; both
-raise ParameterError naming numpy without it (DESIGN.md D23, D26).
+numpy is a required dependency (DESIGN.md D39): it powers the batched
+frontier-step kernels (D10), the array-built line graph behind the
+matching and edge-coloring rows (D23) and the G(n, p) generator (D26),
+and every module imports it unconditionally.
+tests/test_batch_kernels.py checks that `install_requires` lists it.
 """
 
 from setuptools import find_packages, setup

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..core.bounds import AdditiveBound, ProductBound, custom
 from ..core.pruning import RulingSetPruning
 from ..core.transformer import NonUniform, theorem1
@@ -100,7 +102,6 @@ class HPartitionKernel(batch.LockstepKernel):
         the round each node peeled at, which the early exit never
         changes.
         """
-        np = batch.numpy_or_none()
         bg = self.bg
         neigh, owner, degrees = bg.neigh, bg.owner, bg.degrees
         threshold = self.threshold
@@ -120,8 +121,6 @@ class HPartitionKernel(batch.LockstepKernel):
 
 def _h_partition_batch_factory():
     def factory(bg, setup):
-        if batch.numpy_or_none() is None:
-            return None
         a_guess = max(1, int(setup.guesses["a"]))
         phases = peel_rounds(setup.guesses["n"]) - 1
         return HPartitionKernel(bg, PEEL_FACTOR * a_guess, phases)

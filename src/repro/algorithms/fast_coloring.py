@@ -14,12 +14,13 @@ schedule, as the paper's model allows.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.bounds import AdditiveBound, custom
 from ..core.transformer import NonUniform
 from ..local import batch
 from ..local.algorithm import LocalAlgorithm, NodeProcess
 from ..local.message import Broadcast
-from ..mathutils import log_star
 from .color_reduction import KWReducer, kw_schedule, kw_total_rounds
 from .linial import (
     initial_color,
@@ -150,7 +151,6 @@ class ColoringBatchKernel:
     )
 
     def __init__(self, bg, setup, steps, palette, delta):
-        np = batch.numpy_or_none()
         self.bg = bg
         self.delta = delta
         self.steps = steps
@@ -249,7 +249,6 @@ class ColoringBatchKernel:
         return end, 0
 
     def _linial_step(self, q, d):
-        np = batch.numpy_or_none()
         bg = self.bg
         n = bg.n
         space = q ** (d + 1)
@@ -342,7 +341,6 @@ class ColoringBatchKernel:
         same colors with no carry (no node sits in the last rank), so
         every later phase repeats this one.
         """
-        np = batch.numpy_or_none()
         bg = self.bg
         colors = self.colors
         width = self.width
@@ -366,7 +364,6 @@ class ColoringBatchKernel:
         The returned one is this phase's (``None`` when its last rank
         is empty or was not reached).
         """
-        np = batch.numpy_or_none()
         bg = self.bg
         delta = self.delta
         group_size = 2 * (delta + 1)
@@ -413,8 +410,6 @@ def _coloring_batch_factory(kernel_cls=ColoringBatchKernel):
     """Eligibility-checked factory shared by the coloring/MIS kernels."""
 
     def factory(bg, setup):
-        if batch.numpy_or_none() is None:
-            return None
         delta = max(0, int(setup.guesses["Delta"]))
         steps, palette = linial_schedule(setup.guesses["m"], delta)
         if delta + 1 > _BATCH_DELTA_LIMIT:
@@ -491,8 +486,3 @@ def fast_coloring_nonuniform():
         default_output=0,
         name="fast-coloring",
     )
-
-
-def logstar_value(x):
-    """Re-export of ``log*`` for reporting convenience."""
-    return log_star(x)

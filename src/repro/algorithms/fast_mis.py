@@ -14,9 +14,10 @@ arboricity (see :mod:`repro.algorithms.arboricity`).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.bounds import AdditiveBound, custom
 from ..core.transformer import NonUniform
-from ..local import batch
 from ..local.algorithm import LocalAlgorithm
 from ..local.message import Broadcast
 from .fast_coloring import (
@@ -89,7 +90,6 @@ class MISBatchKernel(ColoringBatchKernel):
     def _tail(self, end, cap, events):
         """The sweep after the coloring completes at round ``end``: slot
         ``s`` decides at round ``end + s``, within ``cap``."""
-        np = batch.numpy_or_none()
         bg = self.bg
         slots = self.colors + 1  # colors are 0-based, slots 1-based
         order = np.argsort(slots, kind="stable")

@@ -21,9 +21,10 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 
+import numpy as np
+
 from ..core.bounds import AdditiveBound, log2_squared
 from ..core.transformer import NonUniform
-from ..local import batch
 from ..local.algorithm import LocalAlgorithm
 from .luby import NOT_IN_SET, LubyProcess, _luby_batch_factory
 
@@ -59,7 +60,6 @@ def _hash_priorities(bg, setup):
     memoized blake2b per frontier node is orders of magnitude cheaper
     than the per-node process dispatch the kernel replaces.
     """
-    np = batch.numpy_or_none()
     idents = bg.idents
 
     def draws(idx, phase):

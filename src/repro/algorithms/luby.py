@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from ..core.bounds import AdditiveBound, log2_of
 from ..core.transformer import NonUniform
 from ..local import batch
@@ -121,7 +123,6 @@ class LubyBatchKernel:
     )
 
     def __init__(self, bg, draws, budget):
-        np = batch.numpy_or_none()
         self.bg = bg
         self.draws = draws
         self.budget = budget
@@ -131,12 +132,10 @@ class LubyBatchKernel:
         self.done = False
 
     def undone_indices(self):
-        np = batch.numpy_or_none()
         return np.flatnonzero(self.alive).tolist()
 
     def _draw_bids(self):
         """Draw fresh priorities for the survivors; returns messages sent."""
-        np = batch.numpy_or_none()
         self.phase += 1
         idx = np.flatnonzero(self.alive)
         self.prio[idx] = self.draws(idx, self.phase)
@@ -155,7 +154,6 @@ class LubyBatchKernel:
         at most ``cap`` rounds execute, and a mid-phase exit leaves
         ``alive`` (what ``undone_indices`` reads) as of that round.
         """
-        np = batch.numpy_or_none()
         # Round 0: isolated nodes join, the rest bid.
         isolated = np.flatnonzero(~self.alive).tolist()
         events = [(0, isolated, [1] * len(isolated))] if isolated else []
@@ -226,8 +224,6 @@ def _luby_batch_factory(budget_of=None, priorities=None):
     """
 
     def factory(bg, setup):
-        if batch.numpy_or_none() is None:
-            return None
         if priorities is not None:
             draws = priorities(bg, setup)
         else:

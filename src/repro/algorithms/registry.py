@@ -25,7 +25,7 @@ from .arboricity import (
 )
 from .fast_mis import fast_mis_nonuniform
 from .hash_luby import hash_luby_nonuniform
-from .luby import luby_mc_nonuniform, luby_mis
+from .luby import luby_mc_nonuniform
 from .matching import line_matching_nonuniform
 from .ruling_sets import sw_ruling_set_nonuniform
 
@@ -236,8 +236,3 @@ def corollary1_portfolio(*, base=2.0):
         ),
     ]
     return theorem4(members, mis_pruning(), name="corollary1(i)-mis", base=base)
-
-
-def uniform_luby_baseline():
-    """Row 10's uniform Las Vegas Luby, as a plain algorithm."""
-    return luby_mis()

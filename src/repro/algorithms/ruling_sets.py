@@ -23,6 +23,8 @@ Two algorithms:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.bounds import AdditiveBound, custom
 from ..core.transformer import NonUniform
 from ..local import batch
@@ -99,7 +101,6 @@ class BitwiseRulingKernel(batch.LockstepKernel):
         identity's masked bits MSB-first, which *is* the round order
         (round r reads bit index ``bits - r``).
         """
-        np = batch.numpy_or_none()
         bits = self.schedule
         nbytes = (bits + 7) // 8
         mask = (1 << bits) - 1
@@ -117,7 +118,6 @@ class BitwiseRulingKernel(batch.LockstepKernel):
         broadcast the round before, which are the flags ``cand`` holds
         when the round starts.
         """
-        np = batch.numpy_or_none()
         bg = self.bg
         colmat = self._column_matrix().astype(bool)
         neigh, owner = bg.neigh, bg.owner
@@ -132,8 +132,6 @@ class BitwiseRulingKernel(batch.LockstepKernel):
 
 def _bitwise_batch_factory():
     def factory(bg, setup):
-        if batch.numpy_or_none() is None:
-            return None
         bits = max(1, int(setup.guesses["m"])).bit_length()
         if bits > _BATCH_BITS_LIMIT:
             return None

@@ -56,15 +56,13 @@ class _SLCWrapProcess(NodeProcess):
             raise ParameterError("SLC wrapper needs SLCInput inputs")
         guesses = dict(ctx.guesses)
         guesses["Delta"] = x.delta_hat
-        # Share the outer node's random source, lazily: the inner
-        # algorithm may never draw.
         inner_ctx = NodeContext(
             node=ctx.node,
             ident=ctx.ident,
             degree=ctx.degree,
             input=None,
             guesses=guesses,
-            rng_factory=lambda _ident: ctx.rng,
+            rng=ctx.rng,
         )
         self.inner = base_algorithm.make(inner_ctx)
 

@@ -42,6 +42,8 @@ one pruner that rewrites inputs).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..local import batch
 from ..local.algorithm import LocalAlgorithm, NodeProcess, capabilities_of
 from ..local.message import Broadcast
@@ -254,7 +256,6 @@ class RulingSetPruneKernel(batch.LockstepKernel):
 
     def __init__(self, bg, inputs, beta):
         super().__init__(bg, schedule=1 + beta)
-        np = batch.numpy_or_none()
         self.beta = beta
         self.y_in = np.array(
             [in_set(y) for y in _tentative_of(inputs, bg.labels, 0)],
@@ -269,7 +270,6 @@ class RulingSetPruneKernel(batch.LockstepKernel):
         ``prev_flag`` unchanged, so every remaining round is identical
         and the loop may skip to the end of the schedule.
         """
-        np = batch.numpy_or_none()
         bg = self.bg
         neigh, owner = bg.neigh, bg.owner
         y_in = self.y_in
@@ -291,8 +291,6 @@ class RulingSetPruneKernel(batch.LockstepKernel):
 
 def _ruling_prune_batch_factory(beta):
     def factory(bg, setup):
-        if batch.numpy_or_none() is None:
-            return None
         return RulingSetPruneKernel(bg, setup.inputs, beta)
 
     return factory
@@ -406,11 +404,9 @@ class MatchingPruneKernel(batch.LockstepKernel):
 
     def __init__(self, bg, codes):
         super().__init__(bg, schedule=3)
-        np = batch.numpy_or_none()
         self.y = np.asarray(codes, dtype=np.int64)
 
     def run_phases(self):
-        np = batch.numpy_or_none()
         bg = self.bg
         own, nb = bg.owner, bg.neigh
         eq = self.y[own] == self.y[nb]
@@ -430,8 +426,6 @@ class MatchingPruneKernel(batch.LockstepKernel):
 
 def _matching_prune_batch_factory():
     def factory(bg, setup):
-        if batch.numpy_or_none() is None:
-            return None
         codes = _value_codes(_tentative_of(setup.inputs, bg.labels, None))
         if codes is None:
             return None
@@ -530,13 +524,11 @@ class SLCPruneKernel(batch.LockstepKernel):
 
     def __init__(self, bg, xs, ys, codes):
         super().__init__(bg, schedule=2)
-        np = batch.numpy_or_none()
         self.xs = xs
         self.ys = ys
         self.codes = np.asarray(codes, dtype=np.int64)
 
     def run_phases(self):
-        np = batch.numpy_or_none()
         bg = self.bg
         offsets, own, neigh = bg.offsets, bg.owner, bg.neigh
         clash = self.codes[own] == self.codes[neigh]
@@ -566,8 +558,6 @@ class SLCPruneKernel(batch.LockstepKernel):
 
 def _slc_prune_batch_factory():
     def factory(bg, setup):
-        if batch.numpy_or_none() is None:
-            return None
         inputs = setup.inputs
         xs = []
         ys = []

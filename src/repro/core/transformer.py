@@ -82,10 +82,6 @@ class NonUniform:
         self.default_output = default_output
         self.name = name or algorithm.name
 
-    def expected_time(self, actual_params):
-        """``f* = f(Γ*)`` for reporting/assertions."""
-        return self.bound.value(actual_params)
-
 
 class UniformAlgorithm:
     """The uniform algorithm π produced by Theorem 1.

@@ -20,13 +20,12 @@ The families cover the regimes of Table 1:
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 import networkx as nx
+import numpy as np
 
-from ..errors import InvalidInstanceError, ParameterError
-from ..local.batch import numpy_or_none
+from ..errors import InvalidInstanceError
 
 
 def _check_n(n, minimum=1):
@@ -84,7 +83,7 @@ def triangulated_grid(rows, cols):
 GNP_CHUNK = 1 << 16
 
 
-def _random_state(np, seed):
+def _random_state(seed):
     """A legacy ``RandomState`` holding ``random.Random(seed)``'s MT19937 state."""
     words = random.Random(seed).getstate()[1]
     stream = np.random.RandomState()
@@ -114,10 +113,7 @@ def _gnp(n, p, seed, where):
     graph = nx.empty_graph(n)
     if p <= 0 or n < 2:
         return graph
-    np = numpy_or_none()
-    if np is None:
-        raise ParameterError(f"{where} requires numpy")
-    stream = _random_state(np, seed)
+    stream = _random_state(seed)
     pairs = n * (n - 1) // 2
     hits = []
     for offset in range(0, pairs, GNP_CHUNK):
@@ -277,12 +273,3 @@ def family_catalog():
         "two_comp": disjoint_union([path(8), cycle(9)]),
     }
 
-
-def with_sizes(maker, sizes, **kwargs):
-    """Build the same family at several sizes (bench sweeps)."""
-    return {n: maker(n, **kwargs) for n in sizes}
-
-
-def log2ceil(x):
-    """⌈log2 x⌉ for x ≥ 1 (convenience used by workload builders)."""
-    return max(0, math.ceil(math.log2(max(1, x))))

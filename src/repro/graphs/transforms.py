@@ -19,8 +19,10 @@ polynomial in the physical one (assumption D8).
 
 from __future__ import annotations
 
-from ..errors import InvalidInstanceError, ParameterError
-from ..local.batch import BatchGraph, batch_graph_of, numpy_or_none
+import numpy as np
+
+from ..errors import InvalidInstanceError
+from ..local.batch import BatchGraph, batch_graph_of
 from ..local.virtual import VirtualSpec
 
 
@@ -111,13 +113,7 @@ def line_graph_spec(graph):
     ``BatchGraph``, the host index, the dilation and the relay pairs,
     which is all the batched virtual driver reads.  The dict views and
     the host-process routing plans are built on first read.
-
-    Requires numpy (DESIGN.md D23): without it this raises
-    :class:`~repro.errors.ParameterError` naming numpy.
     """
-    np = numpy_or_none()
-    if np is None:
-        raise ParameterError("line_graph_spec requires numpy")
     cg = graph.compiled()
     n = cg.n
     labels = cg.labels
@@ -150,7 +146,7 @@ def line_graph_spec(graph):
     vneigh = members[members != np.repeat(np.arange(m), vdeg)]
     voffsets = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(vdeg - 2, out=voffsets[1:])
-    relays = _line_graph_relays(np, n, offsets, neigh, owner, ea * n + eb)
+    relays = _line_graph_relays(n, offsets, neigh, owner, ea * n + eb)
     encode = virtual_identity(graph)
     pairs = list(zip(ea.tolist(), eb.tolist()))
     return VirtualSpec._assemble(
@@ -167,7 +163,7 @@ def line_graph_spec(graph):
     )
 
 
-def _line_graph_relays(np, n, offsets, neigh, owner, edge_keys):
+def _line_graph_relays(n, offsets, neigh, owner, edge_keys):
     """Relay pairs of ``L(G)``, from 2-path arrays.
 
     Edges ``(p, x)`` and ``(q, x)`` with ``x`` above both hosts are
@@ -204,11 +200,6 @@ def _line_graph_relays(np, n, offsets, neigh, owner, edge_keys):
     # A relay's slot towards a client names both: its row and its entry.
     served = np.unique(np.concatenate((first[lead], second[lead])))
     return owner[served], neigh[served]
-
-
-def edge_of_virt(virt):
-    """Physical edge represented by a line-graph virtual node."""
-    return virt
 
 
 def line_graph_max_degree(graph):

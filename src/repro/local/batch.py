@@ -28,11 +28,12 @@ D10: the batch-step contract):
   virtual: the whole round schedule runs inside one call, never one
   interpreter return per simulated round.
 
-numpy is optional: when it is missing (or a kernel factory declines the
-configuration) every caller falls back to the reference loop (D33), so
-the engine never *requires* the dependency.  Kernels register on a
-:class:`~repro.local.algorithm.LocalAlgorithm` through its ``batch``
-factory; eligibility rules live in :func:`make_engine_kernel`.
+numpy is a required dependency (DESIGN.md D39).  A run falls back to
+the reference loop (D33) only when it has no kernel, tracks message
+bits, or its kernel factory declines the configuration.  Kernels
+register on a :class:`~repro.local.algorithm.LocalAlgorithm` through
+its ``batch`` factory; eligibility rules live in
+:func:`make_engine_kernel`.
 
 A kernel instance drives one run through exactly one stepping loop,
 chosen by its shape:
@@ -66,23 +67,10 @@ yield a field-for-field identical
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import NonTerminationError
 from .context import _IDENT_MIX, _MASK64, CounterRNG, run_key
-
-try:  # pragma: no cover - exercised via the fallback test's monkeypatch
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-
-def available():
-    """True when the batch path may be used at all (numpy importable)."""
-    return _np is not None
-
-
-def numpy_or_none():
-    """The numpy module, or ``None`` — kernels re-check at build time."""
-    return _np
 
 
 def ident_mix(idents):
@@ -92,7 +80,6 @@ def ident_mix(idents):
     multiply; identities past 2^64 - 1 (derived-graph encodings) are
     mixed in Python big-int arithmetic before narrowing.
     """
-    np = _np
     if idents and max(idents) > _MASK64:
         mixed = np.array(
             [(ident * _IDENT_MIX) & _MASK64 for ident in idents],
@@ -130,7 +117,6 @@ class BatchGraph:
     )
 
     def __init__(self, labels, idents, offsets, neigh):
-        np = _np
         self.labels = labels
         self.idents = idents  # Python ints: may exceed 64 bits
         self.n = len(labels)
@@ -153,7 +139,6 @@ class BatchGraph:
         Returns ``(k, w)``: slot ``i`` lies in row ``rows[k[i]]`` and
         points at neighbour ``w[i]``.
         """
-        np = _np
         lens = self.degrees[rows]
         k = np.repeat(np.arange(len(rows)), lens)
         first = np.cumsum(lens) - lens
@@ -194,7 +179,6 @@ def splice_batch_graph(bg, cg, runs, rebuilt, new_of):
     slices, so the long lists are never converted again.  The identity
     mix carries over when the node set is unchanged.
     """
-    np = _np
     offsets = cg.offsets
     out = object.__new__(BatchGraph)
     out.labels = cg.labels
@@ -233,7 +217,6 @@ def batch_graph_of_spec(spec):
     bg = spec._batch
     if bg is not None:
         return bg
-    np = _np
     ident = spec.ident
     adj = spec.adj
     labels = sorted(adj, key=lambda v: ident[v])
@@ -268,7 +251,7 @@ class BatchSetup:
 
 def _engine_draw_builder(bg, seed, salt):
     def build(bits):
-        keys = bg.ident_mix() ^ _np.uint64(run_key(seed, salt))
+        keys = bg.ident_mix() ^ np.uint64(run_key(seed, salt))
         return CounterDraws(keys, bits)
 
     return build
@@ -287,7 +270,7 @@ def virtual_draw_builder(bg, host_index, physical, seed, salt):
     def build(bits):
         mix = batch_graph_of(physical.compiled()).ident_mix()
         base = CounterRNG.random_batch(
-            mix ^ _np.uint64(run_key(seed, salt)), 1, 64
+            mix ^ np.uint64(run_key(seed, salt)), 1, 64
         )
         return CounterDraws(base[host_index] ^ bg.ident_mix(), bits)
 
@@ -296,7 +279,6 @@ def virtual_draw_builder(bg, host_index, physical, seed, salt):
 
 def row_flags(owner_hits, n):
     """Boolean per-node flags from the owning side of selected edges."""
-    np = _np
     flags = np.zeros(n, dtype=bool)
     flags[owner_hits] = True
     return flags
@@ -421,16 +403,16 @@ def make_engine_kernel(
 ):
     """Build the run's batch kernel, or ``None`` to run the reference loop.
 
-    Fallback rules (DESIGN.md D10): no advertised batch capability,
-    numpy missing, message-size tracking requested
-    (payload bits are a property of the materialized tuples the batch
-    path never builds), an empty graph, or the factory itself declining
-    the configuration (e.g. palette bounds it cannot represent).
+    Fallback rules (DESIGN.md D10, D33): no advertised batch capability,
+    message-size tracking requested (payload bits are a property of the
+    materialized tuples the batch path never builds), an empty graph,
+    or the factory itself declining the configuration (e.g. palette
+    bounds it cannot represent).
     Eligibility is read off the algorithm's capability record
     (``supports_batch``), the same table the registry and the
     transformers dispatch on — not off the concrete class.
     """
-    if track_bits or _np is None or cg.n == 0:
+    if track_bits or cg.n == 0:
         return None
     from .algorithm import capabilities_of
 

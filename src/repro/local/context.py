@@ -19,15 +19,15 @@ deterministic-given-IDs derandomization (``hash_luby``).  The reference
 loop, the compiled engine and its batch, fused and virtual tiers all
 draw it, so the two runner backends give bit-identical executions.
 
-Contexts may be constructed with an eager generator (``rng=...``) or a
-lazy factory (``rng_factory=...``); the factory is only invoked the
-first time ``ctx.rng`` is touched, so deterministic algorithms never pay
-for generator construction.
+Every context is built with its generator (``rng=...``).
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import partial
+
+import numpy as np
 
 from ..errors import ParameterError
 
@@ -115,11 +115,6 @@ class CounterRNG:
         Bit-for-bit agreement with the scalar path is pinned by
         ``tests/test_batch_kernels.py``.
         """
-        from .batch import numpy_or_none
-
-        np = numpy_or_none()
-        if np is None:
-            raise ParameterError("CounterRNG.random_batch requires numpy")
         if not 0 < bits <= 64:
             raise ValueError("batch draws support 1..64 bits per draw")
         if draw < 1:
@@ -168,26 +163,9 @@ def counter_rng(key, ident):
     return CounterRNG(key ^ ((ident * _IDENT_MIX) & _MASK64))
 
 
-class _CounterSource:
-    """Picklable ``ident -> CounterRNG`` factory."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __call__(self, ident):
-        return counter_rng(self.key, ident)
-
-
 def rng_source(seed, salt):
-    """Return the ``ident -> CounterRNG`` source of one run.
-
-    The returned callable is also a valid lazy ``rng_factory`` for
-    :class:`NodeContext` — one shared instance serves every node of a
-    run.  It is a plain picklable object, not a closure.
-    """
-    return _CounterSource(run_key(seed, salt))
+    """Return the ``ident -> CounterRNG`` source of one run."""
+    return partial(counter_rng, run_key(seed, salt))
 
 
 class NodeContext:
@@ -211,48 +189,18 @@ class NodeContext:
         an empty mapping.
     rng:
         Per-node random source; independent across nodes, and
-        reproducible from the run seed.  Materialized lazily when the
-        context was built with ``rng_factory`` (a callable receiving the
-        node identity, so one shared factory serves a whole run).
+        reproducible from the run seed.
     """
 
-    __slots__ = (
-        "node",
-        "ident",
-        "degree",
-        "input",
-        "guesses",
-        "_rng",
-        "_rng_factory",
-    )
+    __slots__ = ("node", "ident", "degree", "input", "guesses", "rng")
 
-    def __init__(
-        self,
-        node,
-        ident,
-        degree,
-        input,
-        guesses,
-        rng=None,
-        rng_factory=None,
-    ):
+    def __init__(self, node, ident, degree, input, guesses, rng):
         self.node = node
         self.ident = ident
         self.degree = degree
         self.input = input
         self.guesses = guesses
-        self._rng = rng
-        self._rng_factory = rng_factory
-
-    @property
-    def rng(self):
-        source = self._rng
-        if source is None:
-            factory = self._rng_factory
-            if factory is None:
-                raise ParameterError("NodeContext built without a random source")
-            source = self._rng = factory(self.ident)
-        return source
+        self.rng = rng
 
     def guess(self, name):
         """Return the guessed value of a required global parameter.

@@ -6,10 +6,11 @@ semantics as the reference loop (which survives as
 ``backend="reference"`` and doubles as the executable specification):
 a run whose algorithm registers a batch kernel is driven round-fused by
 :func:`repro.local.batch.drive_kernel`; every other run — no kernel,
-numpy missing, ``track_bits``, or a factory that declines — is handed
-back to the reference loop (DESIGN.md D33), so the reference loop is
-the one per-node interpreter.  Both draw the one counter random scheme
-of :mod:`repro.local.context` (DESIGN.md D36).
+``track_bits``, or a factory that declines — is handed back to the
+reference loop (DESIGN.md D33), so the reference loop is the one
+per-node interpreter.  numpy is a required dependency (DESIGN.md D39).
+Both draw the one counter random scheme of :mod:`repro.local.context`
+(DESIGN.md D36).
 
 CSR layout
 ----------

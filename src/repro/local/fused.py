@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import weakref
 
+import numpy as np
+
 from ..errors import NonTerminationError, ParameterError, ReproError
 from . import batch
 from .algorithm import capabilities_of
@@ -84,7 +86,6 @@ class FusedBatchGraph(batch.BatchGraph):
 
     def __init__(self, labels, idents, offsets, neigh, lane_of, lane_bounds):
         super().__init__(labels, idents, offsets, neigh)
-        np = batch.numpy_or_none()
         self.lane_of = lane_of
         self.lane_bounds = lane_bounds
         self.lane_count = len(lane_bounds) - 1
@@ -98,7 +99,6 @@ class FusedBatchGraph(batch.BatchGraph):
         self.lane_sent = np.zeros(self.lane_count, dtype=np.float64)
 
     def charge(self, senders=None):
-        np = batch.numpy_or_none()
         if senders is None:
             self.lane_sent += self._lane_degrees
             return int(self._lane_degrees.sum())
@@ -143,7 +143,6 @@ def fused_slab_of(cgs):
     slab = _SLAB_CACHE.get(key)
     if slab is not None:
         return slab
-    np = batch.numpy_or_none()
     bgs = [batch.batch_graph_of(cg) for cg in cgs]
     labels = [(lane, u) for lane, bg in enumerate(bgs) for u in bg.labels]
     idents = [ident for bg in bgs for ident in bg.idents]
@@ -181,7 +180,6 @@ def _fused_draw_builder(bg, seeds, salts):
     """
 
     def build(bits):
-        np = batch.numpy_or_none()
         run_keys = np.array(
             [run_key(seed, salt) for seed, salt in zip(seeds, salts)],
             dtype=np.uint64,
@@ -239,8 +237,7 @@ def run_many(
     backend:
         Resolved like a solo run.  Lanes fuse when the resolved
         backend is ``"compiled"`` and the algorithm is certified
-        ``supports_fuse``; everything else — including every lane when
-        numpy is missing — runs solo, bit-identically.
+        ``supports_fuse``; everything else runs solo, bit-identically.
 
     Returns the per-job list of :class:`~repro.local.runner.RunResult`,
     each field-for-field identical to the job's solo ``run``.  A lane
@@ -294,10 +291,7 @@ def run_many(
         except NonTerminationError as exc:
             lane.error = exc
 
-    fuse_ok = (
-        batch.numpy_or_none() is not None
-        and execution.backend == "compiled"
-    )
+    fuse_ok = execution.backend == "compiled"
     groups, solo = {}, []
     for lane in lanes_list:
         if (
@@ -347,7 +341,6 @@ def _run_chunk(lanes, *, cap, truncating, default_output):
     from its slice of the finish events with the solo
     :func:`~repro.local.batch.settle` semantics.
     """
-    np = batch.numpy_or_none()
     algorithm = lanes[0].algorithm
     cgs = [lane.graph.compiled() for lane in lanes]
     bg = fused_slab_of(cgs)

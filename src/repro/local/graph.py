@@ -390,9 +390,6 @@ class SimGraph:
             [labels[j] for j in cg.neigh[cg.offsets[i]:cg.offsets[i + 1]]]
         )
 
-    def has_node(self, u):
-        return u in self._node_set
-
     def has_edge(self, u, v):
         """Edge membership in O(log deg), without materializing ``adj``.
 

@@ -21,9 +21,9 @@ Two interchangeable executors implement these semantics:
 
 * ``backend="compiled"`` (default) — the CSR engine of
   :mod:`repro.local.engine`: an algorithm's registered batch kernel is
-  driven round-fused; a run without one (no kernel, numpy missing,
-  ``track_bits``, or a declining factory) takes the reference loop
-  below (DESIGN.md D33).
+  driven round-fused; a run without one (no kernel, ``track_bits``,
+  or a declining factory) takes the reference loop below (DESIGN.md
+  D33).
 * ``backend="reference"`` — the original dict-based loop below, kept
   verbatim as the executable specification (eager per-node sources) and
   the one per-node interpreter.  It is the oracle the equivalence suite

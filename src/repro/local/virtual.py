@@ -64,14 +64,14 @@ the specification path it is tested against.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import InvalidInstanceError, NonTerminationError
 from .algorithm import LocalAlgorithm, NodeProcess, capabilities_of
 from .batch import (
     BatchSetup,
-    available as batch_available,
     batch_graph_of_spec,
     drive_kernel,
-    numpy_or_none,
     virtual_draw_builder,
 )
 from .context import NodeContext, counter_rng
@@ -196,7 +196,6 @@ class VirtualSpec:
 
     def _build_arrays(self):
         """The host index and relay pairs of a dict-built spec."""
-        np = numpy_or_none()
         cg = self.physical.compiled()
         index = cg.index
         host = self._host
@@ -525,16 +524,14 @@ def _drive_virtual(
     :func:`run_virtual_batch_full`.  Returns ``(bg, results, commit)``
     — the virtual ``BatchGraph``, each bg index's result (``None``
     until it finishes) and :func:`_host_commits`' commit array — or
-    ``None`` when the run is ineligible (numpy missing, empty spec, no
-    batch capability) or the factory declines.
+    ``None`` when the run is ineligible (empty spec, no batch
+    capability) or the factory declines.
 
     The drive is one :func:`~repro.local.batch.drive_kernel` call (D17,
     D30).  Virtual round ``k`` is engine round ``k-1`` and runs at
     physical round ``(k-1) * dilation``, so the drive gets the engine
     cap ``cap // dilation`` and its events map back by ``+1``.
     """
-    if not batch_available():
-        return None
     if not capabilities_of(algorithm).get("supports_batch"):
         return None
     bg = batch_graph_of_spec(spec)
@@ -547,7 +544,7 @@ def _drive_virtual(
     kernel = algorithm.batch(bg, BatchSetup(virt_inputs or {}, guesses, draws))
     if kernel is None:
         return None
-    finish = numpy_or_none().zeros(bg.n, dtype="int64")
+    finish = np.zeros(bg.n, dtype=np.int64)
     results = [None] * bg.n
     events, _rounds, _messages = drive_kernel(kernel, cap // spec.dilation)
     for rnd, finished, values in events:
@@ -568,7 +565,6 @@ def _host_commits(spec, physical, finish):
     finishes, a relay additionally waits one round past each client
     host's announcement.
     """
-    np = numpy_or_none()
     n = physical.compiled().n
     hosts = spec.host_index
     relays, clients = spec.relays

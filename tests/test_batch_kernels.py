@@ -1,34 +1,27 @@
 """Batched frontier-step infrastructure (DESIGN.md D10).
 
 Covers the pieces under the equivalence suite's bit-identity umbrella:
-the vectorized counter draws, the numpy-free fallback, the capability
-records that drive backend selection, and the batch-path plumbing.
+the vectorized counter draws, the capability records that drive
+backend selection, the batch-path plumbing, and numpy's place among
+the declared dependencies.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import numpy
 import pytest
 
 from repro.algorithms import TABLE1, capability_table
-from repro.algorithms.arboricity import h_partition
-from repro.algorithms.fast_mis import fast_mis
 from repro.algorithms.luby import luby_mis
-from repro.algorithms.ruling_sets import bitwise_ruling_set
-from repro.core.domain import PhysicalDomain, VirtualDomain
-from repro.core.pruning import (
-    MatchingPruning,
-    RulingSetPruning,
-    SLCPruning,
-    mis_pruning,
-)
-from repro.graphs import line_graph_spec
-from repro.local import CounterRNG, run, use_backend
+from repro.core.pruning import MatchingPruning, RulingSetPruning, SLCPruning
+from repro.local import CounterRNG, run
 from repro.local import batch as batch_module
 from repro.local.algorithm import HostAlgorithm, capabilities_of
 from repro.local.context import counter_rng, run_key
 from repro.local.execution import Execution, resolve
-
-numpy = pytest.importorskip("numpy")
 
 
 class TestCounterRandomBatch:
@@ -90,97 +83,6 @@ class TestCounterRandomBatch:
             stream = counter_rng(key, idents[node])
             stream.getrandbits(62)
             assert int(second[position]) == stream.getrandbits(62)
-
-
-def reference_counter():
-    """The scope every kernel-less compiled run must equal (D33)."""
-    return use_backend("reference")
-
-
-class TestFallbackWithoutNumpy:
-    def test_runs_green_and_identical(self, small_gnp, monkeypatch):
-        """With numpy gone every run takes the reference loop."""
-        with reference_counter():
-            expected = run(small_gnp, luby_mis(), seed=3)
-        monkeypatch.setattr(batch_module, "_np", None)
-        assert not batch_module.available()
-        result = run(small_gnp, luby_mis(), seed=3)
-        assert result.outputs == expected.outputs
-        assert result.rounds == expected.rounds
-        assert result.messages == expected.messages
-
-    def test_virtual_domain_falls_back(self, small_gnp, monkeypatch):
-        spec = line_graph_spec(small_gnp)
-        guesses = {"m": small_gnp.max_ident**2, "Delta": 2 * small_gnp.max_degree}
-        domain = VirtualDomain(small_gnp, spec)
-        with reference_counter():
-            expected = domain.run_restricted(
-                fast_mis(), 40, seed=5, guesses=guesses
-            )
-        monkeypatch.setattr(batch_module, "_np", None)
-        domain = VirtualDomain(small_gnp, spec)
-        actual = domain.run_restricted(fast_mis(), 40, seed=5, guesses=guesses)
-        assert actual == expected
-
-    def test_line_graph_spec_names_numpy(self, small_gnp, monkeypatch):
-        """The array line-graph builder needs numpy."""
-        from repro.errors import ParameterError
-
-        monkeypatch.setattr(batch_module, "_np", None)
-        with pytest.raises(ParameterError, match="numpy"):
-            line_graph_spec(small_gnp)
-
-    def test_gnp_names_numpy(self, monkeypatch):
-        """G(n, p) draws from numpy; only the draw-free ends skip it."""
-        from repro.errors import ParameterError
-        from repro.graphs import families
-
-        monkeypatch.setattr(batch_module, "_np", None)
-        with pytest.raises(ParameterError, match="gnp requires numpy"):
-            families.gnp(20, 0.2, seed=1)
-        assert families.gnp(5, 0, seed=1).number_of_edges() == 0
-        assert families.gnp(5, 1, seed=1).number_of_edges() == 10
-
-    def test_random_batch_raises_cleanly(self, monkeypatch):
-        from repro.errors import ParameterError
-
-        monkeypatch.setattr(batch_module, "_np", None)
-        with pytest.raises(ParameterError):
-            CounterRNG.random_batch([1, 2], 1)
-
-    def test_new_kernels_fall_back(self, small_gnp, monkeypatch):
-        """Bitwise ruling and H-partition run green without numpy."""
-        jobs = (
-            (bitwise_ruling_set(), {"m": small_gnp.max_ident}),
-            (h_partition(), {"a": 2, "n": small_gnp.n}),
-        )
-        expected = []
-        with reference_counter():
-            for algo, guesses in jobs:
-                expected.append(run(small_gnp, algo, seed=3, guesses=guesses))
-        monkeypatch.setattr(batch_module, "_np", None)
-        for (algo, guesses), want in zip(jobs, expected):
-            got = run(small_gnp, algo, seed=3, guesses=guesses)
-            assert got.outputs == want.outputs
-            assert got.rounds == want.rounds
-            assert got.messages == want.messages
-
-    def test_pruner_kernels_fall_back(self, small_gnp, monkeypatch):
-        """Pruning applications run green (and identically) without numpy."""
-        tentative = {u: small_gnp.ident[u] % 2 for u in small_gnp.nodes}
-        pruners = (mis_pruning(), MatchingPruning())
-        expected = []
-        with reference_counter():
-            for pruner in pruners:
-                expected.append(
-                    pruner.apply(PhysicalDomain(small_gnp), {}, tentative)
-                )
-        monkeypatch.setattr(batch_module, "_np", None)
-        for pruner, want in zip(pruners, expected):
-            got = pruner.apply(PhysicalDomain(small_gnp), {}, tentative)
-            assert got.pruned == want.pruned
-            assert got.new_inputs == want.new_inputs
-            assert got.rounds == want.rounds
 
 
 class TestCapabilities:
@@ -277,7 +179,40 @@ class TestBackendSelection:
         )
 
     def test_setup_declares_numpy(self):
-        from pathlib import Path
-
+        """numpy is required (D39): ``setup(install_requires=[...])``
+        lists it, so no import of it anywhere is guarded."""
         text = Path(__file__).resolve().parents[1].joinpath("setup.py").read_text()
-        assert '"numpy"' in text
+        assert "numpy" in install_requires_of(text)
+
+    @pytest.mark.parametrize(
+        "setup_text",
+        [
+            'setup(install_requires=["networkx"])  # "numpy"\n',
+            'setup(install_requires=["networkx"], extras_require={"x": ["numpy"]})\n',
+            'setup(install_requires=["networkx"])\nREQUIRES = ["numpy"]\n',
+        ],
+        ids=["comment", "other-keyword", "other-list"],
+    )
+    def test_setup_check_reads_install_requires_only(self, setup_text):
+        """numpy in a comment, another keyword or a stray list is not a
+        declared dependency."""
+        assert install_requires_of(setup_text) == ["networkx"]
+
+
+def install_requires_of(setup_text):
+    """The string elements of the ``install_requires`` list passed to
+    ``setup(...)`` in ``setup_text``."""
+    for node in ast.walk(ast.parse(setup_text)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setup"
+        ):
+            for keyword in node.keywords:
+                if keyword.arg == "install_requires":
+                    return [
+                        element.value
+                        for element in keyword.value.elts
+                        if isinstance(element, ast.Constant)
+                    ]
+    return []

@@ -5,7 +5,7 @@ paths (``subgraph_rebuild``, ``apply_delta_rebuild``) build the CSR
 directly and derive the dict adjacency lazily.  The dict-first build
 they replaced is kept here as the oracle: every graph must come out
 identical — node order, identities, CSR arrays, the derived dict view
-and degree table — with numpy present or not.
+and degree table.
 
 Verifiers: the MIS, maximal-matching and ruling-set verifiers loop over
 the CSR.  The dict loops they replaced are kept here as oracles and must
@@ -38,7 +38,7 @@ from repro.bench import WORKLOADS as FAMILIES
 from repro.bench import harness
 from repro.errors import InvalidInstanceError
 from repro.graphs.identifiers import poly_idents
-from repro.local import GraphDelta, SimGraph, batch, open_session, run_many
+from repro.local import GraphDelta, SimGraph, open_session, run_many
 from repro.local import runner
 from repro.params import actual_parameters
 from repro.problems import (
@@ -118,22 +118,15 @@ def assert_same_graph(got, want):
     assert got._degrees == want._degrees
 
 
-def _numpy(monkeypatch, on):
-    if not on:
-        monkeypatch.setattr(batch, "_np", None)
-
-
 # ----------------------------------------------------------------------
 # construction identity
 # ----------------------------------------------------------------------
 class TestConstructionIdentity:
-    @pytest.mark.parametrize("numpy_on", [True, False], ids=["numpy", "no-numpy"])
     @pytest.mark.parametrize("seed", [0, 1, 5])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_bench_families(self, family, seed, numpy_on, monkeypatch):
+    def test_bench_families(self, family, seed):
         nx_graph = FAMILIES[family](48, seed=seed)
         idents = poly_idents(nx_graph, seed=seed)
-        _numpy(monkeypatch, numpy_on)
         assert_same_graph(
             SimGraph.from_networkx(nx_graph, idents=idents),
             dict_first_from_networkx(nx_graph, idents=idents),
@@ -144,11 +137,10 @@ class TestConstructionIdentity:
             dict_first_from_networkx(nx_graph),
         )
 
-    @pytest.mark.parametrize("numpy_on", [True, False], ids=["numpy", "no-numpy"])
     @pytest.mark.parametrize(
         "case", ["strings", "tuples", "mixed", "isolated", "empty", "edgeless"]
     )
-    def test_label_and_size_corners(self, case, numpy_on, monkeypatch):
+    def test_label_and_size_corners(self, case):
         if case == "strings":
             graph = nx.relabel_nodes(
                 nx.gnm_random_graph(30, 60, seed=3), lambda u: f"peer-{u}"
@@ -166,7 +158,6 @@ class TestConstructionIdentity:
             graph = nx.Graph()
         else:
             graph = nx.empty_graph(6)
-        _numpy(monkeypatch, numpy_on)
         want = dict_first_from_networkx(graph)
         got = SimGraph.from_networkx(graph)
         assert_same_graph(got, want)
@@ -227,15 +218,13 @@ class TestConstructionIdentity:
             SimGraph.from_networkx(graph, idents=idents)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("numpy_on", [True, False], ids=["numpy", "no-numpy"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_subgraph_rebuild(self, seed, numpy_on, monkeypatch):
+    def test_subgraph_rebuild(self, seed):
         nx_graph = FAMILIES["gnp-sparse"](60, seed=seed)
         graph = SimGraph.from_networkx(
             nx_graph, idents=poly_idents(nx_graph, seed=seed)
         )
         keep = set(random.Random(seed).sample(list(graph.nodes), 41))
-        _numpy(monkeypatch, numpy_on)
         want = dict_first_build(
             list(keep),
             {u: graph.ident[u] for u in keep},
@@ -243,14 +232,12 @@ class TestConstructionIdentity:
         )
         assert_same_graph(graph.subgraph_rebuild(keep), want)
 
-    @pytest.mark.parametrize("numpy_on", [True, False], ids=["numpy", "no-numpy"])
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_apply_delta_rebuild(self, seed, numpy_on, delta_harness, monkeypatch):
+    def test_apply_delta_rebuild(self, seed, delta_harness):
         script = delta_harness.make_script(seed, steps=10)
         truth = nx.Graph(script.base)
         idents = dict(script.idents)
         graph = SimGraph.from_networkx(truth, idents=idents)
-        _numpy(monkeypatch, numpy_on)
         for kind, delta in script.ops:
             if kind != "mutate":
                 continue

@@ -425,7 +425,6 @@ class TestKWBoundaries:
 
     @pytest.fixture
     def kw_events(self, monkeypatch):
-        numpy = pytest.importorskip("numpy")
         events = set()
         phases_run = {}
         phase = ColoringBatchKernel._kw_phase
@@ -450,7 +449,7 @@ class TestKWBoundaries:
             live = rank[bg.owner] < limit
             if (rank[bg.owner] == rank[bg.neigh])[live].any():
                 events.add("adjacent")
-            empty = numpy.bincount(rank, minlength=group_size)[:limit] == 0
+            empty = np.bincount(rank, minlength=group_size)[:limit] == 0
             run = 0
             for is_empty in empty.tolist():
                 run = run + 1 if is_empty else 0
@@ -460,7 +459,7 @@ class TestKWBoundaries:
             if limit == group_size and last < group_size - 1 and left:
                 # The phase's last announcers precede its last rank, and
                 # carrying them would reach a same-group receiver.
-                senders = numpy.flatnonzero(rank == last)
+                senders = np.flatnonzero(rank == last)
                 k, w = bg.row_slots(senders)
                 next_group = kernel.colors // group_size
                 if (next_group[w] == group[senders[k]]).any():
@@ -985,19 +984,3 @@ class TestCounterRNG:
         assert values == set(range(10))
         with pytest.raises(ValueError):
             rng.getrandbits(0)
-
-    def test_lazy_materialization(self):
-        from repro.local import NodeContext
-
-        calls = []
-
-        def factory(ident):
-            calls.append(ident)
-            return object()
-
-        ctx = NodeContext(0, 42, 3, None, {}, rng_factory=factory)
-        assert not calls
-        first = ctx.rng
-        assert calls == [42]
-        assert ctx.rng is first
-        assert calls == [42]

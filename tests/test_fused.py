@@ -36,8 +36,6 @@ from repro.local import fused as fused_module
 from repro.local.algorithm import capabilities_of
 from repro.local.fused import _SLAB_CACHE, fused_slab_of
 
-numpy = pytest.importorskip("numpy")
-
 
 def build(graph, *, seed=0):
     idents = identifiers.SCHEMES["poly"](graph, seed=seed)
@@ -287,13 +285,6 @@ class TestFallbacks:
         fused = run_many(jobs)
         for job, result in zip(jobs, fused):
             assert fields_of(result) == fields_of(solo_twin(job))
-
-    def test_numpy_free_environment(self, small_gnp, monkeypatch):
-        jobs = [(small_gnp, luby_mis(), {"seed": s}) for s in range(3)]
-        expected = [fields_of(r) for r in run_many(jobs)]
-        monkeypatch.setattr(batch_module, "_np", None)
-        degraded = run_many(jobs)
-        assert [fields_of(r) for r in degraded] == expected
 
     def test_reference_backend_never_fuses(self, small_gnp):
         jobs = [(small_gnp, luby_mis(), {"seed": s}) for s in range(2)]

@@ -117,10 +117,9 @@ class TestGnpMatchesNetworkx:
         the same doubles from one MT19937 state.  NEP 19 freezes the
         legacy stream; if a numpy release ever broke it, every gnp graph
         would change, so it fails here first."""
-        numpy = pytest.importorskip("numpy")
         python = random.Random(seed)
         expected = [python.random() for _ in range(10_000)]
-        drawn = families._random_state(numpy, seed).random_sample(10_000)
+        drawn = families._random_state(seed).random_sample(10_000)
         assert drawn.tolist() == expected
 
     @pytest.mark.parametrize(

@@ -33,8 +33,6 @@ from repro.algorithms.luby import luby_mc, luby_mis
 from repro.bench import WORKLOADS, build_graph
 from repro.local import run, run_many
 
-pytest.importorskip("numpy")
-
 FAMILIES = ("gnp-sparse", "tree", "regular-4")
 LEVELS = (0, 1, 2)
 DEFAULT = -1

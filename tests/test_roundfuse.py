@@ -43,8 +43,6 @@ from repro.local.batch import LockstepKernel, batch_graph_of
 from repro.local.runner import last_stepping
 from repro.problems.coloring import ColorList, SLCInput
 
-numpy = pytest.importorskip("numpy")
-
 RESULT_FIELDS = (
     "outputs",
     "finish_round",
@@ -269,18 +267,16 @@ def declining(algorithm):
 
 
 #: Every way a compiled run ends up driving no kernel (D33), as
-#: ``trigger -> (algorithm factory, run options, numpy present)``.
+#: ``trigger -> (algorithm factory, run options)``.
 KERNEL_LESS = {
     "no-kernel": (
         lambda: LocalAlgorithm(
             "luby-no-kernel", luby_mis().process, randomized=True
         ),
         {},
-        True,
     ),
-    "factory-declines": (lambda: declining(luby_mis()), {}, True),
-    "track-bits": (luby_mis, {"track_bits": True}, True),
-    "no-numpy": (luby_mis, {}, False),
+    "factory-declines": (lambda: declining(luby_mis()), {}),
+    "track-bits": (luby_mis, {"track_bits": True}),
 }
 
 
@@ -291,16 +287,12 @@ class TestFallbackLadder:
     takes the reference loop (D33)."""
 
     @pytest.mark.parametrize("trigger", sorted(KERNEL_LESS))
-    def test_kernel_less_runs_take_the_reference_loop(
-        self, small_gnp, monkeypatch, trigger
-    ):
+    def test_kernel_less_runs_take_the_reference_loop(self, small_gnp, trigger):
         """Each remaining trigger: the compiled run is tagged
         ``reference`` and equals ``backend="reference"``
         field for field — full, truncated, diverging and virtual."""
-        make, options, numpy_present = KERNEL_LESS[trigger]
-        spec = line_graph_spec(small_gnp)  # the array builder needs numpy
-        if not numpy_present:
-            monkeypatch.setattr(batch_module, "_np", None)
+        make, options = KERNEL_LESS[trigger]
+        spec = line_graph_spec(small_gnp)
         algorithm = make()
 
         def each_backend(call):

@@ -33,7 +33,7 @@ from repro.local import (
     run_many,
     use_backend,
 )
-from repro.local.batch import BatchGraph, ident_mix, numpy_or_none
+from repro.local.batch import BatchGraph, ident_mix
 from repro.local.execution import current
 from repro.local.runner import last_stepping
 
@@ -100,16 +100,14 @@ VOLUME = {"cases": 0, "params": set()}
 
 
 def rerun_specs():
-    """One rerun spec per stack; the session's own record (batched
-    stepping) and fused lanes only when numpy exists."""
-    specs = [
+    """One rerun spec per stack: both backends, the session's own record
+    (batched stepping) and fused lanes."""
+    return [
         {"backend": "reference"},
         {"backend": "compiled"},
+        {},
+        {"fused_lanes": 3},
     ]
-    if numpy_or_none() is not None:
-        specs.append({})
-        specs.append({"fused_lanes": 3})
-    return specs
 
 
 def make_executor(harness):
@@ -347,8 +345,7 @@ class TestGraphDeltaValidation:
             session.rerun(luby_mis(), seed=1)  # builds mirror + identity mix
             retired = session.graph
             before = csr_state(retired)
-            if numpy_or_none() is not None:
-                assert "batch.mix" in before
+            assert "batch.mix" in before
             session.mutate(delta)
             assert csr_state(retired) == before
             oracle = retired.apply_delta_rebuild(delta)
