@@ -181,7 +181,7 @@ class TestBackendSelection:
     def test_setup_declares_numpy(self):
         """numpy is required (D39): ``setup(install_requires=[...])``
         lists it, so no import of it anywhere is guarded."""
-        text = Path(__file__).resolve().parents[1].joinpath("setup.py").read_text()
+        text = REPO.joinpath("setup.py").read_text()
         assert "numpy" in install_requires_of(text)
 
     @pytest.mark.parametrize(
@@ -197,6 +197,75 @@ class TestBackendSelection:
         """numpy in a comment, another keyword or a stray list is not a
         declared dependency."""
         assert install_requires_of(setup_text) == ["networkx"]
+
+
+REPO = Path(__file__).resolve().parents[1]
+SOURCE = REPO / "src" / "repro"
+
+#: The names the numpy-missing configuration went by before D39.
+ABSENCE_SWITCH = {"_np", "numpy_or_none", "batch_available"}
+
+
+def imports_numpy(node):
+    """Whether the AST ``node`` is an import of numpy or a submodule."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and node.module.split(".")[0] == "numpy"
+    return False
+
+
+def names_in(tree):
+    """Every name ``tree`` binds, reads or looks up as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+def numpy_importers():
+    """The modules under ``src/repro`` that import numpy, as paths
+    relative to it."""
+    return [
+        path.relative_to(SOURCE).as_posix()
+        for path in sorted(SOURCE.rglob("*.py"))
+        if any(map(imports_numpy, ast.walk(ast.parse(path.read_text()))))
+    ]
+
+
+class TestNumpyRequired:
+    """numpy is a hard dependency (D39): the source tree holds no
+    configuration in which it is missing."""
+
+    @pytest.mark.parametrize("module", numpy_importers())
+    def test_imports_numpy_at_top_level(self, module):
+        """Every import of numpy sits in the module body, none deferred
+        into a function or guarded by ``try``/``if``."""
+        tree = ast.parse(SOURCE.joinpath(module).read_text())
+        top = [node for node in tree.body if imports_numpy(node)]
+        nested = [
+            node.lineno
+            for node in ast.walk(tree)
+            if imports_numpy(node) and node not in top
+        ]
+        assert top
+        assert nested == []
+
+    def test_no_switch_for_missing_numpy(self):
+        """No module names the deleted absence switch or its probes."""
+        found = [
+            (path.relative_to(SOURCE).as_posix(), name)
+            for path in sorted(SOURCE.rglob("*.py"))
+            for name in names_in(ast.parse(path.read_text()))
+            if name in ABSENCE_SWITCH
+        ]
+        assert found == []
+        assert not hasattr(batch_module, "available")
 
 
 def install_requires_of(setup_text):

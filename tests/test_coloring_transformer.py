@@ -114,6 +114,28 @@ class TestSLCWrapper:
         for u, pair in result.outputs.items():
             assert pair in inputs[u].colors
 
+    def test_inner_node_shares_the_outer_random_source(self):
+        """``B^{Γ'}`` runs ``A_Γ`` on the outer node's own generator, so
+        wrapping adds no draws and no second stream."""
+        from repro.local import LocalAlgorithm, NodeContext, NodeProcess
+
+        inner = []
+
+        def probe(ctx):
+            inner.append(ctx)
+            return NodeProcess(ctx)
+
+        wrapped = slc_wrap(
+            LocalAlgorithm("probe", probe, requires=("m", "Delta"))
+        )
+        rng = object()
+        x = SLCInput(4, ColorList(8, 5))
+        wrapped.make(NodeContext(7, 12, 2, x, {"m": 30}, rng))
+        (ctx,) = inner
+        assert ctx.rng is rng
+        assert (ctx.node, ctx.ident, ctx.degree, ctx.input) == (7, 12, 2, None)
+        assert ctx.guesses == {"m": 30, "Delta": 4}
+
     def test_rejects_gamma_beyond_m_delta(self):
         from repro.core.bounds import AdditiveBound, linear
         from repro.local import LocalAlgorithm, NodeProcess

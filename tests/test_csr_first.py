@@ -5,7 +5,8 @@ paths (``subgraph_rebuild``, ``apply_delta_rebuild``) build the CSR
 directly and derive the dict adjacency lazily.  The dict-first build
 they replaced is kept here as the oracle: every graph must come out
 identical — node order, identities, CSR arrays, the derived dict view
-and degree table.
+and degree table — whether the source lists its nodes and edges as
+built or in a shuffled order.
 
 Verifiers: the MIS, maximal-matching and ruling-set verifiers loop over
 the CSR.  The dict loops they replaced are kept here as oracles and must
@@ -118,29 +119,74 @@ def assert_same_graph(got, want):
     assert got._degrees == want._degrees
 
 
+#: How a construction's source lists its nodes and edges.  The CSR is a
+#: pure function of (labels, identities, edge set), so the order of
+#: insertion and the orientation of each edge must not show.
+ORDERS = ["as-built", "shuffled"]
+
+
+def shuffled(items, rng):
+    items = list(items)
+    rng.shuffle(items)
+    return items
+
+
+def flipped(edges, rng):
+    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+def in_order(graph, order, seed):
+    """``graph`` itself, or a copy whose nodes and edges were inserted
+    in a seeded random order with each edge in a random orientation."""
+    if order == "as-built":
+        return graph
+    rng = random.Random(seed)
+    copy = nx.Graph()
+    copy.add_nodes_from(shuffled(graph.nodes(), rng))
+    copy.add_edges_from(shuffled(flipped(graph.edges(), rng), rng))
+    return copy
+
+
+def delta_in_order(delta, order, seed):
+    """``delta`` itself, or the same edits listed in a seeded random
+    order with each edge in a random orientation."""
+    if order == "as-built":
+        return delta
+    rng = random.Random(seed)
+    return GraphDelta(
+        add_nodes=shuffled(delta.add_nodes, rng),
+        del_nodes=shuffled(delta.del_nodes, rng),
+        add_edges=shuffled(flipped(delta.add_edges, rng), rng),
+        del_edges=shuffled(flipped(delta.del_edges, rng), rng),
+    )
+
+
 # ----------------------------------------------------------------------
 # construction identity
 # ----------------------------------------------------------------------
 class TestConstructionIdentity:
+    @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("seed", [0, 1, 5])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_bench_families(self, family, seed):
+    def test_bench_families(self, family, seed, order):
         nx_graph = FAMILIES[family](48, seed=seed)
+        source = in_order(nx_graph, order, seed)
         idents = poly_idents(nx_graph, seed=seed)
         assert_same_graph(
-            SimGraph.from_networkx(nx_graph, idents=idents),
+            SimGraph.from_networkx(source, idents=idents),
             dict_first_from_networkx(nx_graph, idents=idents),
         )
         # Default identities: integer labels shifted up by one.
         assert_same_graph(
-            SimGraph.from_networkx(nx_graph),
+            SimGraph.from_networkx(source),
             dict_first_from_networkx(nx_graph),
         )
 
     @pytest.mark.parametrize(
         "case", ["strings", "tuples", "mixed", "isolated", "empty", "edgeless"]
     )
-    def test_label_and_size_corners(self, case):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_label_and_size_corners(self, case, order):
         if case == "strings":
             graph = nx.relabel_nodes(
                 nx.gnm_random_graph(30, 60, seed=3), lambda u: f"peer-{u}"
@@ -158,8 +204,9 @@ class TestConstructionIdentity:
             graph = nx.Graph()
         else:
             graph = nx.empty_graph(6)
+        source = in_order(graph, order, 11)
         want = dict_first_from_networkx(graph)
-        got = SimGraph.from_networkx(graph)
+        got = SimGraph.from_networkx(source)
         assert_same_graph(got, want)
         assert (got.n, got.max_degree, got.max_ident) == (
             want.n, want.max_degree, want.max_ident
@@ -168,7 +215,7 @@ class TestConstructionIdentity:
         random.Random(7).shuffle(shuffled)
         idents = {u: 3 * i + 2 for i, u in enumerate(shuffled)}
         assert_same_graph(
-            SimGraph.from_networkx(graph, idents=idents),
+            SimGraph.from_networkx(source, idents=idents),
             dict_first_from_networkx(graph, idents=idents),
         )
 
@@ -218,11 +265,13 @@ class TestConstructionIdentity:
             SimGraph.from_networkx(graph, idents=idents)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_subgraph_rebuild(self, seed):
+    def test_subgraph_rebuild(self, seed, order):
         nx_graph = FAMILIES["gnp-sparse"](60, seed=seed)
         graph = SimGraph.from_networkx(
-            nx_graph, idents=poly_idents(nx_graph, seed=seed)
+            in_order(nx_graph, order, seed),
+            idents=poly_idents(nx_graph, seed=seed),
         )
         keep = set(random.Random(seed).sample(list(graph.nodes), 41))
         want = dict_first_build(
@@ -232,17 +281,22 @@ class TestConstructionIdentity:
         )
         assert_same_graph(graph.subgraph_rebuild(keep), want)
 
+    @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_apply_delta_rebuild(self, seed, delta_harness):
+    def test_apply_delta_rebuild(self, seed, order, delta_harness):
         script = delta_harness.make_script(seed, steps=10)
         truth = nx.Graph(script.base)
         idents = dict(script.idents)
-        graph = SimGraph.from_networkx(truth, idents=idents)
-        for kind, delta in script.ops:
+        graph = SimGraph.from_networkx(
+            in_order(truth, order, seed), idents=idents
+        )
+        for step, (kind, delta) in enumerate(script.ops):
             if kind != "mutate":
                 continue
             delta_harness.apply_to_networkx(truth, idents, delta)
-            graph = graph.apply_delta_rebuild(delta)
+            graph = graph.apply_delta_rebuild(
+                delta_in_order(delta, order, seed + step)
+            )
             assert_same_graph(graph, dict_first_from_networkx(truth, idents))
 
 

@@ -984,3 +984,20 @@ class TestCounterRNG:
         assert values == set(range(10))
         with pytest.raises(ValueError):
             rng.getrandbits(0)
+
+    def test_source_draws_the_run_keyed_counter_stream(self):
+        """A run's source hands node ``ident`` the counter stream of
+        ``(run_key(seed, salt), ident)``, and a context keeps the very
+        generator it was built with."""
+        from repro.local import NodeContext
+        from repro.local.context import counter_rng, rng_source, run_key
+
+        source = rng_source(9, "phase-2")
+        key = run_key(9, "phase-2")
+        for ident in (1, 101, 2**40 + 3):
+            got, want = source(ident), counter_rng(key, ident)
+            assert [got.getrandbits(62) for _ in range(8)] == [
+                want.getrandbits(62) for _ in range(8)
+            ]
+        rng = source(42)
+        assert NodeContext(0, 42, 3, None, {}, rng).rng is rng
