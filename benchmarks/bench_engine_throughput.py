@@ -715,6 +715,30 @@ def check_bit_identity(n=120):
                 solo = run(g, a, max_rounds=cap, default_output=-1, **opts)
             if not _same_run(solo, got) or solo.truncated != got.truncated:
                 return False
+    # Shared-identity identity (D40): hash-Luby draws one digest per
+    # distinct identity on the frontier and gathers it to every lane
+    # holding that identity.  A chunk over the graph and two induced
+    # subgraphs (overlapping identity sets, different slab positions),
+    # cut mid-phase at the second decision round with default None,
+    # must equal each lane's solo run on both strategies, truncated
+    # sets included; a draw keyed by slab position diverges here.
+    order = sorted(graph.nodes, key=graph.ident.__getitem__)
+    shared = (
+        graph,
+        graph.subgraph(order[::2]),
+        graph.subgraph(order[len(order) // 3:]),
+    )
+    hashed = hash_luby_mis()
+    chunk = [(g, hashed, {"guesses": {"n": graph.n**3}}) for g in shared]
+    cut = run_many(chunk, max_rounds=3, truncate=True)
+    if last_stepping() != "fused" or not any(r.truncated for r in cut):
+        return False
+    for (g, a, opts), got in zip(chunk, cut):
+        for backend in BACKENDS:
+            with _backend_context(backend):
+                solo = run(g, a, max_rounds=3, truncate=True, **opts)
+            if not _same_run(solo, got) or solo.truncated != got.truncated:
+                return False
     # Near misses the fixed-point test must refuse: one-group phases
     # entered with carried announcements (Δ̃ = 2 is below this graph's
     # degree), and a proper input coloring that is not first-fit (the

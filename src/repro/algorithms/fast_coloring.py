@@ -107,10 +107,12 @@ class ColoringBatchKernel:
 
     * rounds ``1..L`` — Linial reductions: rivals are the slots whose
       endpoints' reduced colors differ (one int64 compare per slot),
-      then the scan walks the points of ``F_q`` in order, evaluating
-      every node's polynomial at point ``x`` (one Horner pass over its
-      digits) only when the scan reaches it, and cover-checks against
-      the still-searching rivals — the scan usually ends at ``x ≈ 0``;
+      then the scan walks the points of ``F_q`` in order and
+      cover-checks each still-searching node against its rivals.
+      Column ``x = 0`` is every node's lowest digit; a later column is
+      one Horner pass over the digits of the live rows only — the
+      nodes still searching and their remaining rivals — and the scan
+      usually ends at ``x ≈ 0``;
     * rounds ``L+1..L+K`` — KW halving, one :meth:`_kw_phase` per
       phase: the phase sorts its nodes by rank once and lays out their
       CSR slots in that order, so a rank's announcers and their slots
@@ -245,14 +247,13 @@ class ColoringBatchKernel:
         """Schedule complete at round ``end``: commit final colors
         (1-based).  Returns ``(rounds, messages)``."""
         self.done = True
-        events.append((end, list(range(self.bg.n)), (self.colors + 1).tolist()))
+        events.append((end, np.arange(self.bg.n), self.colors + 1))
         return end, 0
 
     def _linial_step(self, q, d):
         bg = self.bg
         n = bg.n
         space = q ** (d + 1)
-        digits = np.empty((n, d + 1), dtype=np.int32)
         if self.colors is not None:
             # Machine-word colors: when the evaluation space exceeds the
             # color range the modulo is the identity.
@@ -264,65 +265,88 @@ class ColoringBatchKernel:
                 [c % space for c in self.colors_obj], dtype=np.int64
             )
         else:
+            reduced = None
+        owner, neigh = bg.owner, bg.neigh
+        if reduced is not None:
+            # Rivals: neighbours with a different reduced color, one
+            # int64 compare per slot.
+            rival = reduced[owner] != reduced[neigh]
+            low = reduced % q
+
+            def digits_of(rows):
+                value = reduced[rows]
+                digits = np.empty((len(rows), d + 1), dtype=np.int32)
+                for j in range(d + 1):
+                    digits[:, j] = value % q
+                    value = value // q
+                return digits
+        else:
             # Even the reduced space overflows: peel digits with Python
             # big ints, then stay in machine words forever after.
-            reduced = None
+            digits = np.empty((n, d + 1), dtype=np.int32)
             for i, c in enumerate(self.colors_obj):
                 value = c % space
                 for j in range(d + 1):
                     digits[i, j] = value % q
                     value //= q
-        if reduced is not None:
-            value = reduced
-            for j in range(d + 1):
-                digits[:, j] = value % q
-                value = value // q
-            # Rivals: neighbours with a different reduced color, one
-            # int64 compare per slot.
-            rival = np.flatnonzero(reduced[bg.owner] != reduced[bg.neigh])
-        else:
             # Digit rows uniquely encode values below the space, so
             # comparing them is comparing the reduced colors.
-            rival = np.flatnonzero(
-                ~(digits[bg.owner] == digits[bg.neigh]).all(axis=1)
-            )
+            rival = ~(digits[owner] == digits[neigh]).all(axis=1)
+            low = digits[:, 0]
 
-        def column(x):
-            # p_u(x) over F_q for every node u: one Horner pass (values
-            # < q ≤ 2048, so int32 holds the intermediates).  Columns are
-            # evaluated only when the scan reaches them.
-            col = np.zeros(n, dtype=np.int32)
-            for j in range(d, -1, -1):
-                col = (col * x + digits[:, j]) % q
-            return col
+            def digits_of(rows):
+                return digits[rows]
 
         # First-free-point scan, one evaluation column at a time with
         # early exit: a random-like collision pattern frees almost every
         # node at x = 0, so the expected work is O(edges), not O(edges·q)
-        # — mirroring the scalar machine's first-hit loop.
-        new_colors = np.empty(n, dtype=np.int64)
-        searching = np.ones(n, dtype=bool)
-        r_own = bg.owner[rival]
-        r_nb = bg.neigh[rival]
-        for x in range(q):
-            col = column(x)
-            hits = r_own[(col[r_nb] == col[r_own]) & searching[r_own]]
-            covered = batch.row_flags(hits, n)
-            settled = searching & ~covered
-            idx = np.flatnonzero(settled)
-            if len(idx):
-                new_colors[idx] = np.int64(x) * q + col[idx]
-                searching &= covered
-                if not searching.any():
+        # — mirroring the scalar machine's first-hit loop.  Column 0 is
+        # p_u(0), the lowest digit, so every node starts at color p_u(0)
+        # (also the scalar fallback when every point is covered).
+        new_colors = low.astype(np.int64)
+        hit = rival & (low[owner] == low[neigh])
+        searching = batch.row_flags(owner[hit], n)
+        keep = rival & searching[owner]
+        own, nb = owner[keep], neigh[keep]
+        # A later column is one Horner pass over the digits of the
+        # *live* rows only: the nodes still searching and their
+        # remaining rivals (values < q ≤ 2048, so int32 holds the
+        # intermediates).  Row r is node live[r]; the rows are re-packed
+        # only when those a later column can read fall below half.
+        live = np.arange(n)
+        rows = n
+        table = None  # digits_of(live), built when column 1 is reached
+        settled = True
+        for x in range(1, q):
+            if settled:
+                left = np.count_nonzero(searching)
+                if not left:
                     break
-            if len(r_own) and searching.any():
-                keep = searching[r_own]
-                r_own = r_own[keep]
-                r_nb = r_nb[keep]
-        idx = np.flatnonzero(searching)
-        if len(idx):
-            # Every point covered: the scalar fallback is p(0).
-            new_colors[idx] = column(0)[idx]
+                if left + len(nb) < rows:
+                    mark = searching.copy()
+                    mark[nb] = True
+                    kept = np.flatnonzero(mark)
+                    if 2 * len(kept) <= rows:
+                        at = np.empty(rows, dtype=np.int64)
+                        at[kept] = np.arange(len(kept))
+                        own, nb = at[own], at[nb]
+                        searching = searching[kept]
+                        live = live[kept]
+                        table = None if table is None else table[kept]
+                        rows = len(kept)
+            if table is None:
+                table = digits_of(live)
+            col = table[:, d]
+            for j in range(d - 1, -1, -1):
+                col = (col * x + table[:, j]) % q
+            covered = batch.row_flags(own[col[nb] == col[own]], rows)
+            idx = np.flatnonzero(searching & ~covered)
+            settled = len(idx) > 0
+            if settled:
+                new_colors[live[idx]] = np.int64(x) * q + col[idx]
+                searching &= covered
+                keep = searching[own]
+                own, nb = own[keep], nb[keep]
         # Reduced colors always fit machine words (< q² + q), so even a
         # big-integer start promotes to the int64 array after one step.
         self.colors = new_colors

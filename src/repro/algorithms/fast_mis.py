@@ -112,11 +112,8 @@ class MISBatchKernel(ColoringBatchKernel):
             ) > 0
             joiners, lost = deciders[~blocked], deciders[blocked]
             in_mis[joiners] = True
-            events.append((
-                rnd,
-                joiners.tolist() + lost.tolist(),
-                [1] * len(joiners) + [0] * len(lost),
-            ))
+            events.append((rnd, joiners, 1))
+            events.append((rnd, lost, 0))
             messages += bg.charge(joiners)
         self.done = True
         return rnd, messages

@@ -56,17 +56,38 @@ def hl_phases(n_guess):
 def _hash_priorities(bg, setup):
     """Frontier-draw hook: deterministic ``(identity, phase)`` hashes.
 
-    The digest itself is not expressible as array arithmetic, but one
-    memoized blake2b per frontier node is orders of magnitude cheaper
-    than the per-node process dispatch the kernel replaces.
+    The digest is not array arithmetic, so each phase draws one
+    memoized blake2b per *distinct identity* on the frontier and
+    gathers it to every node holding that identity: a fused slab whose
+    lanes share identities (a seed sweep of one graph, or a graph and
+    its induced subgraph) pays once per identity, not once per lane.
+    ``bg.ident_firsts()`` maps each node to the first index holding its
+    identity, once per cached slab; it is ``None`` in a single graph,
+    whose identities are unique.
     """
     idents = bg.idents
+    firsts = bg.ident_firsts()
 
-    def draws(idx, phase):
+    def digests(rows, phase):
         return np.array(
-            [_hash_bits(idents[i], phase) for i in idx.tolist()],
+            [_hash_bits(idents[i], phase) for i in rows.tolist()],
             dtype=np.uint64,
         )
+
+    if firsts is None:
+        return digests
+    n = bg.n
+
+    def draws(idx, phase):
+        # Distinct representatives by a mark and a rank scatter: O(n)
+        # in C per phase, where sorting the frontier is O(k log k).
+        reps = firsts[idx]
+        mark = np.zeros(n, dtype=bool)
+        mark[reps] = True
+        distinct = np.flatnonzero(mark)
+        rank = np.empty(n, dtype=np.int64)
+        rank[distinct] = np.arange(len(distinct))
+        return digests(distinct, phase)[rank[reps]]
 
     return draws
 

@@ -147,7 +147,7 @@ class LubyBatchKernel:
         Executes the whole decide/retire phase alternation inside one
         call with the hot-loop locals hoisted (CSR slabs, priority
         array, budget) and no per-round ledger bookkeeping; the driver
-        settles the returned ``(round, finished, results)`` events
+        settles the returned ``(round, indices, value)`` commits
         afterwards.  Each decision round reads only the slots still
         live at both ends, so a round costs O(live edges) once the
         frontier has shrunk.  The divergence cap is enforced in here —
@@ -155,8 +155,8 @@ class LubyBatchKernel:
         ``alive`` (what ``undone_indices`` reads) as of that round.
         """
         # Round 0: isolated nodes join, the rest bid.
-        isolated = np.flatnonzero(~self.alive).tolist()
-        events = [(0, isolated, [1] * len(isolated))] if isolated else []
+        isolated = np.flatnonzero(~self.alive)
+        events = [(0, isolated, 1)] if len(isolated) else []
         self.done = not self.alive.any()
         messages = 0 if self.done else self._draw_bids()
         rounds = 0
@@ -186,10 +186,10 @@ class LubyBatchKernel:
             alive = alive & beaten
             self.alive = alive
             self.done = not bool(alive.any())
-            joined = flatnonzero(winners).tolist()
+            joined = flatnonzero(winners)
             messages += charge(winners)
-            if joined:
-                events.append((rounds, joined, [1] * len(joined)))
+            if len(joined):
+                events.append((rounds, joined, 1))
             if self.done or rounds >= cap:
                 break
             # Retirement round: losers hear the wins, survivors rebid.
@@ -197,20 +197,17 @@ class LubyBatchKernel:
             heard = winners[nb] & alive[own]
             retired = alive & flags(own[heard], n)
             alive = alive & ~retired
-            finished = flatnonzero(retired).tolist()
-            results = [0] * len(finished)
+            finished = flatnonzero(retired)
+            if len(finished):
+                events.append((rounds, finished, 0))
             if budget is not None and self.phase >= budget:
-                cut = flatnonzero(alive).tolist()
-                finished.extend(cut)
-                results.extend([NOT_IN_SET] * len(cut))
+                events.append((rounds, flatnonzero(alive), NOT_IN_SET))
                 alive = alive & False
             self.alive = alive
             if alive.any():
                 messages += self._draw_bids()
             else:
                 self.done = True
-            if finished:
-                events.append((rounds, finished, results))
         return events, rounds, messages
 
 

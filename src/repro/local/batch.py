@@ -27,6 +27,9 @@ D10: the batch-step contract):
   (D17, D30), the one ledger of every solo kernel run, physical or
   virtual: the whole round schedule runs inside one call, never one
   interpreter return per simulated round.
+* :func:`fold_commits` — the one fold of a drive's array commits
+  (D40), shared by :func:`settle`, the fused lanes and the virtual
+  driver.
 
 numpy is a required dependency (DESIGN.md D39).  A run falls back to
 the reference loop (D33) only when it has no kernel, tracks message
@@ -41,22 +44,25 @@ chosen by its shape:
 ``run_phases() -> results``
     A :class:`LockstepKernel` (fixed ``schedule``, every node active
     until the last round): the whole schedule in one call, returning
-    every node's result in index order.  The driver settles everything
-    else arithmetically, including a cap the schedule does not fit.
+    every node's result in index order.  The driver commits that list
+    as it is and settles everything else arithmetically, including a
+    cap the schedule does not fit.
 ``run_fixedpoint(cap) -> (events, rounds, messages)``
     Every other kernel (the Luby family, the coloring/MIS kernels): its
     own loop up to ``cap`` rounds, leaving truncation to
-    :func:`settle`.  ``events`` lists ``(round, finished, results)``
-    commits — the node indices that terminated that round and their
-    outputs — and ``messages`` the point-to-point deliveries of every
-    executed round.  The loop may skip work it can prove changes
-    nothing: rounds without events or messages, and a fixed point's
-    repeats, which it settles by arithmetic.
+    :func:`settle`.  ``events`` lists ``(round, indices, value)``
+    commits — an index array of nodes that terminated that round and
+    their output: one ``value`` for all of them, or an array aligned
+    with ``indices`` — and ``messages`` the point-to-point deliveries
+    of every executed round.  The loop may skip work it can prove
+    changes nothing: rounds without events or messages, and a fixed
+    point's repeats, which it settles by arithmetic.
 
 Every kernel also exposes ``done`` (true once every node terminated)
 and ``undone_indices()`` — the indices still running, ascending: what
 truncation forces to the default output (and what
-:class:`NonTerminationError` reports).
+:class:`NonTerminationError` reports).  Each node lies in exactly one
+commit or, while the kernel is not done, among the undone.
 
 The contract with the reference loop is *bit-identity*: for the same
 ``(graph, algorithm, inputs, guesses, seed, salt)`` the kernel must
@@ -132,6 +138,12 @@ class BatchGraph:
         if mix is None:
             mix = self._mix = ident_mix(self.idents)
         return mix
+
+    def ident_firsts(self):
+        """Per node, the first index holding its identity, or ``None``
+        when identities are unique — always, in one graph (a fused slab,
+        whose lanes may share identities, overrides this)."""
+        return None
 
     def row_slots(self, rows):
         """Every CSR slot of ``rows``, row by row, in O(Σ their degree).
@@ -337,7 +349,8 @@ def drive_kernel(kernel, cap):
       ``run_fixedpoint(cap)``.
 
     Returns ``(events, rounds, messages)``: ``events`` is the list of
-    ``(round, finished_indices, results)`` commits of the run,
+    ``(round, indices, value)`` commits of the run (a lockstep run
+    commits its ``run_phases()`` list over every index),
     ``rounds`` how many rounds executed (``rounds == cap`` with
     ``kernel.done`` false means the cap bit — truncation or
     :class:`NonTerminationError` — is the caller's to settle).  Shared
@@ -350,51 +363,88 @@ def drive_kernel(kernel, cap):
             return [], cap, (cap + 1) * charge
         results = kernel.run_phases()
         kernel.done = True
-        events = [(schedule, list(range(kernel.bg.n)), results)]
+        events = [(schedule, np.arange(kernel.bg.n), results)]
         return events, schedule, schedule * charge
     return kernel.run_fixedpoint(cap)
+
+
+def _is_int64(value):
+    """Whether ``value`` stores as int64 without changing type or bits."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind == "i"
+    return type(value) is int and -(1 << 63) <= value < 1 << 63
+
+
+def _as_objects(value):
+    """``value`` as an object array: element-wise when it is aligned
+    with the indices (a list or an array), else one boxed value that
+    broadcasts whole (a tuple stays one result)."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, list):
+        return np.fromiter(value, dtype=object, count=len(value))
+    box = np.empty((), dtype=object)
+    box[()] = value
+    return box
+
+
+def fold_commits(events, n, undone, fill, fill_round):
+    """Scatter a drive's commits over the node indices.
+
+    ``events`` holds ``(round, indices, value)`` commits, ``value`` one
+    result for every index or a list/array aligned with ``indices``.
+    Each index lies in exactly one commit or in ``undone``, which gets
+    ``fill`` at round ``fill_round``.  Returns ``(round_of, values)``:
+    the int64 finish rounds and the Python list of results, both in
+    index order.  Results stay in an int64 array when every one of
+    them is an int (the common case); object dtype is kept for anything
+    else, a non-int ``fill`` for stragglers included.
+    """
+    round_of = np.zeros(n, dtype=np.int64)
+    ints = all(_is_int64(value) for _, _, value in events) and (
+        not len(undone) or _is_int64(fill)
+    )
+    if ints:
+        value_of, wrap = np.zeros(n, dtype=np.int64), lambda value: value
+    else:
+        value_of, wrap = np.empty(n, dtype=object), _as_objects
+    for rnd, idx, value in events:
+        round_of[idx] = rnd
+        value_of[idx] = wrap(value)
+    if len(undone):
+        round_of[undone] = fill_round
+        value_of[undone] = wrap(fill)
+    return round_of, value_of.tolist()
 
 
 def settle(
     driven, kernel, labels, algorithm, *, cap, truncating, default_output,
     result_cls,
 ):
-    """Fold a drive's events into the LOCAL-model ledger.
+    """Fold a drive's commits into the LOCAL-model ledger.
 
-    Outputs and termination times come from the finish events;
+    Outputs and termination times come from :func:`fold_commits`;
     truncation forces the default output at the cap, non-termination
     raises with the undone labels — field for field what the reference
-    loop reports.
+    loop reports.  Both maps list the nodes in index (identity) order.
     """
     events, _, messages = driven
-    outputs = {}
-    finish_round = {}
-    for rnd, finished, results in events:
-        for i, value in zip(finished, results):
-            label = labels[i]
-            outputs[label] = value
-            finish_round[label] = rnd
-    if not kernel.done:
-        undone = kernel.undone_indices()
-        if truncating:
-            for i in undone:
-                label = labels[i]
-                outputs[label] = default_output
-                finish_round[label] = cap
-            return result_cls(
-                outputs,
-                finish_round,
-                cap,
-                messages,
-                frozenset(labels[i] for i in undone),
-                None,
-            )
+    undone = () if kernel.done else kernel.undone_indices()
+    if not kernel.done and not truncating:
         raise NonTerminationError(
             algorithm.name, cap, [labels[i] for i in undone]
         )
-    total = max(finish_round.values()) if finish_round else 0
+    round_of, values = fold_commits(
+        events, len(labels), undone, default_output, cap
+    )
+    rounds = round_of.tolist()
     return result_cls(
-        outputs, finish_round, total, messages, frozenset(), None
+        dict(zip(labels, values)),
+        dict(zip(labels, rounds)),
+        max(rounds, default=0) if kernel.done else cap,
+        messages,
+        frozenset(labels[i] for i in undone),
+        None,
     )
 
 

@@ -30,7 +30,7 @@ bit-identical.
 
 Each chunk is driven by :func:`repro.local.batch.drive_kernel`, the
 one call that drives every solo kernel run too (D30, D32), and its
-lanes are settled from the returned finish events afterwards: a lane's
+lanes are settled from the folded commits afterwards (D40): a lane's
 rounds are its own last finish round, its messages its own share of the
 ledger.  Slabs are at most :data:`LANE_WIDTH` lanes wide.
 """
@@ -80,6 +80,7 @@ class FusedBatchGraph(batch.BatchGraph):
         "lane_bounds",
         "lane_count",
         "lane_sent",
+        "_firsts",
         "_fdegrees",
         "_lane_degrees",
     )
@@ -97,6 +98,19 @@ class FusedBatchGraph(batch.BatchGraph):
             lane_of, weights=self._fdegrees, minlength=self.lane_count
         )
         self.lane_sent = np.zeros(self.lane_count, dtype=np.float64)
+        self._firsts = None
+
+    def ident_firsts(self):
+        """Per node, the first slab index holding its identity (int64),
+        computed once per cached slab."""
+        firsts = self._firsts
+        if firsts is None:
+            first = {}
+            firsts = self._firsts = np.array(
+                [first.setdefault(x, i) for i, x in enumerate(self.idents)],
+                dtype=np.int64,
+            )
+        return firsts
 
     def charge(self, senders=None):
         if senders is None:
@@ -337,9 +351,11 @@ def _run_chunk(lanes, *, cap, truncating, default_output):
     declined (the caller then runs its lanes solo).
 
     One :func:`~repro.local.batch.drive_kernel` call runs the whole
-    slab, exactly as a solo run's drive does; each lane is then settled
-    from its slice of the finish events with the solo
-    :func:`~repro.local.batch.settle` semantics.
+    slab, exactly as a solo run's drive does.  Its commits are folded
+    once for the whole slab (:func:`~repro.local.batch.fold_commits`),
+    and each lane is settled from its slice with the solo
+    :func:`~repro.local.batch.settle` semantics: its rounds are the
+    slice's largest finish round.
     """
     algorithm = lanes[0].algorithm
     cgs = [lane.graph.compiled() for lane in lanes]
@@ -368,35 +384,31 @@ def _run_chunk(lanes, *, cap, truncating, default_output):
             "the kernel bypasses BatchGraph.charge and must not be "
             "certified fuse=True"
         )
-    value_of = np.empty(bg.n, dtype=object)
-    round_of = np.zeros(bg.n, dtype=np.int64)
-    for rnd, finished, results in events:
-        fin = np.asarray(finished, dtype=np.int64)
-        value_of[fin] = results
-        round_of[fin] = rnd
-    stragglers = {}
-    if not kernel.done:
-        for i in kernel.undone_indices():
-            stragglers.setdefault(int(bg.lane_of[i]), []).append(
-                bg.labels[i][1]
-            )
-            value_of[i] = default_output
-            round_of[i] = cap
+    undone = () if kernel.done else kernel.undone_indices()
+    round_of, values = batch.fold_commits(
+        events, bg.n, undone, default_output, cap
+    )
+    bounds = bg.lane_bounds
+    lane_rounds = np.maximum.reduceat(round_of, bounds[:-1]).tolist()
+    rounds = round_of.tolist()
+    # Stragglers per lane: undone is ascending, so each lane's are one run.
+    undone = np.asarray(undone, dtype=np.int64)
+    cuts = np.searchsorted(undone, bounds).tolist()
+    starts = bounds.tolist()
     for pos, lane in enumerate(lanes):
-        undone = stragglers.get(pos)
-        if undone and not truncating:
-            lane.error = NonTerminationError(algorithm.name, cap, undone)
-            continue
-        lo = int(bg.lane_bounds[pos])
-        hi = int(bg.lane_bounds[pos + 1])
+        lo, hi = starts[pos], starts[pos + 1]
         labels = cgs[pos].labels
-        rounds = round_of[lo:hi]
+        stuck = undone[cuts[pos]:cuts[pos + 1]] - lo
+        stuck = [labels[i] for i in stuck.tolist()]
+        if stuck and not truncating:
+            lane.error = NonTerminationError(algorithm.name, cap, stuck)
+            continue
         lane.result = RunResult(
-            dict(zip(labels, value_of[lo:hi].tolist())),
-            dict(zip(labels, rounds.tolist())),
-            int(rounds.max()),
+            dict(zip(labels, values[lo:hi])),
+            dict(zip(labels, rounds[lo:hi])),
+            lane_rounds[pos],
             int(bg.lane_sent[pos]),
-            frozenset(undone or ()),
+            frozenset(stuck),
             None,
         )
     return True

@@ -72,6 +72,7 @@ from .batch import (
     BatchSetup,
     batch_graph_of_spec,
     drive_kernel,
+    fold_commits,
     virtual_draw_builder,
 )
 from .context import NodeContext, counter_rng
@@ -530,7 +531,9 @@ def _drive_virtual(
     The drive is one :func:`~repro.local.batch.drive_kernel` call (D17,
     D30).  Virtual round ``k`` is engine round ``k-1`` and runs at
     physical round ``(k-1) * dilation``, so the drive gets the engine
-    cap ``cap // dilation`` and its events map back by ``+1``.
+    cap ``cap // dilation`` and its commits map back by ``+1``; the
+    nodes still running at the cap fold to result ``None`` at virtual
+    round 0.
     """
     if not capabilities_of(algorithm).get("supports_batch"):
         return None
@@ -544,15 +547,11 @@ def _drive_virtual(
     kernel = algorithm.batch(bg, BatchSetup(virt_inputs or {}, guesses, draws))
     if kernel is None:
         return None
-    finish = np.zeros(bg.n, dtype=np.int64)
-    results = [None] * bg.n
     events, _rounds, _messages = drive_kernel(kernel, cap // spec.dilation)
-    for rnd, finished, values in events:
-        finish[finished] = rnd + 1
-        for i, value in zip(finished, values):
-            results[i] = value
+    undone = () if kernel.done else kernel.undone_indices()
+    round_of, results = fold_commits(events, bg.n, undone, None, -1)
     note_stepping("rf")
-    return bg, results, _host_commits(spec, physical, finish)
+    return bg, results, _host_commits(spec, physical, round_of + 1)
 
 
 def _host_commits(spec, physical, finish):

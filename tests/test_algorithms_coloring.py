@@ -229,6 +229,26 @@ class TestBadGuessBehaviour:
         )
         assert result.rounds <= fast_coloring_rounds(m, delta)
 
+    @pytest.mark.parametrize("make", [fast_coloring, fast_mis])
+    @pytest.mark.parametrize("m,delta", [(100, 2), (50, 1), (300, 2)])
+    def test_neighbours_sharing_a_reduced_color_are_no_rivals(
+        self, medium_gnp, make, m, delta
+    ):
+        """An underestimated m̃ reduces the identities modulo a space
+        below their range, so two neighbours can share a reduced color
+        in the first Linial step; neither then blocks the other's
+        points, on the batch kernel as in the scalar machine."""
+        (q, d), *_ = linial_schedule(m, delta)[0]
+        space = q ** (d + 1)
+        ident = medium_gnp.ident
+        assert any(
+            (ident[u] - 1) % space == (ident[v] - 1) % space
+            for u, v in medium_gnp.edges()
+        )
+        guesses = {"m": m, "Delta": delta}
+        seen = self._across_stacks(medium_gnp, make(), guesses)
+        assert seen[0] == seen[1]
+
     @staticmethod
     def _across_stacks(graph, algo, guesses):
         """(outputs, rounds) on the reference loop and the batch kernel."""

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.bounds import (
     AdditiveBound,
     Atom,
-    FrozenBound,
     MinBound,
     ProductBound,
     check_set_sequence,

@@ -9,7 +9,6 @@ invariant, and the Theorem-1 uniformization end to end.
 from __future__ import annotations
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.forbidden_coloring import (

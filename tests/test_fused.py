@@ -13,15 +13,19 @@ termination and message attribution, and backend wiring.
 
 from __future__ import annotations
 
+import collections
 import gc
+import random
 
+import numpy as np
 import pytest
 
-from repro.algorithms import capability_table
+from repro.algorithms import capability_table, hash_luby
 from repro.algorithms.fast_mis import fast_mis
 from repro.algorithms.hash_luby import hash_luby_mis
 from repro.algorithms.luby import luby_mc, luby_mis
 from repro.algorithms.ruling_sets import bitwise_ruling_set
+from repro.core.pruning import MatchingPruning
 from repro.errors import NonTerminationError, ParameterError, ReproError
 from repro.graphs import families, identifiers
 from repro.local import (
@@ -35,6 +39,7 @@ from repro.local import batch as batch_module
 from repro.local import fused as fused_module
 from repro.local.algorithm import capabilities_of
 from repro.local.fused import _SLAB_CACHE, fused_slab_of
+from repro.local.runner import last_stepping
 
 
 def build(graph, *, seed=0):
@@ -390,3 +395,127 @@ class TestBackendWiring:
             assert "supports_fuse" in record
             assert record["pruning"]["supports_fuse"] is False
 
+
+def overlapping_graphs(graph):
+    """``graph``, its induced subgraph on every other node and on the
+    last two thirds: three lanes whose identity sets overlap."""
+    nodes = sorted(graph.nodes, key=graph.ident.__getitem__)
+    return [
+        graph,
+        graph.subgraph(nodes[::2]),
+        graph.subgraph(nodes[len(nodes) // 3:]),
+    ]
+
+
+class TestHashLubyIdentityDraws:
+    """hash-Luby draws one digest per distinct identity per phase and
+    gathers it to every lane holding that identity (D40)."""
+
+    GUESSES = {"n": 90**2}
+
+    def test_lanes_of_different_graphs_sharing_identities(self, medium_gnp):
+        graphs = overlapping_graphs(medium_gnp)
+        slab = fused_slab_of([g.compiled() for g in graphs])
+        firsts = slab.ident_firsts()
+        assert (firsts < np.arange(slab.n)).any()  # identities repeat
+        algo = hash_luby_mis()
+        jobs = [(g, algo, {"guesses": self.GUESSES}) for g in graphs]
+        for kwargs in ({}, *(
+            {"max_rounds": cap, "truncate": True} for cap in (1, 2, 3)
+        )):
+            fused = run_many(jobs, **kwargs)
+            assert last_stepping() == "fused"
+            for job, result in zip(jobs, fused):
+                solo = solo_twin(job, **kwargs)
+                reference = solo_twin(job, backend="reference", **kwargs)
+                assert fields_of(result) == fields_of(solo), kwargs
+                assert fields_of(result) == fields_of(reference), kwargs
+            if kwargs:
+                assert any(result.truncated for result in fused), kwargs
+
+    def test_one_digest_per_identity_and_phase(self, medium_gnp, monkeypatch):
+        calls = collections.Counter()
+        digest = hash_luby._hash_bits
+
+        def spy(ident, phase):
+            calls[ident, phase] += 1
+            return digest(ident, phase)
+
+        monkeypatch.setattr(hash_luby, "_hash_bits", spy)
+        algo = hash_luby_mis()
+        jobs = [
+            (medium_gnp, algo, {"guesses": self.GUESSES, "seed": s})
+            for s in range(8)
+        ]
+        results = run_many(jobs)
+        assert last_stepping() == "fused"
+        assert calls and max(calls.values()) == 1
+        assert {ident for ident, _ in calls} == {
+            medium_gnp.ident[u] for u in medium_gnp.nodes if medium_gnp.degree(u)
+        }
+        assert all(fields_of(r) == fields_of(results[0]) for r in results)
+
+    def test_a_single_graph_has_unique_identities(self, medium_gnp):
+        bg = batch_module.batch_graph_of(medium_gnp.compiled())
+        assert bg.ident_firsts() is None
+
+
+class TestArrayFold:
+    """Every drive folds its ``(round, indices, value)`` commits through
+    ``batch.fold_commits`` (D40): int results stay in an int64 array,
+    anything else (a ``None`` or tuple default, tuple outputs) in an
+    object array.  Each case equals the reference loop field for field."""
+
+    @pytest.mark.parametrize(
+        "default", [None, (0, "cut")], ids=["none-default", "tuple-default"]
+    )
+    def test_truncated_lanes_with_object_defaults(
+        self, small_gnp, medium_gnp, default
+    ):
+        jobs = jobs_matrix(small_gnp, medium_gnp)
+        for cap in (1, 3, 6):
+            kwargs = {"max_rounds": cap, "default_output": default,
+                      "truncate": True}
+            fused = run_many(jobs, **kwargs)
+            for job, result in zip(jobs, fused):
+                solo = solo_twin(job, **kwargs)
+                reference = solo_twin(job, backend="reference", **kwargs)
+                assert fields_of(result) == fields_of(solo), job[1].name
+                assert fields_of(solo) == fields_of(reference), job[1].name
+                for u in result.truncated:
+                    assert result.outputs[u] == default
+            assert any(result.truncated for result in fused), cap
+
+    def test_fast_mis_cut_mid_sweep(self, small_gnp, medium_gnp):
+        algo = fast_mis()
+        guesses = {"m": medium_gnp.max_ident, "Delta": medium_gnp.max_degree}
+        jobs = [
+            (graph, algo, {"guesses": guesses, "seed": 1})
+            for graph in (small_gnp, medium_gnp)
+        ]
+        full = run_many(jobs)
+        cap = max(res.rounds for res in full) - 2
+        kwargs = {"max_rounds": cap, "truncate": True}
+        cut = run_many(jobs, **kwargs)
+        for job, result in zip(jobs, cut):
+            reference = solo_twin(job, backend="reference", **kwargs)
+            assert fields_of(result) == fields_of(solo_twin(job, **kwargs))
+            assert fields_of(result) == fields_of(reference)
+        assert any(
+            0 < len(result.truncated) < job[0].n
+            for job, result in zip(jobs, cut)
+        )
+
+    def test_lockstep_pruner_tuple_outputs(self, small_gnp):
+        rng = random.Random(3)
+        inputs = {u: (None, rng.choice([0, 1, 2])) for u in small_gnp.nodes}
+        algo = MatchingPruning().algorithm()
+        for kwargs in ({}, {"max_rounds": 1, "default_output": ("cut", 0),
+                            "truncate": True}):
+            solo = run(small_gnp, algo, inputs=inputs, **kwargs)
+            assert last_stepping() == "rf"
+            reference = run(
+                small_gnp, algo, inputs=inputs, backend="reference", **kwargs
+            )
+            assert fields_of(solo) == fields_of(reference), kwargs
+            assert all(type(v) is tuple for v in solo.outputs.values())

@@ -26,10 +26,8 @@ from repro.local import SimGraph
 from repro.problems import (
     MAXIMAL_MATCHING,
     MIS,
-    SLC,
     ColorList,
     SLCInput,
-    RulingSetProblem,
 )
 
 
