@@ -73,6 +73,7 @@ from repro.local import (  # noqa: E402
     use_backend,
     virtualize,
 )
+from repro.local.batch import BatchGraph, batch_graph_of  # noqa: E402
 from repro.local.fused import LANE_WIDTH  # noqa: E402
 from repro.local.runner import last_stepping  # noqa: E402
 
@@ -617,6 +618,28 @@ def _same_run(a, b):
     )
 
 
+def _same_graph(a, b):
+    """Two graphs agree on labels, identities, adjacency, every CSR list
+    and the numpy mirror (``a``'s attached one against one built from
+    ``b``'s lists)."""
+    ca, cb = a.compiled(), b.compiled()
+    mirror = batch_graph_of(ca)
+    fresh = BatchGraph(cb.labels, cb.idents, cb.offsets, cb.neigh)
+    return (
+        a.nodes == b.nodes
+        and a.ident == b.ident
+        and a.adj == b.adj
+        and all(
+            getattr(ca, field) == getattr(cb, field)
+            for field in ("idents", "offsets", "neigh", "rev", "degrees")
+        )
+        and all(
+            numpy.array_equal(getattr(mirror, field), getattr(fresh, field))
+            for field in ("offsets", "neigh", "owner", "degrees")
+        )
+    )
+
+
 def check_bit_identity(n=120):
     """Quick identity check across every stepping strategy (smoke net).
 
@@ -624,7 +647,8 @@ def check_bit_identity(n=120):
     contract, where ``batch`` is the round-fused drive of every kernel
     family, lockstep schedules cut by their cap included — plus fused
     lanes, whole alternations (the matching row's on
-    the line-graph virtual domain among them) and live sessions.
+    the line-graph virtual domain among them), the restrictions of one
+    alternation against their rebuilds, and live sessions.
     """
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=8), seed=8)
     guesses = {"m": graph.max_ident, "Delta": graph.max_degree}
@@ -771,6 +795,33 @@ def check_bit_identity(n=120):
     first = alternations[0]
     for other in alternations[1:]:
         if first.outputs != other.outputs or first.rounds != other.rounds:
+            return False
+    # Restriction identity: both strategies' alternations above compare
+    # outputs only, and a wrong CompiledGraph.restrict shows there only
+    # where it changes them (or as a crash in the line-graph build).
+    # The keep sets of the matching row's uniform alternation, recorded
+    # on the reference strategy (which rebuilds every subgraph), are
+    # replayed as a chain through subgraph and subgraph_rebuild, and
+    # every child must match: CSR lists, mirror and adjacency.
+    keeps = []
+    subgraph = SimGraph.subgraph
+
+    def recording(self, keep):
+        keeps.append(frozenset(keep))
+        return subgraph(self, keep)
+
+    SimGraph.subgraph = recording
+    try:
+        with _backend_context("reference"):
+            TABLE1["matching"].build()[2].run(graph, seed=3)
+    finally:
+        SimGraph.subgraph = subgraph
+    if not keeps:
+        return False
+    inc = ref = graph
+    for keep in keeps:
+        inc, ref = inc.subgraph(keep), ref.subgraph_rebuild(keep)
+        if not _same_graph(inc, ref):
             return False
     # Virtual-domain identity: the matching row's uniform run drives
     # fast MIS on the line graph (array-built spec, lazy routing plans)

@@ -114,16 +114,16 @@ class ColoringBatchKernel:
       nodes still searching and their remaining rivals — and the scan
       usually ends at ``x ≈ 0``;
     * rounds ``L+1..L+K`` — KW halving, one :meth:`_kw_phase` per
-      phase: the phase sorts its nodes by rank once and lays out their
-      CSR slots in that order, so a rank's announcers and their slots
-      are two slices, and it visits only the non-empty ranks.  Chosen
-      values are per-row first-free scans over at most
-      ``2·max_degree + 1`` columns; an announcement is absorbed only
-      where it can still be read — by same-group neighbours of higher
-      rank, or, from the phase's last rank, by the next phase's
-      ``taken`` rows under the same group test the scalar machine
-      applies.  Every node announces once per phase, so a phase is
-      charged once.
+      phase: the phase sorts its nodes by rank once and builds one
+      slot plan holding only the CSR slots it reads, sorted by their
+      owner's rank, so a rank's announcers and their slots are two
+      slices, and it visits only the non-empty ranks.  Chosen values
+      are per-row first-free scans over at most ``2·max_degree + 1``
+      columns; an announcement is absorbed only where it can still be
+      read — by same-group neighbours of higher rank, or, from the
+      phase's last rank, by the next phase's ``taken`` rows under the
+      same group test the scalar machine applies.  Every node
+      announces once per phase, so a phase is charged once.
 
     Once a phase starts with no carried announcement, with every color
     in ``[0, Δ̃]`` (one group, no announcer at the last rank), and hands
@@ -266,11 +266,11 @@ class ColoringBatchKernel:
             )
         else:
             reduced = None
-        owner, neigh = bg.owner, bg.neigh
+        owner, neigh, degrees = bg.owner, bg.neigh, bg.degrees
         if reduced is not None:
             # Rivals: neighbours with a different reduced color, one
             # int64 compare per slot.
-            rival = reduced[owner] != reduced[neigh]
+            rival = np.repeat(reduced, degrees) != reduced[neigh]
             low = reduced % q
 
             def digits_of(rows):
@@ -291,7 +291,7 @@ class ColoringBatchKernel:
                     value //= q
             # Digit rows uniquely encode values below the space, so
             # comparing them is comparing the reduced colors.
-            rival = ~(digits[owner] == digits[neigh]).all(axis=1)
+            rival = (np.repeat(digits, degrees, axis=0) != digits[neigh]).any(1)
             low = digits[:, 0]
 
             def digits_of(rows):
@@ -304,9 +304,9 @@ class ColoringBatchKernel:
         # p_u(0), the lowest digit, so every node starts at color p_u(0)
         # (also the scalar fallback when every point is covered).
         new_colors = low.astype(np.int64)
-        hit = rival & (low[owner] == low[neigh])
+        hit = rival & (np.repeat(low, degrees) == low[neigh])
         searching = batch.row_flags(owner[hit], n)
-        keep = rival & searching[owner]
+        keep = rival & np.repeat(searching, degrees)
         own, nb = owner[keep], neigh[keep]
         # A later column is one Horner pass over the digits of the
         # *live* rows only: the nodes still searching and their
@@ -386,47 +386,52 @@ class ColoringBatchKernel:
         arrive in this phase's first round, and a receiver takes the
         value when its new group is the one it was announced under.
         The returned one is this phase's (``None`` when its last rank
-        is empty or was not reached).
+        is empty or was not reached).  Colors change only at its end.
         """
         bg = self.bg
         delta = self.delta
+        width = self.width
         group_size = 2 * (delta + 1)
         colors = self.colors
         group = colors // group_size
-        # Ranks are below 2·_BATCH_DELTA_LIMIT, so the stable sort runs
+        # Ranks are below 2·_BATCH_DELTA_LIMIT, so the stable sorts run
         # on uint16 keys (a radix sort).  Rank r announces
-        # order[bounds[r]:bounds[r + 1]], whose CSR slots are
-        # plan_k/plan_dst[slot_bounds[r]:slot_bounds[r + 1]].
+        # order[bounds[r]:bounds[r + 1]] through the slots
+        # src/dst[slots[r]:slots[r + 1]]: only those the phase reads,
+        # toward a same-group neighbour of higher rank (colors[w] in
+        # (colors[v], top of v's group]) and the last rank's, carried.
         rank = self.rank = (colors % group_size).astype(np.uint16)
         order = np.argsort(rank, kind="stable")
         bounds = np.searchsorted(rank[order], np.arange(group_size + 1))
-        plan_k, plan_dst = bg.row_slots(order)
-        slot_bounds = np.searchsorted(plan_k, bounds).tolist()
+        own = np.repeat(colors, bg.degrees)
+        top = np.repeat((group + 1) * group_size - 1, bg.degrees)
+        seen = colors[bg.neigh]
+        plan = np.flatnonzero(((seen > own) & (seen <= top)) | (own == top))
+        plan = plan[np.argsort(rank[bg.owner[plan]], kind="stable")]
+        src, dst = bg.owner[plan], bg.neigh[plan]
+        slots = np.searchsorted(rank[src], np.arange(group_size + 1)).tolist()
         rank_bounds = bounds.tolist()
-        taken = np.zeros((bg.n, self.width), dtype=bool)
+        taken = np.zeros((bg.n, width), dtype=bool)
+        flat = taken.reshape(-1)
         if carry is not None:
-            src, dst, value, sent_group = carry
-            hit = group[dst] == sent_group[src]
-            taken[dst[hit], value[hit]] = True
+            sender, receiver, value, sent_group = carry
+            hit = group[receiver] == sent_group[sender]
+            flat[receiver[hit] * width + value[hit]] = True
         carry = None
+        chosen = np.zeros(bg.n, dtype=np.int64)
         for r in np.flatnonzero(np.diff(bounds[: limit + 1])).tolist():
-            lo, hi = rank_bounds[r], rank_bounds[r + 1]
-            rows = order[lo:hi]
+            rows = order[rank_bounds[r]:rank_bounds[r + 1]]
             # First free value; a row with every value taken picks 0
             # (bad guesses: garbage, the pruner's job).
-            value = taken[rows].argmin(axis=1)
-            colors[rows] = group[rows] * (delta + 1) + value
-            # Each slot's sender as its position in this rank's slice.
-            a, b = slot_bounds[r], slot_bounds[r + 1]
-            k = plan_k[a:b] - lo
-            src, dst, sent = rows[k], plan_dst[a:b], value[k]
+            chosen[rows] = taken[rows].argmin(axis=1)
+            a, b = slots[r], slots[r + 1]
+            sent = chosen[src[a:b]]
             if r == group_size - 1:
-                carry = src, dst, sent, group
+                carry = src[a:b], dst[a:b], sent, group
             else:
-                # Only same-group neighbours still to announce read it;
-                # the phase's taken rows are dropped at its end.
-                keep = (group[dst] == group[src]) & (rank[dst] > r)
-                taken[dst[keep], sent[keep]] = True
+                # The phase's taken rows are dropped at its end.
+                flat[dst[a:b] * width + sent] = True
+        np.copyto(colors, group * (delta + 1) + chosen, where=rank < limit)
         return carry
 
 

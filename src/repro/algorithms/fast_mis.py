@@ -92,7 +92,7 @@ class MISBatchKernel(ColoringBatchKernel):
         ``s`` decides at round ``end + s``, within ``cap``."""
         bg = self.bg
         slots = self.colors + 1  # colors are 0-based, slots 1-based
-        order = np.argsort(slots, kind="stable")
+        order = np.argsort(slots)  # order within a slot is free
         ranked = slots[order]
         bounds = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), bg.n]
         in_mis = np.zeros(bg.n, dtype=bool)

@@ -170,9 +170,10 @@ def _line_graph_relays(n, offsets, neigh, owner, edge_keys):
     hosted at ``p`` and ``q``; when ``p`` and ``q`` are not adjacent the
     pair relays through its common neighbour of smallest identity.  The
     2-paths ``p - r - q`` (``p < q``) are enumerated in ``r`` order, so
-    the first path per host pair names its relay.  Returns ``(relays,
-    clients)``: the CSR indices of every relay and each client host it
-    serves, in slot order.
+    the first path per host pair names its relay; sorts find it, not
+    ``np.unique`` (DESIGN.md D41).  Returns ``(relays, clients)``: the
+    CSR indices of every relay and each client host it serves, in slot
+    order.
 
     The same rule picks the relay in
     :meth:`repro.local.virtual.VirtualSpec._build_routes`, which builds
@@ -187,18 +188,22 @@ def _line_graph_relays(n, offsets, neigh, owner, edge_keys):
         np.arange(len(first), dtype=np.int64)
         - np.repeat(np.cumsum(tail) - tail, tail)
     )
-    r = owner[first]
+    above = owner[first] > neigh[second]
     keys = neigh[first] * n + neigh[second]
-    at = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
-    apart = edge_keys[at] != keys
-    first, second, r, keys = first[apart], second[apart], r[apart], keys[apart]
-    _, lead, pair = np.unique(keys, return_index=True, return_inverse=True)
+    # Sorted needles keep the search for adjacent host pairs sequential.
+    order = np.argsort(keys)
+    grouped = keys[order]
+    at = np.minimum(np.searchsorted(edge_keys, grouped), len(edge_keys) - 1)
+    apart = edge_keys[at] != grouped
+    order, grouped = order[apart], grouped[apart]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))  # keys are >= 0
+    lead = np.minimum.reduceat(order, starts)
     # Pairs some 2-path through a node above both hosts makes relayed.
-    relayed = np.zeros(len(lead), dtype=bool)
-    relayed[pair[r > neigh[second]]] = True
+    relayed = np.logical_or.reduceat(above[order], starts)
     lead = lead[relayed]
     # A relay's slot towards a client names both: its row and its entry.
-    served = np.unique(np.concatenate((first[lead], second[lead])))
+    served = np.sort(np.concatenate((first[lead], second[lead])))
+    served = served[np.diff(served, prepend=-1) != 0]
     return owner[served], neigh[served]
 
 

@@ -452,13 +452,13 @@ class SimGraph:
 
         Incremental path: ``self.nodes`` and every adjacency row are
         already sorted by identity, and restriction preserves that order,
-        so survivor ports renumber by a rank scan in O(surviving-degree)
+        so survivor ports renumber in one numpy pass over the CSR mirror
         via :meth:`CompiledGraph.restrict <repro.local.engine.
         CompiledGraph.restrict>` — no re-sorting of identities, no global
         re-porting (the ``subgraph_rebuild`` reference path does the full
         sort-and-re-port rebuild and is kept as the executable
-        specification).  The child inherits a ready-made CSR, so an
-        alternation never recompiles surviving structure.
+        specification).  The child inherits a ready-made CSR and mirror,
+        so an alternation never recompiles surviving structure.
 
         Under the reference backend (``use_backend("reference")``) the
         rebuild path is used instead, keeping that backend a faithful
@@ -477,6 +477,8 @@ class SimGraph:
             )
         if len(keep_set) == len(self.nodes):
             return self
+        if not keep_set:  # an alternation's last step; restrict is O(n + m)
+            return SimGraph._build((), {}, {})
         return self.compiled().restrict(keep_set)
 
     def subgraph_rebuild(self, keep):

@@ -41,6 +41,7 @@ from repro.local import (
     use_backend,
 )
 from repro.local import virtual
+from repro.local.batch import BatchGraph
 from repro.problems import MIS, ColorList, SLCInput
 
 BACKENDS = ("reference", "compiled")
@@ -962,6 +963,84 @@ class TestIncrementalRestriction:
                 sub = domain.subgraph(keep)
                 outputs[backend] = sub.run_restricted(luby_mis(), 24, seed=29)
         assert outputs["reference"] == outputs["compiled"]
+
+
+def assert_restricts_like_rebuild(graph, keep):
+    """The array ``restrict`` equals ``subgraph_rebuild``: labels,
+    identities, adjacency, every CSR list (Python ints) and the mirror
+    the child arrives with."""
+    child = graph.compiled().restrict(frozenset(keep))
+    want = graph.subgraph_rebuild(keep)
+    assert child.nodes == want.nodes
+    assert child.ident == want.ident
+    assert child.adj == want.adj
+    got, ref = child._compiled, want.compiled()
+    assert got.graph is child and got.index == ref.index
+    for field in ("idents", "offsets", "neigh", "rev", "degrees"):
+        values = getattr(got, field)
+        assert values == getattr(ref, field), field
+        assert all(type(v) is int for v in values), field
+    mirror = got._batch
+    assert mirror is not None  # attached, so batch_graph_of converts nothing
+    fresh = BatchGraph(ref.labels, ref.idents, ref.offsets, ref.neigh)
+    for field in ("offsets", "neigh", "owner", "degrees"):
+        assert np.array_equal(getattr(mirror, field), getattr(fresh, field))
+        assert getattr(mirror, field).dtype == np.int64, field
+    assert mirror.labels == child.nodes and mirror.n == child.n
+    return child
+
+
+class TestArrayRestrictCorners:
+    """Corner cases of the one-pass numpy ``CompiledGraph.restrict``."""
+
+    def test_empty_keep_set(self, medium_gnp):
+        child = assert_restricts_like_rebuild(medium_gnp, ())
+        assert child.n == 0 and child.compiled().offsets == [0]
+        # subgraph answers an empty keep set without the array pass.
+        empty, want = medium_gnp.subgraph(()), medium_gnp.subgraph_rebuild(())
+        assert (empty.nodes, empty.ident, empty.adj) == ((), {}, {})
+        assert (want.nodes, want.ident, want.adj) == ((), {}, {})
+        assert empty.compiled().offsets == want.compiled().offsets == [0]
+
+    def test_full_keep_set(self, medium_gnp):
+        assert_restricts_like_rebuild(medium_gnp, medium_gnp.nodes)
+
+    def test_single_node(self, medium_gnp):
+        hub = max(medium_gnp.nodes, key=medium_gnp.degree)
+        child = assert_restricts_like_rebuild(medium_gnp, [hub])
+        assert child.compiled().degrees == [0]
+
+    def test_edgeless_graph(self):
+        graph = SimGraph.from_networkx(nx.empty_graph(12))
+        assert_restricts_like_rebuild(graph, list(graph.nodes)[::2])
+        assert_restricts_like_rebuild(graph, ())
+
+    def test_survivors_whose_neighbours_all_leave(self, medium_gnp):
+        # A maximal independent set keeps no edge at all, and a star's
+        # leaves lose their only neighbour.
+        independent = nx.maximal_independent_set(
+            medium_gnp.to_networkx(), seed=4
+        )
+        child = assert_restricts_like_rebuild(medium_gnp, independent)
+        assert child.edge_count() == 0
+        star = SimGraph.from_networkx(nx.star_graph(6))
+        leaves = [u for u in star.nodes if star.degree(u) == 1]
+        assert_restricts_like_rebuild(star, leaves[:4])
+
+    def test_chained_restriction_of_a_child(self, medium_gnp):
+        graph = medium_gnp
+        for stride in (2, 3, 2):
+            graph = assert_restricts_like_rebuild(
+                graph, list(graph.nodes)[::stride]
+            )
+
+    def test_parent_whose_mirror_is_not_built(self, medium_gnp):
+        # A dict-born copy compiles its CSR from ``adj`` and has no mirror
+        # until ``restrict`` asks for one.
+        parent = SimGraph(medium_gnp.nodes, medium_gnp.ident, medium_gnp.adj)
+        assert parent.compiled()._batch is None
+        assert_restricts_like_rebuild(parent, list(parent.nodes)[1::3])
+        assert parent.compiled()._batch is not None
 
 
 class TestCounterRNG:
