@@ -637,6 +637,22 @@ def _same_graph(a, b):
             numpy.array_equal(getattr(mirror, field), getattr(fresh, field))
             for field in ("offsets", "neigh", "owner", "degrees")
         )
+        and (mirror.rev is None or mirror.rev.tolist() == cb.rev)
+    )
+
+
+def _same_line_graph(a, b):
+    """Two line-graph specs agree on everything the batched virtual
+    driver reads: batch graph, host index, relays and dilation."""
+    x, y = a._batch, b._batch
+    return (
+        list(x.labels) == list(y.labels)
+        and x.idents == y.idents
+        and numpy.array_equal(x.offsets, y.offsets)
+        and numpy.array_equal(x.neigh, y.neigh)
+        and numpy.array_equal(a.host_index, b.host_index)
+        and all(numpy.array_equal(p, q) for p, q in zip(a.relays, b.relays))
+        and a.dilation == b.dilation
     )
 
 
@@ -648,7 +664,8 @@ def check_bit_identity(n=120):
     family, lockstep schedules cut by their cap included — plus fused
     lanes, whole alternations (the matching row's on
     the line-graph virtual domain among them), the restrictions of one
-    alternation against their rebuilds, and live sessions.
+    alternation and their derived line graphs against their rebuilds,
+    and live sessions.
     """
     graph = build_graph(WORKLOADS["gnp-sparse"](n, seed=8), seed=8)
     guesses = {"m": graph.max_ident, "Delta": graph.max_degree}
@@ -818,11 +835,23 @@ def check_bit_identity(n=120):
         SimGraph.subgraph = subgraph
     if not keeps:
         return False
-    inc = ref = graph
-    for keep in keeps:
-        inc, ref = inc.subgraph(keep), ref.subgraph_rebuild(keep)
-        if not _same_graph(inc, ref):
-            return False
+    # Each child of the chain derives its line graph from its parent's
+    # (D42); it must equal a fresh build on the rebuilt graph.  A second
+    # chain drops only the largest identity, which re-encodes every
+    # virtual identity.
+    derived = 0
+    for chain in (keeps, [frozenset(graph.nodes[:-1])]):
+        line_graph_spec(graph)
+        inc = ref = graph
+        for keep in chain:
+            inc, ref = inc.subgraph(keep), ref.subgraph_rebuild(keep)
+            if not _same_graph(inc, ref):
+                return False
+            derived += inc.compiled()._line_from is not None
+            if not _same_line_graph(line_graph_spec(inc), line_graph_spec(ref)):
+                return False
+    if derived < 2:
+        return False
     # Virtual-domain identity: the matching row's uniform run drives
     # fast MIS on the line graph (array-built spec, lazy routing plans)
     # through the batched virtual driver or the host processes; every

@@ -21,11 +21,13 @@ the row ("n or Δ").
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.bounds import AdditiveBound, custom
 from ..core.domain import VIRTUAL_OVERHEAD, VirtualDomain
 from ..core.transformer import NonUniform
 from ..errors import InvalidInstanceError
-from ..graphs.transforms import line_graph_spec
+from ..graphs.transforms import line_graph_ends, line_graph_spec
 from ..local.algorithm import HostAlgorithm
 from .fast_mis import fast_mis, fast_mis_bound
 from .linial import linial_steps_upper
@@ -68,15 +70,16 @@ class LineMISMatching(HostAlgorithm):
                 "line-graph matching runs on physical domains"
             )
         graph = domain.graph
-        outputs = {u: ("U", graph.ident[u]) for u in graph.nodes}
+        cg = graph.compiled()
+        outputs = [("U", ident) for ident in cg.idents]
         spec = line_graph_spec(graph)
         if not spec.virtual_nodes:
-            return outputs, budget
+            return dict(zip(cg.labels, outputs)), budget
         line_domain = VirtualDomain(graph, spec)
         virtual_budget = max(
             1, (budget - VIRTUAL_OVERHEAD) // spec.dilation
         )
-        mis_outputs, _ = line_domain.run_restricted(
+        mis, _ = line_domain.run_restricted_values(
             fast_mis(),
             virtual_budget,
             inputs=None,
@@ -85,25 +88,17 @@ class LineMISMatching(HostAlgorithm):
             salt=f"{salt}|line",
             default_output=0,
         )
-        partner = {}
-        conflicted = set()
-        for virt, value in mis_outputs.items():
-            if value != 1:
-                continue
-            u, v = virt
-            for endpoint in (u, v):
-                if endpoint in partner:
-                    conflicted.add(endpoint)
-            partner.setdefault(u, v)
-            partner.setdefault(v, u)
-        for u, v in partner.items():
-            if u in conflicted or v in conflicted:
-                continue  # garbage under bad guesses: leave unmatched
-            if partner.get(v) != u:
-                continue
-            a, b = sorted((graph.ident[u], graph.ident[v]))
-            outputs[u] = ("M", a, b)
-        return outputs, budget
+        # The chosen edges whose ends no other chosen edge touches; an
+        # end shared by two is garbage under bad guesses: unmatched.
+        lower, upper = line_graph_ends(graph)
+        chosen = np.flatnonzero(mis == 1)
+        a, b = lower[chosen], upper[chosen]
+        hits = np.bincount(np.concatenate((a, b)), minlength=cg.n)
+        alone = (hits[a] == 1) & (hits[b] == 1)
+        idents = cg.idents
+        for u, v in zip(a[alone].tolist(), b[alone].tolist()):
+            outputs[u] = outputs[v] = ("M", idents[u], idents[v])
+        return dict(zip(cg.labels, outputs)), budget
 
 
 def line_mis_matching():

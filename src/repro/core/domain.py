@@ -31,14 +31,17 @@ work), not O(steps · n log n).
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..local.batch import batch_graph_of_spec
 from ..local.execution import current, resolve
 from ..local.graph import SimGraph
 from ..local.runner import execute, round_cap
 from ..local.virtual import (
     VirtualSpec,
     flatten_outputs,
-    run_virtual_batch,
     run_virtual_batch_full,
+    run_virtual_batch_values,
     virtualize,
 )
 
@@ -219,7 +222,12 @@ class VirtualDomain(Domain):
     def neighbors(self, u):
         return self.spec.adj[u]
 
-    def run_restricted(
+    def run_restricted(self, algorithm, budget, **kwargs):
+        values, charged = self.run_restricted_values(algorithm, budget, **kwargs)
+        labels = batch_graph_of_spec(self.spec).labels
+        return dict(zip(labels, values.tolist())), charged
+
+    def run_restricted_values(
         self,
         algorithm,
         budget,
@@ -231,6 +239,8 @@ class VirtualDomain(Domain):
         default_output=0,
         backend=None,
     ):
+        """:meth:`run_restricted` with the outputs as an array in the
+        order of the spec's ``BatchGraph`` (virtual identity order)."""
         execution = resolve(backend)
         physical_budget = budget * self.spec.dilation + VIRTUAL_OVERHEAD
         if execution.backend == "compiled":
@@ -238,7 +248,7 @@ class VirtualDomain(Domain):
             # itself and the host commit protocol is replayed from the
             # spec's routing tables — bit-identical domain outputs with
             # no per-virtual-node host simulation (DESIGN.md D10).
-            outputs = run_virtual_batch(
+            values = run_virtual_batch_values(
                 self.spec,
                 algorithm,
                 self.physical,
@@ -249,8 +259,8 @@ class VirtualDomain(Domain):
                 salt=salt,
                 default_output=default_output,
             )
-            if outputs is not None:
-                return outputs, physical_budget
+            if values is not None:
+                return values, physical_budget
         wrapped = virtualize(self.spec, algorithm, virt_inputs=inputs or {})
         result = execute(
             self.physical,
@@ -265,10 +275,16 @@ class VirtualDomain(Domain):
         outputs = flatten_outputs(
             self.spec, result.outputs, default=default_output
         )
-        for virt, value in outputs.items():
-            if value is None:
-                outputs[virt] = default_output
-        return outputs, physical_budget
+        labels = batch_graph_of_spec(self.spec).labels
+        values = np.fromiter(
+            (
+                default_output if outputs[virt] is None else outputs[virt]
+                for virt in labels
+            ),
+            dtype=object,
+            count=len(labels),
+        )
+        return values, physical_budget
 
     def run_full(
         self,

@@ -15,6 +15,13 @@ instances so the algorithms execute on the physical network through the
 virtual-node layer.  Virtual identities are injective integer encodings
 of (physical identity, index) pairs, keeping the identity space
 polynomial in the physical one (assumption D8).
+
+``L(G)`` is built as arrays once per graph and memoised on its
+``CompiledGraph``.  Theorem 1's alternation restricts ``G`` step by
+step, and ``L(G[S])`` is ``L(G)`` induced on the edges inside ``S``, so
+a restricted child derives its line graph from its parent's arrays: one
+restriction pass over the parent's line CSR and one mask over its
+2-path table, which carries the relays (DESIGN.md D42).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidInstanceError
-from ..local.batch import BatchGraph, batch_graph_of
+from ..local.batch import BatchGraph, batch_graph_of, rev_of
 from ..local.virtual import VirtualSpec
 
 
@@ -113,11 +120,83 @@ def line_graph_spec(graph):
     ``BatchGraph``, the host index, the dilation and the relay pairs,
     which is all the batched virtual driver reads.  The dict views and
     the host-process routing plans are built on first read.
+
+    Memoised on the graph's ``CompiledGraph``, so the calls on one graph
+    share one spec.  A graph restricted from one whose line graph exists
+    derives its own from the parent's arrays instead of building it,
+    and takes over the parent's memo (DESIGN.md D42); the build is the
+    path for every other graph, and the one the derivation is tested
+    against.
     """
-    cg = graph.compiled()
+    return _line_graph(graph.compiled()).spec
+
+
+def line_graph_ends(graph):
+    """Both endpoints of every ``L(G)`` node, as physical CSR indices.
+
+    ``(lower, upper)`` arrays in the order of the spec's ``BatchGraph``;
+    ``lower`` is the spec's host index.
+    """
+    line = _line_graph(graph.compiled())
+    return line.spec.host_index, line.upper
+
+
+class _LineGraph:
+    """``L(G)`` of one ``CompiledGraph``, with what a child derives from.
+
+    ``upper`` is each virtual node's upper endpoint (the host index is
+    the lower one), ``big`` the identity base ``max_ident + 2`` its
+    virtual identities are encoded with, and ``table`` the 2-path table
+    of its relayed host pairs (see :func:`_relay_pairs`).
+    """
+
+    __slots__ = ("spec", "upper", "big", "table")
+
+    def __init__(self, graph, batch, ea, eb, big, relays, table):
+        self.spec = VirtualSpec._assemble(
+            physical=graph,
+            dilation=2 if len(relays[0]) else 1,
+            batch=batch,
+            host_index=ea,
+            relays=relays,
+        )
+        self.upper = eb
+        self.big = big
+        self.table = table
+
+
+def _line_graph(cg):
+    """The memoised ``L(G)`` of ``cg``, built or derived on first use.
+
+    A ``restrict`` child derives its own from the parent's, through the
+    link ``(parent's L(G), keep mask, slot count)``.  The derivation
+    then drops the link and the parent's memo, so no parent state
+    outlives it: an alternation never reads a parent's line graph
+    again, and one that does gets it built afresh.
+    """
+    line = cg._line
+    if line is None:
+        link, cg._line_from = cg._line_from, None
+        if link is None:
+            line = _build_line_graph(cg)
+        else:
+            line = _derive_line_graph(cg, *link)
+            link[0].spec.physical.compiled()._line = None
+        cg._line = line
+    return line
+
+
+def _edge_identities(idents, ea, eb, big):
+    """:func:`virtual_identity` of every edge ``(a, b)``, as a list."""
+    return [
+        idents[a] * big + idents[b] for a, b in zip(ea.tolist(), eb.tolist())
+    ]
+
+
+def _build_line_graph(cg):
+    """``L(G)`` from the physical CSR alone."""
     n = cg.n
     labels = cg.labels
-    idents = cg.idents
     physical = batch_graph_of(cg)
     offsets, neigh, owner = physical.offsets, physical.neigh, physical.owner
     degrees = physical.degrees
@@ -131,8 +210,7 @@ def line_graph_spec(graph):
     eid = np.empty(len(neigh), dtype=np.int64)
     eid[upper] = np.arange(m)
     lower = ~upper
-    rev = np.asarray(cg.rev, dtype=np.int64)
-    eid[lower] = eid[offsets[neigh[lower]] + rev[lower]]
+    eid[lower] = eid[offsets[neigh[lower]] + rev_of(cg)[lower]]
     # A CSR row lists a node's edges in virtual-identity order, so the
     # row of (a, b) is row(a) then row(b), minus (a, b) itself.
     seg_start = np.column_stack((offsets[ea], offsets[eb])).ravel()
@@ -146,34 +224,79 @@ def line_graph_spec(graph):
     vneigh = members[members != np.repeat(np.arange(m), vdeg)]
     voffsets = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(vdeg - 2, out=voffsets[1:])
-    relays = _line_graph_relays(n, offsets, neigh, owner, ea * n + eb)
-    encode = virtual_identity(graph)
-    pairs = list(zip(ea.tolist(), eb.tolist()))
-    return VirtualSpec._assemble(
-        physical=graph,
-        dilation=2 if len(relays[0]) else 1,
-        batch=BatchGraph(
-            [(labels[a], labels[b]) for a, b in pairs],
-            [encode(idents[a], idents[b]) for a, b in pairs],
+    relays, table = _line_graph_relays(n, offsets, neigh, owner, ea * n + eb)
+    big = cg.graph.max_ident + 2
+    return _LineGraph(
+        cg.graph,
+        BatchGraph(
+            [(labels[a], labels[b]) for a, b in zip(ea.tolist(), eb.tolist())],
+            _edge_identities(cg.idents, ea, eb, big),
             voffsets,
             vneigh,
         ),
-        host_index=ea,
-        relays=relays,
+        ea,
+        eb,
+        big,
+        relays,
+        table,
+    )
+
+
+def _derive_line_graph(cg, parent, alive, count):
+    """``L(G[S])`` from ``L(G)``: one restriction pass, one table mask.
+
+    ``alive`` is the parent's keep mask and ``count`` the restriction's
+    cumulative count of kept physical slots (``count[k]`` is the child
+    slot of kept slot ``k``).  An edge survives when both its ends do,
+    and restriction keeps identity order, so ``L(G)``'s induced CSR is
+    ``L(G[S])`` with rows, ports and edge ids in order.  The 2-path
+    table keeps a row when both its slots survive, which keeps its key
+    order too.  Identities are re-encoded only when the largest physical
+    identity left.
+    """
+    line = parent.spec._batch
+    ea, eb = parent.spec.host_index, parent.upper
+    survivors, _, _, offsets, neigh = line.induced(alive[ea] & alive[eb])
+    renumber = np.cumsum(alive) - 1
+    ea, eb = renumber[ea[survivors]], renumber[eb[survivors]]
+    rows = survivors.tolist()
+    big = cg.idents[-1] + 2 if cg.n else parent.big
+    if big == parent.big:
+        idents = [line.idents[i] for i in rows]
+    else:
+        idents = _edge_identities(cg.idents, ea, eb, big)
+    first, second, key, above = parent.table
+    live = (count[first + 1] > count[first]) & (count[second + 1] > count[second])
+    physical = batch_graph_of(cg)
+    relays, table = _relay_pairs(
+        physical.owner,
+        physical.neigh,
+        count[first[live]],
+        count[second[live]],
+        key[live],
+        above[live],
+    )
+    return _LineGraph(
+        cg.graph,
+        BatchGraph([line.labels[i] for i in rows], idents, offsets, neigh),
+        ea,
+        eb,
+        big,
+        relays,
+        table,
     )
 
 
 def _line_graph_relays(n, offsets, neigh, owner, edge_keys):
-    """Relay pairs of ``L(G)``, from 2-path arrays.
+    """Relay pairs of ``L(G)`` and its 2-path table, from the CSR.
 
     Edges ``(p, x)`` and ``(q, x)`` with ``x`` above both hosts are
     hosted at ``p`` and ``q``; when ``p`` and ``q`` are not adjacent the
     pair relays through its common neighbour of smallest identity.  The
-    2-paths ``p - r - q`` (``p < q``) are enumerated in ``r`` order, so
-    the first path per host pair names its relay; sorts find it, not
-    ``np.unique`` (DESIGN.md D41).  Returns ``(relays, clients)``: the
-    CSR indices of every relay and each client host it serves, in slot
-    order.
+    2-paths ``p - r - q`` (``p < q``) are enumerated in ``r`` order and
+    sorted by host pair; the pairs that are edges drop out by a
+    sequential search of the sorted keys, and :func:`_relay_pairs` does
+    the rest.  Sorts group them, not ``np.unique`` (DESIGN.md D41).
 
     The same rule picks the relay in
     :meth:`repro.local.virtual.VirtualSpec._build_routes`, which builds
@@ -188,23 +311,55 @@ def _line_graph_relays(n, offsets, neigh, owner, edge_keys):
         np.arange(len(first), dtype=np.int64)
         - np.repeat(np.cumsum(tail) - tail, tail)
     )
-    above = owner[first] > neigh[second]
     keys = neigh[first] * n + neigh[second]
-    # Sorted needles keep the search for adjacent host pairs sequential.
     order = np.argsort(keys)
     grouped = keys[order]
     at = np.minimum(np.searchsorted(edge_keys, grouped), len(edge_keys) - 1)
     apart = edge_keys[at] != grouped
-    order, grouped = order[apart], grouped[apart]
-    starts = np.flatnonzero(np.diff(grouped, prepend=-1))  # keys are >= 0
-    lead = np.minimum.reduceat(order, starts)
-    # Pairs some 2-path through a node above both hosts makes relayed.
-    relayed = np.logical_or.reduceat(above[order], starts)
-    lead = lead[relayed]
+    order = order[apart]
+    return _relay_pairs(
+        owner,
+        neigh,
+        first[order],
+        second[order],
+        grouped[apart],
+        owner[first[order]] > neigh[second[order]],
+    )
+
+
+def _relay_pairs(owner, neigh, first, second, key, above):
+    """Relay pairs from a 2-path table; also the table cut to them.
+
+    Row ``i`` is a 2-path ``p - r - q`` between non-adjacent hosts
+    ``p < q``: ``first[i]`` and ``second[i]`` are ``r``'s slots towards
+    ``p`` and ``q``, ``key[i]`` names the pair (rows of one pair are
+    adjacent, pairs in ascending key order) and ``above[i]`` says
+    ``r > q``.  A pair relays when one of its 2-paths runs through a
+    node above both hosts, and then through the 2-path of smallest
+    ``r``, which has the smallest slots (rows ascend with ``r``).
+    Returns ``((relays, clients), table)``: the CSR indices of every
+    relay and each client host it serves, in slot order, and the rows
+    of the pairs that relay — the only ones a restriction can still
+    make relay.
+    """
+    if not len(key):
+        empty = np.zeros(0, dtype=np.int64)
+        return (empty, empty), (first, second, key, above)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+    lens = np.diff(starts, append=len(key))
+    relayed = np.logical_or.reduceat(above, starts)
+    kept = np.repeat(relayed, lens)
+    first, second, key, above = first[kept], second[kept], key[kept], above[kept]
+    lens = lens[relayed]
+    # A slot pair packs into one int64 (slots squared stay below 2^63).
+    width = len(neigh)
+    lead = np.minimum.reduceat(first * width + second, np.cumsum(lens) - lens)
     # A relay's slot towards a client names both: its row and its entry.
-    served = np.sort(np.concatenate((first[lead], second[lead])))
-    served = served[np.diff(served, prepend=-1) != 0]
-    return owner[served], neigh[served]
+    served = np.zeros(width, dtype=bool)
+    for slots in np.divmod(lead, width):
+        served[slots] = True
+    served = np.flatnonzero(served)
+    return (owner[served], neigh[served]), (first, second, key, above)
 
 
 def line_graph_max_degree(graph):

@@ -116,13 +116,19 @@ class CounterDraws:
 
 
 class BatchGraph:
-    """Numpy CSR mirror plus label/identity views, in identity order."""
+    """Numpy CSR mirror plus label/identity views, in identity order.
+
+    ``rev`` holds a physical mirror's reverse ports as an array once
+    something has read them (:func:`rev_of`); it stays ``None`` on
+    virtual and fused graphs, which have no port numbering of their own.
+    """
 
     __slots__ = (
-        "labels", "idents", "n", "offsets", "neigh", "owner", "degrees", "_mix",
+        "labels", "idents", "n", "offsets", "neigh", "owner", "degrees",
+        "rev", "_mix",
     )
 
-    def __init__(self, labels, idents, offsets, neigh):
+    def __init__(self, labels, idents, offsets, neigh, rev=None):
         self.labels = labels
         self.idents = idents  # Python ints: may exceed 64 bits
         self.n = len(labels)
@@ -130,6 +136,7 @@ class BatchGraph:
         self.neigh = np.asarray(neigh, dtype=np.int64)
         self.degrees = self.offsets[1:] - self.offsets[:-1]
         self.owner = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        self.rev = rev
         self._mix = None
 
     def ident_mix(self):
@@ -144,6 +151,27 @@ class BatchGraph:
         when identities are unique — always, in one graph (a fused slab,
         whose lanes may share identities, overrides this)."""
         return None
+
+    def induced(self, alive):
+        """The CSR induced on the rows where the bool mask ``alive`` holds.
+
+        One pass, O(n + m) in C.  Index order is kept, so rows, ports and
+        slots keep their relative order.  A slot is kept when both its
+        ends survive, and the zero-padded cumulative count of kept slots
+        gives its new position: a dead row keeps no slot, so a
+        survivor's row starts where its old row did, counted in kept
+        slots.  Returns ``(survivors, count, slots, offsets, neigh)``:
+        the surviving rows, that count (``count[k]`` is the new position
+        of kept slot ``k``), the kept slots, and the induced CSR.
+        """
+        kept = np.repeat(alive, self.degrees) & alive[self.neigh]
+        count = np.zeros(len(self.neigh) + 1, dtype=np.int64)
+        np.cumsum(kept, out=count[1:])
+        survivors = np.flatnonzero(alive)
+        offsets = count[self.offsets[np.append(survivors, self.n)]]
+        slots = np.flatnonzero(kept)
+        neigh = (np.cumsum(alive) - 1)[self.neigh[slots]]
+        return survivors, count, slots, offsets, neigh
 
     def row_slots(self, rows):
         """Every CSR slot of ``rows``, row by row, in O(Σ their degree).
@@ -178,6 +206,19 @@ def batch_graph_of(cg):
     if bg is None:
         bg = cg._batch = BatchGraph(cg.labels, cg.idents, cg.offsets, cg.neigh)
     return bg
+
+
+def rev_of(cg):
+    """The reverse ports of ``cg`` as an int64 array, kept on its mirror.
+
+    Converted from the list once per graph; a restricted child's mirror
+    arrives with its array (:meth:`~repro.local.engine.CompiledGraph.
+    restrict`).
+    """
+    bg = batch_graph_of(cg)
+    if bg.rev is None:
+        bg.rev = np.asarray(cg.rev, dtype=np.int64)
+    return bg.rev
 
 
 def splice_batch_graph(bg, cg, runs, rebuilt, new_of):
@@ -215,6 +256,7 @@ def splice_batch_graph(bg, cg, runs, rebuilt, new_of):
         neigh[lo:hi] = cg.neigh[lo:hi]
         owner[lo:hi] = j
     out.degrees = new_offsets[1:] - new_offsets[:-1]
+    out.rev = None  # a splice renumbers ports into rebuilt rows
     out._mix = bg._mix if new_of is None else None
     return out
 
@@ -395,10 +437,10 @@ def fold_commits(events, n, undone, fill, fill_round):
     result for every index or a list/array aligned with ``indices``.
     Each index lies in exactly one commit or in ``undone``, which gets
     ``fill`` at round ``fill_round``.  Returns ``(round_of, values)``:
-    the int64 finish rounds and the Python list of results, both in
-    index order.  Results stay in an int64 array when every one of
-    them is an int (the common case); object dtype is kept for anything
-    else, a non-int ``fill`` for stragglers included.
+    the int64 finish rounds and the results, both arrays in index
+    order.  Results stay in an int64 array when every one of them is an
+    int (the common case); object dtype is kept for anything else, a
+    non-int ``fill`` for stragglers included.
     """
     round_of = np.zeros(n, dtype=np.int64)
     ints = all(_is_int64(value) for _, _, value in events) and (
@@ -414,7 +456,7 @@ def fold_commits(events, n, undone, fill, fill_round):
     if len(undone):
         round_of[undone] = fill_round
         value_of[undone] = wrap(fill)
-    return round_of, value_of.tolist()
+    return round_of, value_of
 
 
 def settle(
@@ -437,11 +479,10 @@ def settle(
     round_of, values = fold_commits(
         events, len(labels), undone, default_output, cap
     )
-    rounds = round_of.tolist()
     return result_cls(
-        dict(zip(labels, values)),
-        dict(zip(labels, rounds)),
-        max(rounds, default=0) if kernel.done else cap,
+        dict(zip(labels, values.tolist())),
+        dict(zip(labels, round_of.tolist())),
+        int(round_of.max(initial=0)) if kernel.done else cap,
         messages,
         frozenset(labels[i] for i in undone),
         None,

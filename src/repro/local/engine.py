@@ -36,7 +36,9 @@ inherited (identity order is preserved by restriction, so nothing
 re-sorts) and ports renumber through a cumulative count of the kept
 slots.  The child ``SimGraph`` is created with its ``CompiledGraph`` and
 mirror already attached, so an alternation ``B_i = (A_i ; P)`` never
-recompiles surviving structure.
+recompiles surviving structure.  A parent that has its line graph hands
+the child its keep mask, from which the child's line graph is derived
+instead of built (:func:`repro.graphs.line_graph_spec`, DESIGN.md D42).
 
 Backend selection
 -----------------
@@ -58,6 +60,7 @@ from .batch import (
     batch_graph_of,
     drive_kernel,
     make_engine_kernel,
+    rev_of,
     settle,
     splice_batch_graph,
 )
@@ -77,6 +80,11 @@ class CompiledGraph:
         "neigh",
         "rev",
         "_batch",
+        # L(G), memoised by repro.graphs.transforms.line_graph_spec, and
+        # (parent's L(G), keep mask, slot count) until it is derived
+        # from the parent's (DESIGN.md D42).
+        "_line",
+        "_line_from",
         # Weak-referenceable so the fused engine's slab cache (D16) can
         # evict block-diagonal slabs when a member graph is collected.
         "__weakref__",
@@ -108,6 +116,7 @@ class CompiledGraph:
         ]
         #: Lazily built numpy mirror (repro.local.batch.BatchGraph).
         self._batch = None
+        self._line = self._line_from = None
 
     @classmethod
     def _attach(cls, graph, index, idents, offsets, neigh, rev, degrees):
@@ -128,37 +137,31 @@ class CompiledGraph:
         cg.rev = rev
         cg.degrees = degrees
         cg._batch = None
+        cg._line = cg._line_from = None
         graph._compiled = cg
         return cg
 
     def restrict(self, keep_set):
         """Induced ``SimGraph`` on ``keep_set`` with an attached CSR.
 
-        One numpy pass over this graph's mirror, O(n + m) in C; index
-        order is identity order, so nothing re-sorts.  A slot is kept
-        when both its ends survive, and the zero-padded cumulative count
-        of kept slots gives its new position: a port is that position
-        minus its row's start, and the reverse port is the port of the
-        twin slot ``offsets[v] + rev[k]``.  The child's lists come by
-        ``tolist()`` and its mirror from the same arrays.
+        One numpy pass over this graph's mirror, O(n + m) in C
+        (:meth:`BatchGraph.induced <repro.local.batch.BatchGraph.
+        induced>`); index order is identity order, so nothing re-sorts.
+        A port is a kept slot's new position minus its row's start, and
+        the reverse port is the port of the twin slot
+        ``offsets[v] + rev[k]``.  The child's lists come by ``tolist()``
+        and its mirror, reverse ports included, from the same arrays.
+        When this graph has its line graph, the child is handed the keep
+        mask and the slot count to derive its own from it (DESIGN.md
+        D42).
         """
         from .graph import SimGraph
 
         bg = batch_graph_of(self)
-        offsets, neigh = bg.offsets, bg.neigh
         alive = np.zeros(self.n, dtype=bool)
         alive[[self.index[u] for u in keep_set]] = True
-        survivors = np.flatnonzero(alive)
-        kept = np.repeat(alive, bg.degrees) & alive[neigh]
-        count = np.zeros(len(neigh) + 1, dtype=np.int64)
-        np.cumsum(kept, out=count[1:])
-        # A dead row keeps no slot, so a survivor's row starts where its
-        # parent row did, counted in kept slots.
-        new_offsets = count[offsets[np.append(survivors, self.n)]]
-        slots = np.flatnonzero(kept)
-        nb = neigh[slots]
-        new_neigh = (np.cumsum(alive) - 1)[nb]
-        twin = offsets[nb] + np.asarray(self.rev, dtype=np.int64)[slots]
+        survivors, count, slots, new_offsets, new_neigh = bg.induced(alive)
+        twin = bg.offsets[bg.neigh[slots]] + rev_of(self)[slots]
         new_rev = count[twin] - new_offsets[new_neigh]
         labels, idents = self.labels, self.idents
         rows = survivors.tolist()
@@ -168,7 +171,7 @@ class CompiledGraph:
         # the attached CSR — instances that only ever run compiled (or
         # get pruned away) never build it.
         child = SimGraph._from_csr(new_labels, dict(zip(new_labels, new_idents)))
-        CompiledGraph._attach(
+        cg = CompiledGraph._attach(
             child,
             dict(zip(new_labels, range(len(rows)))),
             new_idents,
@@ -176,7 +179,12 @@ class CompiledGraph:
             new_neigh.tolist(),
             new_rev.tolist(),
             np.diff(new_offsets).tolist(),
-        )._batch = BatchGraph(new_labels, new_idents, new_offsets, new_neigh)
+        )
+        cg._batch = BatchGraph(
+            new_labels, new_idents, new_offsets, new_neigh, new_rev
+        )
+        if self._line is not None:
+            cg._line_from = (self._line, alive, count)
         return child
 
     def apply_delta(self, delta):

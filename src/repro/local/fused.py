@@ -391,6 +391,7 @@ def _run_chunk(lanes, *, cap, truncating, default_output):
     bounds = bg.lane_bounds
     lane_rounds = np.maximum.reduceat(round_of, bounds[:-1]).tolist()
     rounds = round_of.tolist()
+    values = values.tolist()
     # Stragglers per lane: undone is ascending, so each lane's are one run.
     undone = np.asarray(undone, dtype=np.int64)
     cuts = np.searchsorted(undone, bounds).tolist()

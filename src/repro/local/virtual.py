@@ -28,7 +28,14 @@ on first read, because only the host process,
 :meth:`VirtualSpec.restricted`, the virtual domain's per-node accessors
 and the tests read them.  The validating dict constructor builds the
 views and the plans eagerly; a batched run derives its host index and
-relay pairs from the views once and caches them on the spec.
+relay pairs from the views once and caches them on the spec.  A line
+graph's spec is memoised per physical graph, and an alternation step's
+is derived from the previous step's arrays (DESIGN.md D42).
+
+A batched run returns its outputs as an array in ``BatchGraph`` order
+(:func:`run_virtual_batch_values`), which the matching row decodes on
+arrays; :func:`run_virtual_batch` and the domains' ``run_restricted``
+turn it into the ``virtual node -> output`` dict.
 
 Port-order contract: virtual ports follow the order of ``adj[v]``.  Any
 builder must produce the order a spec is tested against — for the line
@@ -70,6 +77,7 @@ from ..errors import InvalidInstanceError, NonTerminationError
 from .algorithm import LocalAlgorithm, NodeProcess, capabilities_of
 from .batch import (
     BatchSetup,
+    _is_int64,
     batch_graph_of_spec,
     drive_kernel,
     fold_commits,
@@ -521,19 +529,19 @@ def _drive_virtual(
 ):
     """Drive a virtual run's kernel within physical cap ``cap``.
 
-    The shared prologue of :func:`run_virtual_batch` and
+    The shared prologue of :func:`run_virtual_batch_values` and
     :func:`run_virtual_batch_full`.  Returns ``(bg, results, commit)``
-    — the virtual ``BatchGraph``, each bg index's result (``None``
-    until it finishes) and :func:`_host_commits`' commit array — or
-    ``None`` when the run is ineligible (empty spec, no batch
-    capability) or the factory declines.
+    — the virtual ``BatchGraph``, each bg index's result as an array
+    (:func:`~repro.local.batch.fold_commits`) and :func:`_host_commits`'
+    commit array — or ``None`` when the run is ineligible (empty spec,
+    no batch capability) or the factory declines.
 
     The drive is one :func:`~repro.local.batch.drive_kernel` call (D17,
     D30).  Virtual round ``k`` is engine round ``k-1`` and runs at
     physical round ``(k-1) * dilation``, so the drive gets the engine
     cap ``cap // dilation`` and its commits map back by ``+1``; the
-    nodes still running at the cap fold to result ``None`` at virtual
-    round 0.
+    nodes still running at the cap fold to virtual round 0, so their
+    hosts never commit and their result (0) is never read.
     """
     if not capabilities_of(algorithm).get("supports_batch"):
         return None
@@ -549,7 +557,7 @@ def _drive_virtual(
         return None
     events, _rounds, _messages = drive_kernel(kernel, cap // spec.dilation)
     undone = () if kernel.done else kernel.undone_indices()
-    round_of, results = fold_commits(events, bg.n, undone, None, -1)
+    round_of, results = fold_commits(events, bg.n, undone, 0, -1)
     note_stepping("rf")
     return bg, results, _host_commits(spec, physical, round_of + 1)
 
@@ -579,7 +587,7 @@ def _host_commits(spec, physical, finish):
     return commit
 
 
-def run_virtual_batch(
+def run_virtual_batch_values(
     spec,
     algorithm,
     physical,
@@ -597,7 +605,10 @@ def run_virtual_batch(
     realize the derived-graph execution on the network; its *observable*
     product at the domain level is the per-virtual-node output map.  When
     the inner algorithm registers a batch kernel, this driver produces
-    that map bit-identically without materializing a physical transcript:
+    that map bit-identically without materializing a physical transcript,
+    as an array of outputs in the order of the spec's ``BatchGraph``
+    (virtual identity order): int64 when every output and the default
+    are ints, else object.
 
     * the kernel runs directly on the virtual graph's CSR (node order =
       virtual identity order), with each virtual node's random stream
@@ -625,11 +636,26 @@ def run_virtual_batch(
         return None
     bg, results, commit = driven
     committed = commit[spec.host_index]
-    ready = ((committed >= 0) & (committed <= cap)).tolist()
-    return {
-        virt: default_output if not ok or value is None else value
-        for virt, ok, value in zip(bg.labels, ready, results)
-    }
+    ready = (committed >= 0) & (committed <= cap)
+    if results.dtype.kind == "i" and _is_int64(default_output):
+        return np.where(ready, results, default_output)
+    return np.fromiter(
+        (
+            default_output if not ok or value is None else value
+            for ok, value in zip(ready.tolist(), results.tolist())
+        ),
+        dtype=object,
+        count=bg.n,
+    )
+
+
+def run_virtual_batch(spec, algorithm, physical, **kwargs):
+    """:func:`run_virtual_batch_values` as a ``virtual node -> output``
+    dict; ``None`` = ineligible."""
+    values = run_virtual_batch_values(spec, algorithm, physical, **kwargs)
+    if values is None:
+        return None
+    return dict(zip(spec._batch.labels, values.tolist()))
 
 
 def run_virtual_batch_full(
@@ -673,7 +699,7 @@ def run_virtual_batch_full(
         raise NonTerminationError(
             f"virtual[{algorithm.name}]", cap, [labels[i] for i in overdue]
         )
-    return dict(zip(bg.labels, results)), int(commit.max(initial=0))
+    return dict(zip(bg.labels, results.tolist())), int(commit.max(initial=0))
 
 
 def flatten_outputs(spec, physical_outputs, *, default=None):

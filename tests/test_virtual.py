@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.algorithms.fast_mis import fast_mis
@@ -15,6 +16,7 @@ from repro.errors import InvalidInstanceError
 from repro.graphs import clique_product_spec, line_graph_spec
 from repro.graphs.transforms import line_graph_max_degree
 from repro.local import SimGraph, VirtualSpec, flatten_outputs, run, virtualize
+from repro.local.batch import batch_graph_of
 from repro.problems import MIS
 
 
@@ -227,6 +229,174 @@ class TestArrayLineGraphMatchesDictOracle:
         assert len(built) >= 2
         for spec in built:
             assert_unbuilt(spec)
+
+
+def array_fields(spec):
+    """What the batched virtual driver reads of a spec, as plain lists."""
+    bg = spec._batch
+    return {
+        "labels": list(bg.labels),
+        "idents": list(bg.idents),
+        "offsets": bg.offsets.tolist(),
+        "neigh": bg.neigh.tolist(),
+        "host_index": spec.host_index.tolist(),
+        "relays": [side.tolist() for side in spec.relays],
+        "dilation": spec.dilation,
+    }
+
+
+def derive_and_check(parent, keep):
+    """Restrict ``parent`` to ``keep`` and check the child's derived
+    ``L(G[S])`` against a fresh build on the rebuilt graph and against
+    the dict oracle; return the child."""
+    line_graph_spec(parent)
+    child = parent.compiled().restrict(frozenset(keep))
+    cg = child.compiled()
+    assert cg._line_from is not None
+    derived = line_graph_spec(child)
+    # The link and the parent's memo go once the child is derived.
+    assert cg._line_from is None
+    assert parent.compiled()._line is None
+    assert line_graph_spec(child) is derived
+    rebuilt = parent.subgraph_rebuild(keep)
+    assert array_fields(derived) == array_fields(line_graph_spec(rebuilt))
+    assert_unbuilt(derived)
+    assert spec_fields(derived) == spec_fields(dict_line_graph_spec(rebuilt))
+    mirror = batch_graph_of(cg)
+    assert mirror.rev is not None
+    assert np.array_equal(mirror.rev, np.asarray(cg.rev))
+    return child
+
+
+def chain_and_check(graph, seed, survive=0.8, depth=3):
+    rng = random.Random(seed)
+    for _ in range(depth):
+        keep = [u for u in graph.nodes if rng.random() < survive]
+        graph = derive_and_check(graph, keep)
+
+
+def line_sim(edges, idents):
+    return SimGraph.from_networkx(nx.Graph(edges), idents=idents)
+
+
+class TestDerivedLineGraph:
+    """``L(G[S])`` derived from ``L(G)``'s arrays equals a fresh build on
+    the rebuilt ``G[S]`` and the dict oracle (DESIGN.md D42)."""
+
+    @pytest.mark.parametrize("family", ["gnp-sparse", "tree", "regular-4", "grid"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_families_three_deep(self, family, seed):
+        graph = build_graph(WORKLOADS[family](120, seed=seed), seed=seed)
+        chain_and_check(graph, seed)
+
+    def test_graph_atlas_slice(self):
+        for number, graph in enumerate(nx.graph_atlas_g()[200:400]):
+            idents = permuted_idents(graph, number)
+            chain_and_check(
+                SimGraph.from_networkx(graph, idents=idents), number, 0.85
+            )
+
+    def test_max_identity_node_pruned_reencodes(self):
+        # Square p(1) - r1(3) - q(2) - r2(4) - p: dropping r2 lowers the
+        # largest identity, so every surviving virtual identity changes.
+        graph = line_sim([(0, 2), (2, 1), (1, 3), (3, 0)], {0: 1, 1: 2, 2: 3, 3: 4})
+        parent = line_graph_spec(graph)
+        child = derive_and_check(graph, [0, 1, 2])
+        got = line_graph_spec(child)._batch.idents
+        assert got == [1 * 5 + 3, 2 * 5 + 3]
+        assert not set(got) & set(parent._batch.idents)
+
+    def test_smallest_common_neighbour_pruned_moves_the_relay(self):
+        # p(1) and q(2) share r1(3) and r2(4), both above them: the pair
+        # relays through r1, and through r2 once r1 leaves.
+        graph = line_sim([(0, 2), (2, 1), (1, 3), (3, 0)], {0: 1, 1: 2, 2: 3, 3: 4})
+        assert line_graph_spec(graph).relays[0].tolist() == [2, 2]
+        child = derive_and_check(graph, [0, 1, 3])
+        spec = line_graph_spec(child)
+        assert spec.relays[0].tolist() == [2, 2]  # r2 is index 2 now
+        assert child.compiled().labels[2] == 3
+        assert spec.dilation == 2
+
+    def test_last_witness_above_pruned_drops_the_dilation(self):
+        # Square a(1) - b(2) - c(4) - d(3) - a: b and d relay through a,
+        # but only because c lies above both.  Without c the edges at a
+        # are both hosted at a, and nothing relays.
+        graph = line_sim([(0, 1), (1, 2), (2, 3), (3, 0)], {0: 1, 1: 2, 2: 4, 3: 3})
+        parent = line_graph_spec(graph)
+        assert parent.dilation == 2
+        assert parent.relays[0].tolist() == [0, 0]
+        child = derive_and_check(graph, [0, 1, 3])
+        spec = line_graph_spec(child)
+        assert spec.dilation == 1
+        assert len(spec.relays[0]) == 0
+
+    def test_empty_keep_set(self):
+        graph = build_graph(WORKLOADS["gnp-sparse"](60, seed=1), seed=1)
+        child = derive_and_check(graph, [])
+        assert line_graph_spec(child).virtual_nodes == ()
+
+    def test_every_node_kept_hits_the_memo(self):
+        graph = build_graph(WORKLOADS["gnp-sparse"](60, seed=1), seed=1)
+        spec = line_graph_spec(graph)
+        assert graph.subgraph(graph.nodes) is graph
+        assert line_graph_spec(graph.subgraph(list(graph.nodes))) is spec
+        derive_and_check(graph, graph.nodes)
+
+    def test_graph_without_a_line_graph_hands_no_link(self):
+        graph = build_graph(WORKLOADS["gnp-sparse"](60, seed=1), seed=1)
+        child = graph.compiled().restrict(frozenset(graph.nodes[::2]))
+        assert child.compiled()._line_from is None
+
+
+class TestOneLineGraphBuildPerRoot:
+    """The matching row builds ``L(G)`` from scratch once per graph;
+    every later step derives its line graph from the previous one."""
+
+    def count_paths(self, monkeypatch):
+        from repro.graphs import transforms
+
+        calls = {"build": [], "derive": []}
+        for name, key in (
+            ("_build_line_graph", "build"), ("_derive_line_graph", "derive")
+        ):
+            real = getattr(transforms, name)
+
+            def spy(*args, real=real, key=key):
+                line = real(*args)
+                calls[key].append(line.spec)
+                return line
+
+            monkeypatch.setattr(transforms, name, spy)
+        return calls
+
+    def run_row(self):
+        from repro.algorithms import TABLE1
+        from repro.bench.harness import measure_nonuniform
+
+        graph = build_graph(WORKLOADS["gnp-sparse"](120, seed=1), seed=1)
+        nonuniform, _, uniform = TABLE1["matching"].build()
+        measure_nonuniform(nonuniform, graph, seed=3)
+        result = uniform.run(graph, seed=3)
+        assert len(result.steps) >= 2
+        return graph
+
+    def test_box_and_uniform_run_build_once(self, monkeypatch):
+        calls = self.count_paths(monkeypatch)
+        graph = self.run_row()
+        assert len(calls["build"]) == 1
+        assert calls["build"][0].physical is graph
+        assert calls["derive"]
+        for spec in calls["build"] + calls["derive"]:
+            assert_unbuilt(spec)
+
+    def test_reference_backend_rebuilds(self, monkeypatch):
+        from repro.local import use_backend
+
+        calls = self.count_paths(monkeypatch)
+        with use_backend("reference"):
+            self.run_row()
+        assert calls["derive"] == []
+        assert len(calls["build"]) >= 2
 
 
 def assert_unbuilt(spec):
