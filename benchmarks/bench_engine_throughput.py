@@ -73,7 +73,7 @@ from repro.local import (  # noqa: E402
     use_backend,
     virtualize,
 )
-from repro.local.batch import BatchGraph, batch_graph_of  # noqa: E402
+from repro.local.batch import BatchGraph  # noqa: E402
 from repro.local.fused import LANE_WIDTH  # noqa: E402
 from repro.local.runner import last_stepping  # noqa: E402
 
@@ -618,26 +618,30 @@ def _same_run(a, b):
     )
 
 
+def _same_arrays(x, y, fields):
+    """``x`` and ``y`` hold equal int64 arrays under every name in
+    ``fields``."""
+    return all(
+        getattr(x, field).dtype == getattr(y, field).dtype == numpy.int64
+        and numpy.array_equal(getattr(x, field), getattr(y, field))
+        for field in fields
+    )
+
+
 def _same_graph(a, b):
-    """Two graphs agree on labels, identities, adjacency, every CSR list
-    and the numpy mirror (``a``'s attached one against one built from
-    ``b``'s lists)."""
+    """Two graphs agree on labels, identities, adjacency and every CSR
+    array of their ``CompiledGraph``; ``a``'s owners and degrees also
+    against a fresh ``BatchGraph`` of ``b``'s CSR."""
     ca, cb = a.compiled(), b.compiled()
-    mirror = batch_graph_of(ca)
     fresh = BatchGraph(cb.labels, cb.idents, cb.offsets, cb.neigh)
     return (
         a.nodes == b.nodes
         and a.ident == b.ident
         and a.adj == b.adj
-        and all(
-            getattr(ca, field) == getattr(cb, field)
-            for field in ("idents", "offsets", "neigh", "rev", "degrees")
-        )
-        and all(
-            numpy.array_equal(getattr(mirror, field), getattr(fresh, field))
-            for field in ("offsets", "neigh", "owner", "degrees")
-        )
-        and (mirror.rev is None or mirror.rev.tolist() == cb.rev)
+        and ca.labels == cb.labels
+        and ca.idents == cb.idents
+        and _same_arrays(ca, cb, ("offsets", "neigh", "rev", "degrees", "owner"))
+        and _same_arrays(ca, fresh, ("offsets", "neigh", "owner", "degrees"))
     )
 
 
@@ -648,8 +652,7 @@ def _same_line_graph(a, b):
     return (
         list(x.labels) == list(y.labels)
         and x.idents == y.idents
-        and numpy.array_equal(x.offsets, y.offsets)
-        and numpy.array_equal(x.neigh, y.neigh)
+        and _same_arrays(x, y, ("offsets", "neigh", "owner", "degrees"))
         and numpy.array_equal(a.host_index, b.host_index)
         and all(numpy.array_equal(p, q) for p, q in zip(a.relays, b.relays))
         and a.dilation == b.dilation
@@ -819,7 +822,7 @@ def check_bit_identity(n=120):
     # The keep sets of the matching row's uniform alternation, recorded
     # on the reference strategy (which rebuilds every subgraph), are
     # replayed as a chain through subgraph and subgraph_rebuild, and
-    # every child must match: CSR lists, mirror and adjacency.
+    # every child must match: every int64 CSR array and the adjacency.
     keeps = []
     subgraph = SimGraph.subgraph
 
@@ -916,7 +919,7 @@ def check_bit_identity(n=120):
     # session must equal a cold run on a from-scratch rebuild of the
     # mutated topology — per strategy and per fused lane.  The session
     # patches the CSR row slices incrementally, so this is the gate that
-    # the patch path stays bit-exact.
+    # the patch path stays bit-exact, arrays included.
     nodes = sorted(graph.nodes)
     truth = graph.to_networkx()
     gone = next(iter(truth.edges()))
@@ -952,6 +955,10 @@ def check_bit_identity(n=120):
             ))
     with open_session(graph) as session:
         session.mutate(delta)
+        # The spliced CSR itself, not only the runs that read it: a
+        # wrong reverse port changes no kernel run.
+        if not _same_graph(session.graph, oracle):
+            return False
         live_lanes = session.rerun_many(
             [(luby_mis(), {"seed": s}) for s in (3, 4)]
         )

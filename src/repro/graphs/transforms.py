@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidInstanceError
-from ..local.batch import BatchGraph, batch_graph_of, rev_of
+from ..local.batch import BatchGraph
 from ..local.virtual import VirtualSpec
 
 
@@ -197,9 +197,7 @@ def _build_line_graph(cg):
     """``L(G)`` from the physical CSR alone."""
     n = cg.n
     labels = cg.labels
-    physical = batch_graph_of(cg)
-    offsets, neigh, owner = physical.offsets, physical.neigh, physical.owner
-    degrees = physical.degrees
+    offsets, neigh, owner, degrees = cg.offsets, cg.neigh, cg.owner, cg.degrees
     # Edges (a, b), a < b, in slab order: lexicographic in CSR index,
     # which is identity order, so edge ids are virtual-identity order.
     upper = neigh > owner
@@ -210,7 +208,7 @@ def _build_line_graph(cg):
     eid = np.empty(len(neigh), dtype=np.int64)
     eid[upper] = np.arange(m)
     lower = ~upper
-    eid[lower] = eid[offsets[neigh[lower]] + rev_of(cg)[lower]]
+    eid[lower] = eid[offsets[neigh[lower]] + cg.rev[lower]]
     # A CSR row lists a node's edges in virtual-identity order, so the
     # row of (a, b) is row(a) then row(b), minus (a, b) itself.
     seg_start = np.column_stack((offsets[ea], offsets[eb])).ravel()
@@ -267,10 +265,9 @@ def _derive_line_graph(cg, parent, alive, count):
         idents = _edge_identities(cg.idents, ea, eb, big)
     first, second, key, above = parent.table
     live = (count[first + 1] > count[first]) & (count[second + 1] > count[second])
-    physical = batch_graph_of(cg)
     relays, table = _relay_pairs(
-        physical.owner,
-        physical.neigh,
+        cg.owner,
+        cg.neigh,
         count[first[live]],
         count[second[live]],
         key[live],

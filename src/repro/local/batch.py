@@ -11,11 +11,12 @@ frontier one data-parallel array job over the CSR layout.
 This module holds the backend-neutral plumbing of that path (DESIGN.md,
 D10: the batch-step contract):
 
-* :class:`BatchGraph` — numpy mirror of a CSR adjacency (offsets /
-  neighbour / owner slabs) plus the Python-level label and identity
-  views the kernels need for big-integer work.  Node order is identity
-  order, so kernels may tie-break on the node *index* wherever the
-  per-node machines tie-break on the identity.
+* :class:`BatchGraph` — a numpy CSR adjacency (offsets / neighbour /
+  owner slabs) plus the Python-level label and identity views the
+  kernels need for big-integer work; a physical graph's
+  :class:`~repro.local.engine.CompiledGraph` is one (DESIGN.md D43).
+  Node order is identity order, so kernels may tie-break on the node
+  *index* wherever the per-node machines tie-break on the identity.
 * :class:`BatchSetup` — the per-run context a kernel factory receives
   (inputs, guesses and a lazily-built draw source).
 * :class:`CounterDraws` — vectorized access to each node's private
@@ -116,10 +117,10 @@ class CounterDraws:
 
 
 class BatchGraph:
-    """Numpy CSR mirror plus label/identity views, in identity order.
+    """Numpy CSR plus label/identity views, in identity order.
 
-    ``rev`` holds a physical mirror's reverse ports as an array once
-    something has read them (:func:`rev_of`); it stays ``None`` on
+    ``rev`` holds a physical graph's reverse ports
+    (:class:`~repro.local.engine.CompiledGraph`); it is ``None`` on
     virtual and fused graphs, which have no port numbering of their own.
     """
 
@@ -201,72 +202,16 @@ class BatchGraph:
 
 
 def batch_graph_of(cg):
-    """The cached :class:`BatchGraph` mirror of a ``CompiledGraph``."""
-    bg = cg._batch
-    if bg is None:
-        bg = cg._batch = BatchGraph(cg.labels, cg.idents, cg.offsets, cg.neigh)
-    return bg
-
-
-def rev_of(cg):
-    """The reverse ports of ``cg`` as an int64 array, kept on its mirror.
-
-    Converted from the list once per graph; a restricted child's mirror
-    arrives with its array (:meth:`~repro.local.engine.CompiledGraph.
-    restrict`).
-    """
-    bg = batch_graph_of(cg)
-    if bg.rev is None:
-        bg.rev = np.asarray(cg.rev, dtype=np.int64)
-    return bg.rev
-
-
-def splice_batch_graph(bg, cg, runs, rebuilt, new_of):
-    """The mirror of ``cg``, spliced from its parent's mirror ``bg``.
-
-    :meth:`CompiledGraph.apply_delta <repro.local.engine.CompiledGraph.
-    apply_delta>` passes its plan: each ``(j, a, b)`` in ``runs`` says
-    parent rows ``a .. b-1`` became rows ``j ..`` of ``cg`` unchanged
-    (remapped through ``new_of`` when the node set changed), and every
-    row in ``rebuilt`` is read from ``cg``'s lists.  Runs copy as numpy
-    slices, so the long lists are never converted again.  The identity
-    mix carries over when the node set is unchanged.
-    """
-    offsets = cg.offsets
-    out = object.__new__(BatchGraph)
-    out.labels = cg.labels
-    out.idents = cg.idents
-    out.n = cg.n
-    out.offsets = new_offsets = np.empty(cg.n + 1, dtype=np.int64)
-    new_offsets[0] = 0
-    out.neigh = neigh = np.empty(offsets[-1], dtype=np.int64)
-    out.owner = owner = np.empty(offsets[-1], dtype=np.int64)
-    src = bg.neigh
-    if new_of is not None:
-        src = np.asarray(new_of, dtype=np.int64)[src]
-    for j, a, b in runs:
-        lo, hi = int(bg.offsets[a]), int(bg.offsets[b])
-        start = offsets[j]
-        new_offsets[j + 1:j + 1 + b - a] = bg.offsets[a + 1:b + 1] + (start - lo)
-        neigh[start:start + hi - lo] = src[lo:hi]
-        owner[start:start + hi - lo] = bg.owner[lo:hi] + (j - a)
-    for j in rebuilt:
-        lo, hi = offsets[j], offsets[j + 1]
-        new_offsets[j + 1] = hi
-        neigh[lo:hi] = cg.neigh[lo:hi]
-        owner[lo:hi] = j
-    out.degrees = new_offsets[1:] - new_offsets[:-1]
-    out.rev = None  # a splice renumbers ports into rebuilt rows
-    out._mix = bg._mix if new_of is None else None
-    return out
+    """``cg`` itself: a ``CompiledGraph`` is its own :class:`BatchGraph`."""
+    return cg
 
 
 def batch_graph_of_spec(spec):
     """The cached :class:`BatchGraph` of a virtual graph (identity order).
 
-    Cached on the spec, mirroring ``batch_graph_of``'s per-CSR cache: a
-    step's guess run and pruner run share one mirror.  Array-built specs
-    arrive with theirs; dict-built ones get it from their dicts here.
+    Cached on the spec: a step's guess run and pruner run share one
+    batch graph.  Array-built specs arrive with theirs; dict-built ones
+    get it from their dicts here.
     """
     bg = spec._batch
     if bg is not None:
@@ -322,7 +267,7 @@ def virtual_draw_builder(bg, host_index, physical, seed, salt):
     """
 
     def build(bits):
-        mix = batch_graph_of(physical.compiled()).ident_mix()
+        mix = physical.compiled().ident_mix()
         base = CounterRNG.random_batch(
             mix ^ np.uint64(run_key(seed, salt)), 1, 64
         )
@@ -510,8 +455,6 @@ def make_engine_kernel(
     caps = capabilities_of(algorithm)
     if not caps.get("supports_batch"):
         return None
-    factory = algorithm.batch
-    bg = batch_graph_of(cg)
-    return factory(
-        bg, BatchSetup(inputs, guesses, _engine_draw_builder(bg, seed, salt))
+    return algorithm.batch(
+        cg, BatchSetup(inputs, guesses, _engine_draw_builder(cg, seed, salt))
     )

@@ -15,27 +15,32 @@ Both draw the one counter random scheme of :mod:`repro.local.context`
 CSR layout
 ----------
 A :class:`CompiledGraph` flattens a :class:`~repro.local.graph.SimGraph`
-into integer-indexed arrays.  Nodes are numbered ``0 .. n-1`` in
-identity order (the order of ``SimGraph.nodes``), and edges live in one
-flat slab:
+into integer-indexed int64 arrays, once: it *is* the graph's
+:class:`~repro.local.batch.BatchGraph`, so the kernels, the verifiers
+and the derived graphs read the same arrays (DESIGN.md D43).  Nodes are
+numbered ``0 .. n-1`` in identity order (the order of
+``SimGraph.nodes``), and edges live in one flat slab:
 
 * ``offsets`` — ``n+1`` row pointers; node ``i``'s edge slots are
   ``offsets[i] .. offsets[i+1]``;
 * ``neigh`` — flat neighbour *indices*, port order within each row;
+* ``owner`` — the row of every slot;
 * ``rev`` — parallel reverse-port array: ``rev[k]`` is the sender's port
   in the receiver's own numbering, i.e. exactly where a payload sent
   through slot ``k`` lands in the receiver's inbox;
-* ``idents`` / ``labels`` / ``degrees`` — per-index identity, label and
-  degree; ``index`` maps labels back to indices.
+* ``degrees`` — per-index degree;
+* ``idents`` / ``labels`` — per-index identity (a Python list, since
+  derived identities may exceed 64 bits) and label; ``index`` maps
+  labels back to indices.
 
 Incremental restriction
 -----------------------
 :meth:`CompiledGraph.restrict` produces the induced subgraph of the
-survivors in one numpy pass over the parent's mirror: survivor order is
+survivors in one numpy pass over the parent's arrays: survivor order is
 inherited (identity order is preserved by restriction, so nothing
 re-sorts) and ports renumber through a cumulative count of the kept
-slots.  The child ``SimGraph`` is created with its ``CompiledGraph`` and
-mirror already attached, so an alternation ``B_i = (A_i ; P)`` never
+slots.  The child ``SimGraph`` is created with its ``CompiledGraph``
+already attached, so an alternation ``B_i = (A_i ; P)`` never
 recompiles surviving structure.  A parent that has its line graph hands
 the child its keep mask, from which the child's line graph is derived
 instead of built (:func:`repro.graphs.line_graph_spec`, DESIGN.md D42).
@@ -51,35 +56,23 @@ the equivalence contract between the two backends.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
 
 import numpy as np
 
-from .batch import (
-    BatchGraph,
-    batch_graph_of,
-    drive_kernel,
-    make_engine_kernel,
-    rev_of,
-    settle,
-    splice_batch_graph,
-)
+from .batch import BatchGraph, drive_kernel, make_engine_kernel, settle
 
 
-class CompiledGraph:
-    """CSR (compressed sparse row) view of a :class:`SimGraph`."""
+class CompiledGraph(BatchGraph):
+    """CSR (compressed sparse row) view of a :class:`SimGraph`.
+
+    It is the graph's :class:`~repro.local.batch.BatchGraph` itself, so
+    kernels, verifiers and derived graphs read one set of int64 arrays
+    (DESIGN.md D43).
+    """
 
     __slots__ = (
         "graph",
-        "n",
-        "labels",
         "index",
-        "idents",
-        "degrees",
-        "offsets",
-        "neigh",
-        "rev",
-        "_batch",
         # L(G), memoised by repro.graphs.transforms.line_graph_spec, and
         # (parent's L(G), keep mask, slot count) until it is derived
         # from the parent's (DESIGN.md D42).
@@ -91,97 +84,88 @@ class CompiledGraph:
     )
 
     def __init__(self, graph):
-        self.graph = graph
+        """The CSR of a dict-born ``graph``: ``adj`` flattened in its
+        own node and port order."""
         labels = graph.nodes
-        self.labels = labels
-        self.n = len(labels)
         index = {u: i for i, u in enumerate(labels)}
-        self.index = index
-        ident = graph.ident
-        self.idents = [ident[u] for u in labels]
-        offsets = [0]
-        neigh = []
-        rev = []
         adj = graph.adj
-        for u in labels:
-            for _, v, reverse_port in adj[u]:
-                neigh.append(index[v])
-                rev.append(reverse_port)
-            offsets.append(len(neigh))
-        self.offsets = offsets
-        self.neigh = neigh
-        self.rev = rev
-        self.degrees = [
-            offsets[i + 1] - offsets[i] for i in range(self.n)
-        ]
-        #: Lazily built numpy mirror (repro.local.batch.BatchGraph).
-        self._batch = None
+        rows = [adj[u] for u in labels]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=offsets[1:], dtype=np.int64)
+        ident = graph.ident
+        self._fill(
+            graph,
+            index,
+            [ident[u] for u in labels],
+            offsets,
+            [index[v] for row in rows for _, v, _ in row],
+            [port for row in rows for _, _, port in row],
+        )
+
+    def _fill(self, graph, index, idents, offsets, neigh, rev):
+        BatchGraph.__init__(
+            self, graph.nodes, idents, offsets, neigh,
+            np.asarray(rev, dtype=np.int64),
+        )
+        self.graph = graph
+        self.index = index
         self._line = self._line_from = None
 
+    def slot_of(self, rows, neighbours):
+        """The slot of every edge ``rows[i] -> neighbours[i]`` (each must
+        exist).  Rows ascend by neighbour, so the keys ``owner * n +
+        neigh`` ascend over the slab and one search finds them all."""
+        n = self.n
+        keys = self.owner * n + self.neigh
+        return np.searchsorted(keys, rows * n + neighbours)
+
     @classmethod
-    def _attach(cls, graph, index, idents, offsets, neigh, rev, degrees):
+    def _attach(cls, graph, index, idents, offsets, neigh, rev):
         """Attach a ready-made CSR to a CSR-born ``graph`` and return it.
 
-        ``index`` and ``idents`` may be the parent's own objects when the
-        node set is unchanged: like ``labels`` they are immutable by
-        contract, so sharing them is safe.
+        ``offsets``, ``neigh`` and ``rev`` are int64 arrays (or anything
+        that converts to them) and are kept without a copy.  ``index``
+        and ``idents`` may be the parent's own objects when the node set
+        is unchanged: like ``labels`` they are immutable by contract, so
+        sharing them is safe.
         """
         cg = cls.__new__(cls)
-        cg.graph = graph
-        cg.labels = graph.nodes
-        cg.n = len(graph.nodes)
-        cg.index = index
-        cg.idents = idents
-        cg.offsets = offsets
-        cg.neigh = neigh
-        cg.rev = rev
-        cg.degrees = degrees
-        cg._batch = None
-        cg._line = cg._line_from = None
+        cg._fill(graph, index, idents, offsets, neigh, rev)
         graph._compiled = cg
         return cg
 
     def restrict(self, keep_set):
         """Induced ``SimGraph`` on ``keep_set`` with an attached CSR.
 
-        One numpy pass over this graph's mirror, O(n + m) in C
-        (:meth:`BatchGraph.induced <repro.local.batch.BatchGraph.
-        induced>`); index order is identity order, so nothing re-sorts.
-        A port is a kept slot's new position minus its row's start, and
-        the reverse port is the port of the twin slot
-        ``offsets[v] + rev[k]``.  The child's lists come by ``tolist()``
-        and its mirror, reverse ports included, from the same arrays.
-        When this graph has its line graph, the child is handed the keep
-        mask and the slot count to derive its own from it (DESIGN.md
-        D42).
+        One numpy pass, O(n + m) in C (:meth:`BatchGraph.induced
+        <repro.local.batch.BatchGraph.induced>`); index order is
+        identity order, so nothing re-sorts.  A port is a kept slot's
+        new position minus its row's start, and the reverse port is the
+        port of the twin slot ``offsets[v] + rev[k]``.  The child takes
+        the induced arrays as they are.  When this graph has its line
+        graph, the child is handed the keep mask and the slot count to
+        derive its own from it (DESIGN.md D42).
         """
         from .graph import SimGraph
 
-        bg = batch_graph_of(self)
         alive = np.zeros(self.n, dtype=bool)
         alive[[self.index[u] for u in keep_set]] = True
-        survivors, count, slots, new_offsets, new_neigh = bg.induced(alive)
-        twin = bg.offsets[bg.neigh[slots]] + rev_of(self)[slots]
-        new_rev = count[twin] - new_offsets[new_neigh]
-        labels, idents = self.labels, self.idents
+        survivors, count, slots, offsets, neigh = self.induced(alive)
+        twin = self.offsets[self.neigh[slots]] + self.rev[slots]
         rows = survivors.tolist()
-        new_labels = tuple([labels[i] for i in rows])
-        new_idents = [idents[i] for i in rows]
+        labels = tuple([self.labels[i] for i in rows])
+        idents = [self.idents[i] for i in rows]
         # The dict adjacency view is derived lazily by SimGraph.adj from
         # the attached CSR — instances that only ever run compiled (or
         # get pruned away) never build it.
-        child = SimGraph._from_csr(new_labels, dict(zip(new_labels, new_idents)))
+        child = SimGraph._from_csr(labels, dict(zip(labels, idents)))
         cg = CompiledGraph._attach(
             child,
-            dict(zip(new_labels, range(len(rows)))),
-            new_idents,
-            new_offsets.tolist(),
-            new_neigh.tolist(),
-            new_rev.tolist(),
-            np.diff(new_offsets).tolist(),
-        )
-        cg._batch = BatchGraph(
-            new_labels, new_idents, new_offsets, new_neigh, new_rev
+            dict(zip(labels, range(len(rows)))),
+            idents,
+            offsets,
+            neigh,
+            count[twin] - offsets[neigh],
         )
         if self._line is not None:
             cg._line_from = (self._line, alive, count)
@@ -191,24 +175,23 @@ class CompiledGraph:
         """Row-splice application of a validated :class:`GraphDelta`.
 
         The insert/delete analogue of :meth:`restrict` (DESIGN.md D18,
-        D27).  A row is *touched* when it is an endpoint of an added or
-        deleted edge, a neighbour of a deleted node, or an added node;
-        touched rows are rebuilt by a sorted merge.  Every maximal run of
-        untouched rows between two events (a touched, deleted or added
-        row) is copied as C-level slices of ``neigh``, ``rev`` and
-        ``degrees`` — remapped through ``new_of`` only when the node set
-        changes — and ``offsets`` re-accumulate from the spliced degrees
-        in one C-level pass.  Reverse ports are recomputed only for slots
-        that point into a rebuilt row: a slot between two untouched rows
-        keeps its ``rev``, because a monotone index remap preserves ranks.
+        D27, D43).  A row is *touched* when it is an endpoint of an added
+        or deleted edge, a neighbour of a deleted node, or an added node;
+        touched rows are rebuilt from small ``tolist()`` slices by a
+        sorted merge.  Every maximal run of untouched rows between two
+        events (a touched, deleted or added row) is copied as array
+        slices of ``neigh``, ``rev`` and ``degrees`` — ``neigh`` remapped
+        through ``new_of`` only when the node set changes.  Reverse
+        ports are recomputed only for the slots of rebuilt rows and
+        their twins, by one ``searchsorted`` over the row-major slot
+        keys: a slot between two untouched rows keeps its ``rev``,
+        because a monotone index remap preserves ranks.
 
         Python-level work is O(churn · log Δ) for an edge-only delta, on
-        top of the C-level slab copies; node churn adds the O(n + m)
-        remap and a fresh label index.  When the node set is unchanged
-        the child shares ``labels``, ``index``, ``idents``, ``ident`` and
-        the node set with the parent (immutable by contract), and a
-        parent that already has its numpy mirror hands the child one
-        spliced from it (:func:`repro.local.batch.splice_batch_graph`).
+        top of O(n + m) array copies; node churn adds a fresh label
+        index.  When the node set is unchanged the child shares
+        ``labels``, ``index``, ``idents``, ``ident``, the node set and
+        the identity mix with the parent (immutable by contract).
 
         The caller (:meth:`SimGraph.apply_delta <repro.local.graph.
         SimGraph.apply_delta>`) has already validated ``delta``; rows
@@ -221,8 +204,11 @@ class CompiledGraph:
         graph = self.graph
         index = self.index
         offsets, neigh, rev = self.offsets, self.neigh, self.rev
-        labels, idents, degrees = self.labels, self.idents, self.degrees
-        n = self.n
+        labels, idents, n = self.labels, self.idents, self.n
+
+        def row(i):
+            lo, hi = offsets[i:i + 2].tolist()
+            return neigh[lo:hi].tolist()
 
         dead = {index[u] for u in delta.del_nodes}
         # Old-index pairs of deleted edges, both directions, and the
@@ -236,7 +222,7 @@ class CompiledGraph:
             touched.add(iu)
             touched.add(iv)
         for i in dead:
-            touched.update(neigh[offsets[i]:offsets[i + 1]])
+            touched.update(row(i))
         for edge in delta.add_edges:
             for u in edge:
                 i = index.get(u)
@@ -259,24 +245,27 @@ class CompiledGraph:
 
         if delta.del_nodes or delta.add_nodes:
             # The node set changes: splice labels and identities, and
-            # map old row i to new row new_of[i] (-1 when deleted).
-            new_labels, new_idents, new_of = [], [], []
+            # map old row i to new row new_of[i], shifted by the added
+            # rows before it and the deleted rows above it (a deleted
+            # row's own entry is never read).
+            new_labels, new_idents = [], []
+            shift = np.zeros(n + 1, dtype=np.int64)
             prev = 0
             for pos, kind, ident, u in events:
                 if kind == 2:
                     continue
                 if pos > prev:
-                    base = len(new_labels)
                     new_labels += labels[prev:pos]
                     new_idents += idents[prev:pos]
-                    new_of += range(base, base + pos - prev)
                     prev = pos
                 if kind == 0:
                     new_labels.append(u)
                     new_idents.append(ident)
+                    shift[pos] += 1
                 elif kind == 1:
-                    new_of.append(-1)
+                    shift[pos + 1] -= 1
                     prev = pos + 1
+            new_of = np.arange(n) + np.cumsum(shift[:n])
             new_labels = tuple(new_labels)
             new_index = dict(zip(new_labels, range(len(new_labels))))
             new_ident = dict(graph.ident)
@@ -296,67 +285,70 @@ class CompiledGraph:
             inserts.setdefault(ju, []).append(jv)
             inserts.setdefault(jv, []).append(ju)
 
-        new_neigh = []
-        new_rev = []
-        new_degrees = []
         runs = []  # (new row, old row lo, old row hi) per copied run
-        rebuilt = []  # new rows built by merge
-        prev = 0
+        rebuilt = {}  # new row -> its neighbours, ascending
+        j = prev = 0
         for pos, kind, _, _ in events:
             if pos > prev:
-                lo, hi = offsets[prev], offsets[pos]
-                seg = neigh[lo:hi]
-                if new_of is not None:
-                    seg = [new_of[w] for w in seg]
-                runs.append((len(new_degrees), prev, pos))
-                new_neigh += seg
-                new_rev += rev[lo:hi]
-                new_degrees += degrees[prev:pos]
+                runs.append((j, prev, pos))
+                j += pos - prev
                 prev = pos
             if kind == 3:
                 break
             if kind == 1:
                 prev = pos + 1
                 continue
-            j = len(new_degrees)
-            row = inserts.get(j, [])
+            merged = inserts.get(j, [])
             if kind == 2:
                 kept = [
-                    w for w in neigh[offsets[pos]:offsets[pos + 1]]
+                    w for w in row(pos)
                     if w not in dead and (pos, w) not in dropped
                 ]
                 if new_of is not None:
-                    kept = [new_of[w] for w in kept]
-                row = kept + row
+                    kept = new_of[kept].tolist()
+                merged = kept + merged
                 prev = pos + 1
             # The kept slice already ascends (new_of is monotone on
             # survivors), so this sort is a near-linear merge.
-            row.sort()
-            rebuilt.append(j)
-            new_neigh += row
-            new_rev += [0] * len(row)
-            new_degrees.append(len(row))
-        new_offsets = list(accumulate(new_degrees, initial=0))
+            merged.sort()
+            rebuilt[j] = merged
+            j += 1
 
-        # Reverse ports for every slot touching a rebuilt row j: the slot
-        # j -> v at port p has rev r = rank of j in v's new row, and v's
-        # slot r points back at port p.
-        for j in rebuilt:
-            lo, hi = new_offsets[j], new_offsets[j + 1]
-            for k in range(lo, hi):
-                v = new_neigh[k]
-                vlo = new_offsets[v]
-                r = bisect_left(new_neigh, j, vlo, new_offsets[v + 1]) - vlo
-                new_rev[k] = r
-                new_rev[vlo + r] = k - lo
+        degrees = np.empty(j, dtype=np.int64)
+        for at, a, b in runs:
+            degrees[at:at + b - a] = self.degrees[a:b]
+        rows = np.fromiter(rebuilt, dtype=np.int64, count=len(rebuilt))
+        degrees[rows] = [len(merged) for merged in rebuilt.values()]
+        new_offsets = np.zeros(j + 1, dtype=np.int64)
+        np.cumsum(degrees, out=new_offsets[1:])
+        new_neigh = np.empty(new_offsets[-1], dtype=np.int64)
+        new_rev = np.empty_like(new_neigh)
+        source = neigh if new_of is None else new_of[neigh]
+        for at, a, b in runs:
+            lo, hi = offsets[a], offsets[b]
+            start = new_offsets[at]
+            new_neigh[start:start + hi - lo] = source[lo:hi]
+            new_rev[start:start + hi - lo] = rev[lo:hi]
+        # Every slot k of the rebuilt rows, with its row.
+        lens = degrees[rows]
+        owner = np.repeat(rows, lens)
+        k = np.arange(len(owner)) + np.repeat(
+            new_offsets[rows] - (np.cumsum(lens) - lens), lens
+        )
+        new_neigh[k] = [w for merged in rebuilt.values() for w in merged]
 
         child = SimGraph._from_csr(new_labels, new_ident, node_set)
         cg = CompiledGraph._attach(
-            child, new_index, new_idents, new_offsets, new_neigh, new_rev,
-            new_degrees,
+            child, new_index, new_idents, new_offsets, new_neigh, new_rev
         )
-        if self._batch is not None:
-            cg._batch = splice_batch_graph(self._batch, cg, runs, rebuilt, new_of)
+        # Slot k (row j -> v) and its twin (row v -> j) each take the
+        # other's port as their reverse port.
+        v = new_neigh[k]
+        twin = cg.slot_of(v, owner)
+        new_rev[k] = twin - new_offsets[v]
+        new_rev[twin] = k - new_offsets[owner]
+        if new_of is None:
+            cg._mix = self._mix
         return child
 
 

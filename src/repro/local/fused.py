@@ -157,26 +157,25 @@ def fused_slab_of(cgs):
     slab = _SLAB_CACHE.get(key)
     if slab is not None:
         return slab
-    bgs = [batch.batch_graph_of(cg) for cg in cgs]
-    labels = [(lane, u) for lane, bg in enumerate(bgs) for u in bg.labels]
-    idents = [ident for bg in bgs for ident in bg.idents]
-    counts = [bg.n for bg in bgs]
-    lane_bounds = np.zeros(len(bgs) + 1, dtype=np.int64)
+    labels = [(lane, u) for lane, cg in enumerate(cgs) for u in cg.labels]
+    idents = [ident for cg in cgs for ident in cg.idents]
+    counts = [cg.n for cg in cgs]
+    lane_bounds = np.zeros(len(cgs) + 1, dtype=np.int64)
     np.cumsum(counts, out=lane_bounds[1:])
     edge_base = 0
     offset_parts = [np.zeros(1, dtype=np.int64)]
     neigh_parts = []
-    for lane, bg in enumerate(bgs):
-        offset_parts.append(bg.offsets[1:] + edge_base)
-        neigh_parts.append(bg.neigh + lane_bounds[lane])
-        edge_base += int(bg.offsets[-1])
+    for lane, cg in enumerate(cgs):
+        offset_parts.append(cg.offsets[1:] + edge_base)
+        neigh_parts.append(cg.neigh + lane_bounds[lane])
+        edge_base += int(cg.offsets[-1])
     offsets = np.concatenate(offset_parts)
     neigh = (
         np.concatenate(neigh_parts)
         if neigh_parts
         else np.zeros(0, dtype=np.int64)
     )
-    lane_of = np.repeat(np.arange(len(bgs), dtype=np.int64), counts)
+    lane_of = np.repeat(np.arange(len(cgs), dtype=np.int64), counts)
     slab = FusedBatchGraph(labels, idents, offsets, neigh, lane_of, lane_bounds)
     _SLAB_CACHE[key] = slab
     for cg in {id(c): c for c in cgs}.values():

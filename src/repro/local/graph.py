@@ -13,6 +13,7 @@ algorithm (Figure 1) — are produced by :meth:`SimGraph.subgraph`.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 
 from ..errors import InvalidInstanceError, ParameterError
 
@@ -243,18 +244,17 @@ class SimGraph:
                     "attached; adj=None is reserved for CSR-born graphs"
                 )
             labels = cg.labels
-            offsets, neigh, rev = cg.offsets, cg.neigh, cg.rev
+            offsets = cg.offsets.tolist()
+            neigh, rev = cg.neigh.tolist(), cg.rev.tolist()
             view = {}
-            start = 0
             for j, u in enumerate(labels):
-                end = offsets[j + 1]
+                start, end = offsets[j], offsets[j + 1]
                 view[u] = tuple(
                     (p, labels[vi], rp)
                     for p, (vi, rp) in enumerate(
                         zip(neigh[start:end], rev[start:end])
                     )
                 )
-                start = end
             self._adj = view
         return view
 
@@ -297,7 +297,10 @@ class SimGraph:
         values = list(idents[u] for u in graph.nodes())
         if len(set(values)) != len(values):
             raise InvalidInstanceError("identities must be unique")
-        if any((not isinstance(x, int)) or x < 1 for x in values):
+        if any(
+            isinstance(x, bool) or not isinstance(x, int) or x < 1
+            for x in values
+        ):
             raise InvalidInstanceError(
                 "identities must be positive integers (paper Section 2)"
             )
@@ -311,34 +314,35 @@ class SimGraph:
         ``labels``, symmetric, with no self-loop and no repeat.  Nodes
         go in identity order, so a row sorted by neighbour *index* is
         sorted by identity and its positions are the ports.  Reverse
-        ports take one pass over the rows in owner order: the k-th time
+        ports come from one stable argsort of ``neigh``: the k-th time
         ``j`` appears as a neighbour, the owner is ``j``'s k-th smallest
-        neighbour and so sits at port k of row ``j``.  The dict view
-        (``adj``) and the degree table are derived lazily from the CSR.
-        ``idents`` becomes the graph's ``ident`` without a copy.
+        neighbour and so sits at port k of row ``j``, and the slots
+        pointing at ``j`` sort to positions ``offsets[j] ..`` in owner
+        order.  The dict view (``adj``) and the degree table are derived
+        lazily from the CSR.  ``idents`` becomes the graph's ``ident``
+        without a copy.
         """
         from .engine import CompiledGraph
 
         nodes = tuple(sorted(labels, key=idents.__getitem__))
         index = {u: i for i, u in enumerate(nodes)}
         at = index.__getitem__
-        offsets = [0]
-        neigh = []
-        degrees = []
+        bounds = [0]
+        flat = []
         for u in nodes:
-            row = sorted(map(at, neighbour_view[u]))
-            neigh += row
-            degrees.append(len(row))
-            offsets.append(len(neigh))
-        seen = [0] * len(nodes)
-        rev = []
-        for j in neigh:
-            rev.append(seen[j])
-            seen[j] += 1
+            flat += sorted(map(at, neighbour_view[u]))
+            bounds.append(len(flat))
+        offsets = np.array(bounds, dtype=np.int64)
+        neigh = np.array(flat, dtype=np.int64)
+        # The stable argsort of ``neigh``, as one sort of the distinct
+        # keys ``neigh * m + slot`` (faster than an int64 argsort).
+        m = len(flat)
+        order = np.sort(neigh * m + np.arange(m)) % m
+        rev = np.empty_like(neigh)
+        rev[order] = np.arange(m) - offsets[neigh[order]]
         graph = cls._from_csr(nodes, idents)
         CompiledGraph._attach(
-            graph, index, [idents[u] for u in nodes], offsets, neigh, rev,
-            degrees,
+            graph, index, [idents[u] for u in nodes], offsets, neigh, rev
         )
         return graph
 
@@ -360,7 +364,7 @@ class SimGraph:
                     "SimGraph built with adj=None but no compiled CSR "
                     "attached; adj=None is reserved for CSR-born graphs"
                 )
-            table = self._degree = dict(zip(cg.labels, cg.degrees))
+            table = self._degree = dict(zip(cg.labels, cg.degrees.tolist()))
         return table
 
     @property
@@ -386,9 +390,8 @@ class SimGraph:
         cg = self.compiled()
         i = cg.index[u]
         labels = cg.labels
-        return tuple(
-            [labels[j] for j in cg.neigh[cg.offsets[i]:cg.offsets[i + 1]]]
-        )
+        lo, hi = cg.offsets[i:i + 2].tolist()
+        return tuple([labels[j] for j in cg.neigh[lo:hi].tolist()])
 
     def has_edge(self, u, v):
         """Edge membership in O(log deg), without materializing ``adj``.
@@ -396,21 +399,20 @@ class SimGraph:
         Delta validation (:meth:`GraphDelta.validate`) probes edges on
         every session mutate; going through the dict view would rebuild
         the O(m) adjacency on each CSR-born child and erase the
-        incremental win, so this bisects the CSR row directly.  A label
-        not in the graph is ``False`` on either representation.
+        incremental win, so this searches the sorted CSR row directly.
+        A label not in the graph is ``False`` on either representation.
         """
         node_set = self._node_set
         if u not in node_set or v not in node_set:
             return False
         if self._adj is not None:
             return any(w == v for _, w, _ in self._adj[u])
-        from bisect import bisect_left
-
         cg = self.compiled()
         i, j = cg.index[u], cg.index[v]
-        lo, hi = cg.offsets[i], cg.offsets[i + 1]
-        k = bisect_left(cg.neigh, j, lo, hi)
-        return k < hi and cg.neigh[k] == j
+        lo, hi = cg.offsets[i:i + 2].tolist()
+        row = cg.neigh[lo:hi]
+        k = int(row.searchsorted(j))
+        return k < hi - lo and int(row[k]) == j
 
     def edge_count(self):
         """Number of edges."""
@@ -419,17 +421,15 @@ class SimGraph:
     def edges(self):
         """Iterate over edges as (u, v) with ident(u) < ident(v).
 
-        Rows in node order, neighbours in port order; walks the CSR, so
-        a CSR-born graph never builds its dict view here.
+        Rows in node order, neighbours in port order; reads the CSR, so
+        a CSR-born graph never builds its dict view here.  Index order
+        is identity order, so the edges are the slots ``owner < neigh``.
         """
         cg = self.compiled()
-        labels, idents = cg.labels, cg.idents
-        offsets, neigh = cg.offsets, cg.neigh
-        for i, u in enumerate(labels):
-            iu = idents[i]
-            for j in neigh[offsets[i]:offsets[i + 1]]:
-                if iu < idents[j]:
-                    yield (u, labels[j])
+        labels = cg.labels
+        upper = cg.owner < cg.neigh
+        for i, j in zip(cg.owner[upper].tolist(), cg.neigh[upper].tolist()):
+            yield (labels[i], labels[j])
 
     # ------------------------------------------------------------------
     # derived graphs
@@ -452,13 +452,13 @@ class SimGraph:
 
         Incremental path: ``self.nodes`` and every adjacency row are
         already sorted by identity, and restriction preserves that order,
-        so survivor ports renumber in one numpy pass over the CSR mirror
+        so survivor ports renumber in one numpy pass over the CSR arrays
         via :meth:`CompiledGraph.restrict <repro.local.engine.
         CompiledGraph.restrict>` — no re-sorting of identities, no global
         re-porting (the ``subgraph_rebuild`` reference path does the full
         sort-and-re-port rebuild and is kept as the executable
-        specification).  The child inherits a ready-made CSR and mirror,
-        so an alternation never recompiles surviving structure.
+        specification).  The child inherits a ready-made CSR, so an
+        alternation never recompiles surviving structure.
 
         Under the reference backend (``use_backend("reference")``) the
         rebuild path is used instead, keeping that backend a faithful
@@ -505,8 +505,8 @@ class SimGraph:
         """Apply a :class:`GraphDelta`, returning a **new** SimGraph.
 
         Application is functional: the receiver is never mutated, so
-        every cache keyed by object identity (``CompiledGraph._batch``,
-        the fused slab cache) stays trivially coherent
+        every cache keyed by object identity (the ``CompiledGraph``, the
+        fused slab cache) stays trivially coherent
         — a mutated topology is a different object with empty caches,
         not a patched one with stale entries (DESIGN.md D18).
 

@@ -6,13 +6,13 @@ a complete static graph and rebuilds whatever it needs.  A
 system can sit on: it keeps a live :class:`~repro.local.engine.
 CompiledGraph`, applies :class:`~repro.local.graph.GraphDelta` edits
 incrementally, and keeps one execution record across requests.  A
-mutate splices only the touched CSR rows (DESIGN.md D27): its
-Python-level work is O(churn · log Δ) for an edge-only delta, beside
-C-level copies of the untouched slab, and the numpy mirror and the
-cached identity mix are carried into the new graph rather than rebuilt
-— so a rerun after a small delta skips the networkx round-trip, the
-identity sort, the re-porting and the mirror conversion that a cold
-rebuild pays.
+mutate splices only the touched CSR rows of the graph's int64 arrays
+(DESIGN.md D27, D43): its Python-level work is O(churn · log Δ) for an
+edge-only delta, beside array copies of the untouched slab, and the
+cached identity mix is carried into the new graph when the node set is
+unchanged — so a rerun after a small delta skips the networkx
+round-trip, the identity sort and the re-porting that a cold rebuild
+pays.
 
 Correctness contract (enforced by ``tests/test_service.py``): for every
 delta sequence, ``.rerun()`` is bit-identical to a cold ``run()`` on a
@@ -22,9 +22,9 @@ backend attribution — on every stack (reference / compiled / fused
 
 * Mutation is *functional*: :meth:`SimulationSession.mutate` swaps in a
   brand-new graph object rather than patching the old one in place, so
-  every cache keyed by object identity (the ``batch_graph_of`` mirror,
-  the fused draw-slab cache) is coherent by
-  definition — a new topology arrives with fresh caches (the mirror
+  every cache keyed by object identity (the ``CompiledGraph`` the
+  kernels read, the fused draw-slab cache) is coherent by
+  definition — a new topology arrives with fresh caches (its CSR
   spliced into new arrays) instead of stale ones.  What the new graph
   shares with the old — labels, identities, the label index and the
   identity mix when the node set is unchanged — is immutable.  The only

@@ -195,10 +195,11 @@ class VirtualSpec:
         self._hosted = {}
         for virt, p in zip(virts, hosts):
             self._hosted.setdefault(p, []).append(virt)
+        relays, clients = self._relays
+        client_ports = cg.slot_of(relays, clients) - cg.offsets[relays]
         ports = {}
-        for relay, client in zip(*(a.tolist() for a in self._relays)):
-            row = cg.neigh[cg.offsets[relay] : cg.offsets[relay + 1]]
-            ports.setdefault(cg.labels[relay], set()).add(row.index(client))
+        for relay, port in zip(relays.tolist(), client_ports.tolist()):
+            ports.setdefault(cg.labels[relay], set()).add(port)
         self._relay_client_ports = {
             relay: frozenset(group) for relay, group in ports.items()
         }
@@ -212,12 +213,16 @@ class VirtualSpec:
             [index[host[v]] for v in batch_graph_of_spec(self).labels],
             dtype=np.int64,
         )
-        pairs = [
-            (index[relay], cg.neigh[cg.offsets[index[relay]] + port])
-            for relay, ports in self._relay_client_ports.items()
-            for port in ports
-        ]
-        self._relays = tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+        pairs = np.array(
+            [
+                (index[relay], port)
+                for relay, ports in self._relay_client_ports.items()
+                for port in ports
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        relays = pairs[:, 0]
+        self._relays = (relays, cg.neigh[cg.offsets[relays] + pairs[:, 1]])
 
     def _build_recv_port(self):
         """``(sender, receiver) -> receiver's port of the sender``."""

@@ -13,6 +13,8 @@ nodes the unique value ``("U", Id(v))``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .base import Problem, Violation, require_outputs
 
 
@@ -24,7 +26,7 @@ def _partners(cg, outputs):
     ``v`` is ``u``'s only same-valued neighbour and ``u`` is ``v``'s.  So
     a node is matched to at most one neighbour.
     """
-    offsets, neigh = cg.offsets, cg.neigh
+    offsets, neigh = cg.offsets.tolist(), cg.neigh.tolist()
     values = [outputs.get(u) for u in cg.labels]
     only = [-1] * cg.n
     for i, value in enumerate(values):
@@ -54,13 +56,13 @@ class MaximalMatchingProblem(Problem):
     def violations(self, graph, inputs, outputs):
         require_outputs(graph, outputs)
         cg = graph.compiled()
-        offsets, neigh = cg.offsets, cg.neigh
-        matched = [j >= 0 for j in _partners(cg, outputs)]
+        free = np.array(_partners(cg, outputs), dtype=np.int64) < 0
+        bad = np.zeros(cg.n, dtype=bool)
+        bad[cg.owner[free[cg.owner] & free[cg.neigh]]] = True
+        labels = cg.labels
         return [
-            Violation(u, "unmatched node with an unmatched neighbour")
-            for i, u in enumerate(cg.labels)
-            if not matched[i]
-            and not all(matched[j] for j in neigh[offsets[i]:offsets[i + 1]])
+            Violation(labels[i], "unmatched node with an unmatched neighbour")
+            for i in np.flatnonzero(bad).tolist()
         ]
 
 

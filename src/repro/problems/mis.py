@@ -8,6 +8,8 @@ dedicated verifier.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .base import Problem, Violation, require_outputs
 
 
@@ -24,25 +26,26 @@ class MISProblem(Problem):
     def violations(self, graph, inputs, outputs):
         require_outputs(graph, outputs)
         cg = graph.compiled()
-        labels, idents = cg.labels, cg.idents
-        offsets, neigh = cg.offsets, cg.neigh
-        member = [in_set(outputs[u]) for u in labels]
-        found = []
-        for i, u in enumerate(labels):
-            row = neigh[offsets[i]:offsets[i + 1]]
-            if member[i]:
-                iu = idents[i]
-                for j in row:
-                    if member[j] and iu < idents[j]:
-                        found.append(
-                            Violation(
-                                (u, labels[j]), "two adjacent nodes in the set"
-                            )
-                        )
-            elif not any(member[j] for j in row):
-                found.append(
-                    Violation(u, "node outside the set with no neighbor in it")
-                )
+        labels, owner, neigh = cg.labels, cg.owner, cg.neigh
+        member = np.array([in_set(outputs[u]) for u in labels], dtype=bool)
+        # Index order is identity order: an adjacent pair in the set is
+        # reported once, at the slot of its lower-identity end.
+        pairs = np.flatnonzero(member[owner] & member[neigh] & (owner < neigh))
+        covered = np.zeros(cg.n, dtype=bool)
+        covered[owner[member[neigh]]] = True
+        lonely = np.flatnonzero(~(member | covered))
+        found = [
+            Violation((labels[i], labels[j]), "two adjacent nodes in the set")
+            for i, j in zip(owner[pairs].tolist(), neigh[pairs].tolist())
+        ] + [
+            Violation(labels[i], "node outside the set with no neighbor in it")
+            for i in lonely.tolist()
+        ]
+        if len(pairs) and len(lonely):
+            # Row order; a row holds pairs only when it is in the set.
+            rows = np.concatenate((owner[pairs], lonely))
+            order = np.argsort(rows, kind="stable").tolist()
+            found = [found[k] for k in order]
         return found
 
 

@@ -13,10 +13,9 @@ from .base import Problem, Violation, require_outputs
 from .mis import in_set
 
 
-def _bfs_within(cg, source, limit):
+def _bfs_within(offsets, neigh, source, limit):
     """``(index, distance)`` of the nodes within ``limit`` hops of CSR
     node ``source`` (excluding it), in BFS order."""
-    offsets, neigh = cg.offsets, cg.neigh
     seen = {source: 0}
     queue = deque([source])
     reached = []
@@ -47,14 +46,14 @@ class RulingSetProblem(Problem):
         require_outputs(graph, outputs)
         cg = graph.compiled()
         labels, idents, index = cg.labels, cg.idents, cg.index
-        offsets, neigh = cg.offsets, cg.neigh
+        offsets, neigh = cg.offsets.tolist(), cg.neigh.tolist()
         ruler = [in_set(outputs[u]) for u in labels]
         found = []
         # Close pairs are reported in the iteration order of the ruler
         # label set, so build it exactly as a label set.
         for u in {u for u, r in zip(labels, ruler) if r}:
             i = index[u]
-            for j, dist in _bfs_within(cg, i, self.alpha - 1):
+            for j, dist in _bfs_within(offsets, neigh, i, self.alpha - 1):
                 if ruler[j] and idents[i] < idents[j]:
                     found.append(
                         Violation(

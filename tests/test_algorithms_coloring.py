@@ -41,7 +41,7 @@ from repro.algorithms.linial import (
     reduce_color,
 )
 from repro.local import SimGraph, run
-from repro.local.batch import BatchSetup, batch_graph_of
+from repro.local.batch import BatchSetup
 from repro.mathutils import is_prime
 from repro.problems import MIS, ColoringProblem, PROPER_COLORING
 
@@ -292,7 +292,7 @@ class TestBadGuessBehaviour:
         # The final colours can hide the branch, so also compare the
         # kernel's first Linial step (a one-round cap stops right after
         # it) with the scalar machine node by node.
-        bg = batch_graph_of(graph.compiled())
+        bg = graph.compiled()
         kernel = make().batch(bg, BatchSetup({}, guesses, None))
         kernel.run_fixedpoint(1)
         colors = [ident - 1 for ident in bg.idents]
@@ -315,7 +315,7 @@ class TestBadGuessBehaviour:
         negative colors, so MIS nodes sit in sweep slots below 1 that the
         scalar machine never reaches.  The kernel declines and the run
         truncates exactly as the reference loop does."""
-        bg = batch_graph_of(small_gnp.compiled())
+        bg = small_gnp.compiled()
         inputs = {u: {"color": i % 5 - 1} for i, u in enumerate(bg.labels)}
         guesses = {"m": 4 * (small_gnp.max_degree + 1),
                    "Delta": small_gnp.max_degree}

@@ -28,6 +28,7 @@ import sys
 from collections import deque
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.algorithms.fast_mis import fast_mis
@@ -110,8 +111,12 @@ def assert_same_graph(got, want):
     cg, ref = got.compiled(), want.compiled()
     assert cg.labels == ref.labels
     assert cg.index == ref.index
-    for field in ("idents", "offsets", "neigh", "rev", "degrees"):
-        assert getattr(cg, field) == getattr(ref, field), field
+    assert cg.idents == ref.idents
+    assert all(type(x) is int for x in cg.idents)
+    for field in ("offsets", "neigh", "rev", "degrees", "owner"):
+        values, want_values = getattr(cg, field), getattr(ref, field)
+        assert values.dtype == want_values.dtype == np.int64, field
+        assert np.array_equal(values, want_values), field
     assert list(got.edges()) == list(want.edges())
     assert got.edge_count() == want.edge_count()
     assert got._adj is None  # nothing above derived the dict view
@@ -562,6 +567,88 @@ class TestVerifierOracle:
         for outputs in _matching_outputs(graph, rnd):
             MAXIMAL_MATCHING.violations(graph, {}, outputs)
         assert graph._adj is None
+
+
+# ----------------------------------------------------------------------
+# public reads stay Python-typed over the int64 arrays
+# ----------------------------------------------------------------------
+def _typed_graphs():
+    """CSR-born, dict-born, restricted and delta-applied graphs."""
+    base = FAMILIES["gnp-sparse"](50, seed=5)
+    idents = poly_idents(base, seed=5)
+    csr = SimGraph.from_networkx(base, idents=idents)
+    nodes = list(csr.nodes)
+    a, b = next(
+        (a, b) for a in nodes for b in nodes
+        if a != b and not csr.has_edge(a, b)
+    )
+    edge = next(iter(csr.edges()))
+    return {
+        "csr-born": csr,
+        "dict-born": dict_first_from_networkx(base, idents=idents),
+        "restricted": csr.subgraph(nodes[::2]),
+        "delta-edges": csr.apply_delta(
+            GraphDelta(del_edges=[edge], add_edges=[(a, b)])
+        ),
+        "delta-nodes": csr.apply_delta(
+            GraphDelta(
+                del_nodes=[nodes[3]],
+                add_nodes={"new": csr.max_ident + 1},
+                add_edges=[("new", nodes[0])],
+            )
+        ),
+    }
+
+
+def _plain(value):
+    """Not a numpy scalar (``type(x) is int`` must hold where ints are)."""
+    return not isinstance(value, np.generic)
+
+
+class TestPythonTypedReads:
+    """A numpy scalar leaking from the arrays would change
+    ``msgsize.estimate_bits`` (it tests ``type(item) is int``) and push
+    ``fold_commits`` onto its object path."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["csr-born", "dict-born", "restricted", "delta-edges", "delta-nodes"],
+    )
+    def test_graph_reads(self, kind):
+        graph = _typed_graphs()[kind]
+        nodes = graph._node_set
+        assert type(graph.max_degree) is int
+        assert type(graph.edge_count()) is int
+        assert type(graph.n) is int
+        for u in graph.nodes:
+            assert type(graph.degree(u)) is int
+            neighbours = graph.neighbors(u)
+            assert type(neighbours) is tuple
+            assert all(_plain(v) and v in nodes for v in neighbours)
+            for v in neighbours:
+                assert graph.has_edge(u, v) is True
+            assert graph.has_edge(u, u) is False
+        for u, v in graph.edges():
+            assert _plain(u) and _plain(v) and u in nodes and v in nodes
+        for row in graph.adj.values():
+            for port, v, reverse in row:
+                assert type(port) is int and type(reverse) is int
+                assert _plain(v) and v in nodes
+        assert all(type(x) is int for x in graph.compiled().idents)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["csr-born", "dict-born", "restricted", "delta-edges", "delta-nodes"],
+    )
+    def test_run_results(self, kind):
+        graph = _typed_graphs()[kind]
+        solo = runner.run(graph, luby_mis(), seed=2)
+        fused = run_many([(graph, luby_mis(), {"seed": s}) for s in (2, 3)])
+        for result in [solo, *fused]:
+            assert type(result.rounds) is int
+            assert type(result.messages) is int
+            assert all(type(x) is int for x in result.outputs.values())
+            assert all(type(x) is int for x in result.finish_round.values())
 
 
 # ----------------------------------------------------------------------

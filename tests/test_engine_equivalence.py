@@ -41,7 +41,7 @@ from repro.local import (
     use_backend,
 )
 from repro.local import virtual
-from repro.local.batch import BatchGraph
+from repro.local.batch import BatchGraph, make_engine_kernel
 from repro.problems import MIS, ColorList, SLCInput
 
 BACKENDS = ("reference", "compiled")
@@ -967,8 +967,9 @@ class TestIncrementalRestriction:
 
 def assert_restricts_like_rebuild(graph, keep):
     """The array ``restrict`` equals ``subgraph_rebuild``: labels,
-    identities, adjacency, every CSR list (Python ints) and the mirror
-    the child arrives with."""
+    identities (Python ints), adjacency and every int64 CSR array the
+    child arrives with, the slot owners against a fresh ``BatchGraph``
+    of the rebuild's CSR."""
     child = graph.compiled().restrict(frozenset(keep))
     want = graph.subgraph_rebuild(keep)
     assert child.nodes == want.nodes
@@ -976,17 +977,16 @@ def assert_restricts_like_rebuild(graph, keep):
     assert child.adj == want.adj
     got, ref = child._compiled, want.compiled()
     assert got.graph is child and got.index == ref.index
-    for field in ("idents", "offsets", "neigh", "rev", "degrees"):
-        values = getattr(got, field)
-        assert values == getattr(ref, field), field
-        assert all(type(v) is int for v in values), field
-    mirror = got._batch
-    assert mirror is not None  # attached, so batch_graph_of converts nothing
+    assert got.labels == child.nodes and got.n == child.n
+    assert got.idents == ref.idents
+    assert all(type(v) is int for v in got.idents)
     fresh = BatchGraph(ref.labels, ref.idents, ref.offsets, ref.neigh)
-    for field in ("offsets", "neigh", "owner", "degrees"):
-        assert np.array_equal(getattr(mirror, field), getattr(fresh, field))
-        assert getattr(mirror, field).dtype == np.int64, field
-    assert mirror.labels == child.nodes and mirror.n == child.n
+    for field in ("offsets", "neigh", "rev", "degrees", "owner"):
+        values = getattr(got, field)
+        assert values.dtype == np.int64, field
+        assert np.array_equal(values, getattr(ref, field)), field
+        if field != "rev":
+            assert np.array_equal(values, getattr(fresh, field)), field
     return child
 
 
@@ -995,12 +995,14 @@ class TestArrayRestrictCorners:
 
     def test_empty_keep_set(self, medium_gnp):
         child = assert_restricts_like_rebuild(medium_gnp, ())
-        assert child.n == 0 and child.compiled().offsets == [0]
+        assert child.n == 0 and child.compiled().offsets.tolist() == [0]
         # subgraph answers an empty keep set without the array pass.
         empty, want = medium_gnp.subgraph(()), medium_gnp.subgraph_rebuild(())
         assert (empty.nodes, empty.ident, empty.adj) == ((), {}, {})
         assert (want.nodes, want.ident, want.adj) == ((), {}, {})
-        assert empty.compiled().offsets == want.compiled().offsets == [0]
+        for cg in (empty.compiled(), want.compiled()):
+            assert cg.offsets.dtype == cg.neigh.dtype == np.int64
+            assert cg.offsets.tolist() == [0] and cg.neigh.tolist() == []
 
     def test_full_keep_set(self, medium_gnp):
         assert_restricts_like_rebuild(medium_gnp, medium_gnp.nodes)
@@ -1008,7 +1010,8 @@ class TestArrayRestrictCorners:
     def test_single_node(self, medium_gnp):
         hub = max(medium_gnp.nodes, key=medium_gnp.degree)
         child = assert_restricts_like_rebuild(medium_gnp, [hub])
-        assert child.compiled().degrees == [0]
+        degrees = child.compiled().degrees
+        assert degrees.dtype == np.int64 and degrees.tolist() == [0]
 
     def test_edgeless_graph(self):
         graph = SimGraph.from_networkx(nx.empty_graph(12))
@@ -1034,13 +1037,25 @@ class TestArrayRestrictCorners:
                 graph, list(graph.nodes)[::stride]
             )
 
-    def test_parent_whose_mirror_is_not_built(self, medium_gnp):
-        # A dict-born copy compiles its CSR from ``adj`` and has no mirror
-        # until ``restrict`` asks for one.
+    def test_dict_born_parent_compiles_to_the_csr_born_arrays(
+        self, medium_gnp
+    ):
+        # A dict-born copy flattens ``adj`` into the arrays the CSR-born
+        # graph was built with, and its kernel reads that very object.
         parent = SimGraph(medium_gnp.nodes, medium_gnp.ident, medium_gnp.adj)
-        assert parent.compiled()._batch is None
+        cg, ref = parent.compiled(), medium_gnp.compiled()
+        assert cg.labels == ref.labels and cg.index == ref.index
+        assert cg.idents == ref.idents
+        for field in ("offsets", "neigh", "rev", "degrees", "owner"):
+            values = getattr(cg, field)
+            assert values.dtype == np.int64, field
+            assert np.array_equal(values, getattr(ref, field)), field
+        kernel = make_engine_kernel(
+            luby_mis(), cg, inputs={}, guesses={}, seed=0, salt=0,
+            track_bits=False,
+        )
+        assert kernel.bg is parent.compiled()
         assert_restricts_like_rebuild(parent, list(parent.nodes)[1::3])
-        assert parent.compiled()._batch is not None
 
 
 class TestCounterRNG:

@@ -309,13 +309,19 @@ class TestSlabCache:
         run_many([(graph, algo, {"seed": 9}) for graph, algo, _ in jobs])
         assert _SLAB_CACHE[key] is slab
 
-    def test_compiled_graph_mirror_is_shared(self, small_gnp):
+    def test_compiled_graph_is_the_slab_member(self, small_gnp):
         cg = small_gnp.compiled()
-        mirror = batch_module.batch_graph_of(cg)
-        assert batch_module.batch_graph_of(cg) is mirror
+        assert isinstance(cg, batch_module.BatchGraph)
+        assert small_gnp.compiled() is cg
         slab = fused_slab_of((cg, cg))
         assert fused_slab_of((cg, cg)) is slab
-        assert slab.n == 2 * mirror.n
+        assert slab.n == 2 * cg.n
+        m = len(cg.neigh)
+        for field in ("offsets", "neigh", "owner", "degrees"):
+            assert getattr(slab, field).dtype == np.int64, field
+        offsets = np.append(cg.offsets, cg.offsets[1:] + m)
+        assert np.array_equal(slab.offsets, offsets)
+        assert np.array_equal(slab.neigh, np.append(cg.neigh, cg.neigh + cg.n))
 
     def test_eviction_on_graph_collection(self):
         graph = build(families.gnp(12, 0.2, seed=3), seed=4)
@@ -329,8 +335,9 @@ class TestSlabCache:
 
     def test_session_mutation_invalidates_every_cache_layer(self):
         """The stale-cache footgun, closed (D18): after a session
-        mutate, the batch mirror and the draw-slab cache all serve the *new* topology — the retired graph's slab entry is
-        evicted deterministically even though we still reference it."""
+        mutate, the compiled graph and the draw-slab cache all serve the
+        *new* topology — the retired graph's slab entry is evicted
+        deterministically even though we still reference it."""
         from repro.local import GraphDelta, open_session
 
         graph = build(families.gnp(24, 0.15, seed=6), seed=7)
@@ -339,12 +346,12 @@ class TestSlabCache:
             session.rerun_many(
                 [(algo, {"seed": s}) for algo, s in zip(jobs, [1, 2, 3])]
             )
-            old_cg = session.graph.compiled()
-            old_mirror = batch_module.batch_graph_of(old_cg)
+            old_graph = session.graph
+            old_cg = old_graph.compiled()
             assert any(id(old_cg) in key for key in _SLAB_CACHE)
 
-            edge = next(iter(session.graph.edges()))
-            session.mutate(GraphDelta(del_edges=[edge]))
+            delta = GraphDelta(del_edges=[next(iter(old_graph.edges()))])
+            session.mutate(delta)
 
             # Slab of the retired topology: evicted now, not at GC time
             # (this test still holds old_cg alive).
@@ -354,7 +361,12 @@ class TestSlabCache:
             # empty caches — nothing can serve stale bits.
             new_cg = session.graph.compiled()
             assert new_cg is not old_cg
-            assert batch_module.batch_graph_of(new_cg) is not old_mirror
+            fresh = old_graph.apply_delta_rebuild(delta).compiled()
+            for field in ("offsets", "neigh", "rev", "degrees", "owner"):
+                values = getattr(new_cg, field)
+                assert values.dtype == np.int64, field
+                assert np.array_equal(values, getattr(fresh, field)), field
+                assert values is not getattr(old_cg, field), field
 
             # The post-mutate fused sweep equals its solo runs on the
             # new topology (a stale slab would diverge here).
@@ -456,7 +468,7 @@ class TestHashLubyIdentityDraws:
         assert all(fields_of(r) == fields_of(results[0]) for r in results)
 
     def test_a_single_graph_has_unique_identities(self, medium_gnp):
-        bg = batch_module.batch_graph_of(medium_gnp.compiled())
+        bg = medium_gnp.compiled()
         assert bg.ident_firsts() is None
 
 

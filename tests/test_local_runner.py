@@ -82,6 +82,13 @@ class TestSimGraph:
         with pytest.raises(InvalidInstanceError):
             SimGraph.from_networkx(nx.path_graph(3), idents={0: 1, 1: 1, 2: 2})
 
+    def test_rejects_bool_idents(self):
+        # bool is an int subclass and True == 1; GraphDelta refuses it too.
+        with pytest.raises(InvalidInstanceError, match="positive integers"):
+            SimGraph.from_networkx(
+                nx.path_graph(3), idents={0: True, 1: 2, 2: 3}
+            )
+
     def test_subgraph_reindexes_ports(self):
         g = sim(nx.cycle_graph(5))
         sub = g.subgraph({0, 1, 2})

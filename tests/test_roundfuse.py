@@ -39,7 +39,7 @@ from repro.local import (
 )
 from repro.local import batch as batch_module
 from repro.local.algorithm import capabilities_of
-from repro.local.batch import LockstepKernel, batch_graph_of
+from repro.local.batch import LockstepKernel
 from repro.local.runner import last_stepping
 from repro.problems.coloring import ColorList, SLCInput
 
@@ -482,7 +482,7 @@ class TestOneSteppingLoop:
         """Every kernel class a registered batch factory builds defines
         exactly one stepping loop; a lockstep kernel's is its own
         ``run_phases``, and no kernel has ``start`` or ``step``."""
-        bg = batch_graph_of(small_gnp.compiled())
+        bg = small_gnp.compiled()
 
         def setup_of(inputs, guesses):
             return batch_module.BatchSetup(
@@ -546,7 +546,7 @@ class TestLockstepKernelCache:
     """The cached undone-indices satellite."""
 
     def test_undone_indices_cached(self, small_gnp):
-        bg = batch_graph_of(small_gnp.compiled())
+        bg = small_gnp.compiled()
         kernel = batch_module.LockstepKernel(bg, schedule=3)
         first = kernel.undone_indices()
         assert first == list(range(bg.n))

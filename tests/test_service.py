@@ -18,6 +18,7 @@ whole alternation.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.algorithms import TABLE1
@@ -38,8 +39,7 @@ from repro.local.execution import current
 from repro.local.runner import last_stepping
 
 RESULT_FIELDS = ("outputs", "finish_round", "rounds", "messages", "truncated")
-CSR_FIELDS = ("offsets", "neigh", "rev", "degrees", "idents", "labels")
-MIRROR_FIELDS = ("offsets", "neigh", "owner", "degrees")
+CSR_ARRAYS = ("offsets", "neigh", "rev", "degrees", "owner")
 
 
 def assert_results_equal(a, b, context=""):
@@ -48,37 +48,35 @@ def assert_results_equal(a, b, context=""):
 
 
 def csr_state(graph):
-    """Copies of a graph's CSR arrays and, when built, its numpy mirror
-    (identity mix included once cached)."""
+    """Copies of a graph's labels, identities and CSR arrays, and of its
+    identity mix once cached."""
     cg = graph.compiled()
-    state = {field: list(getattr(cg, field)) for field in CSR_FIELDS}
-    bg = cg._batch
-    if bg is not None:
-        for field in MIRROR_FIELDS:
-            state["batch." + field] = getattr(bg, field).tolist()
-        if bg._mix is not None:
-            state["batch.mix"] = bg._mix.tolist()
+    state = {field: getattr(cg, field).tolist() for field in CSR_ARRAYS}
+    state["labels"] = list(cg.labels)
+    state["idents"] = list(cg.idents)
+    if cg._mix is not None:
+        state["mix"] = cg._mix.tolist()
     return state
 
 
 def assert_csr_matches_fresh(live, oracle, context=""):
-    """The live graph's patched CSR (and spliced mirror) equal a build
-    from scratch, array for array."""
+    """The live graph's patched CSR equals a build from scratch, array
+    for array and int64 throughout; its slot owners equal a fresh
+    ``BatchGraph``'s, and its (possibly carried) identity mix a fresh
+    one."""
     cg, fresh = live.compiled(), oracle.compiled()
-    for field in CSR_FIELDS:
-        assert list(getattr(cg, field)) == list(getattr(fresh, field)), (
+    assert list(cg.labels) == list(fresh.labels), ("labels", context)
+    assert cg.idents == fresh.idents, ("idents", context)
+    for field in CSR_ARRAYS:
+        values = getattr(cg, field)
+        assert values.dtype == np.int64, (field, context)
+        assert values.tolist() == getattr(fresh, field).tolist(), (
             field, context,
         )
-    bg = cg._batch
-    if bg is None:
-        return
     ref = BatchGraph(fresh.labels, fresh.idents, fresh.offsets, fresh.neigh)
-    for field in MIRROR_FIELDS:
-        assert getattr(bg, field).tolist() == getattr(ref, field).tolist(), (
-            "batch." + field, context,
-        )
-    assert bg.ident_mix().tolist() == ident_mix(fresh.idents).tolist(), (
-        "batch.mix", context,
+    assert cg.owner.tolist() == ref.owner.tolist(), ("owner", context)
+    assert cg.ident_mix().tolist() == ident_mix(fresh.idents).tolist(), (
+        "mix", context,
     )
 
 
@@ -326,7 +324,7 @@ class TestGraphDeltaValidation:
     @pytest.mark.parametrize("node_churn", [False, True])
     def test_mutate_leaves_retired_graph_untouched(self, graph, node_churn):
         """The child may share node-side objects with its parent; the
-        parent's CSR, mirror and identity mix must still read as before."""
+        parent's CSR arrays and identity mix must still read as before."""
         u, gone = graph.nodes[0], graph.nodes[5]
         v = next(
             w for w in graph.nodes[1:5] if not graph.has_edge(u, w)
@@ -342,10 +340,10 @@ class TestGraphDeltaValidation:
                 del_nodes=[gone],
             )
         with open_session(graph) as session:
-            session.rerun(luby_mis(), seed=1)  # builds mirror + identity mix
+            session.rerun(luby_mis(), seed=1)  # builds the identity mix
             retired = session.graph
             before = csr_state(retired)
-            assert "batch.mix" in before
+            assert "mix" in before
             session.mutate(delta)
             assert csr_state(retired) == before
             oracle = retired.apply_delta_rebuild(delta)
