@@ -71,9 +71,7 @@ from .matching import (
 from .registry import (
     TABLE1,
     TableRow,
-    capability_table,
     corollary1_portfolio,
-    row_capabilities,
 )
 from .ruling_sets import (
     bitwise_beta,
@@ -89,8 +87,6 @@ __all__ = [
     "CliqueProductColoring",
     "KWReducer",
     "TABLE1",
-    "capability_table",
-    "row_capabilities",
     "TableRow",
     "arb_mis",
     "arb_mis_nonly_bound",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.bounds import AdditiveBound, custom
-from ..core.domain import VIRTUAL_OVERHEAD, VirtualDomain
+from ..core.domain import VIRTUAL_OVERHEAD, PhysicalDomain, VirtualDomain
 from ..core.transformer import NonUniform
 from ..errors import InvalidInstanceError
 from ..graphs.transforms import line_graph_ends, line_graph_spec
@@ -45,27 +45,11 @@ class LineMISMatching(HostAlgorithm):
     name = "line-mis-matching"
     requires = ("Delta", "m")
     randomized = False
-    domains = ("physical",)
-
-    def capabilities(self):
-        """Host record plus whether the inner line-graph engine batches.
-
-        Declared here — next to the ``fast_mis`` call below — so the
-        registry's capability table can never drift from the
-        orchestration's actual inner engine.
-        """
-        caps = super().capabilities()
-        from ..local.algorithm import capabilities_of
-
-        caps["inner_supports_batch"] = capabilities_of(fast_mis()).get(
-            "supports_batch", False
-        )
-        return caps
 
     def run_restricted(
         self, domain, budget, *, inputs, guesses, seed, salt, default_output
     ):
-        if domain.kind not in self.domains:
+        if not isinstance(domain, PhysicalDomain):
             raise InvalidInstanceError(
                 "line-graph matching runs on physical domains"
             )

@@ -175,49 +175,6 @@ def _rows():
 TABLE1 = _rows()
 
 
-def row_capabilities(row_id):
-    """Capability record of one row's black box (and its inner engine).
-
-    Built from the algorithms' own :meth:`capabilities` declarations, so
-    the runner/transformer dispatch and this catalogue can never drift
-    apart: ``kind`` ("node" per-node processes / "host" orchestration),
-    ``supports_batch`` (a frontier kernel is registered — the compiled
-    engine auto-selects the batched path), ``domains`` (where the box
-    may execute).  Host
-    orchestrations may additionally report ``inner_supports_batch`` for
-    the engine they drive internally (see
-    ``LineMISMatching.capabilities``).
-
-    The record also carries the row's *pruning* side under ``"pruning"``
-    — the other half of every alternation step ``B_i = (A_i ; P)``,
-    with its own ``kind`` (``"pruning"``), ``rounds`` and
-    ``supports_batch`` — so backend selection covers the pruners
-    explicitly instead of leaving them on the implicit per-node default.
-    """
-    from ..local.algorithm import capabilities_of
-
-    row = TABLE1[row_id]
-    box = row.make_nonuniform().algorithm
-    caps = capabilities_of(box)
-    caps["name"] = box.name
-    pruner = row.make_pruning()
-    prune_caps = capabilities_of(pruner)
-    prune_caps["name"] = pruner.name
-    caps["pruning"] = prune_caps
-    return caps
-
-
-def capability_table():
-    """``row_id -> capability record`` for every Table-1 row.
-
-    Benches and the backend-selection tests consume this instead of
-    probing classes with ``isinstance`` — the record travels with the
-    algorithm objects themselves.  Each row includes its pruner's record
-    under ``"pruning"``.
-    """
-    return {row_id: row_capabilities(row_id) for row_id in TABLE1}
-
-
 def corollary1_portfolio(*, base=2.0):
     """Corollary 1(i): min{2^O(√log n), O(Δ+log* n), f(a,n)} via Theorem 4.
 

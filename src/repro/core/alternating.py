@@ -23,6 +23,7 @@ from __future__ import annotations
 from time import perf_counter
 
 from ..errors import ReproError
+from ..local.algorithm import HostAlgorithm
 from ..local.runner import last_stepping, note_stepping
 from .domain import as_domain
 
@@ -113,10 +114,6 @@ class TransformResult:
         self.rounds = rounds
         self.steps = steps
         self.completed = completed
-
-    @property
-    def iterations(self):
-        return max((s.iteration for s in self.steps), default=0)
 
     def backend_summary(self):
         """Wall clock and step counts grouped by executing backend.
@@ -222,17 +219,13 @@ class AlternatingEngine:
     def step_algorithm(self, algorithm, *, iteration, index, guesses, budget):
         """Standard step: run ``algorithm`` restricted to ``budget`` rounds.
 
-        Dispatches on the black box's advertised capability record
-        (``kind``): ``"node"`` algorithms go through the domain's
-        restricted runner, ``"host"`` orchestrations restrict
-        themselves.
+        A :class:`~repro.local.algorithm.HostAlgorithm` restricts
+        itself; any other box goes through the domain's restricted
+        runner.
         """
-        from ..local.algorithm import capabilities_of
-
-        host_kind = capabilities_of(algorithm).get("kind") == "host"
 
         def runner(domain, inputs, salt):
-            if host_kind:
+            if isinstance(algorithm, HostAlgorithm):
                 return algorithm.run_restricted(
                     domain,
                     budget,

@@ -53,10 +53,6 @@ VIRTUAL_OVERHEAD = 3
 class Domain:
     """Common interface over physical and derived execution graphs."""
 
-    #: Domain kind matched against an algorithm's advertised ``domains``
-    #: capability (see ``LocalAlgorithm.capabilities``).
-    kind = "abstract"
-
     @property
     def nodes(self):
         raise NotImplementedError
@@ -73,16 +69,6 @@ class Domain:
 
     def neighbors(self, u):
         raise NotImplementedError
-
-    @property
-    def max_ident(self):
-        values = [self.ident(u) for u in self.nodes]
-        return max(values) if values else 0
-
-    @property
-    def max_degree(self):
-        values = [self.degree(u) for u in self.nodes]
-        return max(values) if values else 0
 
     def run_restricted(self, algorithm, budget, **kwargs):
         """Run with a round budget; returns ``(outputs, rounds_charged)``.
@@ -110,8 +96,6 @@ class Domain:
 class PhysicalDomain(Domain):
     """The network itself."""
 
-    kind = "physical"
-
     def __init__(self, graph):
         if not isinstance(graph, SimGraph):
             raise TypeError("PhysicalDomain wraps a SimGraph")
@@ -129,14 +113,6 @@ class PhysicalDomain(Domain):
 
     def neighbors(self, u):
         return self.graph.neighbors(u)
-
-    @property
-    def max_ident(self):
-        return self.graph.max_ident
-
-    @property
-    def max_degree(self):
-        return self.graph.max_degree
 
     def run_restricted(
         self,
@@ -200,8 +176,6 @@ class VirtualDomain(Domain):
     Budgets are given in *virtual* rounds; the charge is
     ``budget * dilation + VIRTUAL_OVERHEAD`` physical rounds.
     """
-
-    kind = "virtual"
 
     def __init__(self, physical, spec):
         if not isinstance(spec, VirtualSpec):

@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..local import batch
-from ..local.algorithm import LocalAlgorithm, NodeProcess, capabilities_of
+from ..local.algorithm import LocalAlgorithm, NodeProcess
 from ..local.message import Broadcast
 from ..problems.coloring import SLC, SLCInput
 from ..problems.matching import MAXIMAL_MATCHING
@@ -98,35 +98,6 @@ class PruningAlgorithm:
         Outputs ``("prune", None)`` or ``("keep", new_x)``.
         """
         raise NotImplementedError
-
-    def capabilities(self):
-        """Capability record, same shape as the algorithm registry rows.
-
-        ``kind`` is ``"pruning"``; ``supports_batch``/``domains`` are
-        inherited from the LOCAL algorithm the pruner compiles to, so
-        :func:`repro.local.algorithm.capabilities_of` covers pruners the
-        same way it covers the guess algorithms (the registry's
-        ``capability_table`` republishes these per Table-1 row).
-        Subclasses without a concrete ``algorithm`` (e.g. wrappers that
-        only override ``apply``) report a conservative default.
-        """
-        caps = {
-            "kind": "pruning",
-            "rounds": self.rounds,
-            "supports_batch": False,
-            "supports_fuse": False,
-            "domains": LocalAlgorithm.domains,
-            "randomized": False,
-            "uniform": True,
-        }
-        try:
-            inner = capabilities_of(self.algorithm())
-        except NotImplementedError:
-            return caps
-        caps["supports_batch"] = inner.get("supports_batch", False)
-        caps["supports_fuse"] = inner.get("supports_fuse", False)
-        caps["domains"] = inner.get("domains", caps["domains"])
-        return caps
 
     def apply(self, domain, inputs, tentative, *, seed=0, salt="prune"):
         """Run the pruner on a domain; returns a :class:`PruneResult`.

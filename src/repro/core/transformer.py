@@ -26,7 +26,7 @@ output.
 
 from __future__ import annotations
 
-from ..local.algorithm import capabilities_of
+from ..local.algorithm import HostAlgorithm, LocalAlgorithm
 from .alternating import AlternatingEngine, AlternationDiverged
 from .domain import as_domain
 
@@ -63,7 +63,7 @@ class NonUniform:
         name=None,
         validate=True,
     ):
-        if capabilities_of(algorithm).get("kind") not in ("node", "host"):
+        if not isinstance(algorithm, (LocalAlgorithm, HostAlgorithm)):
             raise TypeError(
                 "NonUniform wraps a LocalAlgorithm or HostAlgorithm"
             )

@@ -21,6 +21,8 @@ running with ``max_rounds=i`` and a default output; see
 
 from __future__ import annotations
 
+from ..errors import ParameterError
+
 
 class NodeProcess:
     """Base class for the per-node state machine of a LOCAL algorithm."""
@@ -77,53 +79,28 @@ class LocalAlgorithm:
         every node, and every message-ledger contribution flows through
         ``BatchGraph.charge``.  Only then may the fused engine run the
         kernel on a block-diagonal multi-run slab; uncertified
-        algorithms run each lane solo instead.
+        algorithms run each lane solo instead.  ``fuse=True`` without a
+        ``batch`` factory is a :class:`~repro.errors.ParameterError`.
     """
 
     __slots__ = (
         "name", "process", "requires", "randomized", "batch", "fuse",
     )
 
-    #: Domain kinds a per-node algorithm runs on (capability record).
-    domains = ("physical", "virtual")
-
     def __init__(
         self, name, process, requires=(), randomized=False, batch=None,
         fuse=False,
     ):
+        if fuse and batch is None:
+            raise ParameterError(
+                f"algorithm {name!r}: fuse=True needs a batch kernel factory"
+            )
         self.name = name
         self.process = process
         self.requires = tuple(requires)
         self.randomized = bool(randomized)
         self.batch = batch
         self.fuse = bool(fuse)
-
-    @property
-    def uniform(self):
-        """True when the algorithm needs no global-parameter guesses."""
-        return not self.requires
-
-    def capabilities(self):
-        """Capability record driving runner/transformer dispatch.
-
-        ``kind`` selects the execution style (``"node"``: per-node
-        processes through the runner; ``"host"``: self-restricting
-        orchestration), ``supports_batch`` whether a frontier kernel is
-        registered (its solo runs execute round-fused, D17/D30),
-        ``supports_fuse`` whether the kernel may step several
-        independent runs as lanes of one block-diagonal slab (D16),
-        ``domains`` where the algorithm may execute.  The registry
-        (``repro.algorithms.registry``) aggregates these per Table-1
-        row.
-        """
-        return {
-            "kind": "node",
-            "supports_batch": self.batch is not None,
-            "supports_fuse": self.fuse and self.batch is not None,
-            "domains": self.domains,
-            "randomized": self.randomized,
-            "uniform": self.uniform,
-        }
 
     def make(self, ctx):
         """Instantiate the node process for one node."""
@@ -157,28 +134,11 @@ class HostAlgorithm:
     name = "host-algorithm"
     requires = ()
     randomized = False
-    #: Domain kinds the orchestration accepts (capability record).
-    domains = ("physical",)
 
     def run_restricted(
         self, domain, budget, *, inputs, guesses, seed, salt, default_output
     ):
         raise NotImplementedError
-
-    @property
-    def uniform(self):
-        return not self.requires
-
-    def capabilities(self):
-        """Capability record; see :meth:`LocalAlgorithm.capabilities`."""
-        return {
-            "kind": "host",
-            "supports_batch": False,
-            "supports_fuse": False,
-            "domains": self.domains,
-            "randomized": self.randomized,
-            "uniform": self.uniform,
-        }
 
     def __repr__(self):
         gamma = ",".join(self.requires) if self.requires else "uniform"
@@ -212,13 +172,3 @@ def zero_round_algorithm(name, fn):
         name=name, process=lambda ctx: FunctionProcess(ctx, fn), requires=()
     )
 
-
-def capabilities_of(algorithm):
-    """Capability record of any black box (``{}`` when undeclared).
-
-    The runner and the transformers dispatch on this record instead of
-    concrete classes, so third-party boxes participate by advertising
-    capabilities rather than by inheritance.
-    """
-    probe = getattr(algorithm, "capabilities", None)
-    return probe() if callable(probe) else {}

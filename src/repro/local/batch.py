@@ -439,21 +439,13 @@ def make_engine_kernel(
 ):
     """Build the run's batch kernel, or ``None`` to run the reference loop.
 
-    Fallback rules (DESIGN.md D10, D33): no advertised batch capability,
-    message-size tracking requested (payload bits are a property of the
-    materialized tuples the batch path never builds), an empty graph,
-    or the factory itself declining the configuration (e.g. palette
-    bounds it cannot represent).
-    Eligibility is read off the algorithm's capability record
-    (``supports_batch``), the same table the registry and the
-    transformers dispatch on — not off the concrete class.
+    Fallback rules (DESIGN.md D10, D33): no ``algorithm.batch``
+    factory, message-size tracking requested (payload bits are a
+    property of the materialized tuples the batch path never builds),
+    an empty graph, or the factory itself declining the configuration
+    (e.g. palette bounds it cannot represent).
     """
-    if track_bits or cg.n == 0:
-        return None
-    from .algorithm import capabilities_of
-
-    caps = capabilities_of(algorithm)
-    if not caps.get("supports_batch"):
+    if track_bits or cg.n == 0 or algorithm.batch is None:
         return None
     return algorithm.batch(
         cg, BatchSetup(inputs, guesses, _engine_draw_builder(cg, seed, salt))

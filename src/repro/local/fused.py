@@ -24,7 +24,7 @@ is its *message ledger* (a single per-round total), so every certified
 kernel routes its counts through ``BatchGraph.charge`` and
 :class:`FusedBatchGraph` splits them per lane as a side effect.  A
 kernel is only ever fused when its algorithm is certified ``fuse=True``
-(capability ``supports_fuse``); everything else runs each lane solo
+(which requires a ``batch`` factory); everything else runs each lane solo
 through :func:`~repro.local.runner.run`, which is trivially
 bit-identical.
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from ..errors import NonTerminationError, ParameterError, ReproError
 from . import batch
-from .algorithm import capabilities_of
+from .algorithm import LocalAlgorithm
 from .context import run_key
 from .execution import resolve
 from .runner import (
@@ -269,7 +269,7 @@ def run_many(
         unknown = set(opts) - {"guesses", "inputs", "seed", "salt"}
         if unknown:
             raise ParameterError(f"unknown job option(s) {sorted(unknown)}")
-        if capabilities_of(algorithm).get("kind") != "node":
+        if not isinstance(algorithm, LocalAlgorithm):
             raise TypeError(
                 f"expected LocalAlgorithm, got {type(algorithm).__name__}"
             )
@@ -309,7 +309,7 @@ def run_many(
     for lane in lanes_list:
         if (
             not fuse_ok
-            or not capabilities_of(lane.algorithm).get("supports_fuse")
+            or not lane.algorithm.fuse
             or lane.graph.compiled().n == 0
         ):
             solo.append(lane)

@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from ..errors import NonTerminationError, ParameterError
-from .algorithm import capabilities_of
+from .algorithm import LocalAlgorithm
 from .context import NodeContext, rng_source
 from .execution import resolve
 from .message import Broadcast, normalize_outgoing
@@ -236,7 +236,7 @@ def execute(
         Record the largest payload size observed (Section 6.2's
         message-size instrumentation; small runtime overhead).
     """
-    if capabilities_of(algorithm).get("kind") != "node":
+    if not isinstance(algorithm, LocalAlgorithm):
         raise TypeError(f"expected LocalAlgorithm, got {type(algorithm).__name__}")
     guesses = require_guesses(algorithm, guesses)
     inputs = inputs or {}

@@ -74,7 +74,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidInstanceError, NonTerminationError
-from .algorithm import LocalAlgorithm, NodeProcess, capabilities_of
+from .algorithm import LocalAlgorithm, NodeProcess
 from .batch import (
     BatchSetup,
     _is_int64,
@@ -539,7 +539,7 @@ def _drive_virtual(
     — the virtual ``BatchGraph``, each bg index's result as an array
     (:func:`~repro.local.batch.fold_commits`) and :func:`_host_commits`'
     commit array — or ``None`` when the run is ineligible (empty spec,
-    no batch capability) or the factory declines.
+    no ``algorithm.batch`` factory) or the factory declines.
 
     The drive is one :func:`~repro.local.batch.drive_kernel` call (D17,
     D30).  Virtual round ``k`` is engine round ``k-1`` and runs at
@@ -548,7 +548,7 @@ def _drive_virtual(
     nodes still running at the cap fold to virtual round 0, so their
     hosts never commit and their result (0) is never read.
     """
-    if not capabilities_of(algorithm).get("supports_batch"):
+    if algorithm.batch is None:
         return None
     bg = batch_graph_of_spec(spec)
     if not bg.n:

@@ -1,9 +1,9 @@
 """Batched frontier-step infrastructure (DESIGN.md D10).
 
 Covers the pieces under the equivalence suite's bit-identity umbrella:
-the vectorized counter draws, the capability records that drive
-backend selection, the batch-path plumbing, and numpy's place among
-the declared dependencies.
+the vectorized counter draws, the object facts that drive backend
+selection (a ``batch`` factory, ``fuse``, ``HostAlgorithm``), the
+batch-path plumbing, and numpy's place among the declared dependencies.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy
 import pytest
 
-from repro.algorithms import TABLE1, capability_table
+from repro.algorithms import TABLE1
+from repro.algorithms.fast_mis import fast_mis
 from repro.algorithms.luby import luby_mis
 from repro.core.pruning import MatchingPruning, RulingSetPruning, SLCPruning
 from repro.local import CounterRNG, run
 from repro.local import batch as batch_module
-from repro.local.algorithm import HostAlgorithm, capabilities_of
+from repro.local.algorithm import HostAlgorithm, LocalAlgorithm
 from repro.local.context import counter_rng, run_key
 from repro.local.execution import Execution, resolve
 
@@ -85,57 +86,45 @@ class TestCounterRandomBatch:
             assert int(second[position]) == stream.getrandbits(62)
 
 
-class TestCapabilities:
-    def test_local_algorithm_records(self):
-        caps = capabilities_of(luby_mis())
-        assert caps["kind"] == "node"
-        assert caps["supports_batch"] is True
-        assert caps["randomized"] is True
-        plain = capabilities_of(HostAlgorithm())
-        assert plain["kind"] == "host"
-        assert plain["supports_batch"] is False
-        assert capabilities_of(object()) == {}
+class TestDispatchFacts:
+    """Dispatch reads the objects: a ``batch`` factory, ``fuse`` and
+    ``HostAlgorithm``; there is no second description to drift."""
 
-    def test_registry_table(self):
-        table = capability_table()
-        assert set(table) == set(TABLE1)
-        assert table["mis-fast"]["supports_batch"] is True
-        assert table["mis-nonly"]["supports_batch"] is True
-        assert table["luby"]["supports_batch"] is True
-        assert table["ruling-c1"]["supports_batch"] is True
-        assert table["matching"]["kind"] == "host"
-        assert table["matching"]["inner_supports_batch"] is True
-        assert table["mis-arb-product"]["kind"] == "host"
-        for caps in table.values():
-            assert caps["domains"]
+    def test_local_and_host_algorithms(self):
+        algo = luby_mis()
+        assert isinstance(algo, LocalAlgorithm)
+        assert algo.batch is not None
+        assert algo.randomized is True
+        host = HostAlgorithm()
+        assert not isinstance(host, LocalAlgorithm)
+        assert not hasattr(host, "batch")
 
-    def test_registry_table_covers_pruners(self):
-        """Every row republishes its pruner's capability record."""
-        table = capability_table()
-        for row_id, caps in table.items():
-            prune_caps = caps["pruning"]
-            assert prune_caps["kind"] == "pruning", row_id
-            assert prune_caps["supports_batch"] is True, row_id
-            assert prune_caps["rounds"] >= 1, row_id
-            assert prune_caps["name"], row_id
+    def test_registry_rows(self):
+        boxes = {
+            row_id: row.make_nonuniform().algorithm
+            for row_id, row in TABLE1.items()
+        }
+        for row_id in ("mis-fast", "mis-nonly", "luby", "ruling-c1"):
+            assert boxes[row_id].batch is not None, row_id
+        for row_id in ("matching", "mis-arb-product", "mis-arb-nonly"):
+            assert isinstance(boxes[row_id], HostAlgorithm), row_id
+        # The matching box drives fast MIS on the line graph.
+        assert fast_mis().batch is not None
 
-    def test_pruner_capability_records(self):
-        caps = capabilities_of(RulingSetPruning(beta=3))
-        assert caps["kind"] == "pruning"
-        assert caps["rounds"] == 4
-        assert caps["supports_batch"] is True
-        assert capabilities_of(MatchingPruning())["supports_batch"] is True
-        assert capabilities_of(SLCPruning())["supports_batch"] is True
+    def test_registry_rows_cover_pruners(self):
+        """Every row's pruner compiles to a batched LOCAL algorithm."""
+        for row_id, row in TABLE1.items():
+            pruner = row.make_pruning()
+            assert pruner.algorithm().batch is not None, row_id
+            assert pruner.rounds >= 1, row_id
+            assert pruner.name, row_id
 
-        class ApplyOnly(RulingSetPruning):
-            """Wrapper overriding apply() without a concrete algorithm."""
-
-            def algorithm(self):
-                raise NotImplementedError
-
-        conservative = capabilities_of(ApplyOnly())
-        assert conservative["kind"] == "pruning"
-        assert conservative["supports_batch"] is False
+    def test_pruner_algorithms(self):
+        pruner = RulingSetPruning(beta=3)
+        assert pruner.rounds == 4
+        assert pruner.algorithm().batch is not None
+        assert MatchingPruning().algorithm().batch is not None
+        assert SLCPruning().algorithm().batch is not None
 
     def test_runner_rejects_non_node_kinds(self, small_gnp):
         with pytest.raises(TypeError):

@@ -169,8 +169,10 @@ class TestTheorem5ReadsNoGlobalDegree:
         def global_read(self):
             raise AssertionError("Theorem 5 read the global max_degree")
 
-        for cls in (SimGraph, Domain, PhysicalDomain, VirtualDomain):
-            monkeypatch.setattr(cls, "max_degree", property(global_read))
+        for cls in (Domain, PhysicalDomain, VirtualDomain):
+            for name in ("max_degree", "max_ident"):
+                assert not hasattr(cls, name), (cls.__name__, name)
+        monkeypatch.setattr(SimGraph, "max_degree", property(global_read))
         with use_backend(backend):
             got = [uc.run(g, seed=4) for g in (small_gnp, edgeless)]
         for want, result in zip(expected, got):

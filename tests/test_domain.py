@@ -50,7 +50,7 @@ class TestPhysicalDomain:
         assert physical.degree(u) == 2
         assert physical.ident(u) >= 1
         assert set(physical.neighbors(u)) <= set(physical.nodes)
-        assert physical.max_degree == 2
+        assert physical.graph.max_degree == 2
 
     def test_run_restricted_charges_budget(self, physical):
         algo = zero_round_algorithm("noop", lambda ctx: 0)

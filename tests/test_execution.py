@@ -21,10 +21,12 @@ import pytest
 
 from repro.algorithms.luby import luby_mis
 from repro.core.domain import PhysicalDomain, VirtualDomain
+from repro.core.pruning import PruningAlgorithm
 from repro.errors import ParameterError
 from repro.graphs import line_graph_spec
 from repro.local import (
     Execution,
+    HostAlgorithm,
     LocalAlgorithm,
     open_session,
     run,
@@ -36,6 +38,14 @@ from repro.local import fused
 from repro.local.execution import current, resolve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def subclasses_of(*roots):
+    """``roots`` and every class derived from them."""
+    found = list(roots)
+    for cls in found:
+        found.extend(cls.__subclasses__())
+    return found
 
 
 class RecordingEnviron(dict):
@@ -126,7 +136,14 @@ class TestRemovedNames:
             with pytest.raises(TypeError, match="fault_batch"):
                 LocalAlgorithm("x", lambda ctx: None, fault_batch=True)
         else:
-            assert "supports_faulted_batch" not in luby_mis().capabilities()
+            # D44: the capability record that carried the flag is gone.
+            for module, name in (
+                ("repro.local.algorithm", "capabilities_of"),
+                ("repro.algorithms", "capability_table"),
+                ("repro.algorithms", "row_capabilities"),
+            ):
+                with pytest.raises(ImportError):
+                    exec(f"from {module} import {name}", {})
 
     @pytest.mark.parametrize("module,name", [
         ("repro.core", "speculative_race"),
@@ -203,7 +220,11 @@ class TestRemovedNames:
         elif case == "flag":
             with pytest.raises(TypeError, match="roundfuse"):
                 LocalAlgorithm("x", lambda ctx: None, roundfuse=True)
-            assert "supports_roundfuse" not in luby_mis().capabilities()
+            # D44: no algorithm or pruner publishes a capability record.
+            for cls in subclasses_of(
+                LocalAlgorithm, HostAlgorithm, PruningAlgorithm
+            ):
+                assert not hasattr(cls, "capabilities"), cls.__name__
         else:
             with pytest.raises(ImportError):
                 from repro.local import use_roundfuse  # noqa: F401

@@ -20,7 +20,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.algorithms import capability_table, hash_luby
+from repro.algorithms import TABLE1, hash_luby
 from repro.algorithms.fast_mis import fast_mis
 from repro.algorithms.hash_luby import hash_luby_mis
 from repro.algorithms.luby import luby_mc, luby_mis
@@ -37,7 +37,6 @@ from repro.local import (
 )
 from repro.local import batch as batch_module
 from repro.local import fused as fused_module
-from repro.local.algorithm import capabilities_of
 from repro.local.fused import _SLAB_CACHE, fused_slab_of
 from repro.local.runner import last_stepping
 
@@ -280,8 +279,7 @@ class TestAttribution:
 class TestFallbacks:
     def test_uncertified_algorithm_runs_solo(self, small_gnp):
         algo = bitwise_ruling_set()
-        caps = capabilities_of(algo)
-        assert caps["supports_batch"] and not caps["supports_fuse"]
+        assert algo.batch is not None and not algo.fuse
         m = small_gnp.edge_count()
         jobs = [
             (small_gnp, algo, {"guesses": {"m": m}, "seed": 3}),
@@ -398,14 +396,15 @@ class TestBackendWiring:
         with pytest.raises(ParameterError):
             run_many([(small_gnp, luby_mc())])  # missing guess for n
 
-    def test_capability_table_publishes_supports_fuse(self):
-        table = capability_table()
-        assert table["luby"]["supports_fuse"] is True
-        assert table["mis-fast"]["supports_fuse"] is True
-        assert table["mis-nonly"]["supports_fuse"] is True
-        for record in table.values():
-            assert "supports_fuse" in record
-            assert record["pruning"]["supports_fuse"] is False
+    def test_table1_fuse_certification(self):
+        for row_id in ("luby", "mis-fast", "mis-nonly"):
+            assert TABLE1[row_id].make_nonuniform().algorithm.fuse, row_id
+        for row_id, row in TABLE1.items():
+            assert not row.make_pruning().algorithm().fuse, row_id
+
+    def test_fuse_without_batch_is_rejected(self):
+        with pytest.raises(ParameterError, match="'solo-only'"):
+            LocalAlgorithm("solo-only", lambda ctx: None, fuse=True)
 
 
 def overlapping_graphs(graph):

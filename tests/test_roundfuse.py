@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.algorithms import TABLE1, capability_table
+from repro.algorithms import TABLE1
 from repro.algorithms.arboricity import h_partition
 from repro.algorithms.fast_coloring import ColoringBatchKernel, fast_coloring
 from repro.algorithms.fast_mis import MISBatchKernel, fast_mis
@@ -38,7 +38,7 @@ from repro.local import (
     virtualize,
 )
 from repro.local import batch as batch_module
-from repro.local.algorithm import capabilities_of
+from repro.local.algorithm import HostAlgorithm
 from repro.local.batch import LockstepKernel
 from repro.local.runner import last_stepping
 from repro.problems.coloring import ColorList, SLCInput
@@ -520,26 +520,30 @@ class TestOneSteppingLoop:
             assert not hasattr(cls, "step"), cls.__name__
 
 
-class TestCapabilityPublication:
-    """The capability records publish batch and fuse, nothing else."""
+class TestDispatchAttributes:
+    """Dispatch reads ``batch`` and ``fuse`` off the algorithm, nothing
+    else."""
 
-    def test_capability_table_rows(self):
-        table = capability_table()
-        for row_id, caps in table.items():
-            for record in (caps, caps["pruning"]):
-                assert "supports_roundfuse" not in record, row_id
+    def test_table1_rows(self):
+        for row_id, row in TABLE1.items():
+            box = row.make_nonuniform().algorithm
+            for algorithm in (box, row.make_pruning().algorithm()):
+                assert not hasattr(algorithm, "roundfuse"), row_id
                 # Lane fusion implies a batch kernel to fuse.
-                if record["supports_fuse"]:
-                    assert record["supports_batch"], row_id
-        assert table["luby"]["supports_batch"] is True
-        assert table["luby"]["pruning"]["supports_batch"] is True
+                if getattr(algorithm, "fuse", False):
+                    assert algorithm.batch is not None, row_id
+        luby = TABLE1["luby"]
+        assert luby.make_nonuniform().algorithm.batch is not None
+        assert luby.make_pruning().algorithm().batch is not None
         # Host orchestrations never run a kernel at top level.
-        assert table["matching"]["supports_batch"] is False
+        box = TABLE1["matching"].make_nonuniform().algorithm
+        assert isinstance(box, HostAlgorithm)
+        assert not hasattr(box, "batch")
 
-    def test_kernel_algorithms_advertise_batch(self, small_gnp):
+    def test_kernel_algorithms_have_batch(self, small_gnp):
         for label, algorithm, _ in kernel_algorithms(small_gnp):
-            assert capabilities_of(algorithm)["supports_batch"], label
-        assert capabilities_of(MatchingPruning())["supports_batch"]
+            assert algorithm.batch is not None, label
+        assert MatchingPruning().algorithm().batch is not None
 
 
 class TestLockstepKernelCache:

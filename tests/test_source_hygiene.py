@@ -5,6 +5,11 @@
   module-level import binds must be read somewhere in that module.
   Names listed in the module's ``__all__`` (re-exports) and ``from
   __future__`` imports are exempt.
+* No dead definitions: every function, method or class defined under
+  ``src/`` must have its name read somewhere in ``src/``, ``tests/``,
+  ``benchmarks/``, ``perfbench/`` or ``examples/``.  A read is a
+  ``Name`` or ``Attribute`` load, an import alias, or a string constant
+  (the ``getattr`` spelling).  Dunders are exempt; there is no allowlist.
 * No ``np.unique`` under ``src/`` (DESIGN.md D41).  On numpy 2.4.6
   (2-core container, Python 3.11.7) ``np.unique`` of 20,000 int64 costs
   2.9–3.2 ms against 0.20–0.23 ms for sort-and-diff, and
@@ -106,6 +111,75 @@ class TestUnusedImports:
         assert unused_imports(source) == [
             (3, "osp"), (4, "loads"), (7, "yaml"), (9, "tomllib"),
         ]
+
+
+READERS = SCANNED + ("perfbench",)
+
+
+def definitions(source):
+    """``(line, name)`` of every non-dunder function, method or class
+    ``source`` defines, at any depth."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def names_read(source):
+    """Every name ``source`` reads: ``Name`` and ``Attribute`` loads,
+    import aliases and string constants."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+class TestNoDeadDefinitions:
+    def test_every_src_definition_is_read(self):
+        read = set()
+        for directory in READERS:
+            for path in (REPO / directory).rglob("*.py"):
+                read |= names_read(path.read_text())
+        found = [
+            f"{path.relative_to(REPO).as_posix()}:{line} {name}"
+            for path in sorted((REPO / "src").rglob("*.py"))
+            for line, name in definitions(path.read_text())
+            if name not in read
+        ]
+        assert found == []
+
+    def test_the_scan_flags_what_it_should(self):
+        source = (
+            "import pkg.used_module\n"
+            "from lib import imported\n"
+            "class Kept:\n"
+            "    def __init__(self):\n"
+            "        self.stored = 1\n"
+            "    def method(self):\n"
+            "        return getattr(self, 'by_string')\n"
+            "    def by_string(self):\n"
+            "        pass\n"
+            "    def stored(self):\n"
+            "        pass\n"
+            "def used_module():\n"
+            "    return Kept().method()\n"
+            "def imported():\n"
+            "    pass\n"
+            "def dead():\n"
+            "    pass\n"
+        )
+        read = names_read(source)
+        dead = [name for _, name in definitions(source) if name not in read]
+        assert dead == ["stored", "dead"]
 
 
 def unique_calls(source):
